@@ -15,7 +15,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use frap_gateway::proto::{Frame, Hello, HelloAck, HELLO_ACK_LEN, HELLO_LEN, MAX_FRAME, VERSION};
+use frap_gateway::proto::{
+    Frame, FrameBuffer, Hello, HelloAck, HELLO_ACK_LEN, HELLO_LEN, MAX_FRAME, VERSION,
+};
 
 use crate::coord::CoordCore;
 use crate::node::{NodeCore, SpentProbe};
@@ -55,62 +57,27 @@ impl LinkStats {
     }
 }
 
-/// Reads frames off a blocking stream into complete [`Frame`]s.
-struct FrameReader {
-    buf: Vec<u8>,
-    filled: usize,
+/// Reads once from a blocking stream into `buf`. A read timeout is not an
+/// error (the caller's loop re-checks its shutdown flag); EOF is.
+fn fill(buf: &mut FrameBuffer, stream: &mut TcpStream) -> std::io::Result<()> {
+    use ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    match buf.read_from(stream) {
+        Ok(0) => Err(ErrorKind::UnexpectedEof.into()),
+        Err(e) if !matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Err(e),
+        _ => Ok(()),
+    }
 }
 
-impl FrameReader {
-    fn new() -> FrameReader {
-        FrameReader {
-            buf: vec![0u8; 16 * 1024],
-            filled: 0,
-        }
+/// Decodes the next complete frame in `buf`, counting it in `stats`.
+fn next_frame(buf: &mut FrameBuffer, stats: &LinkStats) -> std::io::Result<Option<Frame>> {
+    let buffered = buf.pending();
+    let frame = buf
+        .next_frame()
+        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
+    if frame.is_some() {
+        stats.note_in(1, (buffered - buf.pending()) as u64);
     }
-
-    /// Reads at least one frame if the peer sends one; returns the
-    /// decoded frames and their encoded size, or `Ok(None)` on timeout,
-    /// or `Err` on EOF/error.
-    fn read_frames(
-        &mut self,
-        stream: &mut TcpStream,
-    ) -> std::io::Result<Option<(Vec<Frame>, u64)>> {
-        if self.filled == self.buf.len() {
-            self.buf.resize((self.buf.len() * 2).min(MAX_FRAME * 2), 0);
-        }
-        let n = match stream.read(&mut self.buf[self.filled..]) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Ok(None)
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        self.filled += n;
-        let mut frames = Vec::new();
-        let mut consumed = 0;
-        loop {
-            match Frame::decode(&self.buf[consumed..self.filled]) {
-                Ok(Some((frame, used))) => {
-                    frames.push(frame);
-                    consumed += used;
-                }
-                Ok(None) => break,
-                Err(e) => return Err(std::io::Error::new(ErrorKind::InvalidData, e.to_string())),
-            }
-        }
-        if consumed > 0 {
-            self.buf.copy_within(consumed..self.filled, 0);
-            self.filled -= consumed;
-        }
-        Ok(if frames.is_empty() {
-            None
-        } else {
-            Some((frames, consumed as u64))
-        })
-    }
+    Ok(frame)
 }
 
 fn write_frames(
@@ -261,14 +228,11 @@ fn serve_node_conn(
     stream.write_all(&ack.encode())?;
 
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut reader = FrameReader::new();
+    let mut reader = FrameBuffer::new();
     let mut my_slots: Vec<u32> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
-        let Some((frames, bytes)) = reader.read_frames(&mut stream)? else {
-            continue;
-        };
-        stats.note_in(frames.len() as u64, bytes);
-        for frame in frames {
+        fill(&mut reader, &mut stream)?;
+        while let Some(frame) = next_frame(&mut reader, stats)? {
             let now_us = epoch_zero.elapsed().as_micros() as u64;
             let out = core.lock().expect("coord poisoned").handle(now_us, &frame);
             let mut here = Vec::new();
@@ -405,23 +369,21 @@ fn lease_session<P: SpentProbe>(
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
 
     stream.set_read_timeout(Some(tick))?;
-    let mut reader = FrameReader::new();
+    let mut reader = FrameBuffer::new();
     while !shutdown.load(Ordering::Relaxed) {
         let now_us = epoch_zero.elapsed().as_micros() as u64;
         let out = core.lock().expect("node poisoned").on_tick(now_us, probe);
         write_frames(&mut stream, &out, stats)?;
 
         // Drain whatever the coordinator sent until the next tick.
-        if let Some((frames, bytes)) = reader.read_frames(&mut stream)? {
-            stats.note_in(frames.len() as u64, bytes);
-            for frame in frames {
-                let now_us = epoch_zero.elapsed().as_micros() as u64;
-                let out = core
-                    .lock()
-                    .expect("node poisoned")
-                    .on_frame(now_us, &frame, probe);
-                write_frames(&mut stream, &out, stats)?;
-            }
+        fill(&mut reader, &mut stream)?;
+        while let Some(frame) = next_frame(&mut reader, stats)? {
+            let now_us = epoch_zero.elapsed().as_micros() as u64;
+            let out = core
+                .lock()
+                .expect("node poisoned")
+                .on_frame(now_us, &frame, probe);
+            write_frames(&mut stream, &out, stats)?;
         }
     }
     Ok(())

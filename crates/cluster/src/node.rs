@@ -13,9 +13,9 @@
 //!
 //! Returning capacity follows a shrink-then-measure discipline:
 //! lower the shared caps first, then read the service's utilization
-//! under its decision gate, and give back whatever the reading shows is
-//! actually still spent ([`NodeCore`] never returns units that live
-//! admissions occupy). See `DESIGN.md` §13 for the full argument.
+//! from a write-stable snapshot, and give back whatever the reading
+//! shows is actually still spent ([`NodeCore`] never returns units that
+//! live admissions occupy). See `DESIGN.md` §13 for the full argument.
 
 use frap_core::lease::UNIT_SCALE;
 use frap_gateway::proto::Frame;
@@ -29,8 +29,8 @@ use crate::shared_caps::SharedStageCaps;
 pub trait SpentProbe {
     /// Lock-free utilization snapshot (approximate; pressure checks).
     fn utilizations(&self) -> Vec<f64>;
-    /// Utilization read under the decision gate: a consistent cut no
-    /// admission can race past (the return discipline).
+    /// Utilization read from a write-stable snapshot: a consistent cut
+    /// no admission can race past (the return discipline).
     fn gated_utilizations(&self) -> Vec<f64>;
 }
 
@@ -406,8 +406,8 @@ impl NodeCore {
         if !changed {
             return None;
         }
-        // Measure under the gate: every admission that could have spent
-        // against the old, larger caps is visible in this read.
+        // Measure from a write-stable snapshot: every admission that could
+        // have spent against the old, larger caps is visible in this read.
         let gated = probe.gated_utilizations();
         for j in 0..self.stages {
             if applied[j] == 0 {

@@ -116,65 +116,30 @@ pub use imp_fallback::{Reactor, Waker};
 mod imp_unix {
     use super::{Event, Interest, WAKE_TOKEN};
     use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::raw::{c_int, c_uint, c_void};
-    use std::os::unix::io::RawFd;
+    use std::sync::Arc;
     use std::time::Duration;
 
     extern "C" {
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    /// Owns the readable half of the wake channel (eventfd on Linux, pipe
-    /// read end elsewhere); lives inside the reactor.
-    #[derive(Debug)]
-    struct WakeRead {
-        fd: RawFd,
-        /// Whether `fd` is also the write side (eventfd) — then closing
-        /// here closes the whole channel.
-        close_fd: bool,
-    }
-
-    impl Drop for WakeRead {
-        fn drop(&mut self) {
-            if self.close_fd {
-                // SAFETY: `fd` is a live descriptor owned solely by this
-                // struct; double-close is impossible because Drop runs once.
-                unsafe { close(self.fd) };
-            }
-        }
     }
 
     /// The cross-thread handle that interrupts a blocked [`Reactor::wait`].
     ///
     /// Cloneable and cheap. Writes are non-blocking and best-effort: a
     /// full pipe/counter already guarantees the target will wake, so
-    /// `EAGAIN` is success. The underlying descriptor lives as long as
-    /// the reactor; users must not wake a reactor whose thread has already
-    /// been joined (the gateway's shutdown sequence guarantees this).
+    /// `EAGAIN` is success. The waker shares ownership of the descriptor
+    /// it writes to (the eventfd itself on Linux, the pipe's write end
+    /// elsewhere), so the number stays this channel's for as long as any
+    /// waker exists: waking a reactor that is already gone is a harmless
+    /// write nobody reads, never a write into whatever descriptor reused
+    /// the number.
     #[derive(Debug, Clone)]
     pub struct Waker {
-        fd: RawFd,
-        /// Owns the write end (pipe backend); eventfd wakers borrow the
-        /// reactor's fd. Shared via Arc so clones don't double-close.
-        _owner: Option<std::sync::Arc<OwnedFd>>,
+        fd: Arc<OwnedFd>,
     }
-
-    #[derive(Debug)]
-    struct OwnedFd(RawFd);
-
-    impl Drop for OwnedFd {
-        fn drop(&mut self) {
-            // SAFETY: sole owner of the descriptor.
-            unsafe { close(self.0) };
-        }
-    }
-
-    // SAFETY: the waker only ever passes its integer fd to write(2), which
-    // is thread-safe.
-    unsafe impl Send for Waker {}
-    unsafe impl Sync for Waker {}
 
     impl Waker {
         /// Makes the paired reactor's current (or next) `wait` return.
@@ -182,7 +147,7 @@ mod imp_unix {
             let one: u64 = 1;
             // SAFETY: writes 8 bytes from a live local; both eventfd and
             // pipe accept any byte payload (eventfd requires exactly 8).
-            let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
+            let _ = unsafe { write(self.fd.as_raw_fd(), (&one as *const u64).cast(), 8) };
         }
     }
 
@@ -238,13 +203,15 @@ mod imp_unix {
                 timeout: c_int,
             ) -> c_int;
             fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+            fn close(fd: c_int) -> c_int;
         }
 
         /// The epoll-backed reactor.
         #[derive(Debug)]
         pub struct Reactor {
             epfd: RawFd,
-            wake: super::WakeRead,
+            /// The eventfd, co-owned with every [`Waker`](super::Waker).
+            wake: Arc<OwnedFd>,
             buf: Vec<EpollEvent>,
         }
 
@@ -297,20 +264,15 @@ mod imp_unix {
                     unsafe { close(epfd) };
                     return Err(err);
                 }
+                // SAFETY: `efd` was just created and nothing else owns it.
+                let wake = Arc::new(unsafe { OwnedFd::from_raw_fd(efd) });
                 let reactor = Reactor {
                     epfd,
-                    wake: super::WakeRead {
-                        fd: efd,
-                        close_fd: true,
-                    },
+                    wake: Arc::clone(&wake),
                     buf: vec![EpollEvent { events: 0, data: 0 }; 128],
                 };
                 ctl(epfd, EPOLL_CTL_ADD, efd, EPOLLIN, WAKE_TOKEN)?;
-                let waker = super::Waker {
-                    fd: efd,
-                    _owner: None,
-                };
-                Ok((reactor, waker))
+                Ok((reactor, super::Waker { fd: wake }))
             }
 
             /// Registers a descriptor. `exclusive` requests
@@ -384,7 +346,7 @@ mod imp_unix {
                     let token = ev.data as usize;
                     let events = ev.events;
                     if token == WAKE_TOKEN {
-                        super::drain_wake(self.wake.fd);
+                        super::drain_wake(self.wake.as_raw_fd());
                         out.push(Event {
                             token,
                             readable: false,
@@ -428,7 +390,7 @@ mod imp_unix {
         const O_NONBLOCK: c_int = 0x0004; // BSD lineage (macOS, the BSDs)
 
         #[repr(C)]
-        #[derive(Clone, Copy)]
+        #[derive(Debug, Clone, Copy)]
         struct PollFd {
             fd: c_int,
             events: c_short,
@@ -445,7 +407,8 @@ mod imp_unix {
         /// only on (de)registration.
         #[derive(Debug)]
         pub struct Reactor {
-            wake: super::WakeRead,
+            /// The self-pipe's read end; wakers co-own the write end.
+            wake: OwnedFd,
             regs: Vec<(RawFd, usize, Interest)>,
             fds: Vec<PollFd>,
             dirty: bool,
@@ -459,32 +422,22 @@ mod imp_unix {
                 if unsafe { pipe(ends.as_mut_ptr()) } < 0 {
                     return Err(io::Error::last_os_error());
                 }
+                // SAFETY: both ends were just created and nothing else
+                // owns them; an early return below closes both.
+                let [rx, tx] = ends.map(|fd| unsafe { OwnedFd::from_raw_fd(fd) });
                 for fd in ends {
                     // SAFETY: sets O_NONBLOCK on descriptors we own.
                     if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } < 0 {
-                        let err = io::Error::last_os_error();
-                        // SAFETY: both ends are owned and open.
-                        unsafe {
-                            close(ends[0]);
-                            close(ends[1]);
-                        }
-                        return Err(err);
+                        return Err(io::Error::last_os_error());
                     }
                 }
                 let reactor = Reactor {
-                    wake: super::WakeRead {
-                        fd: ends[0],
-                        close_fd: true,
-                    },
+                    wake: rx,
                     regs: Vec::new(),
                     fds: Vec::new(),
                     dirty: true,
                 };
-                let waker = super::Waker {
-                    fd: ends[1],
-                    _owner: Some(std::sync::Arc::new(super::OwnedFd(ends[1]))),
-                };
-                Ok((reactor, waker))
+                Ok((reactor, super::Waker { fd: Arc::new(tx) }))
             }
 
             /// Registers a descriptor (`exclusive` is advisory and ignored
@@ -539,7 +492,7 @@ mod imp_unix {
                 if self.dirty {
                     self.fds.clear();
                     self.fds.push(PollFd {
-                        fd: self.wake.fd,
+                        fd: self.wake.as_raw_fd(),
                         events: POLLIN,
                         revents: 0,
                     });
@@ -577,7 +530,7 @@ mod imp_unix {
                     return Err(err);
                 }
                 if self.fds[0].revents & POLLIN != 0 {
-                    super::drain_wake(self.wake.fd);
+                    super::drain_wake(self.wake.as_raw_fd());
                     out.push(Event {
                         token: WAKE_TOKEN,
                         readable: false,
@@ -620,6 +573,33 @@ mod imp_unix {
             reactor.wait(&mut events, None).expect("wait");
             assert!(events.iter().any(|e| e.token == WAKE_TOKEN));
             handle.join().unwrap();
+        }
+
+        #[test]
+        fn a_waker_outliving_its_reactor_writes_into_no_other_descriptor() {
+            let (reactor, waker) = Reactor::new().expect("reactor");
+            drop(reactor);
+            // The kernel hands out the lowest free number, so had the drop
+            // freed the wake descriptor, one of these sockets would get it.
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let pairs: Vec<(TcpStream, TcpStream)> = (0..8)
+                .map(|_| {
+                    let a = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+                    let (b, _) = listener.accept().expect("accept");
+                    (a, b)
+                })
+                .collect();
+            waker.wake();
+            let mut buf = [0u8; 8];
+            for (a, b) in &pairs {
+                for mut rx in [a, b] {
+                    rx.set_nonblocking(true).expect("nonblocking");
+                    match rx.read(&mut buf) {
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                        other => panic!("a stale wake reached a socket: {other:?}"),
+                    }
+                }
+            }
         }
 
         #[test]

@@ -422,6 +422,10 @@ impl GatewayServer {
     }
 
     fn stop_and_join(&mut self) {
+        if self.workers.is_empty() {
+            // Already stopped (`shutdown` ran; this is its `Drop`).
+            return;
+        }
         self.drain();
         self.shared.stop.store(true, Ordering::Release);
         for waker in &self.wakers {

@@ -9,7 +9,7 @@
 //! `*_ns` accessors do the unit bookkeeping so callers never touch a
 //! mislabeled `TimeDelta`.
 
-use frap_core::hist::LatencyHistogram;
+use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
 use frap_core::time::{Time, TimeDelta};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,12 +60,13 @@ impl ServiceCounters {
         self.expired_on_arrival.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts a lock-free fast-path rejection. The decision is *not* also
-    /// added to `rejected` here — the fast path pays exactly one atomic
-    /// RMW per decision — `snapshot` folds the two together so
-    /// [`CounterSnapshot::rejected`] still covers every rejection.
-    pub(crate) fn add_fast_rejected(&self) {
-        self.fast_rejected.fetch_add(1, Ordering::Relaxed);
+    /// Counts `n` rejections concluded without a shard lock. They are
+    /// *not* also added to `rejected` here — the reject path pays exactly
+    /// one atomic RMW per decision (or per batch run) — `snapshot` folds
+    /// the two together so [`CounterSnapshot::rejected`] still covers
+    /// every rejection.
+    pub(crate) fn add_fast_rejected(&self, n: u64) {
+        self.fast_rejected.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn add_seqlock_fallback(&self) {
@@ -81,8 +82,8 @@ impl ServiceCounters {
         let fast_rejected = self.fast_rejected.load(Ordering::Relaxed);
         CounterSnapshot {
             admitted: self.admitted.load(Ordering::Relaxed),
-            // The locked path and the fast path keep separate tallies so
-            // each decision costs one RMW; `rejected` reports their sum.
+            // Snapshot rejects keep their own tally so each decision
+            // costs one RMW; `rejected` reports the sum.
             rejected: self.rejected.load(Ordering::Relaxed) + fast_rejected,
             shed: self.shed.load(Ordering::Relaxed),
             released: self.released.load(Ordering::Relaxed),
@@ -114,13 +115,14 @@ pub struct CounterSnapshot {
     /// [`note_expired_on_arrival`](crate::AdmissionService::note_expired_on_arrival);
     /// they never touch the shards and are not counted as decisions).
     pub expired_on_arrival: u64,
-    /// The subset of `rejected` concluded by the lock-free reject fast
-    /// path (DESIGN.md §14) without taking a shard mutex or the gate.
+    /// The subset of `rejected` concluded by `try_admit` / `admit_batch`
+    /// (DESIGN.md §16) without taking a shard mutex; the rest were
+    /// refused while draining or by the shedding path.
     pub fast_rejected: u64,
-    /// Fast-path attempts that observed a torn seqlock snapshot (a
-    /// concurrent charge was mid-flight). Diagnostic only — the verdict
-    /// stays safe either way: a torn read can only conclude a
-    /// conservative rejection, and admissions revalidate after charging.
+    /// Write-stable snapshot attempts
+    /// ([`gated_utilizations`](crate::AdmissionService::gated_utilizations))
+    /// that overlapped a charge's write section and retried. Diagnostic
+    /// only — decision paths use plain reads and never spin here.
     pub seqlock_fallbacks: u64,
     /// Optimistic CAS-charge attempts that failed post-charge
     /// revalidation, rolled back exactly, and retried. Diagnostic only —
@@ -169,9 +171,9 @@ impl MetricsSnapshot {
     /// Worst observed decision latency, in nanoseconds. When
     /// [`MetricsSnapshot::decision_max_is_bound`] is true this is a
     /// certain **lower** bound (`true max >= this`), not a sample: the
-    /// lock-free paths record into a bucket-only atomic histogram, which
-    /// knows extremes to bucket resolution, and its saturation bucket
-    /// claims no upper bound at all.
+    /// service records into a bucket-only atomic histogram, which knows
+    /// extremes to bucket resolution, and its saturation bucket claims
+    /// no upper bound at all.
     pub fn decision_max_ns(&self) -> u64 {
         ns_of(self.decision_latency.max_lower_bound())
     }
@@ -193,17 +195,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// Records a decision duration into a nanosecond-valued histogram.
-pub(crate) fn record_ns(hist: &mut LatencyHistogram, elapsed: std::time::Duration) {
+/// Records a decision duration into the service's nanosecond-valued
+/// histogram.
+pub(crate) fn record_ns(hist: &AtomicLatencyHistogram, elapsed: std::time::Duration) {
     // The histogram's tick is reinterpreted as 1 ns (module docs).
-    hist.record(TimeDelta::from_micros(elapsed.as_nanos() as u64));
-}
-
-/// [`record_ns`] for the lock-free fast path's shared atomic histogram.
-pub(crate) fn record_ns_atomic(
-    hist: &frap_core::hist::AtomicLatencyHistogram,
-    elapsed: std::time::Duration,
-) {
     hist.record(TimeDelta::from_micros(elapsed.as_nanos() as u64));
 }
 
@@ -268,12 +263,12 @@ mod tests {
         c.add_released();
         c.add_expired(2);
         c.add_expired_on_arrival();
-        c.add_fast_rejected();
+        c.add_fast_rejected(1);
         c.add_seqlock_fallback();
         c.add_cas_retry();
         let s = c.snapshot();
         assert_eq!(s.admitted, 2);
-        // One locked rejection plus one fast-path rejection: `rejected`
+        // One shed-path rejection plus one snapshot rejection: `rejected`
         // reports the sum, `fast_rejected` the lock-free subset.
         assert_eq!(s.rejected, 2);
         assert_eq!(s.shed, 3);
@@ -289,8 +284,10 @@ mod tests {
 
     #[test]
     fn latency_is_recorded_in_nanoseconds() {
+        let recorded = AtomicLatencyHistogram::new();
+        record_ns(&recorded, std::time::Duration::from_nanos(800));
         let mut h = LatencyHistogram::new();
-        record_ns(&mut h, std::time::Duration::from_nanos(800));
+        recorded.merge_into(&mut h);
         let snap = MetricsSnapshot {
             counters: CounterSnapshot::default(),
             decision_latency: h,

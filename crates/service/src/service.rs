@@ -3,9 +3,8 @@
 //!
 //! # Decision paths
 //!
-//! With the fast path enabled (the default), **every** `try_admit`
-//! decision — admit or reject — resolves without blocking on a mutex
-//! (DESIGN.md §16):
+//! **Every** `try_admit` decision — admit or reject — resolves without
+//! blocking on a mutex (DESIGN.md §16):
 //!
 //! 1. **Snapshot.** Read the fixed-point utilization vector (one atomic
 //!    load per stage) under the multi-writer seqlock. The region test is
@@ -25,14 +24,14 @@
 //!    deferred inserts are visible to any operation that could observe
 //!    their absence. Decrement-at-deadline semantics are preserved by
 //!    the per-shard next-due hint: a decision at `now ≥ hint` first
-//!    drains the shard under its lock, exactly as the locked path would.
+//!    drains the shard under its lock, exactly as the library
+//!    controller's `advance_to(at)` would before deciding.
 //!
-//! Shard mutexes still exist — for *structural* operations only (wheel
-//! drains, releases, idle resets, shedding, validation), never on the
-//! decision path. The **admission gate** survives solely for the locked
-//! twin (`fast_path(false)`, which the oracle-replay and equivalence
-//! suites diff against) and the cross-shard shedding path; lock order
-//! remains shards ascending, gate last.
+//! Shard mutexes exist for *structural* operations only (wheel drains,
+//! releases, idle resets, shedding, validation), never on the decision
+//! path; lock order is shards ascending. The cross-shard shedding path
+//! holds every shard lock while it scans the shedding index, and charges
+//! through the same CAS routine as everyone else.
 //!
 //! Reductions (deadline expiry, release, shed, idle reset) run without
 //! any of this: the region test is monotone in every stage utilization,
@@ -42,9 +41,7 @@
 //! property the concurrency tests hammer on).
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::metrics::{
-    record_ns, record_ns_atomic, CounterSnapshot, MetricsSnapshot, ServiceCounters,
-};
+use crate::metrics::{record_ns, CounterSnapshot, MetricsSnapshot, ServiceCounters};
 use crate::shard::{LiveEntry, PendingAdmission, Shard, ShardedUtilization};
 use frap_core::admission::ContributionModel;
 use frap_core::fixed::{
@@ -57,7 +54,7 @@ use frap_core::task::StageId;
 use frap_core::time::Time;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 use std::time::Instant;
 
 /// Spreads threads across shards: each thread gets a stable index on
@@ -251,17 +248,11 @@ struct Inner<R, M, C> {
     model: M,
     clock: C,
     state: ShardedUtilization,
-    gate: Mutex<()>,
     counters: ServiceCounters,
     next_id: AtomicU64,
     draining: AtomicBool,
-    /// Latency samples for decisions concluded on the lock-free path
-    /// (which holds no shard mutex to record through).
-    fast_latency: AtomicLatencyHistogram,
-    /// Whether the lock-free decision path is enabled (builder knob; the
-    /// oracle-replay and twin-equivalence tests disable it to get the
-    /// pure locked path).
-    fast_path: bool,
+    /// One decision-latency sample per decision, from every path.
+    latency: AtomicLatencyHistogram,
 }
 
 impl<R, M, C> std::fmt::Debug for Inner<R, M, C>
@@ -286,7 +277,6 @@ pub struct AdmissionServiceBuilder<R, M, C = MonotonicClock> {
     clock: C,
     shards: usize,
     reservations: Option<Vec<f64>>,
-    fast_path: bool,
 }
 
 impl<R: RegionTest, M: ContributionModel> AdmissionServiceBuilder<R, M, MonotonicClock> {
@@ -302,7 +292,6 @@ impl<R: RegionTest, M: ContributionModel> AdmissionServiceBuilder<R, M, Monotoni
             clock: MonotonicClock::new(),
             shards,
             reservations: None,
-            fast_path: true,
         }
     }
 }
@@ -317,17 +306,7 @@ impl<R: RegionTest, M: ContributionModel, C: Clock> AdmissionServiceBuilder<R, M
             clock,
             shards: self.shards,
             reservations: self.reservations,
-            fast_path: self.fast_path,
         }
-    }
-
-    /// Enables or disables the lock-free decision path (default:
-    /// enabled). Disabling forces every decision through the locked path
-    /// — the serial-oracle replay tests build one twin each way and
-    /// assert decision-for-decision identical outcomes.
-    pub fn fast_path(mut self, enabled: bool) -> Self {
-        self.fast_path = enabled;
-        self
     }
 
     /// Sets the shard count (use 1 for bit-exact agreement with the
@@ -375,12 +354,10 @@ impl<R: RegionTest, M: ContributionModel, C: Clock> AdmissionServiceBuilder<R, M
                 model: self.model,
                 clock: self.clock,
                 state: ShardedUtilization::new(&floors, self.shards, start),
-                gate: Mutex::new(()),
                 counters: ServiceCounters::default(),
                 next_id: AtomicU64::new(0),
                 draining: AtomicBool::new(false),
-                fast_latency: AtomicLatencyHistogram::new(),
-                fast_path: self.fast_path,
+                latency: AtomicLatencyHistogram::new(),
             }),
         }
     }
@@ -457,15 +434,16 @@ where
     /// admission or `None` (counting a rejection) if charging the task
     /// would leave the feasible region.
     ///
-    /// With the fast path enabled this never blocks on a mutex: rejects
-    /// conclude from a lock-free snapshot, admits CAS-charge the
-    /// fixed-point counters and revalidate, and the admitted entry's
-    /// structural bookkeeping is deferred to the home shard's pending
-    /// ring (see the module docs and DESIGN.md §16). The only lock it can
-    /// take is a *non-contended-in-steady-state* drain of the home shard
-    /// when a deadline decrement is actually due there — exactly when the
-    /// locked path would drain too, keeping verdicts
-    /// decision-for-decision identical to the locked twin.
+    /// This never blocks on a mutex: rejects conclude from a lock-free
+    /// snapshot, admits CAS-charge the fixed-point counters and
+    /// revalidate, and the admitted entry's structural bookkeeping is
+    /// deferred to the home shard's pending ring (see the module docs and
+    /// DESIGN.md §16). The only lock it can take is a
+    /// *non-contended-in-steady-state* drain of the home shard when a
+    /// deadline decrement is actually due there — the decrement the
+    /// library controller (`frap_core::admission::Admission`) applies
+    /// before deciding at the same instant, which keeps the two
+    /// decision-for-decision identical.
     pub fn try_admit(&self, spec: &TaskSpec) -> Option<AdmissionTicket> {
         let started = Instant::now();
         let inner = &*self.inner;
@@ -473,78 +451,21 @@ where
             inner.counters.add_rejected();
             return None;
         }
-        if !inner.fast_path {
-            return self.try_admit_locked(started, spec);
-        }
-        let home = self.home_shard();
         let now = inner.clock.now_with_hint(started);
-        self.expire_guard(now, home);
         let result = SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.contrib.clear();
-            inner.model.contributions_into(spec, &mut s.contrib);
-            self.decide_lockfree(now, home, spec, s)
+            self.decide_lockfree(now, self.home_shard(), spec, &mut scratch.borrow_mut())
         });
-        record_ns_atomic(&inner.fast_latency, started.elapsed());
+        record_ns(&inner.latency, started.elapsed());
         result
     }
 
-    /// The locked twin of [`AdmissionService::try_admit`]
-    /// (`fast_path(false)`): one shard lock, the admission gate, direct
-    /// bookkeeping inserts. The differential suites diff the lock-free
-    /// path against this one.
-    fn try_admit_locked(&self, started: Instant, spec: &TaskSpec) -> Option<AdmissionTicket> {
-        let inner = &*self.inner;
-        let shard_idx = self.home_shard();
-        let mut shard = self.lock_shard(shard_idx);
-        // Read the clock AFTER taking the lock: any earlier wheel advance
-        // happened-before this read, so `now` can never rewind the wheel.
-        let now = inner.clock.now();
-        let expired = inner.state.expire_due(&mut shard, now);
-        if expired > 0 {
-            inner.counters.add_expired(expired);
-        }
-
-        let result = SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.contrib.clear();
-            inner.model.contributions_into(spec, &mut s.contrib);
-            fp_contributions_into(&s.contrib, &mut s.contrib_fp);
-
-            let admitted = {
-                let _gate = inner.gate.lock().expect("gate poisoned");
-                inner.state.read_fp_into(&mut s.current_fp);
-                let ok = tentative_feasible_fp(
-                    &inner.region,
-                    &s.current_fp,
-                    &s.contrib_fp,
-                    &mut s.floats,
-                );
-                if ok {
-                    inner.state.charge(&s.contrib_fp);
-                }
-                ok
-            };
-
-            if admitted {
-                Some(self.commit(&mut shard, shard_idx, now, spec, &s.contrib_fp))
-            } else {
-                inner.counters.add_rejected();
-                None
-            }
-        });
-        record_ns(&mut shard.latency, started.elapsed());
-        result
-    }
-
-    /// Decides one arrival entirely lock-free: conservative snapshot
-    /// reject, or optimistic CAS-charge with bounded-retry revalidation
-    /// and ring-deferred bookkeeping. Expects the float contributions in
-    /// `s.contrib`; quantization to units happens only on the admit
-    /// branch (the overlay test quantizes piecewise to the identical
-    /// verdict, so the reject path — the hot one at overload — never
-    /// materializes them). The expire guard for `target` must already
-    /// have run at `now`.
+    /// Decides one arrival at `now`, booking an admission on shard
+    /// `target`: expire guard, then conservative snapshot reject or
+    /// optimistic CAS-charge with bounded-retry revalidation and
+    /// ring-deferred bookkeeping. Quantization to units happens only on
+    /// the admit branch (the overlay test quantizes piecewise to the
+    /// identical verdict, so the reject path — the hot one at overload —
+    /// never materializes them).
     fn decide_lockfree(
         &self,
         now: Time,
@@ -553,6 +474,9 @@ where
         s: &mut Scratch,
     ) -> Option<AdmissionTicket> {
         let inner = &*self.inner;
+        self.expire_guard(now, target);
+        s.contrib.clear();
+        inner.model.contributions_into(spec, &mut s.contrib);
         // A plain (non-seqlock) read suffices here: each component is a
         // value the counters genuinely held at its load instant, and the
         // region test is monotone, so any reject it concludes is safe —
@@ -563,20 +487,46 @@ where
         // direction the read is only a hint — the write-section
         // revalidation below is what actually decides.
         inner.state.read_fp_into(&mut s.current_fp);
-        if !tentative_feasible_fp_overlay(
+        let fits = tentative_feasible_fp_overlay(
             &inner.region,
             &s.current_fp,
             &s.contrib,
             &mut s.combined_fp,
             &mut s.floats,
-        ) {
+        );
+        let ticket = if fits {
+            fp_contributions_into(&s.contrib, &mut s.contrib_fp);
+            self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats, || {
+                self.commit(None, target, now, spec, &s.contrib_fp)
+            })
+        } else {
+            None
+        };
+        if ticket.is_none() {
             // One RMW covers the decision: `fast_rejected` is folded into
             // the reported `rejected` total at snapshot time.
-            inner.counters.add_fast_rejected();
-            return None;
+            inner.counters.add_fast_rejected(1);
         }
-        fp_contributions_into(&s.contrib, &mut s.contrib_fp);
-        let (contrib_fp, current_fp, floats) = (&s.contrib_fp, &mut s.current_fp, &mut s.floats);
+        ticket
+    }
+
+    /// The CAS-charge routine every admission goes through: optimistically
+    /// charges `contrib_fp` inside a write section and keeps the charge
+    /// only if the post-charge vector revalidates inside the region,
+    /// running `commit` (which books the admission) before the section
+    /// closes — so a write-quiescent observer never sees charged units
+    /// whose entry is neither ringed nor inserted. Otherwise rolls the
+    /// exact units back and retries, giving up (`None`) as soon as a fresh
+    /// read proves the arrival infeasible or after bounded attempts.
+    /// Takes no lock and never blocks.
+    fn charge_revalidated<T>(
+        &self,
+        contrib_fp: &[(StageId, u64)],
+        current_fp: &mut Vec<u64>,
+        floats: &mut Vec<f64>,
+        commit: impl FnOnce() -> T,
+    ) -> Option<T> {
+        let inner = &*self.inner;
         for _ in 0..CAS_ADMIT_RETRIES {
             inner.state.begin_write();
             inner.state.add_units(contrib_fp);
@@ -586,9 +536,9 @@ where
             // live vector feasible — see DESIGN.md §16 for the proof.
             inner.state.read_fp_into(current_fp);
             if feasible_fp(&inner.region, current_fp, floats) {
-                let ticket = self.commit_lockfree(target, now, spec, contrib_fp);
+                let booked = commit();
                 inner.state.end_write();
-                return Some(ticket);
+                return Some(booked);
             }
             // Concurrent charges raced past our snapshot: roll back the
             // exact units and re-examine from a fresh read.
@@ -597,23 +547,24 @@ where
             inner.counters.add_cas_retry();
             inner.state.read_fp_into(current_fp);
             if !tentative_feasible_fp(&inner.region, current_fp, contrib_fp, floats) {
-                inner.counters.add_fast_rejected();
                 return None;
             }
         }
         // Still contended after bounded retries: reject conservatively
         // rather than ever blocking a decision.
-        inner.counters.add_rejected();
         None
     }
 
     /// Books an admission decided inside an open write section: assigns
-    /// the id, queues the entry on shard `target`'s pending ring, and
-    /// publishes the deadline hint. Must run before the section's
-    /// `end_write`, so a write-quiescent observer never sees charged
-    /// units whose entry is neither ringed nor inserted.
-    fn commit_lockfree(
+    /// the id, hands the entry to shard `target` and publishes the
+    /// deadline hint. The entry goes onto the shard's pending ring, or
+    /// straight into `held` when the caller already holds that shard's
+    /// lock (the shedding path: a full ring falls back to `try_lock` on
+    /// the very mutex it holds). Must run before the section's
+    /// `end_write`.
+    fn commit(
         &self,
+        held: Option<&mut Shard>,
         target: usize,
         now: Time,
         spec: &TaskSpec,
@@ -622,18 +573,21 @@ where
         let inner = &*self.inner;
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let expiry = now.saturating_add(spec.deadline);
-        inner.state.push_pending(
-            target,
-            PendingAdmission {
-                id,
-                entry: LiveEntry {
-                    contributions: contributions.to_vec(),
-                    departed: Vec::new(),
-                    expiry,
-                    importance: spec.importance,
-                },
+        let pending = PendingAdmission {
+            id,
+            entry: LiveEntry {
+                contributions: contributions.to_vec(),
+                departed: Vec::new(),
+                expiry,
+                importance: spec.importance,
             },
-        );
+        };
+        match held {
+            Some(shard) => ShardedUtilization::insert_entry_locked(shard, pending),
+            None => inner.state.push_pending(target, pending),
+        }
+        // Published at decision time (not ring-drain time), so snapshot
+        // decisions stop as soon as this entry's decrement is due.
         inner.state.note_deadline(target, expiry);
         inner.counters.add_admitted();
         AdmissionTicket {
@@ -646,56 +600,26 @@ where
 
     /// Parity guard for snapshot decisions: if shard `target` may have a
     /// deadline decrement due at `now` (its next-due hint has come due),
-    /// apply it under the shard lock first — the locked twin drains
-    /// before every decision, and expired counts must match it
-    /// decision-for-decision. The hint is a lower bound on the earliest
-    /// due decrement, so `now < hint` proves the locked drain would be a
-    /// no-op.
+    /// apply it under the shard lock first. The library controller runs
+    /// `advance_to(at)` before every decision, and verdicts and expired
+    /// counts must match it decision-for-decision. The hint is a lower
+    /// bound on the earliest due decrement, so `now < hint` proves a
+    /// drain would be a no-op.
     fn expire_guard(&self, now: Time, target: usize) {
         let inner = &*self.inner;
         if now.as_micros() < inner.state.shard_next_due(target) {
             return;
         }
-        let mut shard = self.lock_shard(target);
-        let expired = inner.state.expire_due(&mut shard, now);
-        if expired > 0 {
-            inner.counters.add_expired(expired);
-        }
+        self.expire_due(&mut self.lock_shard(target), now);
     }
 
-    /// Optimistically charges `contrib_fp` inside a write section and
-    /// keeps it only if the post-charge vector revalidates inside the
-    /// region; otherwise rolls the exact units back and retries, giving
-    /// up (`false`) after bounded attempts or as soon as a fresh read
-    /// proves the arrival infeasible. Used by the shedding path, whose
-    /// bookkeeping inserts happen under shard locks it already holds (so
-    /// nothing here takes a lock or blocks).
-    fn charge_revalidated(
-        &self,
-        contrib_fp: &[(StageId, u64)],
-        current_fp: &mut Vec<u64>,
-        floats: &mut Vec<f64>,
-    ) -> bool {
-        let inner = &*self.inner;
-        for attempt in 0..CAS_ADMIT_RETRIES {
-            inner.state.begin_write();
-            inner.state.add_units(contrib_fp);
-            inner.state.read_fp_into(current_fp);
-            if feasible_fp(&inner.region, current_fp, floats) {
-                inner.state.end_write();
-                return true;
-            }
-            inner.state.sub_units(contrib_fp);
-            inner.state.end_write();
-            inner.counters.add_cas_retry();
-            if attempt + 1 < CAS_ADMIT_RETRIES {
-                inner.state.read_fp_into(current_fp);
-                if !tentative_feasible_fp(&inner.region, current_fp, contrib_fp, floats) {
-                    break;
-                }
-            }
+    /// Applies `shard`'s due deadline decrements and counts them.
+    fn expire_due(&self, shard: &mut Shard, now: Time) -> u64 {
+        let expired = self.inner.state.expire_due(shard, now);
+        if expired > 0 {
+            self.inner.counters.add_expired(expired);
         }
-        false
+        expired
     }
 
     /// Attempts to admit `spec`; when infeasible, sheds live tasks that
@@ -715,18 +639,14 @@ where
         let home = self.home_shard();
 
         // Slow path: take every shard (ascending) so the shedding index
-        // can be scanned globally, then the gate. The clock is read after
-        // every lock is held so no wheel can observe time running backwards.
+        // can be scanned globally. The clock is read after every lock is
+        // held so no wheel can observe time running backwards.
         let mut guards: Vec<MutexGuard<'_, Shard>> = (0..inner.state.shard_count())
             .map(|i| self.lock_shard(i))
             .collect();
         let now = inner.clock.now();
-        let mut expired = 0;
         for shard in guards.iter_mut() {
-            expired += inner.state.expire_due(shard, now);
-        }
-        if expired > 0 {
-            inner.counters.add_expired(expired);
+            self.expire_due(shard, now);
         }
 
         let outcome = SCRATCH.with(|scratch| {
@@ -735,29 +655,26 @@ where
             inner.model.contributions_into(spec, &mut s.contrib);
             fp_contributions_into(&s.contrib, &mut s.contrib_fp);
 
-            let _gate = inner.gate.lock().expect("gate poisoned");
-            inner.state.read_fp_into(&mut s.current_fp);
-            if tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats)
-                && self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats)
-            {
-                drop(_gate);
-                let ticket = self.commit(&mut guards[home], home, now, spec, &s.contrib_fp);
-                return ServiceOutcome::Admitted(ticket);
-            }
-
-            // Shed in reverse order of semantic importance, never touching
-            // work at or above the arrival's own importance.
+            // Shed in reverse order of semantic importance until the
+            // arrival fits, never touching work at or above its own
+            // importance.
             let mut shed = Vec::new();
-            let mut fits = false;
-            while let Some((victim_shard, imp, victim)) = guards
-                .iter()
-                .enumerate()
-                .filter_map(|(i, g)| g.by_importance.iter().next().map(|&(imp, id)| (i, imp, id)))
-                .min_by_key(|&(_, imp, id)| (imp, id))
-            {
-                if imp >= spec.importance {
-                    break;
+            let fits = loop {
+                inner.state.read_fp_into(&mut s.current_fp);
+                if tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats)
+                {
+                    break true;
                 }
+                let victim = guards
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, g)| g.by_importance.first().map(|&(imp, id)| (i, imp, id)))
+                    .min_by_key(|&(_, imp, id)| (imp, id));
+                let Some((victim_shard, imp, victim)) =
+                    victim.filter(|&(_, imp, _)| imp < spec.importance)
+                else {
+                    break false;
+                };
                 let shard = &mut guards[victim_shard];
                 shard.by_importance.remove(&(imp, victim));
                 let entry = shard
@@ -766,25 +683,28 @@ where
                     .expect("shedding index points at a live entry");
                 inner.state.subtract_entry(&entry.contributions);
                 shed.push(victim);
-                inner.state.read_fp_into(&mut s.current_fp);
-                if tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats)
-                {
-                    fits = true;
-                    break;
+            };
+            if !shed.is_empty() {
+                inner.counters.add_shed(shed.len() as u64);
+            }
+
+            let ticket = if fits {
+                self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats, || {
+                    self.commit(Some(&mut guards[home]), home, now, spec, &s.contrib_fp)
+                })
+            } else {
+                None
+            };
+            match ticket {
+                Some(ticket) if shed.is_empty() => ServiceOutcome::Admitted(ticket),
+                Some(ticket) => ServiceOutcome::AdmittedAfterShedding { ticket, shed },
+                None => {
+                    inner.counters.add_rejected();
+                    ServiceOutcome::Rejected
                 }
             }
-            inner.counters.add_shed(shed.len() as u64);
-
-            if fits && self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats) {
-                drop(_gate);
-                let ticket = self.commit(&mut guards[home], home, now, spec, &s.contrib_fp);
-                ServiceOutcome::AdmittedAfterShedding { ticket, shed }
-            } else {
-                inner.counters.add_rejected();
-                ServiceOutcome::Rejected
-            }
         });
-        record_ns(&mut guards[home].latency, started.elapsed());
+        record_ns(&inner.latency, started.elapsed());
         outcome
     }
 
@@ -880,9 +800,6 @@ where
             }
             return;
         }
-        if !inner.fast_path {
-            return self.admit_run_locked(started, now, run, out);
-        }
         let home = self.home_shard();
         let count = inner.state.shard_count();
         let target_of = |req: &BatchRequest<'_>| req.shard.map_or(home, |s| s % count);
@@ -896,11 +813,13 @@ where
             s.acc_fp.clear();
             s.acc_fp.resize(stages, 0);
 
+            // Every request starts out rejected; the commit step
+            // overwrites the admitted ones.
+            let first = out.len();
+            out.extend(run.iter().map(|_| ServiceOutcome::Rejected));
+
             // Greedy walk: verdicts against base + own accumulated
-            // charges. Admit-candidates' contributions are kept for the
-            // commit step.
-            let mut verdicts: Vec<bool> = Vec::with_capacity(run.len());
-            // (run index, target shard, merged unit demands) per
+            // charges. (run index, target shard, merged unit demands) per
             // admit-candidate, kept for the commit step.
             type AdmitCandidate = (usize, usize, Vec<(StageId, u64)>);
             let mut admits: Vec<AdmitCandidate> = Vec::new();
@@ -912,7 +831,7 @@ where
                     // base or this run would conservatively reject where
                     // serial singles (which read after draining) admit.
                     // The refreshed hint is > now, so each shard drains at
-                    // most once per run — same as the locked path.
+                    // most once per run.
                     inner.state.read_fp_into(&mut s.current_fp);
                 }
                 s.contrib.clear();
@@ -925,14 +844,12 @@ where
                         .zip(&s.acc_fp)
                         .map(|(&base, &acc)| base.saturating_add(acc)),
                 );
-                let ok = tentative_feasible_fp(
+                if tentative_feasible_fp(
                     &inner.region,
                     &s.combined_fp,
                     &s.contrib_fp,
                     &mut s.floats,
-                );
-                verdicts.push(ok);
-                if ok {
+                ) {
                     for &(stage, units) in &s.contrib_fp {
                         s.acc_fp[stage.index()] += units;
                     }
@@ -941,52 +858,35 @@ where
             }
 
             // Commit the whole run's admissions in one write section.
-            let mut tickets: Vec<AdmissionTicket> = Vec::with_capacity(admits.len());
-            let committed = if admits.is_empty() {
-                true
-            } else {
+            let committed = admits.is_empty() || {
                 inner.state.begin_write();
                 inner.state.add_unit_vector(&s.acc_fp);
                 inner.state.read_fp_into(&mut s.combined_fp);
-                if feasible_fp(&inner.region, &s.combined_fp, &mut s.floats) {
+                let ok = feasible_fp(&inner.region, &s.combined_fp, &mut s.floats);
+                if ok {
                     for &(i, target, ref contrib) in &admits {
-                        tickets.push(self.commit_lockfree(target, now, run[i].spec, contrib));
+                        let ticket = self.commit(None, target, now, run[i].spec, contrib);
+                        out[first + i] = ServiceOutcome::Admitted(ticket);
                     }
-                    inner.state.end_write();
-                    true
                 } else {
                     inner.state.sub_unit_vector(&s.acc_fp);
-                    inner.state.end_write();
                     inner.counters.add_cas_retry();
-                    false
                 }
+                inner.state.end_write();
+                ok
             };
 
             if committed {
-                let mut tickets = tickets.into_iter();
-                for &ok in &verdicts {
-                    if ok {
-                        out.push(ServiceOutcome::Admitted(
-                            tickets.next().expect("one ticket per admit verdict"),
-                        ));
-                    } else {
-                        inner.counters.add_fast_rejected();
-                        out.push(ServiceOutcome::Rejected);
-                    }
-                }
+                let rejected = run.len() - admits.len();
+                inner.counters.add_fast_rejected(rejected as u64);
             } else {
                 // Contention outran the run's snapshot. Nothing was
                 // committed, so fall back to the single-decision protocol
                 // for the whole run.
+                out.truncate(first);
                 for req in run {
-                    let target = target_of(req);
-                    self.expire_guard(now, target);
-                    s.contrib.clear();
-                    inner.model.contributions_into(req.spec, &mut s.contrib);
-                    match self.decide_lockfree(now, target, req.spec, s) {
-                        Some(t) => out.push(ServiceOutcome::Admitted(t)),
-                        None => out.push(ServiceOutcome::Rejected),
-                    }
+                    let ticket = self.decide_lockfree(now, target_of(req), req.spec, s);
+                    out.push(ticket.map_or(ServiceOutcome::Rejected, ServiceOutcome::Admitted));
                 }
             }
         });
@@ -995,119 +895,7 @@ where
         // histogram still holds one sample per decision.
         let per = started.elapsed() / run.len() as u32;
         for _ in run {
-            record_ns_atomic(&inner.fast_latency, per);
-        }
-    }
-
-    /// The locked twin of [`AdmissionService::admit_run`]
-    /// (`fast_path(false)`): one lock acquisition per *distinct* target
-    /// shard (ascending) and one gate hold for every decision in the run.
-    fn admit_run_locked(
-        &self,
-        started: Instant,
-        now: Time,
-        run: &[BatchRequest<'_>],
-        out: &mut Vec<ServiceOutcome>,
-    ) {
-        let inner = &*self.inner;
-        let home = self.home_shard();
-        let count = inner.state.shard_count();
-        let target_of = |req: &BatchRequest<'_>| req.shard.map_or(home, |s| s % count);
-
-        // Uniform-target runs — untargeted batches, i.e. almost every
-        // real caller — skip the distinct-set bookkeeping (heap
-        // allocations, a sort, and two binary searches per decision) and
-        // run the single-shard loop directly.
-        let first_target = target_of(&run[0]);
-        if run.iter().all(|r| target_of(r) == first_target) {
-            let mut shard = self.lock_shard(first_target);
-            let expired = inner.state.expire_due(&mut shard, now);
-            if expired > 0 {
-                inner.counters.add_expired(expired);
-            }
-            SCRATCH.with(|scratch| {
-                let s = &mut *scratch.borrow_mut();
-                let _gate = inner.gate.lock().expect("gate poisoned");
-                for req in run {
-                    s.contrib.clear();
-                    inner.model.contributions_into(req.spec, &mut s.contrib);
-                    fp_contributions_into(&s.contrib, &mut s.contrib_fp);
-                    // Re-read every iteration: this run's own charges
-                    // moved the vector.
-                    inner.state.read_fp_into(&mut s.current_fp);
-                    if tentative_feasible_fp(
-                        &inner.region,
-                        &s.current_fp,
-                        &s.contrib_fp,
-                        &mut s.floats,
-                    ) {
-                        inner.state.charge(&s.contrib_fp);
-                        let ticket =
-                            self.commit(&mut shard, first_target, now, req.spec, &s.contrib_fp);
-                        out.push(ServiceOutcome::Admitted(ticket));
-                    } else {
-                        inner.counters.add_rejected();
-                        out.push(ServiceOutcome::Rejected);
-                    }
-                }
-            });
-            let per = started.elapsed() / run.len() as u32;
-            for _ in run {
-                record_ns(&mut shard.latency, per);
-            }
-            return;
-        }
-
-        // Distinct target shards, locked in ascending order; the gate
-        // still comes last, preserving the global lock order.
-        let mut distinct: Vec<usize> = run.iter().map(&target_of).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut guards: Vec<MutexGuard<'_, Shard>> =
-            distinct.iter().map(|&i| self.lock_shard(i)).collect();
-
-        // Each shard's wheel is drained at its first decision, matching
-        // the order a sequence of single `try_admit` calls would apply
-        // decrements in.
-        let mut drained = vec![false; distinct.len()];
-        let mut expired = 0;
-        SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            let _gate = inner.gate.lock().expect("gate poisoned");
-            for req in run {
-                let target = target_of(req);
-                let g = distinct
-                    .binary_search(&target)
-                    .expect("target was collected");
-                if !drained[g] {
-                    drained[g] = true;
-                    expired += inner.state.expire_due(&mut guards[g], now);
-                }
-                s.contrib.clear();
-                inner.model.contributions_into(req.spec, &mut s.contrib);
-                fp_contributions_into(&s.contrib, &mut s.contrib_fp);
-                inner.state.read_fp_into(&mut s.current_fp);
-                if tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats)
-                {
-                    inner.state.charge(&s.contrib_fp);
-                    let ticket = self.commit(&mut guards[g], target, now, req.spec, &s.contrib_fp);
-                    out.push(ServiceOutcome::Admitted(ticket));
-                } else {
-                    inner.counters.add_rejected();
-                    out.push(ServiceOutcome::Rejected);
-                }
-            }
-        });
-        if expired > 0 {
-            inner.counters.add_expired(expired);
-        }
-
-        // One wall-clock measurement spread across the run, each sample
-        // recorded against the shard that decided it.
-        let per = started.elapsed() / run.len() as u32;
-        for req in run {
-            let g = distinct.binary_search(&target_of(req)).expect("collected");
-            record_ns(&mut guards[g].latency, per);
+            record_ns(&inner.latency, per);
         }
     }
 
@@ -1177,11 +965,7 @@ where
         for i in 0..inner.state.shard_count() {
             let mut shard = self.lock_shard(i);
             // Clock read under the lock, so this wheel never rewinds.
-            let now = inner.clock.now();
-            expired += inner.state.expire_due(&mut shard, now);
-        }
-        if expired > 0 {
-            inner.counters.add_expired(expired);
+            expired += self.expire_due(&mut shard, inner.clock.now());
         }
         expired
     }
@@ -1194,11 +978,7 @@ where
         for i in 0..inner.state.shard_count() {
             let mut shard = self.lock_shard(i);
             // Clock read under the lock, so this wheel never rewinds.
-            let now = inner.clock.now();
-            let expired = inner.state.expire_due(&mut shard, now);
-            if expired > 0 {
-                inner.counters.add_expired(expired);
-            }
+            self.expire_due(&mut shard, inner.clock.now());
             let shard = &mut *shard;
             let mut emptied: Vec<u64> = Vec::new();
             for (&id, entry) in shard.entries.iter_mut() {
@@ -1283,22 +1063,12 @@ where
     /// histogram, utilization vector, and live-task count.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut latency = LatencyHistogram::new();
-        let mut live = 0;
-        for i in 0..self.inner.state.shard_count() {
-            let mut shard = self.lock_shard(i);
-            self.inner.state.drain_pending(&mut shard);
-            latency.merge(&shard.latency);
-            live += shard.entries.len();
-        }
-        // Decisions concluded lock-free recorded their latency in the
-        // shared atomic histogram; fold it in so histogram counts still
-        // equal decision counts.
-        self.inner.fast_latency.merge_into(&mut latency);
+        self.inner.latency.merge_into(&mut latency);
         MetricsSnapshot {
             counters: self.inner.counters.snapshot(),
             decision_latency: latency,
             utilizations: self.utilizations(),
-            live_tasks: live,
+            live_tasks: self.live_tasks(),
         }
     }
 
@@ -1345,46 +1115,6 @@ where
             .shard(index)
             .lock()
             .expect("shard poisoned")
-    }
-
-    /// Inserts bookkeeping for an already-charged admission directly into
-    /// a held shard and mints the ticket (the locked paths' commit). The
-    /// shard lock is held; the gate must NOT be. The pending ring is
-    /// deliberately bypassed — no lock may be (blockingly) acquired here,
-    /// and entry-map inserts commute with ring drains, so ordering
-    /// against any queued entries is irrelevant.
-    fn commit(
-        &self,
-        shard: &mut Shard,
-        shard_idx: usize,
-        now: Time,
-        spec: &TaskSpec,
-        contributions: &[(StageId, u64)],
-    ) -> AdmissionTicket {
-        let inner = &*self.inner;
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let expiry = now.saturating_add(spec.deadline);
-        shard.entries.insert(
-            id,
-            LiveEntry {
-                contributions: contributions.to_vec(),
-                departed: vec![false; contributions.len()],
-                expiry,
-                importance: spec.importance,
-            },
-        );
-        shard.wheel.insert(expiry, id);
-        shard.by_importance.insert((spec.importance, id));
-        // Publish the deadline to the lock-free path's next-due hint so
-        // snapshot decisions stop as soon as this entry's decrement is due.
-        inner.state.note_deadline(shard_idx, expiry);
-        inner.counters.add_admitted();
-        AdmissionTicket {
-            sink: Some(Arc::clone(&self.inner) as Arc<dyn TicketSink>),
-            id,
-            shard: shard_idx,
-            deadline: expiry,
-        }
     }
 }
 

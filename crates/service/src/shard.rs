@@ -10,12 +10,11 @@
 //!   stage reads exactly the floor with no pinning pass.
 //! * **Per-shard bookkeeping** — a mutex-protected [`Shard`] holding the
 //!   live-entry map (which task charged what, where), the shard's
-//!   [`TimerWheel`] of deadline decrements, an importance-ordered shedding
-//!   index, and the shard's slice of the decision-latency histogram —
-//!   plus a lock-free [`MpscRing`] of admissions whose bookkeeping has
-//!   been decided but not yet inserted (DESIGN.md §16). Threads are
-//!   spread across shards round-robin, so shard mutexes are effectively
-//!   uncontended.
+//!   [`TimerWheel`] of deadline decrements and an importance-ordered
+//!   shedding index — plus a lock-free [`MpscRing`] of admissions whose
+//!   bookkeeping has been decided but not yet inserted (DESIGN.md §16).
+//!   Threads are spread across shards round-robin, so shard mutexes are
+//!   effectively uncontended.
 //!
 //! Consistency rules (proved out by the concurrency and CAS-stress
 //! tests):
@@ -23,8 +22,8 @@
 //! * **Charges are bracketed write sections.** A charging thread bumps
 //!   `writers_begin`, performs its per-stage `fetch_add`s (and, when
 //!   admitting, its revalidation read and pending-ring push), then bumps
-//!   `writers_end`. Multiple charges may overlap — there is no gate or
-//!   mutex on the add side. [`ShardedUtilization::snapshot_fp_into`]
+//!   `writers_end`. Multiple charges may overlap — there is no mutex
+//!   on the add side. [`ShardedUtilization::snapshot_fp_into`]
 //!   reads the vector without any lock and reports whether any write
 //!   section overlapped the read.
 //! * **Reductions (deadline expiry, release, shed, idle reset) happen
@@ -33,7 +32,8 @@
 //!   stale-high, which the monotone region test turns into a
 //!   conservative (reject-only) answer. Holding every shard lock while
 //!   observing a write-quiescent window therefore freezes the totals
-//!   entirely — the validator's consistency cut.
+//!   entirely, and empty pending rings inside it put every charged
+//!   unit's entry in a map — the validator's consistency cut.
 //! * Exactly-once removal is enforced by `HashMap::remove` on the entry
 //!   map: whichever of {deadline expiry, release, shed} wins removes the
 //!   entry; the others observe its absence and do nothing. Every
@@ -44,13 +44,12 @@
 //!   its earliest pending deadline decrement. A decision thread that
 //!   observes `now < hint` knows a locked drain of that shard would
 //!   apply nothing, so deciding from a snapshot cannot miss a decrement
-//!   the locked path would have applied. Commits lower the hint with
+//!   that is already due. Commits lower the hint with
 //!   `fetch_min`; drains refresh it from the wheel under the shard lock.
 
 use crate::ring::{MpscRing, PENDING_RING_CAPACITY};
 use crate::wheel::TimerWheel;
 use frap_core::fixed::{fp_from_utilization, utilization_from_fp};
-use frap_core::hist::LatencyHistogram;
 use frap_core::task::{Importance, StageId};
 use frap_core::time::Time;
 use std::collections::{BTreeSet, HashMap};
@@ -115,9 +114,6 @@ pub struct Shard {
     pub wheel: TimerWheel,
     /// Shedding index, ascending `(importance, ticket)`.
     pub by_importance: BTreeSet<(Importance, u64)>,
-    /// This shard's slice of the decision-latency histogram
-    /// (nanosecond-valued; see `metrics`).
-    pub latency: LatencyHistogram,
     /// Scratch buffer for wheel drains.
     drained: Vec<(Time, u64)>,
     /// This shard's index in the owning [`ShardedUtilization`], so a
@@ -184,7 +180,6 @@ impl ShardedUtilization {
                         entries: HashMap::new(),
                         wheel: TimerWheel::new(start),
                         by_importance: BTreeSet::new(),
-                        latency: LatencyHistogram::new(),
                         drained: Vec::new(),
                         index,
                     })
@@ -208,8 +203,7 @@ impl ShardedUtilization {
         &self.floors
     }
 
-    /// The shard mutexes (lock in ascending index order; the admission
-    /// gate, if needed, is always acquired after every shard lock).
+    /// The shard mutexes (lock in ascending index order).
     pub fn shard(&self, index: usize) -> &Mutex<Shard> {
         &self.shards[index]
     }
@@ -319,36 +313,6 @@ impl ShardedUtilization {
         }
     }
 
-    /// A gate-held charge for the fully locked decision path: one whole
-    /// write section around the adds. The caller guarantees (by holding
-    /// the admission gate on a locked-path service) that the post-charge
-    /// vector was validated before calling.
-    pub fn charge(&self, contributions: &[(StageId, u64)]) {
-        self.begin_write();
-        self.add_units(contributions);
-        self.end_write();
-    }
-
-    /// A charge that pauses between the first stage's add and the rest,
-    /// so the torn-read test can deterministically catch a reader mid
-    /// charge. Same write-section protocol as
-    /// [`ShardedUtilization::charge`].
-    #[cfg(test)]
-    pub fn torn_charge_for_test(&self, contributions: &[(StageId, u64)], pause: impl FnOnce()) {
-        self.begin_write();
-        let (first, rest) = contributions.split_first().expect("non-empty charge");
-        self.totals[first.0.index()]
-            .0
-            .fetch_add(first.1, Ordering::SeqCst);
-        pause();
-        for &(stage, units) in rest {
-            self.totals[stage.index()]
-                .0
-                .fetch_add(units, Ordering::SeqCst);
-        }
-        self.end_write();
-    }
-
     /// Queues a decided admission for insertion into shard `index`'s
     /// bookkeeping. Lock-free in the common case (a bounded MPSC ring
     /// push); when the ring is full, falls back to a `try_lock` drain —
@@ -403,7 +367,9 @@ impl ShardedUtilization {
         intercepted
     }
 
-    fn insert_entry_locked(shard: &mut Shard, pending: PendingAdmission) {
+    /// The one structural insert: files a decided admission in a locked
+    /// shard's wheel, shedding index and entry map.
+    pub(crate) fn insert_entry_locked(shard: &mut Shard, pending: PendingAdmission) {
         let PendingAdmission { id, entry } = pending;
         shard.wheel.insert(entry.expiry, id);
         shard.by_importance.insert((entry.importance, id));
@@ -508,23 +474,23 @@ impl ShardedUtilization {
 
     /// Validates the counters against the (already locked, already
     /// ring-drained) shards' entry maps inside a **write-quiescent
-    /// window**: waits for `writers_begin == writers_end`, captures the
-    /// totals, recomputes per-stage sums from the entries, and confirms
-    /// no write section opened meanwhile. With every shard lock held by
-    /// the caller, reductions are also excluded, so the captured cut is
-    /// frozen and the comparison is **exact** (integer equality, no
-    /// tolerance).
+    /// window**: sums the entries, waits for `writers_begin ==
+    /// writers_end`, captures the totals and whether every pending ring
+    /// is empty, and confirms no write section opened meanwhile. The
+    /// caller's locks exclude reductions and ring drains, so the totals
+    /// are frozen; empty rings prove no lock-free admit finished since
+    /// the caller's drain, so every charged unit is backed by an entry
+    /// the sums saw and the comparison is **exact** (integer equality).
     ///
-    /// Returns the stable aggregate utilization vector on success, or
-    /// `None` if concurrent write sections interfered for
-    /// `VALIDATE_ATTEMPTS` straight attempts (the caller re-drains rings
-    /// — a full ring can stall a writer mid-section — and retries).
+    /// Returns the stable aggregate utilization vector, or `None` when no
+    /// such cut was found: a ring is non-empty (a lock-free admit needs
+    /// no shard lock, so one ran after the drain) or write sections
+    /// interfered `VALIDATE_ATTEMPTS` times running. The caller re-drains
+    /// the rings and retries.
     ///
     /// # Panics
     ///
-    /// Panics if a stable capture diverges from the entry sums, or if a
-    /// pending ring is non-empty inside the stable window (the caller
-    /// drained them, and no writer ran since).
+    /// Panics if a stable capture diverges from the entry sums.
     pub fn try_validate_locked(&self, shards: &[&Shard]) -> Option<Vec<f64>> {
         assert_eq!(shards.len(), self.shard_count(), "all shards required");
         let mut sums = vec![0u64; self.stages()];
@@ -553,14 +519,17 @@ impl ShardedUtilization {
                 continue;
             }
             // The window was write-quiescent and every reduction site
-            // needs a shard lock we hold: `observed` is a frozen cut.
+            // needs a shard lock we hold: `observed` is a frozen cut. A
+            // ringed entry's units are in it but not in `sums`.
+            if !rings_empty {
+                return None;
+            }
             for j in 0..self.stages() {
                 assert_eq!(
                     observed[j], sums[j],
                     "stage {j}: atomic total diverged from entry sum"
                 );
             }
-            assert!(rings_empty, "pending ring non-empty in a stable window");
             return Some(
                 observed
                     .iter()
@@ -585,6 +554,13 @@ mod tests {
     /// Utilization → units, exact for the dyadic values used below.
     fn fp(u: f64) -> u64 {
         fp_from_utilization(u)
+    }
+
+    /// One whole write section around the adds: a committed charge.
+    fn charge(su: &ShardedUtilization, contributions: &[(StageId, u64)]) {
+        su.begin_write();
+        su.add_units(contributions);
+        su.end_write();
     }
 
     fn validate(su: &ShardedUtilization) -> Vec<f64> {
@@ -612,7 +588,7 @@ mod tests {
     fn charge_and_subtract_roundtrip_is_exact() {
         let su = ShardedUtilization::new(&[0.1, 0.0], 2, Time::ZERO);
         let contrib = vec![(stage(0), fp(0.2)), (stage(1), fp(0.3))];
-        su.charge(&contrib);
+        charge(&su, &contrib);
         let mut v = Vec::new();
         su.read_into(&mut v);
         assert!((v[0] - 0.3).abs() < 1e-12);
@@ -631,7 +607,7 @@ mod tests {
     fn rollback_is_bit_identical() {
         let su = ShardedUtilization::new(&[0.05, 0.0, 0.25], 1, Time::ZERO);
         let mut before = Vec::new();
-        su.charge(&[(stage(0), fp(0.125)), (stage(2), 3)]);
+        charge(&su, &[(stage(0), fp(0.125)), (stage(2), 3)]);
         su.read_fp_into(&mut before);
         let contrib = vec![(stage(0), fp(0.3)), (stage(1), 7), (stage(2), fp(0.01))];
         su.begin_write();
@@ -654,7 +630,7 @@ mod tests {
         {
             let mut sh = su.shard(0).lock().unwrap();
             for id in 0..4u64 {
-                su.charge(&c);
+                charge(&su, &c);
                 sh.entries
                     .insert(id, entry(c.clone(), Time::from_micros(10 + id)));
                 sh.wheel.insert(Time::from_micros(10 + id), id);
@@ -678,7 +654,7 @@ mod tests {
     #[test]
     fn snapshot_matches_read_when_quiescent() {
         let su = ShardedUtilization::new(&[0.05, 0.0, 0.1], 2, Time::ZERO);
-        su.charge(&[(stage(0), fp(0.2)), (stage(2), fp(0.3))]);
+        charge(&su, &[(stage(0), fp(0.2)), (stage(2), fp(0.3))]);
         let mut read = Vec::new();
         su.read_fp_into(&mut read);
         let mut snap = Vec::new();
@@ -699,10 +675,12 @@ mod tests {
         let writer = {
             let su = std::sync::Arc::clone(&su);
             std::thread::spawn(move || {
-                su.torn_charge_for_test(&[(stage(0), fp(0.25)), (stage(1), fp(0.5))], || {
-                    in_pause_tx.send(()).unwrap();
-                    resume_rx.recv().unwrap();
-                });
+                su.begin_write();
+                su.add_units(&[(stage(0), fp(0.25))]);
+                in_pause_tx.send(()).unwrap();
+                resume_rx.recv().unwrap();
+                su.add_units(&[(stage(1), fp(0.5))]);
+                su.end_write();
             })
         };
         // The writer is parked mid-charge: the first stage's add is
@@ -722,12 +700,13 @@ mod tests {
         let su = ShardedUtilization::new(&[0.0; 4], 1, Time::ZERO);
         for i in 1..=16u64 {
             let units = i * 1024;
-            su.charge(&[
+            let c = [
                 (stage(0), units),
                 (stage(1), 2 * units),
                 (stage(2), 3 * units),
                 (stage(3), 4 * units),
-            ]);
+            ];
+            charge(&su, &c);
             let mut snap = Vec::new();
             assert!(su.snapshot_fp_into(&mut snap));
             // Proportions prove no partial charge is ever visible to a
@@ -777,6 +756,34 @@ mod tests {
     }
 
     #[test]
+    fn validator_refuses_a_cut_taken_after_a_lock_free_admit() {
+        // A lock-free admit needs no shard lock, so it can run a whole
+        // write section between the validator's drain and its quiescent
+        // window: the totals then hold a charge whose entry is still
+        // ringed. That means "re-drain and retry", not a ledger divergence.
+        let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
+        let c = vec![(stage(0), fp(0.25))];
+        let mut sh = su.shard(0).lock().unwrap();
+        su.drain_pending(&mut sh);
+        su.begin_write();
+        su.add_units(&c);
+        su.push_pending(
+            0,
+            PendingAdmission {
+                id: 1,
+                entry: entry(c.clone(), Time::from_micros(100)),
+            },
+        );
+        su.end_write();
+        assert!(su.try_validate_locked(&[&*sh]).is_none());
+        su.drain_pending(&mut sh);
+        let v = su
+            .try_validate_locked(&[&*sh])
+            .expect("drained and quiescent");
+        assert!((v[0] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
     fn full_pending_ring_falls_back_to_a_locked_insert() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let c = vec![(stage(0), 1u64)];
@@ -809,7 +816,7 @@ mod tests {
         {
             let mut sh = su.shard(0).lock().unwrap();
             for (id, expiry) in [(1u64, 500u64), (2, 300), (3, 900)] {
-                su.charge(&c);
+                charge(&su, &c);
                 sh.entries
                     .insert(id, entry(c.clone(), Time::from_micros(expiry)));
                 sh.wheel.insert(Time::from_micros(expiry), id);
@@ -847,7 +854,7 @@ mod tests {
         sh.wheel.insert(Time::from_micros(50), 1);
         sh.entries
             .insert(1, entry(vec![(stage(0), fp(0.1))], Time::from_micros(50)));
-        su.charge(&[(stage(0), fp(0.1))]);
+        charge(&su, &[(stage(0), fp(0.1))]);
         sh.by_importance.insert((Importance::LOWEST, 1));
         let mut out = Vec::new();
         sh.wheel.advance(Time::from_micros(200), &mut out);

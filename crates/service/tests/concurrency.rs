@@ -4,9 +4,9 @@
 //! `AdmissionService::debug_validate`, which locks the world):
 //!
 //! 1. the aggregate synthetic utilization never leaves the feasible
-//!    region — admissions are serialized by the gate and concurrent
-//!    reductions only lower the vector, so this holds at *every*
-//!    instant, including mid-run;
+//!    region — every committed charge revalidated a vector that
+//!    included it and concurrent reductions only lower the vector, so
+//!    this holds at *every* instant, including mid-run;
 //! 2. the lock-free per-stage totals equal the sum over live entries
 //!    (no lost or doubled charge);
 //! 3. every admitted task leaves the books exactly once — release,
@@ -164,15 +164,14 @@ fn hammered_service_never_leaves_the_region() {
     service.debug_validate();
     assert_eq!(service.live_tasks(), 0, "all deadlines have passed");
     let u = service.utilizations();
-    // Only a sub-ulp residue of the drained charges may remain (the next
-    // admission's gate pass would pin it to exactly zero).
+    // Integer units: the drained charges leave exactly the (zero) floor.
     assert!(
         u.iter().all(|&x| x < 1e-9),
         "drained service reads ~zero: {u:?}"
     );
 }
 
-/// The lock-free reject path (DESIGN.md §14) under fire: rejector threads
+/// The lock-free reject path (DESIGN.md §16) under fire: rejector threads
 /// hammer `try_admit` with a spec that is infeasible *even on an empty
 /// system* (three stages at u = 0.5 each, Σ f(0.5) = 2.25 > 1), so any
 /// admit is a genuine spurious-admit bug — no oracle replay needed to
@@ -196,8 +195,8 @@ fn lock_free_rejects_race_admissions_without_spurious_verdicts() {
     .build();
 
     // Infeasible on an empty system: the charge hammer below can only
-    // push utilizations higher, so every decision on this spec — fast
-    // path, locked path, or batch prefix — must be a rejection.
+    // push utilizations higher, so every decision on this spec — single
+    // or batched — must be a rejection.
     let poison = TaskSpec::pipeline(ms(10), &[ms(5), ms(5), ms(5)]).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));

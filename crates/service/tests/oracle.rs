@@ -1,8 +1,11 @@
-//! Oracle tests: with one shard and a [`ManualClock`], the concurrent
-//! service must agree **decision for decision** with the single-threaded
-//! library controller (`frap_core::admission::Admission`) — same
-//! admit/reject sequence, same assigned ids, same shed victims, same
-//! counters, and matching utilization vectors.
+//! Oracle tests: driven from one thread under a [`ManualClock`], the
+//! concurrent service must agree **decision for decision** with the
+//! single-threaded library controller
+//! (`frap_core::admission::Admission`) — same admit/reject sequence, same
+//! assigned ids, same shed victims, same counters, and matching
+//! utilization vectors. The `try_admit` and shedding drivers run at one
+//! shard and at two: one thread has one home shard, so the shard count
+//! must not show.
 //!
 //! Both sides share the decision kernel
 //! (`frap_core::admission::tentative_feasible`) and apply charges in the
@@ -39,6 +42,9 @@ where
     }
 }
 
+/// Shard counts the `try_admit` and shedding drivers run at.
+const SHARD_COUNTS: [usize; 2] = [1, 2];
+
 /// Drives both controllers through the same arrival stream with
 /// `try_admit`, asserting identical outcomes at every step.
 fn run_try_admit_oracle<I: Iterator<Item = (Time, TaskSpec)>>(
@@ -46,24 +52,27 @@ fn run_try_admit_oracle<I: Iterator<Item = (Time, TaskSpec)>>(
     arrivals: I,
     mean_model: bool,
 ) {
-    let region = FeasibleRegion::deadline_monotonic(stages);
-    let clock = Arc::new(ManualClock::new());
+    let arrivals: Vec<(Time, TaskSpec)> = arrivals.collect();
+    for shards in SHARD_COUNTS {
+        let region = FeasibleRegion::deadline_monotonic(stages);
+        let clock = Arc::new(ManualClock::new());
 
-    let means: Vec<TimeDelta> = (0..stages).map(|_| TimeDelta::from_millis(10)).collect();
-    if mean_model {
-        let mut library = Admission::new(region.clone(), MeanContributions::new(means.clone()));
-        let service = AdmissionService::builder(region, MeanContributions::new(means))
-            .clock(Arc::clone(&clock))
-            .shards(1)
-            .build();
-        drive_try_admit(&mut library, &service, &clock, arrivals);
-    } else {
-        let mut library = Admission::new(region.clone(), ExactContributions);
-        let service = AdmissionService::builder(region, ExactContributions)
-            .clock(Arc::clone(&clock))
-            .shards(1)
-            .build();
-        drive_try_admit(&mut library, &service, &clock, arrivals);
+        let means: Vec<TimeDelta> = (0..stages).map(|_| TimeDelta::from_millis(10)).collect();
+        if mean_model {
+            let mut library = Admission::new(region.clone(), MeanContributions::new(means.clone()));
+            let service = AdmissionService::builder(region, MeanContributions::new(means))
+                .clock(Arc::clone(&clock))
+                .shards(shards)
+                .build();
+            drive_try_admit(&mut library, &service, &clock, arrivals.iter().cloned());
+        } else {
+            let mut library = Admission::new(region.clone(), ExactContributions);
+            let service = AdmissionService::builder(region, ExactContributions)
+                .clock(Arc::clone(&clock))
+                .shards(shards)
+                .build();
+            drive_try_admit(&mut library, &service, &clock, arrivals.iter().cloned());
+        }
     }
 }
 
@@ -137,62 +146,64 @@ fn dag_exact_model_agrees() {
 fn shedding_oracle_agrees() {
     // Mixed-importance overload: every arrival goes through the shedding
     // path on both sides; shed victim lists must match exactly.
-    let region = FeasibleRegion::deadline_monotonic(3);
-    let clock = Arc::new(ManualClock::new());
-    let mut library = Admission::new(region.clone(), ExactContributions);
-    let service = AdmissionService::builder(region, ExactContributions)
-        .clock(Arc::clone(&clock))
-        .shards(1)
-        .build();
+    for shards in SHARD_COUNTS {
+        let region = FeasibleRegion::deadline_monotonic(3);
+        let clock = Arc::new(ManualClock::new());
+        let mut library = Admission::new(region.clone(), ExactContributions);
+        let service = AdmissionService::builder(region, ExactContributions)
+            .clock(Arc::clone(&clock))
+            .shards(shards)
+            .build();
 
-    let arrivals = PipelineWorkloadBuilder::new(3)
-        .mean_computation_ms(10.0)
-        .resolution(25.0)
-        .load(3.0)
-        .seed(99)
-        .build()
-        .until(Time::from_secs(20));
+        let arrivals = PipelineWorkloadBuilder::new(3)
+            .mean_computation_ms(10.0)
+            .resolution(25.0)
+            .load(3.0)
+            .seed(99)
+            .build()
+            .until(Time::from_secs(20));
 
-    let mut sheddings = 0u64;
-    for (steps, (at, spec)) in arrivals.enumerate() {
-        // Deterministically vary importance so later arrivals can evict
-        // earlier ones.
-        let spec = spec.with_importance(Importance::new((steps % 7) as u32));
-        clock.set(at);
-        let lib = library.try_admit_or_shed(at, &spec);
-        let svc = service.try_admit_or_shed(&spec);
-        match (&lib, &svc) {
-            (AdmitOutcome::Admitted(task), ServiceOutcome::Admitted(ticket)) => {
-                assert_eq!(task.seq(), ticket.id(), "step {steps}");
+        let mut sheddings = 0u64;
+        for (steps, (at, spec)) in arrivals.enumerate() {
+            // Deterministically vary importance so later arrivals can evict
+            // earlier ones.
+            let spec = spec.with_importance(Importance::new((steps % 7) as u32));
+            clock.set(at);
+            let lib = library.try_admit_or_shed(at, &spec);
+            let svc = service.try_admit_or_shed(&spec);
+            match (&lib, &svc) {
+                (AdmitOutcome::Admitted(task), ServiceOutcome::Admitted(ticket)) => {
+                    assert_eq!(task.seq(), ticket.id(), "step {steps}");
+                }
+                (
+                    AdmitOutcome::AdmittedAfterShedding { task, shed },
+                    ServiceOutcome::AdmittedAfterShedding {
+                        ticket,
+                        shed: svc_shed,
+                    },
+                ) => {
+                    assert_eq!(task.seq(), ticket.id(), "step {steps}");
+                    let lib_shed: Vec<u64> = shed.iter().map(|t| t.seq()).collect();
+                    assert_eq!(&lib_shed, svc_shed, "step {steps}: shed lists diverged");
+                    sheddings += 1;
+                }
+                (AdmitOutcome::Rejected, ServiceOutcome::Rejected) => {}
+                other => panic!("step {steps}: outcome diverged: {other:?}"),
             }
-            (
-                AdmitOutcome::AdmittedAfterShedding { task, shed },
-                ServiceOutcome::AdmittedAfterShedding {
-                    ticket,
-                    shed: svc_shed,
-                },
-            ) => {
-                assert_eq!(task.seq(), ticket.id(), "step {steps}");
-                let lib_shed: Vec<u64> = shed.iter().map(|t| t.seq()).collect();
-                assert_eq!(&lib_shed, svc_shed, "step {steps}: shed lists diverged");
-                sheddings += 1;
+            if let Some(ticket) = svc.ticket() {
+                ticket.detach();
             }
-            (AdmitOutcome::Rejected, ServiceOutcome::Rejected) => {}
-            other => panic!("step {steps}: outcome diverged: {other:?}"),
+            assert_eq!(library.live_tasks(), service.live_tasks(), "step {steps}");
+            assert_utilizations_agree(&mut library, &service.utilizations(), steps);
         }
-        if let Some(ticket) = svc.ticket() {
-            ticket.detach();
-        }
-        assert_eq!(library.live_tasks(), service.live_tasks(), "step {steps}");
-        assert_utilizations_agree(&mut library, &service.utilizations(), steps);
+        assert!(sheddings > 0, "workload never exercised the shedding path");
+        let stats = library.stats();
+        let counters = service.counters();
+        assert_eq!(stats.admitted, counters.admitted);
+        assert_eq!(stats.rejected, counters.rejected);
+        assert_eq!(stats.shed, counters.shed);
+        service.debug_validate();
     }
-    assert!(sheddings > 0, "workload never exercised the shedding path");
-    let stats = library.stats();
-    let counters = service.counters();
-    assert_eq!(stats.admitted, counters.admitted);
-    assert_eq!(stats.rejected, counters.rejected);
-    assert_eq!(stats.shed, counters.shed);
-    service.debug_validate();
 }
 
 #[test]
