@@ -16,13 +16,29 @@ const CAP_EPSILON: f64 = 1e-9;
 /// box while an `AdmissionService` keeps admitting against it — no
 /// rebuild, no hot-path change.
 ///
-/// Memory-ordering note: all accesses are `Relaxed`. The admission
-/// service evaluates [`RegionTest::feasible`] while holding its
-/// decision gate (a mutex), and the lease layer's shrink discipline is
-/// *lower caps, then read utilization through that same gate* — the
-/// mutex's happens-before edges make every relaxed cap write visible to
-/// any decision that could otherwise race past it (see `DESIGN.md`
-/// §13).
+/// Memory-ordering note: every access is `SeqCst`. The admission
+/// service decides without any lock (DESIGN.md §16), so the lease
+/// layer's shrink discipline — *lower caps, then take a write-stable
+/// utilization snapshot* — is Dekker-shaped against a decider:
+///
+/// * shrinker: **store** cap, then **load** the service's write-section
+///   counters (every lane's `end`, then every lane's `begin`), then read
+///   the totals;
+/// * decider: **RMW** its lane's `begin` counter, charge, then **load**
+///   the cap inside [`RegionTest::feasible`].
+///
+/// With a `Relaxed` (or `Release`) cap store the store may still sit in
+/// the shrinker's store buffer when its later loads run, so both sides
+/// can miss each other: the snapshot sees no open section, and the
+/// decider — whose section opened after the snapshot's `begin` read —
+/// still revalidates against the old, larger cap and commits work the
+/// node has already promised away. In the single total order of `SeqCst`
+/// operations that cannot happen: either the decider's `begin` RMW
+/// precedes the shrinker's read of that lane's `begin` (the snapshot is
+/// unstable or already contains the charge, and the holdback covers it),
+/// or it follows it, and then follows the cap store too, so the
+/// revalidation reads the new cap (DESIGN.md §13). On x86 a `SeqCst`
+/// load is a plain load; the stores happen once per lease event.
 #[derive(Debug, Clone)]
 pub struct SharedStageCaps {
     units: Arc<Vec<AtomicU64>>,
@@ -51,30 +67,30 @@ impl SharedStageCaps {
 
     /// Current cap of `stage`, in units.
     pub fn get(&self, stage: usize) -> u64 {
-        self.units[stage].load(Ordering::Relaxed)
+        self.units[stage].load(Ordering::SeqCst)
     }
 
     /// Snapshot of every cap, in units.
     pub fn units(&self) -> Vec<u64> {
         self.units
             .iter()
-            .map(|u| u.load(Ordering::Relaxed))
+            .map(|u| u.load(Ordering::SeqCst))
             .collect()
     }
 
     /// Overwrites one stage's cap.
     pub fn store(&self, stage: usize, units: u64) {
-        self.units[stage].store(units, Ordering::Relaxed);
+        self.units[stage].store(units, Ordering::SeqCst);
     }
 
     /// Grows one stage's cap by `delta` units.
     pub fn add(&self, stage: usize, delta: u64) {
-        self.units[stage].fetch_add(delta, Ordering::Relaxed);
+        self.units[stage].fetch_add(delta, Ordering::SeqCst);
     }
 
     /// Shrinks one stage's cap by `delta` units, saturating at zero.
     pub fn sub_saturating(&self, stage: usize, delta: u64) {
-        let _ = self.units[stage].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+        let _ = self.units[stage].fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
             Some(v.saturating_sub(delta))
         });
     }
@@ -83,7 +99,7 @@ impl SharedStageCaps {
     /// or not yet granted).
     pub fn zero_all(&self) {
         for u in self.units.iter() {
-            u.store(0, Ordering::Relaxed);
+            u.store(0, Ordering::SeqCst);
         }
     }
 }
@@ -94,11 +110,11 @@ impl RegionTest for SharedStageCaps {
     }
 
     /// Pointwise `U_j ≤ cap_j` against the current caps — monotone for
-    /// any fixed cap snapshot, which is all the admission gate observes.
+    /// any fixed cap snapshot, which is all one decision observes.
     fn feasible(&self, utilizations: &[f64]) -> bool {
         debug_assert_eq!(utilizations.len(), self.units.len());
         utilizations.iter().zip(self.units.iter()).all(|(&u, cap)| {
-            u <= cap.load(Ordering::Relaxed) as f64 / UNIT_SCALE as f64 + CAP_EPSILON
+            u <= cap.load(Ordering::SeqCst) as f64 / UNIT_SCALE as f64 + CAP_EPSILON
         })
     }
 }

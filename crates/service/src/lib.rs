@@ -12,9 +12,9 @@
 //! * [`wheel`] — a hierarchical timer wheel that schedules the paper's
 //!   decrement-at-deadline events in amortized `O(1)` per shard;
 //! * [`shard`] — [`ShardedUtilization`], per-stage synthetic-utilization
-//!   counters in lock-free fixed-point atomics ([`frap_core::fixed`]),
-//!   sharded bookkeeping, and the full charge / decrement / idle-reset
-//!   lifecycle;
+//!   counters in lock-free fixed-point atomics ([`frap_core::fixed`]) on
+//!   one shared cache line, one line-aligned lane of bookkeeping per
+//!   shard, and the full charge / decrement / idle-reset lifecycle;
 //! * [`ring`] — the bounded MPSC ring that defers an admitted entry's
 //!   structural bookkeeping off the lock-free decision path;
 //! * [`metrics`] — admit/reject/shed counters, a nanosecond

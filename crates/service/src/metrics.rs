@@ -13,7 +13,9 @@ use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
 use frap_core::time::{Time, TimeDelta};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotone decision counters, updated lock-free by every worker thread.
+/// Monotone decision counters, updated lock-free. The service keeps one
+/// per lane (`shard::Lane`), written by that lane's home thread, so the
+/// per-decision RMW never leaves its core's cache.
 #[derive(Debug, Default)]
 pub struct ServiceCounters {
     admitted: AtomicU64,
@@ -52,10 +54,6 @@ impl ServiceCounters {
         self.expired.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_expired_on_arrival(&self) {
-        self.expired_on_arrival.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn add_expired_on_arrival_n(&self, n: u64) {
         self.expired_on_arrival.fetch_add(n, Ordering::Relaxed);
     }
@@ -77,22 +75,28 @@ impl ServiceCounters {
         self.cas_retries.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds this stripe's counts into `sum` (the service keeps one stripe
+    /// per lane and reports their sum).
+    pub(crate) fn add_into(&self, sum: &mut CounterSnapshot) {
+        let fast_rejected = self.fast_rejected.load(Ordering::Relaxed);
+        sum.admitted += self.admitted.load(Ordering::Relaxed);
+        // Snapshot rejects keep their own tally so each decision costs
+        // one RMW; `rejected` reports the sum.
+        sum.rejected += self.rejected.load(Ordering::Relaxed) + fast_rejected;
+        sum.shed += self.shed.load(Ordering::Relaxed);
+        sum.released += self.released.load(Ordering::Relaxed);
+        sum.expired += self.expired.load(Ordering::Relaxed);
+        sum.expired_on_arrival += self.expired_on_arrival.load(Ordering::Relaxed);
+        sum.fast_rejected += fast_rejected;
+        sum.seqlock_fallbacks += self.seqlock_fallbacks.load(Ordering::Relaxed);
+        sum.cas_retries += self.cas_retries.load(Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> CounterSnapshot {
-        let fast_rejected = self.fast_rejected.load(Ordering::Relaxed);
-        CounterSnapshot {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            // Snapshot rejects keep their own tally so each decision
-            // costs one RMW; `rejected` reports the sum.
-            rejected: self.rejected.load(Ordering::Relaxed) + fast_rejected,
-            shed: self.shed.load(Ordering::Relaxed),
-            released: self.released.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            expired_on_arrival: self.expired_on_arrival.load(Ordering::Relaxed),
-            fast_rejected,
-            seqlock_fallbacks: self.seqlock_fallbacks.load(Ordering::Relaxed),
-            cas_retries: self.cas_retries.load(Ordering::Relaxed),
-        }
+        let mut sum = CounterSnapshot::default();
+        self.add_into(&mut sum);
+        sum
     }
 }
 
@@ -262,7 +266,7 @@ mod tests {
         c.add_shed(3);
         c.add_released();
         c.add_expired(2);
-        c.add_expired_on_arrival();
+        c.add_expired_on_arrival_n(1);
         c.add_fast_rejected(1);
         c.add_seqlock_fallback();
         c.add_cas_retry();

@@ -19,6 +19,13 @@
 //! (the caller falls back to a `try_lock` direct insert — see
 //! `ShardedUtilization::push_pending`), so no decision path ever blocks.
 //!
+//! `head` and `tail` are deliberately *not* padded apart: the ring lives
+//! inside its shard's `Lane` (`shard.rs`), whose lines no other shard
+//! touches, and in the steady state producer and consumer are the same
+//! home thread. What must not happen — shard 0's `head` on shard 1's
+//! line, as when the rings sat side by side in a `Vec` — the lane's
+//! alignment rules out.
+//!
 //! This is the one module in the crate allowed `unsafe`: slot payloads
 //! live in `UnsafeCell<MaybeUninit<T>>` and ownership is transferred by
 //! the sequence-number protocol above (same precedent as the gateway's

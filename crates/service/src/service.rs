@@ -27,6 +27,12 @@
 //!    drains the shard under its lock, exactly as the library
 //!    controller's `advance_to(at)` would before deciding.
 //!
+//! Everything a deciding thread *writes* besides the per-stage totals —
+//! its decision counters, its latency sample, its write-section
+//! `begin`/`end`, the ring push, the ticket's refcount — lands on its
+//! home shard's lane ([`crate::shard::Lane`]), resolved once per public
+//! call, so the totals are the only cache line deciding cores share.
+//!
 //! Shard mutexes exist for *structural* operations only (wheel drains,
 //! releases, idle resets, shedding, validation), never on the decision
 //! path; lock order is shards ascending. The cross-shard shedding path
@@ -41,14 +47,14 @@
 //! property the concurrency tests hammer on).
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::metrics::{record_ns, CounterSnapshot, MetricsSnapshot, ServiceCounters};
-use crate::shard::{LiveEntry, PendingAdmission, Shard, ShardedUtilization};
+use crate::metrics::{record_ns, CounterSnapshot, MetricsSnapshot};
+use crate::shard::{CachePadded, Lane, LiveEntry, PendingAdmission, Shard, ShardedUtilization};
 use frap_core::admission::ContributionModel;
 use frap_core::fixed::{
     feasible_fp, fp_contributions_into, tentative_feasible_fp, tentative_feasible_fp_overlay,
 };
 use frap_core::graph::TaskSpec;
-use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
+use frap_core::hist::LatencyHistogram;
 use frap_core::region::RegionTest;
 use frap_core::task::StageId;
 use frap_core::time::Time;
@@ -169,11 +175,24 @@ impl ServiceOutcome {
     }
 }
 
-/// The object-safe backend an [`AdmissionTicket`] releases through,
-/// erasing the service's generics so tickets stay plain structs.
-trait TicketSink: Send + Sync {
-    fn release_ticket(&self, shard: usize, id: u64);
-    fn depart_ticket(&self, shard: usize, id: u64, stage: StageId);
+/// What an [`AdmissionTicket`] releases through: the ledger plus the lane
+/// the admission was booked on. The service keeps one per lane, each
+/// alone on its lines, and mints a lane's tickets from that lane's sink —
+/// so the `Arc` refcount a ticket bumps when minted and when dropped
+/// stays in its home core's cache instead of being one word every
+/// admitting core fights over. A sink points at the ledger, never back at
+/// the service, so there is no cycle.
+struct TicketSink {
+    ledger: Arc<ShardedUtilization>,
+    lane: usize,
+}
+
+type SinkRef = Arc<CachePadded<TicketSink>>;
+
+impl std::fmt::Debug for TicketSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "TicketSink(lane {})", self.lane)
+    }
 }
 
 /// An RAII admission: proof that the feasible-region test passed and the
@@ -188,16 +207,9 @@ trait TicketSink: Send + Sync {
 #[derive(Debug)]
 #[must_use = "dropping a ticket releases the admission immediately; call detach() for decrement-at-deadline semantics"]
 pub struct AdmissionTicket {
-    sink: Option<Arc<dyn TicketSink>>,
+    sink: Option<SinkRef>,
     id: u64,
-    shard: usize,
     deadline: Time,
-}
-
-impl std::fmt::Debug for dyn TicketSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TicketSink")
-    }
 }
 
 impl AdmissionTicket {
@@ -216,15 +228,13 @@ impl AdmissionTicket {
     /// ([`AdmissionService::on_stage_idle`]).
     pub fn mark_departed(&self, stage: StageId) {
         if let Some(sink) = &self.sink {
-            sink.depart_ticket(self.shard, self.id, stage);
+            sink.0.ledger.mark_departed(sink.0.lane, self.id, stage);
         }
     }
 
     /// Releases the admission now (same as dropping, but explicit).
-    pub fn release(mut self) {
-        if let Some(sink) = self.sink.take() {
-            sink.release_ticket(self.shard, self.id);
-        }
+    pub fn release(self) {
+        drop(self);
     }
 
     /// Consumes the ticket *without* releasing: the contributions stay
@@ -238,7 +248,7 @@ impl AdmissionTicket {
 impl Drop for AdmissionTicket {
     fn drop(&mut self) {
         if let Some(sink) = self.sink.take() {
-            sink.release_ticket(self.shard, self.id);
+            sink.0.ledger.release(sink.0.lane, self.id);
         }
     }
 }
@@ -247,12 +257,13 @@ struct Inner<R, M, C> {
     region: R,
     model: M,
     clock: C,
-    state: ShardedUtilization,
-    counters: ServiceCounters,
-    next_id: AtomicU64,
+    state: Arc<ShardedUtilization>,
+    /// One ticket sink per lane.
+    sinks: Vec<SinkRef>,
+    /// Every admitting core RMWs this, so it sits alone on its line: the
+    /// read-mostly fields above are loaded by every decision.
+    next_id: CachePadded<AtomicU64>,
     draining: AtomicBool,
-    /// One decision-latency sample per decision, from every path.
-    latency: AtomicLatencyHistogram,
 }
 
 impl<R, M, C> std::fmt::Debug for Inner<R, M, C>
@@ -348,16 +359,21 @@ impl<R: RegionTest, M: ContributionModel, C: Clock> AdmissionServiceBuilder<R, M
             None => vec![0.0; self.region.stages()],
         };
         let start = self.clock.now();
+        let state = Arc::new(ShardedUtilization::new(&floors, self.shards, start));
         AdmissionService {
             inner: Arc::new(Inner {
                 region: self.region,
                 model: self.model,
                 clock: self.clock,
-                state: ShardedUtilization::new(&floors, self.shards, start),
-                counters: ServiceCounters::default(),
-                next_id: AtomicU64::new(0),
+                sinks: (0..self.shards)
+                    .map(|lane| {
+                        let ledger = Arc::clone(&state);
+                        Arc::new(CachePadded(TicketSink { ledger, lane }))
+                    })
+                    .collect(),
+                state,
+                next_id: CachePadded(AtomicU64::new(0)),
                 draining: AtomicBool::new(false),
-                latency: AtomicLatencyHistogram::new(),
             }),
         }
     }
@@ -447,19 +463,22 @@ where
     pub fn try_admit(&self, spec: &TaskSpec) -> Option<AdmissionTicket> {
         let started = Instant::now();
         let inner = &*self.inner;
+        let home = self.home_shard();
+        let lane = inner.state.lane(home);
         if inner.draining.load(Ordering::Acquire) {
-            inner.counters.add_rejected();
+            lane.counters.add_rejected();
             return None;
         }
         let now = inner.clock.now_with_hint(started);
-        let result = SCRATCH.with(|scratch| {
-            self.decide_lockfree(now, self.home_shard(), spec, &mut scratch.borrow_mut())
-        });
-        record_ns(&inner.latency, started.elapsed());
+        let result = SCRATCH
+            .with(|scratch| self.decide_lockfree(now, lane, home, spec, &mut scratch.borrow_mut()));
+        record_ns(&lane.latency, started.elapsed());
         result
     }
 
-    /// Decides one arrival at `now`, booking an admission on shard
+    /// Decides one arrival at `now` for a caller whose home lane is `home`
+    /// (where its counters and write sections go — resolved once per
+    /// public call and passed down), booking an admission on shard
     /// `target`: expire guard, then conservative snapshot reject or
     /// optimistic CAS-charge with bounded-retry revalidation and
     /// ring-deferred bookkeeping. Quantization to units happens only on
@@ -469,6 +488,7 @@ where
     fn decide_lockfree(
         &self,
         now: Time,
+        home: &Lane,
         target: usize,
         spec: &TaskSpec,
         s: &mut Scratch,
@@ -496,16 +516,20 @@ where
         );
         let ticket = if fits {
             fp_contributions_into(&s.contrib, &mut s.contrib_fp);
-            self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats, || {
-                self.commit(None, target, now, spec, &s.contrib_fp)
-            })
+            self.charge_revalidated(
+                home,
+                &s.contrib_fp,
+                &mut s.current_fp,
+                &mut s.floats,
+                || self.commit(None, home, target, now, spec, &s.contrib_fp),
+            )
         } else {
             None
         };
         if ticket.is_none() {
             // One RMW covers the decision: `fast_rejected` is folded into
             // the reported `rejected` total at snapshot time.
-            inner.counters.add_fast_rejected(1);
+            home.counters.add_fast_rejected(1);
         }
         ticket
     }
@@ -521,6 +545,7 @@ where
     /// Takes no lock and never blocks.
     fn charge_revalidated<T>(
         &self,
+        home: &Lane,
         contrib_fp: &[(StageId, u64)],
         current_fp: &mut Vec<u64>,
         floats: &mut Vec<f64>,
@@ -528,7 +553,7 @@ where
     ) -> Option<T> {
         let inner = &*self.inner;
         for _ in 0..CAS_ADMIT_RETRIES {
-            inner.state.begin_write();
+            home.begin_write();
             inner.state.add_units(contrib_fp);
             // Revalidate the post-charge vector (the SeqCst read sees our
             // own adds): if every committed charge revalidated against a
@@ -537,14 +562,14 @@ where
             inner.state.read_fp_into(current_fp);
             if feasible_fp(&inner.region, current_fp, floats) {
                 let booked = commit();
-                inner.state.end_write();
+                home.end_write();
                 return Some(booked);
             }
             // Concurrent charges raced past our snapshot: roll back the
             // exact units and re-examine from a fresh read.
             inner.state.sub_units(contrib_fp);
-            inner.state.end_write();
-            inner.counters.add_cas_retry();
+            home.end_write();
+            home.counters.add_cas_retry();
             inner.state.read_fp_into(current_fp);
             if !tentative_feasible_fp(&inner.region, current_fp, contrib_fp, floats) {
                 return None;
@@ -565,13 +590,14 @@ where
     fn commit(
         &self,
         held: Option<&mut Shard>,
+        home: &Lane,
         target: usize,
         now: Time,
         spec: &TaskSpec,
         contributions: &[(StageId, u64)],
     ) -> AdmissionTicket {
         let inner = &*self.inner;
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = inner.next_id.0.fetch_add(1, Ordering::Relaxed);
         let expiry = now.saturating_add(spec.deadline);
         let pending = PendingAdmission {
             id,
@@ -589,37 +615,28 @@ where
         // Published at decision time (not ring-drain time), so snapshot
         // decisions stop as soon as this entry's decrement is due.
         inner.state.note_deadline(target, expiry);
-        inner.counters.add_admitted();
+        home.counters.add_admitted();
         AdmissionTicket {
-            sink: Some(Arc::clone(&self.inner) as Arc<dyn TicketSink>),
+            sink: Some(Arc::clone(&inner.sinks[target])),
             id,
-            shard: target,
             deadline: expiry,
         }
     }
 
     /// Parity guard for snapshot decisions: if shard `target` may have a
     /// deadline decrement due at `now` (its next-due hint has come due),
-    /// apply it under the shard lock first. The library controller runs
-    /// `advance_to(at)` before every decision, and verdicts and expired
-    /// counts must match it decision-for-decision. The hint is a lower
-    /// bound on the earliest due decrement, so `now < hint` proves a
-    /// drain would be a no-op.
-    fn expire_guard(&self, now: Time, target: usize) {
-        let inner = &*self.inner;
-        if now.as_micros() < inner.state.shard_next_due(target) {
-            return;
+    /// apply it under the shard lock first and report that it did. The
+    /// library controller runs `advance_to(at)` before every decision,
+    /// and verdicts and expired counts must match it
+    /// decision-for-decision. The hint is a lower bound on the earliest
+    /// due decrement, so `now < hint` proves a drain would be a no-op.
+    fn expire_guard(&self, now: Time, target: usize) -> bool {
+        let state = &self.inner.state;
+        let due = now.as_micros() >= state.shard_next_due(target);
+        if due {
+            state.expire_due(&mut state.lock_shard(target), now);
         }
-        self.expire_due(&mut self.lock_shard(target), now);
-    }
-
-    /// Applies `shard`'s due deadline decrements and counts them.
-    fn expire_due(&self, shard: &mut Shard, now: Time) -> u64 {
-        let expired = self.inner.state.expire_due(shard, now);
-        if expired > 0 {
-            self.inner.counters.add_expired(expired);
-        }
-        expired
+        due
     }
 
     /// Attempts to admit `spec`; when infeasible, sheds live tasks that
@@ -632,21 +649,22 @@ where
     pub fn try_admit_or_shed(&self, spec: &TaskSpec) -> ServiceOutcome {
         let started = Instant::now();
         let inner = &*self.inner;
+        let home = self.home_shard();
+        let lane = inner.state.lane(home);
         if inner.draining.load(Ordering::Acquire) {
-            inner.counters.add_rejected();
+            lane.counters.add_rejected();
             return ServiceOutcome::Rejected;
         }
-        let home = self.home_shard();
 
         // Slow path: take every shard (ascending) so the shedding index
         // can be scanned globally. The clock is read after every lock is
         // held so no wheel can observe time running backwards.
         let mut guards: Vec<MutexGuard<'_, Shard>> = (0..inner.state.shard_count())
-            .map(|i| self.lock_shard(i))
+            .map(|i| inner.state.lock_shard(i))
             .collect();
         let now = inner.clock.now();
         for shard in guards.iter_mut() {
-            self.expire_due(shard, now);
+            inner.state.expire_due(shard, now);
         }
 
         let outcome = SCRATCH.with(|scratch| {
@@ -685,12 +703,13 @@ where
                 shed.push(victim);
             };
             if !shed.is_empty() {
-                inner.counters.add_shed(shed.len() as u64);
+                lane.counters.add_shed(shed.len() as u64);
             }
 
             let ticket = if fits {
-                self.charge_revalidated(&s.contrib_fp, &mut s.current_fp, &mut s.floats, || {
-                    self.commit(Some(&mut guards[home]), home, now, spec, &s.contrib_fp)
+                let (fp, current, floats) = (&s.contrib_fp, &mut s.current_fp, &mut s.floats);
+                self.charge_revalidated(lane, fp, current, floats, || {
+                    self.commit(Some(&mut guards[home]), lane, home, now, spec, fp)
                 })
             } else {
                 None
@@ -699,12 +718,12 @@ where
                 Some(ticket) if shed.is_empty() => ServiceOutcome::Admitted(ticket),
                 Some(ticket) => ServiceOutcome::AdmittedAfterShedding { ticket, shed },
                 None => {
-                    inner.counters.add_rejected();
+                    lane.counters.add_rejected();
                     ServiceOutcome::Rejected
                 }
             }
         });
-        record_ns(&inner.latency, started.elapsed());
+        record_ns(&lane.latency, started.elapsed());
         outcome
     }
 
@@ -793,14 +812,15 @@ where
     fn admit_run(&self, now: Time, run: &[BatchRequest<'_>], out: &mut Vec<ServiceOutcome>) {
         let started = Instant::now();
         let inner = &*self.inner;
+        let home = self.home_shard();
+        let lane = inner.state.lane(home);
         if inner.draining.load(Ordering::Acquire) {
-            inner.counters.add_rejected_n(run.len() as u64);
+            lane.counters.add_rejected_n(run.len() as u64);
             for _ in run {
                 out.push(ServiceOutcome::Rejected);
             }
             return;
         }
-        let home = self.home_shard();
         let count = inner.state.shard_count();
         let target_of = |req: &BatchRequest<'_>| req.shard.map_or(home, |s| s % count);
 
@@ -825,8 +845,7 @@ where
             let mut admits: Vec<AdmitCandidate> = Vec::new();
             for (i, req) in run.iter().enumerate() {
                 let target = target_of(req);
-                if now.as_micros() >= inner.state.shard_next_due(target) {
-                    self.expire_guard(now, target);
+                if self.expire_guard(now, target) {
                     // The drain may have decremented counters; re-take the
                     // base or this run would conservatively reject where
                     // serial singles (which read after draining) admit.
@@ -859,33 +878,33 @@ where
 
             // Commit the whole run's admissions in one write section.
             let committed = admits.is_empty() || {
-                inner.state.begin_write();
+                lane.begin_write();
                 inner.state.add_unit_vector(&s.acc_fp);
                 inner.state.read_fp_into(&mut s.combined_fp);
                 let ok = feasible_fp(&inner.region, &s.combined_fp, &mut s.floats);
                 if ok {
                     for &(i, target, ref contrib) in &admits {
-                        let ticket = self.commit(None, target, now, run[i].spec, contrib);
+                        let ticket = self.commit(None, lane, target, now, run[i].spec, contrib);
                         out[first + i] = ServiceOutcome::Admitted(ticket);
                     }
                 } else {
                     inner.state.sub_unit_vector(&s.acc_fp);
-                    inner.counters.add_cas_retry();
+                    lane.counters.add_cas_retry();
                 }
-                inner.state.end_write();
+                lane.end_write();
                 ok
             };
 
             if committed {
                 let rejected = run.len() - admits.len();
-                inner.counters.add_fast_rejected(rejected as u64);
+                lane.counters.add_fast_rejected(rejected as u64);
             } else {
                 // Contention outran the run's snapshot. Nothing was
                 // committed, so fall back to the single-decision protocol
                 // for the whole run.
                 out.truncate(first);
                 for req in run {
-                    let ticket = self.decide_lockfree(now, target_of(req), req.spec, s);
+                    let ticket = self.decide_lockfree(now, lane, target_of(req), req.spec, s);
                     out.push(ticket.map_or(ServiceOutcome::Rejected, ServiceOutcome::Admitted));
                 }
             }
@@ -895,7 +914,7 @@ where
         // histogram still holds one sample per decision.
         let per = started.elapsed() / run.len() as u32;
         for _ in run {
-            record_ns(&inner.latency, per);
+            record_ns(&lane.latency, per);
         }
     }
 
@@ -923,18 +942,8 @@ where
     /// entry; returns whether anything was still live to release (false
     /// when the id already expired, was shed, or was released).
     pub fn release_by_id(&self, id: u64) -> bool {
-        let inner = &*self.inner;
-        for i in 0..inner.state.shard_count() {
-            let mut guard = self.lock_shard(i);
-            inner.state.drain_pending(&mut guard);
-            if let Some(entry) = guard.entries.remove(&id) {
-                inner.state.subtract_entry(&entry.contributions);
-                guard.by_importance.remove(&(entry.importance, id));
-                inner.counters.add_released();
-                return true;
-            }
-        }
-        false
+        let state = &self.inner.state;
+        (0..state.shard_count()).any(|i| state.release(i, id))
     }
 
     /// Charges one arrival that died in transit: its deadline budget was
@@ -942,7 +951,7 @@ where
     /// without touching any shard. Kept on the service's counters so the
     /// in-process and networked views of demand agree.
     pub fn note_expired_on_arrival(&self) {
-        self.inner.counters.add_expired_on_arrival();
+        self.note_expired_on_arrival_n(1);
     }
 
     /// Batched [`AdmissionService::note_expired_on_arrival`]: charges `n`
@@ -951,7 +960,8 @@ where
     /// uses this so the counter costs one RMW per wake, not per corpse.
     pub fn note_expired_on_arrival_n(&self, n: u64) {
         if n > 0 {
-            self.inner.counters.add_expired_on_arrival_n(n);
+            let lane = self.inner.state.lane(self.home_shard());
+            lane.counters.add_expired_on_arrival_n(n);
         }
     }
 
@@ -963,9 +973,9 @@ where
         let inner = &*self.inner;
         let mut expired = 0;
         for i in 0..inner.state.shard_count() {
-            let mut shard = self.lock_shard(i);
+            let mut shard = inner.state.lock_shard(i);
             // Clock read under the lock, so this wheel never rewinds.
-            expired += self.expire_due(&mut shard, inner.clock.now());
+            expired += inner.state.expire_due(&mut shard, inner.clock.now());
         }
         expired
     }
@@ -976,9 +986,9 @@ where
     pub fn on_stage_idle(&self, stage: StageId) {
         let inner = &*self.inner;
         for i in 0..inner.state.shard_count() {
-            let mut shard = self.lock_shard(i);
+            let mut shard = inner.state.lock_shard(i);
             // Clock read under the lock, so this wheel never rewinds.
-            self.expire_due(&mut shard, inner.clock.now());
+            inner.state.expire_due(&mut shard, inner.clock.now());
             let shard = &mut *shard;
             let mut emptied: Vec<u64> = Vec::new();
             for (&id, entry) in shard.entries.iter_mut() {
@@ -1031,7 +1041,10 @@ where
             // shows how often stable readers actually contend with the
             // CAS-admit path (decision paths use plain reads and never
             // spin here).
-            self.inner.counters.add_seqlock_fallback();
+            // Lane 0, not the caller's: a stable reader is a monitor, not
+            // a decider, and must not claim a home-shard slot just to
+            // count a diagnostic.
+            self.inner.state.lane(0).counters.add_seqlock_fallback();
             spins += 1;
             if spins.is_multiple_of(64) {
                 std::thread::yield_now();
@@ -1047,7 +1060,7 @@ where
         let inner = &*self.inner;
         (0..inner.state.shard_count())
             .map(|i| {
-                let mut guard = self.lock_shard(i);
+                let mut guard = inner.state.lock_shard(i);
                 inner.state.drain_pending(&mut guard);
                 guard.entries.len()
             })
@@ -1056,16 +1069,16 @@ where
 
     /// Decision counters (lock-free).
     pub fn counters(&self) -> CounterSnapshot {
-        self.inner.counters.snapshot()
+        self.inner.state.counters()
     }
 
     /// A full metrics snapshot: counters, merged decision-latency
     /// histogram, utilization vector, and live-task count.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut latency = LatencyHistogram::new();
-        self.inner.latency.merge_into(&mut latency);
+        self.inner.state.merge_latency_into(&mut latency);
         MetricsSnapshot {
-            counters: self.inner.counters.snapshot(),
+            counters: self.counters(),
             decision_latency: latency,
             utilizations: self.utilizations(),
             live_tasks: self.live_tasks(),
@@ -1087,7 +1100,7 @@ where
         let inner = &*self.inner;
         loop {
             let mut guards: Vec<MutexGuard<'_, Shard>> = (0..inner.state.shard_count())
-                .map(|i| self.lock_shard(i))
+                .map(|i| inner.state.lock_shard(i))
                 .collect();
             for g in guards.iter_mut() {
                 inner.state.drain_pending(g);
@@ -1108,61 +1121,10 @@ where
     fn home_shard(&self) -> usize {
         THREAD_INDEX.with(|&i| i % self.inner.state.shard_count())
     }
-
-    fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
-        self.inner
-            .state
-            .shard(index)
-            .lock()
-            .expect("shard poisoned")
-    }
 }
 
-impl<R, M, C> TicketSink for Inner<R, M, C>
-where
-    R: RegionTest + Send + Sync + 'static,
-    M: ContributionModel + Send + Sync + 'static,
-    C: Clock + 'static,
-{
-    fn release_ticket(&self, shard: usize, id: u64) {
-        let mut guard = self.state.shard(shard).lock().expect("shard poisoned");
-        // The released entry may still sit on the pending ring; if the
-        // drain catches it there, release it directly — its structural
-        // bookkeeping never needs to exist (the admit-then-release hot
-        // path).
-        if let Some(entry) = self.state.drain_pending_intercept(&mut guard, id) {
-            self.state.subtract_entry(&entry.contributions);
-            self.counters.add_released();
-            return;
-        }
-        // Exactly-once versus deadline expiry and shedding: whoever
-        // removes the map entry owns the subtraction.
-        if let Some(entry) = guard.entries.remove(&id) {
-            self.state.subtract_entry(&entry.contributions);
-            guard.by_importance.remove(&(entry.importance, id));
-            self.counters.add_released();
-        }
-    }
-
-    fn depart_ticket(&self, shard: usize, id: u64, stage: StageId) {
-        let mut guard = self.state.shard(shard).lock().expect("shard poisoned");
-        self.state.drain_pending(&mut guard);
-        if let Some(entry) = guard.entries.get_mut(&id) {
-            // The flags allocate lazily: empty means all-false.
-            if entry.departed.is_empty() {
-                entry.departed.resize(entry.contributions.len(), false);
-            }
-            for (k, &(s, _)) in entry.contributions.iter().enumerate() {
-                if s == stage {
-                    entry.departed[k] = true;
-                }
-            }
-        }
-    }
-}
-
-// The handle is Send + Sync whenever its parts are; tickets erase the
-// generics through `Arc<dyn TicketSink>`.
+// The handle is Send + Sync whenever its parts are; tickets hold only the
+// (non-generic) ledger.
 #[allow(dead_code)]
 fn assert_send_sync<T: Send + Sync>() {}
 #[allow(dead_code)]

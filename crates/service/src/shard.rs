@@ -1,31 +1,39 @@
 //! Sharded synthetic-utilization counters (the concurrent Section 4 state).
 //!
-//! Layout:
+//! Layout (DESIGN.md §16 has the cache-line map):
 //!
-//! * **Global per-stage totals** — one cache-padded `AtomicU64` per stage
-//!   holding the live contribution sum *above* the reservation floor, in
-//!   [`frap_core::fixed`] binary units (1 unit = 2⁻⁵³ utilization).
+//! * **Global per-stage totals** — the one genuinely shared line. The
+//!   live contribution sum of every stage *above* the reservation floor,
+//!   in [`frap_core::fixed`] binary units (1 unit = 2⁻⁵³ utilization),
+//!   packed **densely** ([`TOTALS_PER_BLOCK`] `AtomicU64`s per aligned
+//!   block): a pipeline task reads and charges every stage, so one line
+//!   per stage would turn one unavoidable transfer into `stages` of them.
 //!   Integer units make every add/subtract exact in any interleaving:
 //!   optimistic charges roll back bit-identically, and a fully released
 //!   stage reads exactly the floor with no pinning pass.
-//! * **Per-shard bookkeeping** — a mutex-protected [`Shard`] holding the
-//!   live-entry map (which task charged what, where), the shard's
-//!   [`TimerWheel`] of deadline decrements and an importance-ordered
-//!   shedding index — plus a lock-free [`MpscRing`] of admissions whose
-//!   bookkeeping has been decided but not yet inserted (DESIGN.md §16).
-//!   Threads are spread across shards round-robin, so shard mutexes are
-//!   effectively uncontended.
+//! * **One [`Lane`] per shard** — a [`LINE`]-aligned block holding
+//!   everything the shard's home thread writes on the decision path, so
+//!   that none of it shares a line with another shard's: the decision
+//!   counters stripe, the decision-latency histogram, the write-section
+//!   `begin`/`end` pair, the next-due hint, the lock-free [`MpscRing`] of
+//!   admissions decided but not yet inserted, and the mutex-protected
+//!   [`Shard`] (live-entry map, [`TimerWheel`] of deadline decrements,
+//!   importance-ordered shedding index). Threads are spread across lanes
+//!   round-robin, so a lane's lines stay in its home core's cache and its
+//!   mutex is effectively uncontended. Readers that need a whole-service
+//!   figure (counters, latency, write quiescence) sum or scan the lanes.
 //!
 //! Consistency rules (proved out by the concurrency and CAS-stress
 //! tests):
 //!
 //! * **Charges are bracketed write sections.** A charging thread bumps
-//!   `writers_begin`, performs its per-stage `fetch_add`s (and, when
-//!   admitting, its revalidation read and pending-ring push), then bumps
-//!   `writers_end`. Multiple charges may overlap — there is no mutex
-//!   on the add side. [`ShardedUtilization::snapshot_fp_into`]
-//!   reads the vector without any lock and reports whether any write
-//!   section overlapped the read.
+//!   its lane's `writers_begin`, performs its per-stage `fetch_add`s
+//!   (and, when admitting, its revalidation read and pending-ring push),
+//!   then bumps the same lane's `writers_end`. Multiple charges may
+//!   overlap — there is no mutex on the add side.
+//!   [`ShardedUtilization::snapshot_fp_into`] reads the vector without
+//!   any lock and reports whether any write section, on any lane,
+//!   overlapped the read.
 //! * **Reductions (deadline expiry, release, shed, idle reset) happen
 //!   under the owning shard's mutex** and do *not* bump the write
 //!   counters: a snapshot missing a concurrent reduction is merely
@@ -40,21 +48,23 @@
 //!   shard-locked entry operation drains the pending ring first, so a
 //!   ring-deferred admission is always visible to the release/expiry
 //!   that targets it.
-//! * **Per-shard next-due hints.** Each shard publishes a lower bound on
+//! * **Per-lane next-due hints.** Each lane publishes a lower bound on
 //!   its earliest pending deadline decrement. A decision thread that
 //!   observes `now < hint` knows a locked drain of that shard would
 //!   apply nothing, so deciding from a snapshot cannot miss a decrement
 //!   that is already due. Commits lower the hint with
 //!   `fetch_min`; drains refresh it from the wheel under the shard lock.
 
+use crate::metrics::{CounterSnapshot, ServiceCounters};
 use crate::ring::{MpscRing, PENDING_RING_CAPACITY};
 use crate::wheel::TimerWheel;
 use frap_core::fixed::{fp_from_utilization, utilization_from_fp};
+use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
 use frap_core::task::{Importance, StageId};
 use frap_core::time::Time;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Largest wheel population for which a consumed next-due hint is
 /// refreshed by an exact [`TimerWheel::earliest`] scan; above it the
@@ -69,11 +79,24 @@ const HINT_SCAN_LIMIT: usize = 512;
 /// reporting interference to the caller (who re-drains and retries).
 const VALIDATE_ATTEMPTS: usize = 64;
 
-/// Pads (and aligns) a value to a cache line so per-stage atomics on
-/// adjacent stages do not false-share.
+/// The one line constant: the granule at which state written by
+/// different cores is kept apart. Twice the 64-byte hardware line,
+/// because the adjacent-line prefetcher pulls lines in aligned pairs;
+/// measured against 64 on `svc_boundary` (DESIGN.md §16 has the pairs).
+pub const LINE: usize = 128;
+
+/// Stage totals per [`LINE`]-aligned block; the first 8 share one
+/// 64-byte hardware line.
+pub const TOTALS_PER_BLOCK: usize = LINE / std::mem::size_of::<AtomicU64>();
+
+/// Pads (and aligns) a value to [`LINE`] so it shares a line with
+/// nothing else.
 #[derive(Debug, Default)]
-#[repr(align(64))]
+#[repr(align(128))]
 pub struct CachePadded<T>(pub T);
+
+const _: () = assert!(std::mem::align_of::<CachePadded<u8>>() == LINE);
+const _: () = assert!(std::mem::align_of::<Lane>() == LINE);
 
 /// One live admitted task's bookkeeping, owned by exactly one shard.
 /// Contribution amounts are fixed-point units ([`frap_core::fixed`]),
@@ -96,7 +119,7 @@ pub struct LiveEntry {
 
 /// An admission decided on the lock-free path whose structural
 /// bookkeeping (entry map, timer wheel, shedding index) has not yet been
-/// applied; queued on the owning shard's pending ring.
+/// applied; queued on the owning lane's pending ring.
 #[derive(Debug)]
 pub struct PendingAdmission {
     /// The service-assigned ticket id.
@@ -116,32 +139,64 @@ pub struct Shard {
     pub by_importance: BTreeSet<(Importance, u64)>,
     /// Scratch buffer for wheel drains.
     drained: Vec<(Time, u64)>,
-    /// This shard's index in the owning [`ShardedUtilization`], so a
-    /// locked drain can refresh the matching next-due hint and drain the
-    /// matching pending ring.
+    /// This shard's lane in the owning [`ShardedUtilization`], so a
+    /// locked drain can reach the matching hint, ring and counters.
     index: usize,
+}
+
+/// Everything one shard's home thread writes on the decision path, alone
+/// on its own [`LINE`]-aligned lines (see the module docs).
+#[derive(Debug)]
+#[repr(align(128))]
+pub struct Lane {
+    /// This lane's stripe of the decision counters.
+    pub(crate) counters: ServiceCounters,
+    /// One decision-latency sample per decision taken by a thread whose
+    /// home is this lane.
+    pub(crate) latency: AtomicLatencyHistogram,
+    /// Write sections opened through this lane (bumped before a charge's
+    /// first add).
+    writers_begin: AtomicU64,
+    /// Write sections closed through this lane (bumped after the charge
+    /// is fully applied, revalidated, and — for lock-free admits —
+    /// ring-pushed). Never ahead of `writers_begin`.
+    writers_end: AtomicU64,
+    /// Lower bound (µs) on the shard's earliest pending deadline
+    /// decrement; `u64::MAX` when its wheel is known empty.
+    next_due: AtomicU64,
+    /// Decided-but-uninserted admissions booked on this shard.
+    pending: MpscRing<PendingAdmission>,
+    shard: Mutex<Shard>,
+}
+
+impl Lane {
+    /// Opens a write section through this lane (the caller's home):
+    /// concurrent snapshot attempts report torn until the matching
+    /// [`Lane::end_write`].
+    #[inline]
+    pub fn begin_write(&self) {
+        self.writers_begin.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Closes a write section opened through this lane. Every unit added
+    /// inside the section must either stay (the charge committed — and
+    /// for lock-free admits, the pending-ring push completed) or have
+    /// been subtracted back (exact rollback) before this call.
+    #[inline]
+    pub fn end_write(&self) {
+        self.writers_end.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// Per-stage synthetic-utilization counters sharded across worker threads.
 #[derive(Debug)]
 pub struct ShardedUtilization {
-    /// Floors as configured (`f64`, for reporting).
-    floors: Vec<f64>,
-    /// Floors in fixed-point units (conversion rounds up: conservative).
+    /// Reservation floors in fixed-point units (conversion rounds up: conservative).
     floors_fp: Vec<u64>,
-    /// Live contribution units above the floor, one per stage.
-    totals: Vec<CachePadded<AtomicU64>>,
-    /// Write sections opened (bumped before a charge's first add).
-    writers_begin: CachePadded<AtomicU64>,
-    /// Write sections closed (bumped after the charge is fully applied,
-    /// revalidated, and — for lock-free admits — ring-pushed).
-    writers_end: CachePadded<AtomicU64>,
-    /// Per-shard lower bound (µs) on the earliest pending deadline
-    /// decrement; `u64::MAX` when the shard's wheel is known empty.
-    next_due: Vec<CachePadded<AtomicU64>>,
-    /// Per-shard rings of decided-but-uninserted admissions.
-    pending: Vec<MpscRing<PendingAdmission>>,
-    shards: Vec<Mutex<Shard>>,
+    /// Live contribution units above the floor, stage `j` at
+    /// `totals[j / TOTALS_PER_BLOCK].0[j % TOTALS_PER_BLOCK]`.
+    totals: Vec<CachePadded<[AtomicU64; TOTALS_PER_BLOCK]>>,
+    lanes: Vec<Lane>,
 }
 
 impl ShardedUtilization {
@@ -163,26 +218,25 @@ impl ShardedUtilization {
             );
         }
         ShardedUtilization {
-            floors: floors.to_vec(),
             floors_fp: floors.iter().map(|&f| fp_from_utilization(f)).collect(),
-            totals: floors.iter().map(|_| CachePadded::default()).collect(),
-            writers_begin: CachePadded::default(),
-            writers_end: CachePadded::default(),
-            next_due: (0..shards)
-                .map(|_| CachePadded(AtomicU64::new(u64::MAX)))
+            totals: (0..floors.len().div_ceil(TOTALS_PER_BLOCK))
+                .map(|_| CachePadded::default())
                 .collect(),
-            pending: (0..shards)
-                .map(|_| MpscRing::with_capacity(PENDING_RING_CAPACITY))
-                .collect(),
-            shards: (0..shards)
-                .map(|index| {
-                    Mutex::new(Shard {
+            lanes: (0..shards)
+                .map(|index| Lane {
+                    counters: ServiceCounters::default(),
+                    latency: AtomicLatencyHistogram::new(),
+                    writers_begin: AtomicU64::new(0),
+                    writers_end: AtomicU64::new(0),
+                    next_due: AtomicU64::new(u64::MAX),
+                    pending: MpscRing::with_capacity(PENDING_RING_CAPACITY),
+                    shard: Mutex::new(Shard {
                         entries: HashMap::new(),
                         wheel: TimerWheel::new(start),
                         by_importance: BTreeSet::new(),
                         drained: Vec::new(),
                         index,
-                    })
+                    }),
                 })
                 .collect(),
         }
@@ -190,22 +244,50 @@ impl ShardedUtilization {
 
     /// Number of stages.
     pub fn stages(&self) -> usize {
-        self.floors.len()
+        self.floors_fp.len()
     }
 
-    /// Number of shards.
+    /// Number of shards (= lanes).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lanes.len()
     }
 
-    /// The reservation floors.
-    pub fn floors(&self) -> &[f64] {
-        &self.floors
+    /// Shard `index`'s lane.
+    pub fn lane(&self, index: usize) -> &Lane {
+        &self.lanes[index]
     }
 
-    /// The shard mutexes (lock in ascending index order).
-    pub fn shard(&self, index: usize) -> &Mutex<Shard> {
-        &self.shards[index]
+    /// Locks shard `index` (take several in ascending index order).
+    pub(crate) fn lock_shard(&self, index: usize) -> MutexGuard<'_, Shard> {
+        self.lanes[index].shard.lock().expect("shard poisoned")
+    }
+
+    /// The decision counters, summed over the lanes.
+    pub fn counters(&self) -> CounterSnapshot {
+        let mut sum = CounterSnapshot::default();
+        for lane in &self.lanes {
+            lane.counters.add_into(&mut sum);
+        }
+        sum
+    }
+
+    /// Merges every lane's decision-latency histogram into `into`.
+    pub fn merge_latency_into(&self, into: &mut LatencyHistogram) {
+        for lane in &self.lanes {
+            lane.latency.merge_into(into);
+        }
+    }
+
+    fn total(&self, stage: usize) -> &AtomicU64 {
+        &self.totals[stage / TOTALS_PER_BLOCK].0[stage % TOTALS_PER_BLOCK]
+    }
+
+    /// Floor plus live units per stage, one plain atomic load each.
+    fn loaded(&self) -> impl Iterator<Item = u64> + '_ {
+        self.floors_fp
+            .iter()
+            .enumerate()
+            .map(|(j, &floor)| floor.saturating_add(self.total(j).load(Ordering::SeqCst)))
     }
 
     /// Reads the aggregate utilization vector into `out` as `f64`: floor
@@ -213,20 +295,34 @@ impl ShardedUtilization {
     /// interleave with concurrent decisions.
     pub fn read_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        for (total, &floor_fp) in self.totals.iter().zip(&self.floors_fp) {
-            out.push(utilization_from_fp(
-                floor_fp.saturating_add(total.0.load(Ordering::SeqCst)),
-            ));
-        }
+        out.extend(self.loaded().map(utilization_from_fp));
     }
 
     /// Reads the aggregate vector in fixed-point units (floor included),
     /// one plain atomic load per stage.
     pub fn read_fp_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        for (total, &floor_fp) in self.totals.iter().zip(&self.floors_fp) {
-            out.push(floor_fp.saturating_add(total.0.load(Ordering::SeqCst)));
-        }
+        out.extend(self.loaded());
+    }
+
+    /// One write-section counter summed over the lanes.
+    fn sections(&self, pick: impl Fn(&Lane) -> &AtomicU64) -> u64 {
+        self.lanes
+            .iter()
+            .map(|lane| pick(lane).load(Ordering::SeqCst))
+            .sum()
+    }
+
+    /// Runs `read` and reports whether it was **write-quiescent**: no
+    /// write section, on any lane, overlapped it. Every `end` is read
+    /// before any `begin` and per lane `end ≤ begin`, so equal sums force
+    /// equality lane by lane; each term is monotone, so an unchanged
+    /// `Σ begin` means nothing opened during `read` (DESIGN.md §16).
+    fn write_quiescent(&self, read: impl FnOnce()) -> bool {
+        let end = self.sections(|lane| &lane.writers_end);
+        let begin = self.sections(|lane| &lane.writers_begin);
+        read();
+        begin == end && self.sections(|lane| &lane.writers_begin) == begin
     }
 
     /// Attempts a **write-stable** unit snapshot: fills `out` like
@@ -242,34 +338,12 @@ impl ShardedUtilization {
     /// is stale-*high*, which the monotone region test renders
     /// conservative.
     pub fn snapshot_fp_into(&self, out: &mut Vec<u64>) -> bool {
-        let end = self.writers_end.0.load(Ordering::SeqCst);
-        let begin = self.writers_begin.0.load(Ordering::SeqCst);
-        self.read_fp_into(out);
-        begin == end && self.writers_begin.0.load(Ordering::SeqCst) == begin
+        self.write_quiescent(|| self.read_fp_into(out))
     }
 
     /// [`ShardedUtilization::snapshot_fp_into`] converted to `f64`.
     pub fn snapshot_into(&self, out: &mut Vec<f64>) -> bool {
-        let end = self.writers_end.0.load(Ordering::SeqCst);
-        let begin = self.writers_begin.0.load(Ordering::SeqCst);
-        self.read_into(out);
-        begin == end && self.writers_begin.0.load(Ordering::SeqCst) == begin
-    }
-
-    /// Opens a write section: concurrent snapshot attempts report torn
-    /// until the matching [`ShardedUtilization::end_write`].
-    #[inline]
-    pub fn begin_write(&self) {
-        self.writers_begin.0.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Closes a write section. Every unit added inside the section must
-    /// either stay (the charge committed — and for lock-free admits, the
-    /// pending-ring push completed) or have been subtracted back (exact
-    /// rollback) before this call.
-    #[inline]
-    pub fn end_write(&self) {
-        self.writers_end.0.fetch_add(1, Ordering::SeqCst);
+        self.write_quiescent(|| self.read_into(out))
     }
 
     /// Adds merged per-stage unit demands. Must be called inside a write
@@ -277,9 +351,7 @@ impl ShardedUtilization {
     #[inline]
     pub fn add_units(&self, contributions: &[(StageId, u64)]) {
         for &(stage, units) in contributions {
-            self.totals[stage.index()]
-                .0
-                .fetch_add(units, Ordering::SeqCst);
+            self.total(stage.index()).fetch_add(units, Ordering::SeqCst);
         }
     }
 
@@ -288,27 +360,25 @@ impl ShardedUtilization {
     #[inline]
     pub fn sub_units(&self, contributions: &[(StageId, u64)]) {
         for &(stage, units) in contributions {
-            self.totals[stage.index()]
-                .0
-                .fetch_sub(units, Ordering::SeqCst);
+            self.total(stage.index()).fetch_sub(units, Ordering::SeqCst);
         }
     }
 
     /// Adds a dense per-stage unit vector (the batch path's accumulated
     /// run total). Must be called inside a write section.
     pub fn add_unit_vector(&self, units: &[u64]) {
-        for (total, &u) in self.totals.iter().zip(units) {
+        for (j, &u) in units.iter().enumerate() {
             if u > 0 {
-                total.0.fetch_add(u, Ordering::SeqCst);
+                self.total(j).fetch_add(u, Ordering::SeqCst);
             }
         }
     }
 
     /// Exactly rolls back [`ShardedUtilization::add_unit_vector`].
     pub fn sub_unit_vector(&self, units: &[u64]) {
-        for (total, &u) in self.totals.iter().zip(units) {
+        for (j, &u) in units.iter().enumerate() {
             if u > 0 {
-                total.0.fetch_sub(u, Ordering::SeqCst);
+                self.total(j).fetch_sub(u, Ordering::SeqCst);
             }
         }
     }
@@ -320,10 +390,10 @@ impl ShardedUtilization {
     /// called inside the admitting write section, so a write-quiescent
     /// observer never sees charged units whose entry is neither ringed
     /// nor inserted.
-    pub fn push_pending(&self, index: usize, pending: PendingAdmission) {
-        let mut pending = pending;
+    pub fn push_pending(&self, index: usize, mut pending: PendingAdmission) {
+        let lane = &self.lanes[index];
         loop {
-            match self.pending[index].try_push(pending) {
+            match lane.pending.try_push(pending) {
                 Ok(()) => return,
                 Err(back) => pending = back,
             }
@@ -331,7 +401,7 @@ impl ShardedUtilization {
             // non-blocking — if another thread holds the shard it is
             // already draining (every locked entry op drains first), so
             // spinning on the push is productive.
-            if let Ok(mut shard) = self.shards[index].try_lock() {
+            if let Ok(mut shard) = lane.shard.try_lock() {
                 self.drain_pending(&mut shard);
                 Self::insert_entry_locked(&mut shard, pending);
                 return;
@@ -343,28 +413,9 @@ impl ShardedUtilization {
     /// Applies every queued pending admission on a locked shard. Called
     /// first by every shard-locked entry operation.
     pub fn drain_pending(&self, shard: &mut Shard) {
-        while let Some(p) = self.pending[shard.index].try_pop() {
+        while let Some(p) = self.lanes[shard.index].pending.try_pop() {
             Self::insert_entry_locked(shard, p);
         }
-    }
-
-    /// [`ShardedUtilization::drain_pending`], but intercepts the entry
-    /// with id `target` — returning it instead of inserting it. A release
-    /// that catches its own admission still sitting on the ring (the
-    /// admit-then-release-immediately hot path) skips the whole
-    /// insert-then-remove round trip through the entry map, timer wheel,
-    /// and shedding index; the wheel never learns the id, so no stale
-    /// wheel slot is left behind either.
-    pub fn drain_pending_intercept(&self, shard: &mut Shard, target: u64) -> Option<LiveEntry> {
-        let mut intercepted = None;
-        while let Some(p) = self.pending[shard.index].try_pop() {
-            if p.id == target {
-                intercepted = Some(p.entry);
-            } else {
-                Self::insert_entry_locked(shard, p);
-            }
-        }
-        intercepted
     }
 
     /// The one structural insert: files a decided admission in a locked
@@ -376,12 +427,67 @@ impl ShardedUtilization {
         shard.entries.insert(id, entry);
     }
 
+    /// Releases admission `id` booked on shard `index`: removes its
+    /// remaining contributions now. Returns whether anything was still
+    /// live to release — exactly-once versus deadline expiry and
+    /// shedding, whoever removes the map entry owns the subtraction.
+    ///
+    /// The entry may still sit on the pending ring; the drain then
+    /// *intercepts* it instead of inserting it. A release that catches
+    /// its own admission there (the admit-then-release-immediately hot
+    /// path) skips the whole insert-then-remove round trip through the
+    /// entry map, timer wheel and shedding index; the wheel never learns
+    /// the id, so no stale wheel slot is left behind either.
+    pub fn release(&self, index: usize, id: u64) -> bool {
+        let lane = &self.lanes[index];
+        let mut shard = self.lock_shard(index);
+        let mut intercepted = None;
+        while let Some(p) = lane.pending.try_pop() {
+            if p.id == id {
+                intercepted = Some(p.entry);
+            } else {
+                Self::insert_entry_locked(&mut shard, p);
+            }
+        }
+        let entry = match intercepted {
+            Some(entry) => entry,
+            None => {
+                let Some(entry) = shard.entries.remove(&id) else {
+                    return false;
+                };
+                shard.by_importance.remove(&(entry.importance, id));
+                entry
+            }
+        };
+        self.subtract_entry(&entry.contributions);
+        lane.counters.add_released();
+        true
+    }
+
+    /// Flags admission `id` on shard `index` as departed from `stage`, so
+    /// the next idle reset there may remove its contribution.
+    pub fn mark_departed(&self, index: usize, id: u64, stage: StageId) {
+        let mut shard = self.lock_shard(index);
+        self.drain_pending(&mut shard);
+        if let Some(entry) = shard.entries.get_mut(&id) {
+            // The flags allocate lazily: empty means all-false.
+            if entry.departed.is_empty() {
+                entry.departed.resize(entry.contributions.len(), false);
+            }
+            for (k, &(s, _)) in entry.contributions.iter().enumerate() {
+                if s == stage {
+                    entry.departed[k] = true;
+                }
+            }
+        }
+    }
+
     /// Lowers shard `index`'s next-due hint to `expiry` if it is earlier.
     /// Called on every commit, at decision time (not ring-drain time), so
     /// snapshot decisions stop as soon as a pending decrement comes due.
     pub fn note_deadline(&self, index: usize, expiry: Time) {
-        self.next_due[index]
-            .0
+        self.lanes[index]
+            .next_due
             .fetch_min(expiry.as_micros(), Ordering::SeqCst);
     }
 
@@ -389,7 +495,7 @@ impl ShardedUtilization {
     /// earliest deadline decrement a locked drain of that shard could
     /// apply. `u64::MAX` means the wheel is known empty.
     pub fn shard_next_due(&self, index: usize) -> u64 {
-        self.next_due[index].0.load(Ordering::SeqCst)
+        self.lanes[index].next_due.load(Ordering::SeqCst)
     }
 
     /// Subtracts one entry's remaining contributions. Safe without any
@@ -398,28 +504,22 @@ impl ShardedUtilization {
     /// what makes removal exactly-once). Returns the summed units
     /// removed.
     pub fn subtract_entry(&self, contributions: &[(StageId, u64)]) -> u64 {
-        let mut removed = 0u64;
-        for &(stage, units) in contributions {
-            self.totals[stage.index()]
-                .0
-                .fetch_sub(units, Ordering::SeqCst);
-            removed += units;
-        }
-        removed
+        self.sub_units(contributions);
+        contributions.iter().map(|&(_, units)| units).sum()
     }
 
     /// Subtracts a single stage's slice of an entry (idle reset path).
     pub fn subtract_stage(&self, stage: StageId, units: u64) {
-        self.totals[stage.index()]
-            .0
-            .fetch_sub(units, Ordering::SeqCst);
+        self.total(stage.index()).fetch_sub(units, Ordering::SeqCst);
     }
 
     /// Applies every deadline decrement due at or before `now` on a locked
     /// shard (after draining its pending ring): expired entries leave the
     /// map, the shedding index, and the global totals, in deterministic
-    /// `(expiry, ticket)` order. Returns the number of entries expired.
+    /// `(expiry, ticket)` order. Returns the number of entries expired,
+    /// which it also adds to the lane's `expired` counter.
     pub fn expire_due(&self, shard: &mut Shard, now: Time) -> u64 {
+        let lane = &self.lanes[shard.index];
         self.drain_pending(shard);
         // Batch decisions hoist one clock read per batch, so `now` may
         // predate advances applied by interleaved per-request decisions;
@@ -428,10 +528,8 @@ impl ShardedUtilization {
         if shard.wheel.cursor() >= now && shard.wheel.is_empty() {
             // Still heal a stale hint, or the fast path would stay
             // disabled for this shard until its next real drain.
-            if self.next_due[shard.index].0.load(Ordering::SeqCst) <= now.as_micros() {
-                self.next_due[shard.index]
-                    .0
-                    .store(u64::MAX, Ordering::SeqCst);
+            if lane.next_due.load(Ordering::SeqCst) <= now.as_micros() {
+                lane.next_due.store(u64::MAX, Ordering::SeqCst);
             }
             return 0;
         }
@@ -448,6 +546,9 @@ impl ShardedUtilization {
             }
         }
         shard.drained = drained;
+        if expired > 0 {
+            lane.counters.add_expired(expired);
+        }
         // Refresh the next-due hint once the drain has consumed it. The
         // exact scan is O(slots + entries), so it is only worth paying on
         // a lightly loaded wheel — precisely the regime where rejections
@@ -455,7 +556,7 @@ impl ShardedUtilization {
         // (admission-heavy churn, where lazy-deleted released entries
         // also pile up) gets `now + 1` instead: the cheapest valid lower
         // bound, since everything due ≤ `now` was drained above.
-        if self.next_due[shard.index].0.load(Ordering::SeqCst) <= now.as_micros() {
+        if lane.next_due.load(Ordering::SeqCst) <= now.as_micros() {
             let refreshed = if shard.wheel.len() <= HINT_SCAN_LIMIT {
                 shard
                     .wheel
@@ -465,22 +566,20 @@ impl ShardedUtilization {
             } else {
                 now.as_micros() + 1
             };
-            self.next_due[shard.index]
-                .0
-                .store(refreshed, Ordering::SeqCst);
+            lane.next_due.store(refreshed, Ordering::SeqCst);
         }
         expired
     }
 
     /// Validates the counters against the (already locked, already
     /// ring-drained) shards' entry maps inside a **write-quiescent
-    /// window**: sums the entries, waits for `writers_begin ==
-    /// writers_end`, captures the totals and whether every pending ring
-    /// is empty, and confirms no write section opened meanwhile. The
-    /// caller's locks exclude reductions and ring drains, so the totals
-    /// are frozen; empty rings prove no lock-free admit finished since
-    /// the caller's drain, so every charged unit is backed by an entry
-    /// the sums saw and the comparison is **exact** (integer equality).
+    /// window**: sums the entries, then captures the totals and whether
+    /// every pending ring is empty in a read no write section, on any
+    /// lane, overlapped. The caller's locks exclude reductions and ring
+    /// drains, so the totals are frozen; empty rings prove no lock-free
+    /// admit finished since the caller's drain, so every charged unit is
+    /// backed by an entry the sums saw and the comparison is **exact**
+    /// (integer equality).
     ///
     /// Returns the stable aggregate utilization vector, or `None` when no
     /// such cut was found: a ring is non-empty (a lock-free admit needs
@@ -501,20 +600,14 @@ impl ShardedUtilization {
                 }
             }
         }
+        let mut observed = Vec::with_capacity(self.stages());
+        let mut rings_empty = false;
         for _ in 0..VALIDATE_ATTEMPTS {
-            let end = self.writers_end.0.load(Ordering::SeqCst);
-            let begin = self.writers_begin.0.load(Ordering::SeqCst);
-            if begin != end {
-                std::thread::yield_now();
-                continue;
-            }
-            let observed: Vec<u64> = self
-                .totals
-                .iter()
-                .map(|t| t.0.load(Ordering::SeqCst))
-                .collect();
-            let rings_empty = self.pending.iter().all(|r| r.is_empty());
-            if self.writers_begin.0.load(Ordering::SeqCst) != begin {
+            if !self.write_quiescent(|| {
+                observed.clear();
+                observed.extend((0..self.stages()).map(|j| self.total(j).load(Ordering::SeqCst)));
+                rings_empty = self.lanes.iter().all(|lane| lane.pending.is_empty());
+            }) {
                 std::thread::yield_now();
                 continue;
             }
@@ -558,15 +651,13 @@ mod tests {
 
     /// One whole write section around the adds: a committed charge.
     fn charge(su: &ShardedUtilization, contributions: &[(StageId, u64)]) {
-        su.begin_write();
+        su.lane(0).begin_write();
         su.add_units(contributions);
-        su.end_write();
+        su.lane(0).end_write();
     }
 
     fn validate(su: &ShardedUtilization) -> Vec<f64> {
-        let mut guards: Vec<_> = (0..su.shard_count())
-            .map(|i| su.shard(i).lock().unwrap())
-            .collect();
+        let mut guards: Vec<_> = (0..su.shard_count()).map(|i| su.lock_shard(i)).collect();
         for g in guards.iter_mut() {
             su.drain_pending(g);
         }
@@ -610,10 +701,10 @@ mod tests {
         charge(&su, &[(stage(0), fp(0.125)), (stage(2), 3)]);
         su.read_fp_into(&mut before);
         let contrib = vec![(stage(0), fp(0.3)), (stage(1), 7), (stage(2), fp(0.01))];
-        su.begin_write();
+        su.lane(0).begin_write();
         su.add_units(&contrib);
         su.sub_units(&contrib);
-        su.end_write();
+        su.lane(0).end_write();
         let mut after = Vec::new();
         su.read_fp_into(&mut after);
         assert_eq!(before, after, "rollback must restore the exact units");
@@ -628,7 +719,7 @@ mod tests {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let c = vec![(stage(0), FP_ONE / 4)];
         {
-            let mut sh = su.shard(0).lock().unwrap();
+            let mut sh = su.lock_shard(0);
             for id in 0..4u64 {
                 charge(&su, &c);
                 sh.entries
@@ -675,12 +766,12 @@ mod tests {
         let writer = {
             let su = std::sync::Arc::clone(&su);
             std::thread::spawn(move || {
-                su.begin_write();
+                su.lane(0).begin_write();
                 su.add_units(&[(stage(0), fp(0.25))]);
                 in_pause_tx.send(()).unwrap();
                 resume_rx.recv().unwrap();
                 su.add_units(&[(stage(1), fp(0.5))]);
-                su.end_write();
+                su.lane(0).end_write();
             })
         };
         // The writer is parked mid-charge: the first stage's add is
@@ -693,6 +784,65 @@ mod tests {
         writer.join().unwrap();
         assert!(su.snapshot_fp_into(&mut snap));
         assert_eq!(snap, vec![fp(0.25), fp(0.5)]);
+    }
+
+    #[test]
+    fn a_section_open_on_one_lane_is_seen_by_every_stable_reader() {
+        // The write-section counters are striped per lane; quiescence is a
+        // statement about their sum. A section opened through lane 1 must
+        // make both stable readers — which belong to no lane — report
+        // "unstable", and closing it must restore them.
+        let su = ShardedUtilization::new(&[0.0, 0.0], 2, Time::ZERO);
+        let c = vec![(stage(0), fp(0.25)), (stage(1), fp(0.5))];
+        charge(&su, &c); // lane 0 has history: begin = end = 1 there
+        su.subtract_entry(&c);
+        su.lane(1).begin_write();
+        su.add_units(&c);
+        let mut snap = Vec::new();
+        assert!(!su.snapshot_fp_into(&mut snap), "lane 1's section missed");
+        let mut floats = Vec::new();
+        assert!(!su.snapshot_into(&mut floats));
+        {
+            let guards: Vec<_> = (0..2).map(|i| su.lock_shard(i)).collect();
+            let refs: Vec<&Shard> = guards.iter().map(|g| &**g).collect();
+            assert!(
+                su.try_validate_locked(&refs).is_none(),
+                "validator took a cut across an open section"
+            );
+        }
+        su.sub_units(&c);
+        su.lane(1).end_write();
+        assert!(su.snapshot_fp_into(&mut snap));
+        assert_eq!(snap, vec![0, 0]);
+        validate(&su);
+    }
+
+    #[test]
+    fn lanes_and_totals_sit_on_the_lines_the_design_says() {
+        use std::mem::{align_of, size_of};
+        let addr = |a: &AtomicU64| a as *const AtomicU64 as usize;
+        assert_eq!(size_of::<Lane>() % LINE, 0);
+        assert_eq!(align_of::<Lane>() % LINE, 0);
+        let su = ShardedUtilization::new(&[0.0; TOTALS_PER_BLOCK + 1], 3, Time::ZERO);
+        // Adjacent shards' lanes never share a line: each starts on a
+        // line boundary and the next starts a whole number of lines on.
+        for i in 0..2 {
+            let here = su.lane(i) as *const Lane as usize;
+            let next = su.lane(i + 1) as *const Lane as usize;
+            assert_eq!(here % LINE, 0);
+            assert_eq!(next - here, size_of::<Lane>());
+            assert!((here + size_of::<Lane>() - 1) / LINE < next / LINE);
+        }
+        // The totals are dense: a block starts a line, the first 8 stages
+        // fill one 64-byte hardware line, and the next block starts the
+        // next line — and no lane lives on a totals line.
+        let first = addr(su.total(0));
+        assert_eq!(first % LINE, 0);
+        for j in 0..8 {
+            assert_eq!(addr(su.total(j)), first + 8 * j);
+        }
+        assert_eq!(addr(su.total(TOTALS_PER_BLOCK)), first + LINE);
+        assert_eq!(size_of::<CachePadded<AtomicU64>>(), LINE);
     }
 
     #[test]
@@ -721,7 +871,7 @@ mod tests {
     fn pending_ring_defers_inserts_until_a_locked_drain() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let c = vec![(stage(0), fp(0.25))];
-        su.begin_write();
+        su.lane(0).begin_write();
         su.add_units(&c);
         su.push_pending(
             0,
@@ -730,16 +880,16 @@ mod tests {
                 entry: entry(c.clone(), Time::from_micros(100)),
             },
         );
-        su.end_write();
+        su.lane(0).end_write();
         su.note_deadline(0, Time::from_micros(100));
         {
-            let sh = su.shard(0).lock().unwrap();
+            let sh = su.lock_shard(0);
             assert!(sh.entries.is_empty(), "insert is deferred");
         }
         // Any locked entry operation drains first; expire_due at a time
         // before the deadline inserts but does not expire.
         {
-            let mut sh = su.shard(0).lock().unwrap();
+            let mut sh = su.lock_shard(0);
             assert_eq!(su.expire_due(&mut sh, Time::from_micros(50)), 0);
             assert!(sh.entries.contains_key(&7));
             assert_eq!(sh.wheel.len(), 1);
@@ -747,7 +897,7 @@ mod tests {
         let v = validate(&su);
         assert!((v[0] - 0.25).abs() < 1e-12);
         // And the deferred decrement still fires on time.
-        let mut sh = su.shard(0).lock().unwrap();
+        let mut sh = su.lock_shard(0);
         assert_eq!(su.expire_due(&mut sh, Time::from_micros(100)), 1);
         drop(sh);
         let mut units = Vec::new();
@@ -763,9 +913,9 @@ mod tests {
         // ringed. That means "re-drain and retry", not a ledger divergence.
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let c = vec![(stage(0), fp(0.25))];
-        let mut sh = su.shard(0).lock().unwrap();
+        let mut sh = su.lock_shard(0);
         su.drain_pending(&mut sh);
-        su.begin_write();
+        su.lane(0).begin_write();
         su.add_units(&c);
         su.push_pending(
             0,
@@ -774,7 +924,7 @@ mod tests {
                 entry: entry(c.clone(), Time::from_micros(100)),
             },
         );
-        su.end_write();
+        su.lane(0).end_write();
         assert!(su.try_validate_locked(&[&*sh]).is_none());
         su.drain_pending(&mut sh);
         let v = su
@@ -790,7 +940,7 @@ mod tests {
         // Overfill: every push must land regardless of ring capacity.
         let n = (PENDING_RING_CAPACITY + 10) as u64;
         for id in 0..n {
-            su.begin_write();
+            su.lane(0).begin_write();
             su.add_units(&c);
             su.push_pending(
                 0,
@@ -799,9 +949,9 @@ mod tests {
                     entry: entry(c.clone(), Time::from_micros(1_000 + id)),
                 },
             );
-            su.end_write();
+            su.lane(0).end_write();
         }
-        let mut sh = su.shard(0).lock().unwrap();
+        let mut sh = su.lock_shard(0);
         su.drain_pending(&mut sh);
         assert_eq!(sh.entries.len(), n as usize);
         drop(sh);
@@ -814,7 +964,7 @@ mod tests {
         assert_eq!(su.shard_next_due(0), u64::MAX);
         let c = vec![(stage(0), fp(0.1))];
         {
-            let mut sh = su.shard(0).lock().unwrap();
+            let mut sh = su.lock_shard(0);
             for (id, expiry) in [(1u64, 500u64), (2, 300), (3, 900)] {
                 charge(&su, &c);
                 sh.entries
@@ -839,7 +989,7 @@ mod tests {
     fn stale_hint_heals_even_when_the_wheel_is_already_drained() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         su.note_deadline(0, Time::from_micros(100));
-        let mut sh = su.shard(0).lock().unwrap();
+        let mut sh = su.lock_shard(0);
         // Wheel is empty (the entry was never actually inserted); a drain
         // attempt at now ≥ hint must still reset the hint so snapshot
         // decisions are not permanently disabled for this shard.
@@ -850,7 +1000,7 @@ mod tests {
     #[test]
     fn hoisted_batch_clock_cannot_rewind_the_wheel() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
-        let mut sh = su.shard(0).lock().unwrap();
+        let mut sh = su.lock_shard(0);
         sh.wheel.insert(Time::from_micros(50), 1);
         sh.entries
             .insert(1, entry(vec![(stage(0), fp(0.1))], Time::from_micros(50)));

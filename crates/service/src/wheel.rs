@@ -19,6 +19,13 @@ use frap_core::time::Time;
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64 slots per level
 const LEVELS: usize = 8; // 64^8 µs ≈ 8.9 years of horizon
+/// Slots at this level and above hand their buffer back once cascaded. A
+/// level-2 slot is 4 ms wide and is refilled once per 262 ms lap, so at a
+/// steady admit rate every one of the 64 would otherwise sit on its peak
+/// capacity while only the few inside the deadline horizon hold entries —
+/// wheel memory ~5× the live entries, growing with throughput. Finer
+/// slots are refilled within 4 ms and keep theirs.
+const RELEASE_FROM_LEVEL: usize = 2;
 
 /// One scheduled decrement: the instant it is due and the ticket it
 /// belongs to.
@@ -33,6 +40,9 @@ pub struct TimerWheel {
     due: Vec<WheelEntry>,
     /// Entries beyond the top level's horizon (practically unreachable).
     overflow: Vec<WheelEntry>,
+    /// Scratch for [`TimerWheel::advance`]: entries lifted out of visited
+    /// slots, reused across calls.
+    cascade: Vec<WheelEntry>,
     cursor: Time,
     len: usize,
 }
@@ -44,6 +54,7 @@ impl TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             due: Vec::new(),
             overflow: Vec::new(),
+            cascade: Vec::new(),
             cursor: start,
             len: 0,
         }
@@ -129,7 +140,7 @@ impl TimerWheel {
         let start = out.len();
         out.append(&mut self.due);
 
-        let mut cascade: Vec<WheelEntry> = Vec::new();
+        let mut cascade = std::mem::take(&mut self.cascade);
         let old = self.cursor.as_micros();
         let new = now.as_micros();
         for level in 0..LEVELS {
@@ -145,7 +156,11 @@ impl TimerWheel {
             let steps = (new_idx - old_idx).min(SLOTS as u64);
             for s in 1..=steps {
                 let slot = ((old_idx + s) & (SLOTS as u64 - 1)) as usize;
-                cascade.append(&mut self.slots[level * SLOTS + slot]);
+                let slot = &mut self.slots[level * SLOTS + slot];
+                cascade.append(slot);
+                if level >= RELEASE_FROM_LEVEL {
+                    *slot = Vec::new();
+                }
             }
             if new_idx >> SLOT_BITS != old_idx >> SLOT_BITS && level == LEVELS - 1 {
                 // The top level wrapped: re-examine the overflow list.
@@ -154,13 +169,14 @@ impl TimerWheel {
         }
 
         self.cursor = now;
-        for entry in cascade {
+        for entry in cascade.drain(..) {
             if entry.0 <= now {
                 out.push(entry);
             } else {
                 self.place(entry);
             }
         }
+        self.cascade = cascade;
         out.append(&mut self.due);
         self.len -= out.len() - start;
         out[start..].sort_unstable_by_key(|&(expiry, id)| (expiry, id));
@@ -371,6 +387,32 @@ mod tests {
         assert_eq!(w.earliest(), Some(us(300)));
         w.advance(us(1u64 << 51), &mut out);
         assert_eq!(w.earliest(), None);
+    }
+
+    #[test]
+    fn coarse_slots_give_their_buffers_back_after_a_cascade() {
+        // Steady level-2 traffic: one entry per 10 µs, each due 50 ms
+        // out (level 2 holds deltas of 4–262 ms), drained every 100 µs,
+        // for three laps of level 2. Live entries plateau at 5 000; held
+        // capacity must follow them, not the 64 slots' peaks.
+        let mut w = TimerWheel::new(Time::ZERO);
+        let lap = 1u64 << (SLOT_BITS * 3);
+        let mut out = Vec::new();
+        let mut peak_live = 0;
+        for t in (0..3 * lap).step_by(10) {
+            w.insert(us(t + 50_000), t);
+            if t % 100 == 0 {
+                out.clear();
+                w.advance(us(t), &mut out);
+                peak_live = peak_live.max(w.len());
+            }
+        }
+        assert_eq!(peak_live, 5_000);
+        let held: usize = w.slots.iter().map(Vec::capacity).sum::<usize>() + w.cascade.capacity();
+        assert!(
+            held <= 2 * peak_live,
+            "wheel holds room for {held} entries against a peak of {peak_live} live"
+        );
     }
 
     #[test]

@@ -92,9 +92,9 @@ proptest! {
             .enumerate()
             .map(|(j, &u)| (stage(j), u))
             .collect();
-        su.begin_write();
+        su.lane(0).begin_write();
         su.add_units(&pre_contribs);
-        su.end_write();
+        su.lane(0).end_write();
         let before = totals_of(&su);
 
         let contribs: Vec<(StageId, u64)> = amounts
@@ -102,10 +102,10 @@ proptest! {
             .enumerate()
             .map(|(j, &a)| (stage(j), fp_from_utilization(a)))
             .collect();
-        su.begin_write();
+        su.lane(0).begin_write();
         su.add_units(&contribs);
         su.sub_units(&contribs);
-        su.end_write();
+        su.lane(0).end_write();
 
         prop_assert_eq!(totals_of(&su), before);
     }
@@ -131,9 +131,9 @@ proptest! {
                 su.subtract_entry(&victim);
             } else {
                 let contribs = random_contribs(&mut rng);
-                su.begin_write();
+                su.lane(0).begin_write();
                 su.add_units(&contribs);
-                su.end_write();
+                su.lane(0).end_write();
                 for &(s, u) in &contribs {
                     ledger[s.index()] += u;
                 }
@@ -177,7 +177,7 @@ fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
                         // against the cap, commit or roll back exactly.
                         0 | 1 => {
                             let contribs = random_contribs(&mut rng);
-                            su.begin_write();
+                            su.lane(t % 2).begin_write();
                             su.add_units(&contribs);
                             su.read_fp_into(&mut read);
                             if read.iter().all(|&u| u <= CAP) {
@@ -185,7 +185,7 @@ fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
                             } else {
                                 su.sub_units(&contribs);
                             }
-                            su.end_write();
+                            su.lane(t % 2).end_write();
                         }
                         // Release / deadline decrement: subtract a whole
                         // committed entry.

@@ -171,6 +171,103 @@ fn hammered_service_never_leaves_the_region() {
     );
 }
 
+/// The counters and the latency histogram are striped per lane (one
+/// stripe per shard, written by that shard's home threads) and reported
+/// as sums. Whatever the thread-to-lane mapping — more threads than
+/// lanes, fewer, or equal — the sums must equal what the callers
+/// themselves saw, exactly: one decision and one latency sample per
+/// attempt through every public path, one release per ticket dropped.
+#[test]
+fn lane_striped_counters_sum_to_exactly_what_the_callers_saw() {
+    use frap_service::BatchRequest;
+    const THREADS: usize = 5;
+    const ROUNDS: usize = 4_000;
+    for shards in [1usize, 2, 3, 8] {
+        let service = AdmissionService::builder(
+            FeasibleRegion::deadline_monotonic(STAGES),
+            ExactContributions,
+        )
+        .shards(shards)
+        .build();
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let service = service.clone();
+                let specs = specs();
+                std::thread::spawn(move || {
+                    let mut rng = 0xfeed ^ ((t as u64) << 8);
+                    let (mut attempts, mut admitted, mut released) = (0u64, 0u64, 0u64);
+                    for round in 0..ROUNDS {
+                        let spec = &specs[(next(&mut rng) % specs.len() as u64) as usize];
+                        let mut tickets = Vec::new();
+                        match round % 8 {
+                            // A batch booked on explicit (foreign) shards:
+                            // the counters still go to the caller's lane.
+                            0 => {
+                                let requests: Vec<_> = (0..3)
+                                    .map(|k| BatchRequest::new(spec).on_shard(t + k))
+                                    .collect();
+                                attempts += 3;
+                                let outcomes = service.admit_batch(&requests);
+                                tickets.extend(outcomes.into_iter().filter_map(|o| o.ticket()));
+                            }
+                            1 => {
+                                attempts += 1;
+                                tickets.extend(service.try_admit_or_shed(spec).ticket());
+                            }
+                            _ => {
+                                attempts += 1;
+                                tickets.extend(service.try_admit(spec));
+                            }
+                        }
+                        admitted += tickets.len() as u64;
+                        for ticket in tickets {
+                            // Detached tickets expire (5–20 ms deadlines)
+                            // or are still live at the end; dropped ones
+                            // release unless the deadline won the race —
+                            // the balance below covers both.
+                            if next(&mut rng).is_multiple_of(4) {
+                                ticket.detach();
+                            } else {
+                                drop(ticket);
+                                released += 1;
+                            }
+                        }
+                    }
+                    (attempts, admitted, released)
+                })
+            })
+            .collect();
+        let (mut attempts, mut admitted, mut dropped) = (0u64, 0u64, 0u64);
+        for w in workers {
+            let (a, b, c) = w.join().unwrap();
+            attempts += a;
+            admitted += b;
+            dropped += c;
+        }
+        service.debug_validate();
+        let snap = service.snapshot();
+        let c = snap.counters;
+        assert_eq!(c.admitted, admitted, "shards={shards}: {c:?}");
+        assert_eq!(c.rejected, attempts - admitted, "shards={shards}: {c:?}");
+        assert_eq!(c.decisions(), attempts);
+        assert_eq!(
+            snap.decision_latency.count(),
+            attempts,
+            "one latency sample per decision, summed over {shards} lanes"
+        );
+        assert_eq!(c, service.counters(), "quiescent: both reads agree");
+        // A drop releases unless expiry or a shed got there first; every
+        // admission left exactly one way or is still live.
+        assert!(c.released <= dropped);
+        assert_eq!(
+            c.admitted,
+            c.released + c.expired + c.shed + snap.live_tasks as u64,
+            "shards={shards}: {c:?} live={}",
+            snap.live_tasks
+        );
+    }
+}
+
 /// The lock-free reject path (DESIGN.md §16) under fire: rejector threads
 /// hammer `try_admit` with a spec that is infeasible *even on an empty
 /// system* (three stages at u = 0.5 each, Σ f(0.5) = 2.25 > 1), so any
