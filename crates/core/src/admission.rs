@@ -29,8 +29,7 @@ use crate::region::RegionTest;
 use crate::synthetic::{overlay_contributions, SyntheticState};
 use crate::task::{Importance, StageId, TaskId};
 use crate::time::{Time, TimeDelta};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The Section 4 decision kernel: would charging `contributions` on top of
 /// the `current` utilization vector keep the system inside `region`?
@@ -257,21 +256,13 @@ impl AdmitOutcome {
     }
 }
 
-#[derive(Debug)]
-struct LiveTask {
-    importance: Importance,
-    expiry: Time,
-    /// Relative deadline `D_i`, the denominator of every retained-charge
-    /// fraction when the task is shed mid-execution.
-    deadline: TimeDelta,
-}
-
 /// The feasible-region admission controller.
 ///
 /// Generic over the [`RegionTest`] (which region) and the
 /// [`ContributionModel`] (what each task is charged). Maintains the
-/// per-stage synthetic-utilization counters and an importance-ordered index
-/// of live tasks for shedding.
+/// per-stage synthetic-utilization counters — whose task ledger also says
+/// which admitted tasks are still live — and the order in which live tasks
+/// would be shed.
 ///
 /// # Examples
 ///
@@ -293,9 +284,13 @@ pub struct Admission<R, M> {
     region: R,
     model: M,
     state: SyntheticState,
-    live: HashMap<TaskId, LiveTask>,
-    by_importance: BTreeSet<(Importance, TaskId)>,
-    live_expiry: BinaryHeap<Reverse<(Time, TaskId)>>,
+    /// Shed order: importance levels ascending (a handful, so the map is
+    /// one node), and within a level the admitted ids in issue order —
+    /// ascending, so a push at the back keeps the level sorted. Entries
+    /// are validated lazily against the ledger (an expired or shed task is
+    /// skipped), and each admit retires the dead entries at the front of
+    /// its level, so a level never holds more than the ledger's id window.
+    shed_order: BTreeMap<Importance, VecDeque<TaskId>>,
     next_id: u64,
     stats: AdmissionStats,
     scratch: Vec<(StageId, f64)>,
@@ -310,9 +305,7 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             region,
             model,
             state: SyntheticState::new(stages),
-            live: HashMap::new(),
-            by_importance: BTreeSet::new(),
-            live_expiry: BinaryHeap::new(),
+            shed_order: BTreeMap::new(),
             next_id: 0,
             stats: AdmissionStats::default(),
             scratch: Vec::new(),
@@ -361,25 +354,13 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
 
     /// Number of admitted tasks whose deadlines have not yet expired.
     pub fn live_tasks(&self) -> usize {
-        self.live.len()
+        self.state.admitted_tasks()
     }
 
-    /// Applies the decrement-at-deadline rule up to `now` on every stage
-    /// and drops expired tasks from the shedding index.
+    /// Applies the decrement-at-deadline rule up to `now` on every stage;
+    /// expired tasks stop being live (and sheddable) with it.
     pub fn advance_to(&mut self, now: Time) {
         self.state.advance_to(now);
-        while let Some(&Reverse((expiry, task))) = self.live_expiry.peek() {
-            if expiry > now {
-                break;
-            }
-            self.live_expiry.pop();
-            if let Some(lt) = self.live.get(&task) {
-                if lt.expiry == expiry {
-                    self.by_importance.remove(&(lt.importance, task));
-                    self.live.remove(&task);
-                }
-            }
-        }
     }
 
     /// Attempts to admit `spec` arriving at `now`. Returns the new task id
@@ -472,11 +453,7 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         let mut fits = false;
         let mut exec_buf: Vec<(StageId, TimeDelta)> = Vec::new();
         let mut retain_buf: Vec<(StageId, f64)> = Vec::new();
-        while let Some(&(imp, victim)) = self.by_importance.iter().next() {
-            if imp >= spec.importance {
-                break;
-            }
-            let deadline = self.live[&victim].deadline;
+        while let Some((victim, deadline)) = self.next_victim(spec.importance) {
             exec_buf.clear();
             executed(victim, &mut exec_buf);
             retain_buf.clear();
@@ -485,7 +462,7 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
                     .iter()
                     .map(|&(stage, e)| (stage, e.ratio(deadline))),
             );
-            self.remove_live(victim);
+            self.state.retire(victim);
             self.state.shed_task_retaining(victim, &retain_buf);
             self.stats.shed += 1;
             shed.push(victim);
@@ -523,24 +500,41 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
     /// Reports that `task`'s last subtask on `stage` finished, making its
     /// contribution eligible for the next idle reset there.
     pub fn on_stage_departure(&mut self, stage: StageId, task: TaskId) {
-        self.state.stage_mut(stage).mark_departed(task);
+        self.state.mark_departed(stage, task);
     }
 
     /// Reports that `stage` has gone idle: departed tasks' contributions
     /// are removed from its counter (Section 4's reset rule).
     pub fn on_stage_idle(&mut self, now: Time, stage: StageId) {
-        self.state.stage_mut(stage).advance_to(now);
-        self.state.stage_mut(stage).reset_idle();
+        self.state.advance_to(now);
+        self.state.reset_idle(stage);
     }
 
     /// Forcibly evicts an admitted task (external shedding), removing its
     /// contributions everywhere.
     pub fn shed(&mut self, task: TaskId) {
-        if self.live.contains_key(&task) {
-            self.remove_live(task);
+        if self.state.retire(task) {
             self.state.shed_task(task);
             self.stats.shed += 1;
         }
+    }
+
+    /// The live task to shed next for an arrival of importance `below` —
+    /// lowest importance first, then lowest id, never at or above `below`
+    /// — with its relative deadline.
+    fn next_victim(&mut self, below: Importance) -> Option<(TaskId, TimeDelta)> {
+        for (importance, level) in &mut self.shed_order {
+            if *importance >= below {
+                break;
+            }
+            while let Some(&task) = level.front() {
+                if let Some(deadline) = self.state.admitted_deadline(task) {
+                    return Some((task, deadline));
+                }
+                level.pop_front();
+            }
+        }
+        None
     }
 
     /// Runs the shared decision kernel against the current counters.
@@ -560,25 +554,18 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         let id = TaskId::new(self.next_id);
         self.next_id += 1;
         let expiry = now.saturating_add(spec.deadline);
-        self.state.add_task(id, contributions, expiry);
-        self.live.insert(
-            id,
-            LiveTask {
-                importance: spec.importance,
-                expiry,
-                deadline: spec.deadline,
-            },
-        );
-        self.by_importance.insert((spec.importance, id));
-        self.live_expiry.push(Reverse((expiry, id)));
+        self.state
+            .charge(id, contributions, expiry, Some(spec.deadline));
+        let level = self.shed_order.entry(spec.importance).or_default();
+        while let Some(&front) = level.front() {
+            if self.state.admitted_deadline(front).is_some() {
+                break;
+            }
+            level.pop_front();
+        }
+        level.push_back(id);
         self.stats.admitted += 1;
         id
-    }
-
-    fn remove_live(&mut self, task: TaskId) {
-        if let Some(lt) = self.live.remove(&task) {
-            self.by_importance.remove(&(lt.importance, task));
-        }
     }
 }
 

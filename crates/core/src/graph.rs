@@ -269,13 +269,31 @@ impl TaskGraph {
             self.len(),
             "one delay per subtask is required"
         );
-        let mut finish = vec![0.0f64; self.len()];
+        self.longest_path_by(|i| delays[i])
+    }
+
+    /// [`TaskGraph::longest_path`] with the delay of subtask `i` computed
+    /// by `delay(i)` (called once per subtask, in topological order) —
+    /// for callers that derive delays on the fly, such as the per-arrival
+    /// Theorem 2 test. Graphs of up to 16 subtasks are evaluated without
+    /// a heap allocation.
+    pub fn longest_path_by(&self, delay: impl Fn(usize) -> f64) -> f64 {
+        const INLINE: usize = 16;
+        let n = self.len();
+        let mut inline = [0.0f64; INLINE];
+        let mut spilled = Vec::new();
+        let finish: &mut [f64] = if n <= INLINE {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, 0.0);
+            &mut spilled
+        };
         for &i in &self.inner.topo {
             let start = self.inner.preds[i]
                 .iter()
                 .map(|&p| finish[p])
                 .fold(0.0f64, f64::max);
-            finish[i] = start + delays[i];
+            finish[i] = start + delay(i);
         }
         finish.iter().copied().fold(0.0, f64::max)
     }

@@ -66,6 +66,7 @@
 //! | [`alpha`] | §2 | the urgency-inversion parameter `α` |
 //! | [`region`] | §3 | [`region::FeasibleRegion`], Theorem 2 graph regions, [`region::RegionTest`] |
 //! | [`synthetic`] | §2, §4 | synthetic-utilization counters with expiry, idle reset, reservations |
+//! | [`idtable`] | — | sliding-window table keyed by dense task ids ([`idtable::IdTable`]) |
 //! | [`admission`] | §4, §5 | exact/approximate/reservation/shedding controllers and baselines |
 //! | [`capacity`] | §3 | headroom queries, budget allocation, cost-of-depth tables |
 //! | [`hist`] | — | log-bucketed latency histogram shared by the simulator and service layers |
@@ -92,6 +93,7 @@ pub mod error;
 pub mod fixed;
 pub mod graph;
 pub mod hist;
+pub mod idtable;
 pub mod kernel;
 pub mod lease;
 pub mod region;

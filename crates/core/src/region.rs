@@ -184,18 +184,16 @@ impl FeasibleRegion {
     /// [`FeasibleRegion::value`].
     pub fn graph_value(&self, graph: &TaskGraph, utilizations: &[f64]) -> Result<f64, RegionError> {
         self.check_dims(utilizations)?;
-        let mut terms = Vec::with_capacity(graph.len());
-        for sub in graph.subtasks() {
-            let j = sub.stage.index();
-            if j >= self.stages {
-                return Err(RegionError::StageOutOfRange {
-                    index: j,
-                    stages: self.stages,
-                });
-            }
-            terms.push(stage_delay_factor(utilizations[j]) + self.blocking[j]);
+        if let Some(sub) = graph.subtasks().find(|s| s.stage.index() >= self.stages) {
+            return Err(RegionError::StageOutOfRange {
+                index: sub.stage.index(),
+                stages: self.stages,
+            });
         }
-        Ok(graph.longest_path(&terms))
+        Ok(graph.longest_path_by(|i| {
+            let j = graph.subtask(i).stage.index();
+            stage_delay_factor(utilizations[j]) + self.blocking[j]
+        }))
     }
 
     /// Whether Theorem 2's condition `d(f(U)+β) ≤ α` holds for `graph`.

@@ -61,20 +61,20 @@ pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> SimRun {
     }
     let mut sim = builder.build();
     let started = Instant::now();
-    let metrics = sim.run(trace.arrivals().into_iter(), sc.horizon + DRAIN);
+    sim.run(trace.iter_arrivals(), sc.horizon + DRAIN);
     let wall = started.elapsed().as_secs_f64();
+    let metrics = sim.into_metrics();
     let report = report::from_sim(
         sc.name,
         &trace,
         &|tenant| sc.tenant_name(tenant),
-        metrics,
+        &metrics,
         wall,
     );
-    let decisions = metrics.decision_log.clone();
     SimRun {
         report,
         trace,
-        decisions,
+        decisions: metrics.decision_log,
     }
 }
 

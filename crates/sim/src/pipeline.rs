@@ -23,10 +23,11 @@ use crate::stage::{Effect, SegmentSlice, Stage};
 use crate::trace::{Trace, TraceEvent};
 use frap_core::admission::{Admission, AdmitOutcome, ContributionModel, ExactContributions};
 use frap_core::graph::{TaskGraph, TaskSpec};
+use frap_core::idtable::IdTable;
 use frap_core::region::{FeasibleRegion, RegionTest};
 use frap_core::task::{Importance, Priority, Segment, StageId, TaskId};
 use frap_core::time::{Time, TimeDelta};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 type BoxRegion = Box<dyn RegionTest + Send + Sync>;
@@ -65,13 +66,17 @@ enum Event {
     UtilizationSample,
 }
 
-/// Per-node run state: outstanding precedence count plus the node's
-/// segment range in the task's shared arena.
+/// Per-node run state: outstanding precedence count, the node's segment
+/// range in the task's shared arena, and where its job is.
 #[derive(Debug)]
 struct NodeRun {
     remaining_preds: u32,
     seg_start: u32,
     seg_len: u32,
+    /// The slot [`Stage::add_job`] handed out; meaningful once released
+    /// (`remaining_preds == 0`) and until `done`.
+    slot: u32,
+    done: bool,
 }
 
 #[derive(Debug)]
@@ -85,9 +90,19 @@ struct TaskRun {
     abs_deadline: Time,
     nodes: Vec<NodeRun>,
     nodes_done: u32,
-    /// `(stage, outstanding subtasks)` — graphs touch a handful of stages,
-    /// so a linear scan beats hashing.
-    outstanding_per_stage: Vec<(u32, u32)>,
+}
+
+impl TaskRun {
+    fn stage_of(&self, node: usize) -> usize {
+        self.graph.subtask(node).stage.index()
+    }
+
+    /// Whether the task still has an unfinished subtask on `stage` —
+    /// graphs have a handful of nodes, so a scan beats bookkeeping.
+    fn outstanding_on(&self, stage: usize) -> bool {
+        let mut nodes = self.nodes.iter().enumerate();
+        nodes.any(|(node, nr)| !nr.done && self.stage_of(node) == stage)
+    }
 }
 
 #[derive(Debug)]
@@ -335,7 +350,7 @@ impl SimBuilder {
             // plus one segment-completion per busy server; pre-size so the
             // heap never reallocates under paper-scale loads.
             queue: EventQueue::with_capacity(1024.max(64 * self.stages)),
-            tasks: HashMap::new(),
+            tasks: IdTable::new(),
             pending: VecDeque::new(),
             pending_seq: 0,
             metrics: SimMetrics::new(self.stages),
@@ -353,6 +368,8 @@ impl SimBuilder {
             effects: Vec::new(),
             cascade: VecDeque::new(),
             release_scratch: Vec::new(),
+            segment_scratch: Vec::new(),
+            spare_nodes: Vec::new(),
             pending_shapes: Vec::new(),
             contrib_scratch: Vec::new(),
             failed_shapes: Vec::new(),
@@ -369,7 +386,9 @@ pub struct Simulation {
     admission: Admission<BoxRegion, BoxModel>,
     policy: BoxPolicy,
     queue: EventQueue<Event>,
-    tasks: HashMap<TaskId, TaskRun>,
+    /// One run record per admitted task in flight, found by id
+    /// subtraction (ids are issued densely by the admission controller).
+    tasks: IdTable<TaskRun>,
     pending: VecDeque<Pending>,
     pending_seq: u64,
     metrics: SimMetrics,
@@ -392,6 +411,11 @@ pub struct Simulation {
     cascade: VecDeque<(usize, Effect)>,
     /// Reused successor-release list in [`Simulation::subtask_completed`].
     release_scratch: Vec<u32>,
+    /// Reused staging buffer for a starting task's concatenated segments.
+    segment_scratch: Vec<Segment>,
+    /// Node vectors of retired runs, reused by [`Simulation::start_task`]:
+    /// the arena is then a starting task's only allocation.
+    spare_nodes: Vec<Vec<NodeRun>>,
     /// Interned admission contribution vectors of waiting arrivals (one
     /// entry per distinct shape; cleared whenever the queue empties).
     pending_shapes: Vec<Vec<(StageId, f64)>>,
@@ -482,6 +506,12 @@ impl Simulation {
         &self.metrics
     }
 
+    /// Ends the simulation and hands its metrics over — logs included —
+    /// without copying them.
+    pub fn into_metrics(self) -> SimMetrics {
+        self.metrics
+    }
+
     /// The admission controller's view (synthetic utilizations, stats).
     pub fn admission(&self) -> &Admission<BoxRegion, BoxModel> {
         &self.admission
@@ -558,16 +588,16 @@ impl Simulation {
                 let outcome = self
                     .admission
                     .try_admit_or_shed_with(now, &spec, |victim, out| {
-                        let Some(run) = tasks.get(&victim) else {
+                        let Some(run) = tasks.get(victim) else {
                             return;
                         };
                         for (node, nr) in run.nodes.iter().enumerate() {
                             if nr.remaining_preds > 0 {
                                 continue; // never released: nothing executed
                             }
-                            let stage = run.graph.subtask(node).stage;
-                            let executed = stages[stage.index()]
-                                .executed(now, (victim, node as u32))
+                            let stage = run.stage_of(node);
+                            let executed = stages[stage]
+                                .executed(now, nr.slot, (victim, node as u32))
                                 .unwrap_or_else(|| {
                                     // Completed subtask: its full demand ran.
                                     run.arena[nr.seg_start as usize..][..nr.seg_len as usize]
@@ -576,7 +606,7 @@ impl Simulation {
                                         .sum()
                                 });
                             if executed > TimeDelta::ZERO {
-                                out.push((stage, executed));
+                                out.push((StageId::new(stage), executed));
                             }
                         }
                     });
@@ -652,9 +682,9 @@ impl Simulation {
         let priority = self.policy.priority(now, &spec, id);
         let abs_deadline = now + spec.deadline;
         let graph = spec.graph;
-        let mut outstanding: Vec<(u32, u32)> = Vec::new();
-        let mut nodes = Vec::with_capacity(graph.len());
-        let mut all_segments: Vec<Segment> = Vec::new();
+        let mut nodes = self.spare_nodes.pop().unwrap_or_default();
+        let mut segments = std::mem::take(&mut self.segment_scratch);
+        segments.clear();
         for (i, sub) in graph.subtasks().enumerate() {
             assert!(
                 sub.stage.index() < self.stages.len(),
@@ -662,65 +692,60 @@ impl Simulation {
                 sub.stage.index(),
                 self.stages.len()
             );
-            let stage = sub.stage.index() as u32;
-            match outstanding.iter_mut().find(|&&mut (s, _)| s == stage) {
-                Some((_, count)) => *count += 1,
-                None => outstanding.push((stage, 1)),
-            }
-            let seg_start = all_segments.len() as u32;
-            all_segments.extend_from_slice(&sub.segments);
+            let seg_start = segments.len() as u32;
+            segments.extend_from_slice(&sub.segments);
             nodes.push(NodeRun {
                 remaining_preds: graph.preds(i).len() as u32,
                 seg_start,
-                seg_len: all_segments.len() as u32 - seg_start,
+                seg_len: segments.len() as u32 - seg_start,
+                slot: 0,
+                done: false,
             });
         }
-        let sources = graph.sources();
+        let node_count = nodes.len() as u32;
         self.tasks.insert(
             id,
             TaskRun {
                 graph,
-                arena: all_segments.into(),
+                arena: Rc::from(&segments[..]),
                 priority,
                 arrival: now,
                 abs_deadline,
                 nodes,
                 nodes_done: 0,
-                outstanding_per_stage: outstanding,
             },
         );
+        self.segment_scratch = segments;
         self.queue.push(abs_deadline, Event::DeadlineExpiry);
-        for node in sources {
-            self.release_subtask(id, node as u32);
+        // Sources first: nothing completes before the next event, so no
+        // other node's precedence count reaches zero inside this loop.
+        for node in 0..node_count {
+            let run = self.tasks.get(id).expect("task just started");
+            if run.nodes[node as usize].remaining_preds == 0 {
+                let stage_idx = self.release_subtask(id, node);
+                self.drain_effects(stage_idx);
+            }
         }
     }
 
-    /// A refcounted view of `node`'s segments plus its stage index.
-    fn node_release(run: &TaskRun, node: u32) -> (Priority, SegmentSlice, usize) {
+    /// Hands `node`'s job to its stage, returning the stage index; the
+    /// stage's effects are left in `self.effects`.
+    fn release_subtask(&mut self, task: TaskId, node: u32) -> usize {
+        let now = self.clock;
+        let run = self.tasks.get_mut(task).expect("live task");
         let nr = &run.nodes[node as usize];
-        let slice = SegmentSlice::new(
+        let segments = SegmentSlice::new(
             Rc::clone(&run.arena),
             nr.seg_start as usize,
             nr.seg_len as usize,
         );
-        (
-            run.priority,
-            slice,
-            run.graph.subtask(node as usize).stage.index(),
-        )
-    }
-
-    fn release_subtask(&mut self, task: TaskId, node: u32) {
-        let now = self.clock;
-        let (priority, segments, stage_idx) = {
-            let run = self.tasks.get(&task).expect("live task");
-            Self::node_release(run, node)
-        };
+        let stage_idx = run.stage_of(node as usize);
         let mut effects = std::mem::take(&mut self.effects);
         effects.clear();
-        self.stages[stage_idx].add_job(now, (task, node), priority, segments, &mut effects);
+        run.nodes[node as usize].slot =
+            self.stages[stage_idx].add_job(now, (task, node), run.priority, segments, &mut effects);
         self.effects = effects;
-        self.drain_effects(stage_idx);
+        stage_idx
     }
 
     fn handle_event(&mut self, event: Event) {
@@ -819,28 +844,20 @@ impl Simulation {
         let (task, node) = key;
         let now = self.clock;
 
-        let Some(run) = self.tasks.get_mut(&task) else {
+        let Some(run) = self.tasks.get_mut(task) else {
             return;
         };
-        // Per-stage departure bookkeeping for idle resets.
-        let left = run
-            .outstanding_per_stage
-            .iter_mut()
-            .find_map(|(s, c)| (*s as usize == stage_idx).then_some(c))
-            .expect("stage had outstanding subtasks");
-        *left -= 1;
-        let departed_stage = *left == 0;
+        run.nodes[node as usize].done = true;
         run.nodes_done += 1;
-        let graph = run.graph.clone();
-        let all_done = run.nodes_done as usize == graph.len();
-
-        if departed_stage {
+        let all_done = run.nodes_done as usize == run.nodes.len();
+        // Per-stage departure bookkeeping for idle resets.
+        if !run.outstanding_on(stage_idx) {
             self.admission
                 .on_stage_departure(StageId::new(stage_idx), task);
         }
 
         if all_done {
-            let run = self.tasks.remove(&task).expect("task just observed");
+            let mut run = self.tasks.remove(task).expect("task just observed");
             self.metrics.completed += 1;
             let response = now.saturating_since(run.arrival);
             self.metrics.response_sum += response;
@@ -863,33 +880,25 @@ impl Simulation {
                     deadline: run.abs_deadline,
                 });
             }
+            run.nodes.clear();
+            self.spare_nodes.push(run.nodes);
             return;
         }
 
         // Release successors whose predecessors are all complete.
         let mut to_release = std::mem::take(&mut self.release_scratch);
         to_release.clear();
-        {
-            let run = self.tasks.get_mut(&task).expect("live task");
-            for &succ in graph.succs(node as usize) {
-                run.nodes[succ].remaining_preds -= 1;
-                if run.nodes[succ].remaining_preds == 0 {
-                    to_release.push(succ as u32);
-                }
+        let run = self.tasks.get_mut(task).expect("live task");
+        for &succ in run.graph.succs(node as usize) {
+            run.nodes[succ].remaining_preds -= 1;
+            if run.nodes[succ].remaining_preds == 0 {
+                to_release.push(succ as u32);
             }
         }
         for &succ in &to_release {
-            let (priority, segments, succ_stage) = {
-                let run = self.tasks.get(&task).expect("live task");
-                Self::node_release(run, succ)
-            };
-            let mut effects = std::mem::take(&mut self.effects);
-            effects.clear();
-            self.stages[succ_stage].add_job(now, (task, succ), priority, segments, &mut effects);
-            for e in effects.drain(..) {
-                cascade.push_back((succ_stage, e));
-            }
-            self.effects = effects;
+            let succ_stage = self.release_subtask(task, succ);
+            let effects = self.effects.drain(..);
+            cascade.extend(effects.map(|e| (succ_stage, e)));
         }
         self.release_scratch = to_release;
     }
@@ -907,19 +916,24 @@ impl Simulation {
             time: self.clock,
             task,
         });
-        let Some(run) = self.tasks.remove(&task) else {
+        let Some(mut run) = self.tasks.remove(task) else {
             return;
         };
         let now = self.clock;
-        for node in 0..run.graph.len() {
-            let stage_idx = run.graph.subtask(node).stage.index();
+        for (node, nr) in run.nodes.iter().enumerate() {
+            if nr.remaining_preds > 0 || nr.done {
+                continue; // not at its stage
+            }
+            let stage_idx = run.stage_of(node);
             let mut effects = std::mem::take(&mut self.effects);
             effects.clear();
-            self.stages[stage_idx].kill(now, (task, node as u32), &mut effects);
+            self.stages[stage_idx].kill(now, nr.slot, (task, node as u32), &mut effects);
             // A kill can start another job or idle the stage.
             self.effects = effects;
             self.drain_effects(stage_idx);
         }
+        run.nodes.clear();
+        self.spare_nodes.push(run.nodes);
     }
 
     fn take_utilization_sample(&mut self) {

@@ -19,12 +19,14 @@
 //! allocation-free on the steady-state event path (see DESIGN.md §11):
 //!
 //! * jobs live in a **slab** (`Vec<Slot>` plus a free list) addressed by a
-//!   dense `u32` index; the only by-key map is consulted at admission and
-//!   kill time, never per event;
+//!   dense `u32` slot; [`Stage::add_job`] hands the slot out and the caller
+//!   hands it back to [`Stage::kill`] / [`Stage::executed`], so there is no
+//!   by-key map at all;
 //! * the ready queue is a **binary max-heap of packed keys** with lazy
-//!   deletion: the bit-inverted `(priority, task, node)` fields compare as
-//!   one integer pair, reproducing the previous ordered-set total order
-//!   (highest priority, then lowest task id, then lowest node) exactly;
+//!   deletion: the bit-inverted `(priority, task, node)` fields (a `u128`
+//!   and a `u64`, plus a stamp) compare lexicographically, reproducing the
+//!   previous ordered-set total order (highest priority, then lowest task
+//!   id, then lowest node) exactly;
 //! * completion events carry a **generation token that embeds the slot
 //!   index** plus a per-slot start counter, so stale-event detection is two
 //!   array reads instead of a hash lookup;
@@ -36,11 +38,16 @@ use crate::metrics::StageMetrics;
 use crate::pcp::{Acquire, LockManager};
 use frap_core::task::{LockId, Priority, Segment, StageId, TaskId};
 use frap_core::time::{Time, TimeDelta};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Identifies one job (a subtask instance) at a stage: `(task, node)`.
 pub type JobKey = (TaskId, u32);
+
+/// A job as the PCP lock manager knows it: its key plus its slot, so a
+/// woken job is found without a lookup. `(task, node)` is unique among
+/// the jobs present, so ordering by this is ordering by [`JobKey`].
+type LockKey = (TaskId, u32, u32);
 
 /// A shared, cheaply clonable view of a job's segment list: a reference
 /// into a per-task segment arena. Cloning bumps a refcount; no segment
@@ -233,13 +240,10 @@ pub struct Stage {
     servers: usize,
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// By-key entry points (admission, kill, queries) only — never
-    /// consulted on the per-event path.
-    index: HashMap<JobKey, u32>,
     job_count: usize,
     ready: BinaryHeap<ReadyEntry>,
     running_slots: Vec<u32>,
-    locks: LockManager<JobKey>,
+    locks: LockManager<LockKey>,
     /// Scratch for lock registration/deregistration (reused, no per-job
     /// allocation).
     lock_scratch: Vec<LockId>,
@@ -273,7 +277,6 @@ impl Stage {
             servers,
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
             job_count: 0,
             ready: BinaryHeap::new(),
             running_slots: Vec::with_capacity(servers),
@@ -326,9 +329,21 @@ impl Stage {
     }
 
     #[inline]
+    fn lock_key(&self, slot: usize) -> LockKey {
+        let (task, node) = self.slots[slot].key;
+        (task, node, slot as u32)
+    }
+
+    /// The job in `slot`, if it is `key`'s.
+    fn slot_of(&self, slot: u32, key: JobKey) -> Option<usize> {
+        let s = self.slots.get(slot as usize)?;
+        (s.occupied && s.key == key).then_some(slot as usize)
+    }
+
+    #[inline]
     fn effective_of(&self, slot: usize) -> Priority {
         let s = &self.slots[slot];
-        match self.locks.inherited(&s.key) {
+        match self.locks.inherited(&self.lock_key(slot)) {
             Some(boost) => s.base.max(boost),
             None => s.base,
         }
@@ -444,10 +459,11 @@ impl Stage {
     fn update_lock_users(&mut self, slot: usize, register: bool) {
         let mut scratch = std::mem::take(&mut self.lock_scratch);
         scratch.clear();
-        let (base, key) = {
+        let key = self.lock_key(slot);
+        let base = {
             let s = &self.slots[slot];
             scratch.extend(s.segments.as_slice().iter().filter_map(|seg| seg.lock));
-            (s.base, s.key)
+            s.base
         };
         scratch.sort_unstable();
         scratch.dedup();
@@ -472,17 +488,18 @@ impl Stage {
         s.ready = false;
         s.ready_stamp += 1;
         s.segments = empty; // drop the arena reference
-        let key = s.key;
-        self.index.remove(&key);
         self.free.push(slot as u32);
         self.job_count -= 1;
     }
 
-    /// Admits a subtask instance to this stage's ready queue.
+    /// Admits a subtask instance to this stage's ready queue and returns
+    /// its slot — the handle [`Stage::kill`] and [`Stage::executed`] take,
+    /// valid until the job completes or is killed.
     ///
     /// # Panics
     ///
-    /// Panics if `key` is already present or `segments` is empty.
+    /// Panics if `segments` is empty, and (debug builds only — the check
+    /// scans every job present) if `key` is already present.
     pub fn add_job(
         &mut self,
         now: Time,
@@ -490,7 +507,11 @@ impl Stage {
         base: Priority,
         segments: impl Into<SegmentSlice>,
         effects: &mut Vec<Effect>,
-    ) {
+    ) -> u32 {
+        debug_assert!(
+            !self.slots.iter().any(|s| s.occupied && s.key == key),
+            "job {key:?} added twice"
+        );
         let segments = segments.into();
         assert!(!segments.is_empty(), "jobs need at least one segment");
         assert!(
@@ -522,14 +543,13 @@ impl Stage {
             s.block_episodes = 0;
             s.occupied = true;
         }
-        let prev = self.index.insert(key, slot as u32);
-        assert!(prev.is_none(), "job {key:?} added twice");
         // Register this job as a future user of every lock it touches, so
         // PCP ceilings are in place before anyone can block on it.
         self.update_lock_users(slot, true);
         self.job_count += 1;
         self.make_ready(slot);
         self.reschedule(now, effects);
+        slot as u32
     }
 
     /// Handles a `SegmentDone` event. Stale generations (from preempted
@@ -549,6 +569,7 @@ impl Stage {
         let s = &mut self.slots[slot];
         let finished_lock = s.acquired_current && s.current_lock().is_some();
         let key = s.key;
+        let lock_key = (key.0, key.1, slot as u32);
         s.remaining = TimeDelta::ZERO;
         s.seg_idx += 1;
         s.acquired_current = false;
@@ -557,7 +578,7 @@ impl Stage {
             s.remaining = s.segments.as_slice()[s.seg_idx as usize].duration;
         }
         if finished_lock {
-            let woken = self.locks.release(&key);
+            let woken = self.locks.release(&lock_key);
             self.wake(now, &woken);
         }
 
@@ -592,14 +613,13 @@ impl Stage {
         }
     }
 
-    /// Execution time the job has received so far at `now`: completed
-    /// segments in full plus the executed share of the current one (live
-    /// for a running job). Blocked and queued time contributes nothing.
-    /// `None` if the job is not at this stage (never released, or already
-    /// completed).
-    pub fn executed(&self, now: Time, key: JobKey) -> Option<TimeDelta> {
-        let &slot = self.index.get(&key)?;
-        let s = &self.slots[slot as usize];
+    /// Execution time the job `key` in `slot` has received so far at
+    /// `now`: completed segments in full plus the executed share of the
+    /// current one (live for a running job). Blocked and queued time
+    /// contributes nothing. `None` if the slot no longer holds the job (it
+    /// completed or was killed).
+    pub fn executed(&self, now: Time, slot: u32, key: JobKey) -> Option<TimeDelta> {
+        let s = &self.slots[self.slot_of(slot, key)?];
         let segs = s.segments.as_slice();
         let mut done: TimeDelta = segs[..s.seg_idx as usize]
             .iter()
@@ -615,16 +635,16 @@ impl Stage {
         Some(done)
     }
 
-    /// Removes a job outright (task shed/killed). Releases its lock and
-    /// wakes blocked jobs as needed.
-    pub fn kill(&mut self, now: Time, key: JobKey, effects: &mut Vec<Effect>) {
-        let Some(&slot32) = self.index.get(&key) else {
+    /// Removes the job `key` in `slot` outright (task shed/killed).
+    /// Releases its lock and wakes blocked jobs as needed. A no-op if the
+    /// slot no longer holds the job.
+    pub fn kill(&mut self, now: Time, slot: u32, key: JobKey, effects: &mut Vec<Effect>) {
+        let Some(slot) = self.slot_of(slot, key) else {
             return;
         };
-        let slot = slot32 as usize;
         self.stop(now, slot); // also invalidates the in-flight SegmentDone
         self.unready(slot);
-        let woken = self.locks.remove_job(&key);
+        let woken = self.locks.remove_job(&self.lock_key(slot));
         self.wake(now, &woken);
         self.update_lock_users(slot, false);
         self.free_slot(slot);
@@ -646,9 +666,9 @@ impl Stage {
         }
     }
 
-    fn wake(&mut self, now: Time, woken: &[JobKey]) {
+    fn wake(&mut self, now: Time, woken: &[LockKey]) {
         for w in woken {
-            let slot = self.index[w] as usize;
+            let slot = w.2 as usize;
             let s = &mut self.slots[slot];
             if let Some(started) = s.block_started.take() {
                 let blocked = now.saturating_since(started);
@@ -691,12 +711,12 @@ impl Stage {
             }
 
             // Acquire the current segment's lock if needed.
-            let (needs_lock, base, acquired, key) = {
+            let (needs_lock, base, acquired) = {
                 let s = &self.slots[slot];
-                (s.current_lock(), s.base, s.acquired_current, s.key)
+                (s.current_lock(), s.base, s.acquired_current)
             };
             if let (Some(lock), false) = (needs_lock, acquired) {
-                match self.locks.try_acquire(key, base, lock) {
+                match self.locks.try_acquire(self.lock_key(slot), base, lock) {
                     Acquire::Acquired => {
                         self.slots[slot].acquired_current = true;
                     }
@@ -947,10 +967,10 @@ mod tests {
     fn kill_running_job_frees_stage() {
         let mut st = Stage::new(StageId::new(0));
         let mut fx = Vec::new();
-        st.add_job(at(0), key(1), Priority::new(100), plain(ms(10)), &mut fx);
+        let slot = st.add_job(at(0), key(1), Priority::new(100), plain(ms(10)), &mut fx);
         let (_, gen, _) = start_of(&fx);
         fx.clear();
-        st.kill(at(4), key(1), &mut fx);
+        st.kill(at(4), slot, key(1), &mut fx);
         assert!(fx.contains(&Effect::Idle));
         assert!(st.is_idle());
         assert_eq!(st.metrics.busy, ms(4));
@@ -964,7 +984,7 @@ mod tests {
         let mut st = Stage::new(StageId::new(0));
         let mut fx = Vec::new();
         let lock = LockId::new(0);
-        st.add_job(
+        let holder = st.add_job(
             at(0),
             key(2),
             Priority::new(200),
@@ -979,7 +999,7 @@ mod tests {
             &mut fx,
         );
         fx.clear();
-        st.kill(at(3), key(2), &mut fx);
+        st.kill(at(3), holder, key(2), &mut fx);
         // Waiter acquires and starts.
         let (k, _, finish) = start_of(&fx);
         assert_eq!(k, key(1));
@@ -991,9 +1011,9 @@ mod tests {
         let mut st = Stage::new(StageId::new(0));
         let mut fx = Vec::new();
         st.add_job(at(0), key(1), Priority::new(50), plain(ms(10)), &mut fx);
-        st.add_job(at(0), key(2), Priority::new(100), plain(ms(10)), &mut fx);
+        let ready = st.add_job(at(0), key(2), Priority::new(100), plain(ms(10)), &mut fx);
         fx.clear();
-        st.kill(at(1), key(2), &mut fx);
+        st.kill(at(1), ready, key(2), &mut fx);
         assert_eq!(st.job_count(), 1);
         assert_eq!(st.running(), Some(key(1)));
         assert!(!fx.contains(&Effect::Idle));
@@ -1132,6 +1152,10 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the duplicate check is a debug assertion"
+    )]
     #[should_panic(expected = "added twice")]
     fn duplicate_job_panics() {
         let mut st = Stage::new(StageId::new(0));
@@ -1163,13 +1187,18 @@ mod tests {
         let mut st = Stage::new(StageId::new(0));
         let mut fx = Vec::new();
         // Job 1 occupies slot 0; kill it while its SegmentDone is in flight.
-        st.add_job(at(0), key(1), Priority::new(100), plain(ms(10)), &mut fx);
+        let slot = st.add_job(at(0), key(1), Priority::new(100), plain(ms(10)), &mut fx);
         let (_, gen1, _) = start_of(&fx);
         fx.clear();
-        st.kill(at(2), key(1), &mut fx);
+        st.kill(at(2), slot, key(1), &mut fx);
         // Job 2 reuses slot 0.
         fx.clear();
-        st.add_job(at(3), key(2), Priority::new(100), plain(ms(5)), &mut fx);
+        let reused = st.add_job(at(3), key(2), Priority::new(100), plain(ms(5)), &mut fx);
+        assert_eq!(reused, slot);
+        // The dead job's handle must not reach the new occupant either.
+        st.kill(at(3), slot, key(1), &mut fx);
+        assert_eq!(st.executed(at(3), slot, key(1)), None);
+        assert_eq!(st.job_count(), 1);
         let (_, gen2, _) = start_of(&fx);
         assert_ne!(gen1, gen2, "slot reuse must mint a fresh generation");
         // The dead job's completion must not touch the new occupant.

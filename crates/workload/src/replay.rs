@@ -238,10 +238,14 @@ impl ArrivalTrace {
     /// replication runner consume (tenants dropped; graph clones are
     /// O(1) refcount bumps).
     pub fn arrivals(&self) -> Vec<(Time, TaskSpec)> {
-        self.records
-            .iter()
-            .map(|r| (r.at, r.spec.clone()))
-            .collect()
+        self.iter_arrivals().collect()
+    }
+
+    /// [`ArrivalTrace::arrivals`] one at a time, borrowing the trace: the
+    /// simulator pulls arrivals as its clock reaches them, so nothing is
+    /// built up front.
+    pub fn iter_arrivals(&self) -> impl Iterator<Item = (Time, TaskSpec)> + '_ {
+        self.records.iter().map(|r| (r.at, r.spec.clone()))
     }
 }
 
