@@ -239,12 +239,18 @@ impl AtomicLatencyHistogram {
 
     /// Records one value (one relaxed `fetch_add`).
     pub fn record(&self, value: TimeDelta) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of one value with a single relaxed
+    /// `fetch_add` — a batch spreading one measurement over its members.
+    pub fn record_n(&self, value: TimeDelta, n: u64) {
         use std::sync::atomic::Ordering::Relaxed;
         let v = value.as_micros();
         if v >= SATURATION_BOUND {
-            self.overflow.fetch_add(1, Relaxed);
+            self.overflow.fetch_add(n, Relaxed);
         } else {
-            self.counts[bucket_of(v)].fetch_add(1, Relaxed);
+            self.counts[bucket_of(v)].fetch_add(n, Relaxed);
         }
     }
 
@@ -432,6 +438,24 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn bad_quantile_panics() {
         LatencyHistogram::new().percentile(1.5);
+    }
+
+    #[test]
+    fn record_n_is_n_records_of_one_value() {
+        let (batched, singly) = (AtomicLatencyHistogram::new(), AtomicLatencyHistogram::new());
+        for (value, n) in [(us(0), 3), (us(812), 40), (us(SATURATION_BOUND), 2)] {
+            batched.record_n(value, n);
+            (0..n).for_each(|_| singly.record(value));
+        }
+        assert_eq!(batched.count(), 45);
+        assert_eq!(batched.saturated(), 2);
+        let (mut a, mut b) = (LatencyHistogram::new(), LatencyHistogram::new());
+        batched.merge_into(&mut a);
+        singly.merge_into(&mut b);
+        assert_eq!(a.count(), b.count());
+        for q in [0.0, 0.05, 0.5, 0.95, 1.0] {
+            assert_eq!(a.percentile(q), b.percentile(q), "q={q}");
+        }
     }
 
     #[test]

@@ -103,7 +103,9 @@ use frap_core::region::RegionTest;
 use frap_core::task::{StageId, SubtaskSpec};
 use frap_core::time::TimeDelta;
 use frap_core::Importance;
-use frap_service::{AdmissionService, AdmissionTicket, BatchRequest, Clock, ServiceOutcome};
+use frap_service::{
+    AdmissionService, AdmissionTicket, BatchRequest, Clock, ServiceOutcome, TicketHasher,
+};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -492,29 +494,6 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// Multiplicative hash for the per-connection ticket table: ticket ids
-/// are dense sequence numbers, so one odd-constant multiply spreads them
-/// across buckets at a fraction of SipHash's cost.
-#[derive(Default)]
-struct TicketHasher(u64);
-
-impl Hasher for TicketHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by the ticket table).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 type GraphCache = HashMap<Vec<u64>, TaskGraph, BuildHasherDefault<FnvHasher>>;
 type TicketMap = HashMap<u64, AdmissionTicket, BuildHasherDefault<TicketHasher>>;
 
@@ -525,8 +504,9 @@ struct Conn {
     /// Segmented reply ring; encoded bytes go straight here and leave
     /// via `writev`, touched once in each direction.
     outbox: OutRing,
-    /// Tickets admitted on this connection and not yet released. Dropping
-    /// the map (disconnect, protocol error, shutdown) releases them all.
+    /// Tickets admitted on this connection and not yet released. Closing
+    /// the connection (disconnect, protocol error, shutdown) releases
+    /// them all, as one run.
     tickets: TicketMap,
     greeted: bool,
     /// Target shard for every admit this connection sends, assigned
@@ -646,6 +626,9 @@ struct WakeBatch {
     verdicts: Vec<Option<Verdict>>,
     /// Service outcomes for the bucket currently resolving.
     outcomes: Vec<ServiceOutcome>,
+    /// Tickets named by the run of `Release` frames being read off one
+    /// connection; empty outside [`ingest_ready`].
+    releasing: Vec<AdmissionTicket>,
     /// Reusable encode buffer for the rare owned-encode frames
     /// (heartbeat acks, stats responses) so they do not allocate.
     scratch_frame: Vec<u8>,
@@ -739,6 +722,25 @@ fn worker_loop<R, M, C>(
         .idle_timeout
         .map(|t| (t / 2).max(Duration::from_millis(1)));
 
+    // Closes one slab connection: deregisters it, bumps the slot's
+    // generation (orphaning any entries it parked in the wake arena),
+    // releases its tickets as one run (a client vanishing with thousands
+    // held must not take the shard lock once per ticket), recycles the
+    // slot, and settles the gauges.
+    let close_conn = |reactor: &mut Reactor,
+                      slab: &mut [Option<Conn>],
+                      gens: &mut [u32],
+                      free: &mut Vec<usize>,
+                      slot: usize| {
+        let mut conn = slab[slot].take().expect("conn vanished");
+        gens[slot] = gens[slot].wrapping_add(1);
+        let _ = reactor.deregister(reactor_key(&conn.stream, FIRST_CONN + slot));
+        service.release_batch(conn.tickets.drain().map(|(_, ticket)| ticket));
+        free.push(slot);
+        shared.stats.closed.fetch_add(1, Ordering::Relaxed);
+        shared.conns_closed(1);
+    };
+
     loop {
         if reactor.wait(&mut events, wait_timeout).is_err() {
             break;
@@ -784,7 +786,7 @@ fn worker_loop<R, M, C>(
                         &mut slab, &gens, slot, ev, service, shared, &mut batch, &mut tally,
                         &mut pool, reply_cap, cfg.window,
                     ) {
-                        close_conn(shared, &mut reactor, &mut slab, &mut gens, &mut free, slot);
+                        close_conn(&mut reactor, &mut slab, &mut gens, &mut free, slot);
                     }
                 }
             }
@@ -805,7 +807,7 @@ fn worker_loop<R, M, C>(
                 _ => continue,
             };
             if !flushed {
-                close_conn(shared, &mut reactor, &mut slab, &mut gens, &mut free, slot);
+                close_conn(&mut reactor, &mut slab, &mut gens, &mut free, slot);
                 continue;
             }
             let conn = slab[slot].as_mut().expect("flushed conn is live");
@@ -828,41 +830,25 @@ fn worker_loop<R, M, C>(
                         .stats
                         .idle_disconnects
                         .fetch_add(1, Ordering::Relaxed);
-                    close_conn(shared, &mut reactor, &mut slab, &mut gens, &mut free, slot);
+                    close_conn(&mut reactor, &mut slab, &mut gens, &mut free, slot);
                 }
             }
         }
     }
 
     tally.publish(&shared.stats);
-    // Worker exit drops the slab, releasing every still-held ticket.
+    // Worker exit releases every still-held ticket, again as runs.
+    service.release_batch(
+        slab.iter_mut()
+            .flatten()
+            .flat_map(|conn| conn.tickets.drain().map(|(_, ticket)| ticket)),
+    );
     let dropped = slab.iter().filter(|slot| slot.is_some()).count();
     shared
         .stats
         .closed
         .fetch_add(dropped as u64, Ordering::Relaxed);
     shared.conns_closed(dropped);
-}
-
-/// Closes one slab connection: deregisters it, bumps the slot's
-/// generation (orphaning any entries it parked in the wake arena),
-/// releases its tickets (by drop), recycles the slot, and settles the
-/// gauges.
-fn close_conn(
-    shared: &Shared,
-    reactor: &mut Reactor,
-    slab: &mut [Option<Conn>],
-    gens: &mut [u32],
-    free: &mut Vec<usize>,
-    slot: usize,
-) {
-    let conn = slab[slot].take().expect("conn vanished");
-    gens[slot] = gens[slot].wrapping_add(1);
-    let _ = reactor.deregister(reactor_key(&conn.stream, FIRST_CONN + slot));
-    drop(conn); // releases every still-held ticket
-    free.push(slot);
-    shared.stats.closed.fetch_add(1, Ordering::Relaxed);
-    shared.conns_closed(1);
 }
 
 /// Accepts every pending connection into this worker's slab, assigning
@@ -1002,9 +988,12 @@ where
 /// park in the wake arena (shard-bucketed, in arrival order), anything
 /// else forces the pending arena to resolve first (responses must leave
 /// in request order, and a release's capacity effect must land after the
-/// admits that precede it) and is then handled inline. Returns `false`
-/// on a protocol violation (already counted) that must end the
-/// connection.
+/// admits that precede it) and is then handled inline — except that a
+/// contiguous run of `Release` frames is collected and released together
+/// when the next other frame, the end of the buffered frames or a
+/// protocol error ends it, before anything later is looked at (DESIGN.md
+/// §17). Returns `false` on a protocol violation (already counted) that
+/// must end the connection.
 #[allow(clippy::too_many_arguments)]
 fn ingest_ready<R, M, C>(
     slab: &mut [Option<Conn>],
@@ -1055,7 +1044,14 @@ where
             }
         }
 
-        match conn.inbox.next_frame_into(&mut batch.demands) {
+        let frame = conn.inbox.next_frame_into(&mut batch.demands);
+        let in_run = matches!(frame, Ok(Some(BatchedFrame::Other(Frame::Release { .. }))));
+        if !in_run && !batch.releasing.is_empty() {
+            // The run ends: one call, one shard lock take for all of it.
+            tally.releases += batch.releasing.len() as u64;
+            service.release_batch(batch.releasing.drain(..));
+        }
+        match frame {
             Ok(Some(BatchedFrame::Admit(head))) => {
                 tally.frames_in += 1;
                 let entry = batch.entries.len() as u32;
@@ -1071,6 +1067,18 @@ where
                 if batch.entries.len() >= WAKE_RESOLVE_CAP {
                     resolve_batch(slab, gens, service, batch, tally, pool);
                 }
+            }
+            Ok(Some(BatchedFrame::Other(Frame::Release { ticket_id }))) => {
+                tally.frames_in += 1;
+                // A run of releases reaches the service in one call when
+                // it ends; the admits parked ahead of it decide first —
+                // once, nothing parks while the run is open.
+                if batch.releasing.is_empty() {
+                    resolve_batch(slab, gens, service, batch, tally, pool);
+                }
+                let conn = slab[slot].as_mut().expect("serving a live conn");
+                // Ownership check: only this connection's tickets.
+                batch.releasing.extend(conn.tickets.remove(&ticket_id));
             }
             Ok(Some(BatchedFrame::Other(frame))) => {
                 tally.frames_in += 1;
@@ -1331,14 +1339,10 @@ where
     C: Clock + 'static,
 {
     match frame {
-        // Admit requests park in the wake arena and never reach here.
-        Frame::AdmitRequest(_) => unreachable!("admits resolve through resolve_batch"),
-        Frame::Release { ticket_id } => {
-            if let Some(ticket) = conn.tickets.remove(&ticket_id) {
-                ticket.release();
-                tally.releases += 1;
-            }
-            true
+        // Admit requests park in the wake arena and releases collect
+        // into runs; neither reaches here.
+        Frame::AdmitRequest(_) | Frame::Release { .. } => {
+            unreachable!("admits and releases are taken by ingest_ready")
         }
         Frame::Heartbeat { nonce } => {
             scratch.clear();

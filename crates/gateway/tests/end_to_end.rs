@@ -98,18 +98,28 @@ fn abrupt_disconnect_releases_every_held_ticket() {
     let (server, service) = start(2, 2);
     let mut client = GatewayClient::connect(server.local_addr()).expect("connect");
 
-    let mut admitted = 0;
-    for _ in 0..20 {
-        let verdict = client
-            .admit(&small_task(2), TimeDelta::from_millis(100), false)
-            .expect("admit");
-        if verdict.is_admitted() {
-            admitted += 1;
+    // A client holding far more than a window's worth: 12 000 tickets of
+    // 1 µs over a minute each (the region holds millions), admitted in
+    // pipelined chunks and deliberately never released.
+    const HELD: usize = 12_000;
+    let speck = WireTaskSpec::new(
+        TimeDelta::from_secs(60),
+        &[TimeDelta::from_micros(1); 2],
+        Importance::new(1),
+    );
+    let mut verdicts = Vec::new();
+    for _ in 0..HELD / 1_000 {
+        for _ in 0..1_000 {
+            client.queue_admit(&speck, TimeDelta::from_secs(30), false);
         }
-        // Deliberately never released.
+        client.flush().expect("flush");
+        let want = verdicts.len() + 1_000;
+        while verdicts.len() < want {
+            client.recv_admits_into(&mut verdicts).expect("recv");
+        }
     }
-    assert!(admitted > 0, "nothing admitted");
-    assert_eq!(service.live_tasks(), admitted);
+    assert!(verdicts.iter().all(|(_, v)| v.is_admitted()));
+    assert_eq!(service.live_tasks(), HELD);
 
     drop(client); // abrupt: tickets still held server-side
 
@@ -120,7 +130,135 @@ fn abrupt_disconnect_releases_every_held_ticket() {
     );
     let snapshot = server.shutdown();
     assert_eq!(snapshot.protocol_errors, 0);
-    assert_eq!(service.counters().released, admitted as u64);
+    let counters = service.counters();
+    assert_eq!(counters.released, HELD as u64, "{counters:?}");
+    assert_eq!(counters.expired + counters.shed, 0);
+    assert_eq!(service.live_tasks(), 0);
+    assert!(service.utilizations().iter().all(|&u| u == 0.0));
+    service.debug_validate();
+}
+
+/// One write carrying `Release×k, Admit×k` against a full region: the
+/// run of releases reaches the service before the admits behind it
+/// decide, so all `k` fit again — and, nothing else having locked the
+/// shard since the first `k` were admitted, the run catches every one of
+/// them still on the pending ring.
+#[test]
+fn a_release_run_frees_the_region_for_the_admits_behind_it() {
+    let (server, service) = start(2, 1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    raw_handshake(&mut stream);
+
+    // 0.09 per stage against the two-stage bound (~0.382): four fit.
+    let quarter = WireTaskSpec::new(
+        TimeDelta::from_secs(10),
+        &[TimeDelta::from_millis(900); 2],
+        Importance::new(1),
+    );
+    let mut inbox = FrameBuffer::new();
+    let mut bytes = Vec::new();
+    for req_id in 0..5 {
+        Frame::encode_admit_request_into(req_id, u64::MAX, false, &quarter, &mut bytes);
+    }
+    stream.write_all(&bytes).expect("fill");
+    let mut held = Vec::new();
+    for req_id in 0..5 {
+        match raw_next_frame(&mut stream, &mut inbox) {
+            Frame::AdmitResponse {
+                req_id: got,
+                verdict,
+            } => {
+                assert_eq!(got, req_id);
+                held.extend(verdict.ticket_id());
+            }
+            other => panic!("expected an admit response, got {other:?}"),
+        }
+    }
+    let k = held.len();
+    assert_eq!(k, 4, "the fifth finds the region full");
+
+    bytes.clear();
+    for &ticket_id in &held {
+        Frame::Release { ticket_id }.encode_into(&mut bytes);
+    }
+    for req_id in 10..10 + k as u64 {
+        Frame::encode_admit_request_into(req_id, u64::MAX, false, &quarter, &mut bytes);
+    }
+    stream
+        .write_all(&bytes)
+        .expect("releases and admits in one write");
+    for req_id in 10..10 + k as u64 {
+        match raw_next_frame(&mut stream, &mut inbox) {
+            Frame::AdmitResponse {
+                req_id: got,
+                verdict,
+            } => {
+                assert_eq!(got, req_id);
+                assert!(verdict.is_admitted(), "request {req_id}: {verdict:?}");
+            }
+            other => panic!("expected an admit response, got {other:?}"),
+        }
+    }
+    let counters = service.counters();
+    assert_eq!(counters.released, k as u64);
+    assert_eq!(counters.released_in_ring, k as u64, "{counters:?}");
+    assert_eq!(service.live_tasks(), k);
+
+    drop(stream);
+    assert!(server.wait_idle(Duration::from_secs(5)));
+    let snapshot = server.shutdown();
+    assert_eq!(snapshot.protocol_errors, 0);
+    assert_eq!(
+        snapshot.releases, k as u64,
+        "teardown is not a Release frame"
+    );
+    assert!(wait_no_live_tasks(&service, Duration::from_secs(5)));
+    assert_eq!(service.counters().released, 2 * k as u64);
+    service.debug_validate();
+}
+
+/// A run of releases only ever frees what its own connection holds:
+/// unknown ids, a ticket named twice and another connection's ticket are
+/// each a no-op, and the other connection's ticket stays live.
+#[test]
+fn a_release_run_touches_only_its_own_connections_tickets() {
+    let (server, service) = start(2, 2);
+    let addr = server.local_addr();
+    let mut owner = GatewayClient::connect(addr).expect("connect");
+    let mut other = GatewayClient::connect(addr).expect("connect");
+    let budget = TimeDelta::from_secs(30);
+    let theirs = owner
+        .admit(&small_task(2), budget, false)
+        .expect("admit")
+        .ticket_id()
+        .expect("admitted");
+    let mine = other
+        .admit(&small_task(2), budget, false)
+        .expect("admit")
+        .ticket_id()
+        .expect("admitted");
+
+    // One write: a run of four releases, closed by a heartbeat whose ack
+    // proves the run was applied.
+    other.queue_release(u64::MAX - 1);
+    other.queue_release(mine);
+    other.queue_release(mine);
+    other.queue_release(theirs);
+    other.heartbeat().expect("heartbeat behind the run");
+    assert_eq!(service.counters().released, 1, "only its own, only once");
+    assert_eq!(service.live_tasks(), 1, "the other connection's ticket");
+
+    owner.release(theirs).expect("release");
+    owner.heartbeat().expect("heartbeat");
+    assert_eq!(service.counters().released, 2);
+    assert_eq!(service.live_tasks(), 0);
+
+    drop((owner, other));
+    assert!(server.wait_idle(Duration::from_secs(5)));
+    let snapshot = server.shutdown();
+    assert_eq!(snapshot.protocol_errors, 0);
+    assert_eq!(snapshot.releases, 2);
     service.debug_validate();
 }
 
@@ -653,31 +791,81 @@ fn differential_trace() -> Vec<(WireTaskSpec, bool)> {
     trace
 }
 
-/// Runs the trace against a fresh gateway; `pipelined` sends the whole
-/// trace in one write (the server resolves it in large batches), the
-/// alternative issues one synchronous admit at a time (batches of one).
-/// No ticket is released mid-trace, so capacity evolves identically.
-fn run_trace(pipelined: bool) -> Vec<Verdict> {
+/// One step of a differential run: an admission, or the release of the
+/// ticket an earlier admission (by index among the admits) was given —
+/// nothing to send if that one was rejected.
+enum Step {
+    Admit(WireTaskSpec, bool),
+    Release(usize),
+}
+
+/// The differential trace with `Release` frames mixed in: runs of two,
+/// lone releases right behind the admit they free, and tickets named
+/// twice. They free capacity mid-trace, so later verdicts depend on
+/// every release landing exactly between the admits it was sent between.
+fn differential_steps() -> Vec<Step> {
+    let mut steps = Vec::new();
+    for (n, (task, allow_shed)) in differential_trace().into_iter().enumerate() {
+        steps.push(Step::Admit(task, allow_shed));
+        if n >= 10 && n % 5 == 0 {
+            steps.push(Step::Release(n - 10));
+            steps.push(Step::Release(n - 9));
+        }
+        if n % 7 == 6 {
+            steps.push(Step::Release(n));
+        }
+    }
+    steps
+}
+
+/// Runs `steps` against a fresh gateway. With `serial` — the verdicts a
+/// serial run produced, which is where a pipelined client learns the
+/// ticket ids its `Release` frames must name before any reply is in —
+/// everything goes out in one write (the server resolves it in large
+/// batches and release runs); without, one synchronous frame at a time
+/// (batches and runs of one).
+fn run_trace(steps: &[Step], serial: Option<&[Verdict]>) -> Vec<Verdict> {
     let (server, service) = start(2, 2);
     let mut client = GatewayClient::connect(server.local_addr()).expect("connect");
-    let trace = differential_trace();
     let budget = TimeDelta::from_millis(30_000);
-    let mut verdicts = Vec::with_capacity(trace.len());
+    let admits = steps
+        .iter()
+        .filter(|s| matches!(s, Step::Admit(..)))
+        .count();
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(admits);
 
-    if pipelined {
-        for (task, allow_shed) in &trace {
-            client.queue_admit(task, budget, *allow_shed);
+    if let Some(serial) = serial {
+        for step in steps {
+            match step {
+                Step::Admit(task, allow_shed) => {
+                    client.queue_admit(task, budget, *allow_shed);
+                }
+                Step::Release(k) => {
+                    if let Some(id) = serial[*k].ticket_id() {
+                        client.queue_release(id);
+                    }
+                }
+            }
         }
         client.flush().expect("flush");
         let mut batch = Vec::new();
-        while verdicts.len() < trace.len() {
+        while verdicts.len() < admits {
             batch.clear();
             client.recv_admits_into(&mut batch).expect("recv");
             verdicts.extend(batch.iter().map(|&(_, v)| v));
         }
     } else {
-        for (task, allow_shed) in &trace {
-            verdicts.push(client.admit(task, budget, *allow_shed).expect("admit"));
+        for step in steps {
+            match step {
+                Step::Admit(task, allow_shed) => {
+                    verdicts.push(client.admit(task, budget, *allow_shed).expect("admit"));
+                }
+                Step::Release(k) => {
+                    if let Some(id) = verdicts[*k].ticket_id() {
+                        client.release(id).expect("release");
+                    }
+                }
+            }
         }
     }
 
@@ -693,12 +881,20 @@ fn run_trace(pipelined: bool) -> Vec<Verdict> {
 /// The acceptance-criteria differential: for a fixed trace, the verdict
 /// stream under the reactor's batched resolution is identical — verdict
 /// for verdict, ticket id for ticket id, shed count for shed count — to
-/// the single-admit path.
+/// the single-admit path, `Release` frames mixed in and all.
 #[test]
 fn batched_and_single_admit_paths_yield_identical_verdict_streams() {
-    let batched = run_trace(true);
-    let singles = run_trace(false);
+    let steps = differential_steps();
+    let singles = run_trace(&steps, None);
+    let batched = run_trace(&steps, Some(&singles));
     assert_eq!(batched, singles);
+    let first_reject = batched.iter().position(|v| matches!(v, Verdict::Rejected));
+    assert!(
+        batched[first_reject.expect("trace never rejected")..]
+            .iter()
+            .any(|v| v.is_admitted()),
+        "no admit behind the first reject — the releases freed nothing"
+    );
     assert!(
         batched.iter().any(|v| v.is_admitted()),
         "trace never admitted — differential is vacuous"
@@ -719,7 +915,11 @@ fn batched_and_single_admit_paths_yield_identical_verdict_streams() {
 #[test]
 fn bucketed_multi_connection_drain_matches_serial_resolve() {
     let trace = differential_trace();
-    let want = run_trace(false);
+    let admit_only: Vec<Step> = trace
+        .iter()
+        .map(|(task, allow_shed)| Step::Admit(task.clone(), *allow_shed))
+        .collect();
+    let want = run_trace(&admit_only, None);
 
     let (server, service) = start(2, 2);
     let addr = server.local_addr();

@@ -49,5 +49,5 @@ pub use metrics::{CounterSnapshot, MetricsSnapshot, ServiceCounters, Utilization
 pub use service::{
     AdmissionService, AdmissionServiceBuilder, AdmissionTicket, BatchRequest, ServiceOutcome,
 };
-pub use shard::ShardedUtilization;
+pub use shard::{ShardedUtilization, TicketHasher};
 pub use wheel::TimerWheel;

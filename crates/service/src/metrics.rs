@@ -22,6 +22,7 @@ pub struct ServiceCounters {
     rejected: AtomicU64,
     shed: AtomicU64,
     released: AtomicU64,
+    released_in_ring: AtomicU64,
     expired: AtomicU64,
     expired_on_arrival: AtomicU64,
     fast_rejected: AtomicU64,
@@ -46,8 +47,12 @@ impl ServiceCounters {
         self.shed.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_released(&self) {
-        self.released.fetch_add(1, Ordering::Relaxed);
+    /// One release run: `n` tickets, `in_ring` caught on the pending ring.
+    pub(crate) fn add_released(&self, n: u64, in_ring: u64) {
+        self.released.fetch_add(n, Ordering::Relaxed);
+        if in_ring > 0 {
+            self.released_in_ring.fetch_add(in_ring, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn add_expired(&self, n: u64) {
@@ -85,6 +90,7 @@ impl ServiceCounters {
         sum.rejected += self.rejected.load(Ordering::Relaxed) + fast_rejected;
         sum.shed += self.shed.load(Ordering::Relaxed);
         sum.released += self.released.load(Ordering::Relaxed);
+        sum.released_in_ring += self.released_in_ring.load(Ordering::Relaxed);
         sum.expired += self.expired.load(Ordering::Relaxed);
         sum.expired_on_arrival += self.expired_on_arrival.load(Ordering::Relaxed);
         sum.fast_rejected += fast_rejected;
@@ -111,6 +117,10 @@ pub struct CounterSnapshot {
     pub shed: u64,
     /// Tickets released (dropped or explicitly released) before deadline.
     pub released: u64,
+    /// The subset of `released` caught on the pending ring by the release
+    /// run that came for it: it never touched the entry map, the shed
+    /// order or the timer wheel (DESIGN.md §16).
+    pub released_in_ring: u64,
     /// Contributions decremented at their deadline by the timer wheel.
     pub expired: u64,
     /// Arrivals turned away before the admission test because their
@@ -199,11 +209,11 @@ impl MetricsSnapshot {
     }
 }
 
-/// Records a decision duration into the service's nanosecond-valued
-/// histogram.
-pub(crate) fn record_ns(hist: &AtomicLatencyHistogram, elapsed: std::time::Duration) {
+/// Records `n` decisions of one duration into the service's
+/// nanosecond-valued histogram.
+pub(crate) fn record_ns(hist: &AtomicLatencyHistogram, elapsed: std::time::Duration, n: u64) {
     // The histogram's tick is reinterpreted as 1 ns (module docs).
-    hist.record(TimeDelta::from_micros(elapsed.as_nanos() as u64));
+    hist.record_n(TimeDelta::from_micros(elapsed.as_nanos() as u64), n);
 }
 
 fn ns_of(value: TimeDelta) -> u64 {
@@ -264,7 +274,7 @@ mod tests {
         c.add_admitted();
         c.add_rejected();
         c.add_shed(3);
-        c.add_released();
+        c.add_released(3, 2);
         c.add_expired(2);
         c.add_expired_on_arrival_n(1);
         c.add_fast_rejected(1);
@@ -276,7 +286,8 @@ mod tests {
         // reports the sum, `fast_rejected` the lock-free subset.
         assert_eq!(s.rejected, 2);
         assert_eq!(s.shed, 3);
-        assert_eq!(s.released, 1);
+        assert_eq!(s.released, 3);
+        assert_eq!(s.released_in_ring, 2);
         assert_eq!(s.expired, 2);
         assert_eq!(s.expired_on_arrival, 1);
         assert_eq!(s.fast_rejected, 1);
@@ -289,9 +300,10 @@ mod tests {
     #[test]
     fn latency_is_recorded_in_nanoseconds() {
         let recorded = AtomicLatencyHistogram::new();
-        record_ns(&recorded, std::time::Duration::from_nanos(800));
+        record_ns(&recorded, std::time::Duration::from_nanos(800), 3);
         let mut h = LatencyHistogram::new();
         recorded.merge_into(&mut h);
+        assert_eq!(h.count(), 3, "one sample per decision of the run");
         let snap = MetricsSnapshot {
             counters: CounterSnapshot::default(),
             decision_latency: h,

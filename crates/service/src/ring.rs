@@ -2,12 +2,13 @@
 //!
 //! The lock-free admit path (DESIGN.md §16) must not take a shard mutex,
 //! but every admission eventually needs structural bookkeeping inside
-//! one: a live-entry map insert, a timer-wheel insert, and a shedding
-//!-index insert. Admitting threads instead push the finished entry into
-//! their shard's pending ring; whichever thread next holds that shard's
-//! mutex (a deadline drain, release, batch commit, or validator) drains
-//! the ring first, so the deferred inserts land before any operation
-//! that could observe their absence.
+//! one: a live-entry map insert, a timer-wheel insert, and a shed-order
+//! insert. Admitting threads instead push the finished entry into their
+//! shard's pending ring; whichever thread next holds that shard's mutex
+//! (a deadline drain, a release run, the validator) drains the ring
+//! first — a release run keeps the entries it came for and files the
+//! rest — so a deferred insert has landed, or is already moot, before
+//! any operation that could observe its absence.
 //!
 //! The implementation is the classic bounded MPMC sequence-counter queue
 //! (Vyukov), used here with a single consumer (the shard-mutex holder —
@@ -140,25 +141,27 @@ impl<T> MpscRing<T> {
         }
     }
 
-    /// Dequeues one entry, or `None` if the ring is empty (or the next
-    /// slot's producer has claimed but not yet published — the caller
-    /// retries at its next drain; entries are never lost). Must only be
-    /// called by the single consumer.
+    /// Dequeues one entry, or `None` if the ring is empty. A producer that
+    /// has claimed the next slot but not yet published it is waited out (a
+    /// few instructions, unless preempted), so a drain sees every push
+    /// that has returned: a release never misses its own admission behind
+    /// someone else's half-finished push. Single consumer only.
     pub fn try_pop(&self) -> Option<T> {
         let pos = self.tail.load(Ordering::Relaxed);
         let slot = &self.slots[(pos & self.mask) as usize];
-        let seq = slot.seq.load(Ordering::Acquire);
-        if seq == pos + 1 {
-            // Safety: seq == pos + 1 means the producer's publish store
-            // happened-before this load; the consumer now owns the slot.
-            let value = unsafe { (*slot.value.get()).assume_init_read() };
-            // Free the slot for the producer one lap ahead.
-            slot.seq.store(pos + self.mask + 1, Ordering::Release);
-            self.tail.store(pos + 1, Ordering::Release);
-            Some(value)
-        } else {
-            None
+        while slot.seq.load(Ordering::Acquire) != pos + 1 {
+            if self.head.load(Ordering::Acquire) == pos {
+                return None;
+            }
+            std::thread::yield_now();
         }
+        // Safety: seq == pos + 1 means the producer's publish store
+        // happened-before this load; the consumer now owns the slot.
+        let value = unsafe { (*slot.value.get()).assume_init_read() };
+        // Free the slot for the producer one lap ahead.
+        slot.seq.store(pos + self.mask + 1, Ordering::Release);
+        self.tail.store(pos + 1, Ordering::Release);
+        Some(value)
     }
 }
 

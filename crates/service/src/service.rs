@@ -18,7 +18,7 @@
 //!    otherwise it rolls the exact units back and retries a bounded
 //!    number of times before rejecting conservatively.
 //! 3. **Deferred bookkeeping.** A committed admission's structural
-//!    bookkeeping (entry map, timer wheel, shedding index) is pushed to
+//!    bookkeeping (entry map, timer wheel, shed order) is pushed to
 //!    the home shard's MPSC pending ring *inside* the write section; the
 //!    next thread to hold that shard's mutex drains the ring first, so
 //!    deferred inserts are visible to any operation that could observe
@@ -36,7 +36,7 @@
 //! Shard mutexes exist for *structural* operations only (wheel drains,
 //! releases, idle resets, shedding, validation), never on the decision
 //! path; lock order is shards ascending. The cross-shard shedding path
-//! holds every shard lock while it scans the shedding index, and charges
+//! holds every shard lock while it scans the shed order, and charges
 //! through the same CAS routine as everyone else.
 //!
 //! Reductions (deadline expiry, release, shed, idle reset) run without
@@ -88,6 +88,13 @@ struct Scratch {
     acc_fp: Vec<u64>,
     /// Transient `f64` view handed to the region test.
     floats: Vec<f64>,
+    /// Batch path: the run's admit candidates' unit demands, back to back.
+    run_contrib: Vec<(StageId, u64)>,
+    /// Batch path: `(run index, target shard, end in run_contrib)` per
+    /// admit candidate, each starting where the previous one ends.
+    run_admits: Vec<(usize, usize, usize)>,
+    /// [`AdmissionService::release_batch`]: the ids of the run in hand.
+    release_ids: Vec<u64>,
 }
 
 thread_local! {
@@ -100,6 +107,9 @@ thread_local! {
             combined_fp: Vec::new(),
             acc_fp: Vec::new(),
             floats: Vec::new(),
+            run_contrib: Vec::new(),
+            run_admits: Vec::new(),
+            release_ids: Vec::new(),
         })
     };
 }
@@ -248,7 +258,7 @@ impl AdmissionTicket {
 impl Drop for AdmissionTicket {
     fn drop(&mut self) {
         if let Some(sink) = self.sink.take() {
-            sink.0.ledger.release(sink.0.lane, self.id);
+            sink.0.ledger.release_many(sink.0.lane, &mut [self.id]);
         }
     }
 }
@@ -472,7 +482,7 @@ where
         let now = inner.clock.now_with_hint(started);
         let result = SCRATCH
             .with(|scratch| self.decide_lockfree(now, lane, home, spec, &mut scratch.borrow_mut()));
-        record_ns(&lane.latency, started.elapsed());
+        record_ns(&lane.latency, started.elapsed(), 1);
         result
     }
 
@@ -521,7 +531,7 @@ where
                 &s.contrib_fp,
                 &mut s.current_fp,
                 &mut s.floats,
-                || self.commit(None, home, target, now, spec, &s.contrib_fp),
+                || self.commit(None, home, target, now, spec, s.contrib_fp.clone()),
             )
         } else {
             None
@@ -585,8 +595,9 @@ where
     /// deadline hint. The entry goes onto the shard's pending ring, or
     /// straight into `held` when the caller already holds that shard's
     /// lock (the shedding path: a full ring falls back to `try_lock` on
-    /// the very mutex it holds). Must run before the section's
-    /// `end_write`.
+    /// the very mutex it holds). `contributions` is the entry's own
+    /// vector — the one heap allocation an admission costs. Must run
+    /// before the section's `end_write`.
     fn commit(
         &self,
         held: Option<&mut Shard>,
@@ -594,7 +605,7 @@ where
         target: usize,
         now: Time,
         spec: &TaskSpec,
-        contributions: &[(StageId, u64)],
+        contributions: Vec<(StageId, u64)>,
     ) -> AdmissionTicket {
         let inner = &*self.inner;
         let id = inner.next_id.0.fetch_add(1, Ordering::Relaxed);
@@ -602,7 +613,7 @@ where
         let pending = PendingAdmission {
             id,
             entry: LiveEntry {
-                contributions: contributions.to_vec(),
+                contributions,
                 departed: Vec::new(),
                 expiry,
                 importance: spec.importance,
@@ -656,8 +667,8 @@ where
             return ServiceOutcome::Rejected;
         }
 
-        // Slow path: take every shard (ascending) so the shedding index
-        // can be scanned globally. The clock is read after every lock is
+        // Slow path: take every shard (ascending) so the shed order can
+        // be scanned globally. The clock is read after every lock is
         // held so no wheel can observe time running backwards.
         let mut guards: Vec<MutexGuard<'_, Shard>> = (0..inner.state.shard_count())
             .map(|i| inner.state.lock_shard(i))
@@ -684,21 +695,19 @@ where
                     break true;
                 }
                 let victim = guards
-                    .iter()
+                    .iter_mut()
                     .enumerate()
-                    .filter_map(|(i, g)| g.by_importance.first().map(|&(imp, id)| (i, imp, id)))
+                    .filter_map(|(i, g)| g.first_victim().map(|(imp, id)| (i, imp, id)))
                     .min_by_key(|&(_, imp, id)| (imp, id));
-                let Some((victim_shard, imp, victim)) =
+                let Some((victim_shard, _, victim)) =
                     victim.filter(|&(_, imp, _)| imp < spec.importance)
                 else {
                     break false;
                 };
-                let shard = &mut guards[victim_shard];
-                shard.by_importance.remove(&(imp, victim));
-                let entry = shard
+                let entry = guards[victim_shard]
                     .entries
                     .remove(&victim)
-                    .expect("shedding index points at a live entry");
+                    .expect("first_victim names a live entry");
                 inner.state.subtract_entry(&entry.contributions);
                 shed.push(victim);
             };
@@ -709,7 +718,7 @@ where
             let ticket = if fits {
                 let (fp, current, floats) = (&s.contrib_fp, &mut s.current_fp, &mut s.floats);
                 self.charge_revalidated(lane, fp, current, floats, || {
-                    self.commit(Some(&mut guards[home]), lane, home, now, spec, fp)
+                    self.commit(Some(&mut guards[home]), lane, home, now, spec, fp.clone())
                 })
             } else {
                 None
@@ -723,7 +732,7 @@ where
                 }
             }
         });
-        record_ns(&lane.latency, started.elapsed());
+        record_ns(&lane.latency, started.elapsed(), 1);
         outcome
     }
 
@@ -839,10 +848,11 @@ where
             out.extend(run.iter().map(|_| ServiceOutcome::Rejected));
 
             // Greedy walk: verdicts against base + own accumulated
-            // charges. (run index, target shard, merged unit demands) per
-            // admit-candidate, kept for the commit step.
-            type AdmitCandidate = (usize, usize, Vec<(StageId, u64)>);
-            let mut admits: Vec<AdmitCandidate> = Vec::new();
+            // charges. Admit candidates are kept for the commit step in
+            // the scratch arena, so a candidate allocates nothing until
+            // its entry is minted.
+            s.run_contrib.clear();
+            s.run_admits.clear();
             for (i, req) in run.iter().enumerate() {
                 let target = target_of(req);
                 if self.expire_guard(now, target) {
@@ -872,20 +882,24 @@ where
                     for &(stage, units) in &s.contrib_fp {
                         s.acc_fp[stage.index()] += units;
                     }
-                    admits.push((i, target, s.contrib_fp.clone()));
+                    s.run_contrib.extend_from_slice(&s.contrib_fp);
+                    s.run_admits.push((i, target, s.run_contrib.len()));
                 }
             }
 
             // Commit the whole run's admissions in one write section.
-            let committed = admits.is_empty() || {
+            let committed = s.run_admits.is_empty() || {
                 lane.begin_write();
                 inner.state.add_unit_vector(&s.acc_fp);
                 inner.state.read_fp_into(&mut s.combined_fp);
                 let ok = feasible_fp(&inner.region, &s.combined_fp, &mut s.floats);
                 if ok {
-                    for &(i, target, ref contrib) in &admits {
+                    let mut start = 0;
+                    for &(i, target, end) in &s.run_admits {
+                        let contrib = s.run_contrib[start..end].to_vec();
                         let ticket = self.commit(None, lane, target, now, run[i].spec, contrib);
                         out[first + i] = ServiceOutcome::Admitted(ticket);
+                        start = end;
                     }
                 } else {
                     inner.state.sub_unit_vector(&s.acc_fp);
@@ -896,7 +910,7 @@ where
             };
 
             if committed {
-                let rejected = run.len() - admits.len();
+                let rejected = run.len() - s.run_admits.len();
                 lane.counters.add_fast_rejected(rejected as u64);
             } else {
                 // Contention outran the run's snapshot. Nothing was
@@ -913,9 +927,7 @@ where
         // One wall-clock measurement spread across the run so the
         // histogram still holds one sample per decision.
         let per = started.elapsed() / run.len() as u32;
-        for _ in run {
-            record_ns(&lane.latency, per);
-        }
+        record_ns(&lane.latency, per, run.len() as u64);
     }
 
     /// Puts the service into **drain**: every subsequent admission attempt
@@ -943,7 +955,36 @@ where
     /// when the id already expired, was shed, or was released).
     pub fn release_by_id(&self, id: u64) -> bool {
         let state = &self.inner.state;
-        (0..state.shard_count()).any(|i| state.release(i, id))
+        (0..state.shard_count()).any(|i| state.release_many(i, &mut [id]) > 0)
+    }
+
+    /// Releases every ticket in `tickets`, like dropping them one by one
+    /// — same units freed, same counters — but each run of consecutive
+    /// tickets booked on the same shard costs **one** lock take, ring
+    /// drain, pass over the totals and counter update
+    /// ([`ShardedUtilization::release_many`]): for a front end that learns
+    /// of many departures at once (a run of `Release` frames, a closing
+    /// connection's whole ticket table).
+    pub fn release_batch(&self, tickets: impl IntoIterator<Item = AdmissionTicket>) {
+        // Taken out, not borrowed: the iterator is the caller's code.
+        let mut ids = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().release_ids));
+        let flush = |run: &Option<SinkRef>, ids: &mut Vec<u64>| {
+            if let Some(sink) = run {
+                sink.0.ledger.release_many(sink.0.lane, ids);
+            }
+            ids.clear();
+        };
+        let mut run: Option<SinkRef> = None;
+        for mut ticket in tickets {
+            let sink = ticket.sink.take();
+            if !matches!((&run, &sink), (Some(open), Some(sink)) if Arc::ptr_eq(open, sink)) {
+                flush(&run, &mut ids);
+                run = sink;
+            }
+            ids.push(ticket.id);
+        }
+        flush(&run, &mut ids);
+        SCRATCH.with(|s| s.borrow_mut().release_ids = ids);
     }
 
     /// Charges one arrival that died in transit: its deadline budget was
@@ -1008,10 +1049,8 @@ where
             }
             for id in emptied {
                 // Fully reset entries carry no utilization; drop them from
-                // the maps now and let the wheel's pop find nothing.
-                if let Some(entry) = shard.entries.remove(&id) {
-                    shard.by_importance.remove(&(entry.importance, id));
-                }
+                // the map now and let the wheel's pop find nothing.
+                shard.entries.remove(&id);
             }
         }
     }

@@ -18,7 +18,7 @@
 //!   `begin`/`end` pair, the next-due hint, the lock-free [`MpscRing`] of
 //!   admissions decided but not yet inserted, and the mutex-protected
 //!   [`Shard`] (live-entry map, [`TimerWheel`] of deadline decrements,
-//!   importance-ordered shedding index). Threads are spread across lanes
+//!   per-importance shed order). Threads are spread across lanes
 //!   round-robin, so a lane's lines stay in its home core's cache and its
 //!   mutex is effectively uncontended. Readers that need a whole-service
 //!   figure (counters, latency, write quiescence) sum or scan the lanes.
@@ -47,7 +47,10 @@
 //!   entry; the others observe its absence and do nothing. Every
 //!   shard-locked entry operation drains the pending ring first, so a
 //!   ring-deferred admission is always visible to the release/expiry
-//!   that targets it.
+//!   that targets it. A release run ([`ShardedUtilization::release_many`])
+//!   keeps the popped entries it came for: an admission released before
+//!   anything else locked its shard never reaches the map, the shed order
+//!   or the wheel (DESIGN.md §16, "life of a ticket").
 //! * **Per-lane next-due hints.** Each lane publishes a lower bound on
 //!   its earliest pending deadline decrement. A decision thread that
 //!   observes `now < hint` knows a locked drain of that shard would
@@ -62,7 +65,8 @@ use frap_core::fixed::{fp_from_utilization, utilization_from_fp};
 use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
 use frap_core::task::{Importance, StageId};
 use frap_core::time::Time;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -78,6 +82,9 @@ const HINT_SCAN_LIMIT: usize = 512;
 /// How many times a write-quiescence validation re-attempts before
 /// reporting interference to the caller (who re-drains and retries).
 const VALIDATE_ATTEMPTS: usize = 64;
+
+/// Dead ids [`Shard`]'s shed order may hold beyond twice the live entries.
+const SHED_SWEEP_SLACK: usize = 64;
 
 /// The one line constant: the granule at which state written by
 /// different cores is kept apart. Twice the 64-byte hardware line,
@@ -97,6 +104,31 @@ pub struct CachePadded<T>(pub T);
 
 const _: () = assert!(std::mem::align_of::<CachePadded<u8>>() == LINE);
 const _: () = assert!(std::mem::align_of::<Lane>() == LINE);
+
+/// One-multiply hash for tables keyed by ticket id (the shard's entry
+/// map, the gateway's per-connection ticket table). Ids are dense sequence
+/// numbers the service issues — a client can look a key up, never insert
+/// one — so an odd-constant multiply spreads them at a fraction of
+/// SipHash's cost.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct TicketHasher(u64);
+
+impl Hasher for TicketHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Fallback for non-u64 keys (unused by the ticket tables).
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// One live admitted task's bookkeeping, owned by exactly one shard.
 /// Contribution amounts are fixed-point units ([`frap_core::fixed`]),
@@ -118,7 +150,7 @@ pub struct LiveEntry {
 }
 
 /// An admission decided on the lock-free path whose structural
-/// bookkeeping (entry map, timer wheel, shedding index) has not yet been
+/// bookkeeping (entry map, timer wheel, shed order) has not yet been
 /// applied; queued on the owning lane's pending ring.
 #[derive(Debug)]
 pub struct PendingAdmission {
@@ -132,16 +164,63 @@ pub struct PendingAdmission {
 #[derive(Debug)]
 pub struct Shard {
     /// Live entries admitted through this shard.
-    pub entries: HashMap<u64, LiveEntry>,
+    pub entries: HashMap<u64, LiveEntry, BuildHasherDefault<TicketHasher>>,
     /// Deadline decrements for this shard's entries.
     pub wheel: TimerWheel,
-    /// Shedding index, ascending `(importance, ticket)`.
-    pub by_importance: BTreeSet<(Importance, u64)>,
+    /// Shed order: per importance level, the filed ids ascending. Removal
+    /// never touches it: an id is live iff `entries` still holds it,
+    /// [`Shard::first_victim`] retires dead fronts, and a sweep bounds the
+    /// dead ids to [`SHED_SWEEP_SLACK`] beyond twice the live entries.
+    shed_order: BTreeMap<Importance, VecDeque<u64>>,
+    /// Ids filed in `shed_order`, dead ones included.
+    shed_ids: usize,
     /// Scratch buffer for wheel drains.
     drained: Vec<(Time, u64)>,
+    /// Scratch: units per stage freed by the release run in progress.
+    freed: Vec<u64>,
     /// This shard's lane in the owning [`ShardedUtilization`], so a
     /// locked drain can reach the matching hint, ring and counters.
     index: usize,
+}
+
+impl Shard {
+    /// Files `id` in the shed order.
+    fn file_shed(&mut self, importance: Importance, id: u64) {
+        if self.shed_ids > 2 * self.entries.len() + SHED_SWEEP_SLACK {
+            let entries = &self.entries;
+            self.shed_order.retain(|_, level| {
+                level.retain(|id| entries.contains_key(id));
+                !level.is_empty()
+            });
+            self.shed_ids = self.shed_order.values().map(VecDeque::len).sum();
+        }
+        let level = self.shed_order.entry(importance).or_default();
+        // Ids are issued before they are ringed, so two threads booking on
+        // one shard can deliver them a few places out of order: insert
+        // from the back (a plain push when nothing raced).
+        let at = level
+            .iter()
+            .rposition(|&filed| filed < id)
+            .map_or(0, |before| before + 1);
+        level.insert(at, id);
+        self.shed_ids += 1;
+    }
+
+    /// The live entry to shed first — lowest importance, then lowest id —
+    /// retiring the dead ids and emptied levels in front of it.
+    pub(crate) fn first_victim(&mut self) -> Option<(Importance, u64)> {
+        while let Some(mut level) = self.shed_order.first_entry() {
+            while let Some(&id) = level.get().front() {
+                if self.entries.contains_key(&id) {
+                    return Some((*level.key(), id));
+                }
+                level.get_mut().pop_front();
+                self.shed_ids -= 1;
+            }
+            level.remove();
+        }
+        None
+    }
 }
 
 /// Everything one shard's home thread writes on the decision path, alone
@@ -231,10 +310,12 @@ impl ShardedUtilization {
                     next_due: AtomicU64::new(u64::MAX),
                     pending: MpscRing::with_capacity(PENDING_RING_CAPACITY),
                     shard: Mutex::new(Shard {
-                        entries: HashMap::new(),
+                        entries: HashMap::default(),
                         wheel: TimerWheel::new(start),
-                        by_importance: BTreeSet::new(),
+                        shed_order: BTreeMap::new(),
+                        shed_ids: 0,
                         drained: Vec::new(),
+                        freed: Vec::new(),
                         index,
                     }),
                 })
@@ -419,49 +500,63 @@ impl ShardedUtilization {
     }
 
     /// The one structural insert: files a decided admission in a locked
-    /// shard's wheel, shedding index and entry map.
+    /// shard's wheel, shed order and entry map.
     pub(crate) fn insert_entry_locked(shard: &mut Shard, pending: PendingAdmission) {
         let PendingAdmission { id, entry } = pending;
         shard.wheel.insert(entry.expiry, id);
-        shard.by_importance.insert((entry.importance, id));
+        shard.file_shed(entry.importance, id);
         shard.entries.insert(id, entry);
     }
 
-    /// Releases admission `id` booked on shard `index`: removes its
-    /// remaining contributions now. Returns whether anything was still
-    /// live to release — exactly-once versus deadline expiry and
-    /// shedding, whoever removes the map entry owns the subtraction.
+    /// The one release routine: removes the remaining contributions of
+    /// every admission in `ids` (sorted here; a ticket drop is a run of
+    /// one) booked on shard `index`, under one lock take. Returns how many
+    /// were still live — exactly-once versus deadline expiry and shedding,
+    /// whoever removes the entry owns the subtraction, so an unknown,
+    /// duplicate, expired or shed id is a no-op, counted never.
     ///
-    /// The entry may still sit on the pending ring; the drain then
-    /// *intercepts* it instead of inserting it. A release that catches
-    /// its own admission there (the admit-then-release-immediately hot
-    /// path) skips the whole insert-then-remove round trip through the
-    /// entry map, timer wheel and shedding index; the wheel never learns
-    /// the id, so no stale wheel slot is left behind either.
-    pub fn release(&self, index: usize, id: u64) -> bool {
+    /// The run drains the pending ring itself and *intercepts* every
+    /// popped entry it came for: an admission released before anything
+    /// else locked its shard skips the entry map, the shed order and the
+    /// wheel (no tombstone either). The freed units leave the totals in
+    /// one pass; the counters are added once per run.
+    pub fn release_many(&self, index: usize, ids: &mut [u64]) -> usize {
+        ids.sort_unstable();
         let lane = &self.lanes[index];
-        let mut shard = self.lock_shard(index);
-        let mut intercepted = None;
-        while let Some(p) = lane.pending.try_pop() {
-            if p.id == id {
-                intercepted = Some(p.entry);
-            } else {
-                Self::insert_entry_locked(&mut shard, p);
-            }
-        }
-        let entry = match intercepted {
-            Some(entry) => entry,
-            None => {
-                let Some(entry) = shard.entries.remove(&id) else {
-                    return false;
-                };
-                shard.by_importance.remove(&(entry.importance, id));
-                entry
+        let mut guard = self.lock_shard(index);
+        let shard = &mut *guard;
+        let mut freed = std::mem::take(&mut shard.freed);
+        freed.clear();
+        freed.resize(self.stages(), 0);
+        let mut free = |entry: LiveEntry| {
+            for (stage, units) in entry.contributions {
+                freed[stage.index()] += units;
             }
         };
-        self.subtract_entry(&entry.contributions);
-        lane.counters.add_released();
-        true
+        let mut in_ring = 0;
+        while let Some(p) = lane.pending.try_pop() {
+            if ids.binary_search(&p.id).is_ok() {
+                free(p.entry);
+                in_ring += 1;
+            } else {
+                Self::insert_entry_locked(shard, p);
+            }
+        }
+        let mut released = in_ring;
+        if in_ring < ids.len() {
+            for id in ids.iter() {
+                if let Some(entry) = shard.entries.remove(id) {
+                    free(entry);
+                    released += 1;
+                }
+            }
+        }
+        if released > 0 {
+            self.sub_unit_vector(&freed);
+            lane.counters.add_released(released as u64, in_ring as u64);
+        }
+        shard.freed = freed;
+        released
     }
 
     /// Flags admission `id` on shard `index` as departed from `stage`, so
@@ -515,7 +610,7 @@ impl ShardedUtilization {
 
     /// Applies every deadline decrement due at or before `now` on a locked
     /// shard (after draining its pending ring): expired entries leave the
-    /// map, the shedding index, and the global totals, in deterministic
+    /// map and the global totals, in deterministic
     /// `(expiry, ticket)` order. Returns the number of entries expired,
     /// which it also adds to the lane's `expired` counter.
     pub fn expire_due(&self, shard: &mut Shard, now: Time) -> u64 {
@@ -541,7 +636,6 @@ impl ShardedUtilization {
             // Exactly-once: release or shed may have removed the entry.
             if let Some(entry) = shard.entries.remove(&id) {
                 self.subtract_entry(&entry.contributions);
-                shard.by_importance.remove(&(entry.importance, id));
                 expired += 1;
             }
         }
@@ -665,6 +759,11 @@ mod tests {
         su.try_validate_locked(&refs).expect("quiescent in tests")
     }
 
+    /// Files an entry the way a ring drain would.
+    fn file(shard: &mut Shard, id: u64, entry: LiveEntry) {
+        ShardedUtilization::insert_entry_locked(shard, PendingAdmission { id, entry });
+    }
+
     fn entry(contributions: Vec<(StageId, u64)>, expiry: Time) -> LiveEntry {
         let departed = vec![false; contributions.len()];
         LiveEntry {
@@ -722,10 +821,7 @@ mod tests {
             let mut sh = su.lock_shard(0);
             for id in 0..4u64 {
                 charge(&su, &c);
-                sh.entries
-                    .insert(id, entry(c.clone(), Time::from_micros(10 + id)));
-                sh.wheel.insert(Time::from_micros(10 + id), id);
-                sh.by_importance.insert((Importance::LOWEST, id));
+                file(&mut sh, id, entry(c.clone(), Time::from_micros(10 + id)));
             }
             assert_eq!(su.expire_due(&mut sh, Time::from_micros(11)), 2);
             assert_eq!(sh.entries.len(), 2);
@@ -905,6 +1001,89 @@ mod tests {
         assert_eq!(units, vec![0]);
     }
 
+    /// Charges `c` and rings it as admission `id`, like a lock-free admit.
+    fn ring(su: &ShardedUtilization, id: u64, c: &[(StageId, u64)]) {
+        su.lane(0).begin_write();
+        su.add_units(c);
+        let entry = entry(c.to_vec(), Time::from_micros(1_000 + id));
+        su.push_pending(0, PendingAdmission { id, entry });
+        su.lane(0).end_write();
+    }
+
+    #[test]
+    fn a_release_run_takes_what_is_live_once_and_ignores_the_rest() {
+        let su = ShardedUtilization::new(&[0.0, 0.0], 1, Time::ZERO);
+        let c = vec![(stage(0), fp(0.125)), (stage(1), 3)];
+        // 10 and 11 are filed in the shard, 12 filed and already expired,
+        // 1..=4 still ringed.
+        for id in [10, 11, 12] {
+            ring(&su, id, &c);
+        }
+        {
+            let mut sh = su.lock_shard(0);
+            su.drain_pending(&mut sh);
+            let twelve = sh.entries.remove(&12).expect("filed");
+            su.subtract_entry(&twelve.contributions);
+        }
+        for id in 1..=4 {
+            ring(&su, id, &c);
+        }
+        // Unsorted, with an unknown id, a dead one and two named twice.
+        let mut run = [11, 2, 99, 2, 12, 4, 11];
+        assert_eq!(su.release_many(0, &mut run), 3);
+        let counters = su.counters();
+        assert_eq!((counters.released, counters.released_in_ring), (3, 2));
+        {
+            let sh = su.lock_shard(0);
+            let mut live: Vec<u64> = sh.entries.keys().copied().collect();
+            live.sort_unstable();
+            assert_eq!(live, vec![1, 3, 10], "the run filed what it did not want");
+            // 2 and 4 never reached the wheel; 11 and 12 left tombstones.
+            assert_eq!(sh.wheel.len(), 5);
+        }
+        let mut units = Vec::new();
+        su.read_fp_into(&mut units);
+        assert_eq!(units, vec![3 * fp(0.125), 9]);
+        // The same run again finds nothing, and counts nothing.
+        assert_eq!(su.release_many(0, &mut run), 0);
+        assert_eq!(su.counters().released, 3);
+        validate(&su);
+    }
+
+    #[test]
+    fn shed_order_is_exact_and_bounded() {
+        let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
+        let mut sh = su.lock_shard(0);
+        let file_at = |sh: &mut Shard, id: u64, level: u32| {
+            let mut e = entry(vec![(stage(0), 1)], Time::from_micros(1_000_000));
+            e.importance = Importance::new(level);
+            file(sh, id, e);
+        };
+        // Two threads booking on one shard deliver ids out of order.
+        for (id, level) in [(5, 1), (3, 1), (9, 0), (4, 1), (7, 0)] {
+            file_at(&mut sh, id, level);
+        }
+        let mut order = Vec::new();
+        while let Some((importance, id)) = sh.first_victim() {
+            order.push((importance.level(), id));
+            sh.entries.remove(&id);
+        }
+        assert_eq!(order, vec![(0, 7), (0, 9), (1, 3), (1, 4), (1, 5)]);
+        assert!(sh.shed_order.is_empty(), "emptied levels are retired");
+
+        // One long-lived entry at the front of its level, and a stream of
+        // short-lived ones on ever new levels behind it: neither the dead
+        // ids nor the emptied levels may pile up.
+        file_at(&mut sh, 100, 0);
+        for id in 101..5_000 {
+            file_at(&mut sh, id, id as u32);
+            sh.entries.remove(&id);
+            assert!(sh.shed_ids <= 2 * sh.entries.len() + SHED_SWEEP_SLACK + 1);
+            assert!(sh.shed_order.len() <= sh.shed_ids);
+        }
+        assert_eq!(sh.first_victim(), Some((Importance::new(0), 100)));
+    }
+
     #[test]
     fn validator_refuses_a_cut_taken_after_a_lock_free_admit() {
         // A lock-free admit needs no shard lock, so it can run a whole
@@ -967,10 +1146,7 @@ mod tests {
             let mut sh = su.lock_shard(0);
             for (id, expiry) in [(1u64, 500u64), (2, 300), (3, 900)] {
                 charge(&su, &c);
-                sh.entries
-                    .insert(id, entry(c.clone(), Time::from_micros(expiry)));
-                sh.wheel.insert(Time::from_micros(expiry), id);
-                sh.by_importance.insert((Importance::LOWEST, id));
+                file(&mut sh, id, entry(c.clone(), Time::from_micros(expiry)));
                 su.note_deadline(0, Time::from_micros(expiry));
             }
             // fetch_min kept the earliest commit.
@@ -1001,11 +1177,12 @@ mod tests {
     fn hoisted_batch_clock_cannot_rewind_the_wheel() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let mut sh = su.lock_shard(0);
-        sh.wheel.insert(Time::from_micros(50), 1);
-        sh.entries
-            .insert(1, entry(vec![(stage(0), fp(0.1))], Time::from_micros(50)));
+        file(
+            &mut sh,
+            1,
+            entry(vec![(stage(0), fp(0.1))], Time::from_micros(50)),
+        );
         charge(&su, &[(stage(0), fp(0.1))]);
-        sh.by_importance.insert((Importance::LOWEST, 1));
         let mut out = Vec::new();
         sh.wheel.advance(Time::from_micros(200), &mut out);
         for (expiry, id) in out {

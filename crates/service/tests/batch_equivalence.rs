@@ -9,6 +9,13 @@
 //! ids themselves (id assignment is deterministic per service) — must
 //! match. This is the guarantee the gateway leans on when it folds every
 //! `AdmitRequest` drained from one socket read into one batch call.
+//!
+//! The release side has the same shape:
+//! [`AdmissionService::release_batch`] must leave the ledger exactly
+//! where releasing the same tickets one by one leaves it — units,
+//! counters, live tasks, and the victims a later shedding admission
+//! picks — which is what lets the gateway hand a run of `Release` frames
+//! (or a dead connection's whole ticket table) over in one call.
 
 use frap_core::admission::ExactContributions;
 use frap_core::graph::TaskSpec;
@@ -444,5 +451,251 @@ proptest! {
         for t in live_b.into_iter().chain(live_s) {
             t.detach();
         }
+    }
+}
+
+/// The ledger as the release-side differentials compare it: the unit
+/// vector (exact in `f64` below 2⁵³ units, so bit equality is unit
+/// equality) and every counter a release can move. `released_in_ring`
+/// is deliberately left out — *where* a release caught its entry is the
+/// one thing a run is allowed to change — but must stay a subset.
+fn ledger(svc: &ManualService) -> (Vec<u64>, [u64; 5]) {
+    let c = svc.counters();
+    assert!(c.released_in_ring <= c.released, "{c:?}");
+    (
+        svc.utilizations().iter().map(|u| u.to_bits()).collect(),
+        [c.admitted, c.rejected, c.shed, c.released, c.expired],
+    )
+}
+
+#[test]
+fn release_batch_matches_releasing_one_by_one() {
+    let (runs, _cr) = service(2, 2);
+    let (singles, _cs) = service(2, 2);
+    let filler = task(400, &[4, 4], 1);
+    let admit = |svc: &ManualService, n: usize, per_shard: usize| -> Vec<AdmissionTicket> {
+        let reqs: Vec<BatchRequest<'_>> = (0..n)
+            .map(|i| BatchRequest::new(&filler).on_shard(i / per_shard))
+            .collect();
+        let tickets: Vec<_> = svc
+            .admit_batch(&reqs)
+            .into_iter()
+            .filter_map(ServiceOutcome::ticket)
+            .collect();
+        assert_eq!(tickets.len(), n, "the filler fits");
+        tickets
+    };
+
+    // First wave (ids 0..6, shards alternating): filed in the shards —
+    // live_tasks drains the rings. Second wave (6..10 on shard 0, 10..14
+    // on shard 1): still ringed when its release arrives.
+    let mut held_r = admit(&runs, 6, 1);
+    let mut held_s = admit(&singles, 6, 1);
+    assert_eq!((runs.live_tasks(), singles.live_tasks()), (6, 6));
+    held_r.extend(admit(&runs, 8, 4));
+    held_s.extend(admit(&singles, 8, 4));
+
+    // Release all but ids 1, 4 and 9, the ringed wave first: runs
+    // [6,7,8]@0, [10..14]@1, then the filed [0]@0, [2]@0 ... one run per
+    // change of shard.
+    let keep = |t: &AdmissionTicket| [1, 4, 9].contains(&t.id());
+    let split = |held: Vec<AdmissionTicket>| {
+        let (kept, mut gone): (Vec<_>, Vec<_>) = held.into_iter().partition(keep);
+        gone.sort_by_key(|t| t.id() < 6);
+        (kept, gone)
+    };
+    let (kept_r, gone_r) = split(held_r);
+    let (kept_s, gone_s) = split(held_s);
+    runs.release_batch(gone_r);
+    for t in gone_s {
+        t.release();
+    }
+    assert_eq!(ledger(&runs), ledger(&singles));
+    assert_eq!((runs.live_tasks(), singles.live_tasks()), (3, 3));
+    let (cr, cs) = (runs.counters(), singles.counters());
+    assert_eq!(cr.released, 11);
+    // The runs caught every ringed entry they came for (all but 9); one
+    // by one, the first release on each shard catches its own and files
+    // the rest.
+    assert_eq!(cr.released_in_ring, 7);
+    assert_eq!(cs.released_in_ring, 2);
+
+    // The shed order survived both ways: a critical arrival that needs
+    // the whole region evicts the same victims in the same order.
+    let vip = task(400, &[150, 150], 9);
+    let shed_of = |svc: &ManualService| match svc.try_admit_or_shed(&vip) {
+        ServiceOutcome::AdmittedAfterShedding { ticket, shed } => {
+            ticket.detach();
+            shed
+        }
+        other => panic!("expected a shedding admission, got {other:?}"),
+    };
+    let (shed_r, shed_s) = (shed_of(&runs), shed_of(&singles));
+    assert_eq!(shed_r, shed_s);
+    assert_eq!(shed_r, vec![1, 4, 9], "lowest id first within a level");
+    assert_eq!(ledger(&runs), ledger(&singles));
+
+    // Releasing what was shed meanwhile is a no-op, counted never.
+    runs.release_batch(kept_r);
+    drop(kept_s);
+    assert_eq!(ledger(&runs), ledger(&singles));
+    assert_eq!(runs.counters().released, 11);
+    runs.debug_validate();
+    singles.debug_validate();
+}
+
+/// One step of the release-side differential.
+#[derive(Debug, Clone)]
+enum Op {
+    /// `admit_batch`, request `i` booked on shard `shard + i`.
+    Admit {
+        arrivals: Vec<Arrival>,
+        shard: usize,
+    },
+    /// Release the held tickets these picks select: as one
+    /// `release_batch` on one twin, one by one on the other.
+    ReleaseRun(Vec<usize>),
+    /// Release one held ticket by drop on both twins.
+    Release(usize),
+    /// Detach one held ticket on both twins (it expires at its deadline).
+    Detach(usize),
+    /// `release_by_id`: a detached, unknown or already-released id.
+    ReleaseById(u64),
+    /// Advance both clocks.
+    Advance(u64),
+    /// Every held ticket departs `stage`, which then goes idle.
+    Idle(usize),
+    /// Lock every shard: live-task count and the validator.
+    Observe,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    // The offline proptest stand-in has no `prop_oneof!`: draw every
+    // payload and let a weighted roll pick the step.
+    (
+        0u8..15,
+        proptest::collection::vec(arrival(3), 1..10),
+        proptest::collection::vec(0usize..64, 1..12),
+        0u64..150,
+    )
+        .prop_map(|(roll, arrivals, picks, n)| match roll {
+            0..=3 => Op::Admit {
+                arrivals,
+                shard: n as usize % 2,
+            },
+            4..=7 => Op::ReleaseRun(picks),
+            8 => Op::Release(picks[0]),
+            9 => Op::Detach(picks[0]),
+            10 => Op::ReleaseById(n % 80),
+            11 | 12 => Op::Advance(n),
+            13 => Op::Idle(n as usize % 3),
+            _ => Op::Observe,
+        })
+}
+
+/// Takes the tickets `picks` select out of `held` — the same ones on
+/// both twins, whose held lists evolve in lockstep.
+fn take(held: &mut Vec<AdmissionTicket>, picks: &[usize]) -> Vec<AdmissionTicket> {
+    let mut taken = Vec::new();
+    for &pick in picks {
+        if !held.is_empty() {
+            taken.push(held.swap_remove(pick % held.len()));
+        }
+    }
+    taken
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any interleaving of admits, release runs, single releases,
+    /// detaches, orphan releases, clock advances, idle resets and
+    /// shedding leaves a service that releases in runs bit-identical to
+    /// a twin that releases ticket by ticket. Held tickets are not
+    /// pruned when they expire or are shed, so runs keep naming
+    /// already-dead admissions — each a no-op on both twins.
+    #[test]
+    fn release_runs_are_equivalent_to_single_releases(
+        ops in proptest::collection::vec(op(), 1..40),
+        shards in 1usize..3,
+    ) {
+        let (runs, clock_r) = service(3, shards);
+        let (singles, clock_s) = service(3, shards);
+        let mut held_r: Vec<AdmissionTicket> = Vec::new();
+        let mut held_s: Vec<AdmissionTicket> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            match op {
+                Op::Admit { arrivals, shard } => {
+                    let specs: Vec<TaskSpec> = arrivals
+                        .iter()
+                        .map(|a| task(a.deadline_ms, &a.stage_ms, a.importance))
+                        .collect();
+                    let reqs: Vec<BatchRequest<'_>> = specs
+                        .iter()
+                        .zip(arrivals)
+                        .enumerate()
+                        .map(|(i, (spec, a))| BatchRequest {
+                            spec,
+                            allow_shed: a.allow_shed,
+                            shard: Some(shard + i),
+                        })
+                        .collect();
+                    let got: Vec<Decision> = runs
+                        .admit_batch(&reqs)
+                        .into_iter()
+                        .map(|o| digest(o, &mut held_r))
+                        .collect();
+                    let want: Vec<Decision> = singles
+                        .admit_batch(&reqs)
+                        .into_iter()
+                        .map(|o| digest(o, &mut held_s))
+                        .collect();
+                    prop_assert_eq!(got, want, "verdicts or shed victims at step {}", step);
+                }
+                Op::ReleaseRun(picks) => {
+                    runs.release_batch(take(&mut held_r, picks));
+                    for t in take(&mut held_s, picks) {
+                        t.release();
+                    }
+                }
+                Op::Release(pick) => {
+                    drop(take(&mut held_r, &[*pick]));
+                    drop(take(&mut held_s, &[*pick]));
+                }
+                Op::Detach(pick) => {
+                    for t in take(&mut held_r, &[*pick]).into_iter().chain(take(&mut held_s, &[*pick])) {
+                        t.detach();
+                    }
+                }
+                Op::ReleaseById(id) => {
+                    prop_assert_eq!(runs.release_by_id(*id), singles.release_by_id(*id));
+                }
+                Op::Advance(step_ms) => {
+                    clock_r.advance(ms(*step_ms));
+                    clock_s.advance(ms(*step_ms));
+                }
+                Op::Idle(stage) => {
+                    let stage = frap_core::task::StageId::new(*stage);
+                    for t in held_r.iter().chain(&held_s) {
+                        t.mark_departed(stage);
+                    }
+                    runs.on_stage_idle(stage);
+                    singles.on_stage_idle(stage);
+                }
+                Op::Observe => {
+                    prop_assert_eq!(runs.live_tasks(), singles.live_tasks());
+                    runs.debug_validate();
+                    singles.debug_validate();
+                }
+            }
+            prop_assert_eq!(ledger(&runs), ledger(&singles), "after step {}: {:?}", step, op);
+        }
+        // Whatever is still held goes the way it would on a disconnect.
+        runs.release_batch(held_r);
+        drop(held_s);
+        prop_assert_eq!(ledger(&runs), ledger(&singles));
+        prop_assert_eq!(runs.live_tasks(), singles.live_tasks());
+        runs.debug_validate();
+        singles.debug_validate();
     }
 }

@@ -24,7 +24,10 @@
 //!    `on_stage_idle`), closed by `debug_validate`, which locks the
 //!    world and asserts totals-vs-entries equality and region
 //!    membership, plus the counter balance
-//!    `admitted == released + expired + live`.
+//!    `admitted == released + expired + live`; and the same for
+//!    `release_batch` runs racing lock-free admits and `admit_batch` on
+//!    **one** shard, with the validator cutting in throughout and every
+//!    unit back at the end.
 
 use frap_core::admission::ExactContributions;
 use frap_core::fixed::fp_from_utilization;
@@ -32,7 +35,7 @@ use frap_core::graph::TaskSpec;
 use frap_core::region::FeasibleRegion;
 use frap_core::task::StageId;
 use frap_core::time::{Time, TimeDelta};
-use frap_service::{AdmissionService, ShardedUtilization};
+use frap_service::{AdmissionService, BatchRequest, ServiceOutcome, ShardedUtilization};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -325,4 +328,83 @@ fn service_cas_admit_full_lifecycle_balances() {
         c.released + c.expired + service.live_tasks() as u64,
         "every admitted task must leave the books exactly once: {c:?}"
     );
+}
+
+/// `release_batch` raced against lock-free admits and `admit_batch` on
+/// the same shard: one thread admits singly, one in batches, each
+/// releasing what it holds in runs — so a run's ring drain pops the
+/// other thread's entries while that thread is still pushing, and files
+/// them for the other thread's next run to find in the map — while a
+/// third thread takes the validator's cut again and again. Nothing
+/// expires (deadlines outlast the test), so at the end every admitted
+/// ticket was released exactly once and every unit is back.
+#[test]
+fn release_runs_race_admits_on_one_shard_and_conserve_every_unit() {
+    let ms = TimeDelta::from_millis;
+    let specs = [
+        TaskSpec::pipeline(ms(60_000), &[ms(40), ms(10), ms(20)]).unwrap(),
+        TaskSpec::pipeline(ms(90_000), &[ms(10), ms(70), ms(10)]).unwrap(),
+        TaskSpec::pipeline(ms(120_000), &[ms(5), ms(5), ms(90)]).unwrap(),
+    ];
+    let service = AdmissionService::builder(
+        FeasibleRegion::deadline_monotonic(STAGES),
+        ExactContributions,
+    )
+    .shards(1)
+    .build();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut threads: Vec<_> = (0..2u64)
+        .map(|t| {
+            let service = service.clone();
+            let stop = Arc::clone(&stop);
+            let specs = specs.clone();
+            std::thread::spawn(move || {
+                let mut rng = 0xBA7C4 ^ t << 20;
+                let mut held = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    let run = 1 + (next(&mut rng) % 24) as usize;
+                    let pick = |rng: &mut u64| &specs[(next(rng) % specs.len() as u64) as usize];
+                    if t == 0 {
+                        held.extend((0..run).filter_map(|_| service.try_admit(pick(&mut rng))));
+                    } else {
+                        let reqs: Vec<BatchRequest<'_>> = (0..run)
+                            .map(|_| BatchRequest::new(pick(&mut rng)))
+                            .collect();
+                        let outcomes = service.admit_batch(&reqs);
+                        held.extend(outcomes.into_iter().filter_map(ServiceOutcome::ticket));
+                    }
+                    // Release some of what is held, oldest first or not
+                    // at all, so runs mix ringed and filed entries.
+                    let keep = (next(&mut rng) % 3) as usize * held.len() / 4;
+                    service.release_batch(held.drain(keep..));
+                }
+                service.release_batch(held);
+            })
+        })
+        .collect();
+    threads.push({
+        let service = service.clone();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                service.debug_validate();
+                std::thread::yield_now();
+            }
+        })
+    });
+
+    std::thread::sleep(std::time::Duration::from_millis(400));
+    stop.store(true, Ordering::Relaxed);
+    for t in threads {
+        t.join().unwrap();
+    }
+
+    service.debug_validate();
+    let c = service.counters();
+    assert!(c.admitted > 0, "nothing admitted: {c:?}");
+    assert_eq!(c.released, c.admitted, "each ticket exactly once: {c:?}");
+    assert!(c.released_in_ring <= c.released, "{c:?}");
+    assert_eq!((c.expired, c.shed, service.live_tasks()), (0, 0, 0));
+    assert_eq!(service.utilizations(), vec![0.0; STAGES], "a unit was lost");
 }
