@@ -25,9 +25,14 @@ use std::collections::BTreeMap;
 ///
 /// The structure is immutable once built, so clones share one refcounted
 /// allocation: cloning a [`TaskSpec`] (which workload generators do once
-/// per arrival) costs an `Arc` bump instead of a deep copy of four
-/// vectors. `Arc` rather than `Rc` keeps specs `Send` for the concurrent
-/// admission service.
+/// per arrival) costs an `Arc` bump. `Arc` rather than `Rc` keeps specs
+/// `Send` for the concurrent admission service.
+///
+/// A graph stores only what differs between two tasks: its subtasks and
+/// their per-stage demand. Edge lists exist only for shapes other than the
+/// chain `0 -> 1 -> … -> n-1`, whose edges are a function of `n` and are
+/// read from one shared index table (DESIGN.md §11). However such a chain
+/// is built, it has that one form, so equality stays structural.
 ///
 /// # Examples
 ///
@@ -58,28 +63,86 @@ pub struct TaskGraph {
 #[derive(Debug, PartialEq)]
 struct GraphInner {
     subtasks: Vec<SubtaskSpec>,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
-    topo: Vec<usize>,
     /// Per-stage demand `C_ij` summed over subtasks, ascending by stage —
     /// precomputed once so the admission hot path (contributions per
     /// arrival) is a plain walk instead of a merge + sort per request.
     stage_demand: Vec<(StageId, TimeDelta)>,
+    /// `None` for the chain `0 -> 1 -> … -> n-1` of at most
+    /// [`CHAIN_TABLE`] subtasks, whose edges are slices of [`INDEX`].
+    edges: Option<Box<Edges>>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Edges {
+    preds: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
+    topo: Vec<usize>,
+}
+
+/// The longest chain stored without edge lists: the wire format's stage
+/// limit. A longer chain keeps explicit [`Edges`].
+const CHAIN_TABLE: usize = 1024;
+
+/// `INDEX[i] == i`: node `i` of an edge-less chain has predecessors
+/// `INDEX[i-1..i]` and successors `INDEX[i+1..i+2]`, and the topological
+/// order is `INDEX[..n]`.
+static INDEX: [usize; CHAIN_TABLE] = {
+    let mut table = [0; CHAIN_TABLE];
+    let mut i = 0;
+    while i < CHAIN_TABLE {
+        table[i] = i;
+        i += 1;
+    }
+    table
+};
+
+/// The index table cut to an edge-less chain of `n` nodes.
+///
+/// # Panics
+///
+/// Panics if `index >= n`, as indexing an edge list would.
+fn chain_ids(n: usize, index: usize) -> &'static [usize] {
+    assert!(index < n, "subtask {index} of a {n}-subtask chain");
+    &INDEX[..n]
+}
+
+/// Successors of node `index` in the edge-less chain of `n` nodes.
+fn chain_succs(n: usize, index: usize) -> &'static [usize] {
+    &chain_ids(n, index)[index + 1..n.min(index + 2)]
 }
 
 /// Merges per-subtask computation into per-stage totals, ascending by
 /// stage. Summed in `TimeDelta` (integer microseconds), exactly as the
 /// on-demand merge used to.
 fn merged_stage_demand(subtasks: &[SubtaskSpec]) -> Vec<(StageId, TimeDelta)> {
-    let mut v: Vec<(StageId, TimeDelta)> = Vec::new();
+    let mut v: Vec<(StageId, TimeDelta)> = Vec::with_capacity(subtasks.len());
+    // Stages strictly ascending so far (every `pipeline()` chain all the
+    // way): each subtask is a new last entry, no search and no sort.
+    let mut ascending = true;
     for s in subtasks {
+        if ascending && v.last().is_none_or(|&(last, _)| last < s.stage) {
+            v.push((s.stage, s.computation()));
+            continue;
+        }
+        ascending = false;
         match v.iter_mut().find(|(stage, _)| *stage == s.stage) {
             Some(slot) => slot.1 += s.computation(),
             None => v.push((s.stage, s.computation())),
         }
     }
-    v.sort_unstable_by_key(|&(stage, _)| stage);
+    if !ascending {
+        v.sort_unstable_by_key(|&(stage, _)| stage);
+    }
     v
+}
+
+/// The first subtask without segments, as the error both constructors
+/// return.
+fn check_segments(subtasks: &[SubtaskSpec]) -> Result<(), GraphError> {
+    match subtasks.iter().position(|s| s.segments.is_empty()) {
+        Some(index) => Err(GraphError::EmptySubtask { index }),
+        None => Ok(()),
+    }
 }
 
 impl PartialEq for TaskGraph {
@@ -90,11 +153,15 @@ impl PartialEq for TaskGraph {
 
 impl std::fmt::Debug for TaskGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let nodes = 0..self.len();
         f.debug_struct("TaskGraph")
             .field("subtasks", &self.inner.subtasks)
-            .field("preds", &self.inner.preds)
-            .field("succs", &self.inner.succs)
-            .field("topo", &self.inner.topo)
+            .field(
+                "preds",
+                &nodes.clone().map(|i| self.preds(i)).collect::<Vec<_>>(),
+            )
+            .field("succs", &nodes.map(|i| self.succs(i)).collect::<Vec<_>>())
+            .field("topo", &self.topological_order())
             .finish()
     }
 }
@@ -110,10 +177,12 @@ impl TaskGraph {
 
     /// A pipeline: subtasks executed strictly in order.
     ///
-    /// A chain's precedence structure is known up front, so this skips the
-    /// general builder (edge list, deduplication, Kahn's algorithm) —
+    /// A chain's precedence structure is a function of its length, so up
+    /// to the index table's 1024 subtasks this stores no edges and skips
+    /// the general builder (edge list, deduplication, Kahn's algorithm) —
     /// workload generators construct one graph per arrival, making this
-    /// the hottest graph constructor by far.
+    /// the hottest graph constructor by far. [`TaskGraphBuilder::build`]
+    /// given exactly the edges `i -> i+1` returns the same graph.
     ///
     /// # Errors
     ///
@@ -124,23 +193,33 @@ impl TaskGraph {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        for (i, s) in subtasks.iter().enumerate() {
-            if s.segments.is_empty() {
-                return Err(GraphError::EmptySubtask { index: i });
-            }
+        if n > CHAIN_TABLE {
+            // Past the index table a chain keeps edge lists: the general
+            // form, from the general builder.
+            let edges = (1..n).map(|i| (i - 1, i)).collect();
+            return TaskGraphBuilder { subtasks, edges }.build();
         }
-        let preds = (0..n).map(|i| if i == 0 { Vec::new() } else { vec![i - 1] });
-        let succs = (0..n).map(|i| if i + 1 < n { vec![i + 1] } else { Vec::new() });
+        check_segments(&subtasks)?;
+        Ok(TaskGraph::from_parts(subtasks, None))
+    }
+
+    /// The chain [`TaskSpec::pipeline`] describes: subtask `j` on stage `j`.
+    pub(crate) fn pipeline(
+        computations: impl Iterator<Item = TimeDelta>,
+    ) -> Result<TaskGraph, GraphError> {
+        let stage_subtask = |(j, c)| SubtaskSpec::new(StageId::new(j), c);
+        TaskGraph::chain(computations.enumerate().map(stage_subtask).collect())
+    }
+
+    fn from_parts(subtasks: Vec<SubtaskSpec>, edges: Option<Box<Edges>>) -> TaskGraph {
         let stage_demand = merged_stage_demand(&subtasks);
-        Ok(TaskGraph {
+        TaskGraph {
             inner: std::sync::Arc::new(GraphInner {
                 subtasks,
-                preds: preds.collect(),
-                succs: succs.collect(),
-                topo: (0..n).collect(),
                 stage_demand,
+                edges,
             }),
-        })
+        }
     }
 
     /// A fork-join graph: `head` then all of `branches` in parallel, then
@@ -156,15 +235,16 @@ impl TaskGraph {
     ) -> Result<TaskGraph, GraphError> {
         let mut b = TaskGraph::builder();
         let h = b.add(head);
-        let t_ids: Vec<usize> = branches.into_iter().map(|s| b.add(s)).collect();
-        let t = b.add(tail);
-        if t_ids.is_empty() {
+        let t = h + branches.len() + 1;
+        if branches.is_empty() {
             b.edge(h, t);
         }
-        for id in t_ids {
+        for branch in branches {
+            let id = b.add(branch);
             b.edge(h, id);
             b.edge(id, t);
         }
+        b.add(tail);
         b.build()
     }
 
@@ -195,38 +275,51 @@ impl TaskGraph {
 
     /// Predecessors of subtask `index`.
     pub fn preds(&self, index: usize) -> &[usize] {
-        &self.inner.preds[index]
+        match &self.inner.edges {
+            Some(edges) => &edges.preds[index],
+            None => &chain_ids(self.len(), index)[index.saturating_sub(1)..index],
+        }
     }
 
     /// Successors of subtask `index`.
     pub fn succs(&self, index: usize) -> &[usize] {
-        &self.inner.succs[index]
+        match &self.inner.edges {
+            Some(edges) => &edges.succs[index],
+            None => chain_succs(self.len(), index),
+        }
     }
 
     /// Subtask indices with no predecessors (released at task arrival).
     pub fn sources(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&i| self.inner.preds[i].is_empty())
+            .filter(|&i| self.preds(i).is_empty())
             .collect()
     }
 
     /// Subtask indices with no successors (task departs when all finish).
     pub fn sinks(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&i| self.inner.succs[i].is_empty())
+            .filter(|&i| self.succs(i).is_empty())
             .collect()
     }
 
     /// A topological order of subtask indices.
     pub fn topological_order(&self) -> &[usize] {
-        &self.inner.topo
+        match &self.inner.edges {
+            Some(edges) => &edges.topo,
+            None => &INDEX[..self.len()],
+        }
     }
 
-    /// Whether the graph is a single chain (a pipeline).
+    /// Whether the graph is a single chain (a pipeline). Allocates
+    /// nothing, and is O(1) for a chain stored without edge lists.
     pub fn is_chain(&self) -> bool {
-        self.sources().len() == 1
-            && (0..self.len())
-                .all(|i| self.inner.succs[i].len() <= 1 && self.inner.preds[i].len() <= 1)
+        let Some(edges) = &self.inner.edges else {
+            return true;
+        };
+        edges.preds.iter().filter(|p| p.is_empty()).count() == 1
+            && edges.preds.iter().all(|p| p.len() <= 1)
+            && edges.succs.iter().all(|s| s.len() <= 1)
     }
 
     /// The distinct stages used by this graph, in ascending order.
@@ -288,8 +381,9 @@ impl TaskGraph {
             spilled.resize(n, 0.0);
             &mut spilled
         };
-        for &i in &self.inner.topo {
-            let start = self.inner.preds[i]
+        for &i in self.topological_order() {
+            let start = self
+                .preds(i)
                 .iter()
                 .map(|&p| finish[p])
                 .fold(0.0f64, f64::max);
@@ -304,20 +398,11 @@ impl TaskGraph {
     /// task is bound to one replica at admission time (the analysis then
     /// applies per replica exactly as for any other stage).
     pub fn remap_stages(&self, f: impl Fn(StageId) -> StageId) -> TaskGraph {
-        let mut inner = GraphInner {
-            subtasks: self.inner.subtasks.clone(),
-            preds: self.inner.preds.clone(),
-            succs: self.inner.succs.clone(),
-            topo: self.inner.topo.clone(),
-            stage_demand: Vec::new(),
-        };
-        for sub in &mut inner.subtasks {
+        let mut subtasks = self.inner.subtasks.clone();
+        for sub in &mut subtasks {
             sub.stage = f(sub.stage);
         }
-        inner.stage_demand = merged_stage_demand(&inner.subtasks);
-        TaskGraph {
-            inner: std::sync::Arc::new(inner),
-        }
+        TaskGraph::from_parts(subtasks, self.inner.edges.clone())
     }
 
     /// Like [`TaskGraph::longest_path`] but returns the subtask indices of
@@ -330,9 +415,9 @@ impl TaskGraph {
         assert_eq!(delays.len(), self.len());
         let mut finish = vec![0.0f64; self.len()];
         let mut via: Vec<Option<usize>> = vec![None; self.len()];
-        for &i in &self.inner.topo {
+        for &i in self.topological_order() {
             let mut start = 0.0;
-            for &p in &self.inner.preds[i] {
+            for &p in self.preds(i) {
                 if finish[p] > start {
                     start = finish[p];
                     via[i] = Some(p);
@@ -441,11 +526,7 @@ impl TaskGraphBuilder {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        for (i, s) in self.subtasks.iter().enumerate() {
-            if s.segments.is_empty() {
-                return Err(GraphError::EmptySubtask { index: i });
-            }
-        }
+        check_segments(&self.subtasks)?;
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(from, to) in &self.edges {
@@ -469,6 +550,12 @@ impl TaskGraphBuilder {
             }
         }
 
+        // Exactly the edges `i -> i+1`: the one form such a chain has.
+        if n <= CHAIN_TABLE && (0..n).all(|i| succs[i] == chain_succs(n, i)) {
+            let subtasks = std::mem::take(&mut self.subtasks);
+            return Ok(TaskGraph::from_parts(subtasks, None));
+        }
+
         // Kahn's algorithm for a deterministic topological order.
         let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
         let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
@@ -490,17 +577,11 @@ impl TaskGraphBuilder {
             return Err(GraphError::Cycle);
         }
 
-        let subtasks = std::mem::take(&mut self.subtasks);
-        let stage_demand = merged_stage_demand(&subtasks);
-        Ok(TaskGraph {
-            inner: std::sync::Arc::new(GraphInner {
-                subtasks,
-                preds,
-                succs,
-                topo,
-                stage_demand,
-            }),
-        })
+        let edges = Box::new(Edges { preds, succs, topo });
+        Ok(TaskGraph::from_parts(
+            std::mem::take(&mut self.subtasks),
+            Some(edges),
+        ))
     }
 }
 
@@ -557,12 +638,8 @@ impl TaskSpec {
         deadline: TimeDelta,
         computations: &[TimeDelta],
     ) -> Result<TaskSpec, GraphError> {
-        let subtasks = computations
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| SubtaskSpec::new(StageId::new(j), c))
-            .collect();
-        Ok(TaskSpec::new(deadline, TaskGraph::chain(subtasks)?))
+        let graph = TaskGraph::pipeline(computations.iter().copied())?;
+        Ok(TaskSpec::new(deadline, graph))
     }
 
     /// Sets the semantic importance (builder style).
@@ -651,6 +728,65 @@ mod tests {
         assert_eq!(g.sinks(), vec![2]);
         assert_eq!(g.topological_order(), &[0, 1, 2]);
         assert_eq!(g.total_computation(), ms(6));
+    }
+
+    #[test]
+    fn chain_keeps_no_edge_lists_up_to_the_index_table() {
+        let by_edges = |n: usize| {
+            let mut b = TaskGraph::builder();
+            for i in 0..n {
+                b.add(sub(i, 1));
+            }
+            // Out of order and one of them twice: still exactly `i -> i+1`.
+            for i in (1..n).rev().chain([1]) {
+                b.edge(i - 1, i);
+            }
+            b.build().unwrap()
+        };
+        for n in [1, 2, 3, CHAIN_TABLE] {
+            let g = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
+            assert!(g.inner.edges.is_none(), "chain of {n}");
+            assert!(
+                n == 1 || by_edges(n).inner.edges.is_none(),
+                "built chain of {n}"
+            );
+            assert_eq!(g.succs(n - 1), &[] as &[usize]);
+            assert_eq!(g.preds(n - 1), &INDEX[n.saturating_sub(2)..n - 1]);
+        }
+        // One past the table: the general form, the same from both.
+        let n = CHAIN_TABLE + 1;
+        let long = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
+        assert!(long.inner.edges.is_some());
+        assert!(long.is_chain());
+        assert_eq!(long, by_edges(n));
+        assert_eq!(long.preds(n - 1), &[n - 2]);
+        assert_eq!(long.topological_order().len(), n);
+        // A chain in any other order keeps its edges.
+        let mut b = TaskGraph::builder();
+        let (a, c) = (b.add(sub(0, 1)), b.add(sub(1, 1)));
+        b.edge(c, a);
+        let reversed = b.build().unwrap();
+        assert!(reversed.inner.edges.is_some() && reversed.is_chain());
+        assert_eq!(reversed.topological_order(), &[1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subtask 3 of a 3-subtask chain")]
+    fn chain_edge_accessors_check_the_index() {
+        let g = TaskGraph::chain(vec![sub(0, 1), sub(1, 2), sub(2, 3)]).unwrap();
+        g.preds(3);
+    }
+
+    #[test]
+    fn stage_demand_is_sorted_whatever_the_stage_order() {
+        let demand = |stages: &[usize]| {
+            let subs = stages.iter().map(|&s| sub(s, 1)).collect();
+            TaskGraph::chain(subs).unwrap().stage_demands().to_vec()
+        };
+        let at = |s: usize, c: u64| (StageId::new(s), ms(c));
+        assert_eq!(demand(&[0, 1, 2]), [at(0, 1), at(1, 1), at(2, 1)]);
+        assert_eq!(demand(&[0, 2, 1]), [at(0, 1), at(1, 1), at(2, 1)]);
+        assert_eq!(demand(&[1, 3, 3, 0, 1]), [at(0, 1), at(1, 2), at(3, 2)]);
     }
 
     #[test]

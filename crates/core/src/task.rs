@@ -52,21 +52,27 @@ impl fmt::Display for StageId {
 /// protocol) local to one stage.
 ///
 /// Lock indices are dense per stage: lock `k` of stage `j` is unrelated to
-/// lock `k` of stage `j'`.
+/// lock `k` of stage `j'`. Stored in 32 bits, which keeps a [`Segment`] at
+/// 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct LockId(usize);
+pub struct LockId(u32);
 
 impl LockId {
     /// Creates a lock identifier from its dense per-stage index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in 32 bits.
     #[inline]
     pub const fn new(index: usize) -> Self {
-        LockId(index)
+        assert!(index <= u32::MAX as usize, "lock index exceeds 32 bits");
+        LockId(index as u32)
     }
 
     /// The dense per-stage index of this lock.
     #[inline]
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -228,6 +234,49 @@ impl Segment {
     }
 }
 
+/// The ordered segments of one subtask, read as a `[Segment]` slice.
+///
+/// Almost every subtask is a single lock-free segment, so one segment is
+/// held inline and only other lengths spill to a `Vec`. The form is a
+/// function of the length alone, so the derived equality and hash go by
+/// content.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Segments(SegmentsRepr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum SegmentsRepr {
+    One(Segment),
+    /// Never exactly one segment.
+    Many(Vec<Segment>),
+}
+
+impl std::ops::Deref for Segments {
+    type Target = [Segment];
+
+    #[inline]
+    fn deref(&self) -> &[Segment] {
+        match &self.0 {
+            SegmentsRepr::One(segment) => std::slice::from_ref(segment),
+            SegmentsRepr::Many(segments) => segments,
+        }
+    }
+}
+
+impl From<Vec<Segment>> for Segments {
+    fn from(mut segments: Vec<Segment>) -> Segments {
+        Segments(match segments.len() {
+            1 => SegmentsRepr::One(segments.pop().expect("one segment")),
+            _ => SegmentsRepr::Many(segments),
+        })
+    }
+}
+
+impl fmt::Debug for Segments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One unit of work on one stage: the paper's subtask `T_ij` with
 /// computation time `C_ij` (here the sum of its segment durations).
 ///
@@ -254,21 +303,26 @@ pub struct SubtaskSpec {
     /// The stage (independent resource) this subtask executes on.
     pub stage: StageId,
     /// Ordered execution segments; must be non-empty for a runnable subtask.
-    pub segments: Vec<Segment>,
+    pub segments: Segments,
 }
 
 impl SubtaskSpec {
     /// A plain (lock-free) subtask on `stage` with computation time `c`.
+    /// Allocates nothing.
+    #[inline]
     pub fn new(stage: StageId, c: TimeDelta) -> Self {
         SubtaskSpec {
             stage,
-            segments: vec![Segment::compute(c)],
+            segments: Segments(SegmentsRepr::One(Segment::compute(c))),
         }
     }
 
     /// A subtask built from explicit segments (for critical sections).
     pub fn with_segments(stage: StageId, segments: Vec<Segment>) -> Self {
-        SubtaskSpec { stage, segments }
+        SubtaskSpec {
+            stage,
+            segments: segments.into(),
+        }
     }
 
     /// Total computation time `C_ij` (sum of segment durations).
@@ -334,9 +388,32 @@ mod tests {
     }
 
     #[test]
+    fn segments_compare_and_print_by_content() {
+        let c = Segment::compute(TimeDelta::from_millis(5));
+        let plain = SubtaskSpec::new(StageId::new(0), c.duration);
+        // One segment is held inline however the subtask was built.
+        let listed = SubtaskSpec::with_segments(StageId::new(0), vec![c.clone()]);
+        assert_eq!(plain, listed);
+        assert!(matches!(listed.segments.0, SegmentsRepr::One(_)));
+        assert_eq!(&*plain.segments, std::slice::from_ref(&c));
+        for list in [vec![], vec![c.clone()], vec![c.clone(), c.clone()]] {
+            let segments = Segments::from(list.clone());
+            assert_eq!(*segments, list[..]);
+            assert_eq!(format!("{segments:?}"), format!("{list:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lock index exceeds 32 bits")]
+    fn lock_index_past_32_bits_is_refused() {
+        LockId::new(u32::MAX as usize + 1);
+    }
+
+    #[test]
     fn ids_roundtrip() {
         assert_eq!(StageId::new(7).index(), 7);
         assert_eq!(LockId::new(3).index(), 3);
+        assert_eq!(LockId::new(u32::MAX as usize).index(), u32::MAX as usize);
         assert_eq!(TaskId::new(42).seq(), 42);
         assert_eq!(Priority::new(9).key(), 9);
         assert_eq!(Importance::new(5).level(), 5);

@@ -30,7 +30,7 @@
 //! ```
 
 use crate::error::GraphError;
-use crate::graph::TaskSpec;
+use crate::graph::{TaskGraph, TaskSpec};
 use crate::task::Importance;
 use crate::time::TimeDelta;
 
@@ -89,13 +89,10 @@ impl WireTaskSpec {
     /// Returns [`GraphError::Empty`] when `stage_demands_us` is empty
     /// (a task must visit at least one stage).
     pub fn to_spec(&self) -> Result<TaskSpec, GraphError> {
-        let comps: Vec<TimeDelta> = self
-            .stage_demands_us
-            .iter()
-            .map(|&us| TimeDelta::from_micros(us))
-            .collect();
+        let demands = self.stage_demands_us.iter();
+        let graph = TaskGraph::pipeline(demands.map(|&us| TimeDelta::from_micros(us)))?;
         Ok(
-            TaskSpec::pipeline(TimeDelta::from_micros(self.deadline_us), &comps)?
+            TaskSpec::new(TimeDelta::from_micros(self.deadline_us), graph)
                 .with_importance(Importance::new(self.importance)),
         )
     }
@@ -109,7 +106,6 @@ impl WireTaskSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TaskGraph;
     use crate::task::{StageId, SubtaskSpec};
 
     fn ms(v: u64) -> TimeDelta {

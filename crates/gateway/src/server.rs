@@ -634,8 +634,13 @@ struct WakeBatch {
     scratch_frame: Vec<u8>,
     /// Interned task graphs keyed by stage-demand vector. Task streams
     /// tend to reuse a bounded set of shapes, and a [`TaskGraph`] is
-    /// immutable behind an `Arc` — so a hit turns ~10 allocations of
-    /// graph construction into one atomic increment.
+    /// immutable behind an `Arc` — so a hit turns building the chain into
+    /// one atomic increment. A miss is 3 allocations and ≈ 250 ns for a
+    /// 3-stage chain that stays on the heap (≈ 110 ns when it is freed at
+    /// once) — still over half of the ≈ 400 ns a rejected request costs
+    /// end to end, which is why the cache stays. An entry is its key plus
+    /// 72 + 48 B per stage of graph: ≈ 0.3 KiB for 3 stages with the
+    /// allocator's headers, ≈ 2.5 MiB per worker at [`GRAPH_CACHE_CAP`].
     graphs: GraphCache,
 }
 

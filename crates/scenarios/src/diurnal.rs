@@ -11,6 +11,7 @@
 //! right admission test for it. The request class doubles as the tenant
 //! label: 0 = static, 1 = dynamic, 2 = report.
 
+use crate::spec::reserve_arrivals;
 use frap_core::time::Time;
 use frap_workload::arrivals::{ArrivalProcess, PoissonProcess};
 use frap_workload::replay::ArrivalTrace;
@@ -66,6 +67,9 @@ impl DiurnalConfig {
             "diurnal peak={} day={}s trough={} seed={}",
             self.farm.rate, self.day, self.trough, self.farm.seed
         ));
+        // A quarter day in, the raised cosine is at its mean over a day.
+        let mean_rate = self.rate_at(self.day / 4.0);
+        reserve_arrivals(&mut trace, mean_rate, horizon);
         let mut t = Time::ZERO;
         loop {
             t += poisson.next_gap(&mut rng);

@@ -10,7 +10,7 @@
 //! crowd work to protect organic work, which the per-tenant report rows
 //! make visible.
 
-use crate::spec::tenant_capped;
+use crate::spec::{reserve_arrivals, tenant_capped};
 use frap_core::graph::TaskSpec;
 use frap_core::task::Importance;
 use frap_core::time::{Time, TimeDelta};
@@ -86,6 +86,11 @@ impl FlashConfig {
             "flash base={} x{} onset={} decay={} seed={}",
             self.base_rate, self.multiplier, self.onset_frac, self.decay_frac, self.seed
         ));
+        // Mean of `rate_at` over the horizon: the base rate plus the
+        // integral of the decaying crowd from onset to the end.
+        let crowd = self.decay_frac * (1.0 - (-(1.0 - self.onset_frac) / self.decay_frac).exp());
+        let mean_rate = self.base_rate * (1.0 + (self.multiplier - 1.0) * crowd);
+        reserve_arrivals(&mut trace, mean_rate, horizon);
         let mut t = Time::ZERO;
         loop {
             t += poisson.next_gap(&mut rng);
@@ -104,8 +109,7 @@ impl FlashConfig {
             } else {
                 (1, Importance::new(1))
             };
-            let demands: Vec<TimeDelta> =
-                (0..STAGES).map(|_| work.sample_delta(&mut rng)).collect();
+            let demands: [TimeDelta; STAGES] = std::array::from_fn(|_| work.sample_delta(&mut rng));
             let spec = TaskSpec::pipeline(deadline.sample_delta(&mut rng), &demands)
                 .expect("non-empty pipeline")
                 .with_importance(importance);

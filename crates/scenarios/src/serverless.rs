@@ -10,7 +10,7 @@
 //! controller exists to absorb. Function popularity is Zipf-like and
 //! the function id doubles as the trace's tenant label.
 
-use crate::spec::tenant_capped;
+use crate::spec::{reserve_arrivals, tenant_capped};
 use frap_core::graph::TaskSpec;
 use frap_core::task::Importance;
 use frap_core::time::{Time, TimeDelta};
@@ -86,6 +86,7 @@ impl ServerlessConfig {
             "serverless rate={} functions={} seed={}",
             self.rate, self.functions, self.seed
         ));
+        reserve_arrivals(&mut trace, self.rate, horizon);
         let mut t = Time::ZERO;
         loop {
             t += poisson.next_gap(&mut rng);

@@ -7,7 +7,7 @@
 //! the setting the OPA-style priority search (ROADMAP item 4) will
 //! evaluate utility against.
 
-use crate::spec::tenant_capped;
+use crate::spec::{reserve_arrivals, tenant_capped};
 use frap_core::graph::TaskSpec;
 use frap_core::task::Importance;
 use frap_core::time::{Time, TimeDelta};
@@ -100,6 +100,7 @@ impl MultiTenantConfig {
             self.classes.len(),
             self.seed
         ));
+        reserve_arrivals(&mut trace, self.rate, horizon);
         let mut t = Time::ZERO;
         loop {
             t += poisson.next_gap(&mut rng);
@@ -119,8 +120,7 @@ impl MultiTenantConfig {
             let class = &self.classes[tenant];
             let work = Exponential::new(class.mean_total / STAGES as f64);
             let deadline = Uniform::new(class.deadline.0, class.deadline.1);
-            let demands: Vec<TimeDelta> =
-                (0..STAGES).map(|_| work.sample_delta(&mut rng)).collect();
+            let demands: [TimeDelta; STAGES] = std::array::from_fn(|_| work.sample_delta(&mut rng));
             let spec = TaskSpec::pipeline(deadline.sample_delta(&mut rng), &demands)
                 .expect("non-empty pipeline")
                 .with_importance(Importance::new(class.importance));

@@ -318,6 +318,17 @@ pub fn render_trace(trace: &ArrivalTrace) -> String {
     out
 }
 
+/// Parses one integer field into the type that stores it: a value that
+/// does not fit is refused like any other malformed number, never
+/// truncated.
+fn num<T: std::str::FromStr>(line: usize, s: &str, what: &'static str) -> Result<T, ReplayError> {
+    s.parse().map_err(|_| ReplayError::InvalidNumber {
+        line,
+        what,
+        text: s.to_string(),
+    })
+}
+
 /// Parses either trace format (v1 or v2) into an [`ArrivalTrace`].
 ///
 /// v1 lines yield tenant 0; a v2 trailing tenant field and `# scenario:`
@@ -358,16 +369,10 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
                 got: fields.len(),
             });
         }
-        let parse_u64 = |s: &str, what: &'static str| -> Result<u64, ReplayError> {
-            s.parse().map_err(|_| ReplayError::InvalidNumber {
-                line,
-                what,
-                text: s.to_string(),
-            })
-        };
-        let arrival = Time::from_micros(parse_u64(fields[0], "arrival time")?);
-        let deadline = TimeDelta::from_micros(parse_u64(fields[1], "deadline")?);
-        let importance = Importance::new(parse_u64(fields[2], "importance")? as u32);
+        let micros = |s, what| num::<u64>(line, s, what);
+        let arrival = Time::from_micros(micros(fields[0], "arrival time")?);
+        let deadline = TimeDelta::from_micros(micros(fields[1], "deadline")?);
+        let importance = Importance::new(num(line, fields[2], "importance")?);
 
         let mut builder = TaskGraph::builder();
         for node in fields[3].split(';') {
@@ -377,18 +382,17 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
                         line,
                         node: node.to_string(),
                     })?;
-            let stage = StageId::new(parse_u64(stage_s, "stage")? as usize);
+            let stage = StageId::new(num(line, stage_s, "stage")?);
             let mut segments = Vec::new();
             for seg in segs_s.split('|') {
                 let segment = match seg.split_once('@') {
                     Some((dur, lock)) => Segment::critical(
-                        TimeDelta::from_micros(parse_u64(dur, "segment duration")?),
-                        LockId::new(parse_u64(lock, "lock")? as usize),
+                        TimeDelta::from_micros(micros(dur, "segment duration")?),
+                        LockId::new(num::<u32>(line, lock, "lock")? as usize),
                     ),
-                    None => Segment::compute(TimeDelta::from_micros(parse_u64(
-                        seg,
-                        "segment duration",
-                    )?)),
+                    None => {
+                        Segment::compute(TimeDelta::from_micros(micros(seg, "segment duration")?))
+                    }
                 };
                 segments.push(segment);
             }
@@ -402,10 +406,7 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
                         line,
                         edge: edge.to_string(),
                     })?;
-                builder.edge(
-                    parse_u64(a, "edge source")? as usize,
-                    parse_u64(b, "edge target")? as usize,
-                );
+                builder.edge(num(line, a, "edge source")?, num(line, b, "edge target")?);
             }
         }
         let graph = builder.build().map_err(|e| ReplayError::InvalidGraph {
@@ -413,7 +414,7 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
             reason: e.to_string(),
         })?;
         let tenant = match fields.get(5) {
-            Some(s) => parse_u64(s, "tenant")? as u32,
+            Some(s) => num(line, s, "tenant")?,
             None => 0,
         };
         trace.push(
@@ -662,6 +663,38 @@ mod tests {
         }
     }
 
+    /// `2^32 + 1` in a 32-bit field: refused, not read as 1.
+    fn refused(text: &str, field: &'static str) {
+        match parse_trace(text).unwrap_err() {
+            ReplayError::InvalidNumber { line, what, text } => {
+                assert_eq!((line, what, text.as_str()), (2, field, "4294967297"));
+            }
+            other => panic!("unexpected: {other}"),
+        }
+    }
+
+    #[test]
+    fn importance_that_does_not_fit_is_refused() {
+        refused("# frap-arrivals v2\n1,2,4294967297,0:5,-,0\n", "importance");
+        let ok = parse_trace("1,2,4294967295,0:5,-\n").unwrap();
+        assert_eq!(ok.records[0].spec.importance, Importance::CRITICAL);
+    }
+
+    #[test]
+    fn tenant_that_does_not_fit_is_refused() {
+        refused("# frap-arrivals v2\n1,2,0,0:5,-,4294967297\n", "tenant");
+        let ok = parse_trace("1,2,0,0:5,-,4294967295\n").unwrap();
+        assert_eq!(ok.records[0].tenant, u32::MAX);
+    }
+
+    #[test]
+    fn lock_that_does_not_fit_is_refused() {
+        refused("# frap-arrivals v2\n1,2,0,0:5@4294967297,-,0\n", "lock");
+        let ok = parse_trace("1,2,0,0:5@4294967295,-\n").unwrap();
+        let lock = ok.records[0].spec.graph.subtask(0).segments[0].lock;
+        assert_eq!(lock, Some(LockId::new(u32::MAX as usize)));
+    }
+
     #[test]
     fn malformed_node_error_carries_line() {
         match parse_arrivals("# header\n\n1,2,0,500,-\n").unwrap_err() {
@@ -714,6 +747,38 @@ mod tests {
                 assert_eq!(what, "tenant");
             }
             other => panic!("unexpected: {other}"),
+        }
+    }
+
+    proptest::proptest! {
+        /// Chains (plain and with critical sections), fork-joins and
+        /// tenants survive the text form exactly, and a chain comes back
+        /// as small as it was generated.
+        #[test]
+        fn parse_inverts_render(seed in proptest::num::u64::ANY, stages in 1usize..6) {
+            let locked = PipelineWorkloadBuilder::new(stages)
+                .critical_sections(CriticalSectionConfig {
+                    probability: 0.5,
+                    fraction: 0.3,
+                    locks_per_stage: 3,
+                })
+                .seed(seed);
+            let forked = DagWorkload::new(stages + 2, 0.005, 50.0, 30.0, seed);
+            let mut trace = ArrivalTrace::new().with_scenario(format!("roundtrip seed={seed}"));
+            for (i, (t, spec)) in locked.build().take(8).chain(forked.take(8)).enumerate() {
+                trace.push(t, spec.with_importance(Importance::new(i as u32)), seed as u32);
+            }
+            let loaded = parse_trace(&render_trace(&trace)).unwrap();
+            proptest::prop_assert_eq!(&loaded, &trace);
+            for graph in loaded.records.iter().map(|r| &r.spec.graph) {
+                let in_order = graph.topological_order().windows(2).all(|w| w[0] < w[1]);
+                if graph.is_chain() && in_order {
+                    // Equality is structural, so equal to what `chain`
+                    // builds means stored as `chain` stores it.
+                    let chain = TaskGraph::chain(graph.subtasks().cloned().collect()).unwrap();
+                    proptest::prop_assert_eq!(graph, &chain);
+                }
+            }
         }
     }
 
