@@ -11,38 +11,58 @@
 //! * the `(time, insertion sequence)` ordering pair is packed into a
 //!   single `u128` key, so heap sift comparisons are one integer compare
 //!   instead of a lexicographic tuple compare;
-//! * [`EventQueue::with_capacity`] pre-sizes the heap so steady-state
+//! * the queue has **two tiers behind that one order**: a *near* heap for
+//!   events with a payload ([`EventQueue::push`]; in the simulator they
+//!   live microseconds and there are at most a few per stage) and a
+//!   payload-free *deadline* heap of bare keys
+//!   ([`EventQueue::push_deadline`]; one per admitted task, parked for a
+//!   whole relative deadline). Both draw their sequence number from the
+//!   same counter and a pop takes whichever tier's top key is smaller, so
+//!   the pop order is exactly that of a single heap — but a short-lived
+//!   event no longer sifts through hundreds of parked deadlines;
+//! * [`EventQueue::with_capacity`] pre-sizes both tiers so steady-state
 //!   simulations never reallocate;
-//! * [`EventQueue::push_all`] bulk-loads a batch (an `O(n)` heapify when
-//!   the queue is empty, reserve-then-push otherwise) with the same FIFO
-//!   tie-breaking as repeated [`EventQueue::push`];
 //! * [`EventQueue::pop_at_or_before`] fuses the peek-then-pop pattern of
-//!   the simulator's main loop into one heap access.
+//!   the simulator's main loop into one access.
 
 use frap_core::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A deterministic min-queue of `(Time, E)` entries with FIFO tie-breaking.
+/// What a pop hands back: a near-tier event's payload, or a deadline
+/// (which carries nothing but its time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fired<E> {
+    /// An event scheduled with [`EventQueue::push`].
+    Event(E),
+    /// A deadline scheduled with [`EventQueue::push_deadline`].
+    Deadline,
+}
+
+/// A deterministic min-queue of `(Time, E)` entries and payload-free
+/// deadlines with FIFO tie-breaking across both.
 ///
 /// # Examples
 ///
 /// ```
-/// use frap_sim::events::EventQueue;
+/// use frap_sim::events::{EventQueue, Fired};
 /// use frap_core::time::Time;
 ///
 /// let mut q = EventQueue::new();
 /// q.push(Time::from_secs(2), "later");
 /// q.push(Time::from_secs(1), "first");
-/// q.push(Time::from_secs(1), "second");
-/// assert_eq!(q.pop(), Some((Time::from_secs(1), "first")));
-/// assert_eq!(q.pop(), Some((Time::from_secs(1), "second")));
-/// assert_eq!(q.pop(), Some((Time::from_secs(2), "later")));
+/// q.push_deadline(Time::from_secs(1));
+/// q.push(Time::from_secs(1), "third");
+/// assert_eq!(q.pop(), Some((Time::from_secs(1), Fired::Event("first"))));
+/// assert_eq!(q.pop(), Some((Time::from_secs(1), Fired::Deadline)));
+/// assert_eq!(q.pop(), Some((Time::from_secs(1), Fired::Event("third"))));
+/// assert_eq!(q.pop(), Some((Time::from_secs(2), Fired::Event("later"))));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    near: BinaryHeap<Reverse<Entry<E>>>,
+    deadlines: BinaryHeap<Reverse<u128>>,
     seq: u64,
 }
 
@@ -89,113 +109,109 @@ impl<E> Ord for Entry<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> EventQueue<E> {
+        EventQueue::with_capacity(0, 0)
+    }
+
+    /// An empty queue pre-sized for `near` pending events and `deadlines`
+    /// pending deadlines.
+    pub fn with_capacity(near: usize, deadlines: usize) -> EventQueue<E> {
         EventQueue {
-            heap: BinaryHeap::new(),
+            near: BinaryHeap::with_capacity(near),
+            deadlines: BinaryHeap::with_capacity(deadlines),
             seq: 0,
         }
     }
 
-    /// An empty queue pre-sized for `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> EventQueue<E> {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
-        }
-    }
-
-    /// Reserves room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+    #[inline]
+    fn next_key(&mut self, time: Time) -> u128 {
+        let seq = self.seq;
+        self.seq += 1;
+        pack(time, seq)
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            key: pack(time, seq),
-            event,
-        }));
+        let key = self.next_key(time);
+        self.near.push(Reverse(Entry { key, event }));
     }
 
-    /// Schedules a batch of events. Equivalent to pushing each `(time,
-    /// event)` pair in iteration order (the FIFO tie-break follows the
-    /// batch order), but bulk-loads via an `O(n)` heapify when the queue
-    /// is empty.
-    pub fn push_all<I>(&mut self, events: I)
-    where
-        I: IntoIterator<Item = (Time, E)>,
-    {
-        let iter = events.into_iter();
-        if self.heap.is_empty() {
-            let mut entries: Vec<Reverse<Entry<E>>> = Vec::with_capacity(iter.size_hint().0);
-            for (time, event) in iter {
-                let seq = self.seq;
-                self.seq += 1;
-                entries.push(Reverse(Entry {
-                    key: pack(time, seq),
-                    event,
-                }));
-            }
-            // Preserve any pre-reserved capacity beyond the batch size.
-            let mut heap = std::mem::take(&mut self.heap).into_vec();
-            heap.append(&mut entries);
-            self.heap = BinaryHeap::from(heap);
-        } else {
-            self.heap.reserve(iter.size_hint().0);
-            for (time, event) in iter {
-                self.push(time, event);
-            }
+    /// Schedules a deadline at `time`: it pops as [`Fired::Deadline`], in
+    /// the same `(time, insertion)` order as every pushed event.
+    pub fn push_deadline(&mut self, time: Time) {
+        let key = self.next_key(time);
+        self.deadlines.push(Reverse(key));
+    }
+
+    /// The smaller of the two tiers' top keys and whether it is the near
+    /// tier's. Keys are unique (one `seq` counter), so there is no tie.
+    #[inline]
+    fn head(&self) -> Option<(u128, bool)> {
+        let near = self.near.peek().map(|Reverse(e)| e.key);
+        let deadline = self.deadlines.peek().map(|&Reverse(key)| key);
+        match (near, deadline) {
+            (Some(n), Some(d)) if d < n => Some((d, false)),
+            (Some(n), _) => Some((n, true)),
+            (None, d) => d.map(|d| (d, false)),
         }
     }
 
-    /// Removes and returns the earliest event, FIFO among ties.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap
-            .pop()
-            .map(|Reverse(e)| (unpack_time(e.key), e.event))
+    /// Removes and returns the earliest entry, FIFO among ties.
+    pub fn pop(&mut self) -> Option<(Time, Fired<E>)> {
+        self.pop_at_or_before(Time::MAX)
     }
 
-    /// Removes and returns the earliest event only if its timestamp is at
+    /// Removes and returns the earliest entry only if its timestamp is at
     /// or before `bound` — the simulator main loop's peek-then-pop pattern
-    /// fused into a single heap access.
+    /// fused into a single access.
     ///
     /// # Examples
     ///
     /// ```
-    /// use frap_sim::events::EventQueue;
+    /// use frap_sim::events::{EventQueue, Fired};
     /// use frap_core::time::Time;
     ///
     /// let mut q = EventQueue::new();
     /// q.push(Time::from_secs(5), "e");
     /// assert_eq!(q.pop_at_or_before(Time::from_secs(4)), None);
-    /// assert_eq!(q.pop_at_or_before(Time::from_secs(5)), Some((Time::from_secs(5), "e")));
+    /// assert_eq!(
+    ///     q.pop_at_or_before(Time::from_secs(5)),
+    ///     Some((Time::from_secs(5), Fired::Event("e")))
+    /// );
     /// ```
-    pub fn pop_at_or_before(&mut self, bound: Time) -> Option<(Time, E)> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if unpack_time(e.key) <= bound => self.pop(),
-            _ => None,
+    pub fn pop_at_or_before(&mut self, bound: Time) -> Option<(Time, Fired<E>)> {
+        let (key, near) = self.head()?;
+        let time = unpack_time(key);
+        if time > bound {
+            return None;
         }
+        let fired = if near {
+            Fired::Event(self.near.pop()?.0.event)
+        } else {
+            self.deadlines.pop();
+            Fired::Deadline
+        };
+        Some((time, fired))
     }
 
-    /// The timestamp of the next event without removing it.
+    /// The timestamp of the next entry without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| unpack_time(e.key))
+        self.head().map(|(key, _)| unpack_time(key))
     }
 
-    /// Number of pending events.
+    /// Number of pending entries, deadlines included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near.len() + self.deadlines.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.near.is_empty() && self.deadlines.is_empty()
     }
 
-    /// Pending-event capacity before the heap reallocates.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+    /// Pending `(events, deadlines)` each tier holds before it
+    /// reallocates.
+    pub fn capacity(&self) -> (usize, usize) {
+        (self.near.capacity(), self.deadlines.capacity())
     }
 }
 
@@ -209,15 +225,23 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
+    /// Pops the next entry, which the test expects to be a pushed event.
+    fn pop_event<E>(q: &mut EventQueue<E>) -> E {
+        match q.pop() {
+            Some((_, Fired::Event(e))) => e,
+            _ => panic!("expected an event"),
+        }
+    }
+
     #[test]
     fn orders_by_time() {
         let mut q = EventQueue::new();
         q.push(Time::from_micros(30), 3);
         q.push(Time::from_micros(10), 1);
         q.push(Time::from_micros(20), 2);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
+        assert_eq!(pop_event(&mut q), 1);
+        assert_eq!(pop_event(&mut q), 2);
+        assert_eq!(pop_event(&mut q), 3);
     }
 
     #[test]
@@ -227,8 +251,28 @@ mod tests {
             q.push(Time::from_micros(5), i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(pop_event(&mut q), i);
         }
+    }
+
+    #[test]
+    fn fifo_among_equal_times_across_tiers() {
+        let t = Time::from_micros(5);
+        let mut q = EventQueue::new();
+        q.push_deadline(t);
+        q.push(t, 'a');
+        q.push_deadline(t);
+        q.push(t, 'b');
+        q.push(Time::from_micros(4), 'c');
+        let order: Vec<Fired<char>> = std::iter::from_fn(|| q.pop()).map(|(_, f)| f).collect();
+        let expected = [
+            Fired::Event('c'),
+            Fired::Deadline,
+            Fired::Event('a'),
+            Fired::Deadline,
+            Fired::Event('b'),
+        ];
+        assert_eq!(order, expected);
     }
 
     #[test]
@@ -236,9 +280,12 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
         q.push(Time::from_micros(7), ());
-        assert_eq!(q.peek_time(), Some(Time::from_micros(7)));
-        assert_eq!(q.len(), 1);
+        q.push_deadline(Time::from_micros(6));
+        assert_eq!(q.peek_time(), Some(Time::from_micros(6)));
+        assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((Time::from_micros(6), Fired::Deadline)));
+        assert_eq!(q.peek_time(), Some(Time::from_micros(7)));
         q.pop();
         assert!(q.is_empty());
     }
@@ -248,56 +295,34 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Time::from_micros(10), "a");
         q.push(Time::from_micros(5), "b");
-        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(pop_event(&mut q), "b");
         q.push(Time::from_micros(1), "c");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(pop_event(&mut q), "c");
+        assert_eq!(pop_event(&mut q), "a");
     }
 
     #[test]
     fn with_capacity_presizes() {
-        let q: EventQueue<u32> = EventQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
+        let q: EventQueue<u32> = EventQueue::with_capacity(8, 64);
+        let (near, deadlines) = q.capacity();
+        assert!(near >= 8 && deadlines >= 64);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_all_equals_repeated_push() {
-        let batch: Vec<(Time, usize)> = (0..50)
-            .map(|i| (Time::from_micros((i * 31) % 97), i as usize))
-            .collect();
-        let mut bulk = EventQueue::new();
-        bulk.push_all(batch.clone());
-        let mut single = EventQueue::new();
-        for (t, e) in batch {
-            single.push(t, e);
-        }
-        while let (Some(a), b) = (bulk.pop(), single.pop()) {
-            assert_eq!(Some(a), b);
-        }
-        assert!(single.is_empty());
-    }
-
-    #[test]
-    fn push_all_onto_nonempty_queue_keeps_fifo() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_micros(5), 0);
-        q.push_all(vec![(Time::from_micros(5), 1), (Time::from_micros(5), 2)]);
-        q.push(Time::from_micros(5), 3);
-        for i in 0..4 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
     }
 
     #[test]
     fn pop_at_or_before_respects_bound() {
         let mut q = EventQueue::new();
         q.push(Time::from_micros(10), "a");
+        q.push_deadline(Time::from_micros(12));
         q.push(Time::from_micros(20), "b");
         assert_eq!(q.pop_at_or_before(Time::from_micros(9)), None);
-        assert_eq!(q.pop_at_or_before(Time::from_micros(10)).unwrap().1, "a");
+        let a = q.pop_at_or_before(Time::from_micros(10));
+        assert_eq!(a, Some((Time::from_micros(10), Fired::Event("a"))));
+        assert_eq!(q.pop_at_or_before(Time::from_micros(11)), None);
+        let d = q.pop_at_or_before(Time::from_micros(15));
+        assert_eq!(d, Some((Time::from_micros(12), Fired::Deadline)));
         assert_eq!(q.pop_at_or_before(Time::from_micros(15)), None);
-        assert_eq!(q.pop_at_or_before(Time::MAX).unwrap().1, "b");
+        assert_eq!(pop_event(&mut q), "b");
         assert_eq!(q.pop_at_or_before(Time::MAX), None);
     }
 
@@ -305,8 +330,12 @@ mod tests {
     fn key_packing_roundtrips_extremes() {
         let mut q = EventQueue::new();
         q.push(Time::MAX, "max");
+        q.push_deadline(Time::MAX);
+        q.push_deadline(Time::ZERO);
         q.push(Time::ZERO, "zero");
-        assert_eq!(q.pop(), Some((Time::ZERO, "zero")));
-        assert_eq!(q.pop(), Some((Time::MAX, "max")));
+        assert_eq!(q.pop(), Some((Time::ZERO, Fired::Deadline)));
+        assert_eq!(q.pop(), Some((Time::ZERO, Fired::Event("zero"))));
+        assert_eq!(q.pop(), Some((Time::MAX, Fired::Event("max"))));
+        assert_eq!(q.pop(), Some((Time::MAX, Fired::Deadline)));
     }
 }

@@ -16,7 +16,7 @@
 //! Simulations are deterministic: identical inputs (arrival sequence,
 //! configuration, seeds) produce identical metrics.
 
-use crate::events::EventQueue;
+use crate::events::{EventQueue, Fired};
 use crate::metrics::{AdmitDecision, SimMetrics, TaskOutcome};
 use crate::sched::{DeadlineMonotonic, PriorityPolicy};
 use crate::stage::{Effect, SegmentSlice, Stage};
@@ -61,7 +61,6 @@ pub enum OverloadPolicy {
 #[derive(Debug, Clone, Copy)]
 enum Event {
     SegmentDone { stage: usize, gen: u64 },
-    DeadlineExpiry,
     WaitTimeout { seq: u64 },
     UtilizationSample,
 }
@@ -346,10 +345,11 @@ impl SimBuilder {
                 .collect(),
             admission,
             policy: self.policy,
-            // Steady state carries one deadline-expiry event per live task
-            // plus one segment-completion per busy server; pre-size so the
-            // heap never reallocates under paper-scale loads.
-            queue: EventQueue::with_capacity(1024.max(64 * self.stages)),
+            // Steady state carries one deadline per live task plus one
+            // segment completion per busy server (and the stale ones of
+            // preempted runs); pre-size so neither tier reallocates under
+            // paper-scale loads.
+            queue: EventQueue::with_capacity(16 * self.stages, 1024.max(64 * self.stages)),
             tasks: IdTable::new(),
             pending: VecDeque::new(),
             pending_seq: 0,
@@ -366,7 +366,7 @@ impl SimBuilder {
             sampling_started: false,
             router: self.router,
             effects: Vec::new(),
-            cascade: VecDeque::new(),
+            cascade: Vec::new(),
             release_scratch: Vec::new(),
             segment_scratch: Vec::new(),
             spare_nodes: Vec::new(),
@@ -403,12 +403,13 @@ pub struct Simulation {
     sample_period: Option<TimeDelta>,
     sampling_started: bool,
     router: Option<BoxRouter>,
-    /// Reused stage-effect buffer: taken (`std::mem::take`) around each
-    /// stage mutation and restored after, so the steady-state event path
-    /// never allocates.
+    /// Reused out-buffer of one stage mutation (empty between mutations:
+    /// [`Simulation::enqueue_effects`] moves its contents on), so the
+    /// steady-state event path never allocates.
     effects: Vec<Effect>,
-    /// Reused FIFO for cascading effects in [`Simulation::drain_effects`].
-    cascade: VecDeque<(usize, Effect)>,
+    /// Reused FIFO of `(stage, effect)` that [`Simulation::drain_effects`]
+    /// walks with a cursor; empty between events.
+    cascade: Vec<(usize, Effect)>,
     /// Reused successor-release list in [`Simulation::subtask_completed`].
     release_scratch: Vec<u32>,
     /// Reused staging buffer for a starting task's concatenated segments.
@@ -470,10 +471,18 @@ impl Simulation {
             // peek-then-pop pair fuse into one heap access.
             let next_arrival = arrivals.peek().map(|&(t, _)| t);
             let bound = next_arrival.map_or(until, |ta| ta.min(until));
-            if let Some((time, event)) = self.queue.pop_at_or_before(bound) {
+            if let Some((time, fired)) = self.queue.pop_at_or_before(bound) {
                 self.clock = time;
                 self.metrics.events_processed += 1;
-                self.handle_event(event);
+                match fired {
+                    Fired::Event(event) => self.handle_event(event),
+                    Fired::Deadline => {
+                        // Decrement synthetic utilization; waiting arrivals
+                        // may now fit.
+                        self.admission.advance_to(time);
+                        self.retry_pending();
+                    }
+                }
                 continue;
             }
             match next_arrival {
@@ -680,7 +689,8 @@ impl Simulation {
     fn start_task(&mut self, id: TaskId, spec: TaskSpec) {
         let now = self.clock;
         let priority = self.policy.priority(now, &spec, id);
-        let abs_deadline = now + spec.deadline;
+        // Saturating, like the ledger's expiry (`Admission::commit`).
+        let abs_deadline = now.saturating_add(spec.deadline);
         let graph = spec.graph;
         let mut nodes = self.spare_nodes.pop().unwrap_or_default();
         let mut segments = std::mem::take(&mut self.segment_scratch);
@@ -716,7 +726,7 @@ impl Simulation {
             },
         );
         self.segment_scratch = segments;
-        self.queue.push(abs_deadline, Event::DeadlineExpiry);
+        self.queue.push_deadline(abs_deadline);
         // Sources first: nothing completes before the next event, so no
         // other node's precedence count reaches zero inside this loop.
         for node in 0..node_count {
@@ -740,28 +750,17 @@ impl Simulation {
             nr.seg_len as usize,
         );
         let stage_idx = run.stage_of(node as usize);
-        let mut effects = std::mem::take(&mut self.effects);
-        effects.clear();
+        let stage = &mut self.stages[stage_idx];
         run.nodes[node as usize].slot =
-            self.stages[stage_idx].add_job(now, (task, node), run.priority, segments, &mut effects);
-        self.effects = effects;
+            stage.add_job(now, (task, node), run.priority, segments, &mut self.effects);
         stage_idx
     }
 
     fn handle_event(&mut self, event: Event) {
         match event {
             Event::SegmentDone { stage, gen } => {
-                let now = self.clock;
-                let mut effects = std::mem::take(&mut self.effects);
-                effects.clear();
-                self.stages[stage].segment_done(now, gen, &mut effects);
-                self.effects = effects;
+                self.stages[stage].segment_done(self.clock, gen, &mut self.effects);
                 self.drain_effects(stage);
-            }
-            Event::DeadlineExpiry => {
-                // Decrement synthetic utilization; waiting arrivals may now fit.
-                self.admission.advance_to(self.clock);
-                self.retry_pending();
             }
             Event::UtilizationSample => {
                 self.take_utilization_sample();
@@ -787,18 +786,28 @@ impl Simulation {
         }
     }
 
+    /// Moves the effects `stage`'s mutation just produced to the tail of
+    /// the cascade, tagged with their stage.
+    fn enqueue_effects(&mut self, stage: usize) {
+        let tagged = self.effects.iter().map(|&e| (stage, e));
+        self.cascade.extend(tagged);
+        self.effects.clear();
+    }
+
     /// Consumes the effect buffer produced by a stage mutation.
     fn drain_effects(&mut self, stage_idx: usize) {
         // Effects may cascade (a completion releases a successor on another
         // stage, which produces further effects); process in FIFO order so
         // a Completed departure is recorded before the Idle reset that the
-        // same event produced. The FIFO itself is a reused buffer.
-        let mut queue = std::mem::take(&mut self.cascade);
-        debug_assert!(queue.is_empty());
-        for e in self.effects.drain(..) {
-            queue.push_back((stage_idx, e));
-        }
-        while let Some((stage, effect)) = queue.pop_front() {
+        // same event produced. The FIFO is the tail of one reused vector:
+        // a nested call (an Idle admits a waiter, whose start drains its
+        // own effects) begins past its caller's unread entries and leaves
+        // them in place.
+        let base = self.cascade.len();
+        self.enqueue_effects(stage_idx);
+        let mut next = base;
+        while let Some(&(stage, effect)) = self.cascade.get(next) {
+            next += 1;
             match effect {
                 Effect::Start { key, gen, finish } => {
                     self.record(TraceEvent::Dispatched {
@@ -816,7 +825,7 @@ impl Simulation {
                         task: key.0,
                         node: key.1,
                     });
-                    self.subtask_completed(stage, key, &mut queue);
+                    self.subtask_completed(stage, key);
                 }
                 Effect::Idle => {
                     if self.idle_resets {
@@ -832,15 +841,12 @@ impl Simulation {
                 }
             }
         }
-        self.cascade = queue;
+        self.cascade.truncate(base);
     }
 
-    fn subtask_completed(
-        &mut self,
-        stage_idx: usize,
-        key: (TaskId, u32),
-        cascade: &mut VecDeque<(usize, Effect)>,
-    ) {
+    /// Books a finished subtask: departure, task completion, or the
+    /// release of its successors, whose stage effects join the cascade.
+    fn subtask_completed(&mut self, stage_idx: usize, key: (TaskId, u32)) {
         let (task, node) = key;
         let now = self.clock;
 
@@ -897,8 +903,7 @@ impl Simulation {
         }
         for &succ in &to_release {
             let succ_stage = self.release_subtask(task, succ);
-            let effects = self.effects.drain(..);
-            cascade.extend(effects.map(|e| (succ_stage, e)));
+            self.enqueue_effects(succ_stage);
         }
         self.release_scratch = to_release;
     }
@@ -925,11 +930,8 @@ impl Simulation {
                 continue; // not at its stage
             }
             let stage_idx = run.stage_of(node);
-            let mut effects = std::mem::take(&mut self.effects);
-            effects.clear();
-            self.stages[stage_idx].kill(now, nr.slot, (task, node as u32), &mut effects);
+            self.stages[stage_idx].kill(now, nr.slot, (task, node as u32), &mut self.effects);
             // A kill can start another job or idle the stage.
-            self.effects = effects;
             self.drain_effects(stage_idx);
         }
         run.nodes.clear();

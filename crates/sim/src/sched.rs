@@ -103,7 +103,7 @@ pub struct EarliestDeadlineFirst;
 
 impl PriorityPolicy for EarliestDeadlineFirst {
     fn priority(&mut self, now: Time, spec: &TaskSpec, _id: TaskId) -> Priority {
-        Priority::new((now + spec.deadline).as_micros())
+        Priority::new(now.saturating_add(spec.deadline).as_micros())
     }
 
     fn name(&self) -> &'static str {

@@ -141,7 +141,7 @@ fn pack_lo(node: u32, slot: u32) -> u64 {
 }
 
 /// What the simulation must do after a stage mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
     /// A job (re)started executing: schedule a `SegmentDone` at `finish`
     /// carrying `gen` (stale generations are ignored).
@@ -173,7 +173,9 @@ pub enum Effect {
 struct Slot {
     key: JobKey,
     base: Priority,
-    segments: SegmentSlice,
+    /// `None` while the slot is vacant: freeing a slot drops its arena
+    /// reference at once.
+    segments: Option<SegmentSlice>,
     seg_idx: u32,
     remaining: TimeDelta,
     acquired_current: bool,
@@ -194,11 +196,11 @@ struct Slot {
 }
 
 impl Slot {
-    fn vacant(empty: &SegmentSlice) -> Slot {
+    fn vacant() -> Slot {
         Slot {
             key: (TaskId::new(0), 0),
             base: Priority::LOWEST,
-            segments: empty.clone(),
+            segments: None,
             seg_idx: 0,
             remaining: TimeDelta::ZERO,
             acquired_current: false,
@@ -216,12 +218,15 @@ impl Slot {
         }
     }
 
+    /// The job's segments (none for a vacant slot).
+    #[inline]
+    fn segs(&self) -> &[Segment] {
+        self.segments.as_ref().map_or(&[], SegmentSlice::as_slice)
+    }
+
     #[inline]
     fn current_lock(&self) -> Option<LockId> {
-        self.segments
-            .as_slice()
-            .get(self.seg_idx as usize)
-            .and_then(|s| s.lock)
+        self.segs().get(self.seg_idx as usize).and_then(|s| s.lock)
     }
 }
 
@@ -247,9 +252,6 @@ pub struct Stage {
     /// Scratch for lock registration/deregistration (reused, no per-job
     /// allocation).
     lock_scratch: Vec<LockId>,
-    /// Cached empty slice so freeing a slot drops its arena reference
-    /// without allocating.
-    empty_segments: SegmentSlice,
     /// Local accounting; harvested by the simulation at the end.
     pub metrics: StageMetrics,
 }
@@ -282,7 +284,6 @@ impl Stage {
             running_slots: Vec::with_capacity(servers),
             locks: LockManager::new(),
             lock_scratch: Vec::new(),
-            empty_segments: Vec::new().into(),
             metrics,
         }
     }
@@ -457,14 +458,15 @@ impl Stage {
     /// Registers (`register = true`) or removes this job's lock-user
     /// entries, deduplicating via the reused scratch buffer.
     fn update_lock_users(&mut self, slot: usize, register: bool) {
+        let s = &self.slots[slot];
+        if s.segs().iter().all(|seg| seg.lock.is_none()) {
+            return; // no critical section: nothing to (de)register
+        }
+        let base = s.base;
         let mut scratch = std::mem::take(&mut self.lock_scratch);
         scratch.clear();
+        scratch.extend(s.segs().iter().filter_map(|seg| seg.lock));
         let key = self.lock_key(slot);
-        let base = {
-            let s = &self.slots[slot];
-            scratch.extend(s.segments.as_slice().iter().filter_map(|seg| seg.lock));
-            s.base
-        };
         scratch.sort_unstable();
         scratch.dedup();
         for &l in &scratch {
@@ -481,13 +483,12 @@ impl Stage {
     /// monotone so stale heap entries and generation tokens from this
     /// occupant never validate against the next one.
     fn free_slot(&mut self, slot: usize) {
-        let empty = self.empty_segments.clone();
         let s = &mut self.slots[slot];
         debug_assert!(s.occupied && !s.running);
         s.occupied = false;
         s.ready = false;
         s.ready_stamp += 1;
-        s.segments = empty; // drop the arena reference
+        s.segments = None; // drop the arena reference
         self.free.push(slot as u32);
         self.job_count -= 1;
     }
@@ -523,8 +524,7 @@ impl Stage {
         let slot = match self.free.pop() {
             Some(s) => s as usize,
             None => {
-                let empty = self.empty_segments.clone();
-                self.slots.push(Slot::vacant(&empty));
+                self.slots.push(Slot::vacant());
                 self.slots.len() - 1
             }
         };
@@ -533,7 +533,7 @@ impl Stage {
             debug_assert!(!s.occupied, "free-listed slot is vacant");
             s.key = key;
             s.base = base;
-            s.segments = segments;
+            s.segments = Some(segments);
             s.seg_idx = 0;
             s.remaining = first_remaining;
             s.acquired_current = false;
@@ -570,13 +570,11 @@ impl Stage {
         let finished_lock = s.acquired_current && s.current_lock().is_some();
         let key = s.key;
         let lock_key = (key.0, key.1, slot as u32);
-        s.remaining = TimeDelta::ZERO;
         s.seg_idx += 1;
         s.acquired_current = false;
-        let done = s.seg_idx as usize >= s.segments.len();
-        if !done {
-            s.remaining = s.segments.as_slice()[s.seg_idx as usize].duration;
-        }
+        let next = s.segs().get(s.seg_idx as usize).map(|seg| seg.duration);
+        let done = next.is_none();
+        s.remaining = next.unwrap_or(TimeDelta::ZERO);
         if finished_lock {
             let woken = self.locks.release(&lock_key);
             self.wake(now, &woken);
@@ -620,7 +618,7 @@ impl Stage {
     /// completed or was killed).
     pub fn executed(&self, now: Time, slot: u32, key: JobKey) -> Option<TimeDelta> {
         let s = &self.slots[self.slot_of(slot, key)?];
-        let segs = s.segments.as_slice();
+        let segs = s.segs();
         let mut done: TimeDelta = segs[..s.seg_idx as usize]
             .iter()
             .map(|seg| seg.duration)

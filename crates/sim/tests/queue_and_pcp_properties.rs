@@ -5,7 +5,7 @@
 
 use frap_core::task::{LockId, Priority};
 use frap_core::time::Time;
-use frap_sim::events::EventQueue;
+use frap_sim::events::{EventQueue, Fired};
 use frap_sim::pcp::{Acquire, LockManager};
 use proptest::prelude::*;
 
@@ -18,12 +18,12 @@ proptest! {
         for (i, &t) in times.iter().enumerate() {
             q.push(Time::from_micros(t), i);
         }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().copied().zip(0..).collect();
+        let mut expected: Vec<(u64, Fired<usize>)> =
+            times.iter().copied().zip((0..).map(Fired::Event)).collect();
         expected.sort_by_key(|&(t, _)| t); // stable: preserves insertion order
         let mut got = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            got.push((t.as_micros(), i));
+        while let Some((t, fired)) = q.pop() {
+            got.push((t.as_micros(), fired));
         }
         prop_assert_eq!(got, expected);
     }
@@ -41,7 +41,13 @@ proptest! {
         let mut seq = 0usize;
         for &(dt, push) in &script {
             if push || q.is_empty() {
-                q.push(Time::from_micros(clock + dt), seq);
+                // Long-lived entries go to the deadline tier, as in the
+                // simulator.
+                if dt >= 25 {
+                    q.push_deadline(Time::from_micros(clock + dt));
+                } else {
+                    q.push(Time::from_micros(clock + dt), seq);
+                }
                 seq += 1;
             } else if let Some((t, _)) = q.pop() {
                 prop_assert!(t.as_micros() >= clock, "time went backwards");
@@ -50,64 +56,74 @@ proptest! {
         }
     }
 
-    /// Bulk insertion is behaviourally identical to repeated `push`: the
-    /// same events drain in the same order regardless of how they were
-    /// inserted or how the insertions were batched.
+    /// The two tiers are one queue: any interleaving of near pushes,
+    /// deadline pushes, `pop`, `pop_at_or_before` and `peek_time` behaves
+    /// like a reference list kept sorted by `(time, seq)` with one global
+    /// `seq` — same entries out in the same order (so FIFO among equal
+    /// times holds *across* tiers), `len`/`is_empty` agree, and the
+    /// `Time::ZERO`/`Time::MAX` keys round-trip.
     #[test]
-    fn push_all_equals_repeated_push(
-        times in proptest::collection::vec(0u64..1_000, 0..200),
-        split in 0.0f64..1.0,
+    fn two_tier_queue_matches_reference_model(
+        script in proptest::collection::vec((0u64..12, 0u8..5), 1..300)
     ) {
-        let events: Vec<(Time, usize)> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (Time::from_micros(t), i))
-            .collect();
-
-        let mut pushed = EventQueue::new();
-        for &(t, i) in &events {
-            pushed.push(t, i);
-        }
-
-        // One bulk insert (hits the O(n) heapify-from-empty path).
-        let mut bulk = EventQueue::new();
-        bulk.push_all(events.clone());
-
-        // Push a prefix, then bulk-insert the rest (hits the non-empty
-        // `push_all` path).
-        let cut = (events.len() as f64 * split) as usize;
-        let mut mixed = EventQueue::new();
-        for &(t, i) in &events[..cut] {
-            mixed.push(t, i);
-        }
-        mixed.push_all(events[cut..].iter().copied());
-
-        prop_assert_eq!(pushed.len(), bulk.len());
-        prop_assert_eq!(pushed.len(), mixed.len());
-        loop {
-            let a = pushed.pop();
-            prop_assert_eq!(&a, &bulk.pop());
-            prop_assert_eq!(&a, &mixed.pop());
-            if a.is_none() {
-                break;
+        // Few distinct times, so ties are the common case.
+        let time_of = |code: u64| match code {
+            0 => Time::ZERO,
+            11 => Time::MAX,
+            c => Time::from_micros(c * 10),
+        };
+        let mut q = EventQueue::new();
+        // (time, seq, payload): `None` is a deadline.
+        let mut model: Vec<(Time, u64, Option<u64>)> = Vec::new();
+        let mut seq = 0u64;
+        let fired = |payload: Option<u64>| payload.map_or(Fired::Deadline, Fired::Event);
+        for &(code, op) in &script {
+            let t = time_of(code);
+            match op {
+                0 | 1 => {
+                    let payload = (op == 0).then_some(seq);
+                    match payload {
+                        Some(p) => q.push(t, p),
+                        None => q.push_deadline(t),
+                    }
+                    let at = model.partition_point(|&(mt, ms, _)| (mt, ms) < (t, seq));
+                    model.insert(at, (t, seq, payload));
+                    seq += 1;
+                }
+                2 => {
+                    let expected = (!model.is_empty()).then(|| model.remove(0));
+                    prop_assert_eq!(q.pop(), expected.map(|(mt, _, p)| (mt, fired(p))));
+                }
+                3 => {
+                    let due = model.first().is_some_and(|&(mt, _, _)| mt <= t);
+                    let expected = due.then(|| model.remove(0));
+                    prop_assert_eq!(
+                        q.pop_at_or_before(t),
+                        expected.map(|(mt, _, p)| (mt, fired(p)))
+                    );
+                }
+                _ => prop_assert_eq!(q.peek_time(), model.first().map(|&(mt, _, _)| mt)),
             }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
         }
+        for (mt, _, p) in model {
+            prop_assert_eq!(q.pop(), Some((mt, fired(p))));
+        }
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// Pop order is nondecreasing in time with FIFO tie-breaking, and
     /// `len`/`is_empty` stay consistent through arbitrary interleavings
-    /// of `push`, `push_all`, `pop`, and `pop_at_or_before`.
+    /// of `push`, `push_deadline`, `pop`, and `pop_at_or_before`.
     #[test]
     fn queue_invariants_under_interleaving(
-        script in proptest::collection::vec(
-            (0u64..1_000, 0u8..4, proptest::collection::vec(0u64..1_000, 0..5)),
-            1..100,
-        )
+        script in proptest::collection::vec((0u64..1_000, 0u8..4), 1..100)
     ) {
         let mut q = EventQueue::new();
         let mut seq = 0usize;
         let mut live = 0usize;
-        for &(t, op, ref batch) in &script {
+        for &(t, op) in &script {
             match op {
                 0 => {
                     q.push(Time::from_micros(t), seq);
@@ -115,16 +131,8 @@ proptest! {
                     live += 1;
                 }
                 1 => {
-                    let events: Vec<(Time, usize)> = batch
-                        .iter()
-                        .map(|&bt| {
-                            let e = (Time::from_micros(bt), seq);
-                            seq += 1;
-                            e
-                        })
-                        .collect();
-                    live += events.len();
-                    q.push_all(events);
+                    q.push_deadline(Time::from_micros(t));
+                    live += 1;
                 }
                 2 => {
                     let popped = q.pop();
@@ -155,16 +163,19 @@ proptest! {
             prop_assert_eq!(q.len(), live);
             prop_assert_eq!(q.is_empty(), live == 0);
         }
-        // Drain what is left: nondecreasing times, FIFO ties.
-        let mut last: Option<(u64, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((lt, li)) = last {
-                prop_assert!(t.as_micros() >= lt, "time went backwards");
-                if t.as_micros() == lt {
-                    prop_assert!(i > li, "FIFO tie-break violated");
+        // Drain what is left: nondecreasing times, FIFO ties among the
+        // payload-carrying events.
+        let mut last_time = 0u64;
+        let mut last_event: Option<(u64, usize)> = None;
+        while let Some((t, fired)) = q.pop() {
+            prop_assert!(t.as_micros() >= last_time, "time went backwards");
+            last_time = t.as_micros();
+            if let Fired::Event(i) = fired {
+                if let Some((lt, li)) = last_event {
+                    prop_assert!(t.as_micros() > lt || i > li, "FIFO tie-break violated");
                 }
+                last_event = Some((t.as_micros(), i));
             }
-            last = Some((t.as_micros(), i));
             live -= 1;
         }
         prop_assert_eq!(live, 0);

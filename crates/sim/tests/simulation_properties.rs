@@ -3,6 +3,7 @@
 use frap_core::graph::TaskSpec;
 use frap_core::time::{Time, TimeDelta};
 use frap_sim::pipeline::SimBuilder;
+use frap_sim::sched::EarliestDeadlineFirst;
 use frap_sim::trace::TraceEvent;
 use proptest::prelude::*;
 
@@ -323,4 +324,61 @@ fn reserved_importance_tasks_bypass_admission() {
     assert_eq!(m.admitted, 1, "only the critical task enters");
     assert_eq!(m.rejected, 1);
     assert_eq!(m.completed, 1);
+}
+
+/// A relative deadline so long that `arrival + deadline` exceeds `u64`
+/// microseconds saturates at `Time::MAX` in the simulator exactly as it
+/// does in the admission ledger (`Admission::commit`): no overflow panic
+/// (debug) and no wrapped, already-missed deadline (release), under
+/// either policy that reads the absolute deadline.
+#[test]
+fn near_max_deadline_saturates_instead_of_overflowing() {
+    let arrivals = || {
+        let forever = TimeDelta::from_micros(u64::MAX - 5_000);
+        let spec = TaskSpec::pipeline(forever, &[ms(1), ms(1)]).unwrap();
+        vec![(Time::from_millis(10), spec)].into_iter()
+    };
+    let mut dm = SimBuilder::new(2).build();
+    let mut edf = SimBuilder::new(2).policy(EarliestDeadlineFirst).build();
+    for sim in [&mut dm, &mut edf] {
+        let m = sim.run(arrivals(), Time::from_secs(1));
+        assert_eq!((m.admitted, m.completed, m.missed), (1, 1, 0));
+        assert_eq!(m.in_flight_at_end, 0);
+    }
+}
+
+/// Pins the event count of a fixed run with preemptions (every preempted
+/// run leaves a stale `SegmentDone` behind, which is popped and counted
+/// like any other event) together with the aggregates it must produce.
+/// The literals are the values before the event queue was split into
+/// tiers: pop order and event accounting may not drift.
+#[test]
+fn event_count_and_aggregates_of_a_preempting_run_are_pinned() {
+    let arrivals = (0..2_000u64).map(|i| {
+        let deadline = ms(20 + (i * 7 % 11) * 15);
+        let stages = [ms(1 + i % 4), ms(1 + (i * 3) % 5), ms(2)];
+        let spec = TaskSpec::pipeline(deadline, &stages).unwrap();
+        (Time::from_micros(i * 1_913), spec)
+    });
+    let mut sim = SimBuilder::new(3).trace(1 << 16).build();
+    let m = sim.run(arrivals, Time::from_secs(5)).clone();
+    // A job dispatched more than once was preempted in between.
+    let dispatches = sim
+        .trace()
+        .expect("tracing enabled")
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Dispatched { .. }))
+        .count() as u64;
+    let subtasks: u64 = m.stages.iter().map(|s| s.subtasks_completed).sum();
+    assert!(dispatches > subtasks, "the run has preemptions");
+    let stale = dispatches - subtasks;
+    assert_eq!(m.events_processed, 8_087);
+    assert_eq!(m.admitted, 1_248);
+    assert_eq!(m.completed, 1_248);
+    assert_eq!(m.missed, 0);
+    assert_eq!(m.response_sum, TimeDelta::from_micros(21_911_533));
+    assert_eq!(stale, 1_095);
+    // Arrivals + one deadline per admitted task + every dispatch's
+    // completion event, stale or not.
+    assert_eq!(m.events_processed, m.offered + m.admitted + dispatches);
 }

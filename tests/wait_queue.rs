@@ -5,6 +5,7 @@
 use frap::core::graph::TaskSpec;
 use frap::core::time::{Time, TimeDelta};
 use frap::sim::pipeline::{SimBuilder, WaitPolicy};
+use frap::sim::trace::TraceEvent;
 
 fn ms(v: u64) -> TimeDelta {
     TimeDelta::from_millis(v)
@@ -146,4 +147,80 @@ fn zero_wait_is_equivalent_to_reject() {
     assert_eq!(rejected.rejected, zero_wait.rejected);
     assert_eq!(zero_wait.wait_timeouts, zero_wait.rejected);
     assert_eq!(zero_wait.admitted, 1);
+}
+
+/// What the scheduling trace shows at the instant `t`, one word per event.
+fn trace_at(sim: &frap::sim::Simulation, t: Time) -> Vec<&'static str> {
+    let trace = sim.trace().expect("tracing enabled");
+    trace
+        .iter()
+        .filter(|e| e.time() == t)
+        .map(|e| match e {
+            TraceEvent::Admitted { .. } => "admit",
+            TraceEvent::Dispatched { .. } => "run",
+            TraceEvent::SubtaskDone { .. } => "subtask-done",
+            TraceEvent::TaskDone { .. } => "task-done",
+            TraceEvent::IdleReset { .. } => "idle-reset",
+            _ => "other",
+        })
+        .collect()
+}
+
+/// A completion that idles the stage and a deadline expiry land on the
+/// same microsecond (t = 50 ms) with one arrival waiting. Which of the
+/// two fires first is decided by the order they were *scheduled* in —
+/// the event queue's one global insertion counter, across its near and
+/// deadline tiers — and the two orders give different runs:
+///
+/// * expiry first: the expiry frees the short task's share, the waiter
+///   fits beside the long task and starts on the free server; when the
+///   long task then completes the stage is not idle, so no reset;
+/// * completion first: the stage idles, the reset clears both departed
+///   tasks, and the waiter enters after it.
+#[test]
+fn same_instant_completion_and_expiry_fire_in_scheduling_order() {
+    // One stage, two servers, so the short task runs beside the long one
+    // and its charge survives (no idle instant) until its deadline.
+    let long = || task(125, 50); // util 0.4, done at t = 50
+    let waiter = || task(100, 15); // 0.15: fits beside `long` only
+    let run = |arrivals: Vec<(Time, TaskSpec)>| {
+        let mut sim = SimBuilder::new(1)
+            .stage_servers(0, 2)
+            .wait(WaitPolicy::WaitUpTo(ms(200)))
+            .record_outcomes(true)
+            .trace(64)
+            .build();
+        let m = sim.run(arrivals.into_iter(), Time::from_secs(1)).clone();
+        assert_eq!((m.admitted, m.completed, m.missed), (3, 3, 0));
+        assert_eq!(m.wait_timeouts, 0);
+        // Either way the waiter is admitted at t = 50 and runs 15 ms.
+        assert!(m
+            .outcomes
+            .iter()
+            .any(|o| o.arrival == at(50) && o.completion == at(65)));
+        (m.stages[0].idle_resets, trace_at(&sim, at(50)))
+    };
+
+    // Expiry scheduled first: the short task (deadline 50) is admitted
+    // at t = 0 ahead of the long one, whose completion event follows.
+    let (resets, at_50) = run(vec![
+        (at(0), task(50, 5)),
+        (at(0), long()),
+        (at(30), waiter()),
+    ]);
+    assert_eq!(at_50, ["admit", "run", "subtask-done", "task-done"]);
+    assert_eq!(resets, 1, "only the final idle instant at t = 65");
+
+    // Completion scheduled first: the long task starts at t = 0; the
+    // short one arrives at t = 10 with deadline 40, expiring at t = 50.
+    let (resets, at_50) = run(vec![
+        (at(0), long()),
+        (at(10), task(40, 5)),
+        (at(30), waiter()),
+    ]);
+    assert_eq!(
+        at_50,
+        ["subtask-done", "task-done", "idle-reset", "admit", "run"]
+    );
+    assert_eq!(resets, 2, "t = 50 and t = 65");
 }
