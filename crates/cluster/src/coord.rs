@@ -55,8 +55,8 @@ impl Lease {
     }
 }
 
-/// Decision counters, for observability and the loadgen overhead
-/// report.
+/// Decision counters, for observability and the benchmark's lease
+/// overhead rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordCounters {
     /// Nodes registered (first hello of an incarnation).

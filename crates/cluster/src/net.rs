@@ -10,7 +10,7 @@
 //! `AdmissionService` the node's gateway serves admissions from.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -22,8 +22,14 @@ use frap_gateway::proto::{
 use crate::coord::CoordCore;
 use crate::node::{NodeCore, SpentProbe};
 
-/// Lease-plane traffic counters (both directions), shared so the
-/// loadgen can report lease overhead alongside decision throughput.
+/// How long a peer may stay silent through connect and handshake before
+/// the connection is given up, and the coordinator's read timeout after
+/// it. Not the beat `tick`: the acceptor polls every 5 ms, so a tick-sized
+/// bound would drop and redial handshakes still waiting to be accepted.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Lease-plane traffic counters (both directions), shared so a caller
+/// can report lease overhead alongside decision throughput.
 #[derive(Debug, Default)]
 pub struct LinkStats {
     /// Frames written.
@@ -105,7 +111,7 @@ fn write_frames(
 pub struct CoordServer {
     core: Arc<Mutex<CoordCore>>,
     stats: Arc<LinkStats>,
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -120,8 +126,7 @@ impl CoordServer {
         let core = Arc::new(Mutex::new(core));
         let stats = Arc::new(LinkStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        // slot → stream clone, for routing steals to other nodes.
-        let writers: Arc<Mutex<Vec<(u32, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
+        let writers: Arc<Mutex<Writers>> = Arc::new(Mutex::new(Vec::new()));
         let epoch_zero = Instant::now();
         let mut threads = Vec::new();
 
@@ -154,9 +159,16 @@ impl CoordServer {
                             let shutdown = Arc::clone(&shutdown);
                             let writers = Arc::clone(&writers);
                             handlers.push(std::thread::spawn(move || {
+                                let Ok(peer) = stream.peer_addr() else {
+                                    return;
+                                };
                                 let _ = serve_node_conn(
-                                    stream, &core, &stats, &writers, &shutdown, epoch_zero,
+                                    stream, peer, &core, &stats, &writers, &shutdown, epoch_zero,
                                 );
+                                writers
+                                    .lock()
+                                    .expect("writers poisoned")
+                                    .retain(|(_, conn, _)| *conn != peer);
                             }));
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -181,7 +193,7 @@ impl CoordServer {
     }
 
     /// The bound address.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
@@ -205,15 +217,24 @@ impl Drop for CoordServer {
     }
 }
 
+/// Slot → (connection's peer address, stream clone), for routing steals
+/// to other nodes. The address names the connection that registered the
+/// entry, so a handler removes only its own on exit.
+type Writers = Vec<(u32, SocketAddr, TcpStream)>;
+
 fn serve_node_conn(
     mut stream: TcpStream,
+    peer: SocketAddr,
     core: &Mutex<CoordCore>,
     stats: &LinkStats,
-    writers: &Mutex<Vec<(u32, TcpStream)>>,
+    writers: &Mutex<Writers>,
     shutdown: &AtomicBool,
     epoch_zero: Instant,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
+    // Before the handshake, so a peer that connects and says nothing
+    // cannot park this thread (and `CoordServer::drop`, which joins it).
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     // Handshake: reuse the gateway preamble.
     let mut hello = [0u8; HELLO_LEN];
     stream.read_exact(&mut hello)?;
@@ -227,7 +248,6 @@ fn serve_node_conn(
     };
     stream.write_all(&ack.encode())?;
 
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut reader = FrameBuffer::new();
     let mut my_slots: Vec<u32> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
@@ -245,8 +265,8 @@ fn serve_node_conn(
                             my_slots.push(*node);
                             if let Ok(clone) = stream.try_clone() {
                                 let mut w = writers.lock().expect("writers poisoned");
-                                w.retain(|(s, _)| s != node);
-                                w.push((*node, clone));
+                                w.retain(|(s, _, _)| s != node);
+                                w.push((*node, peer, clone));
                             }
                         }
                         here.push(f);
@@ -256,8 +276,8 @@ fn serve_node_conn(
                         // registered connection; drop it if the node is
                         // gone (steals are best-effort).
                         let mut w = writers.lock().expect("writers poisoned");
-                        if let Some((_, peer)) = w.iter_mut().find(|(s, _)| s == node) {
-                            let _ = write_frames(peer, std::slice::from_ref(&f), stats);
+                        if let Some((_, _, other)) = w.iter_mut().find(|(s, _, _)| s == node) {
+                            let _ = write_frames(other, std::slice::from_ref(&f), stats);
                         }
                     }
                     _ => here.push(f),
@@ -286,9 +306,13 @@ pub struct LeaseClient {
 impl LeaseClient {
     /// Starts the lease loop against `coord_addr`. `tick` is the drive
     /// period (use a fraction of the heartbeat; the core rate-limits
-    /// itself). Reconnects with fresh handshakes on any I/O error —
-    /// lease TTL expiry in `core` handles the safety side of long
-    /// outages.
+    /// itself). The core is ticked every `tick` whether or not a
+    /// connection is up, so the lease TTL expires on schedule through an
+    /// outage; what a tick wants to send while the link is down is
+    /// dropped, as on a lossy link, and every tick without a link redials
+    /// with a fresh handshake. A coordinator that accepts and then stays
+    /// silent holds a tick up for at most `HANDSHAKE_TIMEOUT` (capped at
+    /// the lease TTL).
     pub fn start<P>(
         coord_addr: String,
         core: NodeCore,
@@ -298,6 +322,7 @@ impl LeaseClient {
     where
         P: SpentProbe + Send + Sync + 'static,
     {
+        let patience = HANDSHAKE_TIMEOUT.min(Duration::from_micros(core.lease_ttl_us()));
         let core = Arc::new(Mutex::new(core));
         let stats = Arc::new(LinkStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -307,17 +332,24 @@ impl LeaseClient {
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
                 let epoch_zero = Instant::now();
+                let mut link: Option<(TcpStream, FrameBuffer)> = None;
                 while !shutdown.load(Ordering::Relaxed) {
-                    if let Err(_e) = lease_session(
-                        &coord_addr,
-                        &core,
-                        &*probe,
-                        &stats,
-                        &shutdown,
-                        epoch_zero,
-                        tick,
-                    ) {
-                        // Connection lost: back off briefly, then retry.
+                    if link.is_none() {
+                        link = connect(&coord_addr, patience, tick)
+                            .ok()
+                            .map(|stream| (stream, FrameBuffer::new()));
+                    }
+                    let now_us = epoch_zero.elapsed().as_micros() as u64;
+                    let out = core.lock().expect("node poisoned").on_tick(now_us, &*probe);
+                    let up = match &mut link {
+                        Some((stream, reader)) => {
+                            exchange(stream, reader, &out, &core, &*probe, &stats, epoch_zero)
+                                .is_ok()
+                        }
+                        None => false,
+                    };
+                    if !up {
+                        link = None;
                         std::thread::sleep(tick);
                     }
                 }
@@ -351,40 +383,44 @@ impl Drop for LeaseClient {
     }
 }
 
-fn lease_session<P: SpentProbe>(
-    addr: &str,
-    core: &Mutex<NodeCore>,
-    probe: &P,
-    stats: &LinkStats,
-    shutdown: &AtomicBool,
-    epoch_zero: Instant,
-    tick: Duration,
-) -> std::io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
+/// Connects and completes the handshake, giving a silent peer `patience`
+/// at each step; the returned stream reads with a timeout of one `tick`.
+fn connect(addr: &str, patience: Duration, tick: Duration) -> std::io::Result<TcpStream> {
+    let mut stream = addr
+        .to_socket_addrs()?
+        .find_map(|a| TcpStream::connect_timeout(&a, patience).ok())
+        .ok_or(ErrorKind::ConnectionRefused)?;
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(patience))?;
     stream.write_all(&Hello { version: VERSION }.encode())?;
     let mut ack = [0u8; HELLO_ACK_LEN];
     stream.read_exact(&mut ack)?;
     HelloAck::decode(&ack)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-
     stream.set_read_timeout(Some(tick))?;
-    let mut reader = FrameBuffer::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        let now_us = epoch_zero.elapsed().as_micros() as u64;
-        let out = core.lock().expect("node poisoned").on_tick(now_us, probe);
-        write_frames(&mut stream, &out, stats)?;
+    Ok(stream)
+}
 
-        // Drain whatever the coordinator sent until the next tick.
-        fill(&mut reader, &mut stream)?;
-        while let Some(frame) = next_frame(&mut reader, stats)? {
-            let now_us = epoch_zero.elapsed().as_micros() as u64;
-            let out = core
-                .lock()
-                .expect("node poisoned")
-                .on_frame(now_us, &frame, probe);
-            write_frames(&mut stream, &out, stats)?;
-        }
+/// One tick on a live link: sends what the tick produced, then drains
+/// whatever the coordinator sends until the next tick is due.
+fn exchange<P: SpentProbe>(
+    stream: &mut TcpStream,
+    reader: &mut FrameBuffer,
+    out: &[Frame],
+    core: &Mutex<NodeCore>,
+    probe: &P,
+    stats: &LinkStats,
+    epoch_zero: Instant,
+) -> std::io::Result<()> {
+    write_frames(stream, out, stats)?;
+    fill(reader, stream)?;
+    while let Some(frame) = next_frame(reader, stats)? {
+        let now_us = epoch_zero.elapsed().as_micros() as u64;
+        let out = core
+            .lock()
+            .expect("node poisoned")
+            .on_frame(now_us, &frame, probe);
+        write_frames(stream, &out, stats)?;
     }
     Ok(())
 }

@@ -173,6 +173,11 @@ impl NodeCore {
         self.counters
     }
 
+    /// The configured lease TTL, µs.
+    pub(crate) fn lease_ttl_us(&self) -> u64 {
+        self.cfg.lease_ttl_us
+    }
+
     /// The shared caps handle this wallet drives.
     pub fn caps(&self) -> &SharedStageCaps {
         &self.caps

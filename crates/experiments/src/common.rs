@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 /// How big to run an experiment, and how wide to run it.
 ///
 /// `full()` matches the publication-scale binaries; `quick()` is the
-/// scaled-down variant used by the `cargo bench` regeneration targets
+/// scaled-down variant behind every binary's `--quick` flag
 /// (same sweeps, shorter horizons, fewer seeds — shapes still hold).
 ///
 /// `jobs` selects the replication parallelism of the runner: `0` (the
@@ -35,7 +35,7 @@ impl Scale {
         }
     }
 
-    /// Fast runs for `cargo bench` smoke regeneration. Keeps two
+    /// Fast runs (`--quick`, the benchmark's `sim_paper`). Keeps two
     /// replications so the runner's merge path (not just the trivial
     /// single-replication case) is exercised everywhere.
     pub fn quick() -> Scale {

@@ -5,9 +5,8 @@
 //!
 //! Each experiment lives in its own module with a `run(scale)` entry point
 //! returning a printable/CSV-exportable [`common::Table`]. Binaries under
-//! `src/bin/` run the publication-scale sweeps; the `benches/` targets run
-//! the same sweeps at [`common::Scale::quick`] so `cargo bench --workspace`
-//! regenerates every figure's rows.
+//! `src/bin/` run the publication-scale sweeps, and with `--quick` the
+//! same sweeps at [`common::Scale::quick`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

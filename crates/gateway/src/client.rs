@@ -4,7 +4,7 @@
 //! [`flush`](GatewayClient::flush), and FIFO responses. Requests queued
 //! with [`queue_admit`](GatewayClient::queue_admit) are answered in
 //! order, so callers that pipeline keep a queue of request ids on their
-//! side (see `gateway-loadgen` for the pattern).
+//! side (see `frap_scenarios::runner::run_gateway` for the pattern).
 //!
 //! ## Clock translation
 //!

@@ -15,7 +15,7 @@
 //! | [`reactor`] | per-worker readiness reactor: epoll on Linux, `poll(2)` on other Unix, with a cross-thread waker |
 //! | [`outring`] | per-connection segmented output rings flushed with vectored `writev` — reply bytes are touched once |
 //! | [`server`] | reactor-driven worker pool, shard-bucketed wake batching, bounded in-flight windows, graceful drain |
-//! | [`client`] | blocking pipelining client used by tests and the `gateway-loadgen` binary |
+//! | [`client`] | blocking pipelining client used by tests, `frap-scenarios` and the benchmark |
 //!
 //! The protocol and threading model are documented in DESIGN.md §10; the
 //! zero-copy datapath (byte lifecycle, shard-bucketed resolve ordering)

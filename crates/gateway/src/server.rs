@@ -213,7 +213,7 @@ pub struct GatewaySnapshot {
 impl GatewaySnapshot {
     /// Total kernel crossings attributable to the datapath: wakes plus
     /// read plus write syscalls. Divided by decisions this is the
-    /// `syscalls_per_decision` wire-efficiency metric in BENCH_gateway.
+    /// benchmark's `gateway.syscalls_per_decision` wire-efficiency row.
     pub fn syscalls(&self) -> u64 {
         self.wakeups + self.read_syscalls + self.write_syscalls
     }

@@ -996,8 +996,8 @@ fn bucketed_multi_connection_drain_matches_serial_resolve() {
 }
 
 /// Batched pipelining over loopback must clear 100k decisions/s in a
-/// release build (CI runs the `gateway-loadgen` smoke in release; this
-/// in-test floor is relaxed under `debug_assertions` where the
+/// release build (the benchmark's `gw_*` workloads measure the real
+/// figure; this in-test floor is relaxed under `debug_assertions` where the
 /// per-decision cost is dominated by unoptimized code, not the wire).
 #[test]
 fn loopback_throughput_clears_the_floor() {

@@ -7,21 +7,20 @@
 //!
 //!   --quick             8 s horizon instead of 60 s
 //!   --smoke             CI mode: serverless + flash_crowd only, sim
-//!                       backend only, no CSV output (BENCH JSON only)
+//!                       backend only, writes no file
 //!   --jobs N            worker threads for the sim runs (0 = hardware)
 //!   --no-gateway        skip the live-gateway replay
 //!   --gateway-scale N   time-compression factor for the gateway replay
 //!                       (default 20; durations and gaps are divided by N)
 //!   --save-traces DIR   also write each generated trace as a
-//!                       `frap-arrivals v2` file under DIR (replayable
-//!                       with `gateway-loadgen --trace`)
+//!                       `frap-arrivals v2` file under DIR (loadable
+//!                       with `frap_workload::replay::load_arrivals`)
 //! ```
 //!
 //! Every admitted-and-completed task in the simulator is checked against
 //! its end-to-end deadline; this binary asserts `missed == 0` for every
 //! scenario — the feasible-region guarantee, exercised under cloud-shaped
-//! load. A machine-readable summary lands in `BENCH_scenarios.json`
-//! (override the path with `BENCH_SCENARIOS_OUT`).
+//! load.
 
 use frap_core::time::Time;
 use frap_experiments::common::{f, Scale, Table};
@@ -211,7 +210,6 @@ fn main() {
 
     // Live-gateway replay: the same serverless trace, time-compressed,
     // through real TCP against the production admission path.
-    let mut gateway_line = String::new();
     if !smoke && !no_gateway {
         let sc = scenarios
             .iter()
@@ -242,38 +240,5 @@ fn main() {
             gw.admitted,
             sim.report.admitted
         );
-        gateway_line = format!(
-            ",\n  \"gateway_offered\": {},\n  \"gateway_admitted\": {},\n  \
-             \"gateway_delta_vs_sim\": {delta},\n  \"gateway_scale\": {gateway_scale}",
-            gw.offered, gw.admitted
-        );
     }
-
-    let per_family: String = scenarios
-        .iter()
-        .zip(&runs)
-        .map(|(sc, run)| {
-            format!(
-                ",\n  \"{}_acceptance\": {:.6},\n  \"{}_shed\": {}",
-                sc.name,
-                run.report.acceptance_ratio(),
-                sc.name,
-                run.report.shed
-            )
-        })
-        .collect();
-    let (offered, admitted): (u64, u64) = runs.iter().fold((0, 0), |(o, a), r| {
-        (o + r.report.offered, a + r.report.admitted)
-    });
-    let out =
-        std::env::var("BENCH_SCENARIOS_OUT").unwrap_or_else(|_| "BENCH_scenarios.json".into());
-    let json = format!(
-        "{{\n  \"bench\": \"scenarios\",\n  \"events_per_sec\": {events_per_sec:.1},\n  \
-         \"horizon_secs\": {horizon_secs},\n  \"families\": {},\n  \
-         \"offered\": {offered},\n  \"admitted\": {admitted},\n  \
-         \"missed\": 0{per_family}{gateway_line}\n}}\n",
-        scenarios.len()
-    );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("wrote          {out}");
 }

@@ -45,7 +45,7 @@ pub mod shard;
 pub mod wheel;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use metrics::{CounterSnapshot, MetricsSnapshot, ServiceCounters, UtilizationSeries};
+pub use metrics::{CounterSnapshot, MetricsSnapshot, ServiceCounters};
 pub use service::{
     AdmissionService, AdmissionServiceBuilder, AdmissionTicket, BatchRequest, ServiceOutcome,
 };
