@@ -203,8 +203,13 @@ impl TaskGraph {
         Ok(TaskGraph::from_parts(subtasks, None))
     }
 
-    /// The chain [`TaskSpec::pipeline`] describes: subtask `j` on stage `j`.
-    pub(crate) fn pipeline(
+    /// The chain [`TaskSpec::pipeline`] describes: subtask `j` runs on
+    /// stage `j` for `computations[j]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Empty`] when `computations` is empty.
+    pub fn pipeline(
         computations: impl Iterator<Item = TimeDelta>,
     ) -> Result<TaskGraph, GraphError> {
         let stage_subtask = |(j, c)| SubtaskSpec::new(StageId::new(j), c);

@@ -24,7 +24,7 @@
 //!
 //! Because definitive verdicts are only issued outside the guard band and
 //! the band dominates the worst-case `f32` error (see
-//! [`RegionKernel::guard_band`]), the kernel's verdicts are
+//! `RegionKernel::guard_band`), the kernel's verdicts are
 //! **decision-for-decision identical** to the exact scalar test — the
 //! property `tests/kernel_differential.rs` hammers with ulp-adjacent
 //! boundary vectors.

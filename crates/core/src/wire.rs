@@ -2,7 +2,7 @@
 //!
 //! Networked admission (the `frap-gateway` crate) must ship a task's
 //! admission-relevant shape across a socket without serializing the full
-//! [`TaskGraph`](crate::graph::TaskGraph). For the paper's pipeline model
+//! [`TaskGraph`]. For the paper's pipeline model
 //! that shape is three integers wide: the relative end-to-end deadline,
 //! the per-stage computation demands (stage `j`'s subtask runs `C_ij`
 //! microseconds), and the semantic importance used by overload shedding.

@@ -13,7 +13,7 @@
 //!    replications happen to finish enters the hash, so replication `rep`
 //!    of point `point` sees the same arrival stream everywhere.
 //! 2. **Replications are merged in replication-index order.** Workers
-//!    deposit each finished [`RepOutcome`]-equivalent into a slot indexed
+//!    deposit each finished `RepOutcome`-equivalent into a slot indexed
 //!    by its replication number; the reduction then folds the slots
 //!    `0, 1, …, R-1` exactly as the serial loop would. Floating-point
 //!    accumulation order is therefore fixed, making parallel aggregates

@@ -5,6 +5,8 @@
 //! with [`queue_admit`](GatewayClient::queue_admit) are answered in
 //! order, so callers that pipeline keep a queue of request ids on their
 //! side (see `frap_scenarios::runner::run_gateway` for the pattern).
+//! The client knows no byte offset of the wire format: it encodes,
+//! re-stamps ([`PreparedAdmit`]) and decodes through [`crate::proto`].
 //!
 //! ## Clock translation
 //!
@@ -17,8 +19,8 @@
 //! share only a rate (both sides are monotonic microsecond counters).
 
 use crate::proto::{
-    DrainedAdmit, Frame, FrameBuffer, Hello, HelloAck, ProtoError, StatsReport, Verdict,
-    HELLO_ACK_LEN, VERSION,
+    stamp_admit_request, DrainedAdmit, Frame, FrameBuffer, Hello, HelloAck, ProtoError,
+    StatsReport, Verdict, HELLO_ACK_LEN, VERSION,
 };
 use frap_core::time::TimeDelta;
 use frap_core::wire::WireTaskSpec;
@@ -154,18 +156,17 @@ impl GatewayClient {
     }
 
     /// Queues a pre-encoded admission request: one `memcpy` of the
-    /// interned frame plus two masked field writes (request id, expiry),
-    /// instead of serializing the task field by field. The send-side
-    /// twin of the server's interned response templates — a pipelining
-    /// caller that cycles through a fixed catalog of task shapes touches
-    /// each request's bytes exactly once.
+    /// interned frame, into which [`crate::proto`] stamps the request id
+    /// and expiry, instead of encoding the task again. The send-side
+    /// counterpart of the server's interned response templates — a
+    /// pipelining caller that cycles through a fixed catalog of task
+    /// shapes touches each request's bytes exactly once.
     pub fn queue_admit_prepared(&mut self, prepared: &PreparedAdmit, expires_at_us: u64) -> u64 {
         let req_id = self.next_req_id;
         self.next_req_id += 1;
         let at = self.outbox.len();
         self.outbox.extend_from_slice(&prepared.bytes);
-        self.outbox[at + 5..at + 13].copy_from_slice(&req_id.to_le_bytes());
-        self.outbox[at + 13..at + 21].copy_from_slice(&expires_at_us.to_le_bytes());
+        stamp_admit_request(&mut self.outbox[at..], req_id, expires_at_us);
         req_id
     }
 
@@ -340,10 +341,10 @@ mod tests {
 
     #[test]
     fn prepared_admit_stamp_matches_field_serialization() {
-        // `queue_admit_prepared` copies the interned frame and overwrites
-        // the req_id (frame offset 5..13) and expiry (13..21) in place;
-        // the result must be byte-for-byte what `queue_admit_at` would
-        // have serialized field by field.
+        // `queue_admit_prepared` copies the interned frame and has
+        // `proto` overwrite the req_id and expiry in place; the result
+        // must be byte-for-byte what `queue_admit_at` encodes from the
+        // fields.
         for allow_shed in [false, true] {
             let task = WireTaskSpec {
                 deadline_us: 30_000,
@@ -362,8 +363,7 @@ mod tests {
                     &mut direct,
                 );
                 let mut stamped = prepared.bytes().to_vec();
-                stamped[5..13].copy_from_slice(&req_id.to_le_bytes());
-                stamped[13..21].copy_from_slice(&expires_at_us.to_le_bytes());
+                stamp_admit_request(&mut stamped, req_id, expires_at_us);
                 assert_eq!(stamped, direct, "allow_shed={allow_shed}");
             }
         }

@@ -7,19 +7,19 @@
 //! runtime, no serialization framework — to keep the reproduction
 //! self-contained and the wire costs legible.
 //!
-//! The crate splits into three layers:
+//! The crate splits into five modules:
 //!
 //! | module | role |
 //! |---|---|
-//! | [`proto`] | versioned, length-prefixed little-endian wire protocol: frames, handshake, incremental decoder, interned reply templates |
+//! | [`proto`] | versioned, length-prefixed little-endian wire protocol: handshake, frames, the one encoder and one decoder of each frame shape, the reassembly buffer |
 //! | [`reactor`] | per-worker readiness reactor: epoll on Linux, `poll(2)` on other Unix, with a cross-thread waker |
 //! | [`outring`] | per-connection segmented output rings flushed with vectored `writev` — reply bytes are touched once |
 //! | [`server`] | reactor-driven worker pool, shard-bucketed wake batching, bounded in-flight windows, graceful drain |
 //! | [`client`] | blocking pipelining client used by tests, `frap-scenarios` and the benchmark |
 //!
-//! The protocol and threading model are documented in DESIGN.md §10; the
-//! zero-copy datapath (byte lifecycle, shard-bucketed resolve ordering)
-//! in DESIGN.md §17.
+//! DESIGN.md §10 describes the whole datapath once: the wire format and
+//! its one codec per frame shape, the byte lifecycle, the reactor and the
+//! shard-bucketed wake batch.
 //!
 //! ## Quick start
 //!

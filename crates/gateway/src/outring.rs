@@ -160,7 +160,7 @@ impl OutRing {
 
     /// Writes as much of the ring as `sink` accepts without blocking,
     /// one vectored write (iovec over the unsent span of up to
-    /// [`MAX_IOV`] segments) per loop turn. Returns
+    /// `MAX_IOV` segments) per loop turn. Returns
     /// `(bytes_written, write_calls)`; `WouldBlock` ends the flush
     /// without error, any other error propagates (the peer is gone).
     ///

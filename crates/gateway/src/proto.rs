@@ -44,6 +44,23 @@
 //! before any allocation. Decoding arbitrary bytes returns an error;
 //! it never panics (the crate's proptests fuzz exactly this).
 //!
+//! # One codec per shape
+//!
+//! This module is the only place that knows the byte layout, and it
+//! writes each shape down once per direction. The length-prefix checks
+//! live in one function under [`Frame::decode`] and all three
+//! [`FrameBuffer`] pullers. An admit request has one encoder
+//! ([`Frame::encode_admit_request_into`]) and one decoder — a fixed-shape,
+//! exact-length check that reads the head at named offsets — which
+//! [`FrameBuffer::next_frame_into`] uses flat and [`Frame::decode`] wraps
+//! into an owned [`AdmitRequest`]; the client's pre-encoded requests are
+//! re-stamped at those same offsets. An admit response has one encoder
+//! ([`encode_admit_response`]) and one decoder, shared by
+//! [`Frame::decode`] and [`FrameBuffer::next_admit_response`]. Every
+//! other frame goes through a bounds-checked cursor. Encoders `assert!`
+//! the [`MAX_STAGES`] limit in every build, so nothing is ever sent that
+//! a peer would refuse to decode. DESIGN.md §10 has the layout tables.
+//!
 //! # Frame types
 //!
 //! | type | frame | direction |
@@ -319,93 +336,6 @@ pub enum BatchedFrame {
     Other(Frame),
 }
 
-/// Encodes the shared shape of [`Frame::LeaseReturn`] /
-/// [`Frame::LeaseRequest`] / [`Frame::LeaseSteal`]:
-/// `node:u32 epoch:u32 count:u16 units:u64×count`.
-fn encode_lease_vec(out: &mut Vec<u8>, ty: u8, node: u32, epoch: u32, units: &[u64]) {
-    debug_assert!(units.len() <= MAX_STAGES);
-    out.push(ty);
-    out.extend_from_slice(&node.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(units.len() as u16).to_le_bytes());
-    for u in units {
-        out.extend_from_slice(&u.to_le_bytes());
-    }
-}
-
-/// Decodes an admit-request body into an [`AdmitHead`], appending the
-/// stage demands to `demands`. On error the arena is left untouched.
-fn decode_admit_body(body: &[u8], demands: &mut Vec<u64>) -> Result<AdmitHead, ProtoError> {
-    debug_assert_eq!(body[0], TYPE_ADMIT_REQUEST);
-    // Fast path: the head is fixed-shape (type u8, req_id u64, expires
-    // u64, deadline u64, importance u32, flags u8, count u16 = 32 bytes),
-    // so one exact-length comparison against the declared demand count
-    // validates the whole frame and every field reads at a fixed offset —
-    // no per-field bounds checks, and the demand vector lands via one
-    // vectorizable `extend`. Anything that fails the shape check falls
-    // through to the field-by-field `Reader` below, whose errors name the
-    // offending field; the two paths accept exactly the same bytes (the
-    // proto test battery pins them to each other).
-    if body.len() >= 33 {
-        let n = u16::from_le_bytes([body[30], body[31]]) as usize;
-        let flags = body[29];
-        if n > 0 && body.len() == 32 + 8 * n && flags & !FLAG_ALLOW_SHED == 0 {
-            let mark = demands.len();
-            demands.extend(
-                body[32..]
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-            );
-            return Ok(AdmitHead {
-                req_id: u64::from_le_bytes(body[1..9].try_into().expect("fixed head")),
-                expires_at_us: u64::from_le_bytes(body[9..17].try_into().expect("fixed head")),
-                allow_shed: flags & FLAG_ALLOW_SHED != 0,
-                deadline_us: u64::from_le_bytes(body[17..25].try_into().expect("fixed head")),
-                importance: u32::from_le_bytes(body[25..29].try_into().expect("fixed head")),
-                demands: (mark, mark + n),
-            });
-        }
-    }
-    let mut r = Reader {
-        buf: body,
-        pos: 1,
-        frame: "AdmitRequest",
-    };
-    let mark = demands.len();
-    let parse = (|| {
-        let req_id = r.u64()?;
-        let expires_at_us = r.u64()?;
-        let deadline_us = r.u64()?;
-        let importance = r.u32()?;
-        let flags = r.u8()?;
-        if flags & !FLAG_ALLOW_SHED != 0 {
-            return Err(ProtoError::Malformed("AdmitRequest"));
-        }
-        let n = r.count()?;
-        if n == 0 {
-            // A task that visits no stage has no admission test.
-            return Err(ProtoError::Malformed("AdmitRequest"));
-        }
-        demands.reserve(n);
-        for _ in 0..n {
-            demands.push(r.u64()?);
-        }
-        r.finish()?;
-        Ok(AdmitHead {
-            req_id,
-            expires_at_us,
-            allow_shed: flags & FLAG_ALLOW_SHED != 0,
-            deadline_us,
-            importance,
-            demands: (mark, mark + n),
-        })
-    })();
-    if parse.is_err() {
-        demands.truncate(mark);
-    }
-    parse
-}
-
 /// The server's answer to one [`AdmitRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -574,61 +504,230 @@ pub enum Frame {
     },
 }
 
+/// Bytes of the `len:u32` prefix ahead of every frame body.
+const PREFIX: usize = 4;
+
+// Field offsets within an admit-request body (`type:u8` at 0, no length
+// prefix):
+//
+//   req_id:u64  expires_at_us:u64  deadline_us:u64  importance:u32
+//   flags:u8  count:u16  demands:u64×count
+//
+// `decode_admit_body` reads at them and `stamp_admit_request` writes at
+// them; `Frame::encode_admit_request_into` appends the fields in this
+// order.
+const REQ_ID: usize = 1;
+const REQ_EXPIRES_AT: usize = 9;
+const REQ_DEADLINE: usize = 17;
+const REQ_IMPORTANCE: usize = 25;
+const REQ_FLAGS: usize = 29;
+const REQ_COUNT: usize = 30;
+const REQ_DEMANDS: usize = 32;
+
+// Field offsets within an admit-response body, and the body length of its
+// three shapes: verdict only (rejected, expired), with a ticket id
+// (admitted), with a ticket id and a shed count (admitted after shedding).
+//
+//   req_id:u64  verdict:u8  [ticket_id:u64  [shed:u32]]
+const RESP_REQ_ID: usize = 1;
+const RESP_VERDICT: usize = 9;
+const RESP_TICKET: usize = 10;
+const RESP_SHED: usize = 18;
+const RESP_LEN_BARE: usize = 10;
+const RESP_LEN_TICKET: usize = 18;
+const RESP_LEN_SHED: usize = 22;
+
+// The byte-level helpers carry `#[inline]` because it is measured: without
+// the hint they stay calls at their many sites (one per field — the
+// benchmark's `gateway.encode_req_generic_ns` reads 16 ns for 10), and
+// `put_u64_at` is reached through the `#[inline]` [`encode_admit_response`]
+// from generic server code instantiated in other crates.
+#[inline]
+fn u32_at(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4-byte field"))
+}
+
+#[inline]
+fn u64_at(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte field"))
+}
+
+#[inline]
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+#[inline]
+fn put_u64_at(buf: &mut [u8], at: usize, v: u64) {
+    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The little-endian `u64`s packed in `bytes` (a whole number of them).
+fn le_u64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    bytes.chunks_exact(8).map(word)
+}
+
+/// Splits the body of the frame at the front of `buf` off its length
+/// prefix: `Ok(None)` while the prefix or the body it declares is still
+/// incomplete. The one place a declared length is judged — from the four
+/// prefix bytes alone, before any body byte is looked at.
+fn frame_body(buf: &[u8]) -> Result<Option<&[u8]>, ProtoError> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<PREFIX>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len == 0 {
+        return Err(ProtoError::EmptyFrame);
+    }
+    if len > MAX_FRAME {
+        return Err(ProtoError::FrameTooLarge(len));
+    }
+    Ok(rest.get(..len))
+}
+
+/// Appends one frame — length prefix, `ty`, then whatever `payload`
+/// appends — patching the prefix once the payload's length is known.
+fn framed(out: &mut Vec<u8>, ty: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0u8; PREFIX]);
+    out.push(ty);
+    payload(out);
+    let len = (out.len() - len_at - PREFIX) as u32;
+    out[len_at..len_at + PREFIX].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends an element vector: `count:u16`, then the `u64`s of `words` —
+/// `count` of them, or `2 × count` for the two rows of a
+/// [`Frame::LeaseGrant`].
+///
+/// # Panics
+///
+/// Panics if `count` exceeds [`MAX_STAGES`]: no decoder accepts such a
+/// frame, and past `u16::MAX` the count would wrap.
+fn put_vec(out: &mut Vec<u8>, count: usize, words: impl Iterator<Item = u64>) {
+    assert!(
+        count <= MAX_STAGES,
+        "element count {count} exceeds {MAX_STAGES}"
+    );
+    out.extend_from_slice(&(count as u16).to_le_bytes());
+    for w in words {
+        put_u64(out, w);
+    }
+}
+
+/// Encodes the shared shape of [`Frame::LeaseReturn`] /
+/// [`Frame::LeaseRequest`] / [`Frame::LeaseSteal`]:
+/// `node:u32 epoch:u32 count:u16 units:u64×count`.
+fn encode_lease_vec(out: &mut Vec<u8>, ty: u8, node: u32, epoch: u32, units: &[u64]) {
+    framed(out, ty, |out| {
+        out.extend_from_slice(&node.to_le_bytes());
+        out.extend_from_slice(&epoch.to_le_bytes());
+        put_vec(out, units.len(), units.iter().copied());
+    });
+}
+
+/// Decodes an admit-request body into an [`AdmitHead`], appending the
+/// stage demands to `demands`. The head is fixed-shape, so one
+/// exact-length comparison against the declared demand count validates
+/// the whole frame before any field is read or any demand lands: on error
+/// the arena is untouched.
+fn decode_admit_body(body: &[u8], demands: &mut Vec<u64>) -> Result<AdmitHead, ProtoError> {
+    debug_assert_eq!(body[0], TYPE_ADMIT_REQUEST);
+    const BAD: ProtoError = ProtoError::Malformed("AdmitRequest");
+    if body.len() < REQ_DEMANDS {
+        return Err(BAD);
+    }
+    let flags = body[REQ_FLAGS];
+    if flags & !FLAG_ALLOW_SHED != 0 {
+        return Err(BAD);
+    }
+    let n = u16::from_le_bytes([body[REQ_COUNT], body[REQ_COUNT + 1]]) as usize;
+    if n > MAX_STAGES {
+        return Err(ProtoError::TooManyStages(n));
+    }
+    // A task that visits no stage has no admission test.
+    if n == 0 || body.len() != REQ_DEMANDS + 8 * n {
+        return Err(BAD);
+    }
+    let mark = demands.len();
+    demands.extend(le_u64s(&body[REQ_DEMANDS..]));
+    Ok(AdmitHead {
+        req_id: u64_at(body, REQ_ID),
+        expires_at_us: u64_at(body, REQ_EXPIRES_AT),
+        allow_shed: flags & FLAG_ALLOW_SHED != 0,
+        deadline_us: u64_at(body, REQ_DEADLINE),
+        importance: u32_at(body, REQ_IMPORTANCE),
+        demands: (mark, mark + n),
+    })
+}
+
+/// Overwrites the request id and expiry of the encoded admit request at
+/// the front of `frame` (length prefix included) — how a pre-encoded
+/// request is reused without re-serializing its task.
+#[inline]
+pub(crate) fn stamp_admit_request(frame: &mut [u8], req_id: u64, expires_at_us: u64) {
+    let body = &mut frame[PREFIX..];
+    put_u64_at(body, REQ_ID, req_id);
+    put_u64_at(body, REQ_EXPIRES_AT, expires_at_us);
+}
+
+/// Decodes an admit-response body: the verdict code selects one of the
+/// fixed shapes, which the body's length must match exactly.
+fn decode_admit_response(body: &[u8]) -> Result<(u64, Verdict), ProtoError> {
+    debug_assert_eq!(body[0], TYPE_ADMIT_RESPONSE);
+    const BAD: ProtoError = ProtoError::Malformed("AdmitResponse");
+    if body.len() < RESP_LEN_BARE {
+        return Err(BAD);
+    }
+    let verdict = match (body[RESP_VERDICT], body.len()) {
+        (VERDICT_REJECTED, RESP_LEN_BARE) => Verdict::Rejected,
+        (VERDICT_EXPIRED, RESP_LEN_BARE) => Verdict::Expired,
+        (VERDICT_ADMITTED, RESP_LEN_TICKET) => Verdict::Admitted {
+            ticket_id: u64_at(body, RESP_TICKET),
+        },
+        (VERDICT_ADMITTED_AFTER_SHEDDING, RESP_LEN_SHED) => Verdict::AdmittedAfterShedding {
+            ticket_id: u64_at(body, RESP_TICKET),
+            shed: u32_at(body, RESP_SHED),
+        },
+        (VERDICT_ADMITTED..=VERDICT_EXPIRED, _) => return Err(BAD),
+        (other, _) => return Err(ProtoError::UnknownVerdict(other)),
+    };
+    Ok((u64_at(body, RESP_REQ_ID), verdict))
+}
+
 impl Frame {
-    /// Appends the frame's length-prefixed encoding to `out`.
+    /// Appends the frame's length-prefixed encoding to `out`. The result
+    /// always decodes back to an equal frame.
     ///
-    /// The result always decodes back to an equal frame, provided element
-    /// counts respect [`MAX_STAGES`] (debug-asserted).
+    /// # Panics
+    ///
+    /// Panics if an element vector (stage demands, utilizations, lease
+    /// units) is longer than [`MAX_STAGES`], or if a
+    /// [`Frame::LeaseGrant`]'s two vectors differ in length: no peer
+    /// decodes such a frame.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len_at = out.len();
-        out.extend_from_slice(&[0u8; 4]);
         match self {
-            Frame::AdmitRequest(req) => {
-                debug_assert!(req.task.stage_demands_us.len() <= MAX_STAGES);
-                out.push(TYPE_ADMIT_REQUEST);
-                out.extend_from_slice(&req.req_id.to_le_bytes());
-                out.extend_from_slice(&req.expires_at_us.to_le_bytes());
-                out.extend_from_slice(&req.task.deadline_us.to_le_bytes());
-                out.extend_from_slice(&req.task.importance.to_le_bytes());
-                out.push(if req.allow_shed { FLAG_ALLOW_SHED } else { 0 });
-                out.extend_from_slice(&(req.task.stage_demands_us.len() as u16).to_le_bytes());
-                for d in &req.task.stage_demands_us {
-                    out.extend_from_slice(&d.to_le_bytes());
-                }
-            }
+            Frame::AdmitRequest(req) => Frame::encode_admit_request_into(
+                req.req_id,
+                req.expires_at_us,
+                req.allow_shed,
+                &req.task,
+                out,
+            ),
             Frame::AdmitResponse { req_id, verdict } => {
-                out.push(TYPE_ADMIT_RESPONSE);
-                out.extend_from_slice(&req_id.to_le_bytes());
-                match *verdict {
-                    Verdict::Admitted { ticket_id } => {
-                        out.push(VERDICT_ADMITTED);
-                        out.extend_from_slice(&ticket_id.to_le_bytes());
-                    }
-                    Verdict::AdmittedAfterShedding { ticket_id, shed } => {
-                        out.push(VERDICT_ADMITTED_AFTER_SHEDDING);
-                        out.extend_from_slice(&ticket_id.to_le_bytes());
-                        out.extend_from_slice(&shed.to_le_bytes());
-                    }
-                    Verdict::Rejected => out.push(VERDICT_REJECTED),
-                    Verdict::Expired => out.push(VERDICT_EXPIRED),
-                }
+                let (bytes, len) = encode_admit_response(*req_id, *verdict);
+                out.extend_from_slice(&bytes[..len]);
             }
             Frame::Release { ticket_id } => {
-                out.push(TYPE_RELEASE);
-                out.extend_from_slice(&ticket_id.to_le_bytes());
+                framed(out, TYPE_RELEASE, |out| put_u64(out, *ticket_id))
             }
-            Frame::Heartbeat { nonce } => {
-                out.push(TYPE_HEARTBEAT);
-                out.extend_from_slice(&nonce.to_le_bytes());
-            }
+            Frame::Heartbeat { nonce } => framed(out, TYPE_HEARTBEAT, |out| put_u64(out, *nonce)),
             Frame::HeartbeatAck { nonce } => {
-                out.push(TYPE_HEARTBEAT_ACK);
-                out.extend_from_slice(&nonce.to_le_bytes());
+                framed(out, TYPE_HEARTBEAT_ACK, |out| put_u64(out, *nonce))
             }
-            Frame::StatsRequest => out.push(TYPE_STATS_REQUEST),
-            Frame::StatsResponse(s) => {
-                debug_assert!(s.utilizations.len() <= MAX_STAGES);
-                out.push(TYPE_STATS_RESPONSE);
+            Frame::StatsRequest => framed(out, TYPE_STATS_REQUEST, |_| {}),
+            Frame::StatsResponse(s) => framed(out, TYPE_STATS_RESPONSE, |out| {
                 for counter in [
                     s.admitted,
                     s.rejected,
@@ -638,76 +737,63 @@ impl Frame {
                     s.expired_on_arrival,
                     s.live_tasks,
                 ] {
-                    out.extend_from_slice(&counter.to_le_bytes());
+                    put_u64(out, counter);
                 }
-                out.extend_from_slice(&(s.utilizations.len() as u16).to_le_bytes());
-                for u in &s.utilizations {
-                    out.extend_from_slice(&u.to_bits().to_le_bytes());
-                }
-            }
+                let bits = s.utilizations.iter().map(|u| u.to_bits());
+                put_vec(out, s.utilizations.len(), bits);
+            }),
             Frame::NodeHello {
                 node_id,
                 incarnation,
                 params_fp,
-            } => {
-                out.push(TYPE_NODE_HELLO);
-                out.extend_from_slice(&node_id.to_le_bytes());
-                out.extend_from_slice(&incarnation.to_le_bytes());
-                out.extend_from_slice(&params_fp.to_le_bytes());
-            }
+            } => framed(out, TYPE_NODE_HELLO, |out| {
+                put_u64(out, *node_id);
+                put_u64(out, *incarnation);
+                put_u64(out, *params_fp);
+            }),
             Frame::LeaseGrant {
                 node,
                 epoch,
                 incarnation,
                 issued_units,
                 returned_units,
-            } => {
-                debug_assert!(issued_units.len() <= MAX_STAGES);
-                debug_assert_eq!(issued_units.len(), returned_units.len());
-                out.push(TYPE_LEASE_GRANT);
+            } => framed(out, TYPE_LEASE_GRANT, |out| {
+                assert_eq!(issued_units.len(), returned_units.len());
                 out.extend_from_slice(&node.to_le_bytes());
                 out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&incarnation.to_le_bytes());
-                out.extend_from_slice(&(issued_units.len() as u16).to_le_bytes());
-                for u in issued_units {
-                    out.extend_from_slice(&u.to_le_bytes());
-                }
-                for u in returned_units {
-                    out.extend_from_slice(&u.to_le_bytes());
-                }
-            }
+                put_u64(out, *incarnation);
+                let units = issued_units.iter().chain(returned_units).copied();
+                put_vec(out, issued_units.len(), units);
+            }),
             Frame::LeaseReturn {
                 node,
                 epoch,
                 returned_units,
-            } => {
-                encode_lease_vec(out, TYPE_LEASE_RETURN, *node, *epoch, returned_units);
-            }
+            } => encode_lease_vec(out, TYPE_LEASE_RETURN, *node, *epoch, returned_units),
             Frame::LeaseRequest {
                 node,
                 epoch,
                 want_units,
-            } => {
-                encode_lease_vec(out, TYPE_LEASE_REQUEST, *node, *epoch, want_units);
-            }
+            } => encode_lease_vec(out, TYPE_LEASE_REQUEST, *node, *epoch, want_units),
             Frame::LeaseSteal {
                 node,
                 epoch,
                 want_returned_units,
-            } => {
-                encode_lease_vec(out, TYPE_LEASE_STEAL, *node, *epoch, want_returned_units);
-            }
+            } => encode_lease_vec(out, TYPE_LEASE_STEAL, *node, *epoch, want_returned_units),
         }
-        let len = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Appends the length-prefixed encoding of an admit request built
-    /// from a *borrowed* task, without constructing an owned
-    /// [`AdmitRequest`] (whose task holds a `Vec`). This is the
-    /// request-pipelining hot path: a client queueing a window of admits
-    /// per flush avoids one heap clone per request. Byte-for-byte
-    /// identical to encoding `Frame::AdmitRequest` with the same fields.
+    /// from a *borrowed* task — the one admit-request encoder. A client
+    /// queueing a window of admits per flush needs no owned
+    /// [`AdmitRequest`] (whose task holds a `Vec`) per request;
+    /// [`Frame::encode_into`] calls this for the owned form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task has more than [`MAX_STAGES`] stage demands: the
+    /// server would answer [`ProtoError::TooManyStages`] by closing the
+    /// connection, voiding every request in flight on it.
     pub fn encode_admit_request_into(
         req_id: u64,
         expires_at_us: u64,
@@ -715,21 +801,15 @@ impl Frame {
         task: &WireTaskSpec,
         out: &mut Vec<u8>,
     ) {
-        debug_assert!(task.stage_demands_us.len() <= MAX_STAGES);
-        let len_at = out.len();
-        out.extend_from_slice(&[0u8; 4]);
-        out.push(TYPE_ADMIT_REQUEST);
-        out.extend_from_slice(&req_id.to_le_bytes());
-        out.extend_from_slice(&expires_at_us.to_le_bytes());
-        out.extend_from_slice(&task.deadline_us.to_le_bytes());
-        out.extend_from_slice(&task.importance.to_le_bytes());
-        out.push(if allow_shed { FLAG_ALLOW_SHED } else { 0 });
-        out.extend_from_slice(&(task.stage_demands_us.len() as u16).to_le_bytes());
-        for d in &task.stage_demands_us {
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-        let len = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        framed(out, TYPE_ADMIT_REQUEST, |out| {
+            put_u64(out, req_id);
+            put_u64(out, expires_at_us);
+            put_u64(out, task.deadline_us);
+            out.extend_from_slice(&task.importance.to_le_bytes());
+            out.push(if allow_shed { FLAG_ALLOW_SHED } else { 0 });
+            let demands = &task.stage_demands_us;
+            put_vec(out, demands.len(), demands.iter().copied());
+        });
     }
 
     /// Attempts to decode one frame from the front of `buf`.
@@ -745,21 +825,10 @@ impl Frame {
     ///
     /// See [`ProtoError`].
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, ProtoError> {
-        if buf.len() < 4 {
-            return Ok(None);
+        match frame_body(buf)? {
+            Some(body) => Ok(Some((Frame::decode_body(body)?, PREFIX + body.len()))),
+            None => Ok(None),
         }
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        if len == 0 {
-            return Err(ProtoError::EmptyFrame);
-        }
-        if len > MAX_FRAME {
-            return Err(ProtoError::FrameTooLarge(len));
-        }
-        if buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let frame = Frame::decode_body(&buf[4..4 + len])?;
-        Ok(Some((frame, 4 + len)))
     }
 
     fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
@@ -768,228 +837,176 @@ impl Frame {
             pos: 1,
             frame: "frame",
         };
-        match body[0] {
+        let frame = match body[0] {
             TYPE_ADMIT_REQUEST => {
-                r.frame = "AdmitRequest";
-                let req_id = r.u64()?;
-                let expires_at_us = r.u64()?;
-                let deadline_us = r.u64()?;
-                let importance = r.u32()?;
-                let flags = r.u8()?;
-                if flags & !FLAG_ALLOW_SHED != 0 {
-                    return Err(ProtoError::Malformed("AdmitRequest"));
-                }
-                let n = r.count()?;
-                if n == 0 {
-                    // A task that visits no stage has no admission test.
-                    return Err(ProtoError::Malformed("AdmitRequest"));
-                }
-                let mut stage_demands_us = Vec::with_capacity(n);
-                for _ in 0..n {
-                    stage_demands_us.push(r.u64()?);
-                }
-                r.finish()?;
-                Ok(Frame::AdmitRequest(AdmitRequest {
-                    req_id,
-                    expires_at_us,
-                    allow_shed: flags & FLAG_ALLOW_SHED != 0,
+                let mut stage_demands_us = Vec::new();
+                let head = decode_admit_body(body, &mut stage_demands_us)?;
+                return Ok(Frame::AdmitRequest(AdmitRequest {
+                    req_id: head.req_id,
+                    expires_at_us: head.expires_at_us,
+                    allow_shed: head.allow_shed,
                     task: WireTaskSpec {
-                        deadline_us,
+                        deadline_us: head.deadline_us,
                         stage_demands_us,
-                        importance,
+                        importance: head.importance,
                     },
-                }))
+                }));
             }
             TYPE_ADMIT_RESPONSE => {
-                r.frame = "AdmitResponse";
-                let req_id = r.u64()?;
-                let verdict = match r.u8()? {
-                    VERDICT_ADMITTED => Verdict::Admitted {
-                        ticket_id: r.u64()?,
-                    },
-                    VERDICT_ADMITTED_AFTER_SHEDDING => Verdict::AdmittedAfterShedding {
-                        ticket_id: r.u64()?,
-                        shed: r.u32()?,
-                    },
-                    VERDICT_REJECTED => Verdict::Rejected,
-                    VERDICT_EXPIRED => Verdict::Expired,
-                    other => return Err(ProtoError::UnknownVerdict(other)),
-                };
-                r.finish()?;
-                Ok(Frame::AdmitResponse { req_id, verdict })
+                let (req_id, verdict) = decode_admit_response(body)?;
+                return Ok(Frame::AdmitResponse { req_id, verdict });
             }
             TYPE_RELEASE => {
                 r.frame = "Release";
-                let ticket_id = r.u64()?;
-                r.finish()?;
-                Ok(Frame::Release { ticket_id })
+                Frame::Release {
+                    ticket_id: r.u64()?,
+                }
             }
             TYPE_HEARTBEAT => {
                 r.frame = "Heartbeat";
-                let nonce = r.u64()?;
-                r.finish()?;
-                Ok(Frame::Heartbeat { nonce })
+                Frame::Heartbeat { nonce: r.u64()? }
             }
             TYPE_HEARTBEAT_ACK => {
                 r.frame = "HeartbeatAck";
-                let nonce = r.u64()?;
-                r.finish()?;
-                Ok(Frame::HeartbeatAck { nonce })
+                Frame::HeartbeatAck { nonce: r.u64()? }
             }
             TYPE_STATS_REQUEST => {
                 r.frame = "StatsRequest";
-                r.finish()?;
-                Ok(Frame::StatsRequest)
+                Frame::StatsRequest
             }
+            // Struct fields are read in the order written: wire order.
             TYPE_STATS_RESPONSE => {
                 r.frame = "StatsResponse";
-                let admitted = r.u64()?;
-                let rejected = r.u64()?;
-                let shed = r.u64()?;
-                let released = r.u64()?;
-                let expired = r.u64()?;
-                let expired_on_arrival = r.u64()?;
-                let live_tasks = r.u64()?;
-                let n = r.count()?;
-                let mut utilizations = Vec::with_capacity(n);
-                for _ in 0..n {
-                    utilizations.push(f64::from_bits(r.u64()?));
-                }
-                r.finish()?;
-                Ok(Frame::StatsResponse(StatsReport {
-                    admitted,
-                    rejected,
-                    shed,
-                    released,
-                    expired,
-                    expired_on_arrival,
-                    live_tasks,
-                    utilizations,
-                }))
+                Frame::StatsResponse(StatsReport {
+                    admitted: r.u64()?,
+                    rejected: r.u64()?,
+                    shed: r.u64()?,
+                    released: r.u64()?,
+                    expired: r.u64()?,
+                    expired_on_arrival: r.u64()?,
+                    live_tasks: r.u64()?,
+                    utilizations: {
+                        let n = r.count()?;
+                        r.u64s(n)?.into_iter().map(f64::from_bits).collect()
+                    },
+                })
             }
             TYPE_NODE_HELLO => {
                 r.frame = "NodeHello";
-                let node_id = r.u64()?;
-                let incarnation = r.u64()?;
-                let params_fp = r.u64()?;
-                r.finish()?;
-                Ok(Frame::NodeHello {
-                    node_id,
-                    incarnation,
-                    params_fp,
-                })
+                Frame::NodeHello {
+                    node_id: r.u64()?,
+                    incarnation: r.u64()?,
+                    params_fp: r.u64()?,
+                }
             }
             TYPE_LEASE_GRANT => {
                 r.frame = "LeaseGrant";
-                let node = r.u32()?;
-                let epoch = r.u32()?;
-                let incarnation = r.u64()?;
+                let (node, epoch, incarnation) = (r.u32()?, r.u32()?, r.u64()?);
                 let n = r.count()?;
-                let mut issued_units = Vec::with_capacity(n);
-                for _ in 0..n {
-                    issued_units.push(r.u64()?);
-                }
-                let mut returned_units = Vec::with_capacity(n);
-                for _ in 0..n {
-                    returned_units.push(r.u64()?);
-                }
-                r.finish()?;
-                Ok(Frame::LeaseGrant {
+                Frame::LeaseGrant {
                     node,
                     epoch,
                     incarnation,
-                    issued_units,
-                    returned_units,
-                })
+                    issued_units: r.u64s(n)?,
+                    returned_units: r.u64s(n)?,
+                }
             }
             TYPE_LEASE_RETURN => {
                 r.frame = "LeaseReturn";
                 let (node, epoch, returned_units) = r.lease_vec()?;
-                Ok(Frame::LeaseReturn {
+                Frame::LeaseReturn {
                     node,
                     epoch,
                     returned_units,
-                })
+                }
             }
             TYPE_LEASE_REQUEST => {
                 r.frame = "LeaseRequest";
                 let (node, epoch, want_units) = r.lease_vec()?;
-                Ok(Frame::LeaseRequest {
+                Frame::LeaseRequest {
                     node,
                     epoch,
                     want_units,
-                })
+                }
             }
             TYPE_LEASE_STEAL => {
                 r.frame = "LeaseSteal";
                 let (node, epoch, want_returned_units) = r.lease_vec()?;
-                Ok(Frame::LeaseSteal {
+                Frame::LeaseSteal {
                     node,
                     epoch,
                     want_returned_units,
-                })
+                }
             }
-            other => Err(ProtoError::UnknownType(other)),
+            other => return Err(ProtoError::UnknownType(other)),
+        };
+        // The payload must be fully consumed: trailing bytes are an error.
+        if r.pos != body.len() {
+            return Err(ProtoError::Malformed(r.frame));
         }
+        Ok(frame)
     }
 }
 
 /// Upper bound on one encoded [`Frame::AdmitResponse`], reached by the
 /// shedding variant (`len:u32 type req_id:u64 verdict ticket:u64
 /// shed:u32`). The templates in [`encode_admit_response`] are this size.
-pub const ADMIT_RESPONSE_MAX: usize = 26;
+pub const ADMIT_RESPONSE_MAX: usize = PREFIX + RESP_LEN_SHED;
 
 /// One interned response template: length prefix, frame type, and
 /// verdict code prebaked; the per-response fields stay zero until the
 /// masked write fills them in.
-const fn admit_response_template(payload_len: u8, code: u8) -> [u8; ADMIT_RESPONSE_MAX] {
+const fn admit_response_template(body_len: usize, code: u8) -> [u8; ADMIT_RESPONSE_MAX] {
     let mut t = [0u8; ADMIT_RESPONSE_MAX];
     // Low byte of the little-endian u32 length prefix; admit-response
-    // payloads never exceed 22 bytes.
-    t[0] = payload_len;
-    t[4] = TYPE_ADMIT_RESPONSE;
-    t[13] = code;
+    // bodies never exceed 22 bytes.
+    t[0] = body_len as u8;
+    t[PREFIX] = TYPE_ADMIT_RESPONSE;
+    t[PREFIX + RESP_VERDICT] = code;
     t
 }
 
-/// Encodes one admit response as a **masked write into an interned
-/// template**: the four fixed-size response shapes (one per verdict
-/// kind) are baked at compile time with their length prefix, type byte,
-/// and verdict code already in place, so encoding writes only the 1–3
-/// fields that differ per response (`req_id`, and for admissions the
-/// ticket id / shed count) instead of serializing field by field.
+/// Encodes one admit response — the one admit-response encoder — as a
+/// **masked write into an interned template**: the four fixed-size
+/// response shapes (one per verdict kind) are baked at compile time with
+/// their length prefix, type byte, and verdict code already in place, so
+/// encoding writes only the 1–3 fields that differ per response
+/// (`req_id`, and for admissions the ticket id / shed count).
 ///
 /// Returns the backing array and the encoded length; `&array[..len]` is
-/// byte-for-byte what [`Frame::encode_into`] appends for the same
-/// `Frame::AdmitResponse` (a unit test pins the identity).
+/// the frame, and what [`Frame::encode_into`] appends for the same
+/// `Frame::AdmitResponse`.
 #[inline]
 pub fn encode_admit_response(req_id: u64, verdict: Verdict) -> ([u8; ADMIT_RESPONSE_MAX], usize) {
-    const REJECTED: [u8; ADMIT_RESPONSE_MAX] = admit_response_template(10, VERDICT_REJECTED);
-    const EXPIRED: [u8; ADMIT_RESPONSE_MAX] = admit_response_template(10, VERDICT_EXPIRED);
-    const ADMITTED: [u8; ADMIT_RESPONSE_MAX] = admit_response_template(18, VERDICT_ADMITTED);
+    const REJECTED: [u8; ADMIT_RESPONSE_MAX] =
+        admit_response_template(RESP_LEN_BARE, VERDICT_REJECTED);
+    const EXPIRED: [u8; ADMIT_RESPONSE_MAX] =
+        admit_response_template(RESP_LEN_BARE, VERDICT_EXPIRED);
+    const ADMITTED: [u8; ADMIT_RESPONSE_MAX] =
+        admit_response_template(RESP_LEN_TICKET, VERDICT_ADMITTED);
     const SHED: [u8; ADMIT_RESPONSE_MAX] =
-        admit_response_template(22, VERDICT_ADMITTED_AFTER_SHEDDING);
-    let (mut out, len) = match verdict {
-        Verdict::Rejected => (REJECTED, 14),
-        Verdict::Expired => (EXPIRED, 14),
-        Verdict::Admitted { .. } => (ADMITTED, 22),
-        Verdict::AdmittedAfterShedding { .. } => (SHED, 26),
+        admit_response_template(RESP_LEN_SHED, VERDICT_ADMITTED_AFTER_SHEDDING);
+    let (mut out, body_len) = match verdict {
+        Verdict::Rejected => (REJECTED, RESP_LEN_BARE),
+        Verdict::Expired => (EXPIRED, RESP_LEN_BARE),
+        Verdict::Admitted { .. } => (ADMITTED, RESP_LEN_TICKET),
+        Verdict::AdmittedAfterShedding { .. } => (SHED, RESP_LEN_SHED),
     };
-    out[5..13].copy_from_slice(&req_id.to_le_bytes());
+    let body = &mut out[PREFIX..];
+    put_u64_at(body, RESP_REQ_ID, req_id);
     match verdict {
-        Verdict::Admitted { ticket_id } => {
-            out[14..22].copy_from_slice(&ticket_id.to_le_bytes());
-        }
+        Verdict::Admitted { ticket_id } => put_u64_at(body, RESP_TICKET, ticket_id),
         Verdict::AdmittedAfterShedding { ticket_id, shed } => {
-            out[14..22].copy_from_slice(&ticket_id.to_le_bytes());
-            out[22..26].copy_from_slice(&shed.to_le_bytes());
+            put_u64_at(body, RESP_TICKET, ticket_id);
+            body[RESP_SHED..RESP_SHED + 4].copy_from_slice(&shed.to_le_bytes());
         }
         Verdict::Rejected | Verdict::Expired => {}
     }
-    (out, len)
+    (out, PREFIX + body_len)
 }
 
-/// A little-endian payload cursor; every read is bounds-checked.
+/// A little-endian payload cursor for the variable-shape and control
+/// frames; every read is bounds-checked.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -1008,27 +1025,20 @@ impl Reader<'_> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32_at(self.take(4)?, 0))
     }
 
     fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64_at(self.take(8)?, 0))
     }
 
     /// Reads an element count and validates it against [`MAX_STAGES`]
-    /// *and* the bytes actually present, so `Vec::with_capacity(count)`
+    /// *and* the bytes actually present, so a vector of `count` elements
     /// can never over-allocate from a forged header.
     fn count(&mut self) -> Result<usize, ProtoError> {
-        let n = self.u16()? as usize;
+        let n = self.take(2)?;
+        let n = u16::from_le_bytes([n[0], n[1]]) as usize;
         if n > MAX_STAGES {
             return Err(ProtoError::TooManyStages(n));
         }
@@ -1038,27 +1048,17 @@ impl Reader<'_> {
         Ok(n)
     }
 
-    /// Decodes the shared `node:u32 epoch:u32 count:u16 units:u64×count`
-    /// tail of the single-vector lease frames, consuming the payload.
-    fn lease_vec(&mut self) -> Result<(u32, u32, Vec<u64>), ProtoError> {
-        let node = self.u32()?;
-        let epoch = self.u32()?;
-        let n = self.count()?;
-        let mut units = Vec::with_capacity(n);
-        for _ in 0..n {
-            units.push(self.u64()?);
-        }
-        self.finish()?;
-        Ok((node, epoch, units))
+    /// Reads `n` (a [`Reader::count`]) `u64`s.
+    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, ProtoError> {
+        Ok(le_u64s(self.take(n * 8)?).collect())
     }
 
-    /// The payload must be fully consumed: trailing bytes are an error.
-    fn finish(&self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::Malformed(self.frame))
-        }
+    /// Decodes the shared `node:u32 epoch:u32 count:u16 units:u64×count`
+    /// payload of the single-vector lease frames.
+    fn lease_vec(&mut self) -> Result<(u32, u32, Vec<u64>), ProtoError> {
+        let (node, epoch) = (self.u32()?, self.u32()?);
+        let n = self.count()?;
+        Ok((node, epoch, self.u64s(n)?))
     }
 }
 
@@ -1134,7 +1134,7 @@ impl FrameBuffer {
     }
 
     /// Reads once from `src` **directly into the buffer's spare space**
-    /// (at least [`READ_CHUNK`] bytes of it), so transport bytes land in
+    /// (at least `READ_CHUNK` = 4 KiB of it), so transport bytes land in
     /// their reassembly position without an intermediate scratch copy.
     /// Returns the byte count from the underlying `read` (0 means EOF).
     ///
@@ -1187,6 +1187,22 @@ impl FrameBuffer {
         }
     }
 
+    /// Decodes the body of the next complete frame with `decode` and
+    /// consumes the frame; `Ok(None)` when none is buffered yet. An error
+    /// consumes nothing.
+    fn pull<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, ProtoError>,
+    ) -> Result<Option<T>, ProtoError> {
+        let Some(body) = frame_body(&self.data[self.start..self.end])? else {
+            return Ok(None);
+        };
+        let consumed = PREFIX + body.len();
+        let item = decode(body)?;
+        self.consume(consumed);
+        Ok(Some(item))
+    }
+
     /// Decodes the next complete frame, if one is buffered.
     ///
     /// # Errors
@@ -1195,21 +1211,12 @@ impl FrameBuffer {
     /// poisoned from the caller's perspective and the connection should
     /// be closed.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        match Frame::decode(&self.data[self.start..self.end])? {
-            Some((frame, consumed)) => {
-                self.consume(consumed);
-                Ok(Some(frame))
-            }
-            None => Ok(None),
-        }
+        self.pull(Frame::decode_body)
     }
 
-    /// Decodes the next complete frame when it is an admit response,
-    /// via a fixed-shape fast path (the four verdict shapes read at
-    /// fixed offsets — no generic frame dispatch). This is the
-    /// receive-side twin of the server's interned response templates: a
-    /// pipelining client drains a window of verdicts without
-    /// constructing a [`Frame`] per response.
+    /// Decodes the next complete frame, handing an admit response back
+    /// as its two fields: a pipelining client drains a window of
+    /// verdicts without constructing a [`Frame`] per response.
     ///
     /// Returns [`DrainedAdmit::Pending`] when the buffer holds only an
     /// incomplete frame (read more and retry), or
@@ -1218,42 +1225,18 @@ impl FrameBuffer {
     ///
     /// # Errors
     ///
-    /// See [`ProtoError`]; exactly the bytes [`FrameBuffer::next_frame`]
-    /// rejects are rejected here (the proto tests pin the equivalence).
+    /// See [`ProtoError`]; the validation is
+    /// [`FrameBuffer::next_frame`]'s, frame for frame.
     pub fn next_admit_response(&mut self) -> Result<DrainedAdmit, ProtoError> {
-        let buf = &self.data[self.start..self.end];
-        if buf.len() >= 4 + 10 && buf[4] == TYPE_ADMIT_RESPONSE {
-            let len = u32::from_le_bytes(buf[0..4].try_into().expect("4-byte prefix")) as usize;
-            // `len < 10` cannot be a valid admit response; let the
-            // generic decoder produce its exact error.
-            if len >= 10 && buf.len() >= 4 + len {
-                let body = &buf[4..4 + len];
-                let req_id = u64::from_le_bytes(body[1..9].try_into().expect("fixed head"));
-                let verdict = match (body[9], len) {
-                    (VERDICT_REJECTED, 10) => Verdict::Rejected,
-                    (VERDICT_EXPIRED, 10) => Verdict::Expired,
-                    (VERDICT_ADMITTED, 18) => Verdict::Admitted {
-                        ticket_id: u64::from_le_bytes(body[10..18].try_into().expect("fixed tail")),
-                    },
-                    (VERDICT_ADMITTED_AFTER_SHEDDING, 22) => Verdict::AdmittedAfterShedding {
-                        ticket_id: u64::from_le_bytes(body[10..18].try_into().expect("fixed tail")),
-                        shed: u32::from_le_bytes(body[18..22].try_into().expect("fixed tail")),
-                    },
-                    // Unknown code or a length that disagrees with the
-                    // verdict shape: let the generic decoder name the
-                    // error precisely.
-                    _ => {
-                        return self
-                            .next_frame()
-                            .map(|f| f.map_or(DrainedAdmit::Pending, DrainedAdmit::Other))
-                    }
-                };
-                self.consume(4 + len);
-                return Ok(DrainedAdmit::Admit { req_id, verdict });
+        let drained = self.pull(|body| {
+            if body[0] == TYPE_ADMIT_RESPONSE {
+                let (req_id, verdict) = decode_admit_response(body)?;
+                Ok(DrainedAdmit::Admit { req_id, verdict })
+            } else {
+                Frame::decode_body(body).map(DrainedAdmit::Other)
             }
-        }
-        self.next_frame()
-            .map(|f| f.map_or(DrainedAdmit::Pending, DrainedAdmit::Other))
+        })?;
+        Ok(drained.unwrap_or(DrainedAdmit::Pending))
     }
 
     /// Decodes the next complete frame, landing admit-request stage
@@ -1275,28 +1258,13 @@ impl FrameBuffer {
         &mut self,
         demands: &mut Vec<u64>,
     ) -> Result<Option<BatchedFrame>, ProtoError> {
-        let buf = &self.data[self.start..self.end];
-        if buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        if len == 0 {
-            return Err(ProtoError::EmptyFrame);
-        }
-        if len > MAX_FRAME {
-            return Err(ProtoError::FrameTooLarge(len));
-        }
-        if buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let body = &buf[4..4 + len];
-        let frame = if body[0] == TYPE_ADMIT_REQUEST {
-            BatchedFrame::Admit(decode_admit_body(body, demands)?)
-        } else {
-            BatchedFrame::Other(Frame::decode_body(body)?)
-        };
-        self.consume(4 + len);
-        Ok(Some(frame))
+        self.pull(|body| {
+            if body[0] == TYPE_ADMIT_REQUEST {
+                decode_admit_body(body, demands).map(BatchedFrame::Admit)
+            } else {
+                Frame::decode_body(body).map(BatchedFrame::Other)
+            }
+        })
     }
 
     /// Bytes buffered but not yet consumed by [`FrameBuffer::next_frame`].
@@ -1510,8 +1478,8 @@ mod tests {
                 Frame::AdmitResponse { req_id, verdict }.encode_into(&mut field_by_field);
                 let (template, len) = encode_admit_response(req_id, verdict);
                 assert_eq!(&template[..len], &field_by_field[..], "{verdict:?}");
-                // And everything past the encoded length is template
-                // padding the caller must not send.
+                // Everything past the encoded length is template padding
+                // the caller must not send.
                 assert!(len <= ADMIT_RESPONSE_MAX);
             }
         }
@@ -1579,9 +1547,9 @@ mod tests {
 
     #[test]
     fn fast_admit_body_decode_agrees_with_the_generic_decoder() {
-        // Well-formed requests of every shape the fast path claims: the
-        // fixed-offset decode and the field-by-field Reader must yield
-        // identical heads and demand vectors.
+        // Well-formed requests of 1–9 stages: the flat head plus its
+        // arena range and the owned request `Frame::decode_body` builds
+        // from them carry the same fields and demands.
         let mut arena = Vec::new();
         for n in 1..=9usize {
             for allow_shed in [false, true] {
@@ -1614,8 +1582,9 @@ mod tests {
             }
         }
 
-        // Malformed shapes must be rejected by both: zero stages, unknown
-        // flag bits, truncated and over-long demand arrays.
+        // Malformed shapes are rejected with the arena as it was: zero
+        // stages, unknown flag bits, truncated and over-long demand
+        // arrays (`error_table` names each error).
         let mut good = Vec::new();
         Frame::encode_admit_request_into(
             1,
@@ -1649,9 +1618,9 @@ mod tests {
 
     #[test]
     fn fixed_shape_admit_response_drain_agrees_with_the_generic_decoder() {
-        // A stream mixing every verdict shape: the client's fixed-shape
-        // drain must hand back exactly what the generic frame decoder
-        // sees, in the same order, and park on a non-admit frame.
+        // A stream mixing every verdict shape: the client's drain hands
+        // back what `next_frame` sees, in the same order, and parks on a
+        // non-admit frame.
         let verdicts = [
             Verdict::Rejected,
             Verdict::Expired,
@@ -1672,8 +1641,8 @@ mod tests {
         }
         Frame::Heartbeat { nonce: 9 }.encode_into(&mut wire);
 
-        // Feed in 3-byte slivers so the fast path also proves it never
-        // reads past a partial frame.
+        // Fed in 3-byte slivers, so the drain also proves it never reads
+        // past a partial frame.
         let mut fast = FrameBuffer::new();
         let mut drained = Vec::new();
         let mut tail = None;
@@ -1699,7 +1668,7 @@ mod tests {
         assert_eq!(tail, Some(Frame::Heartbeat { nonce: 9 }));
         assert_eq!(fast.pending(), 0);
 
-        // And a generic drain of the same bytes agrees frame for frame.
+        // And a `next_frame` drain of the same bytes agrees frame for frame.
         let mut generic = FrameBuffer::new();
         generic.extend(&wire);
         for &(req_id, verdict) in &expected {
@@ -1712,6 +1681,525 @@ mod tests {
             generic.next_frame(),
             Ok(Some(Frame::Heartbeat { nonce: 9 }))
         );
+    }
+
+    /// What each decoding entry point makes of `wire`, normalized to
+    /// [`Frame::decode`]'s shape: `Frame::decode`, `next_frame_into` and
+    /// `next_admit_response`, in that order. Also checks what a call
+    /// leaves behind: unless a frame came out, every byte is still
+    /// pending and the demand arena is untouched.
+    fn through_every_entry_point(wire: &[u8]) -> [Result<Option<Frame>, ProtoError>; 3] {
+        let decoded = Frame::decode(wire).map(|o| o.map(|(frame, _)| frame));
+
+        let mut fb = FrameBuffer::new();
+        fb.extend(wire);
+        let mut arena = vec![7u64, 7];
+        let batched = fb.next_frame_into(&mut arena).map(|o| {
+            o.map(|frame| match frame {
+                BatchedFrame::Other(frame) => frame,
+                BatchedFrame::Admit(head) => {
+                    assert_eq!(head.demands.0, 2, "demands land after the arena's contents");
+                    Frame::AdmitRequest(AdmitRequest {
+                        req_id: head.req_id,
+                        expires_at_us: head.expires_at_us,
+                        allow_shed: head.allow_shed,
+                        task: WireTaskSpec {
+                            deadline_us: head.deadline_us,
+                            stage_demands_us: head.demands_in(&arena).to_vec(),
+                            importance: head.importance,
+                        },
+                    })
+                }
+            })
+        });
+        if !matches!(batched, Ok(Some(Frame::AdmitRequest(_)))) {
+            assert_eq!(arena, [7, 7], "arena untouched");
+        }
+        let left = |out: &Result<Option<Frame>, ProtoError>| match out {
+            Ok(Some(_)) => 0,
+            _ => wire.len(),
+        };
+        assert_eq!(fb.pending(), left(&batched));
+
+        let mut fb = FrameBuffer::new();
+        fb.extend(wire);
+        let drained = fb.next_admit_response().map(|d| match d {
+            DrainedAdmit::Pending => None,
+            DrainedAdmit::Admit { req_id, verdict } => {
+                Some(Frame::AdmitResponse { req_id, verdict })
+            }
+            DrainedAdmit::Other(frame) => Some(frame),
+        });
+        assert_eq!(fb.pending(), left(&drained));
+
+        [decoded, batched, drained]
+    }
+
+    /// `body` behind a length prefix declaring exactly its length.
+    fn prefixed(body: &[u8]) -> Vec<u8> {
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        wire
+    }
+
+    /// Every entry point makes `expected` of `wire`.
+    #[track_caller]
+    fn assert_all(wire: &[u8], expected: Result<Option<Frame>, ProtoError>, what: &str) {
+        let all = [expected.clone(), expected.clone(), expected];
+        assert_eq!(through_every_entry_point(wire), all, "{what}");
+    }
+
+    #[track_caller]
+    fn assert_rejected(body: &[u8], err: ProtoError, what: &str) {
+        assert_all(&prefixed(body), Err(err), what);
+    }
+
+    #[test]
+    fn error_table() {
+        const BAD_REQ: ProtoError = ProtoError::Malformed("AdmitRequest");
+        const BAD_RESP: ProtoError = ProtoError::Malformed("AdmitResponse");
+
+        // The length prefix, judged before any body byte is looked at
+        // (byte 4 names either fixed-shape frame, with enough bytes
+        // behind it for either to be tried).
+        for ty in [TYPE_ADMIT_REQUEST, TYPE_ADMIT_RESPONSE] {
+            for (len, err) in [
+                (0u32, ProtoError::EmptyFrame),
+                (
+                    MAX_FRAME as u32 + 1,
+                    ProtoError::FrameTooLarge(MAX_FRAME + 1),
+                ),
+                (u32::MAX, ProtoError::FrameTooLarge(u32::MAX as usize)),
+            ] {
+                let mut wire = len.to_le_bytes().to_vec();
+                assert_all(&wire, Err(err.clone()), "prefix alone");
+                wire.push(ty);
+                wire.extend_from_slice(&[0; 47]);
+                assert_all(&wire, Err(err), "prefix and 48 bytes");
+            }
+        }
+
+        // ---- AdmitRequest: a two-stage request, 32 + 16 body bytes.
+        let request = AdmitRequest {
+            req_id: 0x0102_0304_0506_0708,
+            expires_at_us: 99,
+            allow_shed: true,
+            task: WireTaskSpec {
+                deadline_us: 30_000,
+                stage_demands_us: vec![5, 6],
+                importance: 4,
+            },
+        };
+        let mut wire = Vec::new();
+        Frame::AdmitRequest(request.clone()).encode_into(&mut wire);
+        let body = wire[4..].to_vec();
+        assert_eq!(body.len(), 48);
+        assert_all(&wire, Ok(Some(Frame::AdmitRequest(request))), "whole");
+        for cut in 0..wire.len() {
+            // Short of its declared length: not an error, wait for more.
+            assert_all(&wire[..cut], Ok(None), &format!("request cut at {cut}"));
+        }
+        for cut in 1..body.len() {
+            // Declared at its truncated length: unrepairable.
+            assert_rejected(&body[..cut], BAD_REQ, &format!("request body of {cut}"));
+        }
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = body.clone();
+            edit(&mut b);
+            b
+        };
+        let stages = |n: u16, demands: usize| {
+            with(&move |b| {
+                b[30..32].copy_from_slice(&n.to_le_bytes());
+                b.resize(32 + 8 * demands, 0);
+            })
+        };
+        assert_rejected(&with(&|b| b.push(0)), BAD_REQ, "one trailing byte");
+        assert_rejected(&with(&|b| b[29] |= 0b10), BAD_REQ, "flag bit 1");
+        assert_rejected(&with(&|b| b[29] = 0x80), BAD_REQ, "flag bit 7");
+        assert_rejected(&stages(0, 0), BAD_REQ, "no stages");
+        assert_rejected(&stages(0, 2), BAD_REQ, "no stages, two demands");
+        assert_rejected(&stages(3, 2), BAD_REQ, "a demand short");
+        assert_rejected(&stages(1, 2), BAD_REQ, "a demand over");
+        assert_rejected(&stages(1024, 0), BAD_REQ, "the limit, no demands");
+        let too_many = |n: usize| ProtoError::TooManyStages(n);
+        assert_rejected(
+            &stages(1025, 0),
+            too_many(1025),
+            "past the limit, no demands",
+        );
+        assert_rejected(
+            &stages(1025, 2),
+            too_many(1025),
+            "past the limit, two demands",
+        );
+        assert_rejected(
+            &stages(u16::MAX, 0),
+            too_many(65_535),
+            "u16::MAX, no demands",
+        );
+        // Every demand present does not excuse the count.
+        assert_rejected(
+            &stages(1025, 1025),
+            too_many(1025),
+            "past the limit, complete",
+        );
+        // Reserved flag bits are judged before the count is read.
+        let mut both = stages(1025, 0);
+        both[29] = 0b10;
+        assert_rejected(&both, BAD_REQ, "flag bit 1 and past the limit");
+
+        // ---- AdmitResponse: all four shapes.
+        for (verdict, len) in [
+            (Verdict::Rejected, 10),
+            (Verdict::Expired, 10),
+            (Verdict::Admitted { ticket_id: 77 }, 18),
+            (
+                Verdict::AdmittedAfterShedding {
+                    ticket_id: 78,
+                    shed: 2,
+                },
+                22,
+            ),
+        ] {
+            let frame = Frame::AdmitResponse { req_id: 5, verdict };
+            let mut wire = Vec::new();
+            frame.encode_into(&mut wire);
+            let body = wire[4..].to_vec();
+            assert_eq!(body.len(), len);
+            assert_all(&wire, Ok(Some(frame)), "whole");
+            for cut in 0..wire.len() {
+                assert_all(&wire[..cut], Ok(None), &format!("{verdict:?} cut at {cut}"));
+            }
+            for cut in 1..body.len() {
+                assert_rejected(
+                    &body[..cut],
+                    BAD_RESP,
+                    &format!("{verdict:?} body of {cut}"),
+                );
+            }
+            let mut padded = body.clone();
+            padded.push(0);
+            assert_rejected(&padded, BAD_RESP, "one trailing byte");
+            // A known code in a body of another code's length.
+            for (code, shape) in [18usize, 22, 10, 10].into_iter().enumerate() {
+                if shape != len {
+                    let mut b = body.clone();
+                    b[9] = code as u8;
+                    assert_rejected(&b, BAD_RESP, &format!("code {code} in {len} bytes"));
+                }
+            }
+            // An unknown code, whatever the length.
+            for code in [4u8, 0xFF] {
+                let mut b = body.clone();
+                b[9] = code;
+                assert_rejected(&b, ProtoError::UnknownVerdict(code), "unknown code");
+                b.push(0);
+                assert_rejected(&b, ProtoError::UnknownVerdict(code), "unknown code, padded");
+            }
+        }
+    }
+
+    /// The wire format pinned by data: one literal byte string per shape,
+    /// laid out by hand from the tables in DESIGN.md, decoded to the
+    /// expected value through every entry point and re-encoded to the
+    /// same bytes. No encoder wrote these vectors.
+    #[test]
+    fn golden_wire_vectors() {
+        #[rustfmt::skip]
+        const HELLO: &[u8] = &[
+            0x46, 0x52, 0x41, 0x50, // magic "FRAP"
+            2, 0, // version
+            0, 0, // reserved
+        ];
+        #[rustfmt::skip]
+        const HELLO_ACK: &[u8] = &[
+            0x46, 0x52, 0x41, 0x50, // magic "FRAP"
+            2, 0, // version
+            0, 1, // window
+            0, 0, 1, 0, // max_frame
+            0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // server_now_us
+        ];
+        #[rustfmt::skip]
+        const ADMIT_REQUEST_SHED: &[u8] = &[
+            0x38, 0, 0, 0, // len
+            1, // type
+            7, 0, 0, 0, 0, 0, 0, 0, // req_id
+            0x40, 0xE2, 1, 0, 0, 0, 0, 0, // expires_at_us
+            0xA0, 0x86, 1, 0, 0, 0, 0, 0, // deadline_us
+            3, 0, 0, 0, // importance
+            1, // flags
+            3, 0, // count
+            0x88, 0x13, 0, 0, 0, 0, 0, 0, // demands[0]
+            0, 0, 0, 0, 0, 0, 0, 0, // demands[1]
+            9, 3, 0, 0, 0, 0, 0, 0, // demands[2]
+        ];
+        #[rustfmt::skip]
+        const ADMIT_REQUEST_NO_SHED: &[u8] = &[
+            0x38, 0, 0, 0, // len
+            1, // type
+            7, 0, 0, 0, 0, 0, 0, 0, // req_id
+            0x40, 0xE2, 1, 0, 0, 0, 0, 0, // expires_at_us
+            0xA0, 0x86, 1, 0, 0, 0, 0, 0, // deadline_us
+            3, 0, 0, 0, // importance
+            0, // flags
+            3, 0, // count
+            0x88, 0x13, 0, 0, 0, 0, 0, 0, // demands[0]
+            0, 0, 0, 0, 0, 0, 0, 0, // demands[1]
+            9, 3, 0, 0, 0, 0, 0, 0, // demands[2]
+        ];
+        #[rustfmt::skip]
+        const RESPONSE_ADMITTED: &[u8] = &[
+            0x12, 0, 0, 0, // len
+            2, // type
+            9, 0, 0, 0, 0, 0, 0, 0, // req_id
+            0, // verdict
+            0x11, 0, 0, 0, 0, 0, 0, 0, // ticket_id
+        ];
+        #[rustfmt::skip]
+        const RESPONSE_SHED: &[u8] = &[
+            0x16, 0, 0, 0, // len
+            2, // type
+            0x0A, 0, 0, 0, 0, 0, 0, 0, // req_id
+            1, // verdict
+            0x12, 0, 0, 0, 0, 0, 0, 0, // ticket_id
+            2, 0, 0, 0, // shed
+        ];
+        #[rustfmt::skip]
+        const RESPONSE_REJECTED: &[u8] = &[
+            0x0A, 0, 0, 0, // len
+            2, // type
+            0x0B, 0, 0, 0, 0, 0, 0, 0, // req_id
+            2, // verdict
+        ];
+        #[rustfmt::skip]
+        const RESPONSE_EXPIRED: &[u8] = &[
+            0x0A, 0, 0, 0, // len
+            2, // type
+            0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // req_id
+            3, // verdict
+        ];
+        #[rustfmt::skip]
+        const RELEASE: &[u8] = &[
+            9, 0, 0, 0, // len
+            3, // type
+            4, 0, 0, 0, 0, 0, 0, 0, // ticket_id
+        ];
+        #[rustfmt::skip]
+        const HEARTBEAT: &[u8] = &[
+            9, 0, 0, 0, // len
+            4, // type
+            0xAD, 0xDE, 0, 0, 0, 0, 0, 0, // nonce
+        ];
+        #[rustfmt::skip]
+        const HEARTBEAT_ACK: &[u8] = &[
+            9, 0, 0, 0, // len
+            5, // type
+            0xEF, 0xBE, 0, 0, 0, 0, 0, 0, // nonce
+        ];
+        #[rustfmt::skip]
+        const STATS_REQUEST: &[u8] = &[
+            1, 0, 0, 0, // len
+            6, // type
+        ];
+        #[rustfmt::skip]
+        const STATS_RESPONSE: &[u8] = &[
+            0x4B, 0, 0, 0, // len
+            7, // type
+            1, 0, 0, 0, 0, 0, 0, 0, // admitted
+            2, 0, 0, 0, 0, 0, 0, 0, // rejected
+            3, 0, 0, 0, 0, 0, 0, 0, // shed
+            4, 0, 0, 0, 0, 0, 0, 0, // released
+            5, 0, 0, 0, 0, 0, 0, 0, // expired
+            6, 0, 0, 0, 0, 0, 0, 0, // expired_on_arrival
+            7, 0, 0, 0, 0, 0, 0, 0, // live_tasks
+            2, 0, // count
+            0, 0, 0, 0, 0, 0, 0xD0, 0x3F, // utilizations[0] = 0.25
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // utilizations[1] = 0.5
+        ];
+        #[rustfmt::skip]
+        const NODE_HELLO: &[u8] = &[
+            0x19, 0, 0, 0, // len
+            8, // type
+            3, 0, 0, 0, 0, 0, 0, 0, // node_id
+            9, 0, 0, 0, 0, 0, 0, 0, // incarnation
+            0xCE, 0xFA, 0xED, 0xFE, 0, 0, 0, 0, // params_fp
+        ];
+        #[rustfmt::skip]
+        const LEASE_GRANT: &[u8] = &[
+            0x33, 0, 0, 0, // len
+            9, // type
+            1, 0, 0, 0, // node
+            2, 0, 0, 0, // epoch
+            9, 0, 0, 0, 0, 0, 0, 0, // incarnation
+            2, 0, // count
+            0x64, 0, 0, 0, 0, 0, 0, 0, // issued_units[0]
+            0x37, 0, 0, 0, 0, 0, 0, 0, // issued_units[1]
+            0x28, 0, 0, 0, 0, 0, 0, 0, // returned_units[0]
+            0, 0, 0, 0, 0, 0, 0, 0, // returned_units[1]
+        ];
+        #[rustfmt::skip]
+        const LEASE_RETURN: &[u8] = &[
+            0x1B, 0, 0, 0, // len
+            0x0A, // type
+            1, 0, 0, 0, // node
+            2, 0, 0, 0, // epoch
+            2, 0, // count
+            0x29, 0, 0, 0, 0, 0, 0, 0, // returned_units[0]
+            7, 0, 0, 0, 0, 0, 0, 0, // returned_units[1]
+        ];
+        #[rustfmt::skip]
+        const LEASE_REQUEST: &[u8] = &[
+            0x1B, 0, 0, 0, // len
+            0x0B, // type
+            1, 0, 0, 0, // node
+            2, 0, 0, 0, // epoch
+            2, 0, // count
+            0x96, 0, 0, 0, 0, 0, 0, 0, // want_units[0]
+            0x0A, 0, 0, 0, 0, 0, 0, 0, // want_units[1]
+        ];
+        #[rustfmt::skip]
+        const LEASE_STEAL: &[u8] = &[
+            0x13, 0, 0, 0, // len
+            0x0C, // type
+            4, 0, 0, 0, // node
+            1, 0, 0, 0, // epoch
+            1, 0, // count
+            0x5A, 0, 0, 0, 0, 0, 0, 0, // want_returned_units[0]
+        ];
+
+        let hello = Hello { version: 2 };
+        assert_eq!(hello.encode(), HELLO);
+        assert_eq!(Hello::decode(HELLO.try_into().unwrap()), Ok(hello));
+        let ack = HelloAck {
+            version: 2,
+            window: 256,
+            max_frame: 65_536,
+            server_now_us: 0x1122_3344_5566_7788,
+        };
+        assert_eq!(ack.encode(), HELLO_ACK);
+        assert_eq!(HelloAck::decode(HELLO_ACK.try_into().unwrap()), Ok(ack));
+
+        let admit_request = |allow_shed| {
+            Frame::AdmitRequest(AdmitRequest {
+                req_id: 7,
+                expires_at_us: 123_456,
+                allow_shed,
+                task: WireTaskSpec {
+                    deadline_us: 100_000,
+                    stage_demands_us: vec![5_000, 0, 777],
+                    importance: 3,
+                },
+            })
+        };
+        let admit_response = |req_id, verdict| Frame::AdmitResponse { req_id, verdict };
+        let golden: [(Frame, &[u8]); 16] = [
+            (admit_request(true), ADMIT_REQUEST_SHED),
+            (admit_request(false), ADMIT_REQUEST_NO_SHED),
+            (
+                admit_response(9, Verdict::Admitted { ticket_id: 17 }),
+                RESPONSE_ADMITTED,
+            ),
+            (
+                admit_response(
+                    10,
+                    Verdict::AdmittedAfterShedding {
+                        ticket_id: 18,
+                        shed: 2,
+                    },
+                ),
+                RESPONSE_SHED,
+            ),
+            (admit_response(11, Verdict::Rejected), RESPONSE_REJECTED),
+            (admit_response(u64::MAX, Verdict::Expired), RESPONSE_EXPIRED),
+            (Frame::Release { ticket_id: 4 }, RELEASE),
+            (Frame::Heartbeat { nonce: 0xDEAD }, HEARTBEAT),
+            (Frame::HeartbeatAck { nonce: 0xBEEF }, HEARTBEAT_ACK),
+            (Frame::StatsRequest, STATS_REQUEST),
+            (
+                Frame::StatsResponse(StatsReport {
+                    admitted: 1,
+                    rejected: 2,
+                    shed: 3,
+                    released: 4,
+                    expired: 5,
+                    expired_on_arrival: 6,
+                    live_tasks: 7,
+                    utilizations: vec![0.25, 0.5],
+                }),
+                STATS_RESPONSE,
+            ),
+            (
+                Frame::NodeHello {
+                    node_id: 3,
+                    incarnation: 9,
+                    params_fp: 0xFEED_FACE,
+                },
+                NODE_HELLO,
+            ),
+            (
+                Frame::LeaseGrant {
+                    node: 1,
+                    epoch: 2,
+                    incarnation: 9,
+                    issued_units: vec![100, 55],
+                    returned_units: vec![40, 0],
+                },
+                LEASE_GRANT,
+            ),
+            (
+                Frame::LeaseReturn {
+                    node: 1,
+                    epoch: 2,
+                    returned_units: vec![41, 7],
+                },
+                LEASE_RETURN,
+            ),
+            (
+                Frame::LeaseRequest {
+                    node: 1,
+                    epoch: 2,
+                    want_units: vec![150, 10],
+                },
+                LEASE_REQUEST,
+            ),
+            (
+                Frame::LeaseSteal {
+                    node: 4,
+                    epoch: 1,
+                    want_returned_units: vec![90],
+                },
+                LEASE_STEAL,
+            ),
+        ];
+        for (frame, bytes) in golden {
+            assert_all(bytes, Ok(Some(frame.clone())), &format!("{frame:?}"));
+            let mut encoded = Vec::new();
+            frame.encode_into(&mut encoded);
+            assert_eq!(encoded, bytes, "{frame:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "element count 1025 exceeds 1024")]
+    fn admit_request_encoder_refuses_more_stages_than_a_peer_decodes() {
+        let task = WireTaskSpec {
+            deadline_us: 1,
+            stage_demands_us: vec![1; MAX_STAGES + 1],
+            importance: 0,
+        };
+        Frame::encode_admit_request_into(1, 2, false, &task, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "element count 1025 exceeds 1024")]
+    fn lease_vector_encoder_refuses_more_units_than_a_peer_decodes() {
+        let frame = Frame::LeaseReturn {
+            node: 1,
+            epoch: 1,
+            returned_units: vec![0; MAX_STAGES + 1],
+        };
+        frame.encode_into(&mut Vec::new());
     }
 
     #[test]

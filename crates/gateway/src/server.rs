@@ -43,7 +43,7 @@
 //! is no timer holding small batches hostage, so an idle gateway
 //! answers a lone request with no added delay, while a busy gateway's
 //! wakes naturally carry many connections' requests into one resolve
-//! and one flush pass. A safety cap ([`WAKE_RESOLVE_CAP`]) resolves
+//! and one flush pass. A safety cap (`WAKE_RESOLVE_CAP`) resolves
 //! mid-wake if a single wake parks an extreme number of requests, so
 //! the arena stays bounded.
 //!
@@ -52,7 +52,7 @@
 //! Responses are encoded **once**, directly into the connection's
 //! segmented [`OutRing`]: admit verdicts stamp a handful of fields into
 //! an interned response template
-//! ([`encode_admit_response`](crate::proto::encode_admit_response)) and
+//! ([`encode_admit_response`]) and
 //! the bytes go straight into ring segments. The flush pass hands the
 //! kernel an iovec over the unsent spans with one `writev` per
 //! connection per wake in the common case — no coalescing copy, and no
@@ -94,13 +94,13 @@
 use crate::outring::{OutRing, SegPool};
 use crate::proto::{
     encode_admit_response, AdmitHead, BatchedFrame, Frame, FrameBuffer, Hello, HelloAck,
-    StatsReport, Verdict, ADMIT_RESPONSE_MAX, HELLO_LEN, MAX_FRAME, VERSION,
+    StatsReport, Verdict, ADMIT_RESPONSE_MAX, HELLO_LEN, MAX_FRAME, MAX_STAGES, VERSION,
 };
 use crate::reactor::{Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
 use frap_core::admission::ContributionModel;
+use frap_core::error::GraphError;
 use frap_core::graph::{TaskGraph, TaskSpec};
 use frap_core::region::RegionTest;
-use frap_core::task::{StageId, SubtaskSpec};
 use frap_core::time::TimeDelta;
 use frap_core::Importance;
 use frap_service::{
@@ -301,7 +301,10 @@ impl GatewayServer {
     /// # Errors
     ///
     /// Propagates the I/O error when the address cannot be bound or a
-    /// worker's reactor cannot be created.
+    /// worker's reactor cannot be created, and returns
+    /// [`std::io::ErrorKind::InvalidInput`] for a service whose region has
+    /// more than [`MAX_STAGES`] stages: no admit frame could address them
+    /// all and its [`Frame::StatsResponse`] could not be framed.
     ///
     /// # Panics
     ///
@@ -318,6 +321,11 @@ impl GatewayServer {
         C: Clock + 'static,
     {
         assert!(cfg.workers > 0, "at least one worker");
+        let stages = service.region().stages();
+        if stages > MAX_STAGES {
+            let why = format!("a {stages}-stage region exceeds the wire format's {MAX_STAGES}");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -651,26 +659,29 @@ struct WakeBatch {
 /// all hits.
 const GRAPH_CACHE_CAP: usize = 8192;
 
-/// The task graph for a stage-demand vector, interned in `graphs`. A hit
-/// costs a hash lookup and an `Arc` clone; a miss builds the pipeline
-/// chain exactly as [`frap_core::wire::WireTaskSpec::to_spec`] would.
-fn graph_for(
+/// The task spec of one admit request — what
+/// [`frap_core::wire::WireTaskSpec::to_spec`] builds from the same fields
+/// — with its graph interned in `graphs` by demand vector (deadline and
+/// importance ride alongside the graph). A hit costs a hash lookup and an
+/// `Arc` clone; a miss builds the pipeline chain.
+fn spec_for(
     graphs: &mut GraphCache,
+    head: &AdmitHead,
     demands: &[u64],
-) -> Result<TaskGraph, frap_core::error::GraphError> {
-    if let Some(graph) = graphs.get(demands) {
-        return Ok(graph.clone());
-    }
-    let subtasks = demands
-        .iter()
-        .enumerate()
-        .map(|(j, &us)| SubtaskSpec::new(StageId::new(j), TimeDelta::from_micros(us)))
-        .collect();
-    let graph = TaskGraph::chain(subtasks)?;
-    if graphs.len() < GRAPH_CACHE_CAP {
-        graphs.insert(demands.to_vec(), graph.clone());
-    }
-    Ok(graph)
+) -> Result<TaskSpec, GraphError> {
+    let graph = match graphs.get(demands) {
+        Some(graph) => graph.clone(),
+        None => {
+            let micros = demands.iter().map(|&us| TimeDelta::from_micros(us));
+            let graph = TaskGraph::pipeline(micros)?;
+            if graphs.len() < GRAPH_CACHE_CAP {
+                graphs.insert(demands.to_vec(), graph.clone());
+            }
+            graph
+        }
+    };
+    let deadline = TimeDelta::from_micros(head.deadline_us);
+    Ok(TaskSpec::new(deadline, graph).with_importance(Importance::new(head.importance)))
 }
 
 fn worker_loop<R, M, C>(
@@ -997,7 +1008,7 @@ where
 /// contiguous run of `Release` frames is collected and released together
 /// when the next other frame, the end of the buffered frames or a
 /// protocol error ends it, before anything later is looked at (DESIGN.md
-/// §17). Returns `false` on a protocol violation (already counted) that
+/// §10). Returns `false` on a protocol violation (already counted) that
 /// must end the connection.
 #[allow(clippy::too_many_arguments)]
 fn ingest_ready<R, M, C>(
@@ -1206,30 +1217,19 @@ fn resolve_batch<R, M, C>(
             }
             // A task visiting more stages than the region models cannot
             // be charged; answer without an admission test.
-            let (d0, d1) = head.demands;
-            if d1 - d0 > max_stages {
+            let demands = head.demands_in(&batch.demands);
+            let spec = if demands.len() > max_stages {
+                None
+            } else {
+                spec_for(&mut batch.graphs, &head, demands).ok()
+            };
+            let Some(spec) = spec else {
                 tally.bad_requests += 1;
                 batch.verdicts[entry_idx as usize] = Some(Verdict::Rejected);
                 continue;
-            }
-            // The graph depends only on the demand vector; deadline and
-            // importance ride alongside it in the spec. An interned graph
-            // yields a spec identical to what `WireTaskSpec::to_spec`
-            // builds.
-            match graph_for(&mut batch.graphs, &batch.demands[d0..d1]) {
-                Ok(graph) => {
-                    batch.specs.push(TaskSpec {
-                        deadline: TimeDelta::from_micros(head.deadline_us),
-                        importance: Importance::new(head.importance),
-                        graph,
-                    });
-                    batch.lanes.push(entry_idx);
-                }
-                Err(_) => {
-                    tally.bad_requests += 1;
-                    batch.verdicts[entry_idx as usize] = Some(Verdict::Rejected);
-                }
-            }
+            };
+            batch.specs.push(spec);
+            batch.lanes.push(entry_idx);
         }
 
         if !batch.specs.is_empty() {
@@ -1386,5 +1386,51 @@ where
         | Frame::LeaseReturn { .. }
         | Frame::LeaseRequest { .. }
         | Frame::LeaseSteal { .. } => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use frap_core::wire::WireTaskSpec;
+
+    #[test]
+    fn gateway_built_spec_equals_wire_task_spec_to_spec() {
+        let mut graphs = GraphCache::default();
+        for stages in 1..=8u64 {
+            let wire = WireTaskSpec {
+                deadline_us: 30_000 + stages,
+                // Stage 2 of the longer tasks demands nothing.
+                stage_demands_us: (0..stages).map(|j| (j != 2) as u64 * (900 + j)).collect(),
+                importance: stages as u32,
+            };
+            let head = AdmitHead {
+                req_id: 1,
+                expires_at_us: 2,
+                allow_shed: false,
+                deadline_us: wire.deadline_us,
+                importance: wire.importance,
+                demands: (0, wire.stages()),
+            };
+            let expected = wire.to_spec().expect("a pipeline");
+            for lookup in ["miss", "hit"] {
+                let built = spec_for(&mut graphs, &head, &wire.stage_demands_us);
+                assert_eq!(
+                    built.as_ref(),
+                    Ok(&expected),
+                    "{stages} stages, cache {lookup}"
+                );
+                assert_eq!(graphs.len() as u64, stages);
+            }
+        }
+        let none = AdmitHead {
+            req_id: 1,
+            expires_at_us: 2,
+            allow_shed: false,
+            deadline_us: 3,
+            importance: 4,
+            demands: (0, 0),
+        };
+        assert_eq!(spec_for(&mut graphs, &none, &[]), Err(GraphError::Empty));
     }
 }

@@ -1071,3 +1071,24 @@ fn loopback_throughput_clears_the_floor() {
     assert!(wait_no_live_tasks(&service, Duration::from_secs(5)));
     service.debug_validate();
 }
+
+#[test]
+fn a_region_with_more_stages_than_a_frame_can_carry_is_refused_at_bind() {
+    let service = |stages| {
+        AdmissionService::builder(
+            FeasibleRegion::deadline_monotonic(stages),
+            ExactContributions,
+        )
+        .build()
+    };
+    let limit = frap_gateway::proto::MAX_STAGES;
+    let refused = GatewayServer::bind("127.0.0.1:0", service(limit + 1), GatewayConfig::default())
+        .expect_err("no admit frame addresses stage 1025");
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+    // The limit itself is served, stats frame included.
+    let server = GatewayServer::bind("127.0.0.1:0", service(limit), GatewayConfig::default())
+        .expect("bind loopback");
+    let mut client = GatewayClient::connect(server.local_addr()).expect("connect");
+    assert_eq!(client.stats().expect("stats").utilizations.len(), limit);
+    assert_eq!(server.shutdown().protocol_errors, 0);
+}
