@@ -24,6 +24,8 @@
 //!   intermediate-deadline strawman the introduction argues against — and
 //!   [`AlwaysAdmit`] (no admission control).
 
+use crate::demand::DemandView;
+use crate::fixed::fp_from_utilization;
 use crate::graph::TaskSpec;
 use crate::region::RegionTest;
 use crate::synthetic::{overlay_contributions, SyntheticState};
@@ -55,17 +57,46 @@ pub fn tentative_feasible<R: RegionTest + ?Sized>(
 /// controller will charge for it.
 ///
 /// The exact controller charges true `C_ij / D_i`; the approximate one
-/// charges `C̄_j / D_i` from operator-supplied means (Section 4.4).
+/// charges `C̄_j / D_i` from operator-supplied means (Section 4.4). A
+/// model is one function of the task's [`DemandView`] and a stage; the
+/// float and fixed-point vectors below are both walks over it, so a
+/// task charges the same whether it arrived as a [`TaskSpec`] or as
+/// demands read off a wire.
 pub trait ContributionModel: std::fmt::Debug {
+    /// The contribution charged on `stage`, of which `task` demands
+    /// `demand`.
+    fn contribution(&self, task: &DemandView<'_>, stage: StageId, demand: TimeDelta) -> f64;
+
     /// Appends `(stage, contribution)` pairs for `spec` to `out`.
     ///
-    /// `out` is cleared by the caller; one entry per distinct stage.
-    fn contributions_into(&self, spec: &TaskSpec, out: &mut Vec<(StageId, f64)>);
+    /// `out` is cleared by the caller; one entry per distinct stage,
+    /// ascending.
+    fn contributions_into(&self, spec: &TaskSpec, out: &mut Vec<(StageId, f64)>) {
+        let task = DemandView::from(spec);
+        task.map_into(out, |stage, c| (stage, self.contribution(&task, stage, c)));
+    }
+
+    /// Appends `task`'s charges to `out` in fixed-point units: each
+    /// contribution through [`fp_from_utilization`] (rounded up) as it is
+    /// computed — what [`crate::fixed::fp_contributions_into`] makes of
+    /// [`ContributionModel::contributions_into`], in one pass.
+    fn units_into(&self, task: &DemandView<'_>, out: &mut Vec<(StageId, u64)>) {
+        let units = |stage, c| fp_from_utilization(self.contribution(task, stage, c));
+        task.map_into(out, |stage, c| (stage, units(stage, c)));
+    }
 }
 
 impl<T: ContributionModel + ?Sized> ContributionModel for Box<T> {
+    fn contribution(&self, task: &DemandView<'_>, stage: StageId, demand: TimeDelta) -> f64 {
+        (**self).contribution(task, stage, demand)
+    }
+
     fn contributions_into(&self, spec: &TaskSpec, out: &mut Vec<(StageId, f64)>) {
         (**self).contributions_into(spec, out)
+    }
+
+    fn units_into(&self, task: &DemandView<'_>, out: &mut Vec<(StageId, u64)>) {
+        (**self).units_into(task, out)
     }
 }
 
@@ -74,8 +105,8 @@ impl<T: ContributionModel + ?Sized> ContributionModel for Box<T> {
 pub struct ExactContributions;
 
 impl ContributionModel for ExactContributions {
-    fn contributions_into(&self, spec: &TaskSpec, out: &mut Vec<(StageId, f64)>) {
-        spec.contributions_into(out);
+    fn contribution(&self, task: &DemandView<'_>, _stage: StageId, demand: TimeDelta) -> f64 {
+        demand.ratio(task.deadline)
     }
 }
 
@@ -122,10 +153,8 @@ impl MeanContributions {
 }
 
 impl ContributionModel for MeanContributions {
-    fn contributions_into(&self, spec: &TaskSpec, out: &mut Vec<(StageId, f64)>) {
-        for (stage, _) in spec.contributions() {
-            out.push((stage, self.mean(stage).ratio(spec.deadline)));
-        }
+    fn contribution(&self, task: &DemandView<'_>, stage: StageId, _demand: TimeDelta) -> f64 {
+        self.mean(stage).ratio(task.deadline)
     }
 }
 
@@ -142,11 +171,8 @@ impl ContributionModel for MeanContributions {
 pub struct SplitDeadlineContributions;
 
 impl ContributionModel for SplitDeadlineContributions {
-    fn contributions_into(&self, spec: &TaskSpec, out: &mut Vec<(StageId, f64)>) {
-        let stages_used = spec.graph.stages_used().len().max(1) as f64;
-        for (stage, c) in spec.contributions() {
-            out.push((stage, c * stages_used));
-        }
+    fn contribution(&self, task: &DemandView<'_>, _stage: StageId, demand: TimeDelta) -> f64 {
+        demand.ratio(task.deadline) * task.stages().max(1) as f64
     }
 }
 

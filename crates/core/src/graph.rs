@@ -668,23 +668,6 @@ impl TaskSpec {
             .map(move |&(stage, c)| (stage, c.ratio(deadline)))
     }
 
-    /// Appends the contributions of [`Self::contributions`] to `out`
-    /// without allocating.
-    ///
-    /// Produces bit-identical values in the same ascending stage order:
-    /// per-stage demand is summed in integer microseconds (stashed in the
-    /// `f64` slot via its bit pattern, so u64 overflow semantics match
-    /// [`TimeDelta`] addition exactly) and divided by the deadline once at
-    /// the end, just as `stage_demand` + `ratio` would.
-    pub fn contributions_into(&self, out: &mut Vec<(StageId, f64)>) {
-        out.extend(
-            self.graph
-                .stage_demands()
-                .iter()
-                .map(|&(stage, c)| (stage, c.ratio(self.deadline))),
-        );
-    }
-
     /// The contribution `C_ij / D_i` at one stage (zero if unused).
     pub fn contribution_at(&self, stage: StageId) -> f64 {
         let demands = self.graph.stage_demands();

@@ -67,6 +67,7 @@
 //! | [`region`] | §3 | [`region::FeasibleRegion`], Theorem 2 graph regions, [`region::RegionTest`] |
 //! | [`synthetic`] | §2, §4 | synthetic-utilization counters with expiry, idle reset, reservations |
 //! | [`idtable`] | — | sliding-window table keyed by dense task ids ([`idtable::IdTable`]) |
+//! | [`demand`] | §4 | [`demand::DemandView`]: deadline, importance and per-stage demands, borrowed from a spec or a wire frame |
 //! | [`admission`] | §4, §5 | exact/approximate/reservation/shedding controllers and baselines |
 //! | [`capacity`] | §3 | headroom queries, budget allocation, cost-of-depth tables |
 //! | [`hist`] | — | log-bucketed latency histogram shared by the simulator and service layers |
@@ -89,6 +90,7 @@ pub mod alpha;
 pub mod capacity;
 pub mod certify;
 pub mod delay;
+pub mod demand;
 pub mod error;
 pub mod fixed;
 pub mod graph;

@@ -13,6 +13,13 @@
 //! transport — or a future on-disk trace format — agrees on one canonical
 //! compact encoding of "a pipeline task".
 //!
+//! A receiver that only has to *decide* on the task does not expand it:
+//! [`DemandView`](crate::demand::DemandView) borrows the three fields as
+//! they are (`DemandView::from(&wire)`, or `DemandView::pipeline` over a
+//! decode arena) and charges, to the unit, what the expanded
+//! [`TaskSpec`] would. [`WireTaskSpec::to_spec`] is for receivers that
+//! go on to *run* the task.
+//!
 //! # Examples
 //!
 //! ```

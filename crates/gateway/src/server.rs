@@ -30,13 +30,22 @@
 //! stable-order **bucket list indexed by its connection's target
 //! shard** (assigned round-robin at accept). At the end of the wake the
 //! buckets resolve in ascending shard order, each through one
-//! [`admit_batch`](frap_service::AdmissionService::admit_batch) call
-//! whose requests all name the same shard — the service's uniform-run
-//! single-snapshot fast path — and replies are emitted in global
+//! [`admit_batch_with`](frap_service::AdmissionService::admit_batch_with)
+//! call whose requests all name the same shard — the service's
+//! uniform-run single-snapshot fast path — and replies are emitted in global
 //! arrival order so each connection's responses leave in its request
 //! order (the sequence of entry indices is the sequence tag). One clock
 //! read classifies the entire wake; counters are tallied locally and
 //! published with one atomic add per counter per wake.
+//!
+//! A parked request is never turned back into a task: arena → view →
+//! units → verdict. Each request reaches the service as a
+//! [`DemandView`] of its deadline, importance and the slice of the arena
+//! its demands decoded into; the service's contribution model turns the
+//! view into fixed-point units in one pass and tests those. No task
+//! graph is built and no table consulted on the way, so a rejected
+//! request allocates nothing and a shape never seen before costs what a
+//! repeated one does (`tests/alloc_budget.rs`).
 //!
 //! The latency bound is the wake itself: a wake with one ready
 //! connection resolves and flushes immediately after its drain — there
@@ -98,8 +107,7 @@ use crate::proto::{
 };
 use crate::reactor::{Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
 use frap_core::admission::ContributionModel;
-use frap_core::error::GraphError;
-use frap_core::graph::{TaskGraph, TaskSpec};
+use frap_core::demand::DemandView;
 use frap_core::region::RegionTest;
 use frap_core::time::TimeDelta;
 use frap_core::Importance;
@@ -107,7 +115,7 @@ use frap_service::{
     AdmissionService, AdmissionTicket, BatchRequest, Clock, ServiceOutcome, TicketHasher,
 };
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -474,35 +482,6 @@ fn reactor_key<S>(_sock: &S, token: usize) -> i32 {
     token as i32
 }
 
-/// FNV-1a, used for the graph cache keyed by stage-demand vectors. The
-/// demand vectors are short (a handful of `u64`s); FNV beats SipHash on
-/// them by a wide margin, and cache keys are server-derived values, not
-/// attacker-chosen hash-flood material (capping at
-/// [`GRAPH_CACHE_CAP`] bounds the damage regardless).
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type GraphCache = HashMap<Vec<u64>, TaskGraph, BuildHasherDefault<FnvHasher>>;
 type TicketMap = HashMap<u64, AdmissionTicket, BuildHasherDefault<TicketHasher>>;
 
 /// Per-connection state owned by exactly one worker.
@@ -615,7 +594,9 @@ impl WakeTally {
 /// of the wake answers them all.
 #[derive(Default)]
 struct WakeBatch {
-    /// Stage-demand arena the parked heads index into (µs per stage).
+    /// Stage-demand arena the parked heads index into (µs per stage),
+    /// and the only place a parked request's demands ever live: the
+    /// service reads them here through the view it is lent.
     demands: Vec<u64>,
     /// Parked requests in global arrival order.
     entries: Vec<Entry>,
@@ -625,9 +606,8 @@ struct WakeBatch {
     /// Slots needing the end-of-wake flush pass. May hold stale slots
     /// (closed mid-wake); the connection's `dirty` flag is ground truth.
     dirty: Vec<usize>,
-    /// Built specs for the bucket currently resolving.
-    specs: Vec<TaskSpec>,
-    /// Entry index of each spec in the bucket currently resolving.
+    /// Entry index of each request of the bucket currently resolving
+    /// that reaches the admission test, in arrival order.
     lanes: Vec<u32>,
     /// Verdict per entry; `None` until classified/resolved (or forever,
     /// for entries whose connection died before resolution).
@@ -640,48 +620,6 @@ struct WakeBatch {
     /// Reusable encode buffer for the rare owned-encode frames
     /// (heartbeat acks, stats responses) so they do not allocate.
     scratch_frame: Vec<u8>,
-    /// Interned task graphs keyed by stage-demand vector. Task streams
-    /// tend to reuse a bounded set of shapes, and a [`TaskGraph`] is
-    /// immutable behind an `Arc` — so a hit turns building the chain into
-    /// one atomic increment. A miss is 3 allocations and ≈ 250 ns for a
-    /// 3-stage chain that stays on the heap (≈ 110 ns when it is freed at
-    /// once) — still over half of the ≈ 400 ns a rejected request costs
-    /// end to end, which is why the cache stays. An entry is its key plus
-    /// 72 + 48 B per stage of graph: ≈ 0.3 KiB for 3 stages with the
-    /// allocator's headers, ≈ 2.5 MiB per worker at [`GRAPH_CACHE_CAP`].
-    graphs: GraphCache,
-}
-
-/// Cap on distinct interned task shapes per worker. Insertion stops at
-/// the cap (first shapes win; no wholesale eviction), so a stream of
-/// never-repeating shapes degrades to one failed lookup per request —
-/// cheaper than any churn policy — while repeating streams converge to
-/// all hits.
-const GRAPH_CACHE_CAP: usize = 8192;
-
-/// The task spec of one admit request — what
-/// [`frap_core::wire::WireTaskSpec::to_spec`] builds from the same fields
-/// — with its graph interned in `graphs` by demand vector (deadline and
-/// importance ride alongside the graph). A hit costs a hash lookup and an
-/// `Arc` clone; a miss builds the pipeline chain.
-fn spec_for(
-    graphs: &mut GraphCache,
-    head: &AdmitHead,
-    demands: &[u64],
-) -> Result<TaskSpec, GraphError> {
-    let graph = match graphs.get(demands) {
-        Some(graph) => graph.clone(),
-        None => {
-            let micros = demands.iter().map(|&us| TimeDelta::from_micros(us));
-            let graph = TaskGraph::pipeline(micros)?;
-            if graphs.len() < GRAPH_CACHE_CAP {
-                graphs.insert(demands.to_vec(), graph.clone());
-            }
-            graph
-        }
-    };
-    let deadline = TimeDelta::from_micros(head.deadline_us);
-    Ok(TaskSpec::new(deadline, graph).with_importance(Importance::new(head.importance)))
 }
 
 fn worker_loop<R, M, C>(
@@ -1155,9 +1093,12 @@ fn update_interest(
 
 /// Resolves every request parked in the wake arena: one clock read
 /// classifies all of them, then each nonempty shard bucket goes through
-/// one [`admit_batch`](AdmissionService::admit_batch) call whose
-/// requests are uniformly targeted at that shard — the service's
-/// single-snapshot fast path. Replies are emitted in global arrival
+/// one [`admit_batch_with`](AdmissionService::admit_batch_with) call
+/// whose requests — views into the arena — are uniformly targeted at
+/// that shard: the service's single-snapshot fast path. Refused here,
+/// ahead of the service: requests whose transport slack is gone
+/// (`Expired`) and tasks with more stages than the region has counters
+/// (`Rejected`, counted in `bad_requests`). Replies are emitted in global arrival
 /// order, so each connection's responses leave in its request order
 /// (verdict-for-verdict what unsorted serial resolution would produce:
 /// capacity totals are global, so bucket order cannot change any
@@ -1180,7 +1121,7 @@ fn resolve_batch<R, M, C>(
         return;
     }
     // One clock read for the whole wake: every parked request arrived
-    // before this instant, and `admit_batch_into` hoists its own single
+    // before this instant, and `admit_batch_with` hoists its own single
     // read per call just the same.
     let now_us = service.clock().now().as_micros();
     let max_stages = service.region().stages();
@@ -1195,7 +1136,6 @@ fn resolve_batch<R, M, C>(
         // Detach the bucket so the slab and the rest of the batch stay
         // borrowable; its allocation is handed back (cleared) below.
         let bucket = std::mem::take(&mut batch.buckets[shard]);
-        batch.specs.clear();
         batch.lanes.clear();
         for &entry_idx in &bucket {
             let entry = &batch.entries[entry_idx as usize];
@@ -1215,38 +1155,43 @@ fn resolve_batch<R, M, C>(
                 batch.verdicts[entry_idx as usize] = Some(Verdict::Expired);
                 continue;
             }
-            // A task visiting more stages than the region models cannot
-            // be charged; answer without an admission test.
-            let demands = head.demands_in(&batch.demands);
-            let spec = if demands.len() > max_stages {
-                None
-            } else {
-                spec_for(&mut batch.graphs, &head, demands).ok()
-            };
-            let Some(spec) = spec else {
+            // The one well-formed frame refused here: a task
+            // visiting more stages than this service's region models has
+            // no counter to charge, so it is answered without an
+            // admission test. (Zero stages, or more than the wire's
+            // `MAX_STAGES`, never decode; every other demand vector —
+            // zero demands, demands beyond the deadline, a zero deadline
+            // — is a task the region test itself judges.)
+            if head.demands.1 - head.demands.0 > max_stages {
                 tally.bad_requests += 1;
                 batch.verdicts[entry_idx as usize] = Some(Verdict::Rejected);
                 continue;
-            };
-            batch.specs.push(spec);
+            }
             batch.lanes.push(entry_idx);
         }
 
-        if !batch.specs.is_empty() {
-            let requests: Vec<BatchRequest<'_>> = batch
-                .specs
-                .iter()
-                .zip(&batch.lanes)
-                .map(|(spec, &entry_idx)| BatchRequest {
-                    spec,
-                    allow_shed: batch.entries[entry_idx as usize].head.allow_shed,
+        if !batch.lanes.is_empty() {
+            // Each request is the view of its demands where the decoder
+            // left them in the arena: nothing is built, copied or looked
+            // up between the frame and the units the service charges.
+            let (entries, demands, lanes) = (&batch.entries, &batch.demands, &batch.lanes);
+            let request = |lane: usize| {
+                let head = &entries[lanes[lane] as usize].head;
+                let task = DemandView::pipeline(
+                    TimeDelta::from_micros(head.deadline_us),
+                    Importance::new(head.importance),
+                    head.demands_in(demands),
+                );
+                BatchRequest {
+                    allow_shed: head.allow_shed,
                     // Uniform target: the whole bucket hits one shard in
                     // one snapshot/lock acquisition.
                     shard: Some(shard),
-                })
-                .collect();
+                    task,
+                }
+            };
             batch.outcomes.clear();
-            service.admit_batch_into(&requests, &mut batch.outcomes);
+            service.admit_batch_with(lanes.len(), request, &mut batch.outcomes);
             for (&entry_idx, outcome) in batch.lanes.iter().zip(batch.outcomes.drain(..)) {
                 let slot = batch.entries[entry_idx as usize].slot as usize;
                 let conn = slab[slot].as_mut().expect("gen-checked conn is live");
@@ -1386,51 +1331,5 @@ where
         | Frame::LeaseReturn { .. }
         | Frame::LeaseRequest { .. }
         | Frame::LeaseSteal { .. } => false,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use frap_core::wire::WireTaskSpec;
-
-    #[test]
-    fn gateway_built_spec_equals_wire_task_spec_to_spec() {
-        let mut graphs = GraphCache::default();
-        for stages in 1..=8u64 {
-            let wire = WireTaskSpec {
-                deadline_us: 30_000 + stages,
-                // Stage 2 of the longer tasks demands nothing.
-                stage_demands_us: (0..stages).map(|j| (j != 2) as u64 * (900 + j)).collect(),
-                importance: stages as u32,
-            };
-            let head = AdmitHead {
-                req_id: 1,
-                expires_at_us: 2,
-                allow_shed: false,
-                deadline_us: wire.deadline_us,
-                importance: wire.importance,
-                demands: (0, wire.stages()),
-            };
-            let expected = wire.to_spec().expect("a pipeline");
-            for lookup in ["miss", "hit"] {
-                let built = spec_for(&mut graphs, &head, &wire.stage_demands_us);
-                assert_eq!(
-                    built.as_ref(),
-                    Ok(&expected),
-                    "{stages} stages, cache {lookup}"
-                );
-                assert_eq!(graphs.len() as u64, stages);
-            }
-        }
-        let none = AdmitHead {
-            req_id: 1,
-            expires_at_us: 2,
-            allow_shed: false,
-            deadline_us: 3,
-            importance: 4,
-            demands: (0, 0),
-        };
-        assert_eq!(spec_for(&mut graphs, &none, &[]), Err(GraphError::Empty));
     }
 }

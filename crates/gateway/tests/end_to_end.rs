@@ -356,6 +356,54 @@ fn transport_slack_gone_is_expired_without_an_admission_test() {
 }
 
 #[test]
+fn a_task_with_more_stages_than_the_region_is_a_bad_request_not_an_error() {
+    let (server, service) = start(2, 1);
+    let mut client = GatewayClient::connect(server.local_addr()).expect("connect");
+    let slack = TimeDelta::from_millis(100);
+
+    // Three stages against a two-stage region: a well-formed frame naming
+    // a counter the service does not have. Refused without an admission
+    // test — nothing charged, nothing decided, nothing closed.
+    let verdict = client.admit(&small_task(3), slack, true).expect("admit");
+    assert_eq!(verdict, Verdict::Rejected);
+    // A wake publishes its counters after it flushes its replies; the
+    // heartbeat's echo comes from a later wake of the same worker.
+    client.heartbeat().expect("heartbeat");
+    assert_eq!(server.stats().bad_requests, 1);
+    assert_eq!(server.stats().protocol_errors, 0);
+    assert_eq!(service.utilizations(), vec![0.0, 0.0]);
+    assert_eq!(service.live_tasks(), 0);
+    assert_eq!(service.counters().decisions(), 0);
+
+    // A zero deadline, by contrast, is a task like any other: an
+    // infinite contribution the region test itself turns away.
+    let mut no_time = small_task(2);
+    no_time.deadline_us = 0;
+    let verdict = client.admit(&no_time, slack, false).expect("admit");
+    assert_eq!(verdict, Verdict::Rejected);
+    client.heartbeat().expect("heartbeat");
+    assert_eq!(server.stats().bad_requests, 1);
+    assert_eq!(service.counters().rejected, 1);
+    assert_eq!(service.utilizations(), vec![0.0, 0.0]);
+
+    // The connection is still there, and the next request on it is
+    // decided as if neither had been sent.
+    let verdict = client.admit(&small_task(2), slack, false).expect("admit");
+    let ticket_id = verdict.ticket_id().expect("a small task is admitted");
+    assert_eq!(service.live_tasks(), 1);
+    client.release(ticket_id).expect("release");
+    assert!(wait_no_live_tasks(&service, Duration::from_secs(2)));
+
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!((stats.bad_requests, stats.protocol_errors), (1, 0));
+    // `rejected` counts the region test's refusals; the bad request has
+    // its own counter.
+    assert_eq!((stats.admitted, stats.rejected), (1, 1));
+    service.debug_validate();
+}
+
+#[test]
 fn bad_handshake_closes_the_connection_and_counts_a_protocol_error() {
     let (server, _service) = start(2, 1);
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

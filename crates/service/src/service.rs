@@ -50,9 +50,8 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{record_ns, CounterSnapshot, MetricsSnapshot};
 use crate::shard::{CachePadded, Lane, LiveEntry, PendingAdmission, Shard, ShardedUtilization};
 use frap_core::admission::ContributionModel;
-use frap_core::fixed::{
-    feasible_fp, fp_contributions_into, tentative_feasible_fp, tentative_feasible_fp_overlay,
-};
+use frap_core::demand::DemandView;
+use frap_core::fixed::{feasible_fp, tentative_feasible_fp};
 use frap_core::graph::TaskSpec;
 use frap_core::hist::LatencyHistogram;
 use frap_core::region::RegionTest;
@@ -76,9 +75,8 @@ const CAS_ADMIT_RETRIES: usize = 4;
 
 /// Reusable per-thread buffers for the decision paths.
 struct Scratch {
-    /// Float contributions from the [`ContributionModel`].
-    contrib: Vec<(StageId, f64)>,
-    /// The same contributions merged into fixed-point units.
+    /// The arrival's charges in fixed-point units, from the
+    /// [`ContributionModel`] in one pass.
     contrib_fp: Vec<(StageId, u64)>,
     /// Unit snapshot of the utilization vector.
     current_fp: Vec<u64>,
@@ -90,7 +88,7 @@ struct Scratch {
     floats: Vec<f64>,
     /// Batch path: the run's admit candidates' unit demands, back to back.
     run_contrib: Vec<(StageId, u64)>,
-    /// Batch path: `(run index, target shard, end in run_contrib)` per
+    /// Batch path: `(request index, target shard, end in run_contrib)` per
     /// admit candidate, each starting where the previous one ends.
     run_admits: Vec<(usize, usize, usize)>,
     /// [`AdmissionService::release_batch`]: the ids of the run in hand.
@@ -101,7 +99,6 @@ thread_local! {
     static THREAD_INDEX: usize = THREAD_SEQ.fetch_add(1, Ordering::Relaxed);
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
-            contrib: Vec::new(),
             contrib_fp: Vec::new(),
             current_fp: Vec::new(),
             combined_fp: Vec::new(),
@@ -117,8 +114,8 @@ thread_local! {
 /// One arrival inside an [`AdmissionService::admit_batch`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchRequest<'a> {
-    /// The arriving task.
-    pub spec: &'a TaskSpec,
+    /// The arriving task, as the admission test sees it.
+    pub task: DemandView<'a>,
     /// Whether less-important live work may be shed to fit it (the
     /// Section 5 overload path, as in
     /// [`AdmissionService::try_admit_or_shed`]).
@@ -133,8 +130,14 @@ pub struct BatchRequest<'a> {
 impl<'a> BatchRequest<'a> {
     /// A plain (non-shedding) admission request on the home shard.
     pub fn new(spec: &'a TaskSpec) -> BatchRequest<'a> {
+        BatchRequest::of(spec.into())
+    }
+
+    /// [`BatchRequest::new`] for a task that exists only as a view — a
+    /// front end's demands straight off the wire.
+    pub fn of(task: DemandView<'a>) -> BatchRequest<'a> {
         BatchRequest {
-            spec,
+            task,
             allow_shed: false,
             shard: None,
         }
@@ -480,8 +483,9 @@ where
             return None;
         }
         let now = inner.clock.now_with_hint(started);
-        let result = SCRATCH
-            .with(|scratch| self.decide_lockfree(now, lane, home, spec, &mut scratch.borrow_mut()));
+        let result = SCRATCH.with(|scratch| {
+            self.decide_lockfree(now, lane, home, &spec.into(), &mut scratch.borrow_mut())
+        });
         record_ns(&lane.latency, started.elapsed(), 1);
         result
     }
@@ -491,22 +495,21 @@ where
     /// public call and passed down), booking an admission on shard
     /// `target`: expire guard, then conservative snapshot reject or
     /// optimistic CAS-charge with bounded-retry revalidation and
-    /// ring-deferred bookkeeping. Quantization to units happens only on
-    /// the admit branch (the overlay test quantizes piecewise to the
-    /// identical verdict, so the reject path — the hot one at overload —
-    /// never materializes them).
+    /// ring-deferred bookkeeping. The task's units are computed once,
+    /// straight from its demands, and serve the test, the charge and the
+    /// entry alike.
     fn decide_lockfree(
         &self,
         now: Time,
         home: &Lane,
         target: usize,
-        spec: &TaskSpec,
+        task: &DemandView<'_>,
         s: &mut Scratch,
     ) -> Option<AdmissionTicket> {
         let inner = &*self.inner;
         self.expire_guard(now, target);
-        s.contrib.clear();
-        inner.model.contributions_into(spec, &mut s.contrib);
+        s.contrib_fp.clear();
+        inner.model.units_into(task, &mut s.contrib_fp);
         // A plain (non-seqlock) read suffices here: each component is a
         // value the counters genuinely held at its load instant, and the
         // region test is monotone, so any reject it concludes is safe —
@@ -517,21 +520,15 @@ where
         // direction the read is only a hint — the write-section
         // revalidation below is what actually decides.
         inner.state.read_fp_into(&mut s.current_fp);
-        let fits = tentative_feasible_fp_overlay(
-            &inner.region,
-            &s.current_fp,
-            &s.contrib,
-            &mut s.combined_fp,
-            &mut s.floats,
-        );
+        let fits =
+            tentative_feasible_fp(&inner.region, &s.current_fp, &s.contrib_fp, &mut s.floats);
         let ticket = if fits {
-            fp_contributions_into(&s.contrib, &mut s.contrib_fp);
             self.charge_revalidated(
                 home,
                 &s.contrib_fp,
                 &mut s.current_fp,
                 &mut s.floats,
-                || self.commit(None, home, target, now, spec, s.contrib_fp.clone()),
+                || self.commit(None, home, target, now, task, s.contrib_fp.clone()),
             )
         } else {
             None
@@ -604,19 +601,19 @@ where
         home: &Lane,
         target: usize,
         now: Time,
-        spec: &TaskSpec,
+        task: &DemandView<'_>,
         contributions: Vec<(StageId, u64)>,
     ) -> AdmissionTicket {
         let inner = &*self.inner;
         let id = inner.next_id.0.fetch_add(1, Ordering::Relaxed);
-        let expiry = now.saturating_add(spec.deadline);
+        let expiry = now.saturating_add(task.deadline);
         let pending = PendingAdmission {
             id,
             entry: LiveEntry {
                 contributions,
                 departed: Vec::new(),
                 expiry,
-                importance: spec.importance,
+                importance: task.importance,
             },
         };
         match held {
@@ -658,6 +655,11 @@ where
     /// case where concurrent lock-free admits outrace the final charge's
     /// revalidation.
     pub fn try_admit_or_shed(&self, spec: &TaskSpec) -> ServiceOutcome {
+        self.admit_or_shed(&spec.into())
+    }
+
+    /// [`AdmissionService::try_admit_or_shed`] on the task's view.
+    fn admit_or_shed(&self, task: &DemandView<'_>) -> ServiceOutcome {
         let started = Instant::now();
         let inner = &*self.inner;
         let home = self.home_shard();
@@ -680,9 +682,8 @@ where
 
         let outcome = SCRATCH.with(|scratch| {
             let s = &mut *scratch.borrow_mut();
-            s.contrib.clear();
-            inner.model.contributions_into(spec, &mut s.contrib);
-            fp_contributions_into(&s.contrib, &mut s.contrib_fp);
+            s.contrib_fp.clear();
+            inner.model.units_into(task, &mut s.contrib_fp);
 
             // Shed in reverse order of semantic importance until the
             // arrival fits, never touching work at or above its own
@@ -700,7 +701,7 @@ where
                     .filter_map(|(i, g)| g.first_victim().map(|(imp, id)| (i, imp, id)))
                     .min_by_key(|&(_, imp, id)| (imp, id));
                 let Some((victim_shard, _, victim)) =
-                    victim.filter(|&(_, imp, _)| imp < spec.importance)
+                    victim.filter(|&(_, imp, _)| imp < task.importance)
                 else {
                     break false;
                 };
@@ -718,7 +719,7 @@ where
             let ticket = if fits {
                 let (fp, current, floats) = (&s.contrib_fp, &mut s.current_fp, &mut s.floats);
                 self.charge_revalidated(lane, fp, current, floats, || {
-                    self.commit(Some(&mut guards[home]), lane, home, now, spec, fp.clone())
+                    self.commit(Some(&mut guards[home]), lane, home, now, task, fp.clone())
                 })
             } else {
                 None
@@ -780,21 +781,37 @@ where
     /// through [`AdmissionService::try_admit_or_shed`], which takes every
     /// shard lock and therefore re-reads the clock itself.
     pub fn admit_batch_into(&self, requests: &[BatchRequest<'_>], out: &mut Vec<ServiceOutcome>) {
-        if requests.is_empty() {
+        self.admit_batch_with(requests.len(), |i| requests[i], out);
+    }
+
+    /// [`AdmissionService::admit_batch_into`] over requests made on
+    /// demand: `request(i)` is the `i`-th of `count`. A front end whose
+    /// requests are views into a decode arena (the gateway's wake batch)
+    /// resolves them from where they lie instead of collecting a slice
+    /// per call. `request` may be asked for the same index more than once
+    /// and must answer the same each time.
+    pub fn admit_batch_with<'a>(
+        &self,
+        count: usize,
+        request: impl Fn(usize) -> BatchRequest<'a>,
+        out: &mut Vec<ServiceOutcome>,
+    ) {
+        if count == 0 {
             return;
         }
         let now = self.inner.clock.now();
         let mut i = 0;
-        while i < requests.len() {
-            if requests[i].allow_shed {
-                out.push(self.try_admit_or_shed(requests[i].spec));
+        while i < count {
+            let req = request(i);
+            if req.allow_shed {
+                out.push(self.admit_or_shed(&req.task));
                 i += 1;
             } else {
                 let mut j = i + 1;
-                while j < requests.len() && !requests[j].allow_shed {
+                while j < count && !request(j).allow_shed {
                     j += 1;
                 }
-                self.admit_run(now, &requests[i..j], out);
+                self.admit_run(now, i..j, &request, out);
                 i = j;
             }
         }
@@ -818,16 +835,20 @@ where
     /// vector step 2 verified, so it cannot fail and the verdicts are
     /// identical to serial singles — the batch-equivalence suite holds
     /// the two to that, decision for decision.
-    fn admit_run(&self, now: Time, run: &[BatchRequest<'_>], out: &mut Vec<ServiceOutcome>) {
+    fn admit_run<'a>(
+        &self,
+        now: Time,
+        run: std::ops::Range<usize>,
+        request: &impl Fn(usize) -> BatchRequest<'a>,
+        out: &mut Vec<ServiceOutcome>,
+    ) {
         let started = Instant::now();
         let inner = &*self.inner;
         let home = self.home_shard();
         let lane = inner.state.lane(home);
         if inner.draining.load(Ordering::Acquire) {
             lane.counters.add_rejected_n(run.len() as u64);
-            for _ in run {
-                out.push(ServiceOutcome::Rejected);
-            }
+            out.extend(run.map(|_| ServiceOutcome::Rejected));
             return;
         }
         let count = inner.state.shard_count();
@@ -845,16 +866,17 @@ where
             // Every request starts out rejected; the commit step
             // overwrites the admitted ones.
             let first = out.len();
-            out.extend(run.iter().map(|_| ServiceOutcome::Rejected));
+            out.extend(run.clone().map(|_| ServiceOutcome::Rejected));
 
             // Greedy walk: verdicts against base + own accumulated
-            // charges. Admit candidates are kept for the commit step in
-            // the scratch arena, so a candidate allocates nothing until
-            // its entry is minted.
+            // charges. Each request's units land at the end of the
+            // scratch arena and stay there if it is an admit candidate,
+            // so a candidate allocates nothing until its entry is minted.
             s.run_contrib.clear();
             s.run_admits.clear();
-            for (i, req) in run.iter().enumerate() {
-                let target = target_of(req);
+            for i in run.clone() {
+                let req = request(i);
+                let target = target_of(&req);
                 if self.expire_guard(now, target) {
                     // The drain may have decremented counters; re-take the
                     // base or this run would conservatively reject where
@@ -863,9 +885,8 @@ where
                     // most once per run.
                     inner.state.read_fp_into(&mut s.current_fp);
                 }
-                s.contrib.clear();
-                inner.model.contributions_into(req.spec, &mut s.contrib);
-                fp_contributions_into(&s.contrib, &mut s.contrib_fp);
+                let start = s.run_contrib.len();
+                inner.model.units_into(&req.task, &mut s.run_contrib);
                 s.combined_fp.clear();
                 s.combined_fp.extend(
                     s.current_fp
@@ -873,17 +894,14 @@ where
                         .zip(&s.acc_fp)
                         .map(|(&base, &acc)| base.saturating_add(acc)),
                 );
-                if tentative_feasible_fp(
-                    &inner.region,
-                    &s.combined_fp,
-                    &s.contrib_fp,
-                    &mut s.floats,
-                ) {
-                    for &(stage, units) in &s.contrib_fp {
+                let units = &s.run_contrib[start..];
+                if tentative_feasible_fp(&inner.region, &s.combined_fp, units, &mut s.floats) {
+                    for &(stage, units) in units {
                         s.acc_fp[stage.index()] += units;
                     }
-                    s.run_contrib.extend_from_slice(&s.contrib_fp);
                     s.run_admits.push((i, target, s.run_contrib.len()));
+                } else {
+                    s.run_contrib.truncate(start);
                 }
             }
 
@@ -897,8 +915,9 @@ where
                     let mut start = 0;
                     for &(i, target, end) in &s.run_admits {
                         let contrib = s.run_contrib[start..end].to_vec();
-                        let ticket = self.commit(None, lane, target, now, run[i].spec, contrib);
-                        out[first + i] = ServiceOutcome::Admitted(ticket);
+                        let ticket =
+                            self.commit(None, lane, target, now, &request(i).task, contrib);
+                        out[first + i - run.start] = ServiceOutcome::Admitted(ticket);
                         start = end;
                     }
                 } else {
@@ -917,8 +936,8 @@ where
                 // committed, so fall back to the single-decision protocol
                 // for the whole run.
                 out.truncate(first);
-                for req in run {
-                    let ticket = self.decide_lockfree(now, lane, target_of(req), req.spec, s);
+                for req in run.clone().map(request) {
+                    let ticket = self.decide_lockfree(now, lane, target_of(&req), &req.task, s);
                     out.push(ticket.map_or(ServiceOutcome::Rejected, ServiceOutcome::Admitted));
                 }
             }
@@ -1484,9 +1503,8 @@ mod tests {
         let outcomes = svc.admit_batch(&[
             BatchRequest::new(&spec),
             BatchRequest {
-                spec: &spec,
                 allow_shed: true,
-                shard: None,
+                ..BatchRequest::new(&spec)
             },
             BatchRequest::new(&spec),
         ]);
@@ -1509,9 +1527,8 @@ mod tests {
         let outcomes = svc.admit_batch(&[
             BatchRequest::new(&blocked),
             BatchRequest {
-                spec: &vip,
                 allow_shed: true,
-                shard: None,
+                ..BatchRequest::new(&vip)
             },
         ]);
         assert!(matches!(outcomes[0], ServiceOutcome::Rejected));

@@ -21,7 +21,8 @@ use frap_core::admission::ExactContributions;
 use frap_core::graph::TaskSpec;
 use frap_core::region::FeasibleRegion;
 use frap_core::task::Importance;
-use frap_core::time::TimeDelta;
+use frap_core::time::{Time, TimeDelta};
+use frap_core::wire::WireTaskSpec;
 use frap_service::clock::ManualClock;
 use frap_service::{AdmissionService, AdmissionTicket, BatchRequest, ServiceOutcome};
 use proptest::prelude::*;
@@ -55,8 +56,15 @@ fn task(deadline_ms: u64, per_stage_ms: &[u64], importance: u8) -> TaskSpec {
 /// A comparable summary of one decision.
 #[derive(Debug, PartialEq, Eq)]
 enum Decision {
-    Admitted { ticket_id: u64 },
-    AdmittedAfterShedding { ticket_id: u64, shed: Vec<u64> },
+    Admitted {
+        ticket_id: u64,
+        deadline: Time,
+    },
+    AdmittedAfterShedding {
+        ticket_id: u64,
+        deadline: Time,
+        shed: Vec<u64>,
+    },
     Rejected,
 }
 
@@ -66,15 +74,19 @@ enum Decision {
 fn digest(outcome: ServiceOutcome, live: &mut Vec<AdmissionTicket>) -> Decision {
     match outcome {
         ServiceOutcome::Admitted(t) => {
-            let id = t.id();
+            let (ticket_id, deadline) = (t.id(), t.deadline());
             live.push(t);
-            Decision::Admitted { ticket_id: id }
+            Decision::Admitted {
+                ticket_id,
+                deadline,
+            }
         }
         ServiceOutcome::AdmittedAfterShedding { ticket, shed } => {
-            let id = ticket.id();
+            let (ticket_id, deadline) = (ticket.id(), ticket.deadline());
             live.push(ticket);
             Decision::AdmittedAfterShedding {
-                ticket_id: id,
+                ticket_id,
+                deadline,
                 shed,
             }
         }
@@ -112,9 +124,8 @@ fn run_batch(
     let requests: Vec<BatchRequest<'_>> = reqs
         .iter()
         .map(|(spec, allow_shed)| BatchRequest {
-            spec,
             allow_shed: *allow_shed,
-            shard: None,
+            ..BatchRequest::new(spec)
         })
         .collect();
     svc.admit_batch(&requests)
@@ -317,15 +328,13 @@ fn one_clock_read_per_batch() {
     let mixed = [
         BatchRequest::new(&spec),
         BatchRequest {
-            spec: &spec,
             allow_shed: true,
-            shard: None,
+            ..BatchRequest::new(&spec)
         },
         BatchRequest::new(&spec),
         BatchRequest {
-            spec: &spec,
             allow_shed: true,
-            shard: None,
+            ..BatchRequest::new(&spec)
         },
     ];
     for o in svc.admit_batch(&mixed) {
@@ -605,6 +614,126 @@ fn take(held: &mut Vec<AdmissionTicket>, picks: &[usize]) -> Vec<AdmissionTicket
     taken
 }
 
+/// One of two services driven through the same [`Op`]s in lockstep.
+struct Twin {
+    svc: ManualService,
+    clock: Arc<ManualClock>,
+    held: Vec<AdmissionTicket>,
+    /// Lend each arrival as the view of its wire form (the gateway's
+    /// datapath) instead of as `BatchRequest::new(&spec)`.
+    wire_lent: bool,
+    /// Release a [`Op::ReleaseRun`] as one `release_batch` instead of
+    /// ticket by ticket.
+    release_runs: bool,
+}
+
+impl Twin {
+    fn new(shards: usize, wire_lent: bool, release_runs: bool) -> Twin {
+        let (svc, clock) = service(3, shards);
+        Twin {
+            svc,
+            clock,
+            held: Vec::new(),
+            wire_lent,
+            release_runs,
+        }
+    }
+
+    /// Applies one step and returns what it let a caller see: the
+    /// decisions of an admit, and the answer of a `release_by_id` or an
+    /// observation.
+    fn apply(&mut self, op: &Op) -> (Vec<Decision>, usize) {
+        let mut decisions = Vec::new();
+        let mut answer = 0;
+        match op {
+            Op::Admit { arrivals, shard } => {
+                let wires: Vec<WireTaskSpec> = arrivals
+                    .iter()
+                    .map(|a| WireTaskSpec {
+                        deadline_us: a.deadline_ms * 1000,
+                        stage_demands_us: a.stage_ms.iter().map(|c| c * 1000).collect(),
+                        importance: a.importance as u32,
+                    })
+                    .collect();
+                let specs: Vec<TaskSpec> = wires.iter().map(|w| w.to_spec().unwrap()).collect();
+                let reqs: Vec<BatchRequest<'_>> = (0..arrivals.len())
+                    .map(|i| BatchRequest {
+                        allow_shed: arrivals[i].allow_shed,
+                        shard: Some(shard + i),
+                        ..if self.wire_lent {
+                            BatchRequest::of((&wires[i]).into())
+                        } else {
+                            BatchRequest::new(&specs[i])
+                        }
+                    })
+                    .collect();
+                let outcomes = self.svc.admit_batch(&reqs);
+                decisions.extend(outcomes.into_iter().map(|o| digest(o, &mut self.held)));
+            }
+            Op::ReleaseRun(picks) if self.release_runs => {
+                self.svc.release_batch(take(&mut self.held, picks));
+            }
+            Op::ReleaseRun(picks) => {
+                for t in take(&mut self.held, picks) {
+                    t.release();
+                }
+            }
+            Op::Release(pick) => drop(take(&mut self.held, &[*pick])),
+            Op::Detach(pick) => {
+                for t in take(&mut self.held, &[*pick]) {
+                    t.detach();
+                }
+            }
+            Op::ReleaseById(id) => answer = self.svc.release_by_id(*id) as usize,
+            Op::Advance(step_ms) => self.clock.advance(ms(*step_ms)),
+            Op::Idle(stage) => {
+                let stage = frap_core::task::StageId::new(*stage);
+                for t in &self.held {
+                    t.mark_departed(stage);
+                }
+                self.svc.on_stage_idle(stage);
+            }
+            Op::Observe => {
+                answer = self.svc.live_tasks();
+                self.svc.debug_validate();
+            }
+        }
+        (decisions, answer)
+    }
+
+    /// Whatever is still held goes the way it would on a disconnect.
+    fn finish(self) -> (ManualService, usize) {
+        if self.release_runs {
+            self.svc.release_batch(self.held);
+        } else {
+            drop(self.held);
+        }
+        self.svc.debug_validate();
+        let live = self.svc.live_tasks();
+        (self.svc, live)
+    }
+}
+
+/// Drives both twins through `ops`, holding them to the same decisions
+/// (ticket ids, ticket deadlines and shed victims included), the same
+/// answers and a bit-identical ledger after every step.
+fn assert_twins_agree(ops: &[Op], mut a: Twin, mut b: Twin) -> Result<(), TestCaseError> {
+    for (step, op) in ops.iter().enumerate() {
+        prop_assert_eq!(a.apply(op), b.apply(op), "at step {}: {:?}", step, op);
+        prop_assert_eq!(
+            ledger(&a.svc),
+            ledger(&b.svc),
+            "after step {}: {:?}",
+            step,
+            op
+        );
+    }
+    let ((svc_a, live_a), (svc_b, live_b)) = (a.finish(), b.finish());
+    prop_assert_eq!(ledger(&svc_a), ledger(&svc_b));
+    prop_assert_eq!(live_a, live_b);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -619,83 +748,18 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..40),
         shards in 1usize..3,
     ) {
-        let (runs, clock_r) = service(3, shards);
-        let (singles, clock_s) = service(3, shards);
-        let mut held_r: Vec<AdmissionTicket> = Vec::new();
-        let mut held_s: Vec<AdmissionTicket> = Vec::new();
-        for (step, op) in ops.iter().enumerate() {
-            match op {
-                Op::Admit { arrivals, shard } => {
-                    let specs: Vec<TaskSpec> = arrivals
-                        .iter()
-                        .map(|a| task(a.deadline_ms, &a.stage_ms, a.importance))
-                        .collect();
-                    let reqs: Vec<BatchRequest<'_>> = specs
-                        .iter()
-                        .zip(arrivals)
-                        .enumerate()
-                        .map(|(i, (spec, a))| BatchRequest {
-                            spec,
-                            allow_shed: a.allow_shed,
-                            shard: Some(shard + i),
-                        })
-                        .collect();
-                    let got: Vec<Decision> = runs
-                        .admit_batch(&reqs)
-                        .into_iter()
-                        .map(|o| digest(o, &mut held_r))
-                        .collect();
-                    let want: Vec<Decision> = singles
-                        .admit_batch(&reqs)
-                        .into_iter()
-                        .map(|o| digest(o, &mut held_s))
-                        .collect();
-                    prop_assert_eq!(got, want, "verdicts or shed victims at step {}", step);
-                }
-                Op::ReleaseRun(picks) => {
-                    runs.release_batch(take(&mut held_r, picks));
-                    for t in take(&mut held_s, picks) {
-                        t.release();
-                    }
-                }
-                Op::Release(pick) => {
-                    drop(take(&mut held_r, &[*pick]));
-                    drop(take(&mut held_s, &[*pick]));
-                }
-                Op::Detach(pick) => {
-                    for t in take(&mut held_r, &[*pick]).into_iter().chain(take(&mut held_s, &[*pick])) {
-                        t.detach();
-                    }
-                }
-                Op::ReleaseById(id) => {
-                    prop_assert_eq!(runs.release_by_id(*id), singles.release_by_id(*id));
-                }
-                Op::Advance(step_ms) => {
-                    clock_r.advance(ms(*step_ms));
-                    clock_s.advance(ms(*step_ms));
-                }
-                Op::Idle(stage) => {
-                    let stage = frap_core::task::StageId::new(*stage);
-                    for t in held_r.iter().chain(&held_s) {
-                        t.mark_departed(stage);
-                    }
-                    runs.on_stage_idle(stage);
-                    singles.on_stage_idle(stage);
-                }
-                Op::Observe => {
-                    prop_assert_eq!(runs.live_tasks(), singles.live_tasks());
-                    runs.debug_validate();
-                    singles.debug_validate();
-                }
-            }
-            prop_assert_eq!(ledger(&runs), ledger(&singles), "after step {}: {:?}", step, op);
-        }
-        // Whatever is still held goes the way it would on a disconnect.
-        runs.release_batch(held_r);
-        drop(held_s);
-        prop_assert_eq!(ledger(&runs), ledger(&singles));
-        prop_assert_eq!(runs.live_tasks(), singles.live_tasks());
-        runs.debug_validate();
-        singles.debug_validate();
+        assert_twins_agree(&ops, Twin::new(shards, false, true), Twin::new(shards, false, false))?;
+    }
+
+    /// The same interleavings with one twin fed `BatchRequest::new(&spec)`
+    /// and the other the view lent from the task's wire form — what the
+    /// gateway hands over without ever building the spec: the view is the
+    /// spec, decision for decision and unit for unit.
+    #[test]
+    fn wire_lent_views_decide_like_specs(
+        ops in proptest::collection::vec(op(), 1..40),
+        shards in 1usize..3,
+    ) {
+        assert_twins_agree(&ops, Twin::new(shards, false, true), Twin::new(shards, true, true))?;
     }
 }
