@@ -15,6 +15,7 @@ use crate::error::GraphError;
 use crate::task::{Importance, StageId, SubtaskSpec};
 use crate::time::TimeDelta;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A validated directed acyclic graph of subtasks.
 ///
@@ -28,11 +29,15 @@ use std::collections::BTreeMap;
 /// per arrival) costs an `Arc` bump. `Arc` rather than `Rc` keeps specs
 /// `Send` for the concurrent admission service.
 ///
-/// A graph stores only what differs between two tasks: its subtasks and
-/// their per-stage demand. Edge lists exist only for shapes other than the
-/// chain `0 -> 1 -> … -> n-1`, whose edges are a function of `n` and are
-/// read from one shared index table (DESIGN.md §11). However such a chain
-/// is built, it has that one form, so equality stays structural.
+/// A graph stores only what differs between two tasks (DESIGN.md §11). A
+/// *plain chain* — subtask `j` is one lock-free segment on stage `s_j`,
+/// the `s_j` strictly ascending, the edges exactly `0 -> 1 -> … -> n-1` —
+/// is its per-stage demand `[(s_j, C_j)]` and nothing else: one
+/// allocation, the very slice [`TaskGraph::stage_demands`] lends. Every
+/// other graph keeps its subtask list, and edge lists unless it is a chain
+/// in index order. Every constructor picks the form from the graph alone,
+/// so however a graph is built it has one form and equality stays
+/// structural.
 ///
 /// # Examples
 ///
@@ -56,8 +61,15 @@ use std::collections::BTreeMap;
 /// # Ok::<(), frap_core::error::GraphError>(())
 /// ```
 #[derive(Clone)]
-pub struct TaskGraph {
-    inner: std::sync::Arc<GraphInner>,
+pub struct TaskGraph(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// A plain chain: entry `j` is subtask `j`'s stage and computation,
+    /// which makes it the per-stage demand as well.
+    Plain(Arc<[(StageId, TimeDelta)]>),
+    /// Every other graph.
+    General(Arc<GraphInner>),
 }
 
 #[derive(Debug, PartialEq)]
@@ -69,14 +81,98 @@ struct GraphInner {
     stage_demand: Vec<(StageId, TimeDelta)>,
     /// `None` for the chain `0 -> 1 -> … -> n-1` of at most
     /// [`CHAIN_TABLE`] subtasks, whose edges are slices of [`INDEX`].
-    edges: Option<Box<Edges>>,
+    edges: Option<Edges>,
 }
 
+/// The explicit precedence lists of an `n`-node graph in one buffer: the
+/// topological order (`n` ids), then `2n + 1` offsets into the buffer,
+/// then the ids of list `0..2n`. List `i` holds node `i`'s predecessors
+/// and list `n + i` its successors, each in the order its edges were first
+/// added.
 #[derive(Debug, Clone, PartialEq)]
-struct Edges {
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
-    topo: Vec<usize>,
+struct Edges(Vec<usize>);
+
+impl Edges {
+    /// The lists of `edges` (in range, no self-loops) with duplicates
+    /// dropped; the topological order is left for [`Edges::sorted`].
+    fn new(n: usize, edges: &[(usize, usize)]) -> Edges {
+        let base = 3 * n + 1;
+        let mut buf = vec![0; base + 2 * edges.len()];
+        let (head, ids) = buf.split_at_mut(base);
+        let at = &mut head[n..];
+        // Count each list's length into the slot after its start, sum the
+        // counts into starts, then fill: each list's start advances to its
+        // end, which is where the next list starts.
+        for &(from, to) in edges {
+            at[to + 1] += 1;
+            at[n + from + 1] += 1;
+        }
+        for k in 1..at.len() {
+            at[k] += at[k - 1];
+        }
+        for &(from, to) in edges {
+            for (list, id) in [(to, from), (n + from, to)] {
+                ids[at[list]] = id;
+                at[list] += 1;
+            }
+        }
+        // Keep the first of each repeated id and close the gaps: every
+        // list moves down, never up, so this works in place.
+        let (mut read, mut write) = (0, 0);
+        for bound in &mut at[..2 * n] {
+            let (start, end) = (write, *bound);
+            for r in read..end {
+                if !ids[start..write].contains(&ids[r]) {
+                    ids[write] = ids[r];
+                    write += 1;
+                }
+            }
+            read = end;
+            *bound = base + start;
+        }
+        at[2 * n] = base + write;
+        buf.truncate(base + write);
+        Edges(buf)
+    }
+
+    /// Fills in the topological order by Kahn's algorithm, sources
+    /// ascending first, so the order is deterministic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Cycle`] when there is no such order.
+    fn sorted(mut self, n: usize) -> Result<Edges, GraphError> {
+        let mut indeg: Vec<usize> = (0..n).map(|i| self.list(n, i).len()).collect();
+        let mut len = 0;
+        for (i, _) in indeg.iter().enumerate().filter(|&(_, &d)| d == 0) {
+            self.0[len] = i;
+            len += 1;
+        }
+        let mut cursor = 0;
+        while cursor < len {
+            let i = self.0[cursor];
+            cursor += 1;
+            for r in self.0[2 * n + i]..self.0[2 * n + i + 1] {
+                let s = self.0[r];
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    self.0[len] = s;
+                    len += 1;
+                }
+            }
+        }
+        if len == n {
+            Ok(self)
+        } else {
+            Err(GraphError::Cycle)
+        }
+    }
+
+    /// List `list` (`0..2n`) of the `n`-node graph.
+    fn list(&self, n: usize, list: usize) -> &[usize] {
+        let at = &self.0[n..];
+        &self.0[at[list]..at[list + 1]]
+    }
 }
 
 /// The longest chain stored without edge lists: the wire format's stage
@@ -96,19 +192,9 @@ static INDEX: [usize; CHAIN_TABLE] = {
     table
 };
 
-/// The index table cut to an edge-less chain of `n` nodes.
-///
-/// # Panics
-///
-/// Panics if `index >= n`, as indexing an edge list would.
-fn chain_ids(n: usize, index: usize) -> &'static [usize] {
-    assert!(index < n, "subtask {index} of a {n}-subtask chain");
-    &INDEX[..n]
-}
-
 /// Successors of node `index` in the edge-less chain of `n` nodes.
 fn chain_succs(n: usize, index: usize) -> &'static [usize] {
-    &chain_ids(n, index)[index + 1..n.min(index + 2)]
+    &INDEX[index + 1..n.min(index + 2)]
 }
 
 /// Merges per-subtask computation into per-stage totals, ascending by
@@ -116,8 +202,8 @@ fn chain_succs(n: usize, index: usize) -> &'static [usize] {
 /// on-demand merge used to.
 fn merged_stage_demand(subtasks: &[SubtaskSpec]) -> Vec<(StageId, TimeDelta)> {
     let mut v: Vec<(StageId, TimeDelta)> = Vec::with_capacity(subtasks.len());
-    // Stages strictly ascending so far (every `pipeline()` chain all the
-    // way): each subtask is a new last entry, no search and no sort.
+    // Stages strictly ascending so far: each subtask is a new last entry,
+    // no search and no sort.
     let mut ascending = true;
     for s in subtasks {
         if ascending && v.last().is_none_or(|&(last, _)| last < s.stage) {
@@ -136,6 +222,11 @@ fn merged_stage_demand(subtasks: &[SubtaskSpec]) -> Vec<(StageId, TimeDelta)> {
     v
 }
 
+/// Whether the stages of `demands` strictly ascend.
+fn ascending(demands: &[(StageId, TimeDelta)]) -> bool {
+    demands.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
 /// The first subtask without segments, as the error both constructors
 /// return.
 fn check_segments(subtasks: &[SubtaskSpec]) -> Result<(), GraphError> {
@@ -147,7 +238,12 @@ fn check_segments(subtasks: &[SubtaskSpec]) -> Result<(), GraphError> {
 
 impl PartialEq for TaskGraph {
     fn eq(&self, other: &TaskGraph) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner) || *self.inner == *other.inner
+        match (&self.0, &other.0) {
+            (Repr::Plain(a), Repr::Plain(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Repr::General(a), Repr::General(b)) => Arc::ptr_eq(a, b) || a == b,
+            // One graph, one form.
+            _ => false,
+        }
     }
 }
 
@@ -155,7 +251,7 @@ impl std::fmt::Debug for TaskGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let nodes = 0..self.len();
         f.debug_struct("TaskGraph")
-            .field("subtasks", &self.inner.subtasks)
+            .field("subtasks", &self.subtasks().collect::<Vec<_>>())
             .field(
                 "preds",
                 &nodes.clone().map(|i| self.preds(i)).collect::<Vec<_>>(),
@@ -179,10 +275,10 @@ impl TaskGraph {
     ///
     /// A chain's precedence structure is a function of its length, so up
     /// to the index table's 1024 subtasks this stores no edges and skips
-    /// the general builder (edge list, deduplication, Kahn's algorithm) —
-    /// workload generators construct one graph per arrival, making this
-    /// the hottest graph constructor by far. [`TaskGraphBuilder::build`]
-    /// given exactly the edges `i -> i+1` returns the same graph.
+    /// the general builder (edge lists, deduplication, Kahn's algorithm);
+    /// a plain chain keeps its per-stage demand alone.
+    /// [`TaskGraphBuilder::build`] given exactly the edges `i -> i+1`
+    /// returns the same graph.
     ///
     /// # Errors
     ///
@@ -200,11 +296,26 @@ impl TaskGraph {
             return TaskGraphBuilder { subtasks, edges }.build();
         }
         check_segments(&subtasks)?;
-        Ok(TaskGraph::from_parts(subtasks, None))
+        Ok(TaskGraph::index_chain(subtasks))
+    }
+
+    /// The chain whose subtask `j` is one lock-free segment of
+    /// `demands[j].1` on stage `demands[j].0` — [`TaskGraph::chain`]
+    /// without a subtask list in between. With the stages strictly
+    /// ascending (and at most 1024 of them) the graph is one allocation, a
+    /// copy of `demands`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Empty`] when `demands` is empty.
+    pub fn chain_of(demands: &[(StageId, TimeDelta)]) -> Result<TaskGraph, GraphError> {
+        TaskGraph::plain(Arc::from(demands))
     }
 
     /// The chain [`TaskSpec::pipeline`] describes: subtask `j` runs on
-    /// stage `j` for `computations[j]`.
+    /// stage `j` for `computations[j]`. Up to 1024 stages this is one
+    /// allocation when std trusts the iterator's length (a slice's, copied
+    /// or mapped); other iterators are collected first.
     ///
     /// # Errors
     ///
@@ -212,19 +323,43 @@ impl TaskGraph {
     pub fn pipeline(
         computations: impl Iterator<Item = TimeDelta>,
     ) -> Result<TaskGraph, GraphError> {
-        let stage_subtask = |(j, c)| SubtaskSpec::new(StageId::new(j), c);
-        TaskGraph::chain(computations.enumerate().map(stage_subtask).collect())
+        let stage_demand = |(j, c)| (StageId::new(j), c);
+        TaskGraph::plain(computations.enumerate().map(stage_demand).collect())
     }
 
-    fn from_parts(subtasks: Vec<SubtaskSpec>, edges: Option<Box<Edges>>) -> TaskGraph {
-        let stage_demand = merged_stage_demand(&subtasks);
-        TaskGraph {
-            inner: std::sync::Arc::new(GraphInner {
-                subtasks,
-                stage_demand,
-                edges,
-            }),
+    /// The chain of one lock-free subtask per entry of `demands`: stored as
+    /// `demands` itself when that is the plain form, else built as any
+    /// other chain.
+    fn plain(demands: Arc<[(StageId, TimeDelta)]>) -> Result<TaskGraph, GraphError> {
+        if demands.len() > CHAIN_TABLE || !ascending(&demands) {
+            let subtask = |&(stage, c): &(StageId, TimeDelta)| SubtaskSpec::new(stage, c);
+            return TaskGraph::chain(demands.iter().map(subtask).collect());
         }
+        if demands.is_empty() {
+            return Err(GraphError::Empty);
+        }
+        Ok(TaskGraph(Repr::Plain(demands)))
+    }
+
+    /// The chain `0 -> 1 -> … -> n-1` of `subtasks` (`1 ≤ n ≤ 1024`, none
+    /// without segments), in its one form.
+    fn index_chain(subtasks: Vec<SubtaskSpec>) -> TaskGraph {
+        let lock_free = |s: &SubtaskSpec| matches!(&*s.segments, [only] if only.lock.is_none());
+        let ascending = subtasks.windows(2).all(|w| w[0].stage < w[1].stage);
+        if ascending && subtasks.iter().all(lock_free) {
+            let demand = |s: &SubtaskSpec| (s.stage, s.segments[0].duration);
+            return TaskGraph(Repr::Plain(subtasks.iter().map(demand).collect()));
+        }
+        TaskGraph::general(subtasks, None)
+    }
+
+    fn general(subtasks: Vec<SubtaskSpec>, edges: Option<Edges>) -> TaskGraph {
+        let stage_demand = merged_stage_demand(&subtasks);
+        TaskGraph(Repr::General(Arc::new(GraphInner {
+            subtasks,
+            stage_demand,
+            edges,
+        })))
     }
 
     /// A fork-join graph: `head` then all of `branches` in parallel, then
@@ -255,42 +390,92 @@ impl TaskGraph {
 
     /// Number of subtasks.
     pub fn len(&self) -> usize {
-        self.inner.subtasks.len()
+        match &self.0 {
+            Repr::Plain(demands) => demands.len(),
+            Repr::General(inner) => inner.subtasks.len(),
+        }
     }
 
     /// Whether the graph has no subtasks (never true for a built graph;
     /// provided for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.inner.subtasks.is_empty()
+        self.len() == 0
     }
 
-    /// The subtask at `index`.
+    /// Whether the graph is stored as a plain chain — its per-stage demand
+    /// and nothing else (see [`TaskGraph`]). A function of the graph alone.
+    pub fn is_plain(&self) -> bool {
+        matches!(self.0, Repr::Plain(_))
+    }
+
+    /// The subtask at `index`, by value: a one-segment subtask owns no
+    /// heap, so for a plain chain this allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
-    pub fn subtask(&self, index: usize) -> &SubtaskSpec {
-        &self.inner.subtasks[index]
+    pub fn subtask(&self, index: usize) -> SubtaskSpec {
+        match &self.0 {
+            Repr::Plain(demands) => {
+                let (stage, c) = demands[index];
+                SubtaskSpec::new(stage, c)
+            }
+            Repr::General(inner) => inner.subtasks[index].clone(),
+        }
     }
 
-    /// Iterates over all subtasks in insertion order.
-    pub fn subtasks(&self) -> impl Iterator<Item = &SubtaskSpec> {
-        self.inner.subtasks.iter()
+    /// The stage subtask `index` runs on, without building the subtask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn stage(&self, index: usize) -> StageId {
+        match &self.0 {
+            Repr::Plain(demands) => demands[index].0,
+            Repr::General(inner) => inner.subtasks[index].stage,
+        }
+    }
+
+    /// Iterates over all subtasks in insertion order, by value (see
+    /// [`TaskGraph::subtask`]).
+    pub fn subtasks(&self) -> impl Iterator<Item = SubtaskSpec> + '_ {
+        (0..self.len()).map(|i| self.subtask(i))
+    }
+
+    /// Explicit edge lists; `None` for a chain in index order of at most
+    /// [`CHAIN_TABLE`] subtasks.
+    fn edges(&self) -> Option<&Edges> {
+        match &self.0 {
+            Repr::Plain(_) => None,
+            Repr::General(inner) => inner.edges.as_ref(),
+        }
     }
 
     /// Predecessors of subtask `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
     pub fn preds(&self, index: usize) -> &[usize] {
-        match &self.inner.edges {
-            Some(edges) => &edges.preds[index],
-            None => &chain_ids(self.len(), index)[index.saturating_sub(1)..index],
+        let n = self.len();
+        assert!(index < n, "subtask {index} of a {n}-subtask graph");
+        match self.edges() {
+            Some(edges) => edges.list(n, index),
+            None => &INDEX[index.saturating_sub(1)..index],
         }
     }
 
     /// Successors of subtask `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
     pub fn succs(&self, index: usize) -> &[usize] {
-        match &self.inner.edges {
-            Some(edges) => &edges.succs[index],
-            None => chain_succs(self.len(), index),
+        let n = self.len();
+        assert!(index < n, "subtask {index} of a {n}-subtask graph");
+        match self.edges() {
+            Some(edges) => edges.list(n, n + index),
+            None => chain_succs(n, index),
         }
     }
 
@@ -310,8 +495,8 @@ impl TaskGraph {
 
     /// A topological order of subtask indices.
     pub fn topological_order(&self) -> &[usize] {
-        match &self.inner.edges {
-            Some(edges) => &edges.topo,
+        match self.edges() {
+            Some(edges) => &edges.0[..self.len()],
             None => &INDEX[..self.len()],
         }
     }
@@ -319,37 +504,40 @@ impl TaskGraph {
     /// Whether the graph is a single chain (a pipeline). Allocates
     /// nothing, and is O(1) for a chain stored without edge lists.
     pub fn is_chain(&self) -> bool {
-        let Some(edges) = &self.inner.edges else {
+        let Some(edges) = self.edges() else {
             return true;
         };
-        edges.preds.iter().filter(|p| p.is_empty()).count() == 1
-            && edges.preds.iter().all(|p| p.len() <= 1)
-            && edges.succs.iter().all(|s| s.len() <= 1)
+        let n = self.len();
+        let sizes = |lists: std::ops::Range<usize>| lists.map(|k| edges.list(n, k).len());
+        sizes(0..n).filter(|&size| size == 0).count() == 1 && sizes(0..2 * n).all(|size| size <= 1)
     }
 
     /// The distinct stages used by this graph, in ascending order.
     pub fn stages_used(&self) -> Vec<StageId> {
-        let mut v: Vec<StageId> = self.inner.subtasks.iter().map(|s| s.stage).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        self.stage_demands()
+            .iter()
+            .map(|&(stage, _)| stage)
+            .collect()
     }
 
     /// Total computation time demanded from each stage (`C_ij` summed over
     /// all subtasks of this task on stage `j`).
     pub fn stage_demand(&self) -> BTreeMap<StageId, TimeDelta> {
-        self.inner.stage_demand.iter().copied().collect()
+        self.stage_demands().iter().copied().collect()
     }
 
     /// [`TaskGraph::stage_demand`] without building a map: the per-stage
-    /// totals, ascending by stage, as precomputed at construction.
+    /// totals, ascending by stage, as stored at construction.
     pub fn stage_demands(&self) -> &[(StageId, TimeDelta)] {
-        &self.inner.stage_demand
+        match &self.0 {
+            Repr::Plain(demands) => demands,
+            Repr::General(inner) => &inner.stage_demand,
+        }
     }
 
     /// Total computation time over all subtasks.
     pub fn total_computation(&self) -> TimeDelta {
-        self.inner.subtasks.iter().map(|s| s.computation()).sum()
+        self.stage_demands().iter().map(|&(_, c)| c).sum()
     }
 
     /// Evaluates the end-to-end delay expression `d(L_1, …, L_M)` — the
@@ -403,11 +591,18 @@ impl TaskGraph {
     /// task is bound to one replica at admission time (the analysis then
     /// applies per replica exactly as for any other stage).
     pub fn remap_stages(&self, f: impl Fn(StageId) -> StageId) -> TaskGraph {
-        let mut subtasks = self.inner.subtasks.clone();
+        if let Repr::Plain(demands) = &self.0 {
+            let remapped = demands.iter().map(|&(stage, c)| (f(stage), c)).collect();
+            return TaskGraph::plain(remapped).expect("a built graph is non-empty");
+        }
+        let mut subtasks: Vec<SubtaskSpec> = self.subtasks().collect();
         for sub in &mut subtasks {
             sub.stage = f(sub.stage);
         }
-        TaskGraph::from_parts(subtasks, self.inner.edges.clone())
+        match self.edges() {
+            None => TaskGraph::index_chain(subtasks),
+            Some(edges) => TaskGraph::general(subtasks, Some(edges.clone())),
+        }
     }
 
     /// Like [`TaskGraph::longest_path`] but returns the subtask indices of
@@ -457,7 +652,7 @@ impl std::fmt::Display for TaskGraph {
                 if !first {
                     write!(f, " -> ")?;
                 }
-                write!(f, "s{}", self.subtask(cur).stage.index())?;
+                write!(f, "s{}", self.stage(cur).index())?;
                 first = false;
                 match self.succs(cur).first() {
                     Some(&next) => cur = next,
@@ -479,14 +674,14 @@ impl std::fmt::Display for TaskGraph {
                 && self.succs(head).len() == middles.len()
                 && self.preds(tail).len() == middles.len();
             if is_fork_join {
-                write!(f, "s{} -> {{", self.subtask(head).stage.index())?;
+                write!(f, "s{} -> {{", self.stage(head).index())?;
                 for (i, &m) in middles.iter().enumerate() {
                     if i > 0 {
                         write!(f, " || ")?;
                     }
-                    write!(f, "s{}", self.subtask(m).stage.index())?;
+                    write!(f, "s{}", self.stage(m).index())?;
                 }
-                return write!(f, "}} -> s{}", self.subtask(tail).stage.index());
+                return write!(f, "}} -> s{}", self.stage(tail).index());
             }
         }
         // General DAG: explicit edges.
@@ -532,8 +727,6 @@ impl TaskGraphBuilder {
             return Err(GraphError::Empty);
         }
         check_segments(&self.subtasks)?;
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(from, to) in &self.edges {
             if from >= n {
                 return Err(GraphError::NodeOutOfRange {
@@ -547,43 +740,17 @@ impl TaskGraphBuilder {
             if from == to {
                 return Err(GraphError::SelfLoop { index: from });
             }
-            // Duplicate edges are harmless but would skew in-degree counting;
-            // deduplicate here.
-            if !succs[from].contains(&to) {
-                succs[from].push(to);
-                preds[to].push(from);
-            }
         }
+        // Duplicate edges are harmless but would skew in-degree counting;
+        // the lists keep each edge once.
+        let edges = Edges::new(n, &self.edges);
 
         // Exactly the edges `i -> i+1`: the one form such a chain has.
-        if n <= CHAIN_TABLE && (0..n).all(|i| succs[i] == chain_succs(n, i)) {
-            let subtasks = std::mem::take(&mut self.subtasks);
-            return Ok(TaskGraph::from_parts(subtasks, None));
+        if n <= CHAIN_TABLE && (0..n).all(|i| edges.list(n, n + i) == chain_succs(n, i)) {
+            return Ok(TaskGraph::index_chain(std::mem::take(&mut self.subtasks)));
         }
-
-        // Kahn's algorithm for a deterministic topological order.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        ready.sort_unstable();
-        let mut topo = Vec::with_capacity(n);
-        let mut cursor = 0;
-        while cursor < ready.len() {
-            let i = ready[cursor];
-            cursor += 1;
-            topo.push(i);
-            for &s in &succs[i] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        if topo.len() != n {
-            return Err(GraphError::Cycle);
-        }
-
-        let edges = Box::new(Edges { preds, succs, topo });
-        Ok(TaskGraph::from_parts(
+        let edges = edges.sorted(n)?;
+        Ok(TaskGraph::general(
             std::mem::take(&mut self.subtasks),
             Some(edges),
         ))
@@ -733,18 +900,18 @@ mod tests {
         };
         for n in [1, 2, 3, CHAIN_TABLE] {
             let g = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
-            assert!(g.inner.edges.is_none(), "chain of {n}");
-            assert!(
-                n == 1 || by_edges(n).inner.edges.is_none(),
-                "built chain of {n}"
-            );
+            assert!(g.is_plain(), "chain of {n}");
+            assert!(n == 1 || by_edges(n).is_plain(), "built chain of {n}");
+            // A repeated stage is not plain, and still keeps no edges.
+            let repeated = TaskGraph::chain((0..n).map(|i| sub(i / 2, 1)).collect()).unwrap();
+            assert!(repeated.edges().is_none() && (n == 1) == repeated.is_plain());
             assert_eq!(g.succs(n - 1), &[] as &[usize]);
             assert_eq!(g.preds(n - 1), &INDEX[n.saturating_sub(2)..n - 1]);
         }
         // One past the table: the general form, the same from both.
         let n = CHAIN_TABLE + 1;
         let long = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
-        assert!(long.inner.edges.is_some());
+        assert!(long.edges().is_some());
         assert!(long.is_chain());
         assert_eq!(long, by_edges(n));
         assert_eq!(long.preds(n - 1), &[n - 2]);
@@ -754,12 +921,12 @@ mod tests {
         let (a, c) = (b.add(sub(0, 1)), b.add(sub(1, 1)));
         b.edge(c, a);
         let reversed = b.build().unwrap();
-        assert!(reversed.inner.edges.is_some() && reversed.is_chain());
+        assert!(reversed.edges().is_some() && reversed.is_chain());
         assert_eq!(reversed.topological_order(), &[1, 0]);
     }
 
     #[test]
-    #[should_panic(expected = "subtask 3 of a 3-subtask chain")]
+    #[should_panic(expected = "subtask 3 of a 3-subtask graph")]
     fn chain_edge_accessors_check_the_index() {
         let g = TaskGraph::chain(vec![sub(0, 1), sub(1, 2), sub(2, 3)]).unwrap();
         g.preds(3);

@@ -184,14 +184,15 @@ impl FeasibleRegion {
     /// [`FeasibleRegion::value`].
     pub fn graph_value(&self, graph: &TaskGraph, utilizations: &[f64]) -> Result<f64, RegionError> {
         self.check_dims(utilizations)?;
-        if let Some(sub) = graph.subtasks().find(|s| s.stage.index() >= self.stages) {
+        let mut stages = (0..graph.len()).map(|i| graph.stage(i).index());
+        if let Some(index) = stages.find(|&j| j >= self.stages) {
             return Err(RegionError::StageOutOfRange {
-                index: sub.stage.index(),
+                index,
                 stages: self.stages,
             });
         }
         Ok(graph.longest_path_by(|i| {
-            let j = graph.subtask(i).stage.index();
+            let j = graph.stage(i).index();
             stage_delay_factor(utilizations[j]) + self.blocking[j]
         }))
     }
@@ -479,7 +480,7 @@ impl ShapeCatalog {
     }
 
     fn signature(graph: &TaskGraph) -> ShapeSignature {
-        let stages: Vec<usize> = graph.subtasks().map(|s| s.stage.index()).collect();
+        let stages: Vec<usize> = (0..graph.len()).map(|i| graph.stage(i).index()).collect();
         let mut edges = Vec::new();
         for i in 0..graph.len() {
             for &s in graph.succs(i) {

@@ -72,19 +72,16 @@ impl WireTaskSpec {
     /// on stage `k`. Arbitrary DAGs and stage-reordered chains have no
     /// compact wire form and must stay in-process.
     pub fn from_spec(spec: &TaskSpec) -> Option<WireTaskSpec> {
-        if !spec.graph.is_chain() {
+        let graph = &spec.graph;
+        if !graph.is_chain() || (0..graph.len()).any(|k| graph.stage(k).index() != k) {
             return None;
         }
-        let mut demands = Vec::with_capacity(spec.graph.len());
-        for (k, sub) in spec.graph.subtasks().enumerate() {
-            if sub.stage.index() != k {
-                return None;
-            }
-            demands.push(sub.computation().as_micros());
-        }
+        // Subtask `k` alone runs on stage `k`: the per-stage demand is the
+        // per-subtask computation, in stage order.
+        let demands = graph.stage_demands().iter().map(|&(_, c)| c.as_micros());
         Some(WireTaskSpec {
             deadline_us: spec.deadline.as_micros(),
-            stage_demands_us: demands,
+            stage_demands_us: demands.collect(),
             importance: spec.importance.level(),
         })
     }

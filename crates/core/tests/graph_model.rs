@@ -1,12 +1,16 @@
 //! One model for every [`TaskGraph`] accessor: a naive adjacency-matrix
-//! reference that chains (stored without edge lists up to the index
-//! table, with them past it), chains built edge by edge, chain-shaped
-//! graphs in another order, fork-joins and random DAGs must all agree
-//! with — so the compact chain form (DESIGN.md §11) is unobservable.
+//! reference that plain chains (stored as their per-stage demand alone),
+//! other chains (stored without edge lists up to the index table, with
+//! them past it), chains built edge by edge, chain-shaped graphs in
+//! another order, fork-joins and random DAGs must all agree with — so the
+//! compact forms (DESIGN.md §11) are unobservable but for
+//! [`TaskGraph::is_plain`], which must be true exactly for the graphs the
+//! model calls plain.
 
-use frap_core::graph::TaskGraph;
+use frap_core::graph::{TaskGraph, TaskSpec};
 use frap_core::task::{LockId, Segment, StageId, SubtaskSpec};
 use frap_core::time::TimeDelta;
+use frap_core::wire::WireTaskSpec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -36,6 +40,51 @@ fn subtasks(n: usize, seed: &mut u64) -> Vec<SubtaskSpec> {
             SubtaskSpec::with_segments(stage, segments.collect())
         })
         .collect()
+}
+
+/// `n` subtasks of the plain form: one lock-free segment each (zero
+/// computation included), on strictly ascending stages with random gaps.
+fn plain_subtasks(n: usize, seed: &mut u64) -> Vec<SubtaskSpec> {
+    let mut stage = (next(seed) % 3) as usize;
+    (0..n)
+        .map(|_| {
+            let sub = SubtaskSpec::new(
+                StageId::new(stage),
+                TimeDelta::from_micros(next(seed) % 5_000),
+            );
+            stage += 1 + (next(seed) % 3) as usize;
+            sub
+        })
+        .collect()
+}
+
+/// Takes a plain chain's subtasks out of the plain form at one random
+/// node: `how` 0 makes its segment a critical section, 1 gives it two
+/// segments, 2 repeats its predecessor's stage, 3 swaps stages with its
+/// predecessor (a descent). Returns whether anything changed (2 and 3
+/// need a predecessor).
+fn spoil(subs: &mut [SubtaskSpec], how: u64, seed: &mut u64) -> bool {
+    let n = subs.len();
+    let i = match how {
+        0 | 1 => next(seed) as usize % n,
+        _ if n < 2 => return false,
+        _ => 1 + next(seed) as usize % (n - 1),
+    };
+    let c = subs[i].computation();
+    match how {
+        0 => subs[i].segments = vec![Segment::critical(c, LockId::new(0))].into(),
+        1 => {
+            let tail = Segment::compute(TimeDelta::from_micros(1));
+            subs[i].segments = vec![Segment::compute(c), tail].into();
+        }
+        2 => subs[i].stage = subs[i - 1].stage,
+        _ => {
+            let stage = subs[i].stage;
+            subs[i].stage = subs[i - 1].stage;
+            subs[i - 1].stage = stage;
+        }
+    }
+    true
 }
 
 /// Whole-number delays, so every sum below is exact.
@@ -115,6 +164,17 @@ impl Model {
             && (0..n).all(|i| self.preds(i).len() <= 1 && self.succs(i).len() <= 1)
     }
 
+    /// What `TaskGraph::is_plain` must say: the chain `0 -> 1 -> … -> n-1`
+    /// of at most `TABLE` subtasks, each one lock-free segment, on
+    /// strictly ascending stages.
+    fn is_plain(&self) -> bool {
+        let n = self.len();
+        let index_chain = (0..n).all(|i| self.succs(i).iter().copied().eq(i + 1..n.min(i + 2)));
+        let lock_free = |s: &SubtaskSpec| s.segments.len() == 1 && s.segments[0].lock.is_none();
+        let ascending = self.subtasks.windows(2).all(|w| w[0].stage < w[1].stage);
+        n <= TABLE && index_chain && self.subtasks.iter().all(lock_free) && ascending
+    }
+
     /// What `Debug` printed when every graph kept its edge lists.
     fn debug(&self, topo: &[usize]) -> String {
         format!(
@@ -141,8 +201,10 @@ fn agrees(g: &TaskGraph, m: &Model, seed: &mut u64) -> Result<(), String> {
         }
     };
     check(g.len() == n && !g.is_empty(), "len")?;
-    check(g.subtasks().eq(m.subtasks.iter()), "subtasks")?;
-    check((0..n).all(|i| g.subtask(i) == &m.subtasks[i]), "subtask")?;
+    check(g.is_plain() == m.is_plain(), "is_plain")?;
+    check(g.subtasks().eq(m.subtasks.iter().cloned()), "subtasks")?;
+    check((0..n).all(|i| g.subtask(i) == m.subtasks[i]), "subtask")?;
+    check((0..n).all(|i| g.stage(i) == m.subtasks[i].stage), "stage")?;
     check((0..n).all(|i| sorted(g.preds(i)) == m.preds(i)), "preds")?;
     check((0..n).all(|i| sorted(g.succs(i)) == m.succs(i)), "succs")?;
     let sources: Vec<usize> = (0..n).filter(|&i| m.preds(i).is_empty()).collect();
@@ -347,6 +409,112 @@ proptest! {
         prop_assert_eq!(remapped.topological_order(), g.topological_order());
         prop_assert_eq!(remapped, build(&moved, &edges));
     }
+}
+
+proptest! {
+    /// The plain form is chosen exactly for plain chains — the same by
+    /// `chain`, `chain_of` and the builder given `i -> i+1`, on both sides
+    /// of the index table's end — and a lock segment, a two-segment node,
+    /// a repeated or a descending stage keeps the general form.
+    #[test]
+    fn plain_form_is_chosen_exactly_for_plain_chains(pick in 0usize..8, small in 1usize..12, how in 0u64..5, seed in proptest::num::u64::ANY) {
+        let mut seed = seed;
+        let n = if pick == 0 { TABLE - 1 + small % 3 } else { small };
+        let mut subs = plain_subtasks(n, &mut seed);
+        let spoiled = how < 4 && spoil(&mut subs, how, &mut seed);
+        let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+        let model = Model::new(subs.clone(), &edges);
+        prop_assert_eq!(model.is_plain(), n <= TABLE && !spoiled);
+
+        let chain = TaskGraph::chain(subs.clone()).unwrap();
+        if let Err(why) = agrees(&chain, &model, &mut seed) {
+            prop_assert!(false, "chain of {n}, spoiled by {how}: {why}");
+        }
+        prop_assert_eq!(&build(&subs, &edges), &chain);
+        if how >= 2 {
+            // Still one lock-free segment a node: `chain_of` covers it.
+            let demands: Vec<(StageId, TimeDelta)> =
+                subs.iter().map(|s| (s.stage, s.computation())).collect();
+            prop_assert_eq!(&TaskGraph::chain_of(&demands).unwrap(), &chain);
+        }
+    }
+
+    /// Every way of building a pipeline — `chain`, `chain_of`,
+    /// `pipeline`, `TaskSpec::pipeline`, the builder given `i -> i+1` in
+    /// any order, the wire form's `to_spec`, an identity remap and a
+    /// fork-join without branches — yields the one plain graph.
+    #[test]
+    fn every_pipeline_constructor_yields_the_plain_form(n in 1usize..12, seed in proptest::num::u64::ANY) {
+        let mut seed = seed;
+        let cs: Vec<TimeDelta> = (0..n).map(|_| TimeDelta::from_micros(next(&mut seed) % 5_000)).collect();
+        let subs: Vec<SubtaskSpec> = (0..n).map(|j| SubtaskSpec::new(StageId::new(j), cs[j])).collect();
+        let demands: Vec<(StageId, TimeDelta)> = (0..n).map(|j| (StageId::new(j), cs[j])).collect();
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+        let model = Model::new(subs.clone(), &edges);
+        edges.rotate_left(next(&mut seed) as usize % n);
+        edges.extend(edges.first().copied());
+
+        let chain = TaskGraph::chain(subs.clone()).unwrap();
+        let spec = TaskSpec::pipeline(TimeDelta::from_secs(1), &cs).unwrap();
+        let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
+        let built = [
+            TaskGraph::chain_of(&demands).unwrap(),
+            TaskGraph::pipeline(cs.iter().copied()).unwrap(),
+            spec.graph.clone(),
+            build(&subs, &edges),
+            wire.to_spec().unwrap().graph,
+            chain.remap_stages(|s| s),
+        ];
+        for (k, g) in built.iter().enumerate() {
+            prop_assert!(g.is_plain(), "constructor {}", k);
+            prop_assert_eq!(g, &chain, "constructor {}", k);
+            if let Err(why) = agrees(g, &model, &mut seed) {
+                prop_assert!(false, "constructor {k}: {why}");
+            }
+        }
+        if n == 2 {
+            let fork_join = TaskGraph::fork_join(subs[0].clone(), vec![], subs[1].clone()).unwrap();
+            prop_assert_eq!(&fork_join, &chain);
+        }
+        prop_assert_eq!(chain.stage_demands(), &demands[..]);
+    }
+}
+
+/// A remap decides the form afresh: one that breaks the ascending order
+/// (`[5, 1, 5]`) keeps the general form, one that keeps or restores it
+/// gives the plain form.
+#[test]
+fn remap_stages_chooses_the_form_afresh() {
+    let ms = TimeDelta::from_millis;
+    let on = |stages: &[usize]| -> Vec<SubtaskSpec> {
+        (stages.iter().enumerate())
+            .map(|(j, &s)| SubtaskSpec::new(StageId::new(s), ms(j as u64 + 1)))
+            .collect()
+    };
+    let remap = |to: [usize; 3]| move |s: StageId| StageId::new(to[s.index()]);
+    let plain = TaskGraph::chain(on(&[0, 1, 2])).unwrap();
+    assert!(plain.is_plain());
+
+    let broken = plain.remap_stages(remap([5, 1, 5]));
+    assert!(!broken.is_plain() && broken.is_chain());
+    assert_eq!(broken, TaskGraph::chain(on(&[5, 1, 5])).unwrap());
+    let mut seed = 3;
+    let edges = [(0, 1), (1, 2)];
+    agrees(&broken, &Model::new(on(&[5, 1, 5]), &edges), &mut seed).unwrap();
+    assert_eq!(
+        broken.stage_demands(),
+        &[(StageId::new(1), ms(2)), (StageId::new(5), ms(4))]
+    );
+
+    let kept = plain.remap_stages(remap([3, 4, 9]));
+    assert!(kept.is_plain());
+    assert_eq!(kept, TaskGraph::chain(on(&[3, 4, 9])).unwrap());
+
+    let descending = TaskGraph::chain(on(&[2, 1, 0])).unwrap();
+    assert!(!descending.is_plain());
+    let restored = descending.remap_stages(|s| StageId::new(9 - s.index()));
+    assert!(restored.is_plain());
+    assert_eq!(restored, TaskGraph::chain(on(&[7, 8, 9])).unwrap());
 }
 
 /// Remapping a chain's stages leaves it the edge-less chain it was.

@@ -19,16 +19,15 @@
 use crate::events::{EventQueue, Fired};
 use crate::metrics::{AdmitDecision, SimMetrics, TaskOutcome};
 use crate::sched::{DeadlineMonotonic, PriorityPolicy};
-use crate::stage::{Effect, SegmentSlice, Stage};
+use crate::stage::{Effect, Stage};
 use crate::trace::{Trace, TraceEvent};
 use frap_core::admission::{Admission, AdmitOutcome, ContributionModel, ExactContributions};
 use frap_core::graph::{TaskGraph, TaskSpec};
 use frap_core::idtable::IdTable;
 use frap_core::region::{FeasibleRegion, RegionTest};
-use frap_core::task::{Importance, Priority, Segment, StageId, TaskId};
+use frap_core::task::{Importance, Priority, StageId, TaskId};
 use frap_core::time::{Time, TimeDelta};
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 type BoxRegion = Box<dyn RegionTest + Send + Sync>;
 type BoxModel = Box<dyn ContributionModel + Send + Sync>;
@@ -65,13 +64,11 @@ enum Event {
     UtilizationSample,
 }
 
-/// Per-node run state: outstanding precedence count, the node's segment
-/// range in the task's shared arena, and where its job is.
+/// Per-node run state: outstanding precedence count and where its job is.
+/// The node's segments are read off the graph when it is released.
 #[derive(Debug)]
 struct NodeRun {
     remaining_preds: u32,
-    seg_start: u32,
-    seg_len: u32,
     /// The slot [`Stage::add_job`] handed out; meaningful once released
     /// (`remaining_preds == 0`) and until `done`.
     slot: u32,
@@ -81,9 +78,6 @@ struct NodeRun {
 #[derive(Debug)]
 struct TaskRun {
     graph: TaskGraph,
-    /// All the task's segments, concatenated in node order; jobs receive
-    /// refcounted [`SegmentSlice`] views instead of cloned vectors.
-    arena: Rc<[Segment]>,
     priority: Priority,
     arrival: Time,
     abs_deadline: Time,
@@ -93,7 +87,7 @@ struct TaskRun {
 
 impl TaskRun {
     fn stage_of(&self, node: usize) -> usize {
-        self.graph.subtask(node).stage.index()
+        self.graph.stage(node).index()
     }
 
     /// Whether the task still has an unfinished subtask on `stage` —
@@ -368,7 +362,6 @@ impl SimBuilder {
             effects: Vec::new(),
             cascade: Vec::new(),
             release_scratch: Vec::new(),
-            segment_scratch: Vec::new(),
             spare_nodes: Vec::new(),
             pending_shapes: Vec::new(),
             contrib_scratch: Vec::new(),
@@ -412,10 +405,8 @@ pub struct Simulation {
     cascade: Vec<(usize, Effect)>,
     /// Reused successor-release list in [`Simulation::subtask_completed`].
     release_scratch: Vec<u32>,
-    /// Reused staging buffer for a starting task's concatenated segments.
-    segment_scratch: Vec<Segment>,
     /// Node vectors of retired runs, reused by [`Simulation::start_task`]:
-    /// the arena is then a starting task's only allocation.
+    /// a starting chain task then allocates nothing.
     spare_nodes: Vec<Vec<NodeRun>>,
     /// Interned admission contribution vectors of waiting arrivals (one
     /// entry per distinct shape; cleared whenever the queue empties).
@@ -609,10 +600,7 @@ impl Simulation {
                                 .executed(now, nr.slot, (victim, node as u32))
                                 .unwrap_or_else(|| {
                                     // Completed subtask: its full demand ran.
-                                    run.arena[nr.seg_start as usize..][..nr.seg_len as usize]
-                                        .iter()
-                                        .map(|seg| seg.duration)
-                                        .sum()
+                                    run.graph.subtask(node).computation()
                                 });
                             if executed > TimeDelta::ZERO {
                                 out.push((StageId::new(stage), executed));
@@ -693,21 +681,15 @@ impl Simulation {
         let abs_deadline = now.saturating_add(spec.deadline);
         let graph = spec.graph;
         let mut nodes = self.spare_nodes.pop().unwrap_or_default();
-        let mut segments = std::mem::take(&mut self.segment_scratch);
-        segments.clear();
-        for (i, sub) in graph.subtasks().enumerate() {
+        for i in 0..graph.len() {
+            let stage = graph.stage(i).index();
             assert!(
-                sub.stage.index() < self.stages.len(),
-                "task references stage {} but the system has {}",
-                sub.stage.index(),
+                stage < self.stages.len(),
+                "task references stage {stage} but the system has {}",
                 self.stages.len()
             );
-            let seg_start = segments.len() as u32;
-            segments.extend_from_slice(&sub.segments);
             nodes.push(NodeRun {
                 remaining_preds: graph.preds(i).len() as u32,
-                seg_start,
-                seg_len: segments.len() as u32 - seg_start,
                 slot: 0,
                 done: false,
             });
@@ -717,7 +699,6 @@ impl Simulation {
             id,
             TaskRun {
                 graph,
-                arena: Rc::from(&segments[..]),
                 priority,
                 arrival: now,
                 abs_deadline,
@@ -725,7 +706,6 @@ impl Simulation {
                 nodes_done: 0,
             },
         );
-        self.segment_scratch = segments;
         self.queue.push_deadline(abs_deadline);
         // Sources first: nothing completes before the next event, so no
         // other node's precedence count reaches zero inside this loop.
@@ -739,17 +719,13 @@ impl Simulation {
     }
 
     /// Hands `node`'s job to its stage, returning the stage index; the
-    /// stage's effects are left in `self.effects`.
+    /// stage's effects are left in `self.effects`. A one-segment node's
+    /// segment goes over inline, so this allocates nothing for a chain.
     fn release_subtask(&mut self, task: TaskId, node: u32) -> usize {
         let now = self.clock;
         let run = self.tasks.get_mut(task).expect("live task");
-        let nr = &run.nodes[node as usize];
-        let segments = SegmentSlice::new(
-            Rc::clone(&run.arena),
-            nr.seg_start as usize,
-            nr.seg_len as usize,
-        );
-        let stage_idx = run.stage_of(node as usize);
+        let sub = run.graph.subtask(node as usize);
+        let (stage_idx, segments) = (sub.stage.index(), sub.segments);
         let stage = &mut self.stages[stage_idx];
         run.nodes[node as usize].slot =
             stage.add_job(now, (task, node), run.priority, segments, &mut self.effects);

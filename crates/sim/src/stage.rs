@@ -31,15 +31,15 @@
 //!   index** plus a per-slot start counter, so stale-event detection is two
 //!   array reads instead of a hash lookup;
 //! * the running set is a tiny vector (`servers` is 1–3);
-//! * per-job segments are a [`SegmentSlice`] view into a shared per-task
-//!   arena instead of an owned clone.
+//! * per-job segments are the subtask's own [`Segments`]: one segment —
+//!   every subtask of a plain chain — is held inline, so handing a job to
+//!   its stage allocates nothing.
 
 use crate::metrics::StageMetrics;
 use crate::pcp::{Acquire, LockManager};
-use frap_core::task::{LockId, Priority, Segment, StageId, TaskId};
+use frap_core::task::{LockId, Priority, Segment, Segments, StageId, TaskId};
 use frap_core::time::{Time, TimeDelta};
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 /// Identifies one job (a subtask instance) at a stage: `(task, node)`.
 pub type JobKey = (TaskId, u32);
@@ -48,60 +48,6 @@ pub type JobKey = (TaskId, u32);
 /// woken job is found without a lookup. `(task, node)` is unique among
 /// the jobs present, so ordering by this is ordering by [`JobKey`].
 type LockKey = (TaskId, u32, u32);
-
-/// A shared, cheaply clonable view of a job's segment list: a reference
-/// into a per-task segment arena. Cloning bumps a refcount; no segment
-/// data is copied.
-///
-/// `From<Vec<Segment>>` covers the common whole-list case (and keeps unit
-/// tests free of arena plumbing).
-#[derive(Debug, Clone)]
-pub struct SegmentSlice {
-    arena: Rc<[Segment]>,
-    start: u32,
-    len: u32,
-}
-
-impl SegmentSlice {
-    /// A view of `arena[start..start + len]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn new(arena: Rc<[Segment]>, start: usize, len: usize) -> SegmentSlice {
-        assert!(start + len <= arena.len(), "segment slice out of bounds");
-        SegmentSlice {
-            arena,
-            start: start as u32,
-            len: len as u32,
-        }
-    }
-
-    /// The viewed segments.
-    #[inline]
-    pub fn as_slice(&self) -> &[Segment] {
-        &self.arena[self.start as usize..(self.start + self.len) as usize]
-    }
-
-    /// Number of segments in the view.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the view is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl From<Vec<Segment>> for SegmentSlice {
-    fn from(v: Vec<Segment>) -> SegmentSlice {
-        let len = v.len();
-        SegmentSlice::new(v.into(), 0, len)
-    }
-}
 
 /// The ready queue's packed ordering key. The heap pops the lexicographic
 /// maximum of `(hi, lo)`; with every field bit-inverted this is exactly
@@ -173,9 +119,9 @@ pub enum Effect {
 struct Slot {
     key: JobKey,
     base: Priority,
-    /// `None` while the slot is vacant: freeing a slot drops its arena
-    /// reference at once.
-    segments: Option<SegmentSlice>,
+    /// `None` while the slot is vacant: freeing a slot drops the job's
+    /// segments at once.
+    segments: Option<Segments>,
     seg_idx: u32,
     remaining: TimeDelta,
     acquired_current: bool,
@@ -221,7 +167,7 @@ impl Slot {
     /// The job's segments (none for a vacant slot).
     #[inline]
     fn segs(&self) -> &[Segment] {
-        self.segments.as_ref().map_or(&[], SegmentSlice::as_slice)
+        self.segments.as_deref().unwrap_or(&[])
     }
 
     #[inline]
@@ -488,7 +434,7 @@ impl Stage {
         s.occupied = false;
         s.ready = false;
         s.ready_stamp += 1;
-        s.segments = None; // drop the arena reference
+        s.segments = None; // drop the job's segments
         self.free.push(slot as u32);
         self.job_count -= 1;
     }
@@ -506,7 +452,7 @@ impl Stage {
         now: Time,
         key: JobKey,
         base: Priority,
-        segments: impl Into<SegmentSlice>,
+        segments: impl Into<Segments>,
         effects: &mut Vec<Effect>,
     ) -> u32 {
         debug_assert!(
@@ -516,11 +462,11 @@ impl Stage {
         let segments = segments.into();
         assert!(!segments.is_empty(), "jobs need at least one segment");
         assert!(
-            self.servers == 1 || segments.as_slice().iter().all(|seg| seg.lock.is_none()),
+            self.servers == 1 || segments.iter().all(|seg| seg.lock.is_none()),
             "critical sections require a single-server stage (PCP is a \
              uniprocessor protocol)"
         );
-        let first_remaining = segments.as_slice()[0].duration;
+        let first_remaining = segments[0].duration;
         let slot = match self.free.pop() {
             Some(s) => s as usize,
             None => {
@@ -734,6 +680,7 @@ impl Stage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frap_core::task::SubtaskSpec;
 
     fn ms(v: u64) -> TimeDelta {
         TimeDelta::from_millis(v)
@@ -1211,25 +1158,13 @@ mod tests {
     }
 
     #[test]
-    fn segment_slice_shares_one_arena() {
-        let arena: Rc<[Segment]> = vec![
-            Segment::compute(ms(1)),
-            Segment::compute(ms(2)),
-            Segment::compute(ms(3)),
-        ]
-        .into();
-        let head = SegmentSlice::new(Rc::clone(&arena), 0, 1);
-        let tail = SegmentSlice::new(Rc::clone(&arena), 1, 2);
-        assert_eq!(head.len(), 1);
-        assert_eq!(tail.as_slice()[1].duration, ms(3));
-        // Three live references: both views plus the local handle.
-        assert_eq!(Rc::strong_count(&arena), 3);
-
+    fn job_runs_its_own_segments_in_order() {
         let mut st = Stage::new(StageId::new(0));
         let mut fx = Vec::new();
-        st.add_job(at(0), key(1), Priority::new(100), tail, &mut fx);
+        let segments: Segments = vec![Segment::compute(ms(2)), Segment::compute(ms(3))].into();
+        st.add_job(at(0), key(1), Priority::new(100), segments, &mut fx);
         let (_, gen, finish) = start_of(&fx);
-        assert_eq!(finish, at(2), "first segment of the view is 2 ms");
+        assert_eq!(finish, at(2), "the first segment is 2 ms");
         fx.clear();
         st.segment_done(at(2), gen, &mut fx);
         let (_, gen, finish) = start_of(&fx);
@@ -1237,9 +1172,9 @@ mod tests {
         fx.clear();
         st.segment_done(at(5), gen, &mut fx);
         assert!(fx.iter().any(|e| matches!(e, Effect::Completed { .. })));
-        // The stage dropped its reference when the job completed.
-        assert_eq!(Rc::strong_count(&arena), 2);
-        drop(head);
-        assert_eq!(Rc::strong_count(&arena), 1);
+        // One segment is handed over inline, as a plain chain's nodes are.
+        let one = SubtaskSpec::new(StageId::new(0), ms(4)).segments;
+        st.add_job(at(5), key(2), Priority::new(100), one, &mut fx);
+        assert_eq!(start_of(&fx).2, at(9));
     }
 }

@@ -115,6 +115,16 @@ pub enum ReplayError {
         /// The graph builder's complaint.
         reason: String,
     },
+    /// An arrival precedes the arrival of an earlier line (a trace lists
+    /// its arrivals in nondecreasing time order).
+    OutOfOrder {
+        /// 1-based line number.
+        line: usize,
+        /// The arrival time of the previous data line.
+        previous: Time,
+        /// This line's arrival time, earlier than `previous`.
+        arrival: Time,
+    },
 }
 
 impl ReplayError {
@@ -128,7 +138,8 @@ impl ReplayError {
             | ReplayError::InvalidNumber { line, .. }
             | ReplayError::MalformedNode { line, .. }
             | ReplayError::MalformedEdge { line, .. }
-            | ReplayError::InvalidGraph { line, .. } => Some(*line),
+            | ReplayError::InvalidGraph { line, .. }
+            | ReplayError::OutOfOrder { line, .. } => Some(*line),
         }
     }
 }
@@ -160,6 +171,17 @@ impl fmt::Display for ReplayError {
             ReplayError::InvalidGraph { line, reason } => write!(
                 f,
                 "arrival trace parse error at line {line}: invalid task graph: {reason}"
+            ),
+            ReplayError::OutOfOrder {
+                line,
+                previous,
+                arrival,
+            } => write!(
+                f,
+                "arrival trace parse error at line {line}: arrival at {} us precedes the \
+                 previous arrival at {} us",
+                arrival.as_micros(),
+                previous.as_micros()
             ),
         }
     }
@@ -337,7 +359,8 @@ fn num<T: std::str::FromStr>(line: usize, s: &str, what: &'static str) -> Result
 /// # Errors
 ///
 /// Returns the [`ReplayError`] variant describing the first malformed
-/// line; every parse variant carries the 1-based line number.
+/// line — arrivals out of time order included; every parse variant
+/// carries the 1-based line number.
 pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
     let mut trace = ArrivalTrace::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -371,6 +394,15 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
         }
         let micros = |s, what| num::<u64>(line, s, what);
         let arrival = Time::from_micros(micros(fields[0], "arrival time")?);
+        if let Some(previous) = trace.records.last().map(|r| r.at) {
+            if arrival < previous {
+                return Err(ReplayError::OutOfOrder {
+                    line,
+                    previous,
+                    arrival,
+                });
+            }
+        }
         let deadline = TimeDelta::from_micros(micros(fields[1], "deadline")?);
         let importance = Importance::new(num(line, fields[2], "importance")?);
 
@@ -487,7 +519,9 @@ pub fn load_trace(path: impl AsRef<Path>) -> Result<ArrivalTrace, ReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::taskgen::{CriticalSectionConfig, DagWorkload, PipelineWorkloadBuilder};
+    use crate::taskgen::{
+        merge_arrivals, CriticalSectionConfig, DagWorkload, PipelineWorkloadBuilder,
+    };
 
     #[test]
     fn roundtrip_pipeline_workload() {
@@ -740,6 +774,27 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_arrival_error_carries_line_and_times() {
+        let text = "# frap-arrivals v2\n10000,2000,0,0:5,-,0\n5000,2000,0,0:5,-,0\n";
+        match parse_trace(text).unwrap_err() {
+            e @ ReplayError::OutOfOrder {
+                line,
+                previous,
+                arrival,
+            } => {
+                assert_eq!(line, 3);
+                assert_eq!(previous, Time::from_micros(10_000));
+                assert_eq!(arrival, Time::from_micros(5_000));
+                assert_eq!(e.line(), Some(3));
+                assert!(e.to_string().contains("line 3"), "{e}");
+            }
+            other => panic!("unexpected: {other}"),
+        }
+        // Equal arrival times are in order.
+        assert_eq!(parse_trace("7,2,0,0:5,-\n7,2,0,0:5,-\n").unwrap().len(), 2);
+    }
+
+    #[test]
     fn invalid_tenant_error_carries_line() {
         match parse_trace("# frap-arrivals v2\n1,2,0,0:5,-,nope\n").unwrap_err() {
             ReplayError::InvalidNumber { line, what, .. } => {
@@ -753,7 +808,7 @@ mod tests {
     proptest::proptest! {
         /// Chains (plain and with critical sections), fork-joins and
         /// tenants survive the text form exactly, and a chain comes back
-        /// as small as it was generated.
+        /// in the form it was generated in.
         #[test]
         fn parse_inverts_render(seed in proptest::num::u64::ANY, stages in 1usize..6) {
             let locked = PipelineWorkloadBuilder::new(stages)
@@ -765,7 +820,9 @@ mod tests {
                 .seed(seed);
             let forked = DagWorkload::new(stages + 2, 0.005, 50.0, 30.0, seed);
             let mut trace = ArrivalTrace::new().with_scenario(format!("roundtrip seed={seed}"));
-            for (i, (t, spec)) in locked.build().take(8).chain(forked.take(8)).enumerate() {
+            // In time order, as a trace must be.
+            let arrivals = merge_arrivals(vec![locked.build().take(8).collect(), forked.take(8).collect()]);
+            for (i, (t, spec)) in arrivals.into_iter().enumerate() {
                 trace.push(t, spec.with_importance(Importance::new(i as u32)), seed as u32);
             }
             let loaded = parse_trace(&render_trace(&trace)).unwrap();
@@ -774,8 +831,9 @@ mod tests {
                 let in_order = graph.topological_order().windows(2).all(|w| w[0] < w[1]);
                 if graph.is_chain() && in_order {
                     // Equality is structural, so equal to what `chain`
-                    // builds means stored as `chain` stores it.
-                    let chain = TaskGraph::chain(graph.subtasks().cloned().collect()).unwrap();
+                    // builds means stored as `chain` stores it: the
+                    // plain form whenever the subtasks allow it.
+                    let chain = TaskGraph::chain(graph.subtasks().collect()).unwrap();
                     proptest::prop_assert_eq!(graph, &chain);
                 }
             }

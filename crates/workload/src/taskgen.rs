@@ -222,26 +222,33 @@ impl Iterator for PipelineWorkload {
     fn next(&mut self) -> Option<(Time, TaskSpec)> {
         self.clock += self.arrivals.next_gap(&mut self.rng);
         let deadline = self.deadline.sample_delta(&mut self.rng);
+        let Some(cfg) = self.critical_section else {
+            // Every subtask one lock-free segment: the plain chain, built
+            // straight from the draws.
+            let rng = &mut self.rng;
+            let graph = TaskGraph::pipeline(self.comp.iter().map(|dist| dist.sample_delta(rng)));
+            let spec = TaskSpec::new(deadline, graph.expect("at least one stage"));
+            return Some((self.clock, spec.with_importance(self.importance)));
+        };
 
         let mut subtasks = Vec::with_capacity(self.comp.len());
         for (j, dist) in self.comp.iter().enumerate() {
             let c = dist.sample_delta(&mut self.rng);
             let stage = StageId::new(j);
-            let sub = match self.critical_section {
-                Some(cfg) if self.rng.next_f64() < cfg.probability && !c.is_zero() => {
-                    let cs = c.mul_f64(cfg.fraction);
-                    let rest = c.saturating_sub(cs);
-                    let lock = LockId::new(self.rng.range_u64(cfg.locks_per_stage as u64) as usize);
-                    SubtaskSpec::with_segments(
-                        stage,
-                        vec![
-                            Segment::compute(rest / 2),
-                            Segment::critical(cs, lock),
-                            Segment::compute(rest - rest / 2),
-                        ],
-                    )
-                }
-                _ => SubtaskSpec::new(stage, c),
+            let sub = if self.rng.next_f64() < cfg.probability && !c.is_zero() {
+                let cs = c.mul_f64(cfg.fraction);
+                let rest = c.saturating_sub(cs);
+                let lock = LockId::new(self.rng.range_u64(cfg.locks_per_stage as u64) as usize);
+                SubtaskSpec::with_segments(
+                    stage,
+                    vec![
+                        Segment::compute(rest / 2),
+                        Segment::critical(cs, lock),
+                        Segment::compute(rest - rest / 2),
+                    ],
+                )
+            } else {
+                SubtaskSpec::new(stage, c)
             };
             subtasks.push(sub);
         }

@@ -128,8 +128,7 @@ impl WebFarmConfig {
         let deadline = Uniform::new(self.deadline.0, self.deadline.1);
         let class = rng.next_f64();
         let graph = if class < self.static_fraction {
-            TaskGraph::chain(vec![SubtaskSpec::new(FRONT_END, fe.sample_delta(rng))])
-                .expect("valid")
+            TaskGraph::chain_of(&[(FRONT_END, fe.sample_delta(rng))]).expect("valid")
         } else if class < self.static_fraction + self.report_fraction {
             TaskGraph::fork_join(
                 SubtaskSpec::new(FRONT_END, fe.sample_delta(rng)),
@@ -143,10 +142,10 @@ impl WebFarmConfig {
         } else {
             // Dynamic request: balance across the two app servers.
             let server = if rng.next_f64() < 0.5 { APP_A } else { APP_B };
-            TaskGraph::chain(vec![
-                SubtaskSpec::new(FRONT_END, fe.sample_delta(rng)),
-                SubtaskSpec::new(server, app.sample_delta(rng)),
-                SubtaskSpec::new(DATABASE, db.sample_delta(rng)),
+            TaskGraph::chain_of(&[
+                (FRONT_END, fe.sample_delta(rng)),
+                (server, app.sample_delta(rng)),
+                (DATABASE, db.sample_delta(rng)),
             ])
             .expect("valid")
         };
