@@ -10,7 +10,8 @@
 //! * [`clock`] — the [`Clock`] abstraction: [`MonotonicClock`] for
 //!   production, [`ManualClock`] for deterministic tests;
 //! * [`wheel`] — a hierarchical timer wheel that schedules the paper's
-//!   decrement-at-deadline events in amortized `O(1)` per shard;
+//!   decrement-at-deadline events per shard, with `O(1)` insert and
+//!   cancel, so it holds exactly the entries still pending;
 //! * [`shard`] — [`ShardedUtilization`], per-stage synthetic-utilization
 //!   counters in lock-free fixed-point atomics ([`frap_core::fixed`]) on
 //!   one shared cache line, one line-aligned lane of bookkeeping per

@@ -48,7 +48,7 @@
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{record_ns, CounterSnapshot, MetricsSnapshot};
-use crate::shard::{CachePadded, Lane, LiveEntry, PendingAdmission, Shard, ShardedUtilization};
+use crate::shard::{CachePadded, Lane, PendingAdmission, Shard, ShardedUtilization};
 use frap_core::admission::ContributionModel;
 use frap_core::demand::DemandView;
 use frap_core::fixed::{feasible_fp, tentative_feasible_fp};
@@ -609,12 +609,9 @@ where
         let expiry = now.saturating_add(task.deadline);
         let pending = PendingAdmission {
             id,
-            entry: LiveEntry {
-                contributions,
-                departed: Vec::new(),
-                expiry,
-                importance: task.importance,
-            },
+            contributions,
+            expiry,
+            importance: task.importance,
         };
         match held {
             Some(shard) => ShardedUtilization::insert_entry_locked(shard, pending),
@@ -706,8 +703,7 @@ where
                     break false;
                 };
                 let entry = guards[victim_shard]
-                    .entries
-                    .remove(&victim)
+                    .unfile(victim)
                     .expect("first_victim names a live entry");
                 inner.state.subtract_entry(&entry.contributions);
                 shed.push(victim);
@@ -1067,9 +1063,9 @@ where
                 }
             }
             for id in emptied {
-                // Fully reset entries carry no utilization; drop them from
-                // the map now and let the wheel's pop find nothing.
-                shard.entries.remove(&id);
+                // Fully reset entries carry no utilization; they leave the
+                // map and the wheel now.
+                shard.unfile(id);
             }
         }
     }
@@ -1322,6 +1318,57 @@ mod tests {
         svc.try_admit(&spec).expect("idle reset made room").detach();
         svc.debug_validate();
         ticket.detach();
+    }
+
+    #[test]
+    fn release_churn_leaves_the_wheel_exactly_the_live_entries() {
+        // `svc_boundary`'s loop on a manual clock at 1 µs steps: each
+        // ticket is released 15 decisions after it was admitted, and one
+        // admit in 16 is detached so the wheel keeps expiring. At every
+        // step the wheel holds exactly the filed entries, and every hint
+        // refresh lands on the earliest live deadline — never on a
+        // released ticket's, never on `now + 1`.
+        const HOLD: usize = 15;
+        let (svc, clock) = manual_service(3, 1);
+        let us = TimeDelta::from_micros;
+        let specs: Vec<TaskSpec> = (0..61u64)
+            .map(|i| {
+                let comps = [us(5 + i % 9), us(8), us(3 + i % 4)];
+                TaskSpec::pipeline(us(200 + 11 * i), &comps).unwrap()
+            })
+            .collect();
+        let state = &svc.inner.state;
+        let mut held: Vec<Option<AdmissionTicket>> = (0..HOLD).map(|_| None).collect();
+        let (mut admits, mut refreshes) = (0u64, 0u64);
+        for step in 0..20_000 {
+            clock.advance(us(1));
+            let slot = step % HOLD;
+            drop(held[slot].take());
+            let consumed = state.shard_next_due(0) <= clock.now().as_micros();
+            if let Some(ticket) = svc.try_admit(&specs[step % specs.len()]) {
+                admits += 1;
+                if admits % 16 == 0 {
+                    ticket.detach();
+                } else {
+                    held[slot] = Some(ticket);
+                }
+            }
+            let mut shard = state.lock_shard(0);
+            state.drain_pending(&mut shard);
+            assert_eq!(shard.wheel.len(), shard.entries.len(), "step {step}");
+            if consumed {
+                refreshes += 1;
+                let earliest = shard.wheel.earliest().map_or(u64::MAX, Time::as_micros);
+                assert_eq!(state.shard_next_due(0), earliest, "step {step}");
+            }
+        }
+        let c = svc.counters();
+        assert!(
+            c.released > 5_000 && c.expired > 200 && c.rejected > 1_000,
+            "{c:?}"
+        );
+        assert!(refreshes > 200, "{refreshes} refreshes");
+        svc.debug_validate();
     }
 
     #[test]

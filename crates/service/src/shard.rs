@@ -43,8 +43,11 @@
 //!   entirely, and empty pending rings inside it put every charged
 //!   unit's entry in a map — the validator's consistency cut.
 //! * Exactly-once removal is enforced by `HashMap::remove` on the entry
-//!   map: whichever of {deadline expiry, release, shed} wins removes the
-//!   entry; the others observe its absence and do nothing. Every
+//!   map: whichever of {deadline expiry, release, shed, idle reset} wins
+//!   removes the entry; the others observe its absence and do nothing.
+//!   Every removal but expiry also cancels the entry's wheel node
+//!   (`Shard::unfile`), so the wheel holds exactly the filed entries
+//!   and never yields an id the map has lost. Every
 //!   shard-locked entry operation drains the pending ring first, so a
 //!   ring-deferred admission is always visible to the release/expiry
 //!   that targets it. A release run ([`ShardedUtilization::release_many`])
@@ -56,11 +59,13 @@
 //!   observes `now < hint` knows a locked drain of that shard would
 //!   apply nothing, so deciding from a snapshot cannot miss a decrement
 //!   that is already due. Commits lower the hint with
-//!   `fetch_min`; drains refresh it from the wheel under the shard lock.
+//!   `fetch_min`; drains refresh it from the wheel under the shard lock,
+//!   with a `swap` followed by a second ring drain, so a commit racing the
+//!   refresh cannot have its deadline overwritten (DESIGN.md §16).
 
 use crate::metrics::{CounterSnapshot, ServiceCounters};
 use crate::ring::{MpscRing, PENDING_RING_CAPACITY};
-use crate::wheel::TimerWheel;
+use crate::wheel::{Node, TimerWheel};
 use frap_core::fixed::{fp_from_utilization, utilization_from_fp};
 use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
 use frap_core::task::{Importance, StageId};
@@ -71,12 +76,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Largest wheel population for which a consumed next-due hint is
-/// refreshed by an exact [`TimerWheel::earliest`] scan; above it the
+/// refreshed by an exact [`TimerWheel::earliest`] walk; above it the
 /// refresh falls back to the `now + 1` lower bound (see
-/// [`ShardedUtilization::expire_due`]). 512 entries keeps the scan under
-/// a few microseconds and is an order of magnitude above the live-task
-/// population of reject-dominated steady states, the only regime where
-/// the lock-free reject path needs a far-future hint.
+/// [`ShardedUtilization::expire_due`]). The wheel holds only live filed
+/// entries, and 512 keeps the walk under a few microseconds while staying
+/// an order of magnitude above the live population of a shard held on
+/// the region boundary.
 const HINT_SCAN_LIMIT: usize = 512;
 
 /// How many times a write-quiescence validation re-attempts before
@@ -130,7 +135,7 @@ impl Hasher for TicketHasher {
     }
 }
 
-/// One live admitted task's bookkeeping, owned by exactly one shard.
+/// One live admitted task's bookkeeping, filed in exactly one shard.
 /// Contribution amounts are fixed-point units ([`frap_core::fixed`]),
 /// merged to at most one slot per stage, so releasing subtracts exactly
 /// what admission added.
@@ -143,10 +148,10 @@ pub struct LiveEntry {
     /// `mark_departed`, so the admit hot path pays one heap allocation
     /// per admission, not two.
     pub departed: Vec<bool>,
-    /// Absolute deadline (decrement instant).
-    pub expiry: Time,
     /// Shedding priority.
     pub importance: Importance,
+    /// The shard wheel's node for this entry's deadline decrement.
+    pub node: Node,
 }
 
 /// An admission decided on the lock-free path whose structural
@@ -156,8 +161,12 @@ pub struct LiveEntry {
 pub struct PendingAdmission {
     /// The service-assigned ticket id.
     pub id: u64,
-    /// The entry to insert.
-    pub entry: LiveEntry,
+    /// The charged `(stage, units)`, at most one slot per stage.
+    pub contributions: Vec<(StageId, u64)>,
+    /// Absolute deadline (decrement instant).
+    pub expiry: Time,
+    /// Shedding priority.
+    pub importance: Importance,
 }
 
 /// The mutex-protected slice of state owned by one worker-thread shard.
@@ -165,7 +174,8 @@ pub struct PendingAdmission {
 pub struct Shard {
     /// Live entries admitted through this shard.
     pub entries: HashMap<u64, LiveEntry, BuildHasherDefault<TicketHasher>>,
-    /// Deadline decrements for this shard's entries.
+    /// Deadline decrements for this shard's entries: one pending node per
+    /// entry in `entries`, and nothing else.
     pub wheel: TimerWheel,
     /// Shed order: per importance level, the filed ids ascending. Removal
     /// never touches it: an id is live iff `entries` still holds it,
@@ -184,6 +194,16 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// Takes `id` out of the entry map and cancels its deadline decrement,
+    /// so the wheel keeps exactly the filed entries; the shed order retires
+    /// the id lazily. `None` if `id` is not filed here.
+    pub(crate) fn unfile(&mut self, id: u64) -> Option<LiveEntry> {
+        let entry = self.entries.remove(&id)?;
+        let cancelled = self.wheel.cancel(entry.node, id);
+        assert!(cancelled, "a filed entry's node is pending");
+        Some(entry)
+    }
+
     /// Files `id` in the shed order.
     fn file_shed(&mut self, importance: Importance, id: u64) {
         if self.shed_ids > 2 * self.entries.len() + SHED_SWEEP_SLACK {
@@ -502,9 +522,20 @@ impl ShardedUtilization {
     /// The one structural insert: files a decided admission in a locked
     /// shard's wheel, shed order and entry map.
     pub(crate) fn insert_entry_locked(shard: &mut Shard, pending: PendingAdmission) {
-        let PendingAdmission { id, entry } = pending;
-        shard.wheel.insert(entry.expiry, id);
-        shard.file_shed(entry.importance, id);
+        let PendingAdmission {
+            id,
+            contributions,
+            expiry,
+            importance,
+        } = pending;
+        let node = shard.wheel.insert(expiry, id);
+        shard.file_shed(importance, id);
+        let entry = LiveEntry {
+            contributions,
+            departed: Vec::new(),
+            importance,
+            node,
+        };
         shard.entries.insert(id, entry);
     }
 
@@ -518,8 +549,9 @@ impl ShardedUtilization {
     /// The run drains the pending ring itself and *intercepts* every
     /// popped entry it came for: an admission released before anything
     /// else locked its shard skips the entry map, the shed order and the
-    /// wheel (no tombstone either). The freed units leave the totals in
-    /// one pass; the counters are added once per run.
+    /// wheel. A filed entry leaves the map and the wheel together
+    /// (`Shard::unfile`). The freed units leave the totals in one pass;
+    /// the counters are added once per run.
     pub fn release_many(&self, index: usize, ids: &mut [u64]) -> usize {
         ids.sort_unstable();
         let lane = &self.lanes[index];
@@ -528,15 +560,15 @@ impl ShardedUtilization {
         let mut freed = std::mem::take(&mut shard.freed);
         freed.clear();
         freed.resize(self.stages(), 0);
-        let mut free = |entry: LiveEntry| {
-            for (stage, units) in entry.contributions {
+        let mut free = |contributions: Vec<(StageId, u64)>| {
+            for (stage, units) in contributions {
                 freed[stage.index()] += units;
             }
         };
         let mut in_ring = 0;
         while let Some(p) = lane.pending.try_pop() {
             if ids.binary_search(&p.id).is_ok() {
-                free(p.entry);
+                free(p.contributions);
                 in_ring += 1;
             } else {
                 Self::insert_entry_locked(shard, p);
@@ -544,9 +576,9 @@ impl ShardedUtilization {
         }
         let mut released = in_ring;
         if in_ring < ids.len() {
-            for id in ids.iter() {
-                if let Some(entry) = shard.entries.remove(id) {
-                    free(entry);
+            for &id in ids.iter() {
+                if let Some(entry) = shard.unfile(id) {
+                    free(entry.contributions);
                     released += 1;
                 }
             }
@@ -614,55 +646,63 @@ impl ShardedUtilization {
     /// `(expiry, ticket)` order. Returns the number of entries expired,
     /// which it also adds to the lane's `expired` counter.
     pub fn expire_due(&self, shard: &mut Shard, now: Time) -> u64 {
-        let lane = &self.lanes[shard.index];
         self.drain_pending(shard);
         // Batch decisions hoist one clock read per batch, so `now` may
         // predate advances applied by interleaved per-request decisions;
         // a zero-width advance is legal and still surfaces due entries.
         let now = now.max(shard.wheel.cursor());
-        if shard.wheel.cursor() >= now && shard.wheel.is_empty() {
-            // Still heal a stale hint, or the fast path would stay
-            // disabled for this shard until its next real drain.
-            if lane.next_due.load(Ordering::SeqCst) <= now.as_micros() {
-                lane.next_due.store(u64::MAX, Ordering::SeqCst);
-            }
-            return 0;
-        }
         let mut drained = std::mem::take(&mut shard.drained);
         drained.clear();
         shard.wheel.advance(now, &mut drained);
-        let mut expired = 0;
         for &(_, id) in &drained {
-            // Exactly-once: release or shed may have removed the entry.
-            if let Some(entry) = shard.entries.remove(&id) {
-                self.subtract_entry(&entry.contributions);
-                expired += 1;
-            }
+            // Every other removal cancels the entry's node, so whatever
+            // the wheel yields is still filed: exactly-once by construction.
+            let entry = shard
+                .entries
+                .remove(&id)
+                .expect("the wheel holds only filed entries");
+            self.subtract_entry(&entry.contributions);
         }
+        let expired = drained.len() as u64;
         shard.drained = drained;
         if expired > 0 {
-            lane.counters.add_expired(expired);
+            self.lanes[shard.index].counters.add_expired(expired);
         }
-        // Refresh the next-due hint once the drain has consumed it. The
-        // exact scan is O(slots + entries), so it is only worth paying on
-        // a lightly loaded wheel — precisely the regime where rejections
-        // dominate and the snapshot path earns its keep. A crowded wheel
-        // (admission-heavy churn, where lazy-deleted released entries
-        // also pile up) gets `now + 1` instead: the cheapest valid lower
-        // bound, since everything due ≤ `now` was drained above.
-        if lane.next_due.load(Ordering::SeqCst) <= now.as_micros() {
-            let refreshed = if shard.wheel.len() <= HINT_SCAN_LIMIT {
-                shard
-                    .wheel
-                    .earliest()
-                    .map(Time::as_micros)
-                    .unwrap_or(u64::MAX)
-            } else {
-                now.as_micros() + 1
-            };
-            lane.next_due.store(refreshed, Ordering::SeqCst);
-        }
+        self.refresh_hint(shard, now);
         expired
+    }
+
+    /// Republishes a locked shard's next-due hint once a drain at `now`
+    /// has consumed it (hint ≤ `now`); a hint still ahead of `now` is
+    /// still a lower bound and stays. The wheel holds only live entries,
+    /// so up to [`HINT_SCAN_LIMIT`] of them the new hint is exactly the
+    /// earliest; a crowded wheel gets `now + 1`, the cheapest valid lower
+    /// bound, since everything due ≤ `now` was just drained.
+    ///
+    /// A commit booking on this shard meanwhile pushes its entry to the
+    /// ring and *then* lowers the hint, which did nothing against the
+    /// consumed hint. The refresh is therefore a `swap`, an RMW: it reads
+    /// the last such `fetch_min`, so that commit's push happens before the
+    /// second ring drain below, which files it and lowers the hint to its
+    /// deadline. A commit whose `fetch_min` comes after the swap lowers
+    /// the new hint itself. A plain store would overwrite the first kind
+    /// of deadline while its entry sat unfiled on the ring.
+    fn refresh_hint(&self, shard: &mut Shard, now: Time) {
+        let lane = &self.lanes[shard.index];
+        if lane.next_due.load(Ordering::SeqCst) > now.as_micros() {
+            return;
+        }
+        let refreshed = if shard.wheel.len() <= HINT_SCAN_LIMIT {
+            shard.wheel.earliest().map_or(u64::MAX, Time::as_micros)
+        } else {
+            now.as_micros() + 1
+        };
+        lane.next_due.swap(refreshed, Ordering::SeqCst);
+        while let Some(p) = lane.pending.try_pop() {
+            lane.next_due
+                .fetch_min(p.expiry.as_micros(), Ordering::SeqCst);
+            Self::insert_entry_locked(shard, p);
+        }
     }
 
     /// Validates the counters against the (already locked, already
@@ -759,16 +799,15 @@ mod tests {
         su.try_validate_locked(&refs).expect("quiescent in tests")
     }
 
-    /// Files an entry the way a ring drain would.
-    fn file(shard: &mut Shard, id: u64, entry: LiveEntry) {
-        ShardedUtilization::insert_entry_locked(shard, PendingAdmission { id, entry });
+    /// Files an admission the way a ring drain would.
+    fn file(shard: &mut Shard, pending: PendingAdmission) {
+        ShardedUtilization::insert_entry_locked(shard, pending);
     }
 
-    fn entry(contributions: Vec<(StageId, u64)>, expiry: Time) -> LiveEntry {
-        let departed = vec![false; contributions.len()];
-        LiveEntry {
+    fn pending(id: u64, contributions: Vec<(StageId, u64)>, expiry: Time) -> PendingAdmission {
+        PendingAdmission {
+            id,
             contributions,
-            departed,
             expiry,
             importance: Importance::LOWEST,
         }
@@ -821,7 +860,7 @@ mod tests {
             let mut sh = su.lock_shard(0);
             for id in 0..4u64 {
                 charge(&su, &c);
-                file(&mut sh, id, entry(c.clone(), Time::from_micros(10 + id)));
+                file(&mut sh, pending(id, c.clone(), Time::from_micros(10 + id)));
             }
             assert_eq!(su.expire_due(&mut sh, Time::from_micros(11)), 2);
             assert_eq!(sh.entries.len(), 2);
@@ -969,13 +1008,7 @@ mod tests {
         let c = vec![(stage(0), fp(0.25))];
         su.lane(0).begin_write();
         su.add_units(&c);
-        su.push_pending(
-            0,
-            PendingAdmission {
-                id: 7,
-                entry: entry(c.clone(), Time::from_micros(100)),
-            },
-        );
+        su.push_pending(0, pending(7, c.clone(), Time::from_micros(100)));
         su.lane(0).end_write();
         su.note_deadline(0, Time::from_micros(100));
         {
@@ -1005,8 +1038,7 @@ mod tests {
     fn ring(su: &ShardedUtilization, id: u64, c: &[(StageId, u64)]) {
         su.lane(0).begin_write();
         su.add_units(c);
-        let entry = entry(c.to_vec(), Time::from_micros(1_000 + id));
-        su.push_pending(0, PendingAdmission { id, entry });
+        su.push_pending(0, pending(id, c.to_vec(), Time::from_micros(1_000 + id)));
         su.lane(0).end_write();
     }
 
@@ -1014,7 +1046,7 @@ mod tests {
     fn a_release_run_takes_what_is_live_once_and_ignores_the_rest() {
         let su = ShardedUtilization::new(&[0.0, 0.0], 1, Time::ZERO);
         let c = vec![(stage(0), fp(0.125)), (stage(1), 3)];
-        // 10 and 11 are filed in the shard, 12 filed and already expired,
+        // 10 and 11 are filed in the shard, 12 filed and already shed,
         // 1..=4 still ringed.
         for id in [10, 11, 12] {
             ring(&su, id, &c);
@@ -1022,7 +1054,7 @@ mod tests {
         {
             let mut sh = su.lock_shard(0);
             su.drain_pending(&mut sh);
-            let twelve = sh.entries.remove(&12).expect("filed");
+            let twelve = sh.unfile(12).expect("filed");
             su.subtract_entry(&twelve.contributions);
         }
         for id in 1..=4 {
@@ -1038,8 +1070,9 @@ mod tests {
             let mut live: Vec<u64> = sh.entries.keys().copied().collect();
             live.sort_unstable();
             assert_eq!(live, vec![1, 3, 10], "the run filed what it did not want");
-            // 2 and 4 never reached the wheel; 11 and 12 left tombstones.
-            assert_eq!(sh.wheel.len(), 5);
+            // 2 and 4 never reached the wheel; 11 and 12 left it with
+            // their entries, so it holds exactly the filed ones.
+            assert_eq!(sh.wheel.len(), 3);
         }
         let mut units = Vec::new();
         su.read_fp_into(&mut units);
@@ -1055,9 +1088,9 @@ mod tests {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let mut sh = su.lock_shard(0);
         let file_at = |sh: &mut Shard, id: u64, level: u32| {
-            let mut e = entry(vec![(stage(0), 1)], Time::from_micros(1_000_000));
-            e.importance = Importance::new(level);
-            file(sh, id, e);
+            let mut p = pending(id, vec![(stage(0), 1)], Time::from_micros(1_000_000));
+            p.importance = Importance::new(level);
+            file(sh, p);
         };
         // Two threads booking on one shard deliver ids out of order.
         for (id, level) in [(5, 1), (3, 1), (9, 0), (4, 1), (7, 0)] {
@@ -1066,7 +1099,7 @@ mod tests {
         let mut order = Vec::new();
         while let Some((importance, id)) = sh.first_victim() {
             order.push((importance.level(), id));
-            sh.entries.remove(&id);
+            sh.unfile(id);
         }
         assert_eq!(order, vec![(0, 7), (0, 9), (1, 3), (1, 4), (1, 5)]);
         assert!(sh.shed_order.is_empty(), "emptied levels are retired");
@@ -1077,7 +1110,7 @@ mod tests {
         file_at(&mut sh, 100, 0);
         for id in 101..5_000 {
             file_at(&mut sh, id, id as u32);
-            sh.entries.remove(&id);
+            sh.unfile(id);
             assert!(sh.shed_ids <= 2 * sh.entries.len() + SHED_SWEEP_SLACK + 1);
             assert!(sh.shed_order.len() <= sh.shed_ids);
         }
@@ -1096,13 +1129,7 @@ mod tests {
         su.drain_pending(&mut sh);
         su.lane(0).begin_write();
         su.add_units(&c);
-        su.push_pending(
-            0,
-            PendingAdmission {
-                id: 1,
-                entry: entry(c.clone(), Time::from_micros(100)),
-            },
-        );
+        su.push_pending(0, pending(1, c.clone(), Time::from_micros(100)));
         su.lane(0).end_write();
         assert!(su.try_validate_locked(&[&*sh]).is_none());
         su.drain_pending(&mut sh);
@@ -1121,13 +1148,7 @@ mod tests {
         for id in 0..n {
             su.lane(0).begin_write();
             su.add_units(&c);
-            su.push_pending(
-                0,
-                PendingAdmission {
-                    id,
-                    entry: entry(c.clone(), Time::from_micros(1_000 + id)),
-                },
-            );
+            su.push_pending(0, pending(id, c.clone(), Time::from_micros(1_000 + id)));
             su.lane(0).end_write();
         }
         let mut sh = su.lock_shard(0);
@@ -1146,7 +1167,7 @@ mod tests {
             let mut sh = su.lock_shard(0);
             for (id, expiry) in [(1u64, 500u64), (2, 300), (3, 900)] {
                 charge(&su, &c);
-                file(&mut sh, id, entry(c.clone(), Time::from_micros(expiry)));
+                file(&mut sh, pending(id, c.clone(), Time::from_micros(expiry)));
                 su.note_deadline(0, Time::from_micros(expiry));
             }
             // fetch_min kept the earliest commit.
@@ -1174,13 +1195,35 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_between_drain_and_refresh_keeps_its_deadline_in_the_hint() {
+        // The schedule a locked drain can race: the hint (100) is consumed
+        // at now = 150 and the ring is drained; then another thread booking
+        // on this shard pushes its entry (due at 1 007) and lowers the hint
+        // — a no-op against 100 — before the refresh runs. The refresh
+        // must leave the hint at or below 1 007, not at the empty wheel's
+        // MAX, or decisions would skip that decrement.
+        let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
+        let c = vec![(stage(0), fp(0.25))];
+        su.note_deadline(0, Time::from_micros(100));
+        let mut sh = su.lock_shard(0);
+        su.drain_pending(&mut sh);
+        ring(&su, 7, &c);
+        su.note_deadline(0, Time::from_micros(1_007));
+        assert_eq!(su.shard_next_due(0), 100);
+        su.refresh_hint(&mut sh, Time::from_micros(150));
+        assert!(su.shard_next_due(0) <= 1_007);
+        assert!(sh.entries.contains_key(&7), "the refresh filed it");
+        assert_eq!(su.expire_due(&mut sh, Time::from_micros(1_007)), 1);
+        assert_eq!(su.shard_next_due(0), u64::MAX);
+    }
+
+    #[test]
     fn hoisted_batch_clock_cannot_rewind_the_wheel() {
         let su = ShardedUtilization::new(&[0.0], 1, Time::ZERO);
         let mut sh = su.lock_shard(0);
         file(
             &mut sh,
-            1,
-            entry(vec![(stage(0), fp(0.1))], Time::from_micros(50)),
+            pending(1, vec![(stage(0), fp(0.1))], Time::from_micros(50)),
         );
         charge(&su, &[(stage(0), fp(0.1))]);
         let mut out = Vec::new();

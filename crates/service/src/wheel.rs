@@ -3,12 +3,23 @@
 //! The library controller (`frap_core::admission::Admission`) uses a
 //! `BinaryHeap` of expiry instants, popped under a single owner. The
 //! concurrent service instead keeps one wheel per shard: insertion and
-//! expiry are `O(1)` amortized, and a thread advancing its shard's wheel
-//! touches at most `LEVELS × SLOTS` slots regardless of how far the clock
-//! jumped while the shard was cold.
+//! cancellation are `O(1)`, expiry is `O(1)` amortized, and a thread
+//! advancing its shard's wheel touches at most `LEVELS × SLOTS` slots
+//! regardless of how far the clock jumped while the shard was cold.
+//!
+//! Every entry is a node in one slab. Each slot — and the due and
+//! overflow lists — is a circular doubly-linked list through that slab,
+//! headed by a sentinel node of its own. [`TimerWheel::insert`] hands back
+//! the entry's [`Node`], and [`TimerWheel::cancel`] unlinks it in `O(1)`
+//! (Varghese & Lauck's hashed-hierarchical scheme, SOSP 1987), so an entry
+//! unscheduled before its deadline leaves nothing behind: the wheel holds
+//! exactly its pending entries, and its memory is the high-water mark of
+//! them, reused through a free list. A cascade relinks nodes and never
+//! moves one, so a handle stays valid until its entry is drained or
+//! cancelled.
 //!
 //! Exactness contract (matches `StageTracker::advance_to`): after
-//! `advance(now, out)`, `out` holds **every** inserted entry with
+//! `advance(now, out)`, `out` holds **every** pending entry with
 //! `expiry ≤ now` (deadline inclusive) and no entry with `expiry > now`,
 //! sorted by `(expiry, id)` — the same deterministic order in which the
 //! library's expiry heap pops, so single-shard runs subtract
@@ -19,30 +30,45 @@ use frap_core::time::Time;
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64 slots per level
 const LEVELS: usize = 8; // 64^8 µs ≈ 8.9 years of horizon
-/// Slots at this level and above hand their buffer back once cascaded. A
-/// level-2 slot is 4 ms wide and is refilled once per 262 ms lap, so at a
-/// steady admit rate every one of the 64 would otherwise sit on its peak
-/// capacity while only the few inside the deadline horizon hold entries —
-/// wheel memory ~5× the live entries, growing with throughput. Finer
-/// slots are refilled within 4 ms and keep theirs.
-const RELEASE_FROM_LEVEL: usize = 2;
+/// Entries inserted with `expiry ≤ cursor`: due on the next advance. The
+/// slot lists are `0..DUE`, level `l` slot `s` at `l * SLOTS + s`.
+const DUE: u32 = (LEVELS * SLOTS) as u32;
+/// Entries beyond the top level's horizon (practically unreachable).
+const OVERFLOW: u32 = DUE + 1;
+/// Where [`TimerWheel::advance`] gathers the lists it visits; empty
+/// between calls.
+const CASCADE: u32 = DUE + 2;
+/// One sentinel per list at the front of the slab; entry nodes follow.
+const LISTS: u32 = DUE + 3;
+/// `prev` of a free node, and the end of the free list.
+const NIL: u32 = u32::MAX;
 
 /// One scheduled decrement: the instant it is due and the ticket it
 /// belongs to.
 pub type WheelEntry = (Time, u64);
 
+/// Where [`TimerWheel::insert`] filed an entry. With the entry's id it
+/// names the entry to [`TimerWheel::cancel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node(u32);
+
+/// A slab node: a list sentinel, a pending entry, or a free node.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    expiry: Time,
+    id: u64,
+    prev: u32,
+    next: u32,
+}
+
 /// A hierarchical timer wheel over integer-microsecond time.
 #[derive(Debug)]
 pub struct TimerWheel {
-    /// `slots[level * SLOTS + slot]`; level `l` slots are `64^l` µs wide.
-    slots: Vec<Vec<WheelEntry>>,
-    /// Entries inserted with `expiry ≤ cursor`: due immediately.
-    due: Vec<WheelEntry>,
-    /// Entries beyond the top level's horizon (practically unreachable).
-    overflow: Vec<WheelEntry>,
-    /// Scratch for [`TimerWheel::advance`]: entries lifted out of visited
-    /// slots, reused across calls.
-    cascade: Vec<WheelEntry>,
+    /// `LISTS` sentinels, then entry nodes: each linked into exactly one
+    /// list, or free (`prev == NIL`) and chained through `next` from
+    /// `free`.
+    nodes: Vec<Link>,
+    free: u32,
     cursor: Time,
     len: usize,
 }
@@ -51,10 +77,15 @@ impl TimerWheel {
     /// An empty wheel with its cursor at `start`.
     pub fn new(start: Time) -> TimerWheel {
         TimerWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            due: Vec::new(),
-            overflow: Vec::new(),
-            cascade: Vec::new(),
+            nodes: (0..LISTS)
+                .map(|list| Link {
+                    expiry: Time::ZERO,
+                    id: 0,
+                    prev: list,
+                    next: list,
+                })
+                .collect(),
+            free: NIL,
             cursor: start,
             len: 0,
         }
@@ -75,50 +106,68 @@ impl TimerWheel {
         self.cursor
     }
 
-    /// Schedules `id` to come due at `expiry`. Entries at or before the
-    /// cursor surface on the next [`TimerWheel::advance`] call.
-    pub fn insert(&mut self, expiry: Time, id: u64) {
+    /// Schedules `id` to come due at `expiry` and returns where it was
+    /// filed. Entries at or before the cursor surface on the next
+    /// [`TimerWheel::advance`] call.
+    pub fn insert(&mut self, expiry: Time, id: u64) -> Node {
+        let link = Link {
+            expiry,
+            id,
+            prev: NIL,
+            next: NIL,
+        };
+        let node = if self.free == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("timer wheel holds fewer than 2^32 entries");
+            self.nodes.push(link);
+            node
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].next;
+            self.nodes[node as usize] = link;
+            node
+        };
+        self.link(node, self.list_for(expiry));
         self.len += 1;
-        self.place((expiry, id));
+        Node(node)
     }
 
-    fn place(&mut self, entry: WheelEntry) {
-        let (expiry, _) = entry;
-        if expiry <= self.cursor {
-            self.due.push(entry);
-            return;
-        }
-        let delta = expiry.as_micros() - self.cursor.as_micros();
-        for level in 0..LEVELS {
-            // Level `l` holds entries with delta in [64^l, 64^(l+1)).
-            if delta < 1u64 << (SLOT_BITS * (level as u32 + 1)) {
-                let width_bits = SLOT_BITS * level as u32;
-                let slot = ((expiry.as_micros() >> width_bits) & (SLOTS as u64 - 1)) as usize;
-                self.slots[level * SLOTS + slot].push(entry);
-                return;
+    /// Unschedules the entry `id` filed at `node`, in `O(1)`. Returns
+    /// `false`, changing nothing, if `node` holds no pending entry `id`:
+    /// it was drained, cancelled, or never filed there.
+    pub fn cancel(&mut self, node: Node, id: u64) -> bool {
+        match self.nodes.get(node.0 as usize) {
+            Some(link) if link.prev != NIL && link.id == id => {
+                self.unlink(node.0);
+                self.release(node.0);
+                self.len -= 1;
+                true
             }
+            _ => false,
         }
-        self.overflow.push(entry);
     }
 
     /// The earliest pending expiry, or `None` if the wheel is empty.
     ///
-    /// `O(LEVELS × SLOTS + overflow)` — a full scan, *not* the `O(1)`
-    /// insert/advance path. It backs the service's per-shard next-due
+    /// `O(LEVELS × SLOTS + len)` — a walk of every list, *not* the `O(1)`
+    /// insert/cancel path. It backs the service's per-shard next-due
     /// hints, which only call it when a drain has consumed the previous
-    /// hint, so the scan amortizes across many lock-free reads.
+    /// hint, so the walk amortizes across many lock-free reads.
     pub fn earliest(&self) -> Option<Time> {
-        let mut best: Option<Time> = None;
-        let mut fold = |entries: &[WheelEntry]| {
-            for &(expiry, _) in entries {
-                best = Some(best.map_or(expiry, |b: Time| b.min(expiry)));
-            }
-        };
-        fold(&self.due);
-        for slot in &self.slots {
-            fold(slot);
+        if self.len == 0 {
+            return None;
         }
-        fold(&self.overflow);
+        let mut best: Option<Time> = None;
+        for list in 0..LISTS {
+            let mut node = self.nodes[list as usize].next;
+            while node != list {
+                let link = &self.nodes[node as usize];
+                best = Some(best.map_or(link.expiry, |b| b.min(link.expiry)));
+                node = link.next;
+            }
+        }
         best
     }
 
@@ -138,9 +187,7 @@ impl TimerWheel {
             return;
         }
         let start = out.len();
-        out.append(&mut self.due);
-
-        let mut cascade = std::mem::take(&mut self.cascade);
+        self.splice(DUE, CASCADE);
         let old = self.cursor.as_micros();
         let new = now.as_micros();
         for level in 0..LEVELS {
@@ -156,30 +203,94 @@ impl TimerWheel {
             let steps = (new_idx - old_idx).min(SLOTS as u64);
             for s in 1..=steps {
                 let slot = ((old_idx + s) & (SLOTS as u64 - 1)) as usize;
-                let slot = &mut self.slots[level * SLOTS + slot];
-                cascade.append(slot);
-                if level >= RELEASE_FROM_LEVEL {
-                    *slot = Vec::new();
-                }
+                self.splice((level * SLOTS + slot) as u32, CASCADE);
             }
             if new_idx >> SLOT_BITS != old_idx >> SLOT_BITS && level == LEVELS - 1 {
                 // The top level wrapped: re-examine the overflow list.
-                cascade.append(&mut self.overflow);
+                self.splice(OVERFLOW, CASCADE);
             }
         }
 
+        // Against the new cursor, whatever is not yet due lands in a slot
+        // this advance did not visit.
         self.cursor = now;
-        for entry in cascade.drain(..) {
-            if entry.0 <= now {
-                out.push(entry);
+        loop {
+            let node = self.nodes[CASCADE as usize].next;
+            if node == CASCADE {
+                break;
+            }
+            self.unlink(node);
+            let Link { expiry, id, .. } = self.nodes[node as usize];
+            if expiry <= now {
+                out.push((expiry, id));
+                self.release(node);
             } else {
-                self.place(entry);
+                self.link(node, self.list_for(expiry));
             }
         }
-        self.cascade = cascade;
-        out.append(&mut self.due);
         self.len -= out.len() - start;
         out[start..].sort_unstable_by_key(|&(expiry, id)| (expiry, id));
+    }
+
+    /// The list an entry due at `expiry` belongs on, against the cursor.
+    fn list_for(&self, expiry: Time) -> u32 {
+        if expiry <= self.cursor {
+            return DUE;
+        }
+        let delta = expiry.as_micros() - self.cursor.as_micros();
+        // Level `l` holds deltas in [64^l, 64^(l+1)): the index of the
+        // highest set bit, over six.
+        let level = (u64::BITS - 1 - delta.leading_zeros()) / SLOT_BITS;
+        if level as usize >= LEVELS {
+            return OVERFLOW;
+        }
+        let slot = (expiry.as_micros() >> (SLOT_BITS * level)) & (SLOTS as u64 - 1);
+        level * SLOTS as u32 + slot as u32
+    }
+
+    /// Links an unlinked `node` at the tail of `list`.
+    fn link(&mut self, node: u32, list: u32) {
+        let last = self.nodes[list as usize].prev;
+        let link = &mut self.nodes[node as usize];
+        link.prev = last;
+        link.next = list;
+        self.nodes[last as usize].next = node;
+        self.nodes[list as usize].prev = node;
+    }
+
+    /// Takes `node` out of its list; its own links go stale.
+    fn unlink(&mut self, node: u32) {
+        let Link { prev, next, .. } = self.nodes[node as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+    }
+
+    /// Puts an unlinked `node` on the free list.
+    fn release(&mut self, node: u32) {
+        let link = &mut self.nodes[node as usize];
+        link.prev = NIL;
+        link.next = self.free;
+        self.free = node;
+    }
+
+    /// Moves every node of list `from` to the tail of list `to` in `O(1)`.
+    fn splice(&mut self, from: u32, to: u32) {
+        let Link {
+            next: first,
+            prev: last,
+            ..
+        } = self.nodes[from as usize];
+        if first == from {
+            return;
+        }
+        let tail = self.nodes[to as usize].prev;
+        self.nodes[tail as usize].next = first;
+        self.nodes[first as usize].prev = tail;
+        self.nodes[last as usize].next = to;
+        self.nodes[to as usize].prev = last;
+        let sentinel = &mut self.nodes[from as usize];
+        sentinel.next = from;
+        sentinel.prev = from;
     }
 }
 
@@ -313,7 +424,7 @@ mod tests {
     #[test]
     fn exact_level_boundary_deltas_pop_exactly_at_expiry() {
         // A delta of exactly 64^l sits on the first slot of level l (the
-        // placement loop's half-open interval [64^l, 64^(l+1))). Each such
+        // placement's half-open interval [64^l, 64^(l+1))). Each such
         // entry must be absent one tick early and present at its expiry.
         for level in 1..LEVELS as u32 {
             let delta = 1u64 << (SLOT_BITS * level);
@@ -390,29 +501,72 @@ mod tests {
     }
 
     #[test]
-    fn coarse_slots_give_their_buffers_back_after_a_cascade() {
-        // Steady level-2 traffic: one entry per 10 µs, each due 50 ms
-        // out (level 2 holds deltas of 4–262 ms), drained every 100 µs,
-        // for three laps of level 2. Live entries plateau at 5 000; held
-        // capacity must follow them, not the 64 slots' peaks.
+    fn cancel_unschedules_from_every_list_and_only_once() {
+        let mut w = TimerWheel::new(us(100));
+        let due = w.insert(us(50), 1);
+        let slot = w.insert(us(70_000), 2);
+        let overflow = w.insert(us(1u64 << 50), 3);
+        let kept = w.insert(us(900), 4);
+        assert_eq!(w.len(), 4);
+        assert!(w.cancel(slot, 2));
+        assert!(!w.cancel(slot, 2), "already cancelled");
+        assert!(!w.cancel(kept, 2), "another entry's node");
+        assert!(w.cancel(due, 1));
+        assert!(w.cancel(overflow, 3));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.earliest(), Some(us(900)));
+        assert_eq!(drain(&mut w, us(1u64 << 51)), vec![4]);
+        assert!(!w.cancel(kept, 4), "already drained");
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn a_cascade_keeps_a_handle_valid() {
+        // Filed on level 2, relinked to level 1 and then level 0 by two
+        // advances: the node never moves, so its handle still cancels it.
+        let mut w = TimerWheel::new(Time::ZERO);
+        let node = w.insert(us(10_000), 5);
+        let other = w.insert(us(10_001), 6);
+        assert_eq!(drain(&mut w, us(8_200)), Vec::<u64>::new());
+        assert_eq!(drain(&mut w, us(9_990)), Vec::<u64>::new());
+        assert!(w.cancel(node, 5));
+        assert_eq!(drain(&mut w, us(20_000)), vec![6]);
+        assert!(!w.cancel(other, 6));
+    }
+
+    #[test]
+    fn memory_follows_pending_entries_not_entries_filed() {
+        // Steady level-2 traffic: one entry per 10 µs, each due 50 ms out
+        // (level 2 holds deltas of 4–262 ms); nine in ten are cancelled
+        // 150 µs after filing, as a released ticket is; drained every
+        // 100 µs, for three laps of level 2. The slab is the high-water
+        // mark of pending entries, whatever the filing rate.
         let mut w = TimerWheel::new(Time::ZERO);
         let lap = 1u64 << (SLOT_BITS * 3);
+        let mut held = std::collections::VecDeque::new();
         let mut out = Vec::new();
-        let mut peak_live = 0;
+        let mut peak = 0;
         for t in (0..3 * lap).step_by(10) {
-            w.insert(us(t + 50_000), t);
+            let node = w.insert(us(t + 50_000), t);
+            peak = peak.max(w.len());
+            if t % 100 != 0 {
+                held.push_back((t, node));
+            }
+            while let Some(&(at, node)) = held.front() {
+                if at + 150 > t {
+                    break;
+                }
+                assert!(w.cancel(node, at));
+                held.pop_front();
+            }
             if t % 100 == 0 {
                 out.clear();
                 w.advance(us(t), &mut out);
-                peak_live = peak_live.max(w.len());
             }
         }
-        assert_eq!(peak_live, 5_000);
-        let held: usize = w.slots.iter().map(Vec::capacity).sum::<usize>() + w.cascade.capacity();
-        assert!(
-            held <= 2 * peak_live,
-            "wheel holds room for {held} entries against a peak of {peak_live} live"
-        );
+        // One in ten lives its 50 ms, plus the 15 waiting to be cancelled.
+        assert!((500..=520).contains(&peak), "peak {peak}");
+        assert_eq!(w.nodes.len(), LISTS as usize + peak);
     }
 
     #[test]
