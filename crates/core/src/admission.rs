@@ -321,6 +321,10 @@ pub struct Admission<R, M> {
     stats: AdmissionStats,
     scratch: Vec<(StageId, f64)>,
     vec_scratch: Vec<f64>,
+    /// A shed victim's executed work, as the oracle reports it.
+    exec_scratch: Vec<(StageId, TimeDelta)>,
+    /// The share of a shed victim's charge that stays on the counters.
+    retain_scratch: Vec<(StageId, f64)>,
 }
 
 impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
@@ -336,6 +340,8 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             stats: AdmissionStats::default(),
             scratch: Vec::new(),
             vec_scratch: Vec::new(),
+            exec_scratch: Vec::new(),
+            retain_scratch: Vec::new(),
         }
     }
 
@@ -477,19 +483,17 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         // or above the arrival's own importance.
         let mut shed = Vec::new();
         let mut fits = false;
-        let mut exec_buf: Vec<(StageId, TimeDelta)> = Vec::new();
-        let mut retain_buf: Vec<(StageId, f64)> = Vec::new();
         while let Some((victim, deadline)) = self.next_victim(spec.importance) {
-            exec_buf.clear();
-            executed(victim, &mut exec_buf);
-            retain_buf.clear();
-            retain_buf.extend(
-                exec_buf
+            self.exec_scratch.clear();
+            executed(victim, &mut self.exec_scratch);
+            self.retain_scratch.clear();
+            self.retain_scratch.extend(
+                self.exec_scratch
                     .iter()
                     .map(|&(stage, e)| (stage, e.ratio(deadline))),
             );
             self.state.retire(victim);
-            self.state.shed_task_retaining(victim, &retain_buf);
+            self.state.shed_task_retaining(victim, &self.retain_scratch);
             self.stats.shed += 1;
             shed.push(victim);
             if self.admit_feasible(&scratch) {

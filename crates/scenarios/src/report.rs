@@ -2,10 +2,9 @@
 //! and shed-by-importance rows, built from a trace plus the backend's
 //! per-arrival decisions.
 
-use frap_core::task::TaskId;
 use frap_sim::metrics::SimMetrics;
 use frap_workload::replay::ArrivalTrace;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Per-tenant admission accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,6 +190,10 @@ impl<'a> RowBuilder<'a> {
 /// Builds the canonical (simulator-backend) report from a trace and the
 /// metrics of a decision-logged run.
 ///
+/// Shed victims are attributed through their task ids, which the
+/// simulator's controller issues densely from 0 in admission order: an id
+/// indexes a table of arrival indexes directly.
+///
 /// # Panics
 ///
 /// Panics if the metrics were collected without
@@ -210,18 +213,24 @@ pub fn from_sim(
          (was the sim built with record_decisions(true)?)"
     );
     let mut rows = RowBuilder::new(trace, name_of);
-    let mut by_task: HashMap<TaskId, usize> = HashMap::with_capacity(trace.len());
+    const UNSEEN: u32 = u32::MAX;
+    assert!(trace.len() < UNSEEN as usize, "arrival indexes fit a u32");
+    // Task id -> arrival index. Every admission has a decision-log entry,
+    // so every id is below the number of arrivals.
+    let mut arrival_of = vec![UNSEEN; trace.len()];
     for (idx, decision) in metrics.decision_log.iter().enumerate() {
         if let Some(task) = decision.admitted_task() {
             rows.admitted(idx);
-            by_task.insert(task, idx);
+            arrival_of[task.seq() as usize] = idx as u32;
         }
     }
     for victim in &metrics.shed_log {
-        let idx = *by_task
-            .get(victim)
+        let idx = arrival_of
+            .get(victim.seq() as usize)
+            .copied()
+            .filter(|&idx| idx != UNSEEN)
             .expect("shed victims are admitted tasks");
-        rows.shed(idx);
+        rows.shed(idx as usize);
     }
     let (tenants, importances) = rows.finish();
     ScenarioReport {

@@ -9,9 +9,9 @@
 //! so the implementation is tuned accordingly:
 //!
 //! * the `(time, insertion sequence)` ordering pair is packed into a
-//!   single `u128` key, so heap sift comparisons are one integer compare
+//!   single `u128` key, so every comparison is one integer compare
 //!   instead of a lexicographic tuple compare;
-//! * the queue has **two tiers behind that one order**: a *near* heap for
+//! * the queue has **two tiers behind that one order**: a *near* tier for
 //!   events with a payload ([`EventQueue::push`]; in the simulator they
 //!   live microseconds and there are at most a few per stage) and a
 //!   payload-free *deadline* heap of bare keys
@@ -20,6 +20,9 @@
 //!   same counter and a pop takes whichever tier's top key is smaller, so
 //!   the pop order is exactly that of a single heap — but a short-lived
 //!   event no longer sifts through hundreds of parked deadlines;
+//! * the near tier holds a handful of entries, so it is a `Vec` kept
+//!   sorted by descending key: a push is one binary search plus one
+//!   `insert`, a pop is `Vec::pop`, and neither sifts;
 //! * [`EventQueue::with_capacity`] pre-sizes both tiers so steady-state
 //!   simulations never reallocate;
 //! * [`EventQueue::pop_at_or_before`] fuses the peek-then-pop pattern of
@@ -61,7 +64,8 @@ pub enum Fired<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    near: BinaryHeap<Reverse<Entry<E>>>,
+    /// Sorted by descending key: the earliest entry is the last.
+    near: Vec<Entry<E>>,
     deadlines: BinaryHeap<Reverse<u128>>,
     seq: u64,
 }
@@ -86,26 +90,6 @@ fn unpack_time(key: u128) -> Time {
     Time::from_micros((key >> 64) as u64)
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> EventQueue<E> {
@@ -116,7 +100,7 @@ impl<E> EventQueue<E> {
     /// pending deadlines.
     pub fn with_capacity(near: usize, deadlines: usize) -> EventQueue<E> {
         EventQueue {
-            near: BinaryHeap::with_capacity(near),
+            near: Vec::with_capacity(near),
             deadlines: BinaryHeap::with_capacity(deadlines),
             seq: 0,
         }
@@ -132,7 +116,10 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: Time, event: E) {
         let key = self.next_key(time);
-        self.near.push(Reverse(Entry { key, event }));
+        // Every key present is smaller than or larger than `key` (keys are
+        // unique); the new entry goes after the larger ones.
+        let at = self.near.partition_point(|e| e.key > key);
+        self.near.insert(at, Entry { key, event });
     }
 
     /// Schedules a deadline at `time`: it pops as [`Fired::Deadline`], in
@@ -146,7 +133,7 @@ impl<E> EventQueue<E> {
     /// tier's. Keys are unique (one `seq` counter), so there is no tie.
     #[inline]
     fn head(&self) -> Option<(u128, bool)> {
-        let near = self.near.peek().map(|Reverse(e)| e.key);
+        let near = self.near.last().map(|e| e.key);
         let deadline = self.deadlines.peek().map(|&Reverse(key)| key);
         match (near, deadline) {
             (Some(n), Some(d)) if d < n => Some((d, false)),
@@ -185,7 +172,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         let fired = if near {
-            Fired::Event(self.near.pop()?.0.event)
+            Fired::Event(self.near.pop()?.event)
         } else {
             self.deadlines.pop();
             Fired::Deadline

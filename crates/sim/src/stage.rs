@@ -22,11 +22,14 @@
 //!   dense `u32` slot; [`Stage::add_job`] hands the slot out and the caller
 //!   hands it back to [`Stage::kill`] / [`Stage::executed`], so there is no
 //!   by-key map at all;
-//! * the ready queue is a **binary max-heap of packed keys** with lazy
-//!   deletion: the bit-inverted `(priority, task, node)` fields (a `u128`
-//!   and a `u64`, plus a stamp) compare lexicographically, reproducing the
-//!   previous ordered-set total order (highest priority, then lowest task
-//!   id, then lowest node) exactly;
+//! * the ready queue is a **`Vec` of packed keys kept sorted**, best last:
+//!   the bit-inverted `(priority, task, node)` fields (a `u128` and a
+//!   `u64`) compare lexicographically, reproducing the previous
+//!   ordered-set total order (highest priority, then lowest task id, then
+//!   lowest node) exactly. It holds a few entries, so a push is a binary
+//!   search plus an `insert`, starting the best job is `Vec::pop`, a
+//!   killed job's entry is removed at once (no stale entries), and a PCP
+//!   re-key walks the ready entries, not the slab;
 //! * completion events carry a **generation token that embeds the slot
 //!   index** plus a per-slot start counter, so stale-event detection is two
 //!   array reads instead of a hash lookup;
@@ -39,7 +42,6 @@ use crate::metrics::StageMetrics;
 use crate::pcp::{Acquire, LockManager};
 use frap_core::task::{LockId, Priority, Segment, Segments, StageId, TaskId};
 use frap_core::time::{Time, TimeDelta};
-use std::collections::BinaryHeap;
 
 /// Identifies one job (a subtask instance) at a stage: `(task, node)`.
 pub type JobKey = (TaskId, u32);
@@ -49,24 +51,20 @@ pub type JobKey = (TaskId, u32);
 /// the jobs present, so ordering by this is ordering by [`JobKey`].
 type LockKey = (TaskId, u32, u32);
 
-/// The ready queue's packed ordering key. The heap pops the lexicographic
-/// maximum of `(hi, lo)`; with every field bit-inverted this is exactly
-/// the old ordered-set order `(Priority, Reverse<TaskId>, Reverse<node>)`
-/// popped from the back — highest priority first (smaller raw priority key
-/// = more urgent = larger inverted value), then lowest task id, then
-/// lowest node — for *all* value ranges, not just small ones.
-///
-/// `stamp` is the lazy-deletion token: an entry is live iff it equals the
-/// slot's current `ready_stamp`. It participates in `Ord` only among
-/// entries for the same job, where order is irrelevant.
+/// The ready queue's packed ordering key. The best ready job is the
+/// lexicographic maximum of `(hi, lo)`; with every field bit-inverted this
+/// is exactly the old ordered-set order `(Priority, Reverse<TaskId>,
+/// Reverse<node>)` popped from the back — highest priority first (smaller
+/// raw priority key = more urgent = larger inverted value), then lowest
+/// task id, then lowest node — for *all* value ranges, not just small
+/// ones. `lo` embeds the slot, and a ready job has exactly one entry, so
+/// no two entries compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ReadyEntry {
     /// `!priority.key() << 64 | !task.seq()`.
     hi: u128,
     /// `!node << 32 | slot`.
     lo: u64,
-    /// Copy of the slot's `ready_stamp` at push time.
-    stamp: u64,
 }
 
 impl ReadyEntry {
@@ -112,9 +110,8 @@ pub enum Effect {
     Idle,
 }
 
-/// One slab slot. `ready_stamp` and `run_count` are monotone across slot
-/// reuse, so heap entries and generation tokens from a previous occupant
-/// can never validate against a new one.
+/// One slab slot. `run_count` is monotone across slot reuse, so generation
+/// tokens from a previous occupant can never validate against a new one.
 #[derive(Debug, Clone)]
 struct Slot {
     key: JobKey,
@@ -131,10 +128,9 @@ struct Slot {
     block_episodes: u32,
     occupied: bool,
     ready: bool,
-    /// Effective priority of the live ready entry (re-key detection).
+    /// Effective priority of the job's ready entry (re-key detection, and
+    /// the entry's key when it leaves the queue).
     ready_prio: Priority,
-    /// Lazy-deletion token for ready entries; bumped on every transition.
-    ready_stamp: u64,
     running: bool,
     /// Start counter; the low 32 bits are the generation token payload.
     run_count: u64,
@@ -157,7 +153,6 @@ impl Slot {
             occupied: false,
             ready: false,
             ready_prio: Priority::LOWEST,
-            ready_stamp: 0,
             running: false,
             run_count: 0,
             started: Time::ZERO,
@@ -192,7 +187,8 @@ pub struct Stage {
     slots: Vec<Slot>,
     free: Vec<u32>,
     job_count: usize,
-    ready: BinaryHeap<ReadyEntry>,
+    /// Sorted ascending: the best entry is the last.
+    ready: Vec<ReadyEntry>,
     running_slots: Vec<u32>,
     locks: LockManager<LockKey>,
     /// Scratch for lock registration/deregistration (reused, no per-job
@@ -226,7 +222,7 @@ impl Stage {
             slots: Vec::new(),
             free: Vec::new(),
             job_count: 0,
-            ready: BinaryHeap::new(),
+            ready: Vec::new(),
             running_slots: Vec::with_capacity(servers),
             locks: LockManager::new(),
             lock_scratch: Vec::new(),
@@ -344,60 +340,55 @@ impl Stage {
         Some(elapsed)
     }
 
+    /// The ready entry of the job in `slot`, keyed by `prio`.
+    #[inline]
+    fn ready_entry(&self, slot: usize, prio: Priority) -> ReadyEntry {
+        let (task, node) = self.slots[slot].key;
+        ReadyEntry {
+            hi: pack_hi(prio, task),
+            lo: pack_lo(node, slot as u32),
+        }
+    }
+
     fn make_ready(&mut self, slot: usize) {
         let eff = self.effective_of(slot);
+        let entry = self.ready_entry(slot, eff);
         let s = &mut self.slots[slot];
+        debug_assert!(!s.ready, "a ready job has one entry");
         s.ready = true;
         s.ready_prio = eff;
-        s.ready_stamp += 1;
-        let entry = ReadyEntry {
-            hi: pack_hi(eff, s.key.0),
-            lo: pack_lo(s.key.1, slot as u32),
-            stamp: s.ready_stamp,
-        };
-        self.ready.push(entry);
+        let at = self.ready.partition_point(|e| *e < entry);
+        self.ready.insert(at, entry);
     }
 
     fn unready(&mut self, slot: usize) {
-        let s = &mut self.slots[slot];
+        let s = &self.slots[slot];
         if s.ready {
-            s.ready = false;
-            s.ready_stamp += 1;
+            let entry = self.ready_entry(slot, s.ready_prio);
+            let at = self
+                .ready
+                .binary_search(&entry)
+                .expect("a ready job has an entry");
+            self.ready.remove(at);
+            self.slots[slot].ready = false;
         }
-    }
-
-    /// The highest-ordered live ready entry, discarding stale heap tops.
-    fn peek_best(&mut self) -> Option<ReadyEntry> {
-        while let Some(&top) = self.ready.peek() {
-            let s = &self.slots[top.slot()];
-            if s.occupied && s.ready && s.ready_stamp == top.stamp {
-                return Some(top);
-            }
-            self.ready.pop();
-        }
-        None
     }
 
     /// Re-keys ready entries whose effective priority changed due to
-    /// inheritance updates (the old entry goes stale; a fresh one is
-    /// pushed).
+    /// inheritance updates.
     fn refresh_ready_keys(&mut self) {
-        for slot in 0..self.slots.len() {
-            if !(self.slots[slot].occupied && self.slots[slot].ready) {
-                continue;
-            }
+        let mut moved = false;
+        for i in 0..self.ready.len() {
+            let slot = self.ready[i].slot();
             let eff = self.effective_of(slot);
             if eff != self.slots[slot].ready_prio {
-                let s = &mut self.slots[slot];
-                s.ready_prio = eff;
-                s.ready_stamp += 1;
-                let entry = ReadyEntry {
-                    hi: pack_hi(eff, s.key.0),
-                    lo: pack_lo(s.key.1, slot as u32),
-                    stamp: s.ready_stamp,
-                };
-                self.ready.push(entry);
+                self.slots[slot].ready_prio = eff;
+                self.ready[i] = self.ready_entry(slot, eff);
+                moved = true;
             }
+        }
+        if moved {
+            self.ready.sort_unstable();
         }
     }
 
@@ -425,15 +416,13 @@ impl Stage {
         self.lock_scratch = scratch;
     }
 
-    /// Returns the job's slot to the free list. Stamps and counters stay
-    /// monotone so stale heap entries and generation tokens from this
-    /// occupant never validate against the next one.
+    /// Returns the job's slot to the free list. The start counter stays
+    /// monotone so generation tokens from this occupant never validate
+    /// against the next one.
     fn free_slot(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
-        debug_assert!(s.occupied && !s.running);
+        debug_assert!(s.occupied && !s.running && !s.ready);
         s.occupied = false;
-        s.ready = false;
-        s.ready_stamp += 1;
         s.segments = None; // drop the job's segments
         self.free.push(slot as u32);
         self.job_count -= 1;
@@ -552,7 +541,6 @@ impl Stage {
         }
         self.reschedule(now, effects);
         if self.job_count == 0 {
-            self.ready.clear();
             effects.push(Effect::Idle);
         }
     }
@@ -595,7 +583,6 @@ impl Stage {
         self.refresh_ready_keys();
         self.reschedule(now, effects);
         if self.job_count == 0 {
-            self.ready.clear();
             effects.push(Effect::Idle);
         }
     }
@@ -630,7 +617,7 @@ impl Stage {
     /// Ensures the `servers` highest effective-priority runnable jobs are
     /// executing.
     fn reschedule(&mut self, now: Time, effects: &mut Vec<Effect>) {
-        while let Some(best) = self.peek_best() {
+        while let Some(&best) = self.ready.last() {
             if self.running_slots.len() >= self.servers {
                 // All servers busy: preempt the least urgent runner only
                 // for a strictly higher priority (ties never preempt).
@@ -647,12 +634,8 @@ impl Stage {
 
             // A server is free: start the best ready job.
             let slot = best.slot();
-            self.ready.pop(); // `best` was the validated top
-            {
-                let s = &mut self.slots[slot];
-                s.ready = false;
-                s.ready_stamp += 1;
-            }
+            self.ready.pop();
+            self.slots[slot].ready = false;
 
             // Acquire the current segment's lock if needed.
             let (needs_lock, base, acquired) = {

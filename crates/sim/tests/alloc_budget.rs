@@ -1,15 +1,17 @@
 //! Allocation budget of the simulator's steady state, counted by a
 //! `#[global_allocator]` that tallies per thread: once the pools and heaps
 //! have reached their working size, a chain task costs no heap allocation
-//! inside `Simulation::run` (its jobs carry their one segment inline), and
-//! a Theorem 2 region test costs none.
+//! inside `Simulation::run` (its jobs carry their one segment inline), a
+//! Theorem 2 region test costs none, and an admit that sheds costs only
+//! the victim list it returns.
 //!
 //! Counts are a property of the optimised binary the benchmark measures;
 //! CI runs this file with `--release` as well.
 
+use frap_core::admission::{Admission, AdmitOutcome, ExactContributions};
 use frap_core::graph::{TaskGraph, TaskSpec};
 use frap_core::region::FeasibleRegion;
-use frap_core::task::{StageId, SubtaskSpec};
+use frap_core::task::{Importance, StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
 use frap_sim::SimBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -121,4 +123,49 @@ fn graph_region_test_allocates_nothing() {
     });
     assert!(value > 0.0);
     assert_eq!(allocations, 0, "graph_value allocated");
+}
+
+#[test]
+fn steady_state_shedding_admit_allocates_only_the_shed_list() {
+    // Each round a lax task fills half the two-stage region, then an
+    // important one arrives that fits only once the lax one is shed. The
+    // oracle reports 1 ms executed on stage 0, so the shed keeps a share
+    // of the victim's charge (the buffers the controller now owns). Both
+    // tasks expire before the next round; an idle reset per round empties
+    // the departed lists the kept share lands in.
+    let ms = TimeDelta::from_millis;
+    let task = |importance: u32| {
+        TaskSpec::pipeline(ms(10), &[ms(3), ms(3)])
+            .expect("non-empty chain")
+            .with_importance(Importance::new(importance))
+    };
+    let (lax, important) = (task(1), task(2));
+    let mut ac = Admission::new(FeasibleRegion::deadline_monotonic(2), ExactContributions);
+    let round = |ac: &mut Admission<_, _>, i: u64| {
+        let now = Time::from_millis(20 * i);
+        for stage in 0..2 {
+            ac.on_stage_idle(now, StageId::new(stage));
+        }
+        let (lax_allocations, admitted) = allocations_during(|| ac.try_admit(now, &lax));
+        assert!(admitted.is_some(), "round {i}: the lax task fits alone");
+        let (allocations, outcome) = allocations_during(|| {
+            ac.try_admit_or_shed_with(now, &important, |_, out| {
+                out.push((StageId::new(0), ms(1)));
+            })
+        });
+        let AdmitOutcome::AdmittedAfterShedding { shed, .. } = outcome else {
+            panic!("round {i}: the important task fits only by shedding: {outcome:?}");
+        };
+        assert_eq!(shed.len(), 1);
+        (lax_allocations, allocations)
+    };
+    for i in 0..1_000 {
+        round(&mut ac, i);
+    }
+    for i in 1_000..2_000 {
+        let (lax_allocations, allocations) = round(&mut ac, i);
+        assert_eq!(lax_allocations, 0, "round {i}: a plain admit allocated");
+        assert_eq!(allocations, 1, "round {i}: beyond the returned shed list");
+    }
+    assert_eq!(ac.stats().shed, 2_000);
 }

@@ -1,13 +1,330 @@
-//! Property tests for the two foundation pieces of the simulator: the
-//! deterministic event queue (against a reference model) and the priority
-//! ceiling protocol lock manager (structural invariants under random
-//! operation scripts).
+//! Property tests for the foundation pieces of the simulator: the
+//! deterministic event queue (against a reference model), a stage's ready
+//! queue (its effect stream against a reference stage that keeps the ready
+//! set in a `BinaryHeap`) and the priority ceiling protocol lock manager
+//! (structural invariants under random operation scripts).
 
-use frap_core::task::{LockId, Priority};
-use frap_core::time::Time;
+use frap_core::task::{LockId, Priority, Segment, TaskId};
+use frap_core::time::{Time, TimeDelta};
 use frap_sim::events::{EventQueue, Fired};
 use frap_sim::pcp::{Acquire, LockManager};
+use frap_sim::stage::{Effect, JobKey, Stage};
 use proptest::prelude::*;
+use reference::RefStage;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// A stage written for clarity instead of speed: a plain slab, the ready
+/// set in a `BinaryHeap` re-keyed from the lock manager before every look
+/// at it, and the running set searched linearly. Slots are handed out and
+/// generation tokens minted exactly as [`Stage`] does, so the two must
+/// produce the same effects, token for token.
+mod reference {
+    use super::*;
+
+    type LockKey = (TaskId, u32, u32);
+
+    /// Highest effective priority first, then lowest task id, then lowest
+    /// node; the slot last.
+    type ReadyKey = (Priority, Reverse<TaskId>, Reverse<u32>, u32);
+
+    struct Job {
+        key: JobKey,
+        base: Priority,
+        segments: Vec<Segment>,
+        seg: usize,
+        remaining: TimeDelta,
+        acquired: bool,
+        entered: Time,
+        block_started: Option<Time>,
+        blocked: TimeDelta,
+        running: bool,
+        started: Time,
+    }
+
+    impl Job {
+        fn lock(&self) -> Option<LockId> {
+            self.segments.get(self.seg).and_then(|s| s.lock)
+        }
+    }
+
+    pub struct RefStage {
+        servers: usize,
+        jobs: Vec<Option<Job>>,
+        run_count: Vec<u64>,
+        free: Vec<u32>,
+        ready: BinaryHeap<ReadyKey>,
+        running: Vec<usize>,
+        locks: LockManager<LockKey>,
+    }
+
+    impl RefStage {
+        pub fn new(servers: usize) -> RefStage {
+            RefStage {
+                servers,
+                jobs: Vec::new(),
+                run_count: Vec::new(),
+                free: Vec::new(),
+                ready: BinaryHeap::new(),
+                running: Vec::new(),
+                locks: LockManager::new(),
+            }
+        }
+
+        fn occupant(&self, slot: usize) -> Option<&Job> {
+            self.jobs.get(slot).and_then(Option::as_ref)
+        }
+
+        fn job(&self, slot: usize) -> &Job {
+            self.jobs[slot].as_ref().expect("occupied slot")
+        }
+
+        fn job_mut(&mut self, slot: usize) -> &mut Job {
+            self.jobs[slot].as_mut().expect("occupied slot")
+        }
+
+        pub fn job_count(&self) -> usize {
+            self.jobs.iter().flatten().count()
+        }
+
+        pub fn running_jobs(&self) -> Vec<JobKey> {
+            let mut v: Vec<JobKey> = self.running.iter().map(|&r| self.job(r).key).collect();
+            v.sort_unstable();
+            v
+        }
+
+        fn lock_key(&self, slot: usize) -> LockKey {
+            let (task, node) = self.job(slot).key;
+            (task, node, slot as u32)
+        }
+
+        fn ready_key(&self, slot: usize) -> ReadyKey {
+            let job = self.job(slot);
+            let boost = self.locks.inherited(&self.lock_key(slot));
+            let effective = boost.map_or(job.base, |b| job.base.max(b));
+            (
+                effective,
+                Reverse(job.key.0),
+                Reverse(job.key.1),
+                slot as u32,
+            )
+        }
+
+        fn make_ready(&mut self, slot: usize) {
+            let key = self.ready_key(slot);
+            self.ready.push(key);
+        }
+
+        fn rekey(&mut self) {
+            let slots: Vec<u32> = self.ready.drain().map(|k| k.3).collect();
+            self.ready = slots
+                .into_iter()
+                .map(|s| self.ready_key(s as usize))
+                .collect();
+        }
+
+        fn register(&mut self, slot: usize, on: bool) {
+            let mut locks: Vec<LockId> = self
+                .job(slot)
+                .segments
+                .iter()
+                .filter_map(|s| s.lock)
+                .collect();
+            locks.sort_unstable();
+            locks.dedup();
+            let (base, key) = (self.job(slot).base, self.lock_key(slot));
+            for l in locks {
+                if on {
+                    self.locks.register_user(l, base, key);
+                } else {
+                    self.locks.deregister_user(l, base, key);
+                }
+            }
+        }
+
+        fn start(&mut self, now: Time, slot: usize, fx: &mut Vec<Effect>) {
+            self.run_count[slot] += 1;
+            let gen = ((slot as u64) << 32) | (self.run_count[slot] & u64::from(u32::MAX));
+            let job = self.job_mut(slot);
+            job.running = true;
+            job.started = now;
+            let (key, finish) = (job.key, now + job.remaining);
+            self.running.push(slot);
+            fx.push(Effect::Start { key, gen, finish });
+        }
+
+        fn stop(&mut self, now: Time, slot: usize) -> Option<TimeDelta> {
+            let job = self.job_mut(slot);
+            if !job.running {
+                return None;
+            }
+            job.running = false;
+            let elapsed = now.saturating_since(job.started);
+            self.running.retain(|&r| r != slot);
+            Some(elapsed)
+        }
+
+        fn wake(&mut self, now: Time, woken: Vec<LockKey>) {
+            for (_, _, slot) in woken {
+                let job = self.job_mut(slot as usize);
+                if let Some(since) = job.block_started.take() {
+                    job.blocked += now.saturating_since(since);
+                }
+                job.acquired = true;
+                self.make_ready(slot as usize);
+            }
+        }
+
+        fn free(&mut self, slot: usize) -> Job {
+            self.register(slot, false);
+            self.free.push(slot as u32);
+            self.jobs[slot].take().expect("occupied slot")
+        }
+
+        pub fn add_job(
+            &mut self,
+            now: Time,
+            key: JobKey,
+            base: Priority,
+            segments: Vec<Segment>,
+            fx: &mut Vec<Effect>,
+        ) -> u32 {
+            let slot = match self.free.pop() {
+                Some(s) => s as usize,
+                None => {
+                    self.jobs.push(None);
+                    self.run_count.push(0);
+                    self.jobs.len() - 1
+                }
+            };
+            self.jobs[slot] = Some(Job {
+                key,
+                base,
+                remaining: segments[0].duration,
+                segments,
+                seg: 0,
+                acquired: false,
+                entered: now,
+                block_started: None,
+                blocked: TimeDelta::ZERO,
+                running: false,
+                started: now,
+            });
+            self.register(slot, true);
+            self.make_ready(slot);
+            self.reschedule(now, fx);
+            slot as u32
+        }
+
+        pub fn segment_done(&mut self, now: Time, gen: u64, fx: &mut Vec<Effect>) {
+            let slot = (gen >> 32) as usize;
+            let mask = u64::from(u32::MAX);
+            let live = self.occupant(slot).is_some_and(|j| j.running)
+                && self.run_count[slot] & mask == gen & mask;
+            if !live {
+                return;
+            }
+            self.stop(now, slot);
+            let lock_key = self.lock_key(slot);
+            let job = self.job_mut(slot);
+            let finished_lock = job.acquired && job.lock().is_some();
+            job.seg += 1;
+            job.acquired = false;
+            let next = job.segments.get(job.seg).map(|s| s.duration);
+            job.remaining = next.unwrap_or(TimeDelta::ZERO);
+            if finished_lock {
+                let woken = self.locks.release(&lock_key);
+                self.wake(now, woken);
+            }
+            if next.is_none() {
+                let job = self.free(slot);
+                fx.push(Effect::Completed {
+                    key: job.key,
+                    blocked_for: job.blocked,
+                    stage_delay: now.saturating_since(job.entered),
+                });
+            } else {
+                self.make_ready(slot);
+            }
+            self.reschedule(now, fx);
+            if self.job_count() == 0 {
+                fx.push(Effect::Idle);
+            }
+        }
+
+        pub fn kill(&mut self, now: Time, slot: u32, key: JobKey, fx: &mut Vec<Effect>) {
+            let slot = slot as usize;
+            if self.occupant(slot).is_none_or(|j| j.key != key) {
+                return;
+            }
+            self.stop(now, slot);
+            self.ready.retain(|k| k.3 as usize != slot);
+            let woken = self.locks.remove_job(&self.lock_key(slot));
+            self.wake(now, woken);
+            self.free(slot);
+            self.reschedule(now, fx);
+            if self.job_count() == 0 {
+                fx.push(Effect::Idle);
+            }
+        }
+
+        fn reschedule(&mut self, now: Time, fx: &mut Vec<Effect>) {
+            loop {
+                self.rekey();
+                let Some(&best) = self.ready.peek() else {
+                    return;
+                };
+                if self.running.len() >= self.servers {
+                    let victim = self
+                        .running
+                        .iter()
+                        .map(|&r| self.ready_key(r))
+                        .min()
+                        .expect("servers are busy");
+                    if best.0 <= victim.0 {
+                        return; // ties never preempt
+                    }
+                    let slot = victim.3 as usize;
+                    let elapsed = self.stop(now, slot).expect("victim was running");
+                    let job = self.job_mut(slot);
+                    job.remaining = job.remaining.saturating_sub(elapsed);
+                    self.make_ready(slot);
+                    continue;
+                }
+                self.ready.pop();
+                let slot = best.3 as usize;
+                let job = self.job(slot);
+                if let (Some(lock), false) = (job.lock(), job.acquired) {
+                    let base = job.base;
+                    match self.locks.try_acquire(self.lock_key(slot), base, lock) {
+                        Acquire::Acquired => self.job_mut(slot).acquired = true,
+                        Acquire::Blocked => {
+                            self.job_mut(slot).block_started = Some(now);
+                            continue;
+                        }
+                    }
+                }
+                self.start(now, slot, fx);
+            }
+        }
+    }
+}
+
+/// One to three segments of 0–4 ms drawn from the bits of `bits`; with
+/// `locks`, some of them critical sections on lock 0 or 1.
+fn segments_from(bits: u64, locks: bool) -> Vec<Segment> {
+    let count = 1 + (bits % 3) as usize;
+    (0..count)
+        .map(|i| {
+            let b = bits >> (2 + 8 * i);
+            let duration = TimeDelta::from_millis(b % 5);
+            match (locks, (b >> 3) % 4) {
+                (true, l @ 2..) => Segment::critical(duration, LockId::new(l as usize - 2)),
+                _ => Segment::compute(duration),
+            }
+        })
+        .collect()
+}
 
 proptest! {
     /// The queue pops in (time, insertion order) — exactly a stable sort
@@ -61,9 +378,12 @@ proptest! {
     /// like a reference list kept sorted by `(time, seq)` with one global
     /// `seq` — same entries out in the same order (so FIFO among equal
     /// times holds *across* tiers), `len`/`is_empty` agree, and the
-    /// `Time::ZERO`/`Time::MAX` keys round-trip.
+    /// `Time::ZERO`/`Time::MAX` keys round-trip. Half the cases first push
+    /// 150 or more near events, past the largest near tier any experiment
+    /// module builds (`table1`'s wait timeouts, 146).
     #[test]
     fn two_tier_queue_matches_reference_model(
+        prefill in 0usize..300,
         script in proptest::collection::vec((0u64..12, 0u8..5), 1..300)
     ) {
         // Few distinct times, so ties are the common case.
@@ -77,7 +397,8 @@ proptest! {
         let mut model: Vec<(Time, u64, Option<u64>)> = Vec::new();
         let mut seq = 0u64;
         let fired = |payload: Option<u64>| payload.map_or(Fired::Deadline, Fired::Event);
-        for &(code, op) in &script {
+        let fill = (0..prefill as u64).map(|i| ((i * 7) % 12, 0));
+        for (code, op) in fill.chain(script.iter().copied()) {
             let t = time_of(code);
             match op {
                 0 | 1 => {
@@ -180,6 +501,84 @@ proptest! {
         }
         prop_assert_eq!(live, 0);
         prop_assert!(q.is_empty());
+    }
+
+    /// A stage's effect stream equals the heap reference's, token for
+    /// token, under random scripts of `add_job` (priorities from a set of
+    /// four, so ties are common; one to three segments, some of them
+    /// critical sections when `locks` is set on a single server),
+    /// `segment_done` of the earliest outstanding completion (stale ones
+    /// included) and `kill` of a job handed out earlier (gone ones
+    /// included), on 1–3 servers.
+    #[test]
+    fn stage_effects_match_heap_reference(
+        servers in 1usize..4,
+        locks in proptest::bool::ANY,
+        script in proptest::collection::vec(
+            (0u8..5, 0u64..4, 0u64..6, 0u64..4, proptest::num::u64::ANY, 0usize..64),
+            1..150,
+        )
+    ) {
+        let locks = locks && servers == 1;
+        let mut stage = Stage::with_servers(frap_core::task::StageId::new(0), servers);
+        let mut model = RefStage::new(servers);
+        let mut clock = Time::ZERO;
+        // Completions not yet delivered, earliest first: (finish, issue
+        // order, gen).
+        let mut pending: BinaryHeap<Reverse<(Time, usize, u64)>> = BinaryHeap::new();
+        let mut issued = 0usize;
+        let mut handles: Vec<(u32, JobKey)> = Vec::new();
+        let (mut fx, mut want) = (Vec::new(), Vec::new());
+        for i in 0.. {
+            let (op, dt, task, prio, bits, pick) = match script.get(i) {
+                Some(&op) => op,
+                // Past the script, deliver every outstanding completion.
+                None if pending.is_empty() => break,
+                None => (2, 0, 0, 0, 0, 0),
+            };
+            let step = clock + TimeDelta::from_micros(500 * dt);
+            let at = pending.peek().map_or(step, |Reverse(p)| step.min(p.0).max(clock));
+            match op {
+                0 | 1 => {
+                    clock = at;
+                    let key = (TaskId::new(task), i as u32);
+                    let base = Priority::new(10 * (prio + 1));
+                    let segments = segments_from(bits, locks);
+                    let slot = stage.add_job(clock, key, base, segments.clone(), &mut fx);
+                    let model_slot = model.add_job(clock, key, base, segments, &mut want);
+                    prop_assert_eq!(slot, model_slot);
+                    handles.push((slot, key));
+                }
+                2 | 3 => {
+                    let Some(Reverse((finish, _, gen))) = pending.pop() else {
+                        continue;
+                    };
+                    clock = clock.max(finish);
+                    stage.segment_done(clock, gen, &mut fx);
+                    model.segment_done(clock, gen, &mut want);
+                }
+                _ => {
+                    let Some(&(slot, key)) = handles.get(pick % handles.len().max(1)) else {
+                        continue;
+                    };
+                    clock = at;
+                    stage.kill(clock, slot, key, &mut fx);
+                    model.kill(clock, slot, key, &mut want);
+                }
+            }
+            prop_assert_eq!(&fx, &want, "op {} at {:?}", i, clock);
+            for e in fx.drain(..) {
+                if let Effect::Start { gen, finish, .. } = e {
+                    pending.push(Reverse((finish, issued, gen)));
+                    issued += 1;
+                }
+            }
+            want.clear();
+            prop_assert_eq!(stage.job_count(), model.job_count());
+            prop_assert_eq!(stage.running_jobs(), model.running_jobs());
+        }
+        prop_assert!(stage.is_idle());
+        prop_assert_eq!(model.job_count(), 0);
     }
 
     /// Random PCP scripts: at most one holder per lock, a job holds at
