@@ -28,10 +28,10 @@ use crate::demand::DemandView;
 use crate::fixed::fp_from_utilization;
 use crate::graph::TaskSpec;
 use crate::region::RegionTest;
+use crate::shed::ShedOrder;
 use crate::synthetic::{overlay_contributions, SyntheticState};
 use crate::task::{Importance, StageId, TaskId};
 use crate::time::{Time, TimeDelta};
-use std::collections::{BTreeMap, VecDeque};
 
 /// The Section 4 decision kernel: would charging `contributions` on top of
 /// the `current` utilization vector keep the system inside `region`?
@@ -310,13 +310,9 @@ pub struct Admission<R, M> {
     region: R,
     model: M,
     state: SyntheticState,
-    /// Shed order: importance levels ascending (a handful, so the map is
-    /// one node), and within a level the admitted ids in issue order —
-    /// ascending, so a push at the back keeps the level sorted. Entries
-    /// are validated lazily against the ledger (an expired or shed task is
-    /// skipped), and each admit retires the dead entries at the front of
-    /// its level, so a level never holds more than the ledger's id window.
-    shed_order: BTreeMap<Importance, VecDeque<TaskId>>,
+    /// Shed order over the admitted ids; a task is live in it while the
+    /// ledger counts it admitted (expired and shed tasks are skipped).
+    shed_order: ShedOrder<TaskId>,
     next_id: u64,
     stats: AdmissionStats,
     scratch: Vec<(StageId, f64)>,
@@ -335,7 +331,7 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             region,
             model,
             state: SyntheticState::new(stages),
-            shed_order: BTreeMap::new(),
+            shed_order: ShedOrder::default(),
             next_id: 0,
             stats: AdmissionStats::default(),
             scratch: Vec::new(),
@@ -553,18 +549,11 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
     /// lowest importance first, then lowest id, never at or above `below`
     /// — with its relative deadline.
     fn next_victim(&mut self, below: Importance) -> Option<(TaskId, TimeDelta)> {
-        for (importance, level) in &mut self.shed_order {
-            if *importance >= below {
-                break;
-            }
-            while let Some(&task) = level.front() {
-                if let Some(deadline) = self.state.admitted_deadline(task) {
-                    return Some((task, deadline));
-                }
-                level.pop_front();
-            }
-        }
-        None
+        let state = &self.state;
+        let (importance, task) = self
+            .shed_order
+            .first(|task| state.admitted_deadline(task).is_some())?;
+        (importance < below).then(|| (task, state.admitted_deadline(task).expect("live")))
     }
 
     /// Runs the shared decision kernel against the current counters.
@@ -584,16 +573,13 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         let id = TaskId::new(self.next_id);
         self.next_id += 1;
         let expiry = now.saturating_add(spec.deadline);
+        let state = &self.state;
+        self.shed_order
+            .file(spec.importance, id, state.admitted_tasks(), |task| {
+                state.admitted_deadline(task).is_some()
+            });
         self.state
             .charge(id, contributions, expiry, Some(spec.deadline));
-        let level = self.shed_order.entry(spec.importance).or_default();
-        while let Some(&front) = level.front() {
-            if self.state.admitted_deadline(front).is_some() {
-                break;
-            }
-            level.pop_front();
-        }
-        level.push_back(id);
         self.stats.admitted += 1;
         id
     }

@@ -69,6 +69,7 @@
 //! | [`idtable`] | — | sliding-window table keyed by dense task ids ([`idtable::IdTable`]) |
 //! | [`demand`] | §4 | [`demand::DemandView`]: deadline, importance and per-stage demands, borrowed from a spec or a wire frame |
 //! | [`admission`] | §4, §5 | exact/approximate/reservation/shedding controllers and baselines |
+//! | [`shed`] | §5 | [`shed::ShedOrder`]: the victim order shared by the library controller and the service shards |
 //! | [`capacity`] | §3 | headroom queries, budget allocation, cost-of-depth tables |
 //! | [`hist`] | — | log-bucketed latency histogram shared by the simulator and service layers |
 //! | [`fixed`] | §4 | binary fixed-point utilization units for lock-free charge accounting |
@@ -100,6 +101,7 @@ pub mod kernel;
 pub mod lease;
 pub mod region;
 pub mod rta;
+pub mod shed;
 pub mod synthetic;
 pub mod task;
 pub mod time;

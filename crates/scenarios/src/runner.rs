@@ -45,10 +45,10 @@ pub fn run_sim(sc: &Scenario) -> SimRun {
 }
 
 /// [`run_sim`] with control over idle resets. The service and gateway
-/// backends never observe stage-idle instants, so differential tests
-/// replay against a sim built with `idle_resets = false` — that
-/// configuration is pure charge-at-admit / decrement-at-deadline on both
-/// sides.
+/// backends have no idle reset (a ticket's units leave at its release or
+/// its deadline), so differential tests replay against a sim built with
+/// `idle_resets = false` — that configuration is pure charge-at-admit /
+/// decrement-at-deadline on both sides.
 pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> SimRun {
     let trace = sc.generate();
     let mut builder = SimBuilder::new(sc.stages())

@@ -1,7 +1,7 @@
 //! Differential suite: simulator vs production [`AdmissionService`].
 //!
 //! Replaying a scenario through the service on a [`ManualClock`] — one
-//! shard, tickets detached, no `on_stage_idle` calls — is pure
+//! shard, tickets detached, and the service has no idle reset — is pure
 //! charge-at-admit / decrement-at-deadline, exactly the accounting of a
 //! simulator run with `idle_resets(false)`. For `Reject`-policy
 //! scenarios the two backends must therefore agree **decision for

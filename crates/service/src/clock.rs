@@ -13,8 +13,8 @@ use std::time::Instant;
 /// A monotonic, thread-safe source of the current time.
 ///
 /// Implementations must be monotone (successive `now()` calls on any one
-/// thread never go backwards) — the decrement wheel and idle-reset logic
-/// rely on time only moving forward.
+/// thread never go backwards) — the decrement wheel relies on time only
+/// moving forward.
 pub trait Clock: Send + Sync {
     /// The current time.
     fn now(&self) -> Time;

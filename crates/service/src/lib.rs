@@ -15,7 +15,7 @@
 //! * [`shard`] — [`ShardedUtilization`], per-stage synthetic-utilization
 //!   counters in lock-free fixed-point atomics ([`frap_core::fixed`]) on
 //!   one shared cache line, one line-aligned lane of bookkeeping per
-//!   shard, and the full charge / decrement / idle-reset lifecycle;
+//!   shard, and the full charge / release / decrement / shed lifecycle;
 //! * [`ring`] — the bounded MPSC ring that defers an admitted entry's
 //!   structural bookkeeping off the lock-free decision path;
 //! * [`metrics`] — admit/reject/shed counters, a nanosecond

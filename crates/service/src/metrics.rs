@@ -126,7 +126,7 @@ pub struct CounterSnapshot {
     /// Arrivals turned away before the admission test because their
     /// deadline budget was already consumed in transit (a front end such
     /// as `frap-gateway` charges these via
-    /// [`note_expired_on_arrival`](crate::AdmissionService::note_expired_on_arrival);
+    /// [`note_expired_on_arrival_n`](crate::AdmissionService::note_expired_on_arrival_n);
     /// they never touch the shards and are not counted as decisions).
     pub expired_on_arrival: u64,
     /// The subset of `rejected` concluded by `try_admit` / `admit_batch`
@@ -196,16 +196,6 @@ impl MetricsSnapshot {
     /// rather than an exact sample.
     pub fn decision_max_is_bound(&self) -> bool {
         !self.decision_latency.max_is_exact()
-    }
-
-    /// Human-readable max: `"812"` for an exact sample, `">=25165824"`
-    /// for a bucket bound.
-    pub fn decision_max_display(&self) -> String {
-        if self.decision_max_is_bound() {
-            format!(">={}", self.decision_max_ns())
-        } else {
-            format!("{}", self.decision_max_ns())
-        }
     }
 }
 

@@ -34,17 +34,17 @@
 //! call, so the totals are the only cache line deciding cores share.
 //!
 //! Shard mutexes exist for *structural* operations only (wheel drains,
-//! releases, idle resets, shedding, validation), never on the decision
-//! path; lock order is shards ascending. The cross-shard shedding path
-//! holds every shard lock while it scans the shed order, and charges
-//! through the same CAS routine as everyone else.
+//! releases, shedding, validation), never on the decision path; lock
+//! order is shards ascending. The cross-shard shedding path holds every
+//! shard lock while it scans the shed order, and charges through the
+//! same CAS routine as everyone else.
 //!
-//! Reductions (deadline expiry, release, shed, idle reset) run without
-//! any of this: the region test is monotone in every stage utilization,
-//! so a decision made against a vector that concurrent reductions have
-//! since decreased is merely conservative — it can only reject an
-//! arrival that would now fit, never admit one that does not (the
-//! property the concurrency tests hammer on).
+//! Reductions (deadline expiry, release, shed) run without any of this:
+//! the region test is monotone in every stage utilization, so a decision
+//! made against a vector that concurrent reductions have since decreased
+//! is merely conservative — it can only reject an arrival that would now
+//! fit, never admit one that does not (the property the concurrency
+//! tests hammer on).
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::metrics::{record_ns, CounterSnapshot, MetricsSnapshot};
@@ -212,11 +212,10 @@ impl std::fmt::Debug for TicketSink {
 /// task's contributions are charged.
 ///
 /// Dropping the ticket **releases** it — the task is treated as finished
-/// and its remaining contributions are removed immediately (the service
-/// generalizes the paper's idle-reset: a completed task can no longer
-/// affect any stage's schedule). Call [`AdmissionTicket::detach`] for the
-/// paper's strict bookkeeping instead, where contributions persist until
-/// the deadline decrement.
+/// and its contributions leave every stage at once (a completed task can
+/// no longer affect any stage's schedule). Call
+/// [`AdmissionTicket::detach`] for the paper's strict bookkeeping
+/// instead, where contributions persist until the deadline decrement.
 #[derive(Debug)]
 #[must_use = "dropping a ticket releases the admission immediately; call detach() for decrement-at-deadline semantics"]
 pub struct AdmissionTicket {
@@ -234,15 +233,6 @@ impl AdmissionTicket {
     /// The absolute deadline at which the contributions decrement.
     pub fn deadline(&self) -> Time {
         self.deadline
-    }
-
-    /// Reports that this task's last subtask on `stage` finished, making
-    /// its contribution there eligible for the next idle reset
-    /// ([`AdmissionService::on_stage_idle`]).
-    pub fn mark_departed(&self, stage: StageId) {
-        if let Some(sink) = &self.sink {
-            sink.0.ledger.mark_departed(sink.0.lane, self.id, stage);
-        }
     }
 
     /// Releases the admission now (same as dropping, but explicit).
@@ -346,7 +336,8 @@ impl<R: RegionTest, M: ContributionModel, C: Clock> AdmissionServiceBuilder<R, M
     }
 
     /// Pre-loads per-stage reservation floors for critical tasks
-    /// (Section 5); idle resets never drop a counter below its floor.
+    /// (Section 5); releases and expiries never drop a counter below its
+    /// floor.
     ///
     /// # Panics
     ///
@@ -947,12 +938,12 @@ where
 
     /// Puts the service into **drain**: every subsequent admission attempt
     /// is rejected (counted as such), while the release side — ticket
-    /// drops, explicit releases, deadline decrements, idle resets and
-    /// shedding bookkeeping — keeps working so live work winds down to
-    /// zero. Draining is idempotent and irreversible for the lifetime of
-    /// the service; a front end (e.g. the `frap-gateway` server) calls it
-    /// on shutdown so in-flight requests get definitive answers without
-    /// new capacity being handed out.
+    /// drops, explicit releases, deadline decrements and shedding
+    /// bookkeeping — keeps working so live work winds down to zero.
+    /// Draining is idempotent and irreversible for the lifetime of the
+    /// service; a front end (e.g. the `frap-gateway` server) calls it on
+    /// shutdown so in-flight requests get definitive answers without new
+    /// capacity being handed out.
     pub fn drain(&self) {
         self.inner.draining.store(true, Ordering::Release);
     }
@@ -1002,18 +993,12 @@ where
         SCRATCH.with(|s| s.borrow_mut().release_ids = ids);
     }
 
-    /// Charges one arrival that died in transit: its deadline budget was
-    /// spent before it reached the admission test, so it was turned away
-    /// without touching any shard. Kept on the service's counters so the
-    /// in-process and networked views of demand agree.
-    pub fn note_expired_on_arrival(&self) {
-        self.note_expired_on_arrival_n(1);
-    }
-
-    /// Batched [`AdmissionService::note_expired_on_arrival`]: charges `n`
-    /// arrivals that died in transit with one atomic add. A gateway
-    /// worker classifying a whole wake's drain against one clock read
-    /// uses this so the counter costs one RMW per wake, not per corpse.
+    /// Charges `n` arrivals that died in transit: their deadline budget
+    /// was spent before they reached the admission test, so they were
+    /// turned away without touching any shard. Kept on the service's
+    /// counters so the in-process and networked views of demand agree;
+    /// one atomic add, so a gateway worker classifying a whole wake's
+    /// drain against one clock read pays one RMW per wake, not per corpse.
     pub fn note_expired_on_arrival_n(&self, n: u64) {
         if n > 0 {
             let lane = self.inner.state.lane(self.home_shard());
@@ -1034,40 +1019,6 @@ where
             expired += inner.state.expire_due(&mut shard, inner.clock.now());
         }
         expired
-    }
-
-    /// Reports that `stage` has gone idle: contributions of tasks marked
-    /// departed there ([`AdmissionTicket::mark_departed`]) are removed, down
-    /// to the reservation floor (Section 4's reset rule).
-    pub fn on_stage_idle(&self, stage: StageId) {
-        let inner = &*self.inner;
-        for i in 0..inner.state.shard_count() {
-            let mut shard = inner.state.lock_shard(i);
-            // Clock read under the lock, so this wheel never rewinds.
-            inner.state.expire_due(&mut shard, inner.clock.now());
-            let shard = &mut *shard;
-            let mut emptied: Vec<u64> = Vec::new();
-            for (&id, entry) in shard.entries.iter_mut() {
-                let mut k = 0;
-                while k < entry.contributions.len() {
-                    if entry.contributions[k].0 == stage && entry.departed.get(k) == Some(&true) {
-                        let (s, units) = entry.contributions.swap_remove(k);
-                        entry.departed.swap_remove(k);
-                        inner.state.subtract_stage(s, units);
-                    } else {
-                        k += 1;
-                    }
-                }
-                if entry.contributions.is_empty() {
-                    emptied.push(id);
-                }
-            }
-            for id in emptied {
-                // Fully reset entries carry no utilization; they leave the
-                // map and the wheel now.
-                shard.unfile(id);
-            }
-        }
     }
 
     /// The current aggregate utilization vector. Reads are lock-free and
@@ -1305,22 +1256,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_reset_frees_departed_contributions() {
-        let (svc, clock) = manual_service(2, 1);
-        let spec = pipeline_task(100, &[30, 30]);
-        let ticket = svc.try_admit(&spec).expect("fits");
-        assert!(svc.try_admit(&spec).is_none());
-        clock.advance(ms(2));
-        ticket.mark_departed(StageId::new(0));
-        ticket.mark_departed(StageId::new(1));
-        svc.on_stage_idle(StageId::new(0));
-        svc.on_stage_idle(StageId::new(1));
-        svc.try_admit(&spec).expect("idle reset made room").detach();
-        svc.debug_validate();
-        ticket.detach();
-    }
-
-    #[test]
     fn release_churn_leaves_the_wheel_exactly_the_live_entries() {
         // `svc_boundary`'s loop on a manual clock at 1 µs steps: each
         // ticket is released 15 decisions after it was admitted, and one
@@ -1490,9 +1425,10 @@ mod tests {
     #[test]
     fn expired_on_arrival_is_counted_without_touching_shards() {
         let (svc, _clock) = manual_service(2, 1);
-        svc.note_expired_on_arrival();
+        svc.note_expired_on_arrival_n(3);
+        svc.note_expired_on_arrival_n(0);
         let c = svc.counters();
-        assert_eq!(c.expired_on_arrival, 1);
+        assert_eq!(c.expired_on_arrival, 3);
         assert_eq!(c.decisions(), 0, "not an admission decision");
         assert_eq!(svc.live_tasks(), 0);
         svc.debug_validate();

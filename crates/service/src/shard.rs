@@ -18,9 +18,9 @@
 //!   `begin`/`end` pair, the next-due hint, the lock-free [`MpscRing`] of
 //!   admissions decided but not yet inserted, and the mutex-protected
 //!   [`Shard`] (live-entry map, [`TimerWheel`] of deadline decrements,
-//!   per-importance shed order). Threads are spread across lanes
-//!   round-robin, so a lane's lines stay in its home core's cache and its
-//!   mutex is effectively uncontended. Readers that need a whole-service
+//!   [`ShedOrder`]). Threads are spread across lanes round-robin, so a
+//!   lane's lines stay in its home core's cache and its mutex is
+//!   effectively uncontended. Readers that need a whole-service
 //!   figure (counters, latency, write quiescence) sum or scan the lanes.
 //!
 //! Consistency rules (proved out by the concurrency and CAS-stress
@@ -34,17 +34,18 @@
 //!   [`ShardedUtilization::snapshot_fp_into`] reads the vector without
 //!   any lock and reports whether any write section, on any lane,
 //!   overlapped the read.
-//! * **Reductions (deadline expiry, release, shed, idle reset) happen
-//!   under the owning shard's mutex** and do *not* bump the write
-//!   counters: a snapshot missing a concurrent reduction is merely
-//!   stale-high, which the monotone region test turns into a
-//!   conservative (reject-only) answer. Holding every shard lock while
-//!   observing a write-quiescent window therefore freezes the totals
-//!   entirely, and empty pending rings inside it put every charged
-//!   unit's entry in a map — the validator's consistency cut.
+//! * **Reductions (deadline expiry, release, shed) happen under the
+//!   owning shard's mutex** and do *not* bump the write counters: a
+//!   snapshot missing a concurrent reduction is merely stale-high, which
+//!   the monotone region test turns into a conservative (reject-only)
+//!   answer. Holding every shard lock while observing a write-quiescent
+//!   window therefore freezes the totals entirely, and empty pending
+//!   rings inside it put every charged unit's entry in a map — the
+//!   validator's consistency cut.
 //! * Exactly-once removal is enforced by `HashMap::remove` on the entry
-//!   map: whichever of {deadline expiry, release, shed, idle reset} wins
-//!   removes the entry; the others observe its absence and do nothing.
+//!   map: whichever of {deadline expiry, release, shed} wins removes the
+//!   entry, and its units leave the totals all at once; the others
+//!   observe its absence and do nothing. A filed entry is never mutated.
 //!   Every removal but expiry also cancels the entry's wheel node
 //!   (`Shard::unfile`), so the wheel holds exactly the filed entries
 //!   and never yields an id the map has lost. Every
@@ -68,9 +69,10 @@ use crate::ring::{MpscRing, PENDING_RING_CAPACITY};
 use crate::wheel::{Node, TimerWheel};
 use frap_core::fixed::{fp_from_utilization, utilization_from_fp};
 use frap_core::hist::{AtomicLatencyHistogram, LatencyHistogram};
+use frap_core::shed::ShedOrder;
 use frap_core::task::{Importance, StageId};
 use frap_core::time::Time;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -87,9 +89,6 @@ const HINT_SCAN_LIMIT: usize = 512;
 /// How many times a write-quiescence validation re-attempts before
 /// reporting interference to the caller (who re-drains and retries).
 const VALIDATE_ATTEMPTS: usize = 64;
-
-/// Dead ids [`Shard`]'s shed order may hold beyond twice the live entries.
-const SHED_SWEEP_SLACK: usize = 64;
 
 /// The one line constant: the granule at which state written by
 /// different cores is kept apart. Twice the 64-byte hardware line,
@@ -135,21 +134,14 @@ impl Hasher for TicketHasher {
     }
 }
 
-/// One live admitted task's bookkeeping, filed in exactly one shard.
-/// Contribution amounts are fixed-point units ([`frap_core::fixed`]),
-/// merged to at most one slot per stage, so releasing subtracts exactly
-/// what admission added.
+/// One live admitted task's bookkeeping, filed in exactly one shard and
+/// never changed while filed. Contribution amounts are fixed-point units
+/// ([`frap_core::fixed`]), merged to at most one slot per stage, so
+/// releasing subtracts exactly what admission added.
 #[derive(Debug)]
 pub struct LiveEntry {
-    /// `(stage, units)` still charged; slots are removed by idle resets.
+    /// `(stage, units)` charged.
     pub contributions: Vec<(StageId, u64)>,
-    /// Parallel to `contributions`: stage-departure flags for idle reset.
-    /// **Empty means all-false** — the flags allocate lazily on the first
-    /// `mark_departed`, so the admit hot path pays one heap allocation
-    /// per admission, not two.
-    pub departed: Vec<bool>,
-    /// Shedding priority.
-    pub importance: Importance,
     /// The shard wheel's node for this entry's deadline decrement.
     pub node: Node,
 }
@@ -177,13 +169,9 @@ pub struct Shard {
     /// Deadline decrements for this shard's entries: one pending node per
     /// entry in `entries`, and nothing else.
     pub wheel: TimerWheel,
-    /// Shed order: per importance level, the filed ids ascending. Removal
-    /// never touches it: an id is live iff `entries` still holds it,
-    /// [`Shard::first_victim`] retires dead fronts, and a sweep bounds the
-    /// dead ids to [`SHED_SWEEP_SLACK`] beyond twice the live entries.
-    shed_order: BTreeMap<Importance, VecDeque<u64>>,
-    /// Ids filed in `shed_order`, dead ones included.
-    shed_ids: usize,
+    /// Shed order over the filed ids: an id is live iff `entries` still
+    /// holds it, so removal never touches it.
+    shed_order: ShedOrder<u64>,
     /// Scratch buffer for wheel drains.
     drained: Vec<(Time, u64)>,
     /// Scratch: units per stage freed by the release run in progress.
@@ -204,42 +192,10 @@ impl Shard {
         Some(entry)
     }
 
-    /// Files `id` in the shed order.
-    fn file_shed(&mut self, importance: Importance, id: u64) {
-        if self.shed_ids > 2 * self.entries.len() + SHED_SWEEP_SLACK {
-            let entries = &self.entries;
-            self.shed_order.retain(|_, level| {
-                level.retain(|id| entries.contains_key(id));
-                !level.is_empty()
-            });
-            self.shed_ids = self.shed_order.values().map(VecDeque::len).sum();
-        }
-        let level = self.shed_order.entry(importance).or_default();
-        // Ids are issued before they are ringed, so two threads booking on
-        // one shard can deliver them a few places out of order: insert
-        // from the back (a plain push when nothing raced).
-        let at = level
-            .iter()
-            .rposition(|&filed| filed < id)
-            .map_or(0, |before| before + 1);
-        level.insert(at, id);
-        self.shed_ids += 1;
-    }
-
-    /// The live entry to shed first — lowest importance, then lowest id —
-    /// retiring the dead ids and emptied levels in front of it.
+    /// The live entry to shed first — lowest importance, then lowest id.
     pub(crate) fn first_victim(&mut self) -> Option<(Importance, u64)> {
-        while let Some(mut level) = self.shed_order.first_entry() {
-            while let Some(&id) = level.get().front() {
-                if self.entries.contains_key(&id) {
-                    return Some((*level.key(), id));
-                }
-                level.get_mut().pop_front();
-                self.shed_ids -= 1;
-            }
-            level.remove();
-        }
-        None
+        let entries = &self.entries;
+        self.shed_order.first(|id| entries.contains_key(&id))
     }
 }
 
@@ -332,8 +288,7 @@ impl ShardedUtilization {
                     shard: Mutex::new(Shard {
                         entries: HashMap::default(),
                         wheel: TimerWheel::new(start),
-                        shed_order: BTreeMap::new(),
-                        shed_ids: 0,
+                        shed_order: ShedOrder::default(),
                         drained: Vec::new(),
                         freed: Vec::new(),
                         index,
@@ -529,19 +484,22 @@ impl ShardedUtilization {
             importance,
         } = pending;
         let node = shard.wheel.insert(expiry, id);
-        shard.file_shed(importance, id);
-        let entry = LiveEntry {
-            contributions,
-            departed: Vec::new(),
-            importance,
-            node,
-        };
-        shard.entries.insert(id, entry);
+        let entries = &shard.entries;
+        shard.shed_order.file(importance, id, entries.len(), |id| {
+            entries.contains_key(&id)
+        });
+        shard.entries.insert(
+            id,
+            LiveEntry {
+                contributions,
+                node,
+            },
+        );
     }
 
-    /// The one release routine: removes the remaining contributions of
-    /// every admission in `ids` (sorted here; a ticket drop is a run of
-    /// one) booked on shard `index`, under one lock take. Returns how many
+    /// The one release routine: removes the contributions of every
+    /// admission in `ids` (sorted here; a ticket drop is a run of one)
+    /// booked on shard `index`, under one lock take. Returns how many
     /// were still live — exactly-once versus deadline expiry and shedding,
     /// whoever removes the entry owns the subtraction, so an unknown,
     /// duplicate, expired or shed id is a no-op, counted never.
@@ -591,24 +549,6 @@ impl ShardedUtilization {
         released
     }
 
-    /// Flags admission `id` on shard `index` as departed from `stage`, so
-    /// the next idle reset there may remove its contribution.
-    pub fn mark_departed(&self, index: usize, id: u64, stage: StageId) {
-        let mut shard = self.lock_shard(index);
-        self.drain_pending(&mut shard);
-        if let Some(entry) = shard.entries.get_mut(&id) {
-            // The flags allocate lazily: empty means all-false.
-            if entry.departed.is_empty() {
-                entry.departed.resize(entry.contributions.len(), false);
-            }
-            for (k, &(s, _)) in entry.contributions.iter().enumerate() {
-                if s == stage {
-                    entry.departed[k] = true;
-                }
-            }
-        }
-    }
-
     /// Lowers shard `index`'s next-due hint to `expiry` if it is earlier.
     /// Called on every commit, at decision time (not ring-drain time), so
     /// snapshot decisions stop as soon as a pending decrement comes due.
@@ -625,19 +565,14 @@ impl ShardedUtilization {
         self.lanes[index].next_due.load(Ordering::SeqCst)
     }
 
-    /// Subtracts one entry's remaining contributions. Safe without any
-    /// write section because integer reductions are exact and only shrink
-    /// the vector; the caller must hold the owning shard's lock (which is
+    /// Subtracts one entry's contributions. Safe without any write
+    /// section because integer reductions are exact and only shrink the
+    /// vector; the caller must hold the owning shard's lock (which is
     /// what makes removal exactly-once). Returns the summed units
     /// removed.
     pub fn subtract_entry(&self, contributions: &[(StageId, u64)]) -> u64 {
         self.sub_units(contributions);
         contributions.iter().map(|&(_, units)| units).sum()
-    }
-
-    /// Subtracts a single stage's slice of an entry (idle reset path).
-    pub fn subtract_stage(&self, stage: StageId, units: u64) {
-        self.total(stage.index()).fetch_sub(units, Ordering::SeqCst);
     }
 
     /// Applies every deadline decrement due at or before `now` on a locked
@@ -1101,20 +1036,9 @@ mod tests {
             order.push((importance.level(), id));
             sh.unfile(id);
         }
+        // Exact whatever the filing order; the bound on dead ids is
+        // `ShedOrder`'s own (`frap-core`'s `tests/shed_model.rs`).
         assert_eq!(order, vec![(0, 7), (0, 9), (1, 3), (1, 4), (1, 5)]);
-        assert!(sh.shed_order.is_empty(), "emptied levels are retired");
-
-        // One long-lived entry at the front of its level, and a stream of
-        // short-lived ones on ever new levels behind it: neither the dead
-        // ids nor the emptied levels may pile up.
-        file_at(&mut sh, 100, 0);
-        for id in 101..5_000 {
-            file_at(&mut sh, id, id as u32);
-            sh.unfile(id);
-            assert!(sh.shed_ids <= 2 * sh.entries.len() + SHED_SWEEP_SLACK + 1);
-            assert!(sh.shed_order.len() <= sh.shed_ids);
-        }
-        assert_eq!(sh.first_victim(), Some((Importance::new(0), 100)));
     }
 
     #[test]

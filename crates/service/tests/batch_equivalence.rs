@@ -572,8 +572,6 @@ enum Op {
     ReleaseById(u64),
     /// Advance both clocks.
     Advance(u64),
-    /// Every held ticket departs `stage`, which then goes idle.
-    Idle(usize),
     /// Lock every shard: live-task count and the validator.
     Observe,
 }
@@ -596,8 +594,7 @@ fn op() -> impl Strategy<Value = Op> {
             8 => Op::Release(picks[0]),
             9 => Op::Detach(picks[0]),
             10 => Op::ReleaseById(n % 80),
-            11 | 12 => Op::Advance(n),
-            13 => Op::Idle(n as usize % 3),
+            11..=13 => Op::Advance(n),
             _ => Op::Observe,
         })
 }
@@ -686,13 +683,6 @@ impl Twin {
             }
             Op::ReleaseById(id) => answer = self.svc.release_by_id(*id) as usize,
             Op::Advance(step_ms) => self.clock.advance(ms(*step_ms)),
-            Op::Idle(stage) => {
-                let stage = frap_core::task::StageId::new(*stage);
-                for t in &self.held {
-                    t.mark_departed(stage);
-                }
-                self.svc.on_stage_idle(stage);
-            }
             Op::Observe => {
                 answer = self.svc.live_tasks();
                 self.svc.debug_validate();
@@ -738,8 +728,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any interleaving of admits, release runs, single releases,
-    /// detaches, orphan releases, clock advances, idle resets and
-    /// shedding leaves a service that releases in runs bit-identical to
+    /// detaches, orphan releases, clock advances and shedding leaves a service that releases in runs bit-identical to
     /// a twin that releases ticket by ticket. Held tickets are not
     /// pruned when they expire or are shed, so runs keep naming
     /// already-dead admissions — each a no-op on both twins.

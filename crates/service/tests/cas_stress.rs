@@ -1,8 +1,8 @@
 //! Charge-conservation stress for the CAS-admit protocol (DESIGN.md
 //! §16): the fixed-point counters in [`ShardedUtilization`] must
 //! account for every unit exactly under any interleaving of optimistic
-//! CAS-charged admits (including rolled-back ones), release/deadline
-//! decrements, and idle resets.
+//! CAS-charged admits (including rolled-back ones) and release/deadline
+//! decrements.
 //!
 //! Three layers:
 //!
@@ -14,16 +14,15 @@
 //! 2. **Threaded shard-level stress** — racing workers run the real
 //!    write-section protocol (`begin_write` → `add_units` →
 //!    revalidate → commit or exact `sub_units` rollback →
-//!    `end_write`) against concurrent `subtract_entry` /
-//!    `subtract_stage` reductions; afterwards the totals must equal
-//!    the surviving ledger exactly. A lost or doubled unit anywhere —
-//!    admit, rollback, decrement, or idle reset — shows up as an
-//!    integer mismatch.
+//!    `end_write`) against concurrent `subtract_entry` reductions;
+//!    afterwards the totals must equal the surviving ledger exactly. A
+//!    lost or doubled unit anywhere — admit, rollback or decrement —
+//!    shows up as an integer mismatch.
 //! 3. **Threaded service-level stress** — the public API raced end to
-//!    end (admit, release, detach-to-expiry, `mark_departed` +
-//!    `on_stage_idle`), closed by `debug_validate`, which locks the
-//!    world and asserts totals-vs-entries equality and region
-//!    membership, plus the counter balance
+//!    end (admit, release, release by id, detach-to-expiry), closed by
+//!    `debug_validate`, which locks the world and asserts
+//!    totals-vs-entries equality and region membership, plus the
+//!    counter balance
 //!    `admitted == released + expired + live`; and the same for
 //!    `release_batch` runs racing lock-free admits and `admit_batch` on
 //!    **one** shard, with the validator cutting in throughout and every
@@ -148,11 +147,10 @@ proptest! {
 }
 
 /// Racing CAS-admit write sections (with capacity-driven rollbacks)
-/// against concurrent full releases and per-stage idle resets: when the
-/// dust settles, the atomic totals must equal the surviving ledger
-/// exactly.
+/// against concurrent whole-entry releases: when the dust settles, the
+/// atomic totals must equal the surviving ledger exactly.
 #[test]
-fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
+fn concurrent_cas_admit_and_decrement_conserve_charge() {
     const THREADS: usize = 4;
     const ITERS: usize = 20_000;
     // Per-stage cap standing in for the region test; overshooting it
@@ -175,7 +173,7 @@ fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
                 let mut rng = 0xC0FFEE ^ (t as u64) << 16;
                 let mut read = Vec::new();
                 for i in 0..ITERS {
-                    match next(&mut rng) % 4 {
+                    match next(&mut rng) % 3 {
                         // CAS-admit: optimistic charge, revalidate
                         // against the cap, commit or roll back exactly.
                         0 | 1 => {
@@ -192,7 +190,7 @@ fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
                         }
                         // Release / deadline decrement: subtract a whole
                         // committed entry.
-                        2 => {
+                        _ => {
                             let victim = {
                                 let mut l = ledger.lock().unwrap();
                                 if l.is_empty() {
@@ -204,27 +202,6 @@ fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
                             };
                             if let Some(v) = victim {
                                 su.subtract_entry(&v);
-                            }
-                        }
-                        // Idle reset: subtract one stage's slice of a
-                        // committed entry, zeroing it in the ledger so
-                        // the books still balance.
-                        _ => {
-                            let slice = {
-                                let mut l = ledger.lock().unwrap();
-                                if l.is_empty() {
-                                    None
-                                } else {
-                                    let k = (next(&mut rng) % l.len() as u64) as usize;
-                                    let entry = &mut l[k];
-                                    let s = (next(&mut rng) % entry.len() as u64) as usize;
-                                    let (st, units) = entry[s];
-                                    entry[s].1 = 0;
-                                    Some((st, units))
-                                }
-                            };
-                            if let Some((st, units)) = slice {
-                                su.subtract_stage(st, units);
                             }
                         }
                     }
@@ -261,9 +238,9 @@ fn concurrent_cas_admit_decrement_idle_reset_conserves_charge() {
 }
 
 /// The public service API raced end to end: lock-free admits, immediate
-/// releases, detached tickets expiring through the wheel, and
-/// `mark_departed` + `on_stage_idle` resets — closed by the
-/// world-locking validator and an exact counter balance.
+/// releases, orphan releases by id, and detached tickets expiring through
+/// the wheel — closed by the world-locking validator and an exact counter
+/// balance.
 #[test]
 fn service_cas_admit_full_lifecycle_balances() {
     const THREADS: usize = 4;
@@ -295,12 +272,11 @@ fn service_cas_admit_full_lifecycle_balances() {
                         match next(&mut rng) % 4 {
                             0 => drop(ticket.detach()),
                             1 => {
-                                // Depart a stage, trigger its idle
-                                // reset, then release the remainder.
-                                let s = stage((next(&mut rng) % STAGES as u64) as usize);
-                                ticket.mark_departed(s);
-                                service.on_stage_idle(s);
-                                ticket.release();
+                                // Orphan release, then a second one that
+                                // must find nothing.
+                                let id = ticket.detach();
+                                service.release_by_id(id);
+                                assert!(!service.release_by_id(id));
                             }
                             _ => ticket.release(),
                         }

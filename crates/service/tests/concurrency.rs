@@ -445,49 +445,3 @@ fn lock_free_rejects_race_admissions_without_spurious_verdicts() {
     service.debug_validate();
     assert_eq!(service.live_tasks(), 0, "all deadlines have passed");
 }
-
-#[test]
-fn concurrent_idle_resets_stay_consistent() {
-    use frap_core::task::StageId;
-
-    let service = AdmissionService::builder(
-        FeasibleRegion::deadline_monotonic(STAGES),
-        ExactContributions,
-    )
-    .shards(2)
-    .build();
-
-    let workers: Vec<_> = (0..4usize)
-        .map(|t| {
-            let service = service.clone();
-            let specs = specs();
-            std::thread::spawn(move || {
-                let mut rng = 0xfeed ^ (t as u64);
-                for _ in 0..5_000 {
-                    let spec = &specs[(next(&mut rng) % specs.len() as u64) as usize];
-                    if let Some(ticket) = service.try_admit(spec) {
-                        // Depart a random prefix of stages, then detach.
-                        let upto = (next(&mut rng) as usize) % (STAGES + 1);
-                        for j in 0..upto {
-                            ticket.mark_departed(StageId::new(j));
-                        }
-                        ticket.detach();
-                    }
-                    if next(&mut rng).is_multiple_of(16) {
-                        let j = (next(&mut rng) as usize) % STAGES;
-                        service.on_stage_idle(StageId::new(j));
-                    }
-                }
-            })
-        })
-        .collect();
-
-    for _ in 0..200 {
-        service.debug_validate();
-        std::thread::yield_now();
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-    service.debug_validate();
-}

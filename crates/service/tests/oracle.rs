@@ -19,7 +19,7 @@
 use frap_core::admission::{Admission, AdmitOutcome, ExactContributions, MeanContributions};
 use frap_core::graph::TaskSpec;
 use frap_core::region::FeasibleRegion;
-use frap_core::task::{Importance, StageId};
+use frap_core::task::{Importance, TaskId};
 use frap_core::time::{Time, TimeDelta};
 use frap_service::{AdmissionService, AdmissionTicket, ManualClock, ServiceOutcome};
 use frap_workload::taskgen::DagWorkload;
@@ -207,10 +207,10 @@ fn shedding_oracle_agrees() {
 }
 
 #[test]
-fn idle_reset_oracle_agrees() {
-    // Idle resets remove departed contributions on both sides. The
-    // library's reset iterates a HashMap (nondeterministic order), so the
-    // scenario departs ONE task per stage between resets — order-free.
+fn release_oracle_agrees() {
+    // A released ticket's units leave every stage at once, before its
+    // deadline: on the library side that is an external `shed`. Every
+    // third round the oldest held ticket goes both ways.
     let region = FeasibleRegion::deadline_monotonic(2);
     let clock = Arc::new(ManualClock::new());
     let mut library = Admission::new(region.clone(), ExactContributions);
@@ -234,28 +234,24 @@ fn idle_reset_oracle_agrees() {
             tickets.insert(ticket.id(), ticket);
         }
 
-        // Depart the single oldest live ticket from stage 0, then reset.
         if round % 3 == 2 {
-            if let Some((&id, _)) = tickets.iter().min_by_key(|(&id, _)| id) {
-                let ticket = tickets.remove(&id).unwrap();
-                for j in 0..2 {
-                    library.on_stage_departure(StageId::new(j), frap_core::task::TaskId::new(id));
-                    ticket.mark_departed(StageId::new(j));
-                }
-                for j in 0..2 {
-                    library.on_stage_idle(now, StageId::new(j));
-                    service.on_stage_idle(StageId::new(j));
-                }
-                ticket.detach();
+            if let Some(&id) = tickets.keys().min() {
+                library.shed(TaskId::new(id));
+                tickets.remove(&id).unwrap().release();
             }
         }
+        assert_eq!(library.live_tasks(), service.live_tasks(), "round {round}");
         assert_utilizations_agree(&mut library, &service.utilizations(), round);
     }
     let stats = library.stats();
     let counters = service.counters();
     assert_eq!(stats.admitted, counters.admitted);
     assert_eq!(stats.rejected, counters.rejected);
-    assert!(counters.admitted > 0);
+    assert_eq!(stats.shed, counters.released);
+    assert!(
+        counters.released > 0 && counters.rejected > 0,
+        "{counters:?}"
+    );
     service.debug_validate();
     for (_, t) in tickets {
         t.detach();

@@ -20,7 +20,7 @@ use std::sync::Arc;
 fn main() {
     // The paper's per-stage reservations for the certified-critical tasks
     // (Weapon Detection, Weapon Targeting, UAV video) become floors that
-    // idle resets never drop below.
+    // releases and expiries never drop below.
     let reservations = tsce::reservations();
     println!("TSCE through the service layer");
     println!("reserved synthetic utilization per stage: {reservations:?}\n");
