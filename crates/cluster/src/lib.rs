@@ -36,8 +36,9 @@
 //! admission services. Runs are bit-identical for a fixed seed, so
 //! fault-schedule property tests are reproducible. The real transport
 //! ([`net`]) then reuses the gateway's versioned wire protocol
-//! (`frap_gateway::proto`, protocol v2 lease frames) over blocking
-//! TCP.
+//! (`frap_gateway::proto`, protocol v2 lease frames) over TCP: a
+//! coordinator on one readiness-reactor thread, nodes on blocking
+//! sockets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,13 @@
-//! Blocking TCP transport for the lease protocol, reusing the
-//! gateway's versioned wire format (`frap_gateway::proto`, v2 lease
-//! frames).
+//! TCP transport for the lease protocol, reusing the gateway's versioned
+//! wire format (`frap_gateway::proto`, v2 lease frames).
 //!
 //! The lease plane is low-rate — a handful of frames per node per
-//! heartbeat — so plain blocking sockets with one thread per node
-//! connection are the right tool; the admission hot path never touches
-//! any of this. [`CoordServer`] hosts a [`CoordCore`] behind a mutex;
-//! [`LeaseClient`] runs a [`NodeCore`] beat loop next to whatever
-//! `AdmissionService` the node's gateway serves admissions from.
+//! heartbeat — and the admission hot path never touches any of it.
+//! [`CoordServer`] hosts a [`CoordCore`] behind a mutex on one thread
+//! blocked in the gateway's readiness [`Reactor`], so it answers a node
+//! the moment its bytes arrive; [`LeaseClient`] runs a [`NodeCore`] beat
+//! loop over one blocking socket next to whatever `AdmissionService` the
+//! node's gateway serves admissions from.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -18,15 +18,28 @@ use std::time::{Duration, Instant};
 use frap_gateway::proto::{
     Frame, FrameBuffer, Hello, HelloAck, HELLO_ACK_LEN, HELLO_LEN, MAX_FRAME, VERSION,
 };
+use frap_gateway::reactor::{reactor_key, Event, Interest, Reactor, Waker, WAKE_TOKEN};
 
 use crate::coord::CoordCore;
 use crate::node::{NodeCore, SpentProbe};
 
 /// How long a peer may stay silent through connect and handshake before
-/// the connection is given up, and the coordinator's read timeout after
-/// it. Not the beat `tick`: the acceptor polls every 5 ms, so a tick-sized
-/// bound would drop and redial handshakes still waiting to be accepted.
+/// the connection is given up, on either side: the lease client waits no
+/// longer for connect or the ack, and the coordinator's sweep closes a
+/// link whose hello has not arrived by then (so a silent peer holds a
+/// coordinator socket for at most this plus one [`SWEEP`]). Not the beat
+/// `tick`: a coordinator descheduled for a few milliseconds must not make
+/// every node drop and redial its handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// The coordinator's sweep period: liveness dooms, grace-period reclaims
+/// and overdue handshakes are checked this often.
+const SWEEP: Duration = Duration::from_millis(10);
+
+/// The coordinator's reactor token for its listener; link tokens start
+/// above it.
+const LISTENER: usize = 0;
+const FIRST_LINK: usize = 1;
 
 /// Lease-plane traffic counters (both directions), shared so a caller
 /// can report lease overhead alongside decision throughput.
@@ -63,8 +76,9 @@ impl LinkStats {
     }
 }
 
-/// Reads once from a blocking stream into `buf`. A read timeout is not an
-/// error (the caller's loop re-checks its shutdown flag); EOF is.
+/// Reads once from `stream` into `buf`. Neither the lease client's read
+/// timeout (its loop re-checks its shutdown flag) nor a spurious readiness
+/// report on the coordinator's non-blocking socket is an error; EOF is.
 fn fill(buf: &mut FrameBuffer, stream: &mut TcpStream) -> std::io::Result<()> {
     use ErrorKind::{Interrupted, TimedOut, WouldBlock};
     match buf.read_from(stream) {
@@ -104,16 +118,20 @@ fn write_frames(
 
 /// A lease coordinator listening on TCP.
 ///
-/// One blocking handler thread per node connection plus a periodic
-/// sweeper for liveness dooms and grace-period reclaims. Steal frames
-/// are routed to their target node's connection through a shared
-/// writer registry.
+/// One thread, blocked in a readiness [`Reactor`] on the listener, every
+/// node link and a [`Waker`]. It accepts as connections arrive, answers
+/// each hello as soon as it is in, and runs every frame after it through
+/// the [`CoordCore`]: answers go back on the link the frame came in on,
+/// except steals, which go to the link that last carried a grant for
+/// their node. The wait's timeout is the next sweep (liveness dooms,
+/// grace-period reclaims, overdue handshakes), every 10 ms.
 pub struct CoordServer {
     core: Arc<Mutex<CoordCore>>,
     stats: Arc<LinkStats>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    waker: Waker,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl CoordServer {
@@ -122,73 +140,38 @@ impl CoordServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let (mut reactor, waker) = Reactor::new()?;
+        reactor.register(
+            reactor_key(&listener, LISTENER),
+            LISTENER,
+            Interest::READ,
+            false,
+        )?;
 
         let core = Arc::new(Mutex::new(core));
         let stats = Arc::new(LinkStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let writers: Arc<Mutex<Writers>> = Arc::new(Mutex::new(Vec::new()));
-        let epoch_zero = Instant::now();
-        let mut threads = Vec::new();
-
-        // Sweeper: doom/reclaim on the coordinator's wall clock.
-        {
-            let core = Arc::clone(&core);
+        let plane = Plane {
+            reactor,
+            links: Vec::new(),
+            free: Vec::new(),
+            routes: Vec::new(),
+            core: Arc::clone(&core),
+            stats: Arc::clone(&stats),
+            epoch_zero: Instant::now(),
+        };
+        let thread = {
             let shutdown = Arc::clone(&shutdown);
-            threads.push(std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(10));
-                    let now_us = epoch_zero.elapsed().as_micros() as u64;
-                    let _ = core.lock().expect("coord poisoned").on_tick(now_us);
-                }
-            }));
-        }
-
-        // Acceptor: spawns one handler thread per node connection.
-        {
-            let core = Arc::clone(&core);
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let writers = Arc::clone(&writers);
-            threads.push(std::thread::spawn(move || {
-                let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let core = Arc::clone(&core);
-                            let stats = Arc::clone(&stats);
-                            let shutdown = Arc::clone(&shutdown);
-                            let writers = Arc::clone(&writers);
-                            handlers.push(std::thread::spawn(move || {
-                                let Ok(peer) = stream.peer_addr() else {
-                                    return;
-                                };
-                                let _ = serve_node_conn(
-                                    stream, peer, &core, &stats, &writers, &shutdown, epoch_zero,
-                                );
-                                writers
-                                    .lock()
-                                    .expect("writers poisoned")
-                                    .retain(|(_, conn, _)| *conn != peer);
-                            }));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for h in handlers {
-                    let _ = h.join();
-                }
-            }));
-        }
+            std::thread::spawn(move || plane.run(&listener, &shutdown))
+        };
 
         Ok(CoordServer {
             core,
             stats,
             local_addr,
             shutdown,
-            threads,
+            waker,
+            thread: Some(thread),
         })
     }
 
@@ -209,84 +192,270 @@ impl CoordServer {
 }
 
 impl Drop for CoordServer {
+    /// Stops the thread and joins it; it closes the listener and every
+    /// link on its way out.
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
+        self.shutdown.store(true, Ordering::Release);
+        self.waker.wake();
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-/// Slot → (connection's peer address, stream clone), for routing steals
-/// to other nodes. The address names the connection that registered the
-/// entry, so a handler removes only its own on exit.
-type Writers = Vec<(u32, SocketAddr, TcpStream)>;
+/// One node connection on the coordinator's reactor.
+struct Link {
+    stream: TcpStream,
+    inbox: FrameBuffer,
+    /// Encoded bytes the socket has not taken yet.
+    outbox: Vec<u8>,
+    /// Until the hello is in: when the sweep gives up on the peer.
+    hello_due: Option<Instant>,
+    /// Whether write interest is registered: exactly while `outbox`
+    /// holds bytes.
+    want_write: bool,
+}
 
-fn serve_node_conn(
-    mut stream: TcpStream,
-    peer: SocketAddr,
-    core: &Mutex<CoordCore>,
-    stats: &LinkStats,
-    writers: &Mutex<Writers>,
-    shutdown: &AtomicBool,
+impl Link {
+    fn new(stream: TcpStream) -> Link {
+        Link {
+            stream,
+            inbox: FrameBuffer::new(),
+            outbox: Vec::new(),
+            hello_due: Some(Instant::now() + HANDSHAKE_TIMEOUT),
+            want_write: false,
+        }
+    }
+
+    fn queue(&mut self, frame: &Frame, stats: &LinkStats) {
+        let before = self.outbox.len();
+        frame.encode_into(&mut self.outbox);
+        stats.note_out(1, (self.outbox.len() - before) as u64);
+    }
+
+    /// Writes until the socket would block; what it does not take stays
+    /// queued for the next write readiness.
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut sent = 0;
+        while sent < self.outbox.len() {
+            match self.stream.write(&self.outbox[sent..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        self.outbox.drain(..sent);
+        Ok(())
+    }
+}
+
+/// The coordinator thread's state: its reactor, every link, and where
+/// each node slot's steals go.
+struct Plane {
+    reactor: Reactor,
+    /// Link `i` is registered under token `FIRST_LINK + i`.
+    links: Vec<Option<Link>>,
+    free: Vec<usize>,
+    /// Node slot → token of the link that last carried its grant.
+    routes: Vec<(u32, usize)>,
+    core: Arc<Mutex<CoordCore>>,
+    stats: Arc<LinkStats>,
     epoch_zero: Instant,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    // Before the handshake, so a peer that connects and says nothing
-    // cannot park this thread (and `CoordServer::drop`, which joins it).
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    // Handshake: reuse the gateway preamble.
-    let mut hello = [0u8; HELLO_LEN];
-    stream.read_exact(&mut hello)?;
-    let hello = Hello::decode(&hello)
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    let ack = HelloAck {
-        version: hello.version.min(VERSION),
-        window: 1,
-        max_frame: MAX_FRAME as u32,
-        server_now_us: epoch_zero.elapsed().as_micros() as u64,
-    };
-    stream.write_all(&ack.encode())?;
+}
 
-    let mut reader = FrameBuffer::new();
-    let mut my_slots: Vec<u32> = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        fill(&mut reader, &mut stream)?;
-        while let Some(frame) = next_frame(&mut reader, stats)? {
-            let now_us = epoch_zero.elapsed().as_micros() as u64;
-            let out = core.lock().expect("coord poisoned").handle(now_us, &frame);
-            let mut here = Vec::new();
+impl Plane {
+    fn run(mut self, listener: &TcpListener, shutdown: &AtomicBool) {
+        let mut events: Vec<Event> = Vec::new();
+        let mut next_sweep = Instant::now() + SWEEP;
+        loop {
+            // `wait` truncates to whole milliseconds; rounding up keeps
+            // the loop from spinning through the last fraction of one.
+            let timeout =
+                next_sweep.saturating_duration_since(Instant::now()) + Duration::from_micros(999);
+            if self.reactor.wait(&mut events, Some(timeout)).is_err()
+                || shutdown.load(Ordering::Acquire)
+            {
+                break;
+            }
+            for &ev in &events {
+                match ev.token {
+                    WAKE_TOKEN => {}
+                    LISTENER => self.accept(listener),
+                    token => self.serve(token, ev),
+                }
+            }
+            let now = Instant::now();
+            if now >= next_sweep {
+                self.sweep(now);
+                next_sweep = now + SWEEP;
+            }
+        }
+        // Returning drops every link, the reactor and (in the caller) the
+        // listener: all sockets are closed before `drop` is joined.
+    }
+
+    fn now_us(&self) -> u64 {
+        self.epoch_zero.elapsed().as_micros() as u64
+    }
+
+    /// Accepts every pending connection, each registered for reads under
+    /// its own token.
+    fn accept(&mut self, listener: &TcpListener) {
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break, // `WouldBlock`: the backlog is drained
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.links.push(None);
+                self.links.len() - 1
+            });
+            let token = FIRST_LINK + slot;
+            let key = reactor_key(&stream, token);
+            if self
+                .reactor
+                .register(key, token, Interest::READ, false)
+                .is_err()
+            {
+                self.free.push(slot);
+                continue;
+            }
+            self.links[slot] = Some(Link::new(stream));
+        }
+    }
+
+    /// Serves one readiness report for a link.
+    fn serve(&mut self, token: usize, ev: Event) {
+        // A link closed earlier in this batch is skipped, or its reused
+        // slot served spuriously (a read that would block): both benign.
+        let Some(mut link) = self
+            .links
+            .get_mut(token - FIRST_LINK)
+            .and_then(Option::take)
+        else {
+            return;
+        };
+        let ok = !ev.readable || self.receive(token, &mut link).is_ok();
+        self.settle(token, link, ok);
+    }
+
+    /// Reads what `link`'s peer sent and answers it: the hello ack first,
+    /// then every complete frame through the core. An error means close.
+    fn receive(&mut self, token: usize, link: &mut Link) -> std::io::Result<()> {
+        fill(&mut link.inbox, &mut link.stream)?;
+        if link.hello_due.is_some() {
+            let Some(hello) = link.inbox.peek().first_chunk::<HELLO_LEN>() else {
+                return Ok(());
+            };
+            let hello = Hello::decode(hello)
+                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+            link.inbox.consume(HELLO_LEN);
+            let ack = HelloAck {
+                version: hello.version.min(VERSION),
+                window: 1,
+                max_frame: MAX_FRAME as u32,
+                server_now_us: self.now_us(),
+            };
+            link.outbox.extend_from_slice(&ack.encode());
+            link.hello_due = None;
+        }
+        while let Some(frame) = next_frame(&mut link.inbox, &self.stats)? {
+            let out = self
+                .core
+                .lock()
+                .expect("coord poisoned")
+                .handle(self.now_us(), &frame);
             for f in out {
                 match &f {
                     Frame::LeaseGrant { node, .. } => {
-                        // The grant answers this connection's node; adopt
-                        // the slot and register our stream for steals.
-                        if !my_slots.contains(node) {
-                            my_slots.push(*node);
-                            if let Ok(clone) = stream.try_clone() {
-                                let mut w = writers.lock().expect("writers poisoned");
-                                w.retain(|(s, _, _)| s != node);
-                                w.push((*node, peer, clone));
+                        // The grant answers this link's node: its slot's
+                        // steals come here from now on.
+                        self.routes.retain(|&(slot, _)| slot != *node);
+                        self.routes.push((*node, token));
+                    }
+                    Frame::LeaseSteal { node, .. } => {
+                        match self.routes.iter().find(|&&(slot, _)| slot == *node) {
+                            Some(&(_, to)) if to == token => {}
+                            Some(&(_, to)) => {
+                                self.forward(to, &f);
+                                continue;
                             }
-                        }
-                        here.push(f);
-                    }
-                    Frame::LeaseSteal { node, .. } if !my_slots.contains(node) => {
-                        // Steal aimed at another node: route via its
-                        // registered connection; drop it if the node is
-                        // gone (steals are best-effort).
-                        let mut w = writers.lock().expect("writers poisoned");
-                        if let Some((_, _, other)) = w.iter_mut().find(|(s, _, _)| s == node) {
-                            let _ = write_frames(other, std::slice::from_ref(&f), stats);
+                            // The node is gone: steals are best-effort.
+                            None => continue,
                         }
                     }
-                    _ => here.push(f),
+                    _ => {}
                 }
+                link.queue(&f, &self.stats);
             }
-            write_frames(&mut stream, &here, stats)?;
+        }
+        Ok(())
+    }
+
+    /// Sends `frame` on another link than the one being served.
+    fn forward(&mut self, token: usize, frame: &Frame) {
+        if let Some(mut link) = self.links[token - FIRST_LINK].take() {
+            link.queue(frame, &self.stats);
+            self.settle(token, link, true);
         }
     }
-    Ok(())
+
+    /// Flushes `link` and puts it back in its slot — or closes it if `ok`
+    /// is false or the flush fails.
+    fn settle(&mut self, token: usize, mut link: Link, ok: bool) {
+        if ok && link.flush().is_ok() && self.watch_writes(token, &mut link).is_ok() {
+            self.links[token - FIRST_LINK] = Some(link);
+        } else {
+            self.close(token, link);
+        }
+    }
+
+    /// Asks for write readiness exactly while `link` has bytes queued.
+    fn watch_writes(&mut self, token: usize, link: &mut Link) -> std::io::Result<()> {
+        let want_write = !link.outbox.is_empty();
+        if want_write != link.want_write {
+            let interest = Interest {
+                readable: true,
+                writable: want_write,
+            };
+            let key = reactor_key(&link.stream, token);
+            self.reactor.reregister(key, token, interest)?;
+            link.want_write = want_write;
+        }
+        Ok(())
+    }
+
+    /// Forgets a link (already out of its slot): deregisters it, drops
+    /// its routes, and closes its socket.
+    fn close(&mut self, token: usize, link: Link) {
+        let _ = self.reactor.deregister(reactor_key(&link.stream, token));
+        self.routes.retain(|&(_, to)| to != token);
+        self.free.push(token - FIRST_LINK);
+    }
+
+    /// Dooms and reclaims on the coordinator's wall clock, and closes
+    /// every link whose hello is overdue.
+    fn sweep(&mut self, now: Instant) {
+        let now_us = self.now_us();
+        let _ = self.core.lock().expect("coord poisoned").on_tick(now_us);
+        for slot in 0..self.links.len() {
+            let overdue = self.links[slot]
+                .as_ref()
+                .and_then(|link| link.hello_due)
+                .is_some_and(|due| now >= due);
+            if overdue {
+                let link = self.links[slot].take().expect("overdue link is live");
+                self.close(FIRST_LINK + slot, link);
+            }
+        }
+    }
 }
 
 /// The node-side lease loop: owns the connection to the coordinator,

@@ -6,7 +6,7 @@
 //! say nothing.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -291,4 +291,77 @@ fn a_connection_the_coordinator_gives_up_on_is_closed() {
     stream
         .read_to_end(&mut rest)
         .expect("the coordinator closes the connection");
+}
+
+/// A raw peer that has completed the handshake with the coordinator at
+/// `addr`.
+fn greeted_peer(addr: SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    stream
+        .write_all(&Hello { version: VERSION }.encode())
+        .expect("hello");
+    let mut ack = [0u8; HELLO_ACK_LEN];
+    stream.read_exact(&mut ack).expect("hello ack");
+    stream
+}
+
+/// A connection is accepted and its hello answered as the bytes arrive:
+/// no acceptor poll stands between a node's dial and its ack.
+#[test]
+fn sequential_handshakes_are_answered_on_arrival() {
+    let server = coordinator("127.0.0.1:0", &wall_config()).expect("bind loopback");
+    let start = Instant::now();
+    for _ in 0..20 {
+        greeted_peer(server.local_addr());
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "20 sequential handshakes took {took:?}"
+    );
+}
+
+#[test]
+fn a_silent_peer_is_closed_after_the_handshake_timeout() {
+    let server = coordinator("127.0.0.1:0", &wall_config()).expect("bind loopback");
+    let mut silent = TcpStream::connect(server.local_addr()).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut byte = [0u8; 1];
+    let n = silent
+        .read(&mut byte)
+        .expect("the coordinator closes a silent peer within a second");
+    assert_eq!(n, 0, "a peer that never sent its hello got bytes");
+}
+
+#[test]
+fn coordinator_drop_closes_every_link() {
+    let server = coordinator("127.0.0.1:0", &wall_config()).expect("bind loopback");
+    let mut peer = greeted_peer(server.local_addr());
+    let mut bytes = Vec::new();
+    Frame::NodeHello {
+        node_id: 1,
+        incarnation: 1,
+        params_fp: region_params().1,
+    }
+    .encode_into(&mut bytes);
+    peer.write_all(&bytes).expect("node hello");
+    // Read the whole grant, so what follows the drop is the close alone.
+    let mut prefix = [0u8; 4];
+    peer.read_exact(&mut prefix).expect("grant prefix");
+    let mut grant = vec![0u8; u32::from_le_bytes(prefix) as usize];
+    peer.read_exact(&mut grant).expect("grant body");
+
+    drop(server);
+    peer.set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut byte = [0u8; 1];
+    let n = peer
+        .read(&mut byte)
+        .expect("the link is closed by the time drop returns");
+    assert_eq!(n, 0, "bytes after the grant");
 }

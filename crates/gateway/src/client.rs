@@ -19,8 +19,8 @@
 //! share only a rate (both sides are monotonic microsecond counters).
 
 use crate::proto::{
-    stamp_admit_request, DrainedAdmit, Frame, FrameBuffer, Hello, HelloAck, ProtoError,
-    StatsReport, Verdict, HELLO_ACK_LEN, VERSION,
+    admit_request_frame_len, stamp_admit_request, DrainedAdmit, Frame, FrameBuffer, Hello,
+    HelloAck, ProtoError, StatsReport, Verdict, HELLO_ACK_LEN, VERSION,
 };
 use frap_core::time::TimeDelta;
 use frap_core::wire::WireTaskSpec;
@@ -47,7 +47,7 @@ impl PreparedAdmit {
     /// [`GatewayClient::queue_admit_at`] appends once the id and expiry
     /// are stamped — a unit test pins the identity.
     pub fn new(task: &WireTaskSpec, allow_shed: bool) -> PreparedAdmit {
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(admit_request_frame_len(task.stage_demands_us.len()));
         Frame::encode_admit_request_into(0, 0, allow_shed, task, &mut bytes);
         PreparedAdmit { bytes }
     }
@@ -352,6 +352,8 @@ mod tests {
                 importance: 3,
             };
             let prepared = PreparedAdmit::new(&task, allow_shed);
+            // Reserved up front: the frame is built in one allocation.
+            assert_eq!(prepared.bytes.capacity(), prepared.bytes().len());
             for (req_id, expires_at_us) in [(0u64, 0u64), (1, u64::MAX), (0xDEAD_BEEF, 123_456_789)]
             {
                 let mut direct = Vec::new();

@@ -953,6 +953,13 @@ impl Frame {
 /// shed:u32`). The templates in [`encode_admit_response`] are this size.
 pub const ADMIT_RESPONSE_MAX: usize = PREFIX + RESP_LEN_SHED;
 
+/// Encoded length of one [`Frame::AdmitRequest`] (length prefix
+/// included) for a task visiting `stages` stages, so a caller can reserve
+/// exactly what [`Frame::encode_admit_request_into`] appends.
+pub const fn admit_request_frame_len(stages: usize) -> usize {
+    PREFIX + REQ_DEMANDS + 8 * stages
+}
+
 /// One interned response template: length prefix, frame type, and
 /// verdict code prebaked; the per-response fields stay zero until the
 /// masked write fills them in.

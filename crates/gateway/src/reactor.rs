@@ -112,6 +112,22 @@ pub use imp_unix::{Reactor, Waker};
 #[cfg(not(unix))]
 pub use imp_fallback::{Reactor, Waker};
 
+/// The key a socket registers under with [`Reactor::register`]: its raw
+/// descriptor on Unix, `token` on the degraded non-Unix shim (which only
+/// needs a unique id).
+#[cfg(unix)]
+pub fn reactor_key<S: std::os::fd::AsRawFd>(sock: &S, _token: usize) -> std::os::fd::RawFd {
+    sock.as_raw_fd()
+}
+
+/// The key a socket registers under with [`Reactor::register`]: its raw
+/// descriptor on Unix, `token` on the degraded non-Unix shim (which only
+/// needs a unique id).
+#[cfg(not(unix))]
+pub fn reactor_key<S>(_sock: &S, token: usize) -> i32 {
+    token as i32
+}
+
 #[cfg(unix)]
 mod imp_unix {
     use super::{Event, Interest, WAKE_TOKEN};

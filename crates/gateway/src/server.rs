@@ -105,7 +105,7 @@ use crate::proto::{
     encode_admit_response, AdmitHead, BatchedFrame, Frame, FrameBuffer, Hello, HelloAck,
     StatsReport, Verdict, ADMIT_RESPONSE_MAX, HELLO_LEN, MAX_FRAME, MAX_STAGES, VERSION,
 };
-use crate::reactor::{Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
+use crate::reactor::{reactor_key, Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
 use frap_core::admission::ContributionModel;
 use frap_core::demand::DemandView;
 use frap_core::region::RegionTest;
@@ -469,18 +469,6 @@ const FIRST_CONN: usize = 1;
 /// bounding arena memory under a pathological wake (a single wake parks
 /// at most this many requests plus one connection's final drain).
 const WAKE_RESOLVE_CAP: usize = 4096;
-
-/// The reactor key for a socket: its raw descriptor on Unix, the token
-/// on the degraded non-Unix shim (which only needs a unique id).
-#[cfg(unix)]
-fn reactor_key<S: std::os::unix::io::AsRawFd>(sock: &S, _token: usize) -> std::os::unix::io::RawFd {
-    sock.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn reactor_key<S>(_sock: &S, token: usize) -> i32 {
-    token as i32
-}
 
 type TicketMap = HashMap<u64, AdmissionTicket, BuildHasherDefault<TicketHasher>>;
 
