@@ -4,23 +4,27 @@
 //! deadline `D_i`, its per-stage demands `C_ij`, and (at overload) its
 //! semantic importance — to "add `C_ij / D_i`, test, revert". A
 //! [`DemandView`] is exactly that triple, lent without copying from
-//! either place demands live: a [`TaskSpec`]'s precomputed per-stage
-//! totals, or the flat microseconds-per-stage slice a transport decoded
-//! off a frame ([`WireTaskSpec`]'s form). Every
+//! wherever demands live: a plain chain's packed stage-and-demand words,
+//! any other [`TaskSpec`]'s precomputed per-stage totals, or the flat
+//! microseconds-per-stage slice a transport decoded off a frame
+//! ([`WireTaskSpec`]'s form). Every
 //! [`ContributionModel`](crate::admission::ContributionModel) is written
 //! against the view, so a front end decides on the demands it read
-//! without building a task graph first, and both lenders charge the same
-//! units to the bit.
+//! without building a task graph first, and all three lenders charge the
+//! same units to the bit.
 
-use crate::graph::TaskSpec;
+use crate::graph::{unpack, TaskSpec};
 use crate::task::{Importance, StageId};
 use crate::time::TimeDelta;
 use crate::wire::WireTaskSpec;
 
 /// Where a view's demands are borrowed from.
 #[derive(Debug, Clone, Copy)]
-enum Demands<'a> {
-    /// A task graph's per-stage totals, ascending by stage.
+pub(crate) enum Demands<'a> {
+    /// A plain chain's words, each a stage and its demand, ascending by
+    /// stage.
+    Packed(&'a [u64]),
+    /// Any other task graph's per-stage totals, ascending by stage.
     Merged(&'a [(StageId, TimeDelta)]),
     /// Pipeline wire form: entry `j` is the microseconds asked of stage `j`.
     PipelineUs(&'a [u64]),
@@ -77,6 +81,7 @@ impl<'a> DemandView<'a> {
     #[inline]
     pub fn stages(&self) -> usize {
         match self.demands {
+            Demands::Packed(words) => words.len(),
             Demands::Merged(d) => d.len(),
             Demands::PipelineUs(us) => us.len(),
         }
@@ -85,11 +90,15 @@ impl<'a> DemandView<'a> {
     /// Appends `f(stage, C_ij)` to `out` for each stage used, ascending
     /// by stage — the one walk over a view's demands, which every
     /// contribution vector is a map of. The lender is matched once,
-    /// outside the loop, so either form extends `out` as a plain slice
+    /// outside the loop, so every form extends `out` as a plain slice
     /// walk of known length.
     #[inline]
     pub fn map_into<T>(&self, out: &mut Vec<T>, f: impl Fn(StageId, TimeDelta) -> T) {
         match self.demands {
+            Demands::Packed(words) => out.extend(words.iter().map(|&word| {
+                let (stage, c) = unpack(word);
+                f(stage, c)
+            })),
             Demands::Merged(d) => out.extend(d.iter().map(|&(stage, c)| f(stage, c))),
             Demands::PipelineUs(us) => out.extend(
                 us.iter()
@@ -106,7 +115,7 @@ impl<'a> From<&'a TaskSpec> for DemandView<'a> {
         DemandView {
             deadline: spec.deadline,
             importance: spec.importance,
-            demands: Demands::Merged(spec.graph.stage_demands()),
+            demands: spec.graph.demands(),
         }
     }
 }

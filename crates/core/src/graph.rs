@@ -11,6 +11,7 @@
 //! expressions over utilizations) and for the simulator (subtask release on
 //! predecessor completion).
 
+use crate::demand::Demands;
 use crate::error::GraphError;
 use crate::task::{Importance, StageId, SubtaskSpec};
 use crate::time::TimeDelta;
@@ -31,9 +32,10 @@ use std::sync::Arc;
 ///
 /// A graph stores only what differs between two tasks (DESIGN.md §11). A
 /// *plain chain* — subtask `j` is one lock-free segment on stage `s_j`,
-/// the `s_j` strictly ascending, the edges exactly `0 -> 1 -> … -> n-1` —
-/// is its per-stage demand `[(s_j, C_j)]` and nothing else: one
-/// allocation, the very slice [`TaskGraph::stage_demands`] lends. Every
+/// the `s_j` strictly ascending and below 2^16, every `C_j` below 2^48 µs,
+/// the edges exactly `0 -> 1 -> … -> n-1` — is its per-stage demand and
+/// nothing else: one allocation of one word per stage,
+/// `s_j << 48 | C_j`, which [`TaskGraph::stage_demands`] unpacks. Every
 /// other graph keeps its subtask list, and edge lists unless it is a chain
 /// in index order. Every constructor picks the form from the graph alone,
 /// so however a graph is built it has one form and equality stays
@@ -65,9 +67,10 @@ pub struct TaskGraph(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    /// A plain chain: entry `j` is subtask `j`'s stage and computation,
-    /// which makes it the per-stage demand as well.
-    Plain(Arc<[(StageId, TimeDelta)]>),
+    /// A plain chain: word `j` packs subtask `j`'s stage and computation
+    /// (see [`pack`]), which makes it the per-stage demand as well. The
+    /// words ascend with the stage.
+    Plain(Arc<[u64]>),
     /// Every other graph.
     General(Arc<GraphInner>),
 }
@@ -222,10 +225,63 @@ fn merged_stage_demand(subtasks: &[SubtaskSpec]) -> Vec<(StageId, TimeDelta)> {
     v
 }
 
-/// Whether the stages of `demands` strictly ascend.
-fn ascending(demands: &[(StageId, TimeDelta)]) -> bool {
-    demands.windows(2).all(|w| w[0].0 < w[1].0)
+/// The low bits of a plain chain's word: the demand in microseconds.
+const DEMAND_BITS: u32 = 48;
+
+/// A plain chain's word for `c` on `stage`: `stage << 48 | c`. The stage
+/// bits are XORed in, so the word decodes to `stage` exactly when the
+/// stage is below 2^16 and `c` below 2^48 µs, and
+/// `word ^ pack(stage, ZERO)` recovers `c` exactly whether it does or not.
+#[inline]
+fn pack(stage: StageId, c: TimeDelta) -> u64 {
+    c.as_micros() ^ ((stage.index() as u64) << DEMAND_BITS)
 }
+
+/// The stage and demand a plain chain's word packs.
+#[inline]
+pub(crate) fn unpack(word: u64) -> (StageId, TimeDelta) {
+    let stage = StageId::new((word >> DEMAND_BITS) as usize);
+    (
+        stage,
+        TimeDelta::from_micros(word & ((1 << DEMAND_BITS) - 1)),
+    )
+}
+
+/// The demand `word` packs with `stage`, exact even when the pair
+/// overflowed the word (see [`pack`]).
+fn packed_demand(word: u64, stage: StageId) -> TimeDelta {
+    TimeDelta::from_micros(word ^ pack(stage, TimeDelta::ZERO))
+}
+
+/// [`TaskGraph::stage_demands`]: a plain chain's words unpacked, or the
+/// general form's merged totals.
+#[derive(Clone)]
+enum StageDemands<'a> {
+    Packed(std::slice::Iter<'a, u64>),
+    Merged(std::slice::Iter<'a, (StageId, TimeDelta)>),
+}
+
+impl Iterator for StageDemands<'_> {
+    type Item = (StageId, TimeDelta);
+
+    #[inline]
+    fn next(&mut self) -> Option<(StageId, TimeDelta)> {
+        match self {
+            StageDemands::Packed(words) => words.next().map(|&word| unpack(word)),
+            StageDemands::Merged(demands) => demands.next().copied(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            StageDemands::Packed(words) => words.size_hint(),
+            StageDemands::Merged(demands) => demands.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for StageDemands<'_> {}
 
 /// The first subtask without segments, as the error both constructors
 /// return.
@@ -301,19 +357,22 @@ impl TaskGraph {
 
     /// The chain whose subtask `j` is one lock-free segment of
     /// `demands[j].1` on stage `demands[j].0` — [`TaskGraph::chain`]
-    /// without a subtask list in between. With the stages strictly
-    /// ascending (and at most 1024 of them) the graph is one allocation, a
-    /// copy of `demands`.
+    /// without a subtask list in between. In the plain form (see
+    /// [`TaskGraph`]) the graph is one allocation, `demands` packed.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::Empty`] when `demands` is empty.
     pub fn chain_of(demands: &[(StageId, TimeDelta)]) -> Result<TaskGraph, GraphError> {
-        TaskGraph::plain(Arc::from(demands))
+        let words = demands.iter().map(|&(stage, c)| pack(stage, c)).collect();
+        TaskGraph::plain(words, |j| demands[j].0).or_else(|_| {
+            let subtask = |&(stage, c): &(StageId, TimeDelta)| SubtaskSpec::new(stage, c);
+            TaskGraph::chain(demands.iter().map(subtask).collect())
+        })
     }
 
     /// The chain [`TaskSpec::pipeline`] describes: subtask `j` runs on
-    /// stage `j` for `computations[j]`. Up to 1024 stages this is one
+    /// stage `j` for `computations[j]`. In the plain form this is one
     /// allocation when std trusts the iterator's length (a slice's, copied
     /// or mapped); other iterators are collected first.
     ///
@@ -323,22 +382,32 @@ impl TaskGraph {
     pub fn pipeline(
         computations: impl Iterator<Item = TimeDelta>,
     ) -> Result<TaskGraph, GraphError> {
-        let stage_demand = |(j, c)| (StageId::new(j), c);
-        TaskGraph::plain(computations.enumerate().map(stage_demand).collect())
+        let word = |(j, c)| pack(StageId::new(j), c);
+        let words = computations.enumerate().map(word).collect();
+        TaskGraph::plain(words, StageId::new).or_else(|words| {
+            let subtask = |(j, &word): (usize, &u64)| {
+                let stage = StageId::new(j);
+                SubtaskSpec::new(stage, packed_demand(word, stage))
+            };
+            TaskGraph::chain(words.iter().enumerate().map(subtask).collect())
+        })
     }
 
-    /// The chain of one lock-free subtask per entry of `demands`: stored as
-    /// `demands` itself when that is the plain form, else built as any
-    /// other chain.
-    fn plain(demands: Arc<[(StageId, TimeDelta)]>) -> Result<TaskGraph, GraphError> {
-        if demands.len() > CHAIN_TABLE || !ascending(&demands) {
-            let subtask = |&(stage, c): &(StageId, TimeDelta)| SubtaskSpec::new(stage, c);
-            return TaskGraph::chain(demands.iter().map(subtask).collect());
+    /// `words` — packed by [`pack`], word `j` for stage `stage(j)` — as a
+    /// plain chain if that is its form: `1 ≤ n ≤ 1024`, every word
+    /// decoding to its own stage (so both within their limits), the
+    /// stages strictly ascending. Otherwise the words come back, for the
+    /// caller to build the chain the general way.
+    fn plain(words: Arc<[u64]>, stage: impl Fn(usize) -> StageId) -> Result<TaskGraph, Arc<[u64]>> {
+        let decodes = |(j, &word): (usize, &u64)| unpack(word).0 == stage(j);
+        let plain = (1..=CHAIN_TABLE).contains(&words.len())
+            && words.iter().enumerate().all(decodes)
+            && words.windows(2).all(|w| unpack(w[0]).0 < unpack(w[1]).0);
+        if plain {
+            Ok(TaskGraph(Repr::Plain(words)))
+        } else {
+            Err(words)
         }
-        if demands.is_empty() {
-            return Err(GraphError::Empty);
-        }
-        Ok(TaskGraph(Repr::Plain(demands)))
     }
 
     /// The chain `0 -> 1 -> … -> n-1` of `subtasks` (`1 ≤ n ≤ 1024`, none
@@ -347,8 +416,11 @@ impl TaskGraph {
         let lock_free = |s: &SubtaskSpec| matches!(&*s.segments, [only] if only.lock.is_none());
         let ascending = subtasks.windows(2).all(|w| w[0].stage < w[1].stage);
         if ascending && subtasks.iter().all(lock_free) {
-            let demand = |s: &SubtaskSpec| (s.stage, s.segments[0].duration);
-            return TaskGraph(Repr::Plain(subtasks.iter().map(demand).collect()));
+            let word = |s: &SubtaskSpec| pack(s.stage, s.segments[0].duration);
+            let words = subtasks.iter().map(word).collect();
+            if let Ok(graph) = TaskGraph::plain(words, |j| subtasks[j].stage) {
+                return graph;
+            }
         }
         TaskGraph::general(subtasks, None)
     }
@@ -391,7 +463,7 @@ impl TaskGraph {
     /// Number of subtasks.
     pub fn len(&self) -> usize {
         match &self.0 {
-            Repr::Plain(demands) => demands.len(),
+            Repr::Plain(words) => words.len(),
             Repr::General(inner) => inner.subtasks.len(),
         }
     }
@@ -416,8 +488,8 @@ impl TaskGraph {
     /// Panics if `index >= self.len()`.
     pub fn subtask(&self, index: usize) -> SubtaskSpec {
         match &self.0 {
-            Repr::Plain(demands) => {
-                let (stage, c) = demands[index];
+            Repr::Plain(words) => {
+                let (stage, c) = unpack(words[index]);
                 SubtaskSpec::new(stage, c)
             }
             Repr::General(inner) => inner.subtasks[index].clone(),
@@ -431,7 +503,7 @@ impl TaskGraph {
     /// Panics if `index >= self.len()`.
     pub fn stage(&self, index: usize) -> StageId {
         match &self.0 {
-            Repr::Plain(demands) => demands[index].0,
+            Repr::Plain(words) => unpack(words[index]).0,
             Repr::General(inner) => inner.subtasks[index].stage,
         }
     }
@@ -514,30 +586,40 @@ impl TaskGraph {
 
     /// The distinct stages used by this graph, in ascending order.
     pub fn stages_used(&self) -> Vec<StageId> {
-        self.stage_demands()
-            .iter()
-            .map(|&(stage, _)| stage)
-            .collect()
+        self.stage_demands().map(|(stage, _)| stage).collect()
     }
 
     /// Total computation time demanded from each stage (`C_ij` summed over
     /// all subtasks of this task on stage `j`).
     pub fn stage_demand(&self) -> BTreeMap<StageId, TimeDelta> {
-        self.stage_demands().iter().copied().collect()
+        self.stage_demands().collect()
     }
 
     /// [`TaskGraph::stage_demand`] without building a map: the per-stage
-    /// totals, ascending by stage, as stored at construction.
-    pub fn stage_demands(&self) -> &[(StageId, TimeDelta)] {
+    /// totals, ascending by stage, as stored at construction (a plain
+    /// chain's words unpacked one by one).
+    pub fn stage_demands(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (StageId, TimeDelta)> + Clone + '_ {
         match &self.0 {
-            Repr::Plain(demands) => demands,
-            Repr::General(inner) => &inner.stage_demand,
+            Repr::Plain(words) => StageDemands::Packed(words.iter()),
+            Repr::General(inner) => StageDemands::Merged(inner.stage_demand.iter()),
+        }
+    }
+
+    /// The stored per-stage demand, as
+    /// [`DemandView`](crate::demand::DemandView) lends it: a plain
+    /// chain's words, or the general form's merged totals.
+    pub(crate) fn demands(&self) -> Demands<'_> {
+        match &self.0 {
+            Repr::Plain(words) => Demands::Packed(words),
+            Repr::General(inner) => Demands::Merged(&inner.stage_demand),
         }
     }
 
     /// Total computation time over all subtasks.
     pub fn total_computation(&self) -> TimeDelta {
-        self.stage_demands().iter().map(|&(_, c)| c).sum()
+        self.stage_demands().map(|(_, c)| c).sum()
     }
 
     /// Evaluates the end-to-end delay expression `d(L_1, …, L_M)` — the
@@ -591,9 +673,15 @@ impl TaskGraph {
     /// task is bound to one replica at admission time (the analysis then
     /// applies per replica exactly as for any other stage).
     pub fn remap_stages(&self, f: impl Fn(StageId) -> StageId) -> TaskGraph {
-        if let Repr::Plain(demands) = &self.0 {
-            let remapped = demands.iter().map(|&(stage, c)| (f(stage), c)).collect();
-            return TaskGraph::plain(remapped).expect("a built graph is non-empty");
+        if let Repr::Plain(words) = &self.0 {
+            let remap = |&word: &u64| {
+                let (stage, c) = unpack(word);
+                pack(f(stage), c)
+            };
+            let remapped = words.iter().map(remap).collect();
+            if let Ok(graph) = TaskGraph::plain(remapped, |j| f(unpack(words[j]).0)) {
+                return graph;
+            }
         }
         let mut subtasks: Vec<SubtaskSpec> = self.subtasks().collect();
         for sub in &mut subtasks {
@@ -831,17 +919,21 @@ impl TaskSpec {
         let deadline = self.deadline;
         self.graph
             .stage_demands()
-            .iter()
-            .map(move |&(stage, c)| (stage, c.ratio(deadline)))
+            .map(move |(stage, c)| (stage, c.ratio(deadline)))
     }
 
     /// The contribution `C_ij / D_i` at one stage (zero if unused).
     pub fn contribution_at(&self, stage: StageId) -> f64 {
-        let demands = self.graph.stage_demands();
-        match demands.binary_search_by_key(&stage, |&(s, _)| s) {
-            Ok(i) => demands[i].1.ratio(self.deadline),
-            Err(_) => 0.0,
-        }
+        // Both forms are ascending by stage: a binary search either way.
+        let demand = match &self.graph.0 {
+            Repr::Plain(words) => words
+                .binary_search_by_key(&stage, |&word| unpack(word).0)
+                .map(|i| unpack(words[i]).1),
+            Repr::General(inner) => (inner.stage_demand)
+                .binary_search_by_key(&stage, |&(s, _)| s)
+                .map(|i| inner.stage_demand[i].1),
+        };
+        demand.map_or(0.0, |c| c.ratio(self.deadline))
     }
 
     /// Task resolution: end-to-end deadline divided by total computation
@@ -936,7 +1028,10 @@ mod tests {
     fn stage_demand_is_sorted_whatever_the_stage_order() {
         let demand = |stages: &[usize]| {
             let subs = stages.iter().map(|&s| sub(s, 1)).collect();
-            TaskGraph::chain(subs).unwrap().stage_demands().to_vec()
+            TaskGraph::chain(subs)
+                .unwrap()
+                .stage_demands()
+                .collect::<Vec<_>>()
         };
         let at = |s: usize, c: u64| (StageId::new(s), ms(c));
         assert_eq!(demand(&[0, 1, 2]), [at(0, 1), at(1, 1), at(2, 1)]);

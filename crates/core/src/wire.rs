@@ -77,8 +77,9 @@ impl WireTaskSpec {
             return None;
         }
         // Subtask `k` alone runs on stage `k`: the per-stage demand is the
-        // per-subtask computation, in stage order.
-        let demands = graph.stage_demands().iter().map(|&(_, c)| c.as_micros());
+        // per-subtask computation, in stage order — for a plain chain, its
+        // words less their stage bits.
+        let demands = graph.stage_demands().map(|(_, c)| c.as_micros());
         Some(WireTaskSpec {
             deadline_us: spec.deadline.as_micros(),
             stage_demands_us: demands.collect(),

@@ -1,14 +1,20 @@
 //! One model for every [`TaskGraph`] accessor: a naive adjacency-matrix
-//! reference that plain chains (stored as their per-stage demand alone),
+//! reference that plain chains (stored as their per-stage demand alone,
+//! one packed word a stage),
 //! other chains (stored without edge lists up to the index table, with
 //! them past it), chains built edge by edge, chain-shaped graphs in
 //! another order, fork-joins and random DAGs must all agree with — so the
 //! compact forms (DESIGN.md §11) are unobservable but for
 //! [`TaskGraph::is_plain`], which must be true exactly for the graphs the
-//! model calls plain.
+//! model calls plain. The packed word's limits, the three lenders of a
+//! [`DemandView`] and the wire round trip are checked against it too.
 
+use frap_core::admission::{
+    ContributionModel, ExactContributions, MeanContributions, SplitDeadlineContributions,
+};
+use frap_core::demand::DemandView;
 use frap_core::graph::{TaskGraph, TaskSpec};
-use frap_core::task::{LockId, Segment, StageId, SubtaskSpec};
+use frap_core::task::{Importance, LockId, Segment, StageId, SubtaskSpec};
 use frap_core::time::TimeDelta;
 use frap_core::wire::WireTaskSpec;
 use proptest::prelude::*;
@@ -16,6 +22,11 @@ use std::collections::BTreeMap;
 
 /// `graph.rs`'s `CHAIN_TABLE`: chains up to this long keep no edge lists.
 const TABLE: usize = 1024;
+
+/// The plain form's limits: a packed word holds a stage below this …
+const STAGE_LIMIT: usize = 1 << 16;
+/// … and a demand below this many microseconds.
+const DEMAND_LIMIT: u64 = 1 << 48;
 
 /// A splitmix64 step: the tests draw one seed and derive the rest.
 fn next(state: &mut u64) -> u64 {
@@ -165,14 +176,19 @@ impl Model {
     }
 
     /// What `TaskGraph::is_plain` must say: the chain `0 -> 1 -> … -> n-1`
-    /// of at most `TABLE` subtasks, each one lock-free segment, on
-    /// strictly ascending stages.
+    /// of at most `TABLE` subtasks, each one lock-free segment below
+    /// `DEMAND_LIMIT`, on strictly ascending stages below `STAGE_LIMIT`.
     fn is_plain(&self) -> bool {
         let n = self.len();
         let index_chain = (0..n).all(|i| self.succs(i).iter().copied().eq(i + 1..n.min(i + 2)));
-        let lock_free = |s: &SubtaskSpec| s.segments.len() == 1 && s.segments[0].lock.is_none();
+        let packs = |s: &SubtaskSpec| {
+            s.segments.len() == 1
+                && s.segments[0].lock.is_none()
+                && s.stage.index() < STAGE_LIMIT
+                && s.computation().as_micros() < DEMAND_LIMIT
+        };
         let ascending = self.subtasks.windows(2).all(|w| w[0].stage < w[1].stage);
-        n <= TABLE && index_chain && self.subtasks.iter().all(lock_free) && ascending
+        n <= TABLE && index_chain && self.subtasks.iter().all(packs) && ascending
     }
 
     /// What `Debug` printed when every graph kept its edge lists.
@@ -226,7 +242,7 @@ fn agrees(g: &TaskGraph, m: &Model, seed: &mut u64) -> Result<(), String> {
     let demand = m.stage_demand();
     check(g.stage_demand() == demand, "stage_demand")?;
     check(
-        g.stage_demands().iter().copied().eq(demand.clone()),
+        g.stage_demands().eq(demand.clone()) && g.stage_demands().len() == demand.len(),
         "stage_demands",
     )?;
     check(
@@ -476,7 +492,7 @@ proptest! {
             let fork_join = TaskGraph::fork_join(subs[0].clone(), vec![], subs[1].clone()).unwrap();
             prop_assert_eq!(&fork_join, &chain);
         }
-        prop_assert_eq!(chain.stage_demands(), &demands[..]);
+        prop_assert_eq!(chain.stage_demands().collect::<Vec<_>>(), demands);
     }
 }
 
@@ -502,8 +518,8 @@ fn remap_stages_chooses_the_form_afresh() {
     let edges = [(0, 1), (1, 2)];
     agrees(&broken, &Model::new(on(&[5, 1, 5]), &edges), &mut seed).unwrap();
     assert_eq!(
-        broken.stage_demands(),
-        &[(StageId::new(1), ms(2)), (StageId::new(5), ms(4))]
+        broken.stage_demands().collect::<Vec<_>>(),
+        [(StageId::new(1), ms(2)), (StageId::new(5), ms(4))]
     );
 
     let kept = plain.remap_stages(remap([3, 4, 9]));
@@ -530,4 +546,162 @@ fn remapped_chain_is_the_chain_of_the_remapped_subtasks() {
     let remapped = TaskGraph::chain(subs).unwrap().remap_stages(shift);
     assert_eq!(remapped, TaskGraph::chain(moved).unwrap());
     assert!(remapped.is_chain());
+}
+
+/// The packed word's two limits: a stage of 2^16 or a demand of 2^48 µs
+/// takes the general form and one less stays plain, by every
+/// constructor, and every accessor agrees with the model on both sides.
+#[test]
+fn the_packed_limits_pick_the_form() {
+    let us = TimeDelta::from_micros;
+    let edges = [(0, 1), (1, 2)];
+    let mut seed = 5;
+    // (last stage, middle demand): plain only when both are in range.
+    let cases = [
+        (STAGE_LIMIT - 1, DEMAND_LIMIT - 1),
+        (STAGE_LIMIT, 7),
+        (9, DEMAND_LIMIT),
+        (STAGE_LIMIT, DEMAND_LIMIT),
+        (usize::MAX, 1 << 63),
+    ];
+    for (last, demand) in cases {
+        let plain = last < STAGE_LIMIT && demand < DEMAND_LIMIT;
+        let stages = [3, 4, last];
+        let demands = [
+            (StageId::new(3), us(11)),
+            (StageId::new(4), us(demand)),
+            (StageId::new(last), us(13)),
+        ];
+        let subs: Vec<SubtaskSpec> = (demands.iter())
+            .map(|&(stage, c)| SubtaskSpec::new(stage, c))
+            .collect();
+        let model = Model::new(subs.clone(), &edges);
+        assert_eq!(model.is_plain(), plain, "stage {last}, demand {demand}");
+        let on_index = TaskGraph::pipeline(demands.iter().map(|&(_, c)| c)).unwrap();
+        let graphs = [
+            TaskGraph::chain(subs.clone()).unwrap(),
+            TaskGraph::chain_of(&demands).unwrap(),
+            build(&subs, &edges),
+            on_index.remap_stages(|s| StageId::new(stages[s.index()])),
+        ];
+        for (k, g) in graphs.iter().enumerate() {
+            agrees(g, &model, &mut seed).unwrap_or_else(|why| {
+                panic!("stage {last}, demand {demand}, constructor {k}: {why}")
+            });
+            assert_eq!(g, &graphs[0], "constructor {k}");
+        }
+        // On stages `0..3` only the demand decides.
+        assert_eq!(on_index.is_plain(), demand < DEMAND_LIMIT);
+        let on_index_subs: Vec<SubtaskSpec> = (demands.iter().enumerate())
+            .map(|(j, &(_, c))| SubtaskSpec::new(StageId::new(j), c))
+            .collect();
+        agrees(&on_index, &Model::new(on_index_subs, &edges), &mut seed).unwrap();
+        let spec = TaskSpec::new(us(1_000), on_index);
+        let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
+        assert_eq!(wire.stage_demands_us, [11, demand, 13]);
+        assert_eq!(wire.to_spec().unwrap(), spec);
+    }
+}
+
+/// One `u64` a stage: charged units, or a contribution's `f64` bits.
+type StageBits = Vec<(StageId, u64)>;
+
+/// The units `model` charges for `task`, and its contributions.
+fn charges(model: &dyn ContributionModel, task: DemandView<'_>) -> (StageBits, StageBits) {
+    let mut units = Vec::new();
+    model.units_into(&task, &mut units);
+    let mut contributions = Vec::new();
+    let bits = |stage, c| (stage, model.contribution(&task, stage, c).to_bits());
+    task.map_into(&mut contributions, bits);
+    (units, contributions)
+}
+
+proptest! {
+    /// One chain lent three ways — its packed `TaskSpec`, that spec's
+    /// `WireTaskSpec`, and the general form of a twin whose segments hold
+    /// a lock (the same demands on the same stages) — is charged
+    /// bit-identical units and contributions by every model, and
+    /// `contributions_into` agrees for both specs.
+    #[test]
+    fn one_chain_lent_three_ways_charges_the_same(
+        cs in proptest::collection::vec((0u8..8, 0u64..50_000), 1..=8),
+        deadline_us in 0u64..2_000_000,
+        means_us in proptest::collection::vec(0u64..40_000, 0..=8),
+    ) {
+        // One demand in eight sits just under the packed limit.
+        let cs: Vec<TimeDelta> = (cs.into_iter())
+            .map(|(roll, us)| TimeDelta::from_micros(if roll == 0 { DEMAND_LIMIT - 1 - us } else { us }))
+            .collect();
+        let deadline = TimeDelta::from_micros(deadline_us);
+        let spec = TaskSpec::pipeline(deadline, &cs).unwrap().with_importance(Importance::new(2));
+        prop_assert!(spec.graph.is_plain());
+        let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
+        let locked = |(j, &c): (usize, &TimeDelta)| {
+            SubtaskSpec::with_segments(StageId::new(j), vec![Segment::critical(c, LockId::new(0))])
+        };
+        let twin = TaskGraph::chain(cs.iter().enumerate().map(locked).collect()).unwrap();
+        prop_assert!(!twin.is_plain());
+        let twin = TaskSpec::new(deadline, twin).with_importance(Importance::new(2));
+        let means = means_us.into_iter().map(TimeDelta::from_micros).collect();
+        let models: [&dyn ContributionModel; 3] =
+            [&ExactContributions, &MeanContributions::new(means), &SplitDeadlineContributions];
+        for model in models {
+            let packed = charges(model, (&spec).into());
+            prop_assert_eq!(&charges(model, (&wire).into()), &packed, "{:?}, wire-lent", model);
+            prop_assert_eq!(&charges(model, (&twin).into()), &packed, "{:?}, general form", model);
+            let (mut by_spec, mut by_twin) = (Vec::new(), Vec::new());
+            model.contributions_into(&spec, &mut by_spec);
+            model.contributions_into(&twin, &mut by_twin);
+            let bits = |v: Vec<(StageId, f64)>| v.into_iter().map(|(s, c)| (s, c.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(&bits(by_spec), &packed.1);
+            prop_assert_eq!(&bits(by_twin), &packed.1);
+        }
+    }
+
+    /// `contribution_at` (a binary search of either form) is the linear
+    /// scan of the model's per-stage demand, at every stage used, between
+    /// them, past them and past the packed limit.
+    #[test]
+    fn contribution_at_is_a_linear_scan(
+        n in 1usize..10,
+        how in 0u64..6,
+        deadline_us in 0u64..100_000,
+        seed in proptest::num::u64::ANY,
+    ) {
+        let mut seed = seed;
+        let mut subs = if how == 5 { subtasks(n, &mut seed) } else { plain_subtasks(n, &mut seed) };
+        if how < 4 {
+            spoil(&mut subs, how, &mut seed);
+        }
+        let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+        let model = Model::new(subs.clone(), &edges);
+        let spec = TaskSpec::new(TimeDelta::from_micros(deadline_us), build(&subs, &edges));
+        let demand = model.stage_demand();
+        let probes = (0..40).chain([STAGE_LIMIT - 1, STAGE_LIMIT, usize::MAX]);
+        for stage in probes.map(StageId::new) {
+            let scan = (demand.iter())
+                .find(|&(&s, _)| s == stage)
+                .map_or(0.0, |(_, c)| c.ratio(spec.deadline));
+            prop_assert_eq!(spec.contribution_at(stage).to_bits(), scan.to_bits(), "stage {}", stage);
+        }
+    }
+}
+
+/// The wire form round-trips a plain chain at one stage and at the index
+/// table's 1024, and the general chain one past it.
+#[test]
+fn wire_round_trips_at_one_and_1024_stages() {
+    for n in [1, TABLE, TABLE + 1] {
+        let mut seed = n as u64;
+        let us: Vec<u64> = (0..n).map(|_| next(&mut seed) % DEMAND_LIMIT).collect();
+        let cs: Vec<TimeDelta> = us.iter().map(|&c| TimeDelta::from_micros(c)).collect();
+        let spec = TaskSpec::pipeline(TimeDelta::from_secs(1), &cs)
+            .unwrap()
+            .with_importance(Importance::new(7));
+        assert_eq!(spec.graph.is_plain(), n <= TABLE, "{n} stages");
+        let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
+        assert_eq!(wire.stage_demands_us, us);
+        assert_eq!((wire.deadline_us, wire.importance), (1_000_000, 7));
+        assert_eq!(wire.to_spec().unwrap(), spec, "{n} stages");
+    }
 }

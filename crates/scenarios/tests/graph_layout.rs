@@ -11,7 +11,7 @@ use frap_core::task::{Segment, StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
 use frap_core::wire::WireTaskSpec;
 use frap_scenarios::catalog;
-use frap_workload::replay::TraceRecord;
+use frap_workload::replay::{parse_trace, render_trace, TraceRecord};
 use frap_workload::taskgen::PipelineWorkloadBuilder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,6 +67,8 @@ fn segment_and_subtask_sizes() {
     assert!(std::mem::size_of::<SubtaskSpec>() <= 32);
     // Either form is one pointer to one allocation; a plain chain's is fat.
     assert_eq!(std::mem::size_of::<TaskGraph>(), 16);
+    assert_eq!(std::mem::size_of::<TaskSpec>(), 32);
+    assert_eq!(std::mem::size_of::<TraceRecord>(), 48);
 }
 
 #[test]
@@ -74,13 +76,14 @@ fn four_stage_pipeline_is_one_allocation() {
     let ms = TimeDelta::from_millis;
     let ((allocations, bytes), spec) =
         cost_of(|| TaskSpec::pipeline(ms(100), &[ms(1), ms(2), ms(3), ms(4)]).unwrap());
-    // The reference counts and the per-stage demand, which is the chain.
+    // The reference counts and one packed word a stage, which is the
+    // chain: 16 + 8 × 4 bytes.
     assert!(spec.graph.is_plain());
     assert_eq!(allocations, 1, "{allocations} allocations");
-    assert!(bytes <= 96, "{bytes} bytes");
+    assert!(bytes <= 48, "{bytes} bytes");
     // A trace record plus its graph: what a generated arrival costs.
     let record = std::mem::size_of::<TraceRecord>() as u64;
-    assert!(record + bytes <= 160, "{record} B record + {bytes} B graph");
+    assert!(record + bytes <= 112, "{record} B record + {bytes} B graph");
 
     let ((allocations, _), copy) = cost_of(|| spec.clone());
     assert_eq!(allocations, 0, "TaskSpec::clone allocated");
@@ -104,7 +107,7 @@ fn one_segment_subtask_owns_no_heap() {
 #[test]
 fn each_family_generates_within_budget() {
     println!("family: allocations / requested bytes per generated task");
-    for scenario in catalog(Time::from_secs(20)) {
+    for scenario in catalog(Time::from_secs(60)) {
         let ((allocations, bytes), trace) = cost_of(|| scenario.generate());
         let tasks = trace.len() as f64;
         let (per_task, bytes_per_task) = (allocations as f64 / tasks, bytes as f64 / tasks);
@@ -121,6 +124,31 @@ fn each_family_generates_within_budget() {
             "{}: {per_task} per task",
             scenario.name
         );
+        // A 48 B record and a 40 B (3 stages) or 48 B (4 stages) graph,
+        // plus the records' slack; `diurnal`'s fork-joins keep the
+        // general form.
+        let bytes_budget = match scenario.name {
+            "diurnal" => 140.0,
+            "multi_tenant" => 100.0,
+            _ => 90.0,
+        };
+        assert!(
+            bytes_per_task <= bytes_budget,
+            "{}: {bytes_per_task} B per task",
+            scenario.name
+        );
+    }
+}
+
+#[test]
+fn rendered_traces_parse_back_equal() {
+    // The text form carries every packed word: each family's trace comes
+    // back equal, plain chains plain and fork-joins general.
+    for scenario in catalog(Time::from_secs(20)) {
+        let trace = scenario.generate();
+        let parsed =
+            parse_trace(&render_trace(&trace)).unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        assert_eq!(parsed, trace, "{}", scenario.name);
     }
 }
 

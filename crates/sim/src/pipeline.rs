@@ -436,7 +436,9 @@ impl Simulation {
     ///
     /// Arrivals after `until` are ignored; events after `until` are not
     /// processed (in-flight tasks are counted in
-    /// [`SimMetrics::in_flight_at_end`]).
+    /// [`SimMetrics::in_flight_at_end`]). When decisions are recorded and
+    /// `arrivals` reports an exact length, the decision log reserves one
+    /// entry for each of them up front, those after `until` included.
     ///
     /// # Panics
     ///
@@ -451,6 +453,16 @@ impl Simulation {
             self.take_utilization_sample();
             self.queue
                 .push(self.clock + period, Event::UtilizationSample);
+        }
+        if self.record_decisions {
+            // One entry per arrival: sized once from an iterator that knows
+            // its length (a trace's does) instead of doubling up to twice
+            // the count. A bounded guess or an endless stream grows as it goes.
+            if let (exact, Some(upper)) = arrivals.size_hint() {
+                if exact == upper {
+                    self.metrics.decision_log.reserve(exact);
+                }
+            }
         }
         let mut arrivals = arrivals.peekable();
         let mut last_arrival = Time::ZERO;

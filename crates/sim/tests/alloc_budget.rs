@@ -106,6 +106,36 @@ fn steady_state_chain_task_allocates_nothing() {
 }
 
 #[test]
+fn recorded_decision_log_is_sized_once() {
+    // An exact-size arrival iterator (a trace's is one) sizes the log up
+    // front: one entry per arrival and no doubling slack — a log that
+    // had grown would sit at a power of two above its 10 000 entries.
+    let arrivals = chain_arrivals(Time::ZERO, 10_000);
+    let mut sim = SimBuilder::new(3).record_decisions(true).build();
+    let m = sim.run(arrivals.into_iter(), Time::from_secs(11));
+    assert!(m.admitted > 0 && m.rejected > 0, "{m:?}");
+    assert_eq!(m.decision_log.len(), 10_000);
+    assert_eq!(m.decision_log.capacity(), 10_000);
+}
+
+#[test]
+fn recorded_run_over_an_endless_stream_grows_its_log() {
+    // An endless iterator's lower hint is `usize::MAX`: the log must not
+    // reserve from it, only grow with the arrivals before `until`.
+    let spec = chain_arrivals(Time::ZERO, 1).remove(0).1;
+    let arrivals = (0u64..).map(move |i| (Time::from_millis(i), spec.clone()));
+    assert_eq!(arrivals.size_hint().0, usize::MAX);
+    let mut sim = SimBuilder::new(3).record_decisions(true).build();
+    let m = sim.run(arrivals, Time::from_secs(2));
+    assert!(m.admitted > 0, "{m:?}");
+    assert!(
+        (2_000..=2_001).contains(&m.decision_log.len()),
+        "{}",
+        m.decision_log.len()
+    );
+}
+
+#[test]
 fn graph_region_test_allocates_nothing() {
     let ms = TimeDelta::from_millis;
     let sub = |stage: usize| SubtaskSpec::new(StageId::new(stage), ms(1));

@@ -385,12 +385,16 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
         if trimmed.starts_with('#') {
             continue;
         }
-        let fields: Vec<&str> = trimmed.split(',').collect();
-        if fields.len() != 5 && fields.len() != 6 {
-            return Err(ReplayError::FieldCount {
-                line,
-                got: fields.len(),
-            });
+        let mut fields = [""; 6];
+        let mut count = 0;
+        for field in trimmed.split(',') {
+            if let Some(slot) = fields.get_mut(count) {
+                *slot = field;
+            }
+            count += 1;
+        }
+        if count != 5 && count != 6 {
+            return Err(ReplayError::FieldCount { line, got: count });
         }
         let micros = |s, what| num::<u64>(line, s, what);
         let arrival = Time::from_micros(micros(fields[0], "arrival time")?);
@@ -445,9 +449,9 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
             line,
             reason: e.to_string(),
         })?;
-        let tenant = match fields.get(5) {
-            Some(s) => num(line, s, "tenant")?,
-            None => 0,
+        let tenant = match count {
+            6 => num(line, fields[5], "tenant")?,
+            _ => 0,
         };
         trace.push(
             arrival,
