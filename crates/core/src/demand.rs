@@ -22,7 +22,7 @@ use crate::wire::WireTaskSpec;
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Demands<'a> {
     /// A plain chain's words, each a stage and its demand, ascending by
-    /// stage.
+    /// stage — one slice whether the graph keeps them inline or shared.
     Packed(&'a [u64]),
     /// Any other task graph's per-stage totals, ascending by stage.
     Merged(&'a [(StageId, TimeDelta)]),

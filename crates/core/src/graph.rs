@@ -25,20 +25,22 @@ use std::sync::Arc;
 /// shapes. Construction validates that the graph is non-empty, edges are in
 /// range, and the precedence relation is acyclic.
 ///
-/// The structure is immutable once built, so clones share one refcounted
-/// allocation: cloning a [`TaskSpec`] (which workload generators do once
-/// per arrival) costs an `Arc` bump. `Arc` rather than `Rc` keeps specs
-/// `Send` for the concurrent admission service.
-///
 /// A graph stores only what differs between two tasks (DESIGN.md §11). A
 /// *plain chain* — subtask `j` is one lock-free segment on stage `s_j`,
 /// the `s_j` strictly ascending and below 2^16, every `C_j` below 2^48 µs,
 /// the edges exactly `0 -> 1 -> … -> n-1` — is its per-stage demand and
-/// nothing else: one allocation of one word per stage,
-/// `s_j << 48 | C_j`, which [`TaskGraph::stage_demands`] unpacks. Every
-/// other graph keeps its subtask list, and edge lists unless it is a chain
-/// in index order. Every constructor picks the form from the graph alone,
-/// so however a graph is built it has one form and equality stays
+/// nothing else: one word per stage, `s_j << 48 | C_j`, which
+/// [`TaskGraph::stage_demands`] unpacks. A plain chain of at most four
+/// stages keeps its words in the graph itself, so building, cloning and
+/// dropping it touch no heap, and a clone is a 40-byte copy. A longer one
+/// keeps them in one shared allocation. Every other graph keeps its
+/// subtask list, and edge lists unless it is a chain in index order,
+/// behind one shared `Arc`. The structure is immutable once built, so
+/// clones share what is on the heap: cloning a [`TaskSpec`] (which workload
+/// generators do once per arrival) costs at most an `Arc` bump. `Arc`
+/// rather than `Rc` keeps specs `Send` for the concurrent admission
+/// service. Every constructor picks the form and the place from the graph
+/// alone, so however a graph is built it has one form and equality stays
 /// structural.
 ///
 /// # Examples
@@ -70,9 +72,53 @@ enum Repr {
     /// A plain chain: word `j` packs subtask `j`'s stage and computation
     /// (see [`pack`]), which makes it the per-stage demand as well. The
     /// words ascend with the stage.
-    Plain(Arc<[u64]>),
+    Plain(Words),
     /// Every other graph.
     General(Arc<GraphInner>),
+}
+
+/// The most words a plain chain keeps inline, in the graph itself.
+const INLINE_WORDS: usize = 4;
+
+/// A plain chain's words: up to [`INLINE_WORDS`] of them inline, more in
+/// one shared allocation. The place is a function of the length alone,
+/// and either way the words are read as one slice.
+#[derive(Clone)]
+enum Words {
+    /// The first `n` of the array.
+    Inline(u8, [u64; INLINE_WORDS]),
+    /// More than [`INLINE_WORDS`].
+    Shared(Arc<[u64]>),
+}
+
+impl Words {
+    /// Collects `words`, inline while there are at most [`INLINE_WORDS`]:
+    /// a short chain allocates nothing, and a longer one is collected
+    /// once, when its fifth word arrives.
+    fn collect(mut words: impl Iterator<Item = u64>) -> Words {
+        let mut inline = [0; INLINE_WORDS];
+        let mut n = 0;
+        while let Some(word) = words.next() {
+            if n == INLINE_WORDS {
+                return Words::Shared(inline.into_iter().chain([word]).chain(words).collect());
+            }
+            inline[n] = word;
+            n += 1;
+        }
+        Words::Inline(n as u8, inline)
+    }
+}
+
+impl std::ops::Deref for Words {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(n, words) => &words[..usize::from(*n)],
+            Words::Shared(words) => words,
+        }
+    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -98,22 +144,22 @@ struct Edges(Vec<usize>);
 impl Edges {
     /// The lists of `edges` (in range, no self-loops) with duplicates
     /// dropped; the topological order is left for [`Edges::sorted`].
-    fn new(n: usize, edges: &[(usize, usize)]) -> Edges {
+    fn new(n: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> Edges {
         let base = 3 * n + 1;
-        let mut buf = vec![0; base + 2 * edges.len()];
+        let mut buf = vec![0; base + 2 * edges.clone().count()];
         let (head, ids) = buf.split_at_mut(base);
         let at = &mut head[n..];
         // Count each list's length into the slot after its start, sum the
         // counts into starts, then fill: each list's start advances to its
         // end, which is where the next list starts.
-        for &(from, to) in edges {
+        for (from, to) in edges.clone() {
             at[to + 1] += 1;
             at[n + from + 1] += 1;
         }
         for k in 1..at.len() {
             at[k] += at[k - 1];
         }
-        for &(from, to) in edges {
+        for (from, to) in edges {
             for (list, id) in [(to, from), (n + from, to)] {
                 ids[at[list]] = id;
                 at[list] += 1;
@@ -139,13 +185,25 @@ impl Edges {
     }
 
     /// Fills in the topological order by Kahn's algorithm, sources
-    /// ascending first, so the order is deterministic.
+    /// ascending first, so the order is deterministic. Graphs of up to 16
+    /// nodes count their in-degrees without a heap allocation.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::Cycle`] when there is no such order.
     fn sorted(mut self, n: usize) -> Result<Edges, GraphError> {
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.list(n, i).len()).collect();
+        const INLINE: usize = 16;
+        let mut inline = [0; INLINE];
+        let mut spilled = Vec::new();
+        let indeg: &mut [usize] = if n <= INLINE {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, 0);
+            &mut spilled
+        };
+        for (i, d) in indeg.iter_mut().enumerate() {
+            *d = self.list(n, i).len();
+        }
         let mut len = 0;
         for (i, _) in indeg.iter().enumerate().filter(|&(_, &d)| d == 0) {
             self.0[len] = i;
@@ -295,7 +353,7 @@ fn check_segments(subtasks: &[SubtaskSpec]) -> Result<(), GraphError> {
 impl PartialEq for TaskGraph {
     fn eq(&self, other: &TaskGraph) -> bool {
         match (&self.0, &other.0) {
-            (Repr::Plain(a), Repr::Plain(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Repr::Plain(a), Repr::Plain(b)) => **a == **b,
             (Repr::General(a), Repr::General(b)) => Arc::ptr_eq(a, b) || a == b,
             // One graph, one form.
             _ => false,
@@ -358,13 +416,14 @@ impl TaskGraph {
     /// The chain whose subtask `j` is one lock-free segment of
     /// `demands[j].1` on stage `demands[j].0` — [`TaskGraph::chain`]
     /// without a subtask list in between. In the plain form (see
-    /// [`TaskGraph`]) the graph is one allocation, `demands` packed.
+    /// [`TaskGraph`]) the graph is `demands` packed: inline up to four
+    /// stages, one allocation past that.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::Empty`] when `demands` is empty.
     pub fn chain_of(demands: &[(StageId, TimeDelta)]) -> Result<TaskGraph, GraphError> {
-        let words = demands.iter().map(|&(stage, c)| pack(stage, c)).collect();
+        let words = Words::collect(demands.iter().map(|&(stage, c)| pack(stage, c)));
         TaskGraph::plain(words, |j| demands[j].0).or_else(|_| {
             let subtask = |&(stage, c): &(StageId, TimeDelta)| SubtaskSpec::new(stage, c);
             TaskGraph::chain(demands.iter().map(subtask).collect())
@@ -372,9 +431,10 @@ impl TaskGraph {
     }
 
     /// The chain [`TaskSpec::pipeline`] describes: subtask `j` runs on
-    /// stage `j` for `computations[j]`. In the plain form this is one
-    /// allocation when std trusts the iterator's length (a slice's, copied
-    /// or mapped); other iterators are collected first.
+    /// stage `j` for `computations[j]`. In the plain form this allocates
+    /// nothing up to four stages, and past that once when std trusts the
+    /// iterator's length (a slice's, copied or mapped); other iterators
+    /// are collected first.
     ///
     /// # Errors
     ///
@@ -383,7 +443,7 @@ impl TaskGraph {
         computations: impl Iterator<Item = TimeDelta>,
     ) -> Result<TaskGraph, GraphError> {
         let word = |(j, c)| pack(StageId::new(j), c);
-        let words = computations.enumerate().map(word).collect();
+        let words = Words::collect(computations.enumerate().map(word));
         TaskGraph::plain(words, StageId::new).or_else(|words| {
             let subtask = |(j, &word): (usize, &u64)| {
                 let stage = StageId::new(j);
@@ -398,7 +458,7 @@ impl TaskGraph {
     /// decoding to its own stage (so both within their limits), the
     /// stages strictly ascending. Otherwise the words come back, for the
     /// caller to build the chain the general way.
-    fn plain(words: Arc<[u64]>, stage: impl Fn(usize) -> StageId) -> Result<TaskGraph, Arc<[u64]>> {
+    fn plain(words: Words, stage: impl Fn(usize) -> StageId) -> Result<TaskGraph, Words> {
         let decodes = |(j, &word): (usize, &u64)| unpack(word).0 == stage(j);
         let plain = (1..=CHAIN_TABLE).contains(&words.len())
             && words.iter().enumerate().all(decodes)
@@ -417,7 +477,7 @@ impl TaskGraph {
         let ascending = subtasks.windows(2).all(|w| w[0].stage < w[1].stage);
         if ascending && subtasks.iter().all(lock_free) {
             let word = |s: &SubtaskSpec| pack(s.stage, s.segments[0].duration);
-            let words = subtasks.iter().map(word).collect();
+            let words = Words::collect(subtasks.iter().map(word));
             if let Ok(graph) = TaskGraph::plain(words, |j| subtasks[j].stage) {
                 return graph;
             }
@@ -436,6 +496,8 @@ impl TaskGraph {
 
     /// A fork-join graph: `head` then all of `branches` in parallel, then
     /// `tail` (the shape of the paper's Figure 3 when `branches.len() == 2`).
+    /// It is the graph the builder makes of those edges (with at most one
+    /// branch, the chain), built without the builder's edge vector.
     ///
     /// # Errors
     ///
@@ -445,19 +507,20 @@ impl TaskGraph {
         branches: Vec<SubtaskSpec>,
         tail: SubtaskSpec,
     ) -> Result<TaskGraph, GraphError> {
-        let mut b = TaskGraph::builder();
-        let h = b.add(head);
-        let t = h + branches.len() + 1;
-        if branches.is_empty() {
-            b.edge(h, t);
+        let n = branches.len() + 2;
+        let mut subtasks = Vec::with_capacity(n);
+        subtasks.push(head);
+        subtasks.extend(branches);
+        subtasks.push(tail);
+        if n <= 3 {
+            return TaskGraph::chain(subtasks);
         }
-        for branch in branches {
-            let id = b.add(branch);
-            b.edge(h, id);
-            b.edge(id, t);
-        }
-        b.add(tail);
-        b.build()
+        check_segments(&subtasks)?;
+        // Head to each branch and each branch to the tail, in the order
+        // the builder would be given them.
+        let edges = (1..n - 1).flat_map(|b| [(0, b), (b, n - 1)]);
+        let edges = Edges::new(n, edges).sorted(n)?;
+        Ok(TaskGraph::general(subtasks, Some(edges)))
     }
 
     /// Number of subtasks.
@@ -678,7 +741,7 @@ impl TaskGraph {
                 let (stage, c) = unpack(word);
                 pack(f(stage), c)
             };
-            let remapped = words.iter().map(remap).collect();
+            let remapped = Words::collect(words.iter().map(remap));
             if let Ok(graph) = TaskGraph::plain(remapped, |j| f(unpack(words[j]).0)) {
                 return graph;
             }
@@ -831,7 +894,7 @@ impl TaskGraphBuilder {
         }
         // Duplicate edges are harmless but would skew in-degree counting;
         // the lists keep each edge once.
-        let edges = Edges::new(n, &self.edges);
+        let edges = Edges::new(n, self.edges.iter().copied());
 
         // Exactly the edges `i -> i+1`: the one form such a chain has.
         if n <= CHAIN_TABLE && (0..n).all(|i| edges.list(n, n + i) == chain_succs(n, i)) {

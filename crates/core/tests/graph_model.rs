@@ -6,8 +6,11 @@
 //! another order, fork-joins and random DAGs must all agree with — so the
 //! compact forms (DESIGN.md §11) are unobservable but for
 //! [`TaskGraph::is_plain`], which must be true exactly for the graphs the
-//! model calls plain. The packed word's limits, the three lenders of a
-//! [`DemandView`] and the wire round trip are checked against it too.
+//! model calls plain. A plain chain of up to four stages keeps its words
+//! inline and a longer one in a shared block; every constructor and every
+//! accessor is checked on both sides of that boundary. The packed word's
+//! limits, the three lenders of a [`DemandView`] and the wire round trip
+//! are checked against the model too.
 
 use frap_core::admission::{
     ContributionModel, ExactContributions, MeanContributions, SplitDeadlineContributions,
@@ -22,6 +25,10 @@ use std::collections::BTreeMap;
 
 /// `graph.rs`'s `CHAIN_TABLE`: chains up to this long keep no edge lists.
 const TABLE: usize = 1024;
+
+/// `graph.rs`'s `INLINE_WORDS`: plain chains up to this long keep their
+/// words inline.
+const INLINE: usize = 4;
 
 /// The plain form's limits: a packed word holds a stage below this …
 const STAGE_LIMIT: usize = 1 << 16;
@@ -383,7 +390,9 @@ proptest! {
             }
         };
         prop_assert_eq!(format!("{g}"), expected);
-        // With at most one branch it is the chain, in the chain's form.
+        // It is the graph the builder makes of the same edges, and with at
+        // most one branch the chain, in the chain's form.
+        prop_assert_eq!(&g, &build(&subs, &edges));
         if branches <= 1 {
             prop_assert_eq!(g, TaskGraph::chain(subs).unwrap());
         }
@@ -457,16 +466,19 @@ proptest! {
 
     /// Every way of building a pipeline — `chain`, `chain_of`,
     /// `pipeline`, `TaskSpec::pipeline`, the builder given `i -> i+1` in
-    /// any order, the wire form's `to_spec`, an identity remap and a
-    /// fork-join without branches — yields the one plain graph.
+    /// any order, the wire form's `to_spec`, a clone, an identity remap
+    /// and a fork-join without branches — yields the one plain graph, on
+    /// both sides of the inline boundary (four words), and a remap onto
+    /// every `stride`-th stage yields the chain on those stages.
     #[test]
-    fn every_pipeline_constructor_yields_the_plain_form(n in 1usize..12, seed in proptest::num::u64::ANY) {
+    fn every_pipeline_constructor_yields_the_plain_form(n in 1usize..12, stride in 1usize..4, seed in proptest::num::u64::ANY) {
         let mut seed = seed;
         let cs: Vec<TimeDelta> = (0..n).map(|_| TimeDelta::from_micros(next(&mut seed) % 5_000)).collect();
         let subs: Vec<SubtaskSpec> = (0..n).map(|j| SubtaskSpec::new(StageId::new(j), cs[j])).collect();
         let demands: Vec<(StageId, TimeDelta)> = (0..n).map(|j| (StageId::new(j), cs[j])).collect();
-        let mut edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-        let model = Model::new(subs.clone(), &edges);
+        let chain_edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+        let model = Model::new(subs.clone(), &chain_edges);
+        let mut edges = chain_edges.clone();
         edges.rotate_left(next(&mut seed) as usize % n);
         edges.extend(edges.first().copied());
 
@@ -479,6 +491,7 @@ proptest! {
             spec.graph.clone(),
             build(&subs, &edges),
             wire.to_spec().unwrap().graph,
+            chain.clone(),
             chain.remap_stages(|s| s),
         ];
         for (k, g) in built.iter().enumerate() {
@@ -487,6 +500,14 @@ proptest! {
             if let Err(why) = agrees(g, &model, &mut seed) {
                 prop_assert!(false, "constructor {k}: {why}");
             }
+        }
+        let strided: Vec<SubtaskSpec> =
+            (0..n).map(|j| SubtaskSpec::new(StageId::new(j * stride), cs[j])).collect();
+        let remapped = chain.remap_stages(|s| StageId::new(s.index() * stride));
+        prop_assert!(remapped.is_plain());
+        prop_assert_eq!(&remapped, &TaskGraph::chain(strided.clone()).unwrap());
+        if let Err(why) = agrees(&remapped, &Model::new(strided, &chain_edges), &mut seed) {
+            prop_assert!(false, "stride {stride}: {why}");
         }
         if n == 2 {
             let fork_join = TaskGraph::fork_join(subs[0].clone(), vec![], subs[1].clone()).unwrap();
@@ -531,6 +552,30 @@ fn remap_stages_chooses_the_form_afresh() {
     let restored = descending.remap_stages(|s| StageId::new(9 - s.index()));
     assert!(restored.is_plain());
     assert_eq!(restored, TaskGraph::chain(on(&[7, 8, 9])).unwrap());
+
+    // The same on both sides of the inline boundary: four inline words
+    // and five shared ones leave the plain form when a remap reverses
+    // them or folds the last stage onto the one before, and return to it
+    // when a remap sorts them again.
+    for n in [INLINE, INLINE + 1] {
+        let stages: Vec<usize> = (0..n).collect();
+        let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
+        let plain = TaskGraph::chain(on(&stages)).unwrap();
+        assert!(plain.is_plain(), "{n} stages");
+        let folds: [&dyn Fn(usize) -> usize; 2] = [&|s| 9 - s, &|s| s.min(n - 2)];
+        for fold in folds {
+            let folded: Vec<usize> = stages.iter().map(|&s| fold(s)).collect();
+            let broken = plain.remap_stages(|s| StageId::new(fold(s.index())));
+            assert!(!broken.is_plain() && broken.is_chain(), "{n} stages");
+            assert_eq!(broken, TaskGraph::chain(on(&folded)).unwrap());
+            agrees(&broken, &Model::new(on(&folded), &edges), &mut seed).unwrap();
+        }
+        let reversed = plain.remap_stages(|s| StageId::new(9 - s.index()));
+        let restored = reversed.remap_stages(|s| StageId::new(20 - s.index()));
+        assert!(restored.is_plain(), "{n} stages");
+        let sorted: Vec<usize> = (11..11 + n).collect();
+        assert_eq!(restored, TaskGraph::chain(on(&sorted)).unwrap());
+    }
 }
 
 /// Remapping a chain's stages leaves it the edge-less chain it was.
@@ -550,11 +595,22 @@ fn remapped_chain_is_the_chain_of_the_remapped_subtasks() {
 
 /// The packed word's two limits: a stage of 2^16 or a demand of 2^48 µs
 /// takes the general form and one less stays plain, by every
-/// constructor, and every accessor agrees with the model on both sides.
+/// constructor, and every accessor agrees with the model on both sides —
+/// for a chain of three stages, and of four and five, either side of the
+/// inline boundary.
 #[test]
 fn the_packed_limits_pick_the_form() {
+    for len in [3, INLINE, INLINE + 1] {
+        packed_limits_pick_the_form(len);
+    }
+}
+
+/// [`the_packed_limits_pick_the_form`] for chains of `len` stages:
+/// `3, 4, …` and then the stage under test, with the demand under test on
+/// stage 4.
+fn packed_limits_pick_the_form(len: usize) {
     let us = TimeDelta::from_micros;
-    let edges = [(0, 1), (1, 2)];
+    let edges: Vec<(usize, usize)> = (1..len).map(|i| (i - 1, i)).collect();
     let mut seed = 5;
     // (last stage, middle demand): plain only when both are in range.
     let cases = [
@@ -566,17 +622,20 @@ fn the_packed_limits_pick_the_form() {
     ];
     for (last, demand) in cases {
         let plain = last < STAGE_LIMIT && demand < DEMAND_LIMIT;
-        let stages = [3, 4, last];
-        let demands = [
-            (StageId::new(3), us(11)),
-            (StageId::new(4), us(demand)),
-            (StageId::new(last), us(13)),
-        ];
+        let stages: Vec<usize> = (3..len + 2).chain([last]).collect();
+        let demand_on = |j: usize| us(if j == 1 { demand } else { 11 + j as u64 });
+        let demands: Vec<(StageId, TimeDelta)> = (stages.iter().enumerate())
+            .map(|(j, &s)| (StageId::new(s), demand_on(j)))
+            .collect();
         let subs: Vec<SubtaskSpec> = (demands.iter())
             .map(|&(stage, c)| SubtaskSpec::new(stage, c))
             .collect();
         let model = Model::new(subs.clone(), &edges);
-        assert_eq!(model.is_plain(), plain, "stage {last}, demand {demand}");
+        assert_eq!(
+            model.is_plain(),
+            plain,
+            "{len} stages, stage {last}, demand {demand}"
+        );
         let on_index = TaskGraph::pipeline(demands.iter().map(|&(_, c)| c)).unwrap();
         let graphs = [
             TaskGraph::chain(subs.clone()).unwrap(),
@@ -586,11 +645,11 @@ fn the_packed_limits_pick_the_form() {
         ];
         for (k, g) in graphs.iter().enumerate() {
             agrees(g, &model, &mut seed).unwrap_or_else(|why| {
-                panic!("stage {last}, demand {demand}, constructor {k}: {why}")
+                panic!("{len} stages, stage {last}, demand {demand}, constructor {k}: {why}")
             });
             assert_eq!(g, &graphs[0], "constructor {k}");
         }
-        // On stages `0..3` only the demand decides.
+        // On stages `0..len` only the demand decides.
         assert_eq!(on_index.is_plain(), demand < DEMAND_LIMIT);
         let on_index_subs: Vec<SubtaskSpec> = (demands.iter().enumerate())
             .map(|(j, &(_, c))| SubtaskSpec::new(StageId::new(j), c))
@@ -598,7 +657,8 @@ fn the_packed_limits_pick_the_form() {
         agrees(&on_index, &Model::new(on_index_subs, &edges), &mut seed).unwrap();
         let spec = TaskSpec::new(us(1_000), on_index);
         let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
-        assert_eq!(wire.stage_demands_us, [11, demand, 13]);
+        let wire_us: Vec<u64> = demands.iter().map(|&(_, c)| c.as_micros()).collect();
+        assert_eq!(wire.stage_demands_us, wire_us);
         assert_eq!(wire.to_spec().unwrap(), spec);
     }
 }
@@ -617,11 +677,12 @@ fn charges(model: &dyn ContributionModel, task: DemandView<'_>) -> (StageBits, S
 }
 
 proptest! {
-    /// One chain lent three ways — its packed `TaskSpec`, that spec's
-    /// `WireTaskSpec`, and the general form of a twin whose segments hold
-    /// a lock (the same demands on the same stages) — is charged
-    /// bit-identical units and contributions by every model, and
-    /// `contributions_into` agrees for both specs.
+    /// One chain lent three ways — its packed `TaskSpec` (inline words up
+    /// to four stages, shared past that), that spec's `WireTaskSpec`, and
+    /// the general form of a twin whose segments hold a lock (the same
+    /// demands on the same stages) — is charged bit-identical units and
+    /// contributions by every model, and `contributions_into` agrees for
+    /// both specs.
     #[test]
     fn one_chain_lent_three_ways_charges_the_same(
         cs in proptest::collection::vec((0u8..8, 0u64..50_000), 1..=8),
