@@ -146,7 +146,7 @@ impl TimeDelta {
         if !secs.is_finite() || secs <= 0.0 {
             return TimeDelta::ZERO;
         }
-        TimeDelta((secs * 1e6).round() as u64)
+        TimeDelta(round_to_u64(secs * 1e6))
     }
 
     /// The span in whole microseconds.
@@ -204,7 +204,7 @@ impl TimeDelta {
         if !factor.is_finite() || factor <= 0.0 {
             return TimeDelta::ZERO;
         }
-        TimeDelta((self.0 as f64 * factor).round() as u64)
+        TimeDelta(round_to_u64(self.0 as f64 * factor))
     }
 
     /// The larger of two spans.
@@ -218,6 +218,23 @@ impl TimeDelta {
     pub fn min(self, other: TimeDelta) -> TimeDelta {
         TimeDelta(self.0.min(other.0))
     }
+}
+
+/// 2⁵²: from here up every `f64` is an integer.
+const INTEGRAL_F64: f64 = (1u64 << 52) as f64;
+
+/// `x.round() as u64` for a positive `x` (half away from zero, saturating)
+/// without `f64::round`, which lowers to a libm call on baseline x86-64 —
+/// the trick `fixed::fp_from_utilization` uses for its ceil.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    if x >= INTEGRAL_F64 {
+        // Already an integer; the cast saturates past `u64::MAX`.
+        return x as u64;
+    }
+    // The cast truncates; below 2⁵² the fraction `x - t` is exact.
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<TimeDelta> for Time {
@@ -359,6 +376,44 @@ mod tests {
             TimeDelta::from_micros(1).ratio(TimeDelta::ZERO),
             f64::INFINITY
         );
+    }
+
+    /// Against `f64::round` at the ties, just below a tie, around and past
+    /// 2⁵², at the `u64` edge and over a random sweep.
+    #[test]
+    fn round_to_u64_matches_f64_round() {
+        let check = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        for k in 0..1_000u32 {
+            check(f64::from(k) + 0.5);
+            check(f64::from(k) + 0.25);
+        }
+        let p52 = INTEGRAL_F64;
+        for x in [
+            0.499_999_999_999_999_94,
+            0.5,
+            p52 - 1.5,
+            p52 - 0.5,
+            p52 - 1.0,
+            p52,
+            p52 + 1.0,
+            2.0 * p52,
+            2.0 * p52 + 2.0,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+        ] {
+            check(x);
+        }
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            // A uniform mantissa at exponents 2⁻² … 2⁶¹.
+            let x = f64::from_bits((1021 + bits % 64) << 52 | bits >> 12);
+            check(x);
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   events with a payload ([`EventQueue::push`]; in the simulator they
 //!   live microseconds and there are at most a few per stage) and a
 //!   payload-free *deadline* heap of bare keys
-//!   ([`EventQueue::push_deadline`]; one per admitted task, parked for a
-//!   whole relative deadline). Both draw their sequence number from the
+//!   ([`EventQueue::push_deadline`]; parked for a whole relative deadline
+//!   — the simulator queues one per admitted task only when an arrival
+//!   can wait for it, or when it lies past the horizon of the run in
+//!   progress). Both draw their sequence number from the
 //!   same counter and a pop takes whichever tier's top key is smaller, so
 //!   the pop order is exactly that of a single heap — but a short-lived
 //!   event no longer sifts through hundreds of parked deadlines;

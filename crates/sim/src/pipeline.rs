@@ -64,8 +64,9 @@ enum Event {
     UtilizationSample,
 }
 
-/// Per-node run state: outstanding precedence count and where its job is.
-/// The node's segments are read off the graph when it is released.
+/// Per-node run state of a general graph: outstanding precedence count
+/// and where its job is. The node's segments are read off the graph when
+/// it is released.
 #[derive(Debug)]
 struct NodeRun {
     remaining_preds: u32,
@@ -75,13 +76,25 @@ struct NodeRun {
     done: bool,
 }
 
+/// Where a task's subtasks are; the graph's form picks the variant.
+#[derive(Debug)]
+enum Progress {
+    /// A plain chain ([`TaskGraph::is_plain`]) has one job at its stage at
+    /// any instant and visits each stage once: node `nodes_done` is at its
+    /// stage in `slot`, the nodes before it are done and those after it
+    /// unreleased.
+    Chain { slot: u32 },
+    /// Any other graph: one record per node.
+    Graph(Vec<NodeRun>),
+}
+
 #[derive(Debug)]
 struct TaskRun {
     graph: TaskGraph,
     priority: Priority,
     arrival: Time,
     abs_deadline: Time,
-    nodes: Vec<NodeRun>,
+    progress: Progress,
     nodes_done: u32,
 }
 
@@ -91,10 +104,51 @@ impl TaskRun {
     }
 
     /// Whether the task still has an unfinished subtask on `stage` —
-    /// graphs have a handful of nodes, so a scan beats bookkeeping.
+    /// graphs have a handful of nodes, so a scan beats bookkeeping. Never
+    /// for a plain chain once its job there finished.
     fn outstanding_on(&self, stage: usize) -> bool {
-        let mut nodes = self.nodes.iter().enumerate();
+        let Progress::Graph(nodes) = &self.progress else {
+            return false;
+        };
+        let mut nodes = nodes.iter().enumerate();
         nodes.any(|(node, nr)| !nr.done && self.stage_of(node) == stage)
+    }
+
+    /// The executed-work oracle's answer for this task, in node order: the
+    /// work each released node has received at `now`, a finished node's
+    /// full computation included.
+    fn executed(
+        &self,
+        task: TaskId,
+        now: Time,
+        stages: &[Stage],
+        out: &mut Vec<(StageId, TimeDelta)>,
+    ) {
+        let mut report = |node: usize, slot: Option<u32>| {
+            let stage = self.stage_of(node);
+            let executed = slot
+                .and_then(|slot| stages[stage].executed(now, slot, (task, node as u32)))
+                // Completed subtask: its full demand ran.
+                .unwrap_or_else(|| self.graph.subtask(node).computation());
+            if executed > TimeDelta::ZERO {
+                out.push((StageId::new(stage), executed));
+            }
+        };
+        match &self.progress {
+            Progress::Chain { slot } => {
+                let current = self.nodes_done as usize;
+                (0..current).for_each(|node| report(node, None));
+                report(current, Some(*slot));
+            }
+            Progress::Graph(nodes) => {
+                for (node, nr) in nodes.iter().enumerate() {
+                    // A node never released has executed nothing.
+                    if nr.remaining_preds == 0 {
+                        report(node, Some(nr.slot));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -339,16 +393,17 @@ impl SimBuilder {
                 .collect(),
             admission,
             policy: self.policy,
-            // Steady state carries one deadline per live task plus one
-            // segment completion per busy server (and the stale ones of
-            // preempted runs); pre-size so neither tier reallocates under
-            // paper-scale loads.
+            // Steady state carries one segment completion per busy server
+            // (and the stale ones of preempted runs), plus one deadline per
+            // live task when arrivals can wait; pre-size so neither tier
+            // reallocates under paper-scale loads.
             queue: EventQueue::with_capacity(16 * self.stages, 1024.max(64 * self.stages)),
             tasks: IdTable::new(),
             pending: VecDeque::new(),
             pending_seq: 0,
             metrics: SimMetrics::new(self.stages),
             clock: Time::ZERO,
+            horizon: Time::ZERO,
             wait: self.wait,
             overload: self.overload,
             reserved_importance: self.reserved_importance,
@@ -386,6 +441,9 @@ pub struct Simulation {
     pending_seq: u64,
     metrics: SimMetrics,
     clock: Time,
+    /// The `until` of the [`Simulation::run`] in progress (of the last one
+    /// between runs).
+    horizon: Time,
     wait: WaitPolicy,
     overload: OverloadPolicy,
     reserved_importance: Option<Importance>,
@@ -405,8 +463,8 @@ pub struct Simulation {
     cascade: Vec<(usize, Effect)>,
     /// Reused successor-release list in [`Simulation::subtask_completed`].
     release_scratch: Vec<u32>,
-    /// Node vectors of retired runs, reused by [`Simulation::start_task`]:
-    /// a starting chain task then allocates nothing.
+    /// Node vectors of retired general-graph runs, reused by
+    /// [`Simulation::start_task`] (a plain chain keeps none).
     spare_nodes: Vec<Vec<NodeRun>>,
     /// Interned admission contribution vectors of waiting arrivals (one
     /// entry per distinct shape; cleared whenever the queue empties).
@@ -433,6 +491,8 @@ impl std::fmt::Debug for Simulation {
 impl Simulation {
     /// Runs the simulation over `arrivals` (which must be sorted by time)
     /// until simulated time `until`, returning the collected metrics.
+    /// Several calls continue one simulation: cut at any instants, they
+    /// count, decide and log as one call to the last `until` does.
     ///
     /// Arrivals after `until` are ignored; events after `until` are not
     /// processed (in-flight tasks are counted in
@@ -448,11 +508,12 @@ impl Simulation {
     where
         I: Iterator<Item = (Time, TaskSpec)>,
     {
+        self.horizon = until;
         if let (Some(period), false) = (self.sample_period, self.sampling_started) {
             self.sampling_started = true;
             self.take_utilization_sample();
             self.queue
-                .push(self.clock + period, Event::UtilizationSample);
+                .push(self.clock.saturating_add(period), Event::UtilizationSample);
         }
         if self.record_decisions {
             // One entry per arrival: sized once from an iterator that knows
@@ -480,8 +541,9 @@ impl Simulation {
                 match fired {
                     Fired::Event(event) => self.handle_event(event),
                     Fired::Deadline => {
-                        // Decrement synthetic utilization; waiting arrivals
-                        // may now fit.
+                        // Queued only when arrivals can wait, or past an
+                        // earlier run's horizon (see `start_task`). Decrement
+                        // synthetic utilization; waiting arrivals may now fit.
                         self.admission.advance_to(time);
                         self.retry_pending();
                     }
@@ -502,6 +564,9 @@ impl Simulation {
         }
 
         self.clock = until;
+        // The ledger catches up lazily; bring it to the horizon so that
+        // `admission()` reads current counters between runs.
+        self.admission.advance_to(until);
         for stage in &mut self.stages {
             stage.finalize(until);
         }
@@ -525,6 +590,12 @@ impl Simulation {
     }
 
     /// The admission controller's view (synthetic utilizations, stats).
+    ///
+    /// Deadlines reach the ledger lazily, but it is current wherever it
+    /// is read: at every admission decision, idle reset, routing and
+    /// utilization sample, in [`Simulation::snapshot`], and at the end of
+    /// [`Simulation::run`] — so between runs this reads the counters as of
+    /// the last horizon.
     pub fn admission(&self) -> &Admission<BoxRegion, BoxModel> {
         &self.admission
     }
@@ -539,6 +610,7 @@ impl Simulation {
     /// per-stage occupancy, synthetic utilizations). Useful between
     /// [`Simulation::run`] segments and in tests.
     pub fn snapshot(&mut self) -> Snapshot {
+        self.admission.advance_to(self.clock);
         let stage_jobs = self.stages.iter().map(|s| s.job_count()).collect();
         let stage_running = self.stages.iter().map(|s| s.running()).collect();
         Snapshot {
@@ -600,23 +672,8 @@ impl Simulation {
                 let outcome = self
                     .admission
                     .try_admit_or_shed_with(now, &spec, |victim, out| {
-                        let Some(run) = tasks.get(victim) else {
-                            return;
-                        };
-                        for (node, nr) in run.nodes.iter().enumerate() {
-                            if nr.remaining_preds > 0 {
-                                continue; // never released: nothing executed
-                            }
-                            let stage = run.stage_of(node);
-                            let executed = stages[stage]
-                                .executed(now, nr.slot, (victim, node as u32))
-                                .unwrap_or_else(|| {
-                                    // Completed subtask: its full demand ran.
-                                    run.graph.subtask(node).computation()
-                                });
-                            if executed > TimeDelta::ZERO {
-                                out.push((StageId::new(stage), executed));
-                            }
+                        if let Some(run) = tasks.get(victim) {
+                            run.executed(victim, now, stages, out);
                         }
                     });
                 match outcome {
@@ -656,7 +713,9 @@ impl Simulation {
                 WaitPolicy::WaitUpTo(wait) => {
                     let seq = self.pending_seq;
                     self.pending_seq += 1;
-                    let expires = now + wait;
+                    // Saturating, like the ledger's expiry: an unbounded
+                    // wait must not wrap into the past.
+                    let expires = now.saturating_add(wait);
                     let shape = self.intern_shape(&spec);
                     let log_idx = if self.record_decisions {
                         self.metrics.decision_log.push(AdmitDecision::Queued);
@@ -692,21 +751,33 @@ impl Simulation {
         // Saturating, like the ledger's expiry (`Admission::commit`).
         let abs_deadline = now.saturating_add(spec.deadline);
         let graph = spec.graph;
-        let mut nodes = self.spare_nodes.pop().unwrap_or_default();
-        for i in 0..graph.len() {
+        let check_stage = |i: usize| {
             let stage = graph.stage(i).index();
             assert!(
                 stage < self.stages.len(),
                 "task references stage {stage} but the system has {}",
                 self.stages.len()
             );
-            nodes.push(NodeRun {
-                remaining_preds: graph.preds(i).len() as u32,
-                slot: 0,
-                done: false,
-            });
-        }
-        let node_count = nodes.len() as u32;
+        };
+        let chain = graph.is_plain();
+        let progress = if chain {
+            // A plain chain's stages ascend: its last is its highest.
+            check_stage(graph.len() - 1);
+            Progress::Chain { slot: 0 }
+        } else {
+            let mut nodes = self.spare_nodes.pop().unwrap_or_default();
+            for i in 0..graph.len() {
+                check_stage(i);
+                nodes.push(NodeRun {
+                    remaining_preds: graph.preds(i).len() as u32,
+                    slot: 0,
+                    done: false,
+                });
+            }
+            Progress::Graph(nodes)
+        };
+        // A plain chain's one source is node 0.
+        let candidates = if chain { 1 } else { graph.len() as u32 };
         self.tasks.insert(
             id,
             TaskRun {
@@ -714,16 +785,24 @@ impl Simulation {
                 priority,
                 arrival: now,
                 abs_deadline,
-                nodes,
+                progress,
                 nodes_done: 0,
             },
         );
-        self.queue.push_deadline(abs_deadline);
+        // A deadline pop advances the ledger and retries the waiters. Every
+        // reader of the ledger advances it first, so without a wait queue
+        // the pop would only move the clock: the deadline is counted now
+        // instead. One past the horizon stays queued for a later `run`.
+        if matches!(self.wait, WaitPolicy::WaitUpTo(_)) || abs_deadline > self.horizon {
+            self.queue.push_deadline(abs_deadline);
+        } else {
+            self.metrics.events_processed += 1;
+        }
         // Sources first: nothing completes before the next event, so no
         // other node's precedence count reaches zero inside this loop.
-        for node in 0..node_count {
+        for node in 0..candidates {
             let run = self.tasks.get(id).expect("task just started");
-            if run.nodes[node as usize].remaining_preds == 0 {
+            if run.graph.preds(node as usize).is_empty() {
                 let stage_idx = self.release_subtask(id, node);
                 self.drain_effects(stage_idx);
             }
@@ -739,8 +818,11 @@ impl Simulation {
         let sub = run.graph.subtask(node as usize);
         let (stage_idx, segments) = (sub.stage.index(), sub.segments);
         let stage = &mut self.stages[stage_idx];
-        run.nodes[node as usize].slot =
-            stage.add_job(now, (task, node), run.priority, segments, &mut self.effects);
+        let slot = stage.add_job(now, (task, node), run.priority, segments, &mut self.effects);
+        match &mut run.progress {
+            Progress::Chain { slot: at } => *at = slot,
+            Progress::Graph(nodes) => nodes[node as usize].slot = slot,
+        }
         stage_idx
     }
 
@@ -754,7 +836,7 @@ impl Simulation {
                 self.take_utilization_sample();
                 if let Some(period) = self.sample_period {
                     self.queue
-                        .push(self.clock + period, Event::UtilizationSample);
+                        .push(self.clock.saturating_add(period), Event::UtilizationSample);
                 }
             }
             Event::WaitTimeout { seq } => {
@@ -841,9 +923,11 @@ impl Simulation {
         let Some(run) = self.tasks.get_mut(task) else {
             return;
         };
-        run.nodes[node as usize].done = true;
+        if let Progress::Graph(nodes) = &mut run.progress {
+            nodes[node as usize].done = true;
+        }
         run.nodes_done += 1;
-        let all_done = run.nodes_done as usize == run.nodes.len();
+        let all_done = run.nodes_done as usize == run.graph.len();
         // Per-stage departure bookkeeping for idle resets.
         if !run.outstanding_on(stage_idx) {
             self.admission
@@ -851,7 +935,7 @@ impl Simulation {
         }
 
         if all_done {
-            let mut run = self.tasks.remove(task).expect("task just observed");
+            let run = self.tasks.remove(task).expect("task just observed");
             self.metrics.completed += 1;
             let response = now.saturating_since(run.arrival);
             self.metrics.response_sum += response;
@@ -874,18 +958,23 @@ impl Simulation {
                     deadline: run.abs_deadline,
                 });
             }
-            run.nodes.clear();
-            self.spare_nodes.push(run.nodes);
+            self.recycle(run.progress);
             return;
         }
 
+        let run = self.tasks.get_mut(task).expect("live task");
+        let Progress::Graph(nodes) = &mut run.progress else {
+            // A plain chain: its next node, without walking its edges.
+            let next_stage = self.release_subtask(task, node + 1);
+            self.enqueue_effects(next_stage);
+            return;
+        };
         // Release successors whose predecessors are all complete.
         let mut to_release = std::mem::take(&mut self.release_scratch);
         to_release.clear();
-        let run = self.tasks.get_mut(task).expect("live task");
         for &succ in run.graph.succs(node as usize) {
-            run.nodes[succ].remaining_preds -= 1;
-            if run.nodes[succ].remaining_preds == 0 {
+            nodes[succ].remaining_preds -= 1;
+            if nodes[succ].remaining_preds == 0 {
                 to_release.push(succ as u32);
             }
         }
@@ -909,21 +998,37 @@ impl Simulation {
             time: self.clock,
             task,
         });
-        let Some(mut run) = self.tasks.remove(task) else {
+        let Some(run) = self.tasks.remove(task) else {
             return;
         };
         let now = self.clock;
-        for (node, nr) in run.nodes.iter().enumerate() {
-            if nr.remaining_preds > 0 || nr.done {
-                continue; // not at its stage
-            }
+        let mut kill = |node: usize, slot: u32| {
             let stage_idx = run.stage_of(node);
-            self.stages[stage_idx].kill(now, nr.slot, (task, node as u32), &mut self.effects);
+            let key = (task, node as u32);
+            self.stages[stage_idx].kill(now, slot, key, &mut self.effects);
             // A kill can start another job or idle the stage.
             self.drain_effects(stage_idx);
+        };
+        match &run.progress {
+            Progress::Chain { slot } => kill(run.nodes_done as usize, *slot),
+            Progress::Graph(nodes) => {
+                for (node, nr) in nodes.iter().enumerate() {
+                    // Only a released, unfinished node is at its stage.
+                    if nr.remaining_preds == 0 && !nr.done {
+                        kill(node, nr.slot);
+                    }
+                }
+            }
         }
-        run.nodes.clear();
-        self.spare_nodes.push(run.nodes);
+        self.recycle(run.progress);
+    }
+
+    /// Returns a retired run's node vector to the pool.
+    fn recycle(&mut self, progress: Progress) {
+        if let Progress::Graph(mut nodes) = progress {
+            nodes.clear();
+            self.spare_nodes.push(nodes);
+        }
     }
 
     fn take_utilization_sample(&mut self) {
@@ -1281,6 +1386,50 @@ mod tests {
         // Region has 1 stage; spec uses stage 5: the synthetic-utilization
         // indexing panics (documented on SyntheticState::add_task).
         sim.run(vec![(at(0), spec)].into_iter(), Time::from_secs(1));
+    }
+
+    /// Without a wait queue an admitted task's deadline inside the
+    /// horizon is counted, not queued; a wait queue, or a deadline past the
+    /// horizon, queues it. A plain chain's run record holds no node
+    /// vector; any other graph's does.
+    #[test]
+    fn deadlines_queue_only_when_read_and_chains_keep_no_nodes() {
+        let start = |wait: WaitPolicy, horizon: Time, spec: TaskSpec| {
+            let mut sim = SimBuilder::new(4).wait(wait).build();
+            sim.horizon = horizon;
+            sim.handle_arrival(spec);
+            sim
+        };
+        let chain = task(100, &[50]);
+        let sec = Time::from_secs(1);
+
+        let sim = start(WaitPolicy::Reject, sec, chain.clone());
+        assert_eq!(sim.queue.len(), 1, "the segment completion alone");
+        assert_eq!(sim.metrics.events_processed, 1, "the deadline, counted");
+        let run = sim.tasks.iter().next().expect("one live task").1;
+        assert!(matches!(run.progress, Progress::Chain { .. }));
+        assert!(sim.spare_nodes.is_empty());
+
+        let sim = start(WaitPolicy::WaitUpTo(ms(10)), sec, chain.clone());
+        assert_eq!(sim.queue.len(), 2, "completion and deadline");
+        assert_eq!(sim.metrics.events_processed, 0);
+
+        let sim = start(WaitPolicy::Reject, at(99), chain);
+        assert_eq!(sim.queue.len(), 2, "the deadline lies past the horizon");
+        assert_eq!(sim.metrics.events_processed, 0);
+
+        let g = TaskGraph::fork_join(
+            SubtaskSpec::new(StageId::new(0), ms(10)),
+            vec![
+                SubtaskSpec::new(StageId::new(1), ms(20)),
+                SubtaskSpec::new(StageId::new(2), ms(30)),
+            ],
+            SubtaskSpec::new(StageId::new(3), ms(10)),
+        )
+        .unwrap();
+        let sim = start(WaitPolicy::Reject, sec, TaskSpec::new(ms(500), g));
+        let run = sim.tasks.iter().next().expect("one live task").1;
+        assert!(matches!(&run.progress, Progress::Graph(nodes) if nodes.len() == 4));
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl Stage {
         s.running = true;
         s.started = now;
         let gen = ((slot as u64) << 32) | (s.run_count & u64::from(u32::MAX));
-        let finish = now + s.remaining;
+        let finish = now.saturating_add(s.remaining);
         let key = s.key;
         self.running_slots.push(slot as u32);
         effects.push(Effect::Start { key, gen, finish });

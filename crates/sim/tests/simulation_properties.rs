@@ -1,10 +1,13 @@
 //! Property-based and scenario tests for the simulation substrate.
 
-use frap_core::graph::TaskSpec;
+use frap_core::graph::{TaskGraph, TaskSpec};
+use frap_core::task::{Importance, Segment, StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
-use frap_sim::pipeline::SimBuilder;
+use frap_sim::pipeline::{OverloadPolicy, SimBuilder, WaitPolicy};
 use frap_sim::sched::EarliestDeadlineFirst;
 use frap_sim::trace::TraceEvent;
+use frap_sim::SimMetrics;
+use frap_workload::taskgen::PipelineWorkloadBuilder;
 use proptest::prelude::*;
 
 fn ms(v: u64) -> TimeDelta {
@@ -381,4 +384,165 @@ fn event_count_and_aggregates_of_a_preempting_run_are_pinned() {
     // Arrivals + one deadline per admitted task + every dispatch's
     // completion event, stale or not.
     assert_eq!(m.events_processed, m.offered + m.admitted + dispatches);
+}
+
+/// `count` arrivals of a generated three-stage pipeline workload at
+/// `load`, with short deadlines (so they expire within a short run) and
+/// three importance levels in turn (so shedding has victims).
+fn generated_pipeline(load: f64, seed: u64, count: usize) -> Vec<(Time, TaskSpec)> {
+    let stream = PipelineWorkloadBuilder::new(3)
+        .mean_computation_ms(2.0)
+        .resolution(10.0)
+        .load(load)
+        .seed(seed)
+        .build();
+    let leveled = |(i, (t, spec)): (usize, (Time, TaskSpec))| {
+        (t, spec.with_importance(Importance::new(i as u32 % 3)))
+    };
+    stream.take(count).enumerate().map(leveled).collect()
+}
+
+/// `spec` with each subtask's one segment split into two lock-free
+/// halves: the same work, held in the general graph form.
+fn split_segments(spec: &TaskSpec) -> TaskSpec {
+    let halves = |sub: SubtaskSpec| {
+        let c = sub.computation();
+        let first = TimeDelta::from_micros(c.as_micros() / 2);
+        let halves = vec![Segment::compute(first), Segment::compute(c - first)];
+        SubtaskSpec::with_segments(sub.stage, halves)
+    };
+    let graph = TaskGraph::chain(spec.graph.subtasks().map(halves).collect());
+    let split = TaskSpec::new(spec.deadline, graph.expect("non-empty chain"));
+    split.with_importance(spec.importance)
+}
+
+/// The general graph path is the plain-chain path's oracle: a generated
+/// workload run once as plain chains and once with every segment split in
+/// two decides, sheds, completes and misses identically under both
+/// overload policies, with idle resets on and off. Only the event count
+/// may differ, by the split boundaries reached.
+#[test]
+fn general_path_decides_as_the_chain_path() {
+    for (load, seed) in [(0.9, 11), (1.1, 12), (1.3, 13)] {
+        let chains = generated_pipeline(load, seed, 2_000);
+        let split: Vec<(Time, TaskSpec)> = chains
+            .iter()
+            .map(|(t, s)| (*t, split_segments(s)))
+            .collect();
+        assert!(chains.iter().all(|(_, s)| s.graph.is_plain()));
+        assert!(split.iter().all(|(_, s)| !s.graph.is_plain()));
+        let horizon = chains.last().expect("arrivals").0;
+        for overload in [
+            OverloadPolicy::RejectArrival,
+            OverloadPolicy::ShedLessImportant,
+        ] {
+            for resets in [true, false] {
+                let run = |arrivals: &[(Time, TaskSpec)]| {
+                    let mut sim = SimBuilder::new(3)
+                        .overload(overload)
+                        .idle_resets(resets)
+                        .record_decisions(true)
+                        .record_outcomes(true)
+                        .build();
+                    sim.run(arrivals.iter().cloned(), horizon);
+                    sim.into_metrics()
+                };
+                let (c, g) = (run(&chains), run(&split));
+                let case = format!("load {load}, {overload:?}, idle resets {resets}");
+                assert_eq!(c.decision_log, g.decision_log, "{case}");
+                assert_eq!(c.shed_log, g.shed_log, "{case}");
+                assert_eq!(c.outcomes, g.outcomes, "{case}");
+                let counts = |m: &SimMetrics| {
+                    (
+                        m.admitted,
+                        m.rejected,
+                        m.completed,
+                        m.missed,
+                        m.shed,
+                        m.in_flight_at_end,
+                    )
+                };
+                assert_eq!(counts(&c), counts(&g), "{case}");
+                assert!(g.events_processed >= c.events_processed, "{case}");
+                if overload == OverloadPolicy::ShedLessImportant && load > 1.0 {
+                    assert!(c.shed > 0, "{case}: the run sheds");
+                }
+            }
+        }
+    }
+}
+
+/// A run cut into several `run` segments equals one run: the same event
+/// count, counts and decision log. A deadline past a segment's horizon is
+/// queued and counted once, in the segment that reaches it.
+#[test]
+fn run_segments_equal_one_run() {
+    let arrivals = generated_pipeline(1.2, 21, 1_500);
+    let end = arrivals.last().expect("arrivals").0 + TimeDelta::from_secs(1);
+    for wait in [WaitPolicy::Reject, WaitPolicy::WaitUpTo(ms(20))] {
+        let build = || SimBuilder::new(3).wait(wait).record_decisions(true).build();
+        let mut whole = build();
+        whole.run(arrivals.iter().cloned(), end);
+        let mut cut = build();
+        let share = |n: u64, d: u64| Time::from_micros(end.as_micros() / d * n);
+        let cuts = [
+            share(1, 5),
+            share(1, 3),
+            share(1, 2) + TimeDelta::from_micros(7),
+            end,
+        ];
+        let mut rest = arrivals.iter().cloned().peekable();
+        for until in cuts {
+            let segment = std::iter::from_fn(|| rest.next_if(|&(t, _)| t <= until));
+            cut.run(segment, until);
+        }
+        let (w, c) = (whole.into_metrics(), cut.into_metrics());
+        assert_eq!(w.events_processed, c.events_processed, "{wait:?}");
+        let counts = |m: &SimMetrics| (m.offered, m.admitted, m.rejected, m.completed, m.missed);
+        assert_eq!(counts(&w), counts(&c), "{wait:?}");
+        assert_eq!(w.decision_log, c.decision_log, "{wait:?}");
+    }
+
+    // One task, deadline at t = 100 ms: not counted in a segment ending
+    // before it, counted once in the segment that reaches it.
+    let spec = TaskSpec::pipeline(ms(100), &[ms(10)]).unwrap();
+    let mut sim = SimBuilder::new(1).build();
+    let first = sim.run(
+        [(Time::ZERO, spec.clone())].into_iter(),
+        Time::from_millis(50),
+    );
+    assert_eq!(first.events_processed, 2, "arrival and completion");
+    let second = sim.run(std::iter::empty(), Time::from_millis(200));
+    assert_eq!(second.events_processed, 3, "the deadline, reached");
+    let third = sim.run(std::iter::empty(), Time::from_millis(300));
+    assert_eq!(third.events_processed, 3, "and not again");
+    let mut whole = SimBuilder::new(1).build();
+    let once = whole.run([(Time::ZERO, spec)].into_iter(), Time::from_millis(300));
+    assert_eq!(once.events_processed, 3);
+}
+
+/// Deadlines reach the ledger lazily, yet every read after `run` sees it
+/// current: with idle resets off, only deadlines remove charges, and past
+/// every deadline both `admission().state()` and `snapshot()` read the
+/// reservation floors on every stage.
+#[test]
+fn the_ledger_is_current_after_run() {
+    let floors = [0.05, 0.1, 0.0];
+    let arrivals = generated_pipeline(1.0, 31, 500);
+    let last_deadline = arrivals.iter().map(|(t, s)| *t + s.deadline).max().unwrap();
+    let mut sim = SimBuilder::new(3)
+        .reservations(floors.to_vec())
+        .idle_resets(false)
+        .build();
+    let m = sim.run(arrivals.into_iter(), last_deadline + ms(1));
+    assert!(m.admitted > 0);
+    let state = sim.admission().state();
+    for (j, &floor) in floors.iter().enumerate() {
+        let stage = state.stage(StageId::new(j));
+        assert_eq!(stage.value(), floor, "stage {j}");
+        assert_eq!(stage.live_tasks(), 0, "stage {j}");
+        assert!(stage.peak() > floor, "stage {j} was charged");
+    }
+    assert_eq!(sim.admission().live_tasks(), 0);
+    assert_eq!(sim.snapshot().synthetic_utilizations, floors);
 }

@@ -4,6 +4,7 @@
 
 use frap::core::graph::TaskSpec;
 use frap::core::time::{Time, TimeDelta};
+use frap::sim::metrics::AdmitDecision;
 use frap::sim::pipeline::{SimBuilder, WaitPolicy};
 use frap::sim::trace::TraceEvent;
 
@@ -223,4 +224,41 @@ fn same_instant_completion_and_expiry_fire_in_scheduling_order() {
         ["subtask-done", "task-done", "idle-reset", "admit", "run"]
     );
     assert_eq!(resets, 2, "t = 50 and t = 65");
+}
+
+/// A wait of `TimeDelta::MAX` is unbounded, not an overflow: the timeout
+/// saturates at the end of time (as the ledger's expiry does), so the
+/// waiters are admitted as capacity frees, exactly as with a one-hour
+/// wait, instead of timing out at once with the clock run backwards.
+#[test]
+fn unbounded_wait_saturates_instead_of_wrapping() {
+    let run = |wait: TimeDelta| {
+        let mut sim = SimBuilder::new(1)
+            .wait(WaitPolicy::WaitUpTo(wait))
+            .record_decisions(true)
+            .record_outcomes(true)
+            .build();
+        // C/D = 0.4 each: one fits, a second does not until the first's
+        // idle reset.
+        let arrivals = (1..=3).map(|i| (at(i), task(100, 40)));
+        sim.run(arrivals, Time::from_secs(1)).clone()
+    };
+    let unbounded = run(TimeDelta::MAX);
+    let hour = run(TimeDelta::from_secs(3_600));
+    let kinds = |m: &frap::sim::SimMetrics| {
+        let kind = |d: &AdmitDecision| match d {
+            AdmitDecision::Admitted { .. } => "admitted",
+            AdmitDecision::AdmittedFromQueue { .. } => "from-queue",
+            AdmitDecision::TimedOut => "timed-out",
+            _ => "other",
+        };
+        m.decision_log.iter().map(kind).collect::<Vec<_>>()
+    };
+    assert_eq!(kinds(&unbounded), ["admitted", "from-queue", "from-queue"]);
+    assert_eq!(kinds(&unbounded), kinds(&hour));
+    assert_eq!(unbounded.wait_timeouts, 0);
+    assert_eq!((unbounded.completed, unbounded.missed), (3, 0));
+    assert_eq!(unbounded.outcomes, hour.outcomes);
+    let completions: Vec<Time> = unbounded.outcomes.iter().map(|o| o.completion).collect();
+    assert_eq!(completions, [at(41), at(81), at(121)]);
 }
