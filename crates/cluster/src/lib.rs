@@ -15,7 +15,7 @@
 //! coordinator leases slices of each stage's budget to nodes;
 //! each node's [`node`] wallet drives a [`shared_caps`]
 //! box region that its local `AdmissionService` admits against via the
-//! ordinary `tentative_feasible` fast path. Conservation —
+//! ordinary `tentative_feasible_fp` fast path. Conservation —
 //! `pool + Σ outstanding = total`, per stage, always, in exact integer
 //! units — is the ledger invariant everything else rests on.
 //!

@@ -29,29 +29,9 @@ use crate::fixed::fp_from_utilization;
 use crate::graph::TaskSpec;
 use crate::region::RegionTest;
 use crate::shed::ShedOrder;
-use crate::synthetic::{overlay_contributions, SyntheticState};
+use crate::synthetic::SyntheticState;
 use crate::task::{Importance, StageId, TaskId};
 use crate::time::{Time, TimeDelta};
-
-/// The Section 4 decision kernel: would charging `contributions` on top of
-/// the `current` utilization vector keep the system inside `region`?
-///
-/// `scratch` receives the tentative vector (current plus overlay) and is
-/// reused across calls to avoid allocation. This is the one shared
-/// implementation of the admission test, used by both the single-threaded
-/// [`Admission`] controller and the concurrent `frap-service` admission
-/// service — the two cannot drift.
-pub fn tentative_feasible<R: RegionTest + ?Sized>(
-    region: &R,
-    current: &[f64],
-    contributions: &[(StageId, f64)],
-    scratch: &mut Vec<f64>,
-) -> bool {
-    scratch.clear();
-    scratch.extend_from_slice(current);
-    overlay_contributions(scratch, contributions);
-    region.feasible(scratch)
-}
 
 /// Maps an arriving task to the per-stage contributions the admission
 /// controller will charge for it.
@@ -232,29 +212,6 @@ impl RegionTest for AlwaysAdmit {
     }
 }
 
-/// Counters describing an admission controller's decisions so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Tasks admitted.
-    pub admitted: u64,
-    /// Tasks rejected.
-    pub rejected: u64,
-    /// Admitted tasks later shed at overload.
-    pub shed: u64,
-}
-
-impl AdmissionStats {
-    /// Fraction of decisions that admitted the task (1 if no decisions yet).
-    pub fn acceptance_ratio(&self) -> f64 {
-        let total = self.admitted + self.rejected;
-        if total == 0 {
-            1.0
-        } else {
-            self.admitted as f64 / total as f64
-        }
-    }
-}
-
 /// The outcome of an admission attempt that may shed lower-importance work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmitOutcome {
@@ -314,9 +271,9 @@ pub struct Admission<R, M> {
     /// ledger counts it admitted (expired and shed tasks are skipped).
     shed_order: ShedOrder<TaskId>,
     next_id: u64,
-    stats: AdmissionStats,
     scratch: Vec<(StageId, f64)>,
-    vec_scratch: Vec<f64>,
+    /// The tentative vector: the counters plus an arrival's contributions.
+    tentative: Vec<f64>,
     /// A shed victim's executed work, as the oracle reports it.
     exec_scratch: Vec<(StageId, TimeDelta)>,
     /// The share of a shed victim's charge that stays on the counters.
@@ -333,9 +290,8 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             state: SyntheticState::new(stages),
             shed_order: ShedOrder::default(),
             next_id: 0,
-            stats: AdmissionStats::default(),
             scratch: Vec::new(),
-            vec_scratch: Vec::new(),
+            tentative: Vec::with_capacity(stages),
             exec_scratch: Vec::new(),
             retain_scratch: Vec::new(),
         }
@@ -369,17 +325,6 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         &self.state
     }
 
-    /// Mutable synthetic-utilization state — used by the simulator to
-    /// report departures and idle periods.
-    pub fn state_mut(&mut self) -> &mut SyntheticState {
-        &mut self.state
-    }
-
-    /// Decision counters.
-    pub fn stats(&self) -> AdmissionStats {
-        self.stats
-    }
-
     /// Number of admitted tasks whose deadlines have not yet expired.
     pub fn live_tasks(&self) -> usize {
         self.state.admitted_tasks()
@@ -392,8 +337,8 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
     }
 
     /// Attempts to admit `spec` arriving at `now`. Returns the new task id
-    /// on admission, or `None` (and counts a rejection) if admitting it
-    /// would leave the feasible region.
+    /// on admission, or `None` if admitting it would leave the feasible
+    /// region.
     pub fn try_admit(&mut self, now: Time, spec: &TaskSpec) -> Option<TaskId> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -415,12 +360,8 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         contributions: &[(StageId, f64)],
     ) -> Option<TaskId> {
         self.advance_to(now);
-        if self.admit_feasible(contributions) {
-            Some(self.commit(now, spec, contributions))
-        } else {
-            self.stats.rejected += 1;
-            None
-        }
+        self.admit_feasible(contributions)
+            .then(|| self.commit(now, spec, contributions))
     }
 
     /// The per-stage contributions the model charges for `spec`, written
@@ -490,7 +431,6 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             );
             self.state.retire(victim);
             self.state.shed_task_retaining(victim, &self.retain_scratch);
-            self.stats.shed += 1;
             shed.push(victim);
             if self.admit_feasible(&scratch) {
                 fits = true;
@@ -505,7 +445,6 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             // Shedding was insufficient: the shed tasks stay shed (they
             // were the least important and the system is overloaded), and
             // the arrival is rejected.
-            self.stats.rejected += 1;
             AdmitOutcome::Rejected
         };
         self.scratch = scratch;
@@ -519,7 +458,6 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
     pub fn admit_reserved(&mut self, _now: Time, _spec: &TaskSpec) -> TaskId {
         let id = TaskId::new(self.next_id);
         self.next_id += 1;
-        self.stats.admitted += 1;
         id
     }
 
@@ -541,7 +479,6 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
     pub fn shed(&mut self, task: TaskId) {
         if self.state.retire(task) {
             self.state.shed_task(task);
-            self.stats.shed += 1;
         }
     }
 
@@ -556,17 +493,17 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
         (importance < below).then(|| (task, state.admitted_deadline(task).expect("live")))
     }
 
-    /// Runs the shared decision kernel against the current counters.
+    /// The Section 4 decision: would charging `contributions` on top of
+    /// the current counters keep the system inside the region? The
+    /// counters are written once into the tentative vector, and the
+    /// contributions added there.
     fn admit_feasible(&mut self, contributions: &[(StageId, f64)]) -> bool {
-        let mut vec_scratch = std::mem::take(&mut self.vec_scratch);
-        let ok = tentative_feasible(
-            &self.region,
-            self.state.utilizations(),
-            contributions,
-            &mut vec_scratch,
-        );
-        self.vec_scratch = vec_scratch;
-        ok
+        self.tentative.clear();
+        self.tentative.extend(self.state.values());
+        for &(stage, amount) in contributions {
+            self.tentative[stage.index()] += amount;
+        }
+        self.region.feasible(&self.tentative)
     }
 
     fn commit(&mut self, now: Time, spec: &TaskSpec, contributions: &[(StageId, f64)]) -> TaskId {
@@ -580,7 +517,6 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
             });
         self.state
             .charge(id, contributions, expiry, Some(spec.deadline));
-        self.stats.admitted += 1;
         id
     }
 }
@@ -617,8 +553,7 @@ mod tests {
             }
         }
         assert!((6..=8).contains(&admitted), "admitted={admitted}");
-        assert_eq!(ac.stats().admitted, admitted);
-        assert_eq!(ac.stats().rejected, 20 - admitted);
+        assert_eq!(ac.live_tasks(), admitted);
     }
 
     #[test]
@@ -713,7 +648,6 @@ mod tests {
         for _ in 0..100 {
             assert!(ac.try_admit(Time::ZERO, &spec).is_some());
         }
-        assert_eq!(ac.stats().rejected, 0);
     }
 
     #[test]
@@ -732,7 +666,7 @@ mod tests {
             }
             other => panic!("expected shedding admission, got {other:?}"),
         }
-        assert_eq!(ac.stats().shed, 1);
+        assert_eq!(ac.live_tasks(), 2, "mid and critical stay live");
     }
 
     #[test]
@@ -798,7 +732,6 @@ mod tests {
             ac.try_admit_or_shed(Time::from_millis(1), &b),
             AdmitOutcome::Rejected
         );
-        assert_eq!(ac.stats().shed, 0);
         assert_eq!(ac.live_tasks(), 1);
     }
 
@@ -817,15 +750,6 @@ mod tests {
             .task(),
             Some(TaskId::new(4))
         );
-    }
-
-    #[test]
-    fn acceptance_ratio() {
-        let mut s = AdmissionStats::default();
-        assert_eq!(s.acceptance_ratio(), 1.0);
-        s.admitted = 3;
-        s.rejected = 1;
-        assert!((s.acceptance_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -866,7 +790,44 @@ mod tests {
         let id = ac.try_admit(Time::ZERO, &spec).unwrap();
         ac.shed(id);
         ac.shed(id);
-        assert_eq!(ac.stats().shed, 1);
         assert_eq!(ac.live_tasks(), 0);
+        assert_eq!(ac.state().utilizations(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn admits_on_the_exact_region_boundary() {
+        // The tentative vector is the counters plus the arrival's
+        // contributions, stage by stage — built here the long way, from a
+        // copy of the counters.
+        let reserved = [0.1, 0.2];
+        let mut ledger = SyntheticState::with_reservations(&reserved);
+        let first = pipeline_task(100, &[3, 11]);
+        let arrival = pipeline_task(100, &[7, 13]);
+        let mut charges = Vec::new();
+        ExactContributions.contributions_into(&first, &mut charges);
+        ledger.add_task(TaskId::new(0), &charges, Time::from_millis(100));
+        let mut tentative = ledger.utilizations();
+        charges.clear();
+        ExactContributions.contributions_into(&arrival, &mut charges);
+        for &(stage, amount) in &charges {
+            tentative[stage.index()] += amount;
+        }
+        // A two-stage region whose budget is exactly that vector's Σ f.
+        let on_boundary = FeasibleRegion::deadline_monotonic(2)
+            .value(&tentative)
+            .unwrap();
+        let region =
+            |budget: f64| FeasibleRegion::with_alpha(2, crate::alpha::Alpha::new(budget).unwrap());
+        assert_eq!(region(on_boundary).budget(), on_boundary);
+
+        let admit_second = |budget: f64| {
+            let mut ac =
+                Admission::with_reservations(region(budget), ExactContributions, &reserved);
+            assert!(ac.try_admit(Time::ZERO, &first).is_some());
+            ac.try_admit(Time::from_millis(1), &arrival).is_some()
+        };
+        assert!(admit_second(on_boundary), "Σ f equal to the budget admits");
+        let below = f64::from_bits(on_boundary.to_bits() - 1);
+        assert!(!admit_second(below), "one ulp less budget rejects");
     }
 }

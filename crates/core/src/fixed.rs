@@ -26,7 +26,8 @@
 //!   controller.
 //! * **Demands round up** (`ceil`), so a quantized contribution is never
 //!   smaller than the real one and the admission test stays conservative
-//!   — the same direction [`crate::lease::demand_units`] rounds.
+//!   — the mirror of [`crate::lease::units_from_utilization`], which
+//!   rounds budgets down.
 //! * `u64` headroom is 2⁶⁴ ⁻ ⁵³ = 2048 Erlang per stage, orders of
 //!   magnitude above any vector the region test could accept.
 //!
@@ -112,9 +113,9 @@ pub fn feasible_fp<R: RegionTest + ?Sized>(
 
 /// Whether charging `contributions` (merged per-stage unit demands) on
 /// top of `current_fp` stays inside `region` — the fixed-point analogue
-/// of [`crate::admission::tentative_feasible`]. The overlay is summed in
-/// integer units, so the tested vector equals bit-for-bit what the
-/// post-charge counters would read.
+/// of the tentative vector [`crate::admission::Admission`] tests. The
+/// overlay is summed in integer units, so the tested vector equals
+/// bit-for-bit what the post-charge counters would read.
 #[inline]
 pub fn tentative_feasible_fp<R: RegionTest + ?Sized>(
     region: &R,

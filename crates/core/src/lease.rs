@@ -17,9 +17,8 @@
 //! ```
 //!
 //! The cap vector is itself a [`RegionTest`] ([`StageCaps`]), so a node
-//! spends its lease through the exact same
-//! [`tentative_feasible`](crate::admission::tentative_feasible) fast
-//! path the single-node controllers use — only the region object differs.
+//! spends its lease through the same tentative-vector test a single-node
+//! controller runs — only the region object differs.
 //!
 //! # Integer budget units
 //!
@@ -28,10 +27,10 @@
 //! under arbitrary grant/return interleavings. Budgets therefore travel
 //! as integer **units** of 10⁻⁹ utilization ([`UNIT_SCALE`]): one unit
 //! is one nano-Erlang of stage utilization. Conversions round in the
-//! safe direction — budgets round *down*
-//! ([`units_from_utilization`]), per-task demands round *up*
-//! ([`demand_units`]) — so unit-space admission is never less
-//! conservative than the real-valued test it mirrors.
+//! safe direction — budgets round *down* ([`units_from_utilization`]),
+//! per-task demands round *up* ([`crate::fixed::fp_from_utilization`])
+//! — so unit-space admission is never less conservative than the
+//! real-valued test it mirrors.
 //!
 //! # Why leases carry region parameters
 //!
@@ -71,21 +70,6 @@ pub fn utilization_from_units(units: u64) -> f64 {
     units as f64 / UNIT_SCALE as f64
 }
 
-/// A task's per-stage demand in budget units: `⌈C·SCALE / D⌉`, rounding
-/// **up** so spending a lease in unit space is at least as conservative
-/// as charging the real-valued contribution `C/D`.
-///
-/// A zero deadline yields `u64::MAX` (inadmissible), mirroring the
-/// region test's rejection of undefined contributions.
-pub fn demand_units(computation_us: u64, deadline_us: u64) -> u64 {
-    if deadline_us == 0 {
-        return u64::MAX;
-    }
-    let num = computation_us as u128 * UNIT_SCALE as u128;
-    let den = deadline_us as u128;
-    num.div_ceil(den).min(u64::MAX as u128) as u64
-}
-
 /// A box-shaped feasible region: per-stage utilization caps
 /// `U_j ≤ cap_j`. This is the region a lease-holding node admits
 /// against — its caps are the node's currently-leased amounts — and the
@@ -117,14 +101,6 @@ impl StageCaps {
         let cap = region.max_equal_utilization();
         StageCaps {
             caps: vec![cap; region.stages()],
-        }
-    }
-
-    /// Caps from whole budget units (exact: unit counts are integral
-    /// `f64` values well below 2⁵³).
-    pub fn from_units(units: &[u64]) -> StageCaps {
-        StageCaps {
-            caps: units.iter().map(|&u| u as f64).collect(),
         }
     }
 
@@ -199,7 +175,6 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::tentative_feasible;
 
     #[test]
     fn unit_conversions_round_safely() {
@@ -207,12 +182,10 @@ mod tests {
         assert_eq!(units_from_utilization(0.0), 0);
         assert_eq!(units_from_utilization(-1.0), 0);
         assert_eq!(units_from_utilization(f64::NAN), 0);
-        // Budgets round down…
+        // Budgets round down.
         assert!(utilization_from_units(units_from_utilization(0.3)) <= 0.3);
-        // …demands round up.
-        assert_eq!(demand_units(1, 3), UNIT_SCALE / 3 + 1);
-        assert_eq!(demand_units(10, 10), UNIT_SCALE);
-        assert_eq!(demand_units(5, 0), u64::MAX);
+        assert_eq!(units_from_utilization(1.0 / 3.0), UNIT_SCALE / 3);
+        assert_eq!(utilization_from_units(UNIT_SCALE), 1.0);
     }
 
     #[test]
@@ -237,21 +210,30 @@ mod tests {
 
     #[test]
     fn tentative_feasible_spends_against_caps() {
-        let caps = StageCaps::from_units(&[100, 50]);
-        let mut scratch = Vec::new();
-        let current = [40.0, 10.0];
-        assert!(tentative_feasible(
-            &caps,
-            &current,
-            &[(crate::task::StageId::new(0), 60.0)],
-            &mut scratch,
-        ));
-        assert!(!tentative_feasible(
-            &caps,
-            &current,
-            &[(crate::task::StageId::new(0), 61.0)],
-            &mut scratch,
-        ));
+        // A node holding 0.5 and 0.25 that has spent 0.25 and 0.125 admits
+        // a demand up to its remaining lease, and nothing beyond it.
+        let caps = StageCaps::new(vec![0.5, 0.25]);
+        let spent = [0.25, 0.125];
+        let tentative = |demand: f64| [spent[0] + demand, spent[1]];
+        assert!(caps.feasible(&tentative(0.25)));
+        assert!(!caps.feasible(&tentative(0.25 + 1e-6)));
+    }
+
+    #[test]
+    fn inscribed_caps_round_down_to_units() {
+        for stages in 1..=8 {
+            let region = FeasibleRegion::deadline_monotonic(stages);
+            let caps = StageCaps::inscribed(&region);
+            let units = caps.units();
+            assert_eq!(units.len(), stages);
+            for (&u, &cap) in units.iter().zip(caps.caps()) {
+                assert!(utilization_from_units(u) <= cap, "{u} units above {cap}");
+                assert!(
+                    utilization_from_units(u + 1) > cap,
+                    "{u} units not the floor"
+                );
+            }
+        }
     }
 
     #[test]

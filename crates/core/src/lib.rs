@@ -114,7 +114,7 @@ pub use graph::{TaskGraph, TaskSpec};
 pub use hist::LatencyHistogram;
 pub use lease::{StageCaps, UNIT_SCALE};
 pub use region::{FeasibleRegion, RegionTest};
-pub use synthetic::{StageTracker, SyntheticState};
+pub use synthetic::SyntheticState;
 pub use task::{Importance, Priority, StageId, SubtaskSpec, TaskId};
 pub use time::{Time, TimeDelta};
 pub use wire::WireTaskSpec;

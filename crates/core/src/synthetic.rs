@@ -33,20 +33,6 @@ use crate::time::{Time, TimeDelta};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Overlays a tentative arrival's contributions on a utilization vector in
-/// place — the single implementation of the "charge tentatively" step of
-/// the admission test, shared by [`SyntheticState::utilizations_with`] and
-/// the concurrent sharded counters in `frap-service`.
-///
-/// # Panics
-///
-/// Panics if a stage index is out of range for `vector`.
-pub fn overlay_contributions(vector: &mut [f64], contributions: &[(StageId, f64)]) {
-    for &(stage, amount) in contributions {
-        vector[stage.index()] += amount;
-    }
-}
-
 /// One stage's share of a task's ledger record.
 #[derive(Debug, Clone, Copy)]
 struct Charge {
@@ -67,8 +53,8 @@ struct TaskRecord {
     /// [`SyntheticState::add_task`] entry and for a shed victim's
     /// retained charge.
     admitted: Option<TimeDelta>,
-    /// In insertion order — ascending by stage for every
-    /// [`crate::admission::ContributionModel`] in this crate.
+    /// Ascending by stage, one per stage: [`SyntheticState::add_task`]
+    /// refuses anything else.
     charges: Vec<Charge>,
 }
 
@@ -166,8 +152,7 @@ impl StageView<'_> {
 }
 
 /// The synthetic-utilization state of a whole `N`-stage system: one
-/// counter per stage over one shared task ledger, plus a scratch vector
-/// for region tests.
+/// counter per stage over one shared task ledger.
 ///
 /// # Examples
 ///
@@ -195,7 +180,6 @@ pub struct SyntheticState {
     /// Charge vectors of retired records, reused so that a steady-state
     /// admission allocates nothing.
     spare_charges: Vec<Vec<Charge>>,
-    scratch: Vec<f64>,
 }
 
 impl SyntheticState {
@@ -216,7 +200,6 @@ impl SyntheticState {
             expiries: BinaryHeap::new(),
             admitted: 0,
             spare_charges: Vec::new(),
-            scratch: vec![0.0; reservations.len()],
         }
     }
 
@@ -248,8 +231,8 @@ impl SyntheticState {
                 break;
             }
             self.expiries.pop();
-            // Lazy deletion: the record may have been shed, reset away, or
-            // superseded by a later expiry.
+            // Lazy deletion: the record may have been shed or reset away,
+            // or its id charged afresh since.
             if self.tasks.get(task).is_some_and(|r| r.expiry == expiry) {
                 let mut record = self.tasks.remove(task).expect("record just observed");
                 for c in record.charges.drain(..) {
@@ -267,22 +250,21 @@ impl SyntheticState {
     }
 
     /// Adds a task's contributions (one `(stage, C_ij/D_i)` pair per stage
-    /// it uses), all expiring at the task's absolute deadline. Re-adding a
-    /// live task accumulates per stage and keeps the later expiry for the
-    /// whole task (a task has one deadline).
+    /// it uses, ascending by stage), all expiring at the task's absolute
+    /// deadline. A task is charged once: its id must not be live.
     ///
     /// # Panics
     ///
-    /// Panics if a stage index is out of range or a contribution is
-    /// negative/not finite.
+    /// Panics if `task` is live, a stage index is out of range, the stages
+    /// repeat or descend, or a contribution is negative/not finite.
     pub fn add_task(&mut self, task: TaskId, contributions: &[(StageId, f64)], expiry: Time) {
         self.charge(task, contributions, expiry, None);
     }
 
-    /// [`SyntheticState::add_task`]; with `admitted = Some(D_i)` for a
-    /// fresh task the admission controller counts live until `expiry` (or
-    /// until it is shed) — `D_i` being the denominator of every
-    /// retained-charge fraction should it be shed mid-execution.
+    /// [`SyntheticState::add_task`]; with `admitted = Some(D_i)` the
+    /// admission controller counts the task live until `expiry` (or until
+    /// it is shed) — `D_i` being the denominator of every retained-charge
+    /// fraction should it be shed mid-execution.
     pub(crate) fn charge(
         &mut self,
         task: TaskId,
@@ -290,56 +272,41 @@ impl SyntheticState {
         expiry: Time,
         admitted: Option<TimeDelta>,
     ) {
-        match self.tasks.get_mut(task) {
-            Some(record) if expiry > record.expiry => {
-                // The earlier heap entry goes stale.
-                record.expiry = expiry;
-                self.expiries.push(Reverse((expiry, task)));
-            }
-            Some(_) => {}
-            None => {
-                let record = TaskRecord {
-                    expiry,
-                    admitted,
-                    charges: self.spare_charges.pop().unwrap_or_default(),
-                };
-                self.tasks.insert(task, record);
-                self.expiries.push(Reverse((expiry, task)));
-                self.admitted += usize::from(admitted.is_some());
-            }
-        }
-        let record = self.tasks.get_mut(task).expect("record just ensured");
+        assert!(
+            self.tasks.get(task).is_none(),
+            "{task:?} is already charged"
+        );
+        let mut charges = self.spare_charges.pop().unwrap_or_default();
         for &(stage, amount) in contributions {
             let stage = stage.index();
-            let counter = &mut self.stages[stage];
             assert!(
                 amount.is_finite() && amount >= 0.0,
                 "contribution must be a finite non-negative utilization"
             );
-            // Contributions arrive ascending by stage, so a stage above
-            // the last charge is new without a search.
-            let known = match record.charges.last() {
-                Some(last) if last.stage >= stage => {
-                    record.charges.iter().position(|c| c.stage == stage)
-                }
-                _ => None,
-            };
-            match known {
-                Some(i) => record.charges[i].amount += amount,
-                None => {
-                    record.charges.push(Charge {
-                        stage,
-                        amount,
-                        departed: false,
-                    });
-                    counter.live += 1;
-                }
-            }
+            assert!(
+                charges.last().is_none_or(|last| last.stage < stage),
+                "contributions must name each stage once, ascending"
+            );
+            let counter = &mut self.stages[stage];
+            charges.push(Charge {
+                stage,
+                amount,
+                departed: false,
+            });
+            counter.live += 1;
             counter.extra += amount;
             if counter.value() > counter.peak {
                 counter.peak = counter.value();
             }
         }
+        let record = TaskRecord {
+            expiry,
+            admitted,
+            charges,
+        };
+        self.tasks.insert(task, record);
+        self.expiries.push(Reverse((expiry, task)));
+        self.admitted += usize::from(admitted.is_some());
     }
 
     /// Marks `task` as departed from `stage` (its last subtask there has
@@ -413,12 +380,6 @@ impl SyntheticState {
     /// Panics if a retained charge is negative/not finite or its stage
     /// index is out of range.
     pub fn shed_task_retaining(&mut self, task: TaskId, retained: &[(StageId, f64)]) -> f64 {
-        self.shed_charges(task, retained).unwrap_or(0.0)
-    }
-
-    /// [`SyntheticState::shed_task_retaining`]; `None` if `task` has no
-    /// record.
-    fn shed_charges(&mut self, task: TaskId, retained: &[(StageId, f64)]) -> Option<f64> {
         for &(stage, amount) in retained {
             assert!(stage.index() < self.stages.len(), "stage out of range");
             assert!(
@@ -426,7 +387,9 @@ impl SyntheticState {
                 "retained charge must be a finite non-negative utilization"
             );
         }
-        let record = self.tasks.get_mut(task)?;
+        let Some(record) = self.tasks.get_mut(task) else {
+            return 0.0;
+        };
         let mut reclaimed = 0.0;
         record.charges.retain_mut(|c| {
             let keep = retained
@@ -449,7 +412,7 @@ impl SyntheticState {
             keep > 0.0
         });
         self.drop_if_spent(task);
-        Some(reclaimed)
+        reclaimed
     }
 
     /// Removes `task`'s record once nothing refers to it any more.
@@ -484,152 +447,22 @@ impl SyntheticState {
     }
 
     /// The current utilization vector `(U_1, …, U_N)`.
-    pub fn utilizations(&mut self) -> &[f64] {
-        for (u, s) in self.scratch.iter_mut().zip(&self.stages) {
-            *u = s.value();
-        }
-        &self.scratch
+    pub fn utilizations(&self) -> Vec<f64> {
+        self.values().collect()
     }
 
-    /// The utilization vector as the system would look *after* admitting a
-    /// task with the given contributions — the admission controller's
-    /// tentative test vector, computed without mutating any counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stage index is out of range.
-    pub fn utilizations_with(&mut self, contributions: &[(StageId, f64)]) -> &[f64] {
-        self.utilizations();
-        overlay_contributions(&mut self.scratch, contributions);
-        &self.scratch
-    }
-}
-
-/// The synthetic-utilization counter of a single stage, standing alone: a
-/// one-stage [`SyntheticState`] (whose methods document the rules).
-///
-/// Tracks live per-task contributions with their expiry instants, a
-/// reservation floor, and departure flags for idle resets. All operations
-/// are `O(log n)` or better in the number of live tasks. Task ids are
-/// expected dense (see [`IdTable`]).
-///
-/// # Examples
-///
-/// ```
-/// use frap_core::synthetic::StageTracker;
-/// use frap_core::task::TaskId;
-/// use frap_core::time::Time;
-///
-/// let mut tr = StageTracker::new(0.0);
-/// tr.add(TaskId::new(1), 0.25, Time::from_secs(1));
-/// assert_eq!(tr.value(), 0.25);
-/// tr.advance_to(Time::from_secs(1)); // deadline reached → decrement
-/// assert_eq!(tr.value(), 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct StageTracker {
-    state: SyntheticState,
-}
-
-impl Default for StageTracker {
-    fn default() -> StageTracker {
-        StageTracker::new(0.0)
-    }
-}
-
-/// The one stage of a [`StageTracker`].
-const ONLY: StageId = StageId::new(0);
-
-impl StageTracker {
-    /// Creates a tracker with a reservation floor (0 for none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reserved` is negative or not finite.
-    pub fn new(reserved: f64) -> StageTracker {
-        StageTracker {
-            state: SyntheticState::with_reservations(&[reserved]),
-        }
-    }
-
-    /// See [`StageView::value`].
-    #[inline]
-    pub fn value(&self) -> f64 {
-        self.state.stage(ONLY).value()
-    }
-
-    /// See [`StageView::reserved`].
-    pub fn reserved(&self) -> f64 {
-        self.state.stage(ONLY).reserved()
-    }
-
-    /// See [`StageView::peak`].
-    pub fn peak(&self) -> f64 {
-        self.state.stage(ONLY).peak()
-    }
-
-    /// See [`StageView::live_tasks`].
-    pub fn live_tasks(&self) -> usize {
-        self.state.stage(ONLY).live_tasks()
-    }
-
-    /// See [`StageView::contains`].
-    pub fn contains(&self, task: TaskId) -> bool {
-        self.state.stage(ONLY).contains(task)
-    }
-
-    /// See [`StageView::contribution`].
-    pub fn contribution(&self, task: TaskId) -> Option<f64> {
-        self.state.stage(ONLY).contribution(task)
-    }
-
-    /// Registers a task's contribution `C_ij / D_i`, expiring at the task's
-    /// absolute deadline; see [`SyntheticState::add_task`] (re-adding a
-    /// task accumulates and keeps the later expiry).
-    pub fn add(&mut self, task: TaskId, amount: f64, expiry: Time) {
-        self.state.add_task(task, &[(ONLY, amount)], expiry);
-    }
-
-    /// Removes every contribution whose expiry is at or before `now`
-    /// (the decrement-at-deadline rule). Returns the number removed.
-    pub fn advance_to(&mut self, now: Time) -> usize {
-        self.state.advance_to(now)
-    }
-
-    /// See [`SyntheticState::mark_departed`].
-    pub fn mark_departed(&mut self, task: TaskId) {
-        self.state.mark_departed(ONLY, task);
-    }
-
-    /// See [`SyntheticState::reset_idle`].
-    pub fn reset_idle(&mut self) -> usize {
-        self.state.reset_idle(ONLY)
-    }
-
-    /// Forcibly removes a task's contribution (load shedding). Returns the
-    /// removed amount, or `None` if the task was not live here.
-    pub fn shed(&mut self, task: TaskId) -> Option<f64> {
-        self.state.shed_charges(task, &[])
-    }
-
-    /// Sheds `task` but keeps up to `retained` of its contribution charged;
-    /// see [`SyntheticState::shed_task_retaining`]. Returns the amount
-    /// reclaimed immediately, or `None` if the task was not live here.
-    pub fn shed_retaining(&mut self, task: TaskId, retained: f64) -> Option<f64> {
-        self.state.shed_charges(task, &[(ONLY, retained)])
-    }
-
-    /// Exact recomputation of the live sum — counters drift by at most
-    /// float rounding; this is used by tests and long-running deployments.
-    pub fn recompute(&mut self) {
-        let records = self.state.tasks.iter().map(|(_, r)| &r.charges);
-        self.state.stages[0].extra = records.flatten().map(|c| c.amount).sum();
+    /// Every stage's counter, in stage order.
+    pub(crate) fn values(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.stages.iter().map(StageCounter::value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one stage of a [`single`] ledger.
+    const ONLY: StageId = StageId::new(0);
 
     fn t(task: u64) -> TaskId {
         TaskId::new(task)
@@ -639,102 +472,151 @@ mod tests {
         Time::from_secs(secs)
     }
 
+    /// A one-stage ledger with a reservation floor.
+    fn single(reserved: f64) -> SyntheticState {
+        SyntheticState::with_reservations(&[reserved])
+    }
+
+    fn add(st: &mut SyntheticState, task: u64, amount: f64, expiry: Time) {
+        st.add_task(t(task), &[(ONLY, amount)], expiry);
+    }
+
+    fn value(st: &SyntheticState) -> f64 {
+        st.stage(ONLY).value()
+    }
+
     #[test]
     fn add_and_expire() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.2, at(10));
-        tr.add(t(2), 0.3, at(20));
-        assert!((tr.value() - 0.5).abs() < 1e-12);
-        assert_eq!(tr.live_tasks(), 2);
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.2, at(10));
+        add(&mut st, 2, 0.3, at(20));
+        assert!((value(&st) - 0.5).abs() < 1e-12);
+        assert_eq!(st.stage(ONLY).live_tasks(), 2);
 
-        assert_eq!(tr.advance_to(at(9)), 0);
-        assert_eq!(tr.advance_to(at(10)), 1); // deadline inclusive
-        assert!((tr.value() - 0.3).abs() < 1e-12);
-        assert_eq!(tr.advance_to(at(30)), 1);
-        assert_eq!(tr.value(), 0.0);
-        assert_eq!(tr.live_tasks(), 0);
+        assert_eq!(st.advance_to(at(9)), 0);
+        assert_eq!(st.advance_to(at(10)), 1); // deadline inclusive
+        assert!((value(&st) - 0.3).abs() < 1e-12);
+        assert_eq!(st.advance_to(at(30)), 1);
+        assert_eq!(value(&st), 0.0);
+        assert_eq!(st.stage(ONLY).live_tasks(), 0);
     }
 
     #[test]
     fn reservation_is_a_floor() {
-        let mut tr = StageTracker::new(0.4);
-        assert_eq!(tr.value(), 0.4);
-        tr.add(t(1), 0.1, at(5));
-        assert!((tr.value() - 0.5).abs() < 1e-12);
-        tr.advance_to(at(5));
-        assert_eq!(tr.value(), 0.4);
-        tr.mark_departed(t(2)); // unknown task: no-op
-        tr.reset_idle();
-        assert_eq!(tr.value(), 0.4);
+        let mut st = single(0.4);
+        assert_eq!(value(&st), 0.4);
+        add(&mut st, 1, 0.1, at(5));
+        assert!((value(&st) - 0.5).abs() < 1e-12);
+        st.advance_to(at(5));
+        assert_eq!(value(&st), 0.4);
+        st.mark_departed(ONLY, t(2)); // unknown task: no-op
+        st.reset_idle(ONLY);
+        assert_eq!(value(&st), 0.4);
     }
 
     #[test]
     #[should_panic(expected = "reservation")]
     fn negative_reservation_panics() {
-        let _ = StageTracker::new(-0.1);
+        let _ = single(-0.1);
     }
 
     #[test]
     #[should_panic(expected = "contribution")]
     fn negative_contribution_panics() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), -0.1, at(1));
+        let mut st = single(0.0);
+        add(&mut st, 1, -0.1, at(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "already charged")]
+    fn charging_a_live_id_panics() {
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.1, at(10));
+        add(&mut st, 1, 0.2, at(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "each stage once, ascending")]
+    fn repeated_stage_panics() {
+        let mut st = SyntheticState::new(2);
+        st.add_task(t(1), &[(ONLY, 0.1), (ONLY, 0.2)], at(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "each stage once, ascending")]
+    fn descending_stages_panic() {
+        let mut st = SyntheticState::new(2);
+        st.add_task(t(1), &[(StageId::new(1), 0.1), (ONLY, 0.2)], at(10));
+    }
+
+    #[test]
+    fn a_spent_id_may_be_charged_afresh() {
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.2, at(10));
+        st.shed_task(t(1));
+        add(&mut st, 1, 0.3, at(20));
+        // The first charge's heap entry is stale and must not remove the
+        // second.
+        assert_eq!(st.advance_to(at(10)), 0);
+        assert_eq!(st.stage(ONLY).contribution(t(1)), Some(0.3));
+        assert_eq!(st.advance_to(at(20)), 1);
+        assert_eq!(value(&st), 0.0);
     }
 
     #[test]
     fn idle_reset_removes_only_departed() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.2, at(100));
-        tr.add(t(2), 0.3, at(100));
-        tr.mark_departed(t(1));
-        assert_eq!(tr.reset_idle(), 1);
-        assert!((tr.value() - 0.3).abs() < 1e-12);
-        assert!(!tr.contains(t(1)));
-        assert!(tr.contains(t(2)));
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.2, at(100));
+        add(&mut st, 2, 0.3, at(100));
+        st.mark_departed(ONLY, t(1));
+        assert_eq!(st.reset_idle(ONLY), 1);
+        assert!((value(&st) - 0.3).abs() < 1e-12);
+        assert!(!st.stage(ONLY).contains(t(1)));
+        assert!(st.stage(ONLY).contains(t(2)));
     }
 
     #[test]
     fn shed_removes_any_live_task() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.2, at(100));
-        assert_eq!(tr.shed(t(1)), Some(0.2));
-        assert_eq!(tr.shed(t(1)), None);
-        assert_eq!(tr.value(), 0.0);
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.2, at(100));
+        assert_eq!(st.shed_task(t(1)), 0.2);
+        assert_eq!(st.shed_task(t(1)), 0.0);
+        assert_eq!(value(&st), 0.0);
     }
 
     #[test]
     fn shed_retaining_keeps_executed_share() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.4, at(100));
-        let reclaimed = tr.shed_retaining(t(1), 0.05).expect("task is live");
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.4, at(100));
+        let reclaimed = st.shed_task_retaining(t(1), &[(ONLY, 0.05)]);
         assert!((reclaimed - 0.35).abs() < 1e-12);
-        assert!((tr.value() - 0.05).abs() < 1e-12);
+        assert!((value(&st) - 0.05).abs() < 1e-12);
         // The retained share is departed work: gone at the next idle reset.
-        assert_eq!(tr.reset_idle(), 1);
-        assert_eq!(tr.value(), 0.0);
+        assert_eq!(st.reset_idle(ONLY), 1);
+        assert_eq!(value(&st), 0.0);
     }
 
     #[test]
     fn shed_retaining_decrements_at_deadline() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.4, at(10));
-        tr.shed_retaining(t(1), 0.1);
-        assert_eq!(tr.advance_to(at(10)), 1);
-        assert_eq!(tr.value(), 0.0);
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.4, at(10));
+        st.shed_task_retaining(t(1), &[(ONLY, 0.1)]);
+        assert_eq!(st.advance_to(at(10)), 1);
+        assert_eq!(value(&st), 0.0);
     }
 
     #[test]
     fn shed_retaining_clamps_and_degenerates_to_shed() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.2, at(100));
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.2, at(100));
         // Retained above the live amount: nothing reclaimed.
-        assert_eq!(tr.shed_retaining(t(1), 0.5), Some(0.0));
-        assert!((tr.value() - 0.2).abs() < 1e-12);
+        assert_eq!(st.shed_task_retaining(t(1), &[(ONLY, 0.5)]), 0.0);
+        assert!((value(&st) - 0.2).abs() < 1e-12);
         // Zero retained on a fresh entry: identical to a plain shed.
-        tr.add(t(2), 0.3, at(100));
-        assert_eq!(tr.shed_retaining(t(2), 0.0), Some(0.3));
-        assert!(!tr.contains(t(2)));
-        assert_eq!(tr.shed_retaining(t(9), 0.1), None);
+        add(&mut st, 2, 0.3, at(100));
+        assert_eq!(st.shed_task_retaining(t(2), &[(ONLY, 0.0)]), 0.3);
+        assert!(!st.stage(ONLY).contains(t(2)));
+        assert_eq!(st.shed_task_retaining(t(9), &[(ONLY, 0.1)]), 0.0);
     }
 
     #[test]
@@ -755,68 +637,31 @@ mod tests {
     #[test]
     fn shed_then_expiry_is_harmless() {
         // Lazy heap deletion must not double-remove.
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.2, at(10));
-        tr.add(t(2), 0.3, at(10));
-        tr.shed(t(1));
-        assert_eq!(tr.advance_to(at(10)), 1);
-        assert_eq!(tr.value(), 0.0);
-    }
-
-    #[test]
-    fn readd_accumulates_and_extends() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.1, at(10));
-        tr.add(t(1), 0.2, at(20));
-        assert!((tr.value() - 0.3).abs() < 1e-12);
-        assert_eq!(tr.live_tasks(), 1);
-        // The earlier heap entry must not remove the extended entry.
-        assert_eq!(tr.advance_to(at(10)), 0);
-        assert!((tr.value() - 0.3).abs() < 1e-12);
-        assert_eq!(tr.advance_to(at(20)), 1);
-        assert_eq!(tr.value(), 0.0);
-    }
-
-    #[test]
-    fn readd_with_earlier_expiry_keeps_later() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.1, at(20));
-        tr.add(t(1), 0.2, at(10));
-        assert_eq!(tr.advance_to(at(10)), 0);
-        assert!((tr.value() - 0.3).abs() < 1e-9);
-        tr.advance_to(at(20));
-        assert_eq!(tr.value(), 0.0);
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.2, at(10));
+        add(&mut st, 2, 0.3, at(10));
+        st.shed_task(t(1));
+        assert_eq!(st.advance_to(at(10)), 1);
+        assert_eq!(value(&st), 0.0);
     }
 
     #[test]
     fn contribution_lookup() {
-        let mut tr = StageTracker::new(0.0);
-        tr.add(t(1), 0.25, at(10));
-        assert_eq!(tr.contribution(t(1)), Some(0.25));
-        assert_eq!(tr.contribution(t(9)), None);
-    }
-
-    #[test]
-    fn recompute_matches_incremental() {
-        let mut tr = StageTracker::new(0.1);
-        for i in 0..1000 {
-            tr.add(t(i), 0.001, at(i + 1));
-        }
-        tr.advance_to(at(500));
-        let incremental = tr.value();
-        tr.recompute();
-        assert!((tr.value() - incremental).abs() < 1e-9);
+        let mut st = single(0.0);
+        add(&mut st, 1, 0.25, at(10));
+        assert_eq!(st.stage(ONLY).contribution(t(1)), Some(0.25));
+        assert_eq!(st.stage(ONLY).contribution(t(9)), None);
     }
 
     #[test]
     fn empty_tracker_has_exact_floor() {
-        let mut tr = StageTracker::new(0.0);
+        let mut st = single(0.0);
         for i in 0..100 {
-            tr.add(t(i), 0.1 / 3.0, at(1));
+            add(&mut st, i, 0.1 / 3.0, at(1));
         }
-        tr.advance_to(at(1));
+        st.advance_to(at(1));
         // Bit-exact zero, not accumulated float noise.
-        assert_eq!(tr.value(), 0.0);
+        assert_eq!(value(&st), 0.0);
     }
 
     #[test]
@@ -835,11 +680,13 @@ mod tests {
 
     #[test]
     fn system_tentative_vector_does_not_mutate() {
+        // The vector a reader gets is its own copy: overlaying a tentative
+        // arrival on it leaves the counters as they were.
         let mut st = SyntheticState::new(2);
         st.add_task(t(1), &[(StageId::new(0), 0.1)], at(10));
-        let v = st
-            .utilizations_with(&[(StageId::new(0), 0.2), (StageId::new(1), 0.3)])
-            .to_vec();
+        let mut v = st.utilizations();
+        v[0] += 0.2;
+        v[1] += 0.3;
         assert_eq!(v, vec![0.30000000000000004, 0.3]);
         assert_eq!(st.utilizations(), &[0.1, 0.0]);
     }

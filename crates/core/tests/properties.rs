@@ -8,7 +8,7 @@ use frap_core::delay::{
 };
 use frap_core::graph::{TaskGraph, TaskSpec};
 use frap_core::region::{FeasibleRegion, RegionTest};
-use frap_core::synthetic::StageTracker;
+use frap_core::synthetic::SyntheticState;
 use frap_core::task::{Priority, StageId, SubtaskSpec, TaskId};
 use frap_core::time::{Time, TimeDelta};
 use proptest::prelude::*;
@@ -111,30 +111,41 @@ proptest! {
     fn tracker_value_equals_sum_of_live_contributions(
         ops in proptest::collection::vec((0u64..40, 1u64..100, 1u64..1_000), 1..200)
     ) {
-        // Interleave adds, expiries, departures and resets; value() must
-        // always equal the recomputed sum.
-        let mut tr = StageTracker::new(0.0);
+        // Interleave adds, expiries, departures and resets on one stage;
+        // its counter must always equal the sum over the live entries of
+        // a naive model. Every add takes a fresh id.
+        let only = StageId::new(0);
+        let mut st = SyntheticState::new(1);
+        let mut live: Vec<(u64, f64, Time)> = Vec::new();
+        let mut next_id = 0u64;
         let mut clock = Time::ZERO;
-        for (i, &(task, amount, dt)) in ops.iter().enumerate() {
+        for (i, &(pick, amount, dt)) in ops.iter().enumerate() {
             match i % 4 {
                 0 | 1 => {
                     let expiry = clock + TimeDelta::from_micros(dt);
-                    tr.add(TaskId::new(task), amount as f64 / 1000.0, expiry);
+                    let amount = amount as f64 / 1000.0;
+                    st.add_task(TaskId::new(next_id), &[(only, amount)], expiry);
+                    live.push((next_id, amount, expiry));
+                    next_id += 1;
                 }
                 2 => {
                     clock += TimeDelta::from_micros(dt / 2);
-                    tr.advance_to(clock);
+                    st.advance_to(clock);
+                    live.retain(|&(_, _, expiry)| expiry > clock);
                 }
                 _ => {
-                    tr.mark_departed(TaskId::new(task));
-                    tr.reset_idle();
+                    // Any id issued so far, or the next one (not yet live).
+                    let task = pick % (next_id + 1);
+                    st.mark_departed(only, TaskId::new(task));
+                    st.reset_idle(only);
+                    live.retain(|&(id, _, _)| id != task);
                 }
             }
-            let reported = tr.value();
-            let mut check = tr.clone();
-            check.recompute();
-            prop_assert!((reported - check.value()).abs() < 1e-9);
+            let reported = st.stage(only).value();
+            let sum: f64 = live.iter().map(|&(_, amount, _)| amount).sum();
+            prop_assert!((reported - sum).abs() < 1e-9);
             prop_assert!(reported >= -1e-12);
+            prop_assert_eq!(st.stage(only).live_tasks(), live.len());
         }
     }
 
@@ -190,7 +201,7 @@ proptest! {
             )
             .unwrap();
             let _ = ac.try_admit(now, &spec);
-            let utils = ac.state_mut().utilizations().to_vec();
+            let utils = ac.state().utilizations();
             prop_assert!(region.feasible(&utils), "outside region: {utils:?}");
         }
     }

@@ -1,6 +1,5 @@
 //! Regenerates every figure and table in one run (use `--quick` for the
-//! scaled-down variant, `--jobs N` / `FRAP_JOBS` to set replication
-//! parallelism).
+//! scaled-down variant, `--jobs N` to set replication parallelism).
 
 fn main() {
     let scale = frap_experiments::common::Scale::from_args();

@@ -47,9 +47,7 @@ impl Scale {
     }
 
     /// Picks the scale from program arguments: `--quick` anywhere selects
-    /// [`Scale::quick`]; `--jobs N` (or the `FRAP_JOBS` environment
-    /// variable, with the argument taking precedence) sets the
-    /// replication parallelism.
+    /// [`Scale::quick`]; `--jobs N` sets the replication parallelism.
     pub fn from_args() -> Scale {
         let args: Vec<String> = std::env::args().collect();
         let mut scale = if args.iter().any(|a| a == "--quick") {
@@ -57,11 +55,6 @@ impl Scale {
         } else {
             Scale::full()
         };
-        if let Ok(env_jobs) = std::env::var("FRAP_JOBS") {
-            if let Ok(n) = env_jobs.trim().parse::<usize>() {
-                scale.jobs = n;
-            }
-        }
         if let Some(pos) = args.iter().position(|a| a == "--jobs") {
             if let Some(n) = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
                 scale.jobs = n;

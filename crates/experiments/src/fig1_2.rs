@@ -1,9 +1,10 @@
 //! Figures 1 and 2 — the synthetic-utilization curve and the worst-case
 //! pattern (illustrative figures behind the stage delay theorem).
 //!
-//! * **Figure 1** replays a scripted busy period through a
-//!   [`StageTracker`] and emits the resulting synthetic-utilization step
-//!   curve: each arrival raises `U_j` by `C_ij/D_i` for `D_i` time units,
+//! * **Figure 1** replays a scripted busy period through a one-stage
+//!   [`Admission`] controller that admits everything, and emits the
+//!   resulting synthetic-utilization step curve: each arrival raises `U_j`
+//!   by `C_ij/D_i` for `D_i` time units,
 //!   so the area under the curve equals the total computation time (the
 //!   *area property* used in the proof).
 //! * **Figure 2** constructs the worst-case (minimum-height) pattern of
@@ -13,9 +14,10 @@
 //!   computation times) expire — verifying `L_j = f(U_j) · D_max`.
 
 use crate::common::{ascii_chart, f, Scale, Table};
+use frap_core::admission::{Admission, AlwaysAdmit, ExactContributions};
 use frap_core::delay::{stage_delay_factor, stage_delay_factor_inverse};
-use frap_core::synthetic::StageTracker;
-use frap_core::task::TaskId;
+use frap_core::graph::TaskSpec;
+use frap_core::task::StageId;
 use frap_core::time::{Time, TimeDelta};
 
 /// Emits both curves; returns the Figure 2 table
@@ -77,7 +79,8 @@ fn figure1_simulated(scale: Scale) {
 
 /// Figure 1: a synthetic-utilization step curve for a scripted busy period.
 fn figure1() {
-    let mut tracker = StageTracker::new(0.0);
+    let mut ac = Admission::new(AlwaysAdmit::new(1), ExactContributions);
+    let ms = TimeDelta::from_millis;
     // Scripted arrivals: (time ms, C ms, D ms).
     let script: [(u64, u64, u64); 6] = [
         (0, 10, 100),
@@ -91,7 +94,7 @@ fn figure1() {
     for &(a, _c, d) in &script {
         let arrival = Time::from_millis(a);
         events.push(arrival);
-        events.push(arrival + TimeDelta::from_millis(d));
+        events.push(arrival + ms(d));
     }
     events.sort_unstable();
     events.dedup();
@@ -104,19 +107,18 @@ fn figure1() {
     let mut ys = Vec::new();
     let mut next_arrival = 0usize;
     for &t in &events {
-        tracker.advance_to(t);
+        ac.advance_to(t);
         while next_arrival < script.len() && Time::from_millis(script[next_arrival].0) <= t {
             let (a, c, d) = script[next_arrival];
-            tracker.add(
-                TaskId::new(next_arrival as u64),
-                c as f64 / d as f64,
-                Time::from_millis(a + d),
-            );
+            let spec = TaskSpec::pipeline(ms(d), &[ms(c)]).expect("a one-stage chain");
+            ac.try_admit(Time::from_millis(a), &spec)
+                .expect("no admission control");
             next_arrival += 1;
         }
+        let u = ac.state().stage(StageId::new(0)).value();
         xs.push(t.as_secs_f64() * 1e3);
-        ys.push(tracker.value());
-        table.push_row(vec![f(t.as_secs_f64() * 1e3), f(tracker.value())]);
+        ys.push(u);
+        table.push_row(vec![f(t.as_secs_f64() * 1e3), f(u)]);
     }
     // Area property: area under the curve equals ΣC_i.
     let total_c: f64 = script.iter().map(|&(_, c, _)| c as f64).sum();

@@ -18,7 +18,7 @@
 //! moves one, so a handle stays valid until its entry is drained or
 //! cancelled.
 //!
-//! Exactness contract (matches `StageTracker::advance_to`): after
+//! Exactness contract (matches `SyntheticState::advance_to`): after
 //! `advance(now, out)`, `out` holds **every** pending entry with
 //! `expiry ≤ now` (deadline inclusive) and no entry with `expiry > now`,
 //! sorted by `(expiry, id)` — the same deterministic order in which the

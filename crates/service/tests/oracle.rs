@@ -7,14 +7,13 @@
 //! shard and at two: one thread has one home shard, so the shard count
 //! must not show.
 //!
-//! Both sides share the decision kernel
-//! (`frap_core::admission::tentative_feasible`) and apply charges in the
-//! same order, so single-shard agreement is exact up to float
-//! associativity in the decrement path (entries with several
-//! contributions on one stage are subtracted term-by-term here and as a
-//! merged sum there); utilizations are compared at `1e-9`, far above
-//! that ulp-level noise and far below any decision threshold the test
-//! workloads approach.
+//! Both sides run the same region test over the counters plus the
+//! arrival's contributions and apply charges in the same order, so
+//! single-shard agreement is exact up to float associativity in the
+//! decrement path (entries with several contributions on one stage are
+//! subtracted term-by-term here and as a merged sum there); utilizations
+//! are compared at `1e-9`, far above that ulp-level noise and far below
+//! any decision threshold the test workloads approach.
 
 use frap_core::admission::{Admission, AdmitOutcome, ExactContributions, MeanContributions};
 use frap_core::graph::TaskSpec;
@@ -27,12 +26,12 @@ use frap_workload::PipelineWorkloadBuilder;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn assert_utilizations_agree<R, M>(library: &mut Admission<R, M>, service_u: &[f64], step: usize)
+fn assert_utilizations_agree<R, M>(library: &Admission<R, M>, service_u: &[f64], step: usize)
 where
     R: frap_core::region::RegionTest,
     M: frap_core::admission::ContributionModel,
 {
-    let lib_u = library.state_mut().utilizations();
+    let lib_u = library.state().utilizations();
     assert_eq!(lib_u.len(), service_u.len());
     for (j, (&a, &b)) in lib_u.iter().zip(service_u).enumerate() {
         assert!(
@@ -87,6 +86,7 @@ fn drive_try_admit<R, M, I>(
     I: Iterator<Item = (Time, TaskSpec)>,
 {
     let mut admitted = Vec::new();
+    let mut rejected = 0u64;
     for (steps, (at, spec)) in arrivals.enumerate() {
         clock.set(at);
         let lib = library.try_admit(at, &spec);
@@ -99,16 +99,17 @@ fn drive_try_admit<R, M, I>(
         if let (Some(task), Some(ticket)) = (lib, svc) {
             assert_eq!(task.seq(), ticket.id(), "step {steps}: id diverged");
             admitted.push(ticket.detach());
+        } else {
+            rejected += 1;
         }
         assert_eq!(library.live_tasks(), service.live_tasks(), "step {steps}");
         assert_utilizations_agree(library, &service.utilizations(), steps);
     }
-    let stats = library.stats();
     let counters = service.counters();
-    assert_eq!(stats.admitted, counters.admitted);
-    assert_eq!(stats.rejected, counters.rejected);
-    assert!(stats.admitted > 0, "workload never admitted anything");
-    assert!(stats.rejected > 0, "workload never rejected anything");
+    assert_eq!(admitted.len() as u64, counters.admitted);
+    assert_eq!(rejected, counters.rejected);
+    assert!(!admitted.is_empty(), "workload never admitted anything");
+    assert!(rejected > 0, "workload never rejected anything");
     service.debug_validate();
 }
 
@@ -163,12 +164,16 @@ fn shedding_oracle_agrees() {
             .build()
             .until(Time::from_secs(20));
 
-        let mut sheddings = 0u64;
+        let (mut sheddings, mut admitted, mut rejected, mut shed_total) = (0u64, 0u64, 0u64, 0);
         for (steps, (at, spec)) in arrivals.enumerate() {
             // Deterministically vary importance so later arrivals can evict
             // earlier ones.
             let spec = spec.with_importance(Importance::new((steps % 7) as u32));
             clock.set(at);
+            // Expire first, so the live count the call changes moves only
+            // by its sheds and its own admission.
+            library.advance_to(at);
+            let live_before = library.live_tasks();
             let lib = library.try_admit_or_shed(at, &spec);
             let svc = service.try_admit_or_shed(&spec);
             match (&lib, &svc) {
@@ -190,18 +195,24 @@ fn shedding_oracle_agrees() {
                 (AdmitOutcome::Rejected, ServiceOutcome::Rejected) => {}
                 other => panic!("step {steps}: outcome diverged: {other:?}"),
             }
+            match lib.task() {
+                Some(_) => admitted += 1,
+                None => rejected += 1,
+            }
+            // A rejected arrival's victims stay shed, unlisted.
+            let survivors = library.live_tasks() - usize::from(lib.task().is_some());
+            shed_total += (live_before - survivors) as u64;
             if let Some(ticket) = svc.ticket() {
                 ticket.detach();
             }
             assert_eq!(library.live_tasks(), service.live_tasks(), "step {steps}");
-            assert_utilizations_agree(&mut library, &service.utilizations(), steps);
+            assert_utilizations_agree(&library, &service.utilizations(), steps);
         }
         assert!(sheddings > 0, "workload never exercised the shedding path");
-        let stats = library.stats();
         let counters = service.counters();
-        assert_eq!(stats.admitted, counters.admitted);
-        assert_eq!(stats.rejected, counters.rejected);
-        assert_eq!(stats.shed, counters.shed);
+        assert_eq!(admitted, counters.admitted);
+        assert_eq!(rejected, counters.rejected);
+        assert_eq!(shed_total, counters.shed);
         service.debug_validate();
     }
 }
@@ -224,12 +235,17 @@ fn release_oracle_agrees() {
 
     let mut now = Time::ZERO;
     let mut tickets: HashMap<u64, AdmissionTicket> = HashMap::new();
+    let (mut admitted, mut rejected, mut released) = (0u64, 0u64, 0u64);
     for round in 0..50usize {
         now = now.saturating_add(ms(7));
         clock.set(now);
         let lib = library.try_admit(now, &spec);
         let svc = service.try_admit(&spec);
         assert_eq!(lib.is_some(), svc.is_some(), "round {round}");
+        match lib {
+            Some(_) => admitted += 1,
+            None => rejected += 1,
+        }
         if let Some(ticket) = svc {
             tickets.insert(ticket.id(), ticket);
         }
@@ -238,16 +254,16 @@ fn release_oracle_agrees() {
             if let Some(&id) = tickets.keys().min() {
                 library.shed(TaskId::new(id));
                 tickets.remove(&id).unwrap().release();
+                released += 1;
             }
         }
         assert_eq!(library.live_tasks(), service.live_tasks(), "round {round}");
-        assert_utilizations_agree(&mut library, &service.utilizations(), round);
+        assert_utilizations_agree(&library, &service.utilizations(), round);
     }
-    let stats = library.stats();
     let counters = service.counters();
-    assert_eq!(stats.admitted, counters.admitted);
-    assert_eq!(stats.rejected, counters.rejected);
-    assert_eq!(stats.shed, counters.released);
+    assert_eq!(admitted, counters.admitted);
+    assert_eq!(rejected, counters.rejected);
+    assert_eq!(released, counters.released);
     assert!(
         counters.released > 0 && counters.rejected > 0,
         "{counters:?}"

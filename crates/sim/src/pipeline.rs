@@ -619,7 +619,7 @@ impl Simulation {
             pending_admissions: self.pending.len(),
             stage_jobs,
             stage_running,
-            synthetic_utilizations: self.admission.state_mut().utilizations().to_vec(),
+            synthetic_utilizations: self.admission.state().utilizations(),
         }
     }
 
@@ -1033,7 +1033,7 @@ impl Simulation {
 
     fn take_utilization_sample(&mut self) {
         self.admission.advance_to(self.clock);
-        let utils = self.admission.state_mut().utilizations().to_vec();
+        let utils = self.admission.state().utilizations();
         self.metrics.utilization_timeline.push((self.clock, utils));
     }
 

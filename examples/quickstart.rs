@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("burst of 40 simultaneous requests: {admitted} admitted, {rejected} rejected");
     println!(
         "synthetic utilizations now: {:?}",
-        ac.state_mut().utilizations()
+        ac.state().utilizations()
     );
 
     // ---------------------------------------------------------------
@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ac.advance_to(later);
     println!(
         "after all deadlines expire: {:?}",
-        ac.state_mut().utilizations()
+        ac.state().utilizations()
     );
     let id = ac.try_admit(later, &request).expect("capacity is back");
     // The task finishes everywhere and the stages go idle well before its
@@ -75,8 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "after an idle reset 25 ms in: {:?}",
-        ac.state_mut().utilizations()
+        ac.state().utilizations()
     );
-    println!("\nstats: {:?}", ac.stats());
     Ok(())
 }
