@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use frap_gateway::proto::{
-    Frame, FrameBuffer, Hello, HelloAck, HELLO_ACK_LEN, HELLO_LEN, MAX_FRAME, VERSION,
+    Frame, FrameBuffer, Hello, HelloAck, OutBuffer, HELLO_ACK_LEN, HELLO_LEN, MAX_FRAME, VERSION,
 };
 use frap_gateway::reactor::{reactor_key, Event, Interest, Reactor, Waker, WAKE_TOKEN};
 
@@ -207,8 +207,7 @@ impl Drop for CoordServer {
 struct Link {
     stream: TcpStream,
     inbox: FrameBuffer,
-    /// Encoded bytes the socket has not taken yet.
-    outbox: Vec<u8>,
+    outbox: OutBuffer,
     /// Until the hello is in: when the sweep gives up on the peer.
     hello_due: Option<Instant>,
     /// Whether write interest is registered: exactly while `outbox`
@@ -221,33 +220,14 @@ impl Link {
         Link {
             stream,
             inbox: FrameBuffer::new(),
-            outbox: Vec::new(),
+            outbox: OutBuffer::new(),
             hello_due: Some(Instant::now() + HANDSHAKE_TIMEOUT),
             want_write: false,
         }
     }
 
     fn queue(&mut self, frame: &Frame, stats: &LinkStats) {
-        let before = self.outbox.len();
-        frame.encode_into(&mut self.outbox);
-        stats.note_out(1, (self.outbox.len() - before) as u64);
-    }
-
-    /// Writes until the socket would block; what it does not take stays
-    /// queued for the next write readiness.
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut sent = 0;
-        while sent < self.outbox.len() {
-            match self.stream.write(&self.outbox[sent..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => sent += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-        self.outbox.drain(..sent);
-        Ok(())
+        stats.note_out(1, self.outbox.push_frame(frame) as u64);
     }
 }
 
@@ -363,7 +343,7 @@ impl Plane {
                 max_frame: MAX_FRAME as u32,
                 server_now_us: self.now_us(),
             };
-            link.outbox.extend_from_slice(&ack.encode());
+            link.outbox.extend(&ack.encode());
             link.hello_due = None;
         }
         while let Some(frame) = next_frame(&mut link.inbox, &self.stats)? {
@@ -410,7 +390,10 @@ impl Plane {
     /// Flushes `link` and puts it back in its slot — or closes it if `ok`
     /// is false or the flush fails.
     fn settle(&mut self, token: usize, mut link: Link, ok: bool) {
-        if ok && link.flush().is_ok() && self.watch_writes(token, &mut link).is_ok() {
+        if ok
+            && link.outbox.flush_to(&mut link.stream).is_ok()
+            && self.watch_writes(token, &mut link).is_ok()
+        {
             self.links[token - FIRST_LINK] = Some(link);
         } else {
             self.close(token, link);

@@ -7,19 +7,18 @@
 //! runtime, no serialization framework — to keep the reproduction
 //! self-contained and the wire costs legible.
 //!
-//! The crate splits into five modules:
+//! The crate splits into four modules:
 //!
 //! | module | role |
 //! |---|---|
-//! | [`proto`] | versioned, length-prefixed little-endian wire protocol: handshake, frames, the one encoder and one decoder of each frame shape, the reassembly buffer |
+//! | [`proto`] | versioned, length-prefixed little-endian wire protocol: handshake, frames, the one encoder and one decoder of each frame shape, the reassembly buffer and the out buffer |
 //! | [`reactor`] | per-worker readiness reactor: epoll on Linux, `poll(2)` on other Unix, with a cross-thread waker |
-//! | [`outring`] | per-connection segmented output rings flushed with vectored `writev` — reply bytes are touched once |
-//! | [`server`] | reactor-driven worker pool, shard-bucketed wake batching, bounded in-flight windows, graceful drain |
+//! | [`server`] | reactor-driven worker pool, one admit run per wake in read order, bounded in-flight windows, graceful drain |
 //! | [`client`] | blocking pipelining client used by tests, `frap-scenarios` and the benchmark |
 //!
 //! DESIGN.md §10 describes the whole datapath once: the wire format and
 //! its one codec per frame shape, the byte lifecycle, the reactor and the
-//! shard-bucketed wake batch.
+//! wake batch.
 //!
 //! ## Quick start
 //!
@@ -61,7 +60,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod outring;
 pub mod proto;
 pub mod reactor;
 pub mod server;

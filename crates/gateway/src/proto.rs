@@ -88,7 +88,7 @@
 
 use frap_core::wire::WireTaskSpec;
 use std::fmt;
-use std::io::Read;
+use std::io::{Read, Write};
 
 /// `"FRAP"` when the four magic bytes are read little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"FRAP");
@@ -1286,6 +1286,72 @@ impl FrameBuffer {
     }
 }
 
+/// Encoded bytes a non-blocking socket has not taken yet: frames encode
+/// straight onto the tail, [`OutBuffer::flush_to`] writes from the head.
+/// Like [`FrameBuffer`], a buffer that drains after growing past
+/// `BUF_SHRINK_ABOVE` gives its high-water capacity back.
+#[derive(Debug, Default)]
+pub struct OutBuffer {
+    data: Vec<u8>,
+}
+
+impl OutBuffer {
+    /// An empty buffer.
+    pub fn new() -> OutBuffer {
+        OutBuffer::default()
+    }
+
+    /// Unsent bytes.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether nothing is owed to the socket.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Queues already encoded bytes.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
+    }
+
+    /// Encodes `frame` onto the tail; returns its encoded length.
+    pub fn push_frame(&mut self, frame: &Frame) -> usize {
+        let before = self.data.len();
+        frame.encode_into(&mut self.data);
+        self.data.len() - before
+    }
+
+    /// Writes until `sink` would block or everything is sent, then drops
+    /// what it took. Returns `(bytes written, write calls)`, counting the
+    /// call that met `WouldBlock`.
+    ///
+    /// # Errors
+    ///
+    /// A write of zero bytes is [`std::io::ErrorKind::WriteZero`]; any
+    /// other error but `WouldBlock` and `Interrupted` propagates. Either
+    /// way the peer is gone.
+    pub fn flush_to<W: Write + ?Sized>(&mut self, sink: &mut W) -> std::io::Result<(usize, u64)> {
+        let (mut sent, mut calls) = (0, 0);
+        while sent < self.data.len() {
+            calls += 1;
+            match sink.write(&self.data[sent..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        self.data.drain(..sent);
+        if self.data.is_empty() && self.data.capacity() > BUF_SHRINK_ABOVE {
+            self.data.shrink_to(BUF_RETAIN);
+        }
+        Ok((sent, calls))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1550,6 +1616,74 @@ mod tests {
         let before = small.capacity();
         assert!(small.next_frame().unwrap().is_some());
         assert_eq!(small.capacity(), before);
+    }
+
+    /// Takes at most `cap` bytes per write and `room` bytes in all, then
+    /// answers `WouldBlock`, as a full socket does.
+    struct ChokedSink {
+        accepted: Vec<u8>,
+        cap: usize,
+        room: usize,
+    }
+
+    impl Write for ChokedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let take = buf.len().min(self.cap).min(self.room);
+            if take == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.accepted.extend_from_slice(&buf[..take]);
+            self.room -= take;
+            Ok(take)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn out_buffer_preserves_byte_order_across_partial_writes() {
+        let mut out = OutBuffer::new();
+        let mut expect = Vec::new();
+        for i in 0..2_000u32 {
+            let chunk = [(i % 251) as u8; 37];
+            out.extend(&chunk);
+            expect.extend_from_slice(&chunk);
+        }
+        assert_eq!(out.len(), expect.len());
+        assert!(
+            out.data.capacity() > BUF_SHRINK_ABOVE,
+            "grew past the shrink line"
+        );
+
+        let mut sink = ChokedSink {
+            accepted: Vec::new(),
+            cap: 1_237, // prime, misaligned with the appends
+            room: 0,
+        };
+        while !out.is_empty() {
+            // Each round the socket takes 10 000 bytes and then blocks:
+            // the unsent tail stays queued, in order.
+            sink.room = 10_000;
+            let owed = out.len();
+            let (n, calls) = out.flush_to(&mut sink).unwrap();
+            assert_eq!(n, owed.min(10_000));
+            assert_eq!(out.len(), owed - n);
+            assert_eq!(calls, n.div_ceil(1_237) as u64 + u64::from(n < owed));
+        }
+        assert_eq!(sink.accepted, expect, "bytes identical and in order");
+        // Drained, it gave its high-water capacity back.
+        assert_eq!(out.data.capacity(), BUF_RETAIN);
+
+        // A socket that takes nothing without blocking is a dead peer,
+        // and the bytes stay owed.
+        out.push_frame(&Frame::Heartbeat { nonce: 7 });
+        let owed = out.len();
+        let mut full: &mut [u8] = &mut [];
+        let err = out.flush_to(&mut full).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+        assert_eq!(out.len(), owed);
     }
 
     #[test]

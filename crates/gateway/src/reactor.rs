@@ -82,7 +82,7 @@ pub struct IoTally {
     /// `read(2)` calls issued against connection sockets, including the
     /// final `WouldBlock` that ends a drain.
     pub read_calls: u64,
-    /// `writev`/`write` calls issued against connection sockets.
+    /// `write` calls issued against connection sockets.
     pub write_calls: u64,
     /// Payload bytes read off sockets.
     pub bytes_in: u64,

@@ -1,6 +1,6 @@
 //! The gateway server: a fixed pool of reactor-driven workers
-//! multiplexing non-blocking connections with shard-bucketed wake
-//! batching and a zero-copy reply path.
+//! multiplexing non-blocking connections, with one admit run per wake
+//! and replies encoded once, straight into each connection's out buffer.
 //!
 //! # Threading model
 //!
@@ -10,7 +10,7 @@
 //! registered for exclusive readiness — an incoming connect wakes one
 //! worker, which accepts directly into its own connection slab. Each
 //! worker owns its connections outright: per-connection state
-//! (reassembly buffer, segmented reply ring, live ticket table) is plain
+//! (reassembly buffer, out buffer, live ticket table) is plain
 //! mutable data with no locks; the only shared state is the admission
 //! service itself (which has its own sharding), the gateway's atomic
 //! counters, and the open-connection gauge guarded by the condvar that
@@ -19,24 +19,23 @@
 //! cross-thread [`Waker`] — a worker blocked in `epoll_wait` with zero
 //! traffic costs zero CPU and still reacts to drain immediately.
 //!
-//! # The wake batch (adaptive batching + shard presort)
+//! # The wake batch
 //!
 //! One reactor wake serves **every** ready connection before any
 //! admission work happens: each readable connection is drained to
 //! `WouldBlock`, its request bytes landing directly in its reassembly
 //! buffer ([`FrameBuffer::read_from`] — no scratch copy) and its admit
-//! requests parking as flat [`AdmitHead`]s in a **shared wake arena**.
-//! During that same drain pass each request is dropped into a
-//! stable-order **bucket list indexed by its connection's target
-//! shard** (assigned round-robin at accept). At the end of the wake the
-//! buckets resolve in ascending shard order, each through one
+//! requests parking as flat [`AdmitHead`]s in a **shared wake arena**,
+//! in the order the worker read them. At the end of the wake they
+//! resolve through one
 //! [`admit_batch_with`](frap_service::AdmissionService::admit_batch_with)
-//! call whose requests all name the same shard — the service's
-//! uniform-run single-snapshot fast path — and replies are emitted in global
-//! arrival order so each connection's responses leave in its request
-//! order (the sequence of entry indices is the sequence tag). One clock
-//! read classifies the entire wake; counters are tallied locally and
-//! published with one atomic add per counter per wake.
+//! call, booked on the worker's home lane — the service's uniform-run
+//! single-snapshot fast path, for the whole wake — which decides them
+//! greedily in read order, as the paper's first-stage controller decides
+//! arrivals in the order they arrive. Replies are emitted in the same
+//! order, so each connection's responses leave in its request order. One
+//! clock read classifies the entire wake; counters are tallied locally
+//! and published with one atomic add per counter per wake.
 //!
 //! A parked request is never turned back into a task: arena → view →
 //! units → verdict. Each request reaches the service as a
@@ -56,18 +55,17 @@
 //! mid-wake if a single wake parks an extreme number of requests, so
 //! the arena stays bounded.
 //!
-//! # Zero-copy replies
+//! # Replies, encoded once
 //!
 //! Responses are encoded **once**, directly into the connection's
-//! segmented [`OutRing`]: admit verdicts stamp a handful of fields into
-//! an interned response template
-//! ([`encode_admit_response`]) and
-//! the bytes go straight into ring segments. The flush pass hands the
-//! kernel an iovec over the unsent spans with one `writev` per
-//! connection per wake in the common case — no coalescing copy, and no
-//! memmove when the socket accepts a partial write. Segments recycle
-//! through a per-worker [`SegPool`], so steady state allocates nothing
-//! and idle connections hold no reply memory at all.
+//! [`OutBuffer`] (the one the lease coordinator's links use too): admit
+//! verdicts stamp a handful of fields into an interned response template
+//! ([`encode_admit_response`]), heartbeat acks and stats responses
+//! encode in place. The flush pass writes from the buffer until the
+//! socket would block — one `write` per connection per wake in the
+//! common case — and keeps the unsent tail for the next writable event.
+//! A buffer that drained after a burst gives its high-water capacity
+//! back.
 //!
 //! # Deadline-aware timeouts
 //!
@@ -83,12 +81,13 @@
 //!
 //! The handshake advertises an in-flight **window**. The server bounds
 //! each connection's unacknowledged reply bytes to `window` maximum-size
-//! admit responses — counting both bytes already in the ring and
-//! requests parked in the wake arena — and while a client is not
-//! draining its responses the worker drops the connection's *read*
-//! interest, so TCP flow control pushes back to the sender instead of
-//! the gateway buffering without bound. Read interest returns the moment
-//! the reply backlog drains below the window.
+//! admit responses ([`ADMIT_RESPONSE_MAX`] bytes each) — counting both
+//! bytes already in the out buffer and requests parked in the wake arena
+//! — and while a client is not draining its responses the worker drops
+//! the connection's *read* interest, so TCP flow control pushes back to
+//! the sender instead of the gateway buffering without bound. Read
+//! interest returns the moment the reply backlog drains below the
+//! window.
 //!
 //! # Graceful drain
 //!
@@ -100,9 +99,8 @@
 //! released by RAII when the connection goes away — including abrupt
 //! client disconnects.
 
-use crate::outring::{OutRing, SegPool};
 use crate::proto::{
-    encode_admit_response, AdmitHead, BatchedFrame, Frame, FrameBuffer, Hello, HelloAck,
+    encode_admit_response, AdmitHead, BatchedFrame, Frame, FrameBuffer, Hello, HelloAck, OutBuffer,
     StatsReport, Verdict, ADMIT_RESPONSE_MAX, HELLO_LEN, MAX_FRAME, MAX_STAGES, VERSION,
 };
 use crate::reactor::{reactor_key, Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
@@ -210,7 +208,7 @@ pub struct GatewaySnapshot {
     /// `read(2)` calls issued against connection sockets (including the
     /// trailing `WouldBlock` that ends each drain).
     pub read_syscalls: u64,
-    /// `writev`/`write` calls issued against connection sockets.
+    /// `write` calls issued against connection sockets.
     pub write_syscalls: u64,
     /// Payload bytes read off connection sockets.
     pub bytes_in: u64,
@@ -359,7 +357,7 @@ impl GatewayServer {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("frap-gateway-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, &service, listener, reactor, &cfg, w))
+                    .spawn(move || worker_loop(&shared, &service, listener, reactor, &cfg))
                     .expect("spawn worker"),
             );
         }
@@ -476,20 +474,13 @@ type TicketMap = HashMap<u64, AdmissionTicket, BuildHasherDefault<TicketHasher>>
 struct Conn {
     stream: TcpStream,
     inbox: FrameBuffer,
-    /// Segmented reply ring; encoded bytes go straight here and leave
-    /// via `writev`, touched once in each direction.
-    outbox: OutRing,
+    /// Encoded replies the socket has not taken yet.
+    outbox: OutBuffer,
     /// Tickets admitted on this connection and not yet released. Closing
     /// the connection (disconnect, protocol error, shutdown) releases
     /// them all, as one run.
     tickets: TicketMap,
     greeted: bool,
-    /// Target shard for every admit this connection sends, assigned
-    /// round-robin at accept. Connection affinity makes each wake bucket
-    /// a uniform-target run (the service's single-snapshot fast path)
-    /// and makes per-connection reply order trivial to preserve — all of
-    /// a connection's requests sit in one bucket, in arrival order.
-    shard: usize,
     /// Admit requests parked in the current wake's arena and not yet
     /// resolved; counted against the reply window for backpressure.
     batched: u32,
@@ -506,26 +497,27 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, shard: usize) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             inbox: FrameBuffer::new(),
-            outbox: OutRing::new(),
+            outbox: OutBuffer::new(),
             tickets: TicketMap::default(),
             greeted: false,
-            shard,
             batched: 0,
             dirty: false,
             interest: Interest::READ,
             last_heard: Instant::now(),
         }
     }
+}
 
-    /// Reply bytes this connection would owe if every parked request
-    /// resolved right now — the quantity the backpressure window bounds.
-    fn projected_outbox(&self) -> usize {
-        self.outbox.len() + self.batched as usize * ADMIT_RESPONSE_MAX
-    }
+/// The backpressure predicate, whether a connection may read more
+/// requests: its `backlog` of unsent reply bytes plus a maximum-size
+/// admit response for each of its `parked` requests stays under
+/// `window` such responses.
+fn under_window(backlog: usize, parked: u32, window: u16) -> bool {
+    backlog + parked as usize * ADMIT_RESPONSE_MAX < window as usize * ADMIT_RESPONSE_MAX
 }
 
 /// One admit request parked in the wake arena: which connection slot it
@@ -578,7 +570,7 @@ impl WakeTally {
 }
 
 /// The shared per-wake arena: every ready connection's drain parks its
-/// admit requests here, shard-bucketed, and one resolve pass at the end
+/// admit requests here, in read order, and one resolve pass at the end
 /// of the wake answers them all.
 #[derive(Default)]
 struct WakeBatch {
@@ -586,28 +578,22 @@ struct WakeBatch {
     /// and the only place a parked request's demands ever live: the
     /// service reads them here through the view it is lent.
     demands: Vec<u64>,
-    /// Parked requests in global arrival order.
+    /// Parked requests in read order.
     entries: Vec<Entry>,
-    /// Entry indices per target shard, each in arrival order. Indexed by
-    /// shard id; sized once per worker loop.
-    buckets: Vec<Vec<u32>>,
     /// Slots needing the end-of-wake flush pass. May hold stale slots
     /// (closed mid-wake); the connection's `dirty` flag is ground truth.
     dirty: Vec<usize>,
-    /// Entry index of each request of the bucket currently resolving
-    /// that reaches the admission test, in arrival order.
+    /// Entry index of each parked request that reaches the admission
+    /// test, in read order.
     lanes: Vec<u32>,
     /// Verdict per entry; `None` until classified/resolved (or forever,
     /// for entries whose connection died before resolution).
     verdicts: Vec<Option<Verdict>>,
-    /// Service outcomes for the bucket currently resolving.
+    /// Service outcomes of the wake's admit run.
     outcomes: Vec<ServiceOutcome>,
     /// Tickets named by the run of `Release` frames being read off one
     /// connection; empty outside [`ingest_ready`].
     releasing: Vec<AdmissionTicket>,
-    /// Reusable encode buffer for the rare owned-encode frames
-    /// (heartbeat acks, stats responses) so they do not allocate.
-    scratch_frame: Vec<u8>,
 }
 
 fn worker_loop<R, M, C>(
@@ -616,7 +602,6 @@ fn worker_loop<R, M, C>(
     listener: TcpListener,
     mut reactor: Reactor,
     cfg: &GatewayConfig,
-    worker: usize,
 ) where
     R: RegionTest + Send + Sync + 'static,
     M: ContributionModel + Send + Sync + 'static,
@@ -648,16 +633,7 @@ fn worker_loop<R, M, C>(
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut batch = WakeBatch::default();
-    let shard_count = service.shards();
-    batch.buckets.resize_with(shard_count, Vec::new);
-    // Stagger the starting shard per worker so two workers' connections
-    // do not all pile onto shard 0.
-    let mut next_shard = worker % shard_count;
-    let mut pool = SegPool::default();
     let mut tally = WakeTally::default();
-    // Unacknowledged reply bytes allowed per connection before the worker
-    // drops its read interest: the window in maximum-size admit responses.
-    let reply_cap = cfg.window as usize * 32;
     // Waking at half the cutoff bounds how late the sweep can notice a
     // dead connection without costing measurable idle CPU.
     let wait_timeout = cfg
@@ -712,8 +688,6 @@ fn worker_loop<R, M, C>(
                         &mut slab,
                         &mut gens,
                         &mut free,
-                        &mut next_shard,
-                        shard_count,
                     );
                 }
                 token => {
@@ -726,7 +700,7 @@ fn worker_loop<R, M, C>(
                     }
                     if !serve_event(
                         &mut slab, &gens, slot, ev, service, shared, &mut batch, &mut tally,
-                        &mut pool, reply_cap, cfg.window,
+                        cfg.window,
                     ) {
                         close_conn(&mut reactor, &mut slab, &mut gens, &mut free, slot);
                     }
@@ -735,16 +709,16 @@ fn worker_loop<R, M, C>(
         }
 
         // End of wake: answer everything parked — one clock read, one
-        // uniform-target admit_batch per nonempty shard bucket — then
-        // flush each touched connection once.
-        resolve_batch(&mut slab, &gens, service, &mut batch, &mut tally, &mut pool);
+        // admit run in read order — then flush each touched connection
+        // once.
+        resolve_batch(&mut slab, &gens, service, &mut batch, &mut tally);
         while let Some(slot) = batch.dirty.pop() {
             let flushed = match slab.get_mut(slot).and_then(Option::as_mut) {
                 // `dirty` unset: the slot was closed (and possibly
                 // reused) after this entry was pushed — nothing owed.
                 Some(conn) if conn.dirty => {
                     conn.dirty = false;
-                    flush_conn(conn, &mut pool, &mut tally).is_ok()
+                    flush_conn(conn, &mut tally).is_ok()
                 }
                 _ => continue,
             };
@@ -753,7 +727,7 @@ fn worker_loop<R, M, C>(
                 continue;
             }
             let conn = slab[slot].as_mut().expect("flushed conn is live");
-            update_interest(conn, &mut reactor, FIRST_CONN + slot, reply_cap, shared);
+            update_interest(conn, &mut reactor, FIRST_CONN + slot, cfg.window, shared);
         }
         tally.publish(&shared.stats);
 
@@ -793,9 +767,7 @@ fn worker_loop<R, M, C>(
     shared.conns_closed(dropped);
 }
 
-/// Accepts every pending connection into this worker's slab, assigning
-/// each a target shard round-robin.
-#[allow(clippy::too_many_arguments)]
+/// Accepts every pending connection into this worker's slab.
 fn accept_ready(
     shared: &Shared,
     reactor: &mut Reactor,
@@ -803,8 +775,6 @@ fn accept_ready(
     slab: &mut Vec<Option<Conn>>,
     gens: &mut Vec<u32>,
     free: &mut Vec<usize>,
-    next_shard: &mut usize,
-    shard_count: usize,
 ) {
     let Some(listener) = listener.as_ref() else {
         return;
@@ -829,8 +799,7 @@ fn accept_ready(
                     free.push(slot);
                     continue;
                 }
-                slab[slot] = Some(Conn::new(stream, *next_shard));
-                *next_shard = (*next_shard + 1) % shard_count;
+                slab[slot] = Some(Conn::new(stream));
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 shared.conns_opened(1);
             }
@@ -865,8 +834,6 @@ fn serve_event<R, M, C>(
     shared: &Shared,
     batch: &mut WakeBatch,
     tally: &mut WakeTally,
-    pool: &mut SegPool,
-    reply_cap: usize,
     window: u16,
 ) -> bool
 where
@@ -879,7 +846,7 @@ where
         mark_dirty(conn, slot, &mut batch.dirty);
         // A writable event means the socket drained below its high-water
         // mark; push owed bytes now so backpressure lifts promptly.
-        if ev.writable && !conn.outbox.is_empty() && flush_conn(conn, pool, tally).is_err() {
+        if ev.writable && flush_conn(conn, tally).is_err() {
             return false;
         }
     }
@@ -892,7 +859,7 @@ where
                 // Reply window full (counting parked requests) and the
                 // client not draining: stop reading so TCP pushes back on
                 // the sender (interest drops in the flush pass).
-                if conn.projected_outbox() >= reply_cap {
+                if !under_window(conn.outbox.len(), conn.batched, window) {
                     break;
                 }
                 let res = conn.inbox.read_from_with_spare(&mut conn.stream);
@@ -913,9 +880,7 @@ where
                     Err(_) => return false,
                 }
             }
-            if !ingest_ready(
-                slab, gens, slot, service, shared, batch, tally, pool, window,
-            ) {
+            if !ingest_ready(slab, gens, slot, service, shared, batch, tally, window) {
                 return false;
             }
             if drained {
@@ -927,10 +892,10 @@ where
 }
 
 /// Decodes every complete frame buffered on a connection: admit requests
-/// park in the wake arena (shard-bucketed, in arrival order), anything
-/// else forces the pending arena to resolve first (responses must leave
-/// in request order, and a release's capacity effect must land after the
-/// admits that precede it) and is then handled inline — except that a
+/// park in the wake arena in read order, anything else forces the
+/// pending arena to resolve first (responses must leave in request
+/// order, and a release's capacity effect must land after the admits
+/// that precede it) and is then handled inline — except that a
 /// contiguous run of `Release` frames is collected and released together
 /// when the next other frame, the end of the buffered frames or a
 /// protocol error ends it, before anything later is looked at (DESIGN.md
@@ -945,7 +910,6 @@ fn ingest_ready<R, M, C>(
     shared: &Shared,
     batch: &mut WakeBatch,
     tally: &mut WakeTally,
-    pool: &mut SegPool,
     window: u16,
 ) -> bool
 where
@@ -977,7 +941,7 @@ where
                         max_frame: MAX_FRAME as u32,
                         server_now_us: service.clock().now().as_micros(),
                     };
-                    conn.outbox.append(&ack.encode(), pool);
+                    conn.outbox.extend(&ack.encode());
                 }
                 Err(_) => {
                     shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -996,8 +960,6 @@ where
         match frame {
             Ok(Some(BatchedFrame::Admit(head))) => {
                 tally.frames_in += 1;
-                let entry = batch.entries.len() as u32;
-                batch.buckets[conn.shard].push(entry);
                 batch.entries.push(Entry {
                     slot: slot as u32,
                     gen: gens[slot],
@@ -1007,7 +969,7 @@ where
                 // Safety valve: an extreme wake resolves mid-drain so the
                 // arena cannot grow without bound.
                 if batch.entries.len() >= WAKE_RESOLVE_CAP {
-                    resolve_batch(slab, gens, service, batch, tally, pool);
+                    resolve_batch(slab, gens, service, batch, tally);
                 }
             }
             Ok(Some(BatchedFrame::Other(Frame::Release { ticket_id }))) => {
@@ -1016,7 +978,7 @@ where
                 // it ends; the admits parked ahead of it decide first —
                 // once, nothing parks while the run is open.
                 if batch.releasing.is_empty() {
-                    resolve_batch(slab, gens, service, batch, tally, pool);
+                    resolve_batch(slab, gens, service, batch, tally);
                 }
                 let conn = slab[slot].as_mut().expect("serving a live conn");
                 // Ownership check: only this connection's tickets.
@@ -1024,9 +986,9 @@ where
             }
             Ok(Some(BatchedFrame::Other(frame))) => {
                 tally.frames_in += 1;
-                resolve_batch(slab, gens, service, batch, tally, pool);
+                resolve_batch(slab, gens, service, batch, tally);
                 let conn = slab[slot].as_mut().expect("serving a live conn");
-                if !handle_frame(conn, frame, service, tally, pool, &mut batch.scratch_frame) {
+                if !handle_frame(conn, frame, service, tally) {
                     shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
@@ -1038,10 +1000,10 @@ where
                 // (best effort — the socket is about to close), so the
                 // peer learns which of its in-flight requests were
                 // decided before the close voids the rest.
-                resolve_batch(slab, gens, service, batch, tally, pool);
+                resolve_batch(slab, gens, service, batch, tally);
                 let conn = slab[slot].as_mut().expect("serving a live conn");
                 conn.dirty = false;
-                let _ = flush_conn(conn, pool, tally);
+                let _ = flush_conn(conn, tally);
                 return false;
             }
         }
@@ -1055,11 +1017,11 @@ fn update_interest(
     conn: &mut Conn,
     reactor: &mut Reactor,
     token: usize,
-    reply_cap: usize,
+    window: u16,
     shared: &Shared,
 ) {
     let want = Interest {
-        readable: conn.projected_outbox() < reply_cap,
+        readable: under_window(conn.outbox.len(), conn.batched, window),
         writable: !conn.outbox.is_empty(),
     };
     if want == conn.interest {
@@ -1079,26 +1041,23 @@ fn update_interest(
     }
 }
 
-/// Resolves every request parked in the wake arena: one clock read
-/// classifies all of them, then each nonempty shard bucket goes through
-/// one [`admit_batch_with`](AdmissionService::admit_batch_with) call
-/// whose requests — views into the arena — are uniformly targeted at
-/// that shard: the service's single-snapshot fast path. Refused here,
-/// ahead of the service: requests whose transport slack is gone
-/// (`Expired`) and tasks with more stages than the region has counters
-/// (`Rejected`, counted in `bad_requests`). Replies are emitted in global arrival
-/// order, so each connection's responses leave in its request order
-/// (verdict-for-verdict what unsorted serial resolution would produce:
-/// capacity totals are global, so bucket order cannot change any
-/// verdict decided at one instant — the bucketed-vs-unsorted
-/// differential test holds the two to that).
+/// Resolves every request parked in the wake arena, in read order: one
+/// clock read classifies all of them, refusing ahead of the service
+/// those whose connection died since (no verdict), those whose transport
+/// slack is gone (`Expired`) and tasks with more stages than the region
+/// has counters (`Rejected`, counted in `bad_requests`). The rest — views
+/// into the arena — go to the service as one
+/// [`admit_batch_with`](AdmissionService::admit_batch_with) run on the
+/// worker's home lane, which decides them greedily in the order they
+/// were read: under contention for the last capacity, the request read
+/// first wins. Replies are emitted in the same order, so each
+/// connection's responses leave in its request order.
 fn resolve_batch<R, M, C>(
     slab: &mut [Option<Conn>],
     gens: &[u32],
     service: &AdmissionService<R, M, C>,
     batch: &mut WakeBatch,
     tally: &mut WakeTally,
-    pool: &mut SegPool,
 ) where
     R: RegionTest + Send + Sync + 'static,
     M: ContributionModel + Send + Sync + 'static,
@@ -1110,86 +1069,65 @@ fn resolve_batch<R, M, C>(
     }
     // One clock read for the whole wake: every parked request arrived
     // before this instant, and `admit_batch_with` hoists its own single
-    // read per call just the same.
+    // read just the same.
     let now_us = service.clock().now().as_micros();
     let max_stages = service.region().stages();
     batch.verdicts.clear();
-    batch.verdicts.resize(batch.entries.len(), None);
+    batch.lanes.clear();
     let mut expired = 0u64;
 
-    for shard in 0..batch.buckets.len() {
-        if batch.buckets[shard].is_empty() {
-            continue;
-        }
-        // Detach the bucket so the slab and the rest of the batch stay
-        // borrowable; its allocation is handed back (cleared) below.
-        let bucket = std::mem::take(&mut batch.buckets[shard]);
-        batch.lanes.clear();
-        for &entry_idx in &bucket {
-            let entry = &batch.entries[entry_idx as usize];
-            let slot = entry.slot as usize;
+    for entry in &batch.entries {
+        let head = entry.head;
+        let verdict = if gens[entry.slot as usize] != entry.gen {
             // Connection died (or its slot was recycled) after parking
             // this request: nobody is listening for the answer, and its
-            // ticket table is gone — leave the verdict `None`.
-            if gens[slot] != entry.gen {
-                continue;
-            }
-            let head = entry.head;
+            // ticket table is gone.
+            None
+        } else if now_us > head.expires_at_us {
             // Deadline-aware timeout: transport slack already gone means
             // the task cannot possibly meet its deadline; it never
-            // reaches a shard.
-            if now_us > head.expires_at_us {
-                expired += 1;
-                batch.verdicts[entry_idx as usize] = Some(Verdict::Expired);
-                continue;
-            }
-            // The one well-formed frame refused here: a task
-            // visiting more stages than this service's region models has
-            // no counter to charge, so it is answered without an
-            // admission test. (Zero stages, or more than the wire's
-            // `MAX_STAGES`, never decode; every other demand vector —
-            // zero demands, demands beyond the deadline, a zero deadline
-            // — is a task the region test itself judges.)
-            if head.demands.1 - head.demands.0 > max_stages {
-                tally.bad_requests += 1;
-                batch.verdicts[entry_idx as usize] = Some(Verdict::Rejected);
-                continue;
-            }
-            batch.lanes.push(entry_idx);
-        }
+            // reaches the service.
+            expired += 1;
+            Some(Verdict::Expired)
+        } else if head.demands.1 - head.demands.0 > max_stages {
+            // The one well-formed frame refused here: a task visiting
+            // more stages than this service's region models has no
+            // counter to charge, so it is answered without an admission
+            // test. (Zero stages, or more than the wire's `MAX_STAGES`,
+            // never decode; every other demand vector — zero demands,
+            // demands beyond the deadline, a zero deadline — is a task
+            // the region test itself judges.)
+            tally.bad_requests += 1;
+            Some(Verdict::Rejected)
+        } else {
+            batch.lanes.push(batch.verdicts.len() as u32);
+            None
+        };
+        batch.verdicts.push(verdict);
+    }
 
-        if !batch.lanes.is_empty() {
-            // Each request is the view of its demands where the decoder
-            // left them in the arena: nothing is built, copied or looked
-            // up between the frame and the units the service charges.
-            let (entries, demands, lanes) = (&batch.entries, &batch.demands, &batch.lanes);
-            let request = |lane: usize| {
-                let head = &entries[lanes[lane] as usize].head;
-                let task = DemandView::pipeline(
-                    TimeDelta::from_micros(head.deadline_us),
-                    Importance::new(head.importance),
-                    head.demands_in(demands),
-                );
-                BatchRequest {
-                    allow_shed: head.allow_shed,
-                    // Uniform target: the whole bucket hits one shard in
-                    // one snapshot/lock acquisition.
-                    shard: Some(shard),
-                    task,
-                }
-            };
-            batch.outcomes.clear();
-            service.admit_batch_with(lanes.len(), request, &mut batch.outcomes);
-            for (&entry_idx, outcome) in batch.lanes.iter().zip(batch.outcomes.drain(..)) {
-                let slot = batch.entries[entry_idx as usize].slot as usize;
-                let conn = slab[slot].as_mut().expect("gen-checked conn is live");
-                batch.verdicts[entry_idx as usize] = Some(outcome_verdict(conn, outcome, tally));
-            }
+    // Each request is the view of its demands where the decoder left
+    // them in the arena: nothing is built, copied or looked up between
+    // the frame and the units the service charges.
+    let (entries, demands, lanes) = (&batch.entries, &batch.demands, &batch.lanes);
+    let request = |lane: usize| {
+        let head = &entries[lanes[lane] as usize].head;
+        let task = DemandView::pipeline(
+            TimeDelta::from_micros(head.deadline_us),
+            Importance::new(head.importance),
+            head.demands_in(demands),
+        );
+        BatchRequest {
+            allow_shed: head.allow_shed,
+            ..BatchRequest::of(task)
         }
-
-        let mut bucket = bucket;
-        bucket.clear();
-        batch.buckets[shard] = bucket;
+    };
+    batch.outcomes.clear();
+    service.admit_batch_with(lanes.len(), request, &mut batch.outcomes);
+    for (&entry_idx, outcome) in batch.lanes.iter().zip(batch.outcomes.drain(..)) {
+        let slot = batch.entries[entry_idx as usize].slot as usize;
+        let conn = slab[slot].as_mut().expect("gen-checked conn is live");
+        batch.verdicts[entry_idx as usize] = Some(outcome_verdict(conn, outcome, tally));
     }
 
     if expired > 0 {
@@ -1197,10 +1135,9 @@ fn resolve_batch<R, M, C>(
         tally.expired_on_arrival += expired;
     }
 
-    // Emission in global arrival order: within one connection that is
-    // exactly its request order (its requests all carry ascending entry
-    // indices), so pipelined clients see responses in the order they
-    // asked.
+    // Emission in read order: within one connection that is exactly its
+    // request order, so pipelined clients see responses in the order
+    // they asked.
     for (i, entry) in batch.entries.iter().enumerate() {
         let slot = entry.slot as usize;
         if gens[slot] != entry.gen {
@@ -1212,7 +1149,7 @@ fn resolve_batch<R, M, C>(
             continue;
         };
         let (buf, len) = encode_admit_response(entry.head.req_id, verdict);
-        conn.outbox.append(&buf[..len], pool);
+        conn.outbox.extend(&buf[..len]);
         tally.frames_out += 1;
         mark_dirty(conn, slot, &mut batch.dirty);
     }
@@ -1248,14 +1185,10 @@ fn outcome_verdict(conn: &mut Conn, outcome: ServiceOutcome, tally: &mut WakeTal
     }
 }
 
-/// Writes as much of the connection's reply ring as the socket accepts
-/// without blocking — vectored, straight from the ring segments. Errors
-/// mean the peer is gone.
-fn flush_conn(conn: &mut Conn, pool: &mut SegPool, tally: &mut WakeTally) -> std::io::Result<()> {
-    if conn.outbox.is_empty() {
-        return Ok(());
-    }
-    let (written, calls) = conn.outbox.flush_to(&mut conn.stream, pool)?;
+/// Writes as much of the connection's owed replies as the socket takes
+/// without blocking. Errors mean the peer is gone.
+fn flush_conn(conn: &mut Conn, tally: &mut WakeTally) -> std::io::Result<()> {
+    let (written, calls) = conn.outbox.flush_to(&mut conn.stream)?;
     tally.io.write_calls += calls;
     tally.io.bytes_out += written as u64;
     Ok(())
@@ -1268,8 +1201,6 @@ fn handle_frame<R, M, C>(
     frame: Frame,
     service: &AdmissionService<R, M, C>,
     tally: &mut WakeTally,
-    pool: &mut SegPool,
-    scratch: &mut Vec<u8>,
 ) -> bool
 where
     R: RegionTest + Send + Sync + 'static,
@@ -1283,16 +1214,13 @@ where
             unreachable!("admits and releases are taken by ingest_ready")
         }
         Frame::Heartbeat { nonce } => {
-            scratch.clear();
-            Frame::HeartbeatAck { nonce }.encode_into(scratch);
-            conn.outbox.append(scratch, pool);
+            conn.outbox.push_frame(&Frame::HeartbeatAck { nonce });
             tally.frames_out += 1;
             true
         }
         Frame::StatsRequest => {
             let snap = service.snapshot();
-            scratch.clear();
-            Frame::StatsResponse(StatsReport {
+            conn.outbox.push_frame(&Frame::StatsResponse(StatsReport {
                 admitted: snap.counters.admitted,
                 rejected: snap.counters.rejected,
                 shed: snap.counters.shed,
@@ -1301,9 +1229,7 @@ where
                 expired_on_arrival: snap.counters.expired_on_arrival,
                 live_tasks: snap.live_tasks as u64,
                 utilizations: snap.utilizations,
-            })
-            .encode_into(scratch);
-            conn.outbox.append(scratch, pool);
+            }));
             tally.frames_out += 1;
             true
         }
@@ -1319,5 +1245,89 @@ where
         | Frame::LeaseReturn { .. }
         | Frame::LeaseRequest { .. }
         | Frame::LeaseSteal { .. } => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use frap_core::admission::ExactContributions;
+    use frap_core::region::FeasibleRegion;
+    use frap_core::wire::WireTaskSpec;
+
+    #[test]
+    fn the_reply_window_counts_maximum_size_admit_responses() {
+        let cap = 40 * ADMIT_RESPONSE_MAX;
+        assert!(under_window(cap - 1, 0, 40));
+        assert!(!under_window(cap, 0, 40));
+        assert!(under_window(0, 39, 40));
+        assert!(!under_window(0, 40, 40));
+        assert!(under_window(ADMIT_RESPONSE_MAX - 1, 39, 40));
+        assert!(!under_window(ADMIT_RESPONSE_MAX, 39, 40));
+    }
+
+    /// The verdict of each reply `conn` owes, in order.
+    fn replies(conn: &mut Conn) -> Vec<Verdict> {
+        let mut wire = Vec::new();
+        conn.outbox.flush_to(&mut wire).unwrap();
+        let mut inbox = FrameBuffer::new();
+        inbox.extend(&wire);
+        std::iter::from_fn(|| match inbox.next_frame().unwrap()? {
+            Frame::AdmitResponse { verdict, .. } => Some(verdict),
+            other => panic!("not an admit response: {other:?}"),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_wake_decides_in_read_order_across_connections_and_shards() {
+        // Two shards, and room on the one stage for one 0.4-utilization
+        // task but not two (the region's bound is 1 − 1/√2 ≈ 0.586).
+        let service =
+            AdmissionService::builder(FeasibleRegion::deadline_monotonic(1), ExactContributions)
+                .shards(2)
+                .build();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _peers: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let mut slab: Vec<Option<Conn>> = (0..2)
+            .map(|_| Some(Conn::new(listener.accept().unwrap().0)))
+            .collect();
+        let gens = [0u32; 2];
+
+        // The connection accepted second is read first.
+        let task = WireTaskSpec::new(
+            TimeDelta::from_millis(100),
+            &[TimeDelta::from_millis(40)],
+            Importance::new(1),
+        );
+        let mut batch = WakeBatch::default();
+        for slot in [1usize, 0] {
+            let mut wire = Vec::new();
+            Frame::encode_admit_request_into(slot as u64, u64::MAX, false, &task, &mut wire);
+            let mut inbox = FrameBuffer::new();
+            inbox.extend(&wire);
+            let Ok(Some(BatchedFrame::Admit(head))) = inbox.next_frame_into(&mut batch.demands)
+            else {
+                panic!("an admit request decodes flat");
+            };
+            batch.entries.push(Entry {
+                slot: slot as u32,
+                gen: 0,
+                head,
+            });
+            slab[slot].as_mut().unwrap().batched += 1;
+        }
+
+        let mut tally = WakeTally::default();
+        resolve_batch(&mut slab, &gens, &service, &mut batch, &mut tally);
+        let [first, second] = &mut slab[..] else {
+            unreachable!()
+        };
+        let (first, second) = (first.as_mut().unwrap(), second.as_mut().unwrap());
+        assert_eq!(replies(first), [Verdict::Rejected]);
+        assert!(matches!(replies(second)[..], [Verdict::Admitted { .. }]));
+        assert_eq!((tally.admitted, tally.rejected), (1, 1));
+        assert_eq!((first.batched, second.batched), (0, 0));
     }
 }

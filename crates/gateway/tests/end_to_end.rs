@@ -530,10 +530,9 @@ fn a_thousand_mostly_idle_connections_stay_cheap_and_correct() {
 
     // The parked population must be cheap in memory, not just in CPU: a
     // thousand idle connections (client and server ends both live in
-    // this process) budget ~64 KiB each — frame buffers shrink back
-    // after bursts and reply rings return their segments, so a
-    // connection that regressed to pinning buffer high-water marks
-    // blows this bound immediately.
+    // this process) budget ~64 KiB each — frame buffers and out buffers
+    // shrink back after bursts, so a connection that regressed to
+    // pinning buffer high-water marks blows this bound immediately.
     #[cfg(target_os = "linux")]
     {
         let grown_kib = vm_rss_kib().saturating_sub(rss_before_kib);
@@ -954,14 +953,12 @@ fn batched_and_single_admit_paths_yield_identical_verdict_streams() {
 }
 
 /// The multi-connection differential: the same global arrival order,
-/// once spread across four connections whose wake drains are
-/// shard-bucketed (round-robin conn→shard affinity, two shards), and
-/// once down a single connection resolved request by request, must
-/// produce the identical verdict stream — bucketing moves only where a
-/// decision's bookkeeping lives and in which run it resolves, never
-/// what is decided or the per-connection reply order.
+/// once spread across four connections of a two-shard service, and once
+/// down a single connection resolved request by request, must produce
+/// the identical verdict stream — which connection a request arrives on
+/// changes neither what is decided nor the per-connection reply order.
 #[test]
-fn bucketed_multi_connection_drain_matches_serial_resolve() {
+fn multi_connection_drain_matches_serial_resolve() {
     let trace = differential_trace();
     let admit_only: Vec<Step> = trace
         .iter()
@@ -977,9 +974,9 @@ fn bucketed_multi_connection_drain_matches_serial_resolve() {
     let budget = TimeDelta::from_millis(30_000);
 
     // Chunks go round-robin across the connections; each chunk lands in
-    // one write (one bucketed wake-batch on its connection's shard) and
-    // is drained fully before the next chunk anywhere, so the global
-    // arrival order is exactly the trace's.
+    // one write (one wake batch) and is drained fully before the next
+    // chunk anywhere, so the global arrival order is exactly the
+    // trace's.
     let mut got: Vec<Verdict> = Vec::with_capacity(trace.len());
     for (k, chunk) in trace.chunks(7).enumerate() {
         let client = &mut clients[k % 4];
@@ -998,7 +995,10 @@ fn bucketed_multi_connection_drain_matches_serial_resolve() {
             got.push(verdict);
         }
     }
-    assert_eq!(got, want, "bucketed drain diverged from serial resolve");
+    assert_eq!(
+        got, want,
+        "multi-connection drain diverged from serial resolve"
+    );
 
     // A poisoned connection: two dead-on-arrival admits, then garbage.
     // The frames before the poison are answered in order, the

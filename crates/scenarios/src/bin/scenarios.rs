@@ -13,8 +13,9 @@
 //!   --gateway-scale N   time-compression factor for the gateway replay
 //!                       (default 20; durations and gaps are divided by N)
 //!   --save-traces DIR   also write each generated trace as a
-//!                       `frap-arrivals v2` file under DIR (loadable
-//!                       with `frap_workload::replay::load_arrivals`)
+//!                       `frap-arrivals v2` file under DIR (loadable,
+//!                       tenants and scenario line included, with
+//!                       `frap_workload::replay::load_trace`)
 //! ```
 //!
 //! Every admitted-and-completed task in the simulator is checked against
