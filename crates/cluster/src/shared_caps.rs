@@ -7,8 +7,10 @@ use std::sync::Arc;
 use frap_core::lease::UNIT_SCALE;
 use frap_core::region::RegionTest;
 
-/// Matches `frap_core::lease`'s cap slack: float summation across
-/// shards can read a fully charged stage a few ulps above its cap.
+/// Slack on each cap, one cap unit. Charges are rounded up to 2⁻⁵³
+/// utilization units (`frap_core::fixed`) while caps are whole 10⁻⁹
+/// units, so a stage charged exactly to its cap reads a few 2⁻⁵³ units
+/// above it; the slack absorbs that round-off.
 const CAP_EPSILON: f64 = 1e-9;
 
 /// A box region whose per-stage caps are shared atomics in budget
@@ -134,6 +136,17 @@ mod tests {
         assert!(!caps.feasible(&[0.11, 0.0]));
         caps.sub_saturating(0, UNIT_SCALE); // saturates at zero
         assert_eq!(caps.get(0), 0);
+    }
+
+    #[test]
+    fn tentative_feasible_spends_against_caps() {
+        // A node holding 0.5 and 0.25 that has spent 0.25 and 0.125 admits
+        // a demand up to its remaining lease, and nothing beyond it.
+        let caps = SharedStageCaps::from_units(&[UNIT_SCALE / 2, UNIT_SCALE / 4]);
+        let spent = [0.25, 0.125];
+        let tentative = |demand: f64| [spent[0] + demand, spent[1]];
+        assert!(caps.feasible(&tentative(0.25)));
+        assert!(!caps.feasible(&tentative(0.25 + 1e-6)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential test: a fault-free 3-node cluster versus a single-node
 //! oracle admitting the same trace against the full inscribed cap
-//! vector.
+//! vector, in the budget units the cluster leases.
 //!
 //! The cluster can only ever be *more* conservative than the oracle —
 //! budget is partitioned, so a node may reject while another node's
@@ -12,6 +12,7 @@
 mod common;
 
 use common::{build_cluster, round_robin, test_config, trace};
+use frap_cluster::SharedStageCaps;
 use frap_core::admission::ExactContributions;
 use frap_core::graph::TaskSpec;
 use frap_core::lease::StageCaps;
@@ -27,7 +28,7 @@ const NODES: usize = 3;
 /// cap budget, on the same virtual clock the cluster uses.
 fn oracle_admitted(arrivals: &[(u64, TaskSpec)]) -> u64 {
     let region = FeasibleRegion::deadline_monotonic(STAGES);
-    let caps = StageCaps::inscribed(&region);
+    let caps = SharedStageCaps::from_units(&StageCaps::inscribed(&region).units());
     let clock = Arc::new(ManualClock::new());
     let service = AdmissionService::builder(caps, ExactContributions)
         .clock(Arc::clone(&clock))

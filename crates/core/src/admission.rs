@@ -455,7 +455,7 @@ impl<R: RegionTest, M: ContributionModel> Admission<R, M> {
     /// utilization: its capacity is already covered by the per-stage
     /// reservations established at certification time (Section 5). The
     /// task gets an identity and is never a shedding candidate.
-    pub fn admit_reserved(&mut self, _now: Time, _spec: &TaskSpec) -> TaskId {
+    pub fn admit_reserved(&mut self) -> TaskId {
         let id = TaskId::new(self.next_id);
         self.next_id += 1;
         id

@@ -16,9 +16,10 @@
 //! Σ_j f(Σ_n U_j^{(n)})  ≤  Σ_j f(Û_j)  ≤  α(1 − Σβ)
 //! ```
 //!
-//! The cap vector is itself a [`RegionTest`] ([`StageCaps`]), so a node
-//! spends its lease through the same tentative-vector test a single-node
-//! controller runs — only the region object differs.
+//! [`StageCaps`] holds that cap vector. A node admits against its
+//! currently leased share of it — a box region of per-stage caps,
+//! `frap_cluster`'s `SharedStageCaps` — through the same tentative-vector
+//! test a single-node controller runs; only the region object differs.
 //!
 //! # Integer budget units
 //!
@@ -43,17 +44,10 @@
 //! scalar; a mismatch means a misconfigured node whose grants must be
 //! refused.
 
-use crate::region::{FeasibleRegion, RegionTest};
+use crate::region::FeasibleRegion;
 
 /// Budget units per 1.0 of utilization: one unit is 10⁻⁹ Erlang.
 pub const UNIT_SCALE: u64 = 1_000_000_000;
-
-/// Slack absorbed by [`StageCaps::feasible`]: float summation across
-/// shards can read a fully-charged stage a few ulps above its cap, and
-/// such round-off must not read as a safety violation. The slack is far
-/// below one budget unit, so unit-valued (integral) comparisons remain
-/// exact.
-const CAP_EPSILON: f64 = 1e-9;
 
 /// Converts a utilization into whole budget units, rounding **down** —
 /// a budget never promises capacity the region does not contain.
@@ -70,11 +64,10 @@ pub fn utilization_from_units(units: u64) -> f64 {
     units as f64 / UNIT_SCALE as f64
 }
 
-/// A box-shaped feasible region: per-stage utilization caps
-/// `U_j ≤ cap_j`. This is the region a lease-holding node admits
-/// against — its caps are the node's currently-leased amounts — and the
-/// region a cluster *as a whole* enforces when its caps are a point
-/// inside a [`FeasibleRegion`] (see [`StageCaps::inscribed`]).
+/// Per-stage utilization caps `U_j ≤ cap_j`: the box a cluster *as a
+/// whole* enforces when its caps are a point inside a [`FeasibleRegion`]
+/// (see [`StageCaps::inscribed`]), and which its coordinator leases out
+/// in budget units.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageCaps {
     caps: Vec<f64>,
@@ -115,21 +108,6 @@ impl StageCaps {
             .iter()
             .map(|&c| units_from_utilization(c))
             .collect()
-    }
-}
-
-impl RegionTest for StageCaps {
-    fn stages(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Pointwise `U_j ≤ cap_j` — monotone, as [`RegionTest`] requires.
-    fn feasible(&self, utilizations: &[f64]) -> bool {
-        debug_assert_eq!(utilizations.len(), self.caps.len());
-        utilizations
-            .iter()
-            .zip(&self.caps)
-            .all(|(&u, &cap)| u <= cap + CAP_EPSILON)
     }
 }
 
@@ -197,26 +175,6 @@ mod tests {
         // stage up leaves the region.
         let bumped: Vec<f64> = caps.caps().iter().map(|c| c + 1e-6).collect();
         assert!(!region.contains(&bumped).unwrap());
-    }
-
-    #[test]
-    fn stage_caps_is_a_box_region() {
-        let caps = StageCaps::new(vec![0.4, 0.2]);
-        assert_eq!(caps.stages(), 2);
-        assert!(caps.feasible(&[0.4, 0.2]));
-        assert!(!caps.feasible(&[0.41, 0.0]));
-        assert!(!caps.feasible(&[0.0, 0.21]));
-    }
-
-    #[test]
-    fn tentative_feasible_spends_against_caps() {
-        // A node holding 0.5 and 0.25 that has spent 0.25 and 0.125 admits
-        // a demand up to its remaining lease, and nothing beyond it.
-        let caps = StageCaps::new(vec![0.5, 0.25]);
-        let spent = [0.25, 0.125];
-        let tentative = |demand: f64| [spent[0] + demand, spent[1]];
-        assert!(caps.feasible(&tentative(0.25)));
-        assert!(!caps.feasible(&tentative(0.25 + 1e-6)));
     }
 
     #[test]

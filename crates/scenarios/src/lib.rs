@@ -23,9 +23,10 @@
 //! virtual-time simulator (`frap-sim`, the canonical report), the
 //! manually-clocked [`frap_service::AdmissionService`] (a deterministic
 //! replay used by the differential tests), and the live
-//! [`frap_gateway`] over real TCP in scaled real time — and
-//! [`report`] turns the decisions into per-scenario acceptance,
-//! per-tenant admit shares, and shed-by-importance tables.
+//! [`frap_gateway`] over real TCP in scaled real time. Each backend
+//! records one `AdmitDecision` per arrival, and [`report`] turns those
+//! into per-scenario acceptance, per-tenant admit shares, and
+//! shed-by-importance tables.
 //!
 //! `cargo run --release -p frap-scenarios --bin scenarios -- --quick`
 //! writes the tables under `results/scenarios/`.
@@ -41,6 +42,6 @@ pub mod serverless;
 pub mod spec;
 pub mod tenants;
 
-pub use report::{ImportanceRow, ReplayDecision, ScenarioReport, TenantRow};
+pub use report::{ImportanceRow, ScenarioReport, TenantRow};
 pub use runner::{run_gateway, run_service, run_sim, run_sim_opts, SimRun, DRAIN};
 pub use spec::{catalog, Scenario, ScenarioKind, ScenarioPolicy};

@@ -1,8 +1,16 @@
 //! Per-scenario admission reports: acceptance, per-tenant admit shares,
-//! and shed-by-importance rows, built from a trace plus the backend's
-//! per-arrival decisions.
+//! and shed-by-importance rows.
+//!
+//! Every backend — the simulator, the service replay and the gateway
+//! replay — records one [`AdmitDecision`] per trace arrival, and [`build`]
+//! turns a trace plus what a backend [`Observed`] into a
+//! [`ScenarioReport`]. Counts come from the decisions themselves, so the
+//! three backends' reports count alike: `rejected` is every `Rejected`
+//! and `TimedOut` decision, once.
 
-use frap_sim::metrics::SimMetrics;
+use crate::spec::Scenario;
+use frap_core::task::TaskId;
+use frap_sim::metrics::{AdmitDecision, SimMetrics};
 use frap_workload::replay::ArrivalTrace;
 use std::collections::BTreeMap;
 
@@ -126,7 +134,7 @@ struct RowBuilder<'a> {
 }
 
 impl<'a> RowBuilder<'a> {
-    fn new(trace: &'a ArrivalTrace, name_of: &dyn Fn(u32) -> String) -> RowBuilder<'a> {
+    fn new(trace: &'a ArrivalTrace, sc: &Scenario) -> RowBuilder<'a> {
         let mut tenants = BTreeMap::new();
         let mut importances = BTreeMap::new();
         for r in &trace.records {
@@ -134,7 +142,7 @@ impl<'a> RowBuilder<'a> {
                 .entry(r.tenant)
                 .or_insert_with(|| TenantRow {
                     tenant: r.tenant,
-                    name: name_of(r.tenant),
+                    name: sc.tenant_name(r.tenant),
                     offered: 0,
                     admitted: 0,
                     shed: 0,
@@ -187,44 +195,82 @@ impl<'a> RowBuilder<'a> {
     }
 }
 
-/// Builds the canonical (simulator-backend) report from a trace and the
-/// metrics of a decision-logged run.
+/// What one backend observed over a trace: the input of [`build`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Observed<'a> {
+    /// One decision per trace arrival, in arrival order.
+    pub decisions: &'a [AdmitDecision],
+    /// Shed victims, by the ids their controller issued: densely from 0
+    /// in admission order, as the admitted decisions carry them.
+    pub victims: &'a [TaskId],
+    /// Victims seen only as a count (the gateway's verdicts name none):
+    /// in the report's total, but in no tenant or importance row.
+    pub unattributed_shed: u64,
+    /// Admitted tasks that completed. Only the simulator executes tasks;
+    /// the replays leave this and `missed` at 0.
+    pub completed: u64,
+    /// Completed tasks that missed their end-to-end deadline.
+    pub missed: u64,
+    /// Backend work: the simulator's events, one per decision for a
+    /// replay.
+    pub events_processed: u64,
+}
+
+impl<'a> From<&'a SimMetrics> for Observed<'a> {
+    /// A decision-logged simulator run: its decision and shed logs and
+    /// its executed counts.
+    fn from(metrics: &'a SimMetrics) -> Observed<'a> {
+        Observed {
+            decisions: &metrics.decision_log,
+            victims: &metrics.shed_log,
+            unattributed_shed: 0,
+            completed: metrics.completed,
+            missed: metrics.missed,
+            events_processed: metrics.events_processed,
+        }
+    }
+}
+
+/// Builds `sc`'s report over `trace` from what `backend` observed.
 ///
-/// Shed victims are attributed through their task ids, which the
-/// simulator's controller issues densely from 0 in admission order: an id
-/// indexes a table of arrival indexes directly.
+/// Shed victims are attributed through their ids, which index a table
+/// of arrival indexes directly (every admission has a decision, so every
+/// id is below the number of arrivals).
 ///
 /// # Panics
 ///
-/// Panics if the metrics were collected without
-/// `SimBuilder::record_decisions(true)` or over a different arrival
-/// sequence (decision log and trace must have equal length).
-pub fn from_sim(
-    scenario: &str,
+/// Panics unless there is one decision per trace record (a simulator run
+/// needs `SimBuilder::record_decisions(true)`), or if a victim's id was
+/// not admitted.
+pub fn build(
+    sc: &Scenario,
+    backend: &str,
     trace: &ArrivalTrace,
-    name_of: &dyn Fn(u32) -> String,
-    metrics: &SimMetrics,
+    seen: Observed<'_>,
     wall_secs: f64,
 ) -> ScenarioReport {
     assert_eq!(
-        metrics.decision_log.len(),
+        seen.decisions.len(),
         trace.len(),
-        "decision log must cover exactly the offered trace \
-         (was the sim built with record_decisions(true)?)"
+        "one decision per arrival (was the sim built with record_decisions(true)?)"
     );
-    let mut rows = RowBuilder::new(trace, name_of);
+    let mut rows = RowBuilder::new(trace, sc);
     const UNSEEN: u32 = u32::MAX;
     assert!(trace.len() < UNSEEN as usize, "arrival indexes fit a u32");
-    // Task id -> arrival index. Every admission has a decision-log entry,
-    // so every id is below the number of arrivals.
     let mut arrival_of = vec![UNSEEN; trace.len()];
-    for (idx, decision) in metrics.decision_log.iter().enumerate() {
-        if let Some(task) = decision.admitted_task() {
-            rows.admitted(idx);
-            arrival_of[task.seq() as usize] = idx as u32;
+    let (mut admitted, mut rejected) = (0, 0);
+    for (idx, decision) in seen.decisions.iter().enumerate() {
+        match decision {
+            AdmitDecision::Admitted { task } | AdmitDecision::AdmittedFromQueue { task } => {
+                admitted += 1;
+                rows.admitted(idx);
+                arrival_of[task.seq() as usize] = idx as u32;
+            }
+            AdmitDecision::Rejected | AdmitDecision::TimedOut => rejected += 1,
+            AdmitDecision::Queued => {}
         }
     }
-    for victim in &metrics.shed_log {
+    for victim in seen.victims {
         let idx = arrival_of
             .get(victim.seq() as usize)
             .copied()
@@ -234,107 +280,29 @@ pub fn from_sim(
     }
     let (tenants, importances) = rows.finish();
     ScenarioReport {
-        scenario: scenario.to_string(),
-        backend: "sim".to_string(),
-        offered: metrics.offered,
-        admitted: metrics.admitted,
-        rejected: metrics.rejected + metrics.wait_timeouts,
-        shed: metrics.shed,
-        completed: metrics.completed,
-        missed: metrics.missed,
-        events_processed: metrics.events_processed,
-        wall_secs,
-        tenants,
-        importances,
-    }
-}
-
-/// One per-arrival outcome from a transport backend replay (service or
-/// gateway): the decision observed for the arrival at the same index in
-/// the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayDecision {
-    /// Admitted (ticket granted).
-    Admitted,
-    /// Rejected.
-    Rejected,
-    /// The transport budget expired before the request reached the
-    /// controller (gateway only).
-    Expired,
-}
-
-/// Shed attribution observed by a transport backend replay.
-///
-/// The service replay maps each victim's ticket back to its arrival
-/// index; the gateway only learns victim *counts* from
-/// `AdmittedAfterShedding` verdicts, so its sheds are unattributed —
-/// they appear in the report totals but not in the per-tenant or
-/// per-importance rows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplaySheds<'a> {
-    /// Arrival indexes of attributed victims.
-    pub indices: &'a [usize],
-    /// Victims the backend could not tie to an arrival index.
-    pub unattributed: u64,
-}
-
-/// Builds a report from a transport backend's per-arrival decisions.
-///
-/// # Panics
-///
-/// Panics unless `decisions` has one entry per trace record.
-pub fn from_replay(
-    scenario: &str,
-    backend: &str,
-    trace: &ArrivalTrace,
-    name_of: &dyn Fn(u32) -> String,
-    decisions: &[ReplayDecision],
-    sheds: ReplaySheds<'_>,
-    wall_secs: f64,
-) -> ScenarioReport {
-    assert_eq!(decisions.len(), trace.len(), "one decision per arrival");
-    let mut rows = RowBuilder::new(trace, name_of);
-    let mut admitted = 0;
-    let mut rejected = 0;
-    for (idx, d) in decisions.iter().enumerate() {
-        match d {
-            ReplayDecision::Admitted => {
-                admitted += 1;
-                rows.admitted(idx);
-            }
-            ReplayDecision::Rejected | ReplayDecision::Expired => rejected += 1,
-        }
-    }
-    for &idx in sheds.indices {
-        rows.shed(idx);
-    }
-    let (tenants, importances) = rows.finish();
-    ScenarioReport {
-        scenario: scenario.to_string(),
+        scenario: sc.name.to_string(),
         backend: backend.to_string(),
-        offered: decisions.len() as u64,
+        offered: seen.decisions.len() as u64,
         admitted,
         rejected,
-        shed: sheds.indices.len() as u64 + sheds.unattributed,
-        completed: 0,
-        missed: 0,
-        events_processed: decisions.len() as u64,
+        shed: seen.victims.len() as u64 + seen.unattributed_shed,
+        completed: seen.completed,
+        missed: seen.missed,
+        events_processed: seen.events_processed,
         wall_secs,
         tenants,
         importances,
     }
 }
-
-// Re-exported so callers can pattern-match sim decisions without a
-// direct frap-sim dependency.
-pub use frap_sim::metrics::AdmitDecision as SimDecision;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::catalog;
     use frap_core::graph::TaskSpec;
     use frap_core::task::Importance;
     use frap_core::time::{Time, TimeDelta};
+    use frap_sim::{SimBuilder, WaitPolicy};
 
     fn tiny_trace() -> ArrivalTrace {
         let ms = TimeDelta::from_millis;
@@ -348,27 +316,32 @@ mod tests {
         trace
     }
 
+    fn scenario() -> Scenario {
+        catalog(Time::from_secs(1)).swap_remove(0)
+    }
+
+    fn admitted(task: u64) -> AdmitDecision {
+        AdmitDecision::Admitted {
+            task: TaskId::new(task),
+        }
+    }
+
     #[test]
     fn replay_report_attributes_rows() {
         let trace = tiny_trace();
         let decisions = [
-            ReplayDecision::Admitted,
-            ReplayDecision::Rejected,
-            ReplayDecision::Admitted,
-            ReplayDecision::Expired,
+            admitted(0),
+            AdmitDecision::Rejected,
+            admitted(1),
+            AdmitDecision::TimedOut,
         ];
-        let report = from_replay(
-            "t",
-            "service",
-            &trace,
-            &|t| format!("tenant-{t}"),
-            &decisions,
-            ReplaySheds {
-                indices: &[2],
-                unattributed: 0,
-            },
-            0.1,
-        );
+        let seen = Observed {
+            decisions: &decisions,
+            victims: &[TaskId::new(1)],
+            events_processed: 4,
+            ..Observed::default()
+        };
+        let report = build(&scenario(), "service", &trace, seen, 0.1);
         assert_eq!(report.offered, 4);
         assert_eq!(report.admitted, 2);
         assert_eq!(report.rejected, 2);
@@ -384,42 +357,46 @@ mod tests {
     #[test]
     fn fingerprint_ignores_wall_time() {
         let trace = tiny_trace();
-        let decisions = [ReplayDecision::Admitted; 4];
-        let name = |t: u32| format!("tenant-{t}");
-        let a = from_replay(
-            "t",
-            "service",
-            &trace,
-            &name,
-            &decisions,
-            ReplaySheds::default(),
-            0.1,
-        );
-        let b = from_replay(
-            "t",
-            "service",
-            &trace,
-            &name,
-            &decisions,
-            ReplaySheds::default(),
-            9.9,
-        );
+        let decisions = [admitted(0), admitted(1), admitted(2), admitted(3)];
+        let seen = Observed {
+            decisions: &decisions,
+            ..Observed::default()
+        };
+        let a = build(&scenario(), "service", &trace, seen, 0.1);
+        let b = build(&scenario(), "service", &trace, seen, 9.9);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.wall_secs, b.wall_secs);
+    }
+
+    /// `SimMetrics::rejected` already counts wait timeouts; the report
+    /// must not add them again.
+    #[test]
+    fn a_wait_timeout_is_one_rejection() {
+        let sc = catalog(Time::from_secs(2))
+            .into_iter()
+            .find(|s| s.name == "flash_crowd")
+            .expect("flash_crowd in the catalog");
+        let trace = sc.generate();
+        let mut sim = SimBuilder::new(sc.stages())
+            .region(sc.region())
+            .wait(WaitPolicy::WaitUpTo(TimeDelta::from_millis(1)))
+            .record_decisions(true)
+            .build();
+        sim.run(trace.iter_arrivals(), sc.horizon + crate::DRAIN);
+        let metrics = sim.into_metrics();
+        assert!(metrics.wait_timeouts > 0, "some waits must time out");
+        let report = build(&sc, "sim", &trace, Observed::from(&metrics), 0.0);
+        assert_eq!(report.admitted + report.rejected, report.offered);
+        assert_eq!(report.rejected, metrics.rejected);
     }
 
     #[test]
     #[should_panic(expected = "one decision per arrival")]
     fn replay_length_mismatch_panics() {
-        let trace = tiny_trace();
-        from_replay(
-            "t",
-            "service",
-            &trace,
-            &|_| String::new(),
-            &[ReplayDecision::Admitted],
-            ReplaySheds::default(),
-            0.0,
-        );
+        let seen = Observed {
+            decisions: &[admitted(0)],
+            ..Observed::default()
+        };
+        build(&scenario(), "service", &tiny_trace(), seen, 0.0);
     }
 }

@@ -8,10 +8,15 @@
 //! `missed == 0` guarantee. The service and gateway backends replay the
 //! same trace through the production admission path; they decide but do
 //! not execute, so their reports cover admission counts only.
+//!
+//! All three record one [`AdmitDecision`] per arrival — an admitted one
+//! carrying the id its controller issued — and hand it to the one
+//! [`report::build`].
 
-use crate::report::{self, ReplayDecision, ScenarioReport};
+use crate::report::{self, Observed, ScenarioReport};
 use crate::spec::{Scenario, ScenarioPolicy};
 use frap_core::admission::ExactContributions;
+use frap_core::task::TaskId;
 use frap_core::time::TimeDelta;
 use frap_core::wire::WireTaskSpec;
 use frap_gateway::client::GatewayClient;
@@ -21,12 +26,20 @@ use frap_service::{AdmissionService, ManualClock, ServiceOutcome};
 use frap_sim::metrics::AdmitDecision;
 use frap_sim::{OverloadPolicy, SimBuilder};
 use frap_workload::replay::ArrivalTrace;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Margin the simulator runs past the arrival horizon so every admitted
 /// task reaches its deadline (scenario deadlines are well under this).
 pub const DRAIN: TimeDelta = TimeDelta::from_secs(2);
+
+/// The decision recording an admission under the ticket id a service
+/// issued.
+fn admitted(ticket_id: u64) -> AdmitDecision {
+    AdmitDecision::Admitted {
+        task: TaskId::new(ticket_id),
+    }
+}
 
 /// A simulator run: the canonical report plus the raw material backing
 /// it (the trace and the per-arrival decision log).
@@ -64,13 +77,7 @@ pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> SimRun {
     sim.run(trace.iter_arrivals(), sc.horizon + DRAIN);
     let wall = started.elapsed().as_secs_f64();
     let metrics = sim.into_metrics();
-    let report = report::from_sim(
-        sc.name,
-        &trace,
-        &|tenant| sc.tenant_name(tenant),
-        &metrics,
-        wall,
-    );
+    let report = report::build(sc, "sim", &trace, Observed::from(&metrics), wall);
     SimRun {
         report,
         trace,
@@ -82,60 +89,44 @@ pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> SimRun {
 /// clock is stepped to each arrival instant and the arrival is offered
 /// through the production admission path. Tickets are detached, so
 /// charge lives until the deadline wheel expires it — the same
-/// accounting as a simulator run without idle resets.
+/// accounting as a simulator run without idle resets. The fresh one-shard
+/// service issues ticket ids densely from 0 in admission order, as the
+/// simulator issues task ids.
 ///
 /// Returns the report plus the per-arrival decisions (for differential
 /// tests against [`run_sim_opts`]).
-pub fn run_service(sc: &Scenario) -> (ScenarioReport, Vec<ReplayDecision>) {
+pub fn run_service(sc: &Scenario) -> (ScenarioReport, Vec<AdmitDecision>) {
     let trace = sc.generate();
     let service = AdmissionService::builder(sc.region(), ExactContributions)
         .clock(ManualClock::new())
         .shards(1)
         .build();
     let mut decisions = Vec::with_capacity(trace.len());
-    let mut shed_indices = Vec::new();
-    // Ticket id -> arrival index, for attributing shed victims.
-    let mut by_ticket: HashMap<u64, usize> = HashMap::new();
+    let mut victims = Vec::new();
     let started = Instant::now();
-    for (idx, rec) in trace.records.iter().enumerate() {
+    for rec in &trace.records {
         service.clock().set(rec.at);
-        match sc.policy {
-            ScenarioPolicy::Reject => match service.try_admit(&rec.spec) {
-                Some(ticket) => {
-                    by_ticket.insert(ticket.detach(), idx);
-                    decisions.push(ReplayDecision::Admitted);
-                }
-                None => decisions.push(ReplayDecision::Rejected),
-            },
+        let decision = match sc.policy {
+            ScenarioPolicy::Reject => service.try_admit(&rec.spec).map(|t| admitted(t.detach())),
             ScenarioPolicy::ShedLessImportant => match service.try_admit_or_shed(&rec.spec) {
-                ServiceOutcome::Admitted(ticket) => {
-                    by_ticket.insert(ticket.detach(), idx);
-                    decisions.push(ReplayDecision::Admitted);
-                }
+                ServiceOutcome::Admitted(ticket) => Some(admitted(ticket.detach())),
                 ServiceOutcome::AdmittedAfterShedding { ticket, shed } => {
-                    for victim in shed {
-                        shed_indices.push(by_ticket[&victim]);
-                    }
-                    by_ticket.insert(ticket.detach(), idx);
-                    decisions.push(ReplayDecision::Admitted);
+                    victims.extend(shed.into_iter().map(TaskId::new));
+                    Some(admitted(ticket.detach()))
                 }
-                ServiceOutcome::Rejected => decisions.push(ReplayDecision::Rejected),
+                ServiceOutcome::Rejected => None,
             },
-        }
+        };
+        decisions.push(decision.unwrap_or(AdmitDecision::Rejected));
     }
     let wall = started.elapsed().as_secs_f64();
-    let report = report::from_replay(
-        sc.name,
-        "service",
-        &trace,
-        &|tenant| sc.tenant_name(tenant),
-        &decisions,
-        report::ReplaySheds {
-            indices: &shed_indices,
-            unattributed: 0,
-        },
-        wall,
-    );
+    let seen = Observed {
+        decisions: &decisions,
+        victims: &victims,
+        events_processed: decisions.len() as u64,
+        ..Observed::default()
+    };
+    let report = report::build(sc, "service", &trace, seen, wall);
     (report, decisions)
 }
 
@@ -147,10 +138,10 @@ pub fn run_service(sc: &Scenario) -> (ScenarioReport, Vec<ReplayDecision>) {
 ///
 /// Tickets are held, never released, so the server-side timer wheel
 /// decrements each admitted task's charge at its (scaled) deadline —
-/// mirroring the simulator's decrement-at-deadline accounting. Shed
-/// victims are server-assigned ticket ids the client cannot map back to
-/// arrivals, so gateway reports carry a shed total but no per-row shed
-/// attribution.
+/// mirroring the simulator's decrement-at-deadline accounting. A verdict
+/// reports only how many victims it shed, not which, so gateway reports
+/// carry a shed total but no per-row shed attribution. A request whose
+/// transport budget ran out is recorded as [`AdmitDecision::TimedOut`].
 ///
 /// # Errors
 ///
@@ -198,7 +189,7 @@ pub fn run_gateway(sc: &Scenario, scale: u64) -> std::io::Result<ScenarioReport>
     let mut client = GatewayClient::connect(server.local_addr())?;
     let window = usize::from(client.window().max(1));
 
-    let mut decisions = vec![ReplayDecision::Rejected; scaled.len()];
+    let mut decisions = vec![AdmitDecision::Rejected; scaled.len()];
     let mut inflight: VecDeque<usize> = VecDeque::new();
     let mut verdicts: Vec<(u64, Verdict)> = Vec::new();
     let mut unattributed_shed: u64 = 0;
@@ -207,13 +198,13 @@ pub fn run_gateway(sc: &Scenario, scale: u64) -> std::io::Result<ScenarioReport>
             for (_, verdict) in verdicts.drain(..) {
                 let idx = inflight.pop_front().expect("verdict without a request");
                 decisions[idx] = match verdict {
-                    Verdict::Admitted { .. } => ReplayDecision::Admitted,
-                    Verdict::AdmittedAfterShedding { shed: n, .. } => {
+                    Verdict::Admitted { ticket_id } => admitted(ticket_id),
+                    Verdict::AdmittedAfterShedding { ticket_id, shed: n } => {
                         *shed += u64::from(n);
-                        ReplayDecision::Admitted
+                        admitted(ticket_id)
                     }
-                    Verdict::Rejected => ReplayDecision::Rejected,
-                    Verdict::Expired => ReplayDecision::Expired,
+                    Verdict::Rejected => AdmitDecision::Rejected,
+                    Verdict::Expired => AdmitDecision::TimedOut,
                 };
             }
         };
@@ -256,18 +247,13 @@ pub fn run_gateway(sc: &Scenario, scale: u64) -> std::io::Result<ScenarioReport>
     let snapshot = server.shutdown();
     assert_eq!(snapshot.protocol_errors, 0, "replay hit protocol errors");
 
-    Ok(report::from_replay(
-        sc.name,
-        "gateway",
-        &trace,
-        &|tenant| sc.tenant_name(tenant),
-        &decisions,
-        report::ReplaySheds {
-            indices: &[],
-            unattributed: unattributed_shed,
-        },
-        wall,
-    ))
+    let seen = Observed {
+        decisions: &decisions,
+        unattributed_shed,
+        events_processed: decisions.len() as u64,
+        ..Observed::default()
+    };
+    Ok(report::build(sc, "gateway", &trace, seen, wall))
 }
 
 #[cfg(test)]
@@ -329,9 +315,7 @@ mod tests {
         assert_eq!(service_report.offered, sim.report.offered);
         assert_eq!(decisions.len(), sim.decisions.len());
         for (idx, (svc, sim_d)) in decisions.iter().zip(sim.decisions.iter()).enumerate() {
-            let sim_admitted = sim_d.is_admitted();
-            let svc_admitted = *svc == ReplayDecision::Admitted;
-            assert_eq!(svc_admitted, sim_admitted, "arrival {idx} diverged");
+            assert_eq!(svc, sim_d, "arrival {idx} diverged");
         }
     }
 

@@ -6,7 +6,7 @@
 
 use frap_core::admission::ExactContributions;
 use frap_core::time::Time;
-use frap_scenarios::report::from_sim;
+use frap_scenarios::report::{build, Observed};
 use frap_scenarios::{catalog, ImportanceRow, Scenario, TenantRow, DRAIN};
 use frap_sim::metrics::SimMetrics;
 use frap_sim::{OverloadPolicy, SimBuilder};
@@ -61,7 +61,7 @@ fn sim_report_rows_equal_a_brute_force_recount() {
         }
         let (trace, metrics) = shed_run(&sc);
         assert!(metrics.shed > 0, "{}: the run must shed", sc.name);
-        let report = from_sim(sc.name, &trace, &|t| sc.tenant_name(t), &metrics, 0.0);
+        let report = build(&sc, "sim", &trace, Observed::from(&metrics), 0.0);
         let (tenants, importances) = recount(&trace, &metrics);
         let tenant_rows: Counts = report
             .tenants

@@ -5,14 +5,15 @@
 //! charge-at-admit / decrement-at-deadline, exactly the accounting of a
 //! simulator run with `idle_resets(false)`. For `Reject`-policy
 //! scenarios the two backends must therefore agree **decision for
-//! decision**, not just in aggregate. (Shed-policy scenarios are
+//! decision**, not just in aggregate — down to the ids: both issue them
+//! densely from 0 in admission order. (Shed-policy scenarios are
 //! excluded from exact equality: victim *ordering* between equally
 //! important live tasks is a tie-break the two implementations are free
 //! to make differently.)
 
 use frap_core::time::Time;
 use frap_scenarios::runner::{run_service, run_sim_opts};
-use frap_scenarios::{catalog, ReplayDecision, Scenario, ScenarioPolicy};
+use frap_scenarios::{catalog, Scenario, ScenarioPolicy};
 
 fn scenario(name: &str, horizon: Time) -> Scenario {
     catalog(horizon)
@@ -34,8 +35,7 @@ fn assert_decision_equal(name: &str, horizon: Time) {
     assert_eq!(sim.decisions.len(), decisions.len(), "{name}: coverage");
     let mut diverged = Vec::new();
     for (idx, (sim_d, svc_d)) in sim.decisions.iter().zip(&decisions).enumerate() {
-        let svc_admitted = *svc_d == ReplayDecision::Admitted;
-        if sim_d.is_admitted() != svc_admitted {
+        if sim_d != svc_d {
             diverged.push(idx);
         }
     }

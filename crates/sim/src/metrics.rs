@@ -97,7 +97,9 @@ impl TaskOutcome {
 /// [`SimBuilder::record_decisions`](crate::pipeline::SimBuilder::record_decisions),
 /// so callers that know the arrival sequence (e.g. a trace with per-task
 /// tenant labels) can attribute every decision without the simulator
-/// carrying workload metadata.
+/// carrying workload metadata. Replays of a trace through other deciders
+/// (a service, a gateway) record the same type, so one report builder
+/// reads them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitDecision {
     /// Admitted at arrival (including the reserved-importance bypass).
@@ -116,7 +118,8 @@ pub enum AdmitDecision {
         /// The id the admission controller assigned.
         task: TaskId,
     },
-    /// The wait-queue stay ended in a timeout (counted as rejected).
+    /// The wait, in the queue or in transit, ran out (counted as
+    /// rejected).
     TimedOut,
 }
 
@@ -146,9 +149,11 @@ pub struct SimMetrics {
     pub offered: u64,
     /// Tasks admitted (immediately or after waiting).
     pub admitted: u64,
-    /// Tasks rejected outright.
+    /// Tasks rejected: outright, or when their admission wait timed out
+    /// (those are also counted in [`SimMetrics::wait_timeouts`]).
     pub rejected: u64,
-    /// Tasks whose admission wait timed out (TSCE-style wait queue).
+    /// Tasks whose admission wait timed out (TSCE-style wait queue); a
+    /// subset of [`SimMetrics::rejected`].
     pub wait_timeouts: u64,
     /// Admitted tasks shed at overload.
     pub shed: u64,

@@ -57,6 +57,18 @@ pub enum OverloadPolicy {
     ShedLessImportant,
 }
 
+/// A verdict [`Simulation::book`] writes.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    /// Admitted, rejected or queued on arrival: a new log entry.
+    Arrival(AdmitDecision),
+    /// A wait resolved, admitted from the queue or timed out: upgrades the
+    /// `Queued` entry of the arrival with this index.
+    Resolved(AdmitDecision, usize),
+    /// An admitted task shed at overload.
+    Shed(TaskId),
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Event {
     SegmentDone { stage: usize, gen: u64 },
@@ -160,10 +172,9 @@ struct Pending {
     /// Index into [`Simulation::pending_shapes`]: the interned admission
     /// contribution vector, computed once at enqueue.
     shape: u32,
-    /// Index of this arrival's [`AdmitDecision::Queued`] entry in the
-    /// decision log (`u32::MAX` when decision logging is off), so the
-    /// entry can be upgraded in place when the wait resolves.
-    log_idx: u32,
+    /// The arrival's index in arrival order, which is that of its
+    /// decision-log entry.
+    arrival: usize,
 }
 
 /// A point-in-time view of a [`Simulation`]'s state; see
@@ -641,24 +652,13 @@ impl Simulation {
             }
             None => spec,
         };
-        if let Some(threshold) = self.reserved_importance {
-            if spec.importance >= threshold {
-                let id = self.admission.admit_reserved(now, &spec);
-                self.metrics.admitted += 1;
-                if self.record_decisions {
-                    self.metrics
-                        .decision_log
-                        .push(AdmitDecision::Admitted { task: id });
-                }
-                self.record(TraceEvent::Admitted {
-                    time: now,
-                    task: id,
-                });
-                self.start_task(id, spec);
-                return;
-            }
-        }
+        // A reserved task is pre-certified: its capacity is covered by the
+        // reservations, so it skips the test.
+        let reserved = self
+            .reserved_importance
+            .is_some_and(|t| spec.importance >= t);
         let admitted = match self.overload {
+            _ if reserved => Some(self.admission.admit_reserved()),
             OverloadPolicy::RejectArrival => self.admission.try_admit(now, &spec),
             OverloadPolicy::ShedLessImportant => {
                 // The executed-work oracle keeps the eviction sound: a
@@ -688,60 +688,75 @@ impl Simulation {
                 }
             }
         };
-        match admitted {
-            Some(id) => {
-                self.metrics.admitted += 1;
-                if self.record_decisions {
-                    self.metrics
-                        .decision_log
-                        .push(AdmitDecision::Admitted { task: id });
-                }
-                self.record(TraceEvent::Admitted {
-                    time: now,
-                    task: id,
-                });
-                self.start_task(id, spec);
+        match (admitted, self.wait) {
+            (Some(task), _) => {
+                self.book(Verdict::Arrival(AdmitDecision::Admitted { task }));
+                self.start_task(task, spec);
             }
-            None => match self.wait {
-                WaitPolicy::Reject => {
-                    self.metrics.rejected += 1;
-                    if self.record_decisions {
-                        self.metrics.decision_log.push(AdmitDecision::Rejected);
-                    }
-                    self.record(TraceEvent::Rejected { time: now });
-                }
-                WaitPolicy::WaitUpTo(wait) => {
-                    let seq = self.pending_seq;
-                    self.pending_seq += 1;
-                    // Saturating, like the ledger's expiry: an unbounded
-                    // wait must not wrap into the past.
-                    let expires = now.saturating_add(wait);
-                    let shape = self.intern_shape(&spec);
-                    let log_idx = if self.record_decisions {
-                        self.metrics.decision_log.push(AdmitDecision::Queued);
-                        (self.metrics.decision_log.len() - 1) as u32
-                    } else {
-                        u32::MAX
-                    };
-                    self.pending.push_back(Pending {
-                        seq,
-                        spec,
-                        expires,
-                        shape,
-                        log_idx,
-                    });
-                    self.queue.push(expires, Event::WaitTimeout { seq });
-                    self.record(TraceEvent::Queued { time: now });
-                }
-            },
+            (None, WaitPolicy::Reject) => self.book(Verdict::Arrival(AdmitDecision::Rejected)),
+            (None, WaitPolicy::WaitUpTo(wait)) => {
+                let seq = self.pending_seq;
+                self.pending_seq += 1;
+                // Saturating, like the ledger's expiry: an unbounded
+                // wait must not wrap into the past.
+                let expires = now.saturating_add(wait);
+                let shape = self.intern_shape(&spec);
+                self.book(Verdict::Arrival(AdmitDecision::Queued));
+                self.pending.push_back(Pending {
+                    seq,
+                    spec,
+                    expires,
+                    shape,
+                    arrival: self.metrics.offered as usize - 1,
+                });
+                self.queue.push(expires, Event::WaitTimeout { seq });
+            }
         }
     }
 
-    /// Upgrades a queued arrival's decision-log entry in place.
-    #[inline]
-    fn resolve_queued(&mut self, log_idx: u32, decision: AdmitDecision) {
-        if log_idx != u32::MAX {
-            self.metrics.decision_log[log_idx as usize] = decision;
+    /// Books one verdict — the one place counters, the decision and shed
+    /// logs and the trace learn of it: bumps its counter, writes its log
+    /// entry (upgrading a `Queued` one in place when a wait resolves) and
+    /// records its trace event.
+    fn book(&mut self, verdict: Verdict) {
+        let time = self.clock;
+        let m = &mut self.metrics;
+        let (decision, queued_at) = match verdict {
+            Verdict::Arrival(decision) => (decision, None),
+            Verdict::Resolved(decision, at) => (decision, Some(at)),
+            Verdict::Shed(task) => {
+                m.shed += 1;
+                if self.record_decisions {
+                    m.shed_log.push(task);
+                }
+                self.record(TraceEvent::Shed { time, task });
+                return;
+            }
+        };
+        let event = match decision {
+            AdmitDecision::Admitted { task } | AdmitDecision::AdmittedFromQueue { task } => {
+                m.admitted += 1;
+                Some(TraceEvent::Admitted { time, task })
+            }
+            AdmitDecision::Rejected => {
+                m.rejected += 1;
+                Some(TraceEvent::Rejected { time })
+            }
+            AdmitDecision::TimedOut => {
+                m.wait_timeouts += 1;
+                m.rejected += 1;
+                None
+            }
+            AdmitDecision::Queued => Some(TraceEvent::Queued { time }),
+        };
+        if self.record_decisions {
+            match queued_at {
+                Some(at) => m.decision_log[at] = decision,
+                None => m.decision_log.push(decision),
+            }
+        }
+        if let Some(event) = event {
+            self.record(event);
         }
     }
 
@@ -844,13 +859,7 @@ impl Simulation {
                 // (FIFO order is preserved by retries), so the stale-token
                 // miss case costs O(log n) instead of a full scan.
                 if let Ok(pos) = self.pending.binary_search_by(|p| p.seq.cmp(&seq)) {
-                    let entry = self.pending.remove(pos).expect("entry exists");
-                    self.resolve_queued(entry.log_idx, AdmitDecision::TimedOut);
-                    self.metrics.wait_timeouts += 1;
-                    self.metrics.rejected += 1;
-                    if self.pending.is_empty() {
-                        self.pending_shapes.clear();
-                    }
+                    self.time_out(pos);
                 }
             }
         }
@@ -990,14 +999,7 @@ impl Simulation {
     /// releases its synthetic-utilization accounting, which the admission
     /// controller has already done.
     fn kill_task(&mut self, task: TaskId) {
-        self.metrics.shed += 1;
-        if self.record_decisions {
-            self.metrics.shed_log.push(task);
-        }
-        self.record(TraceEvent::Shed {
-            time: self.clock,
-            task,
-        });
+        self.book(Verdict::Shed(task));
         let Some(run) = self.tasks.remove(task) else {
             return;
         };
@@ -1055,6 +1057,16 @@ impl Simulation {
         shape
     }
 
+    /// Books the waiting arrival at `pos` in the queue as timed out and
+    /// drops it.
+    fn time_out(&mut self, pos: usize) {
+        let entry = self.pending.remove(pos).expect("entry exists");
+        self.book(Verdict::Resolved(AdmitDecision::TimedOut, entry.arrival));
+        if self.pending.is_empty() {
+            self.pending_shapes.clear();
+        }
+    }
+
     fn retry_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -1073,12 +1085,9 @@ impl Simulation {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].expires <= now {
-                // The timeout event will (or already did) account for it;
-                // drop it here to avoid double admission.
-                let entry = self.pending.remove(i).expect("entry exists");
-                self.resolve_queued(entry.log_idx, AdmitDecision::TimedOut);
-                self.metrics.wait_timeouts += 1;
-                self.metrics.rejected += 1;
+                // Its timeout event may not have fired yet: drop it here,
+                // so it is not admitted past its wait.
+                self.time_out(i);
                 continue;
             }
             let shape = self.pending[i].shape as usize;
@@ -1092,16 +1101,12 @@ impl Simulation {
                     .try_admit_with(now, &p.spec, &self.pending_shapes[shape])
             };
             match admitted {
-                Some(id) => {
+                Some(task) => {
                     failed.iter_mut().for_each(|f| *f = false);
                     let p = self.pending.remove(i).expect("entry exists");
-                    self.resolve_queued(p.log_idx, AdmitDecision::AdmittedFromQueue { task: id });
-                    self.metrics.admitted += 1;
-                    self.record(TraceEvent::Admitted {
-                        time: now,
-                        task: id,
-                    });
-                    self.start_task(id, p.spec);
+                    let decision = AdmitDecision::AdmittedFromQueue { task };
+                    self.book(Verdict::Resolved(decision, p.arrival));
+                    self.start_task(task, p.spec);
                 }
                 None => {
                     failed[shape] = true;

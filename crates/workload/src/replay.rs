@@ -19,39 +19,31 @@
 //! **v2** extends **v1** backward-compatibly: an optional trailing
 //! `<tenant>` field attributes each arrival to a tenant (defaults to 0
 //! when absent), and an optional `# scenario: <text>` comment carries
-//! free-form scenario metadata. Both versions parse through the same
-//! entry points; v1 files simply yield tenant 0 and no scenario line.
-//! Headers naming any other version are rejected (with the line number).
+//! free-form scenario metadata. Traces are written as v2 only
+//! ([`render_trace`], [`save_trace`]); [`parse_trace`] and [`load_trace`]
+//! also read v1 files, which yield tenant 0 and no scenario line. Headers
+//! naming any other version are rejected (with the line number).
 //!
 //! # Examples
 //!
+//! A generated workload, saved as a tenant-attributed [`ArrivalTrace`]
+//! and loaded back:
+//!
 //! ```
-//! use frap_workload::replay::{parse_arrivals, render_arrivals};
+//! use frap_workload::replay::{load_trace, save_trace, ArrivalTrace};
 //! use frap_workload::taskgen::PipelineWorkloadBuilder;
 //!
-//! let original: Vec<_> = PipelineWorkloadBuilder::new(2).seed(1).build().take(10).collect();
-//! let text = render_arrivals(&original);
-//! let loaded = parse_arrivals(&text)?;
-//! assert_eq!(original.len(), loaded.len());
-//! assert_eq!(original[3].0, loaded[3].0);
-//! assert_eq!(original[3].1, loaded[3].1);
-//! # Ok::<(), frap_workload::replay::ReplayError>(())
-//! ```
-//!
-//! Tenant-attributed traces round-trip through [`ArrivalTrace`]:
-//!
-//! ```
-//! use frap_core::graph::TaskSpec;
-//! use frap_core::time::{Time, TimeDelta};
-//! use frap_workload::replay::{parse_trace, render_trace, ArrivalTrace};
-//!
-//! let ms = TimeDelta::from_millis;
 //! let mut trace = ArrivalTrace::new().with_scenario("demo seed=1");
-//! trace.push(Time::ZERO, TaskSpec::pipeline(ms(50), &[ms(2), ms(3)]).unwrap(), 7);
-//! let text = render_trace(&trace);
-//! let loaded = parse_trace(&text)?;
-//! assert_eq!(loaded.records[0].tenant, 7);
+//! for (at, spec) in PipelineWorkloadBuilder::new(2).seed(1).build().take(10) {
+//!     trace.push(at, spec, 7);
+//! }
+//! let path = std::env::temp_dir().join("frap_replay_doc_trace.txt");
+//! save_trace(&path, &trace)?;
+//! let loaded = load_trace(&path)?;
+//! assert_eq!(loaded, trace);
+//! assert_eq!(loaded.records[3].tenant, 7);
 //! assert_eq!(loaded.scenario.as_deref(), Some("demo seed=1"));
+//! # std::fs::remove_file(&path).ok();
 //! # Ok::<(), frap_workload::replay::ReplayError>(())
 //! ```
 
@@ -202,7 +194,6 @@ impl From<std::io::Error> for ReplayError {
     }
 }
 
-const HEADER_V1: &str = "# frap-arrivals v1";
 const HEADER_V2: &str = "# frap-arrivals v2";
 const HEADER_PREFIX: &str = "# frap-arrivals ";
 const SCENARIO_PREFIX: &str = "# scenario:";
@@ -314,17 +305,6 @@ fn render_spec_fields(out: &mut String, t: Time, spec: &TaskSpec) {
         nodes,
         edges
     );
-}
-
-/// Renders an arrival sequence to the v1 trace format (no tenants).
-pub fn render_arrivals(arrivals: &[(Time, TaskSpec)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{HEADER_V1}");
-    for (t, spec) in arrivals {
-        render_spec_fields(&mut out, *t, spec);
-        out.push('\n');
-    }
-    out
 }
 
 /// Renders a tenant-attributed trace to the v2 format.
@@ -463,44 +443,6 @@ pub fn parse_trace(text: &str) -> Result<ArrivalTrace, ReplayError> {
     Ok(trace)
 }
 
-/// Parses either trace format back into a plain arrival sequence
-/// (tenants and scenario metadata dropped).
-///
-/// # Errors
-///
-/// Returns the [`ReplayError`] variant describing the first malformed
-/// line, with its 1-based line number.
-pub fn parse_arrivals(text: &str) -> Result<Vec<(Time, TaskSpec)>, ReplayError> {
-    Ok(parse_trace(text)?
-        .records
-        .into_iter()
-        .map(|r| (r.at, r.spec))
-        .collect())
-}
-
-/// Writes an arrival sequence to `path` in the v1 trace format.
-///
-/// # Errors
-///
-/// Returns [`ReplayError::Io`] on filesystem errors.
-pub fn save_arrivals(
-    path: impl AsRef<Path>,
-    arrivals: &[(Time, TaskSpec)],
-) -> Result<(), ReplayError> {
-    std::fs::write(path, render_arrivals(arrivals))?;
-    Ok(())
-}
-
-/// Loads an arrival sequence from `path` (either format version).
-///
-/// # Errors
-///
-/// Returns [`ReplayError::Io`] on filesystem errors and a parse variant
-/// (with line number) on malformed content.
-pub fn load_arrivals(path: impl AsRef<Path>) -> Result<Vec<(Time, TaskSpec)>, ReplayError> {
-    parse_arrivals(&std::fs::read_to_string(path)?)
-}
-
 /// Writes a tenant-attributed trace to `path` in the v2 format.
 ///
 /// # Errors
@@ -528,6 +470,15 @@ mod tests {
         merge_arrivals, CriticalSectionConfig, DagWorkload, PipelineWorkloadBuilder,
     };
 
+    /// `arrivals` written as a trace and parsed back.
+    fn roundtrip(arrivals: &[(Time, TaskSpec)]) -> Vec<(Time, TaskSpec)> {
+        let mut trace = ArrivalTrace::new();
+        for (t, spec) in arrivals {
+            trace.push(*t, spec.clone(), 0);
+        }
+        parse_trace(&render_trace(&trace)).unwrap().arrivals()
+    }
+
     #[test]
     fn roundtrip_pipeline_workload() {
         let original: Vec<_> = PipelineWorkloadBuilder::new(3)
@@ -535,7 +486,7 @@ mod tests {
             .build()
             .take(50)
             .collect();
-        let loaded = parse_arrivals(&render_arrivals(&original)).unwrap();
+        let loaded = roundtrip(&original);
         assert_eq!(original.len(), loaded.len());
         for ((t1, s1), (t2, s2)) in original.iter().zip(&loaded) {
             assert_eq!(t1, t2);
@@ -557,7 +508,7 @@ mod tests {
             .build()
             .take(20)
             .collect();
-        let loaded = parse_arrivals(&render_arrivals(&original)).unwrap();
+        let loaded = roundtrip(&original);
         for ((_, s1), (_, s2)) in original.iter().zip(&loaded) {
             assert_eq!(s1.graph, s2.graph);
         }
@@ -566,7 +517,7 @@ mod tests {
     #[test]
     fn roundtrip_dag_workload() {
         let original: Vec<_> = DagWorkload::new(5, 0.005, 50.0, 30.0, 7).take(20).collect();
-        let loaded = parse_arrivals(&render_arrivals(&original)).unwrap();
+        let loaded = roundtrip(&original);
         for ((_, s1), (_, s2)) in original.iter().zip(&loaded) {
             assert_eq!(s1.graph, s2.graph);
             assert_eq!(s1.graph.sources(), s2.graph.sources());
@@ -609,30 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_parser_accepts_v2_input() {
-        let text = "# frap-arrivals v2\n# scenario: x\n100,2000,0,0:500,-,9\n";
-        let loaded = parse_arrivals(text).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].0, Time::from_micros(100));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("frap_replay_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.txt");
-        let original: Vec<_> = PipelineWorkloadBuilder::new(1)
-            .seed(9)
-            .build()
-            .take(5)
-            .collect();
-        save_arrivals(&path, &original).unwrap();
-        let loaded = load_arrivals(&path).unwrap();
-        assert_eq!(original.len(), loaded.len());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn trace_file_roundtrip() {
         let dir = std::env::temp_dir().join("frap_replay_test_v2");
         std::fs::create_dir_all(&dir).unwrap();
@@ -650,9 +577,9 @@ mod tests {
     #[test]
     fn comments_and_blank_lines_skipped() {
         let text = "# frap-arrivals v1\n\n# comment\n100,2000,0,0:500,-\n";
-        let loaded = parse_arrivals(text).unwrap();
+        let loaded = parse_trace(text).unwrap();
         assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].0, Time::from_micros(100));
+        assert_eq!(loaded.records[0].at, Time::from_micros(100));
     }
 
     #[test]
@@ -665,7 +592,7 @@ mod tests {
 
     #[test]
     fn field_count_error_carries_line() {
-        match parse_arrivals("# h\n1,2,3\n").unwrap_err() {
+        match parse_trace("# h\n1,2,3\n").unwrap_err() {
             e @ ReplayError::FieldCount { line, got } => {
                 assert_eq!((line, got), (2, 3));
                 assert_eq!(e.line(), Some(2));
@@ -676,7 +603,7 @@ mod tests {
 
     #[test]
     fn invalid_number_error_carries_line() {
-        match parse_arrivals("1,2,x,0:5,-\n").unwrap_err() {
+        match parse_trace("1,2,x,0:5,-\n").unwrap_err() {
             ReplayError::InvalidNumber { line, what, text } => {
                 assert_eq!(line, 1);
                 assert_eq!(what, "importance");
@@ -685,7 +612,7 @@ mod tests {
             other => panic!("unexpected: {other}"),
         }
         // A malformed segment duration inside a node reports its position.
-        match parse_arrivals("1,2,0,0:bad|5,-\n").unwrap_err() {
+        match parse_trace("1,2,0,0:bad|5,-\n").unwrap_err() {
             ReplayError::InvalidNumber { line, what, .. } => {
                 assert_eq!(line, 1);
                 assert_eq!(what, "segment duration");
@@ -693,7 +620,7 @@ mod tests {
             other => panic!("unexpected: {other}"),
         }
         // … as does a malformed lock id after `@`.
-        match parse_arrivals("\n1,2,0,0:5@z,-\n").unwrap_err() {
+        match parse_trace("\n1,2,0,0:5@z,-\n").unwrap_err() {
             ReplayError::InvalidNumber { line, what, .. } => {
                 assert_eq!(line, 2);
                 assert_eq!(what, "lock");
@@ -736,7 +663,7 @@ mod tests {
 
     #[test]
     fn malformed_node_error_carries_line() {
-        match parse_arrivals("# header\n\n1,2,0,500,-\n").unwrap_err() {
+        match parse_trace("# header\n\n1,2,0,500,-\n").unwrap_err() {
             ReplayError::MalformedNode { line, node } => {
                 assert_eq!(line, 3);
                 assert_eq!(node, "500");
@@ -747,7 +674,7 @@ mod tests {
 
     #[test]
     fn malformed_edge_error_carries_line() {
-        match parse_arrivals("1,2,0,0:5;1:5,zzz\n").unwrap_err() {
+        match parse_trace("1,2,0,0:5;1:5,zzz\n").unwrap_err() {
             e @ ReplayError::MalformedEdge { .. } => {
                 assert_eq!(e.line(), Some(1));
                 assert!(e.to_string().contains("line 1"));
@@ -758,7 +685,7 @@ mod tests {
 
     #[test]
     fn invalid_graph_error_carries_line() {
-        match parse_arrivals("# x\n1,2,0,0:5;1:5,0->1;1->0\n").unwrap_err() {
+        match parse_trace("# x\n1,2,0,0:5;1:5,0->1;1->0\n").unwrap_err() {
             ReplayError::InvalidGraph { line, reason } => {
                 assert_eq!(line, 2);
                 assert!(reason.contains("cycle"), "reason={reason}");
@@ -769,7 +696,7 @@ mod tests {
 
     #[test]
     fn unsupported_version_error_carries_line() {
-        match parse_arrivals("# frap-arrivals v9\n1,2,0,0:5,-\n").unwrap_err() {
+        match parse_trace("# frap-arrivals v9\n1,2,0,0:5,-\n").unwrap_err() {
             ReplayError::UnsupportedVersion { line, version } => {
                 assert_eq!(line, 1);
                 assert_eq!(version, "v9");
@@ -847,7 +774,7 @@ mod tests {
 
     #[test]
     fn load_missing_file_is_io_error() {
-        match load_arrivals("/nonexistent/frap/trace.txt").unwrap_err() {
+        match load_trace("/nonexistent/frap/trace.txt").unwrap_err() {
             e @ ReplayError::Io(_) => assert_eq!(e.line(), None),
             other => panic!("unexpected: {other}"),
         }

@@ -16,7 +16,7 @@ use crate::arrivals::{ArrivalProcess, PoissonProcess};
 use crate::dist::{Distribution, Exponential, Uniform};
 use crate::rng::Rng;
 use frap_core::graph::{TaskGraph, TaskSpec};
-use frap_core::task::{Importance, LockId, Segment, StageId, SubtaskSpec};
+use frap_core::task::{LockId, Segment, StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
 
 /// Builder for [`PipelineWorkload`].
@@ -43,11 +43,12 @@ pub struct PipelineWorkloadBuilder {
     stage_means: Vec<f64>,
     resolution: f64,
     load: f64,
-    deadline_spread: (f64, f64),
     critical_section: Option<CriticalSectionConfig>,
-    importance: Importance,
     seed: u64,
 }
+
+/// Deadlines are uniform over these multiples of the mean deadline.
+const DEADLINE_SPREAD: (f64, f64) = (0.5, 1.5);
 
 /// Critical-section injection for the blocking (`β`) ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,17 +63,16 @@ pub struct CriticalSectionConfig {
 
 impl PipelineWorkloadBuilder {
     /// A balanced `stages`-stage workload with the paper's defaults:
-    /// 10 ms mean per-stage computation, resolution 100, load 1.0,
-    /// deadlines uniform over `[0.5, 1.5] ×` the mean deadline.
+    /// 10 ms mean per-stage computation, resolution 100, load 1.0.
+    /// Deadlines are always uniform over `[0.5, 1.5] ×` the mean deadline,
+    /// and every task has the lowest importance.
     pub fn new(stages: usize) -> PipelineWorkloadBuilder {
         assert!(stages > 0, "at least one stage");
         PipelineWorkloadBuilder {
             stage_means: vec![0.010; stages],
             resolution: 100.0,
             load: 1.0,
-            deadline_spread: (0.5, 1.5),
             critical_section: None,
-            importance: Importance::LOWEST,
             seed: 0,
         }
     }
@@ -113,26 +113,12 @@ impl PipelineWorkloadBuilder {
         self
     }
 
-    /// Sets the uniform deadline spread as multiples of the mean deadline
-    /// (default `(0.5, 1.5)`).
-    pub fn deadline_spread(mut self, lo: f64, hi: f64) -> Self {
-        assert!(0.0 < lo && lo <= hi);
-        self.deadline_spread = (lo, hi);
-        self
-    }
-
     /// Injects critical sections (see [`CriticalSectionConfig`]).
     pub fn critical_sections(mut self, cfg: CriticalSectionConfig) -> Self {
         assert!((0.0..=1.0).contains(&cfg.probability));
         assert!((0.0..=1.0).contains(&cfg.fraction));
         assert!(cfg.locks_per_stage > 0);
         self.critical_section = Some(cfg);
-        self
-    }
-
-    /// Sets the semantic importance stamped on every generated task.
-    pub fn importance(mut self, importance: Importance) -> Self {
-        self.importance = importance;
         self
     }
 
@@ -167,8 +153,8 @@ impl PipelineWorkloadBuilder {
         let rate = self.arrival_rate();
         let mean_deadline = self.mean_deadline();
         let deadline = Uniform::new(
-            self.deadline_spread.0 * mean_deadline,
-            self.deadline_spread.1 * mean_deadline,
+            DEADLINE_SPREAD.0 * mean_deadline,
+            DEADLINE_SPREAD.1 * mean_deadline,
         );
         PipelineWorkload {
             comp: self
@@ -179,7 +165,6 @@ impl PipelineWorkloadBuilder {
             deadline,
             arrivals: PoissonProcess::new(rate),
             critical_section: self.critical_section,
-            importance: self.importance,
             rng: Rng::new(self.seed),
             clock: Time::ZERO,
         }
@@ -194,7 +179,6 @@ pub struct PipelineWorkload {
     deadline: Uniform,
     arrivals: PoissonProcess,
     critical_section: Option<CriticalSectionConfig>,
-    importance: Importance,
     rng: Rng,
     clock: Time,
 }
@@ -228,7 +212,7 @@ impl Iterator for PipelineWorkload {
             let rng = &mut self.rng;
             let graph = TaskGraph::pipeline(self.comp.iter().map(|dist| dist.sample_delta(rng)));
             let spec = TaskSpec::new(deadline, graph.expect("at least one stage"));
-            return Some((self.clock, spec.with_importance(self.importance)));
+            return Some((self.clock, spec));
         };
 
         let mut subtasks = Vec::with_capacity(self.comp.len());
@@ -253,7 +237,7 @@ impl Iterator for PipelineWorkload {
             subtasks.push(sub);
         }
         let graph = TaskGraph::chain(subtasks).expect("non-empty chain");
-        let spec = TaskSpec::new(deadline, graph).with_importance(self.importance);
+        let spec = TaskSpec::new(deadline, graph);
         Some((self.clock, spec))
     }
 }
@@ -583,17 +567,6 @@ mod tests {
                 let frac = sub.max_critical_section().ratio(sub.computation());
                 assert!((0.4..=0.6).contains(&frac), "frac={frac}");
             }
-        }
-    }
-
-    #[test]
-    fn importance_is_stamped() {
-        let stream = PipelineWorkloadBuilder::new(1)
-            .importance(Importance::new(7))
-            .seed(1)
-            .build();
-        for (_, s) in stream.take(5) {
-            assert_eq!(s.importance, Importance::new(7));
         }
     }
 

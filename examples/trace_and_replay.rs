@@ -9,31 +9,34 @@
 
 use frap::core::time::Time;
 use frap::sim::pipeline::SimBuilder;
-use frap::workload::replay::{load_arrivals, save_arrivals};
+use frap::workload::replay::{load_trace, save_trace, ArrivalTrace};
 use frap::workload::taskgen::PipelineWorkloadBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = Time::from_secs(1);
 
     // 1. Generate a workload and save it.
-    let original: Vec<_> = PipelineWorkloadBuilder::new(2)
+    let workload = PipelineWorkloadBuilder::new(2)
         .load(1.0)
         .resolution(30.0)
         .seed(7)
         .build()
-        .until(horizon)
-        .collect();
+        .until(horizon);
+    let mut original = ArrivalTrace::new().with_scenario("pipeline load=1.0 seed=7");
+    for (at, spec) in workload {
+        original.push(at, spec, 0);
+    }
     let path = std::env::temp_dir().join("frap_demo_trace.txt");
-    save_arrivals(&path, &original)?;
+    save_trace(&path, &original)?;
     println!("saved {} arrivals to {}", original.len(), path.display());
 
     // 2. Load it back — bit-identical workload, shareable across machines.
-    let replayed = load_arrivals(&path)?;
-    assert_eq!(original.len(), replayed.len());
+    let replayed = load_trace(&path)?;
+    assert_eq!(replayed, original);
 
     // 3. Run it with scheduling-trace recording enabled.
     let mut sim = SimBuilder::new(2).trace(50_000).build();
-    let m = sim.run(replayed.into_iter(), horizon).clone();
+    let m = sim.run(replayed.iter_arrivals(), horizon).clone();
     println!(
         "replayed run: {} offered, {} admitted, {} completed, {} missed",
         m.offered, m.admitted, m.completed, m.missed
