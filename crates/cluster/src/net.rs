@@ -11,6 +11,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 use frap_gateway::proto::{
     Frame, FrameBuffer, Hello, HelloAck, OutBuffer, HELLO_ACK_LEN, HELLO_LEN, MAX_FRAME, VERSION,
 };
-use frap_gateway::reactor::{reactor_key, Event, Interest, Reactor, Waker, WAKE_TOKEN};
+use frap_gateway::reactor::{Event, Interest, Reactor, Waker, WAKE_TOKEN};
 
 use crate::coord::CoordCore;
 use crate::node::{NodeCore, SpentProbe};
@@ -141,12 +142,7 @@ impl CoordServer {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let (mut reactor, waker) = Reactor::new()?;
-        reactor.register(
-            reactor_key(&listener, LISTENER),
-            LISTENER,
-            Interest::READ,
-            false,
-        )?;
+        reactor.register(listener.as_raw_fd(), LISTENER, Interest::READ, false)?;
 
         let core = Arc::new(Mutex::new(core));
         let stats = Arc::new(LinkStats::default());
@@ -250,10 +246,7 @@ impl Plane {
         let mut events: Vec<Event> = Vec::new();
         let mut next_sweep = Instant::now() + SWEEP;
         loop {
-            // `wait` truncates to whole milliseconds; rounding up keeps
-            // the loop from spinning through the last fraction of one.
-            let timeout =
-                next_sweep.saturating_duration_since(Instant::now()) + Duration::from_micros(999);
+            let timeout = next_sweep.saturating_duration_since(Instant::now());
             if self.reactor.wait(&mut events, Some(timeout)).is_err()
                 || shutdown.load(Ordering::Acquire)
             {
@@ -298,10 +291,9 @@ impl Plane {
                 self.links.len() - 1
             });
             let token = FIRST_LINK + slot;
-            let key = reactor_key(&stream, token);
             if self
                 .reactor
-                .register(key, token, Interest::READ, false)
+                .register(stream.as_raw_fd(), token, Interest::READ, false)
                 .is_err()
             {
                 self.free.push(slot);
@@ -408,8 +400,8 @@ impl Plane {
                 readable: true,
                 writable: want_write,
             };
-            let key = reactor_key(&link.stream, token);
-            self.reactor.reregister(key, token, interest)?;
+            self.reactor
+                .reregister(link.stream.as_raw_fd(), token, interest)?;
             link.want_write = want_write;
         }
         Ok(())
@@ -418,7 +410,7 @@ impl Plane {
     /// Forgets a link (already out of its slot): deregisters it, drops
     /// its routes, and closes its socket.
     fn close(&mut self, token: usize, link: Link) {
-        let _ = self.reactor.deregister(reactor_key(&link.stream, token));
+        let _ = self.reactor.deregister(link.stream.as_raw_fd());
         self.routes.retain(|&(_, to)| to != token);
         self.free.push(token - FIRST_LINK);
     }

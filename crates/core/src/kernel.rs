@@ -1,4 +1,4 @@
-//! A vectorized fast path for the pipeline region test (ROADMAP item 3).
+//! A vectorized fast path for the pipeline region test.
 //!
 //! The hot kernel of every admission decision is the pipeline inequality
 //!
@@ -77,8 +77,9 @@ pub enum FastVerdict {
 /// A prepared pipeline region test: stage count plus the precomputed
 /// right-hand side `α (1 − Σβ)`.
 ///
-/// Cheap to copy; [`crate::region::FeasibleRegion::kernel`] derives one
-/// from a region, and standalone construction serves benches and tests.
+/// Cheap to copy; every [`crate::region::FeasibleRegion`] keeps one
+/// (see [`crate::region::FeasibleRegion::kernel`]), and standalone
+/// construction serves benches and tests.
 ///
 /// # Examples
 ///
@@ -183,7 +184,7 @@ impl RegionKernel {
     /// Bit-identical to `exact_feasible` for every well-formed vector.
     /// Inherits [`stage_delay_factor`]'s input contract on the fallback:
     /// validate lengths and signs at the API boundary (as
-    /// [`crate::region::FeasibleRegion`] does).
+    /// [`crate::region::FeasibleRegion::contains`] does).
     // `#[inline]` on this and the exact twins below: the workspace does
     // not enable LTO, so without the hint every cross-crate caller —
     // including the admission hot loops in `frap-service` and the bench
@@ -217,9 +218,8 @@ impl RegionKernel {
         }
     }
 
-    /// The exact scalar left-hand side, in the same operation order as
-    /// [`crate::region::FeasibleRegion::value`] (so the two agree
-    /// bit-for-bit).
+    /// The exact scalar left-hand side; [`crate::region::FeasibleRegion::value`]
+    /// returns this sum once it has validated the vector.
     #[inline]
     pub fn exact_value(&self, utilizations: &[f64]) -> f64 {
         utilizations.iter().map(|&u| stage_delay_factor(u)).sum()

@@ -25,7 +25,7 @@ use crate::alpha::Alpha;
 use crate::delay::{stage_delay_factor, stage_delay_factor_inverse};
 use crate::error::RegionError;
 use crate::graph::TaskGraph;
-use crate::kernel::{FastVerdict, RegionKernel};
+use crate::kernel::RegionKernel;
 
 /// A feasible region for an `N`-stage system: the set of synthetic
 /// utilization vectors under which every admitted task meets its
@@ -44,19 +44,18 @@ use crate::kernel::{FastVerdict, RegionKernel};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeasibleRegion {
-    stages: usize,
     alpha: Alpha,
     blocking: Vec<f64>,
-    /// `α (1 − Σβ)` cached at construction so the per-decision hot path
-    /// ([`RegionTest::feasible`] via [`RegionKernel`]) never re-sums the
-    /// blocking vector. Recomputed by [`FeasibleRegion::with_blocking`]
-    /// with the same expression [`FeasibleRegion::budget`] always used.
-    budget: f64,
+    /// The stage count and `α (1 − Σβ)`, built once here (and again by
+    /// [`FeasibleRegion::with_blocking`]) so the per-decision hot path
+    /// ([`RegionTest::feasible`]) neither re-sums the blocking vector nor
+    /// re-checks the budget.
+    kernel: RegionKernel,
 }
 
-fn compute_budget(alpha: Alpha, blocking: &[f64]) -> f64 {
+fn pipeline_kernel(alpha: Alpha, blocking: &[f64]) -> RegionKernel {
     let beta_sum: f64 = blocking.iter().sum();
-    (alpha.value() * (1.0 - beta_sum)).max(0.0)
+    RegionKernel::new(blocking.len(), (alpha.value() * (1.0 - beta_sum)).max(0.0))
 }
 
 impl FeasibleRegion {
@@ -70,12 +69,10 @@ impl FeasibleRegion {
     /// urgency-inversion parameter `alpha`: Equation (12).
     pub fn with_alpha(stages: usize, alpha: Alpha) -> FeasibleRegion {
         let blocking = vec![0.0; stages];
-        let budget = compute_budget(alpha, &blocking);
         FeasibleRegion {
-            stages,
             alpha,
+            kernel: pipeline_kernel(alpha, &blocking),
             blocking,
-            budget,
         }
     }
 
@@ -89,9 +86,9 @@ impl FeasibleRegion {
     /// the number of stages, and [`RegionError::InvalidBlocking`] if any
     /// factor is outside `[0, 1)` or their sum reaches 1 (no budget left).
     pub fn with_blocking(mut self, blocking: Vec<f64>) -> Result<FeasibleRegion, RegionError> {
-        if blocking.len() != self.stages {
+        if blocking.len() != self.stages() {
             return Err(RegionError::DimensionMismatch {
-                expected: self.stages,
+                expected: self.stages(),
                 got: blocking.len(),
             });
         }
@@ -105,14 +102,14 @@ impl FeasibleRegion {
         if sum >= 1.0 {
             return Err(RegionError::InvalidBlocking { value: sum });
         }
+        self.kernel = pipeline_kernel(self.alpha, &blocking);
         self.blocking = blocking;
-        self.budget = compute_budget(self.alpha, &self.blocking);
         Ok(self)
     }
 
     /// Number of stages (the dimensionality of the utilization space).
     pub fn stages(&self) -> usize {
-        self.stages
+        self.kernel.stages()
     }
 
     /// The urgency-inversion parameter.
@@ -128,13 +125,13 @@ impl FeasibleRegion {
     /// The right-hand side of the pipeline inequality:
     /// `α (1 − Σ_j β_j)`.
     pub fn budget(&self) -> f64 {
-        self.budget
+        self.kernel.budget()
     }
 
     /// The vectorized fast-path kernel for this region's pipeline test
     /// (see [`crate::kernel`]): stage count plus the cached budget.
     pub fn kernel(&self) -> RegionKernel {
-        RegionKernel::new(self.stages, self.budget)
+        self.kernel
     }
 
     /// The left-hand side of the pipeline inequality: `Σ_j f(U_j)`.
@@ -147,7 +144,7 @@ impl FeasibleRegion {
     /// and [`RegionError::InvalidUtilization`] for negative or NaN entries.
     pub fn value(&self, utilizations: &[f64]) -> Result<f64, RegionError> {
         self.check_dims(utilizations)?;
-        Ok(utilizations.iter().map(|&u| stage_delay_factor(u)).sum())
+        Ok(self.kernel.exact_value(utilizations))
     }
 
     /// Whether the utilization vector lies inside the region — i.e. whether
@@ -185,10 +182,10 @@ impl FeasibleRegion {
     pub fn graph_value(&self, graph: &TaskGraph, utilizations: &[f64]) -> Result<f64, RegionError> {
         self.check_dims(utilizations)?;
         let mut stages = (0..graph.len()).map(|i| graph.stage(i).index());
-        if let Some(index) = stages.find(|&j| j >= self.stages) {
+        if let Some(index) = stages.find(|&j| j >= self.stages()) {
             return Err(RegionError::StageOutOfRange {
                 index,
-                stages: self.stages,
+                stages: self.stages(),
             });
         }
         Ok(graph.longest_path_by(|i| {
@@ -214,16 +211,16 @@ impl FeasibleRegion {
     /// `f⁻¹(budget / N)`. This is the symmetric point on the bounding
     /// surface.
     pub fn max_equal_utilization(&self) -> f64 {
-        if self.stages == 0 {
+        if self.stages() == 0 {
             return 0.0;
         }
-        stage_delay_factor_inverse(self.budget() / self.stages as f64)
+        stage_delay_factor_inverse(self.budget() / self.stages() as f64)
     }
 
     fn check_dims(&self, utilizations: &[f64]) -> Result<(), RegionError> {
-        if utilizations.len() != self.stages {
+        if utilizations.len() != self.stages() {
             return Err(RegionError::DimensionMismatch {
-                expected: self.stages,
+                expected: self.stages(),
                 got: utilizations.len(),
             });
         }
@@ -267,45 +264,24 @@ impl<T: RegionTest + ?Sized> RegionTest for Box<T> {
 
 impl RegionTest for FeasibleRegion {
     fn stages(&self) -> usize {
-        self.stages
+        self.kernel.stages()
     }
 
-    /// The pipeline-form test `Σ f(U_j) ≤ α(1 − Σβ)`, routed through the
-    /// vectorized [`RegionKernel`]: definitive fast verdicts are returned
-    /// directly (they provably match the exact test); near-boundary and
-    /// ineligible vectors fall back to the exact, validating
-    /// [`FeasibleRegion::contains`] path. Pipelines shorter than the
-    /// measured crossover skip the kernel entirely (see
-    /// [`crate::kernel::SCALAR_CUTOVER`]) — the guard-band bookkeeping
-    /// costs more than the exact sum there.
-    /// Decision-for-decision identical to calling `contains` alone
-    /// (`tests/kernel_differential.rs`).
+    /// The pipeline-form test `Σ f(U_j) ≤ α(1 − Σβ)`, decided by this
+    /// region's [`RegionKernel::feasible`]: decision-for-decision
+    /// identical to [`FeasibleRegion::contains`] on well-formed input
+    /// (`tests/kernel_differential.rs`), without its validation.
     // Inline hint: this non-generic impl is called from monomorphized
     // admission loops in other crates; without LTO the hint is what lets
-    // the cutover branch and kernel dispatch flatten into the caller.
+    // the kernel's cutover branch flatten into the caller.
     #[inline]
     fn feasible(&self, utilizations: &[f64]) -> bool {
-        if utilizations.len() < crate::kernel::SCALAR_CUTOVER {
-            return self
-                .contains(utilizations)
-                .expect("well-formed utilization vector");
-        }
-        self.feasible_vectorized(utilizations)
-    }
-}
-
-impl FeasibleRegion {
-    /// The above-cutover arm of the routed region test: kernel verdict
-    /// with exact fallback. Outlined so the short-pipeline fast path the
-    /// cutover protects stays small in callers.
-    fn feasible_vectorized(&self, utilizations: &[f64]) -> bool {
-        match self.kernel().classify(utilizations) {
-            FastVerdict::Feasible => true,
-            FastVerdict::Infeasible => false,
-            FastVerdict::NearBoundary | FastVerdict::Ineligible => self
-                .contains(utilizations)
-                .expect("well-formed utilization vector"),
-        }
+        debug_assert_eq!(
+            utilizations.len(),
+            self.stages(),
+            "utilization vector length must equal the stage count"
+        );
+        self.kernel.feasible(utilizations)
     }
 }
 

@@ -12,7 +12,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`proto`] | versioned, length-prefixed little-endian wire protocol: handshake, frames, the one encoder and one decoder of each frame shape, the reassembly buffer and the out buffer |
-//! | [`reactor`] | per-worker readiness reactor: epoll on Linux, `poll(2)` on other Unix, with a cross-thread waker |
+//! | [`reactor`] | per-worker readiness reactor: epoll, with a cross-thread eventfd waker (Linux only) |
 //! | [`server`] | reactor-driven worker pool, one admit run per wake in read order, bounded in-flight windows, graceful drain |
 //! | [`client`] | blocking pipelining client used by tests, `frap-scenarios` and the benchmark |
 //!
@@ -54,7 +54,7 @@
 //! ```
 
 // `deny`, not `forbid`: the [`reactor`] module carries a scoped
-// `#[allow(unsafe_code)]` for its raw syscall surface (epoll/poll/eventfd),
+// `#[allow(unsafe_code)]` for its raw syscall surface (epoll/eventfd),
 // which `forbid` would make impossible. Everything else stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

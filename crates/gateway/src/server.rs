@@ -5,8 +5,8 @@
 //! # Threading model
 //!
 //! There is no acceptor thread and there are no sleeps. Each of the
-//! `workers` **worker** threads owns a [`Reactor`] (epoll on Linux,
-//! `poll(2)` on other Unix) and a clone of the listening socket,
+//! `workers` **worker** threads owns a [`Reactor`] (epoll) and a
+//! clone of the listening socket,
 //! registered for exclusive readiness — an incoming connect wakes one
 //! worker, which accepts directly into its own connection slab. Each
 //! worker owns its connections outright: per-connection state
@@ -103,7 +103,7 @@ use crate::proto::{
     encode_admit_response, AdmitHead, BatchedFrame, Frame, FrameBuffer, Hello, HelloAck, OutBuffer,
     StatsReport, Verdict, ADMIT_RESPONSE_MAX, HELLO_LEN, MAX_FRAME, MAX_STAGES, VERSION,
 };
-use crate::reactor::{reactor_key, Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
+use crate::reactor::{Event, Interest, IoTally, Reactor, Waker, WAKE_TOKEN};
 use frap_core::admission::ContributionModel;
 use frap_core::demand::DemandView;
 use frap_core::region::RegionTest;
@@ -115,6 +115,7 @@ use frap_service::{
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -613,12 +614,7 @@ fn worker_loop<R, M, C>(
         // level-triggering re-arms the others if it does not drain the
         // queue.
         if reactor
-            .register(
-                reactor_key(l, LISTENER_TOKEN),
-                LISTENER_TOKEN,
-                Interest::READ,
-                true,
-            )
+            .register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ, true)
             .is_err()
         {
             listener = None;
@@ -652,7 +648,7 @@ fn worker_loop<R, M, C>(
                       slot: usize| {
         let mut conn = slab[slot].take().expect("conn vanished");
         gens[slot] = gens[slot].wrapping_add(1);
-        let _ = reactor.deregister(reactor_key(&conn.stream, FIRST_CONN + slot));
+        let _ = reactor.deregister(conn.stream.as_raw_fd());
         service.release_batch(conn.tickets.drain().map(|(_, ticket)| ticket));
         free.push(slot);
         shared.stats.closed.fetch_add(1, Ordering::Relaxed);
@@ -670,7 +666,7 @@ fn worker_loop<R, M, C>(
             // underlying socket (and with it any stale epoll registration)
             // alive, so removal must be explicit.
             if let Some(l) = listener.take() {
-                let _ = reactor.deregister(reactor_key(&l, LISTENER_TOKEN));
+                let _ = reactor.deregister(l.as_raw_fd());
             }
         }
         if stopping {
@@ -793,7 +789,7 @@ fn accept_ready(
                 });
                 let token = FIRST_CONN + slot;
                 if reactor
-                    .register(reactor_key(&stream, token), token, Interest::READ, false)
+                    .register(stream.as_raw_fd(), token, Interest::READ, false)
                     .is_err()
                 {
                     free.push(slot);
@@ -1034,7 +1030,7 @@ fn update_interest(
             .fetch_add(1, Ordering::Relaxed);
     }
     if reactor
-        .reregister(reactor_key(&conn.stream, token), token, want)
+        .reregister(conn.stream.as_raw_fd(), token, want)
         .is_ok()
     {
         conn.interest = want;

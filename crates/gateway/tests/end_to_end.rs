@@ -40,7 +40,6 @@ fn small_task(stages: usize) -> WireTaskSpec {
 }
 
 /// This process's resident set size in KiB, from `/proc/self/status`.
-#[cfg(target_os = "linux")]
 fn vm_rss_kib() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     let line = status
@@ -499,7 +498,6 @@ fn raw_next_frame(stream: &mut TcpStream, inbox: &mut FrameBuffer) -> Frame {
 fn a_thousand_mostly_idle_connections_stay_cheap_and_correct() {
     let (server, service) = start(2, 2);
     let addr = server.local_addr();
-    #[cfg(target_os = "linux")]
     let rss_before_kib = vm_rss_kib();
 
     let mut clients: Vec<GatewayClient> = (0..1000)
@@ -533,14 +531,11 @@ fn a_thousand_mostly_idle_connections_stay_cheap_and_correct() {
     // this process) budget ~64 KiB each — frame buffers and out buffers
     // shrink back after bursts, so a connection that regressed to
     // pinning buffer high-water marks blows this bound immediately.
-    #[cfg(target_os = "linux")]
-    {
-        let grown_kib = vm_rss_kib().saturating_sub(rss_before_kib);
-        assert!(
-            grown_kib < 64 * 1000,
-            "1000 mostly-idle connections grew RSS by {grown_kib} KiB (> 64 KiB each)"
-        );
-    }
+    let grown_kib = vm_rss_kib().saturating_sub(rss_before_kib);
+    assert!(
+        grown_kib < 64 * 1000,
+        "1000 mostly-idle connections grew RSS by {grown_kib} KiB (> 64 KiB each)"
+    );
 
     drop(clients);
     assert!(
@@ -558,10 +553,8 @@ fn a_thousand_mostly_idle_connections_stay_cheap_and_correct() {
 /// Connects with the kernel receive buffer clamped to 4 KiB **before**
 /// the handshake, so the advertised TCP window stays tiny and reply
 /// bytes back up after a few kilobytes instead of after megabytes of
-/// buffer autotuning. Linux-only (the constants and the reactor's epoll
-/// backend are both Linux-specific); requires a raw socket because std
-/// offers no pre-connect socket options.
-#[cfg(target_os = "linux")]
+/// buffer autotuning. Uses Linux's socket constants, and a raw socket
+/// because std offers no pre-connect socket options.
 fn connect_with_tiny_recv_buffer(addr: std::net::SocketAddr) -> TcpStream {
     use std::os::unix::io::FromRawFd;
     extern "C" {
@@ -624,7 +617,6 @@ fn connect_with_tiny_recv_buffer(addr: std::net::SocketAddr) -> TcpStream {
 /// read interest (a backpressure stall) and the client's bytes wait in
 /// kernel buffers. When the client finally reads, everything resolves
 /// in order.
-#[cfg(target_os = "linux")]
 #[test]
 fn slow_reader_backpressure_stops_reads_at_the_window() {
     let service =

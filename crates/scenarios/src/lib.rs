@@ -3,7 +3,7 @@
 //! Trace-driven, cloud-scale workload scenarios for the feasible-region
 //! admission controller — the repo's demonstration that the region test
 //! Σ f(U_j) ≤ α(1−Σβ) holds up outside the paper's Section 5 TSCE
-//! setting (ROADMAP open item 2).
+//! setting.
 //!
 //! Four scenario families, each a deterministic generator from a seed to
 //! a tenant-attributed [`frap_workload::replay::ArrivalTrace`]

@@ -4,7 +4,7 @@
 //! The total offered rate is Poisson; each arrival is assigned to a
 //! tenant class by its rate share. Classes differ in importance (the
 //! shed ordering under overload), mean demand, and deadline tightness —
-//! the setting the OPA-style priority search (ROADMAP item 4) will
+//! the setting an OPA-style priority search (parked on the roadmap) would
 //! evaluate utility against.
 
 use crate::spec::{reserve_arrivals, tenant_capped};
