@@ -524,6 +524,7 @@ impl TaskGraph {
     }
 
     /// Number of subtasks.
+    #[inline]
     pub fn len(&self) -> usize {
         match &self.0 {
             Repr::Plain(words) => words.len(),
@@ -539,6 +540,7 @@ impl TaskGraph {
 
     /// Whether the graph is stored as a plain chain — its per-stage demand
     /// and nothing else (see [`TaskGraph`]). A function of the graph alone.
+    #[inline]
     pub fn is_plain(&self) -> bool {
         matches!(self.0, Repr::Plain(_))
     }
@@ -549,6 +551,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
+    #[inline]
     pub fn subtask(&self, index: usize) -> SubtaskSpec {
         match &self.0 {
             Repr::Plain(words) => {
@@ -564,6 +567,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
+    #[inline]
     pub fn stage(&self, index: usize) -> StageId {
         match &self.0 {
             Repr::Plain(words) => unpack(words[index]).0,
@@ -591,6 +595,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
+    #[inline]
     pub fn preds(&self, index: usize) -> &[usize] {
         let n = self.len();
         assert!(index < n, "subtask {index} of a {n}-subtask graph");
@@ -605,6 +610,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
+    #[inline]
     pub fn succs(&self, index: usize) -> &[usize] {
         let n = self.len();
         assert!(index < n, "subtask {index} of a {n}-subtask graph");

@@ -19,7 +19,9 @@
 //! ```
 //!
 //! [`FeasibleRegion`] evaluates both forms; [`RegionTest`] is the trait the
-//! admission controllers consume.
+//! admission controllers consume. A workload of several graph shapes must
+//! stay inside every shape's region: [`ShapeCatalog`] collects the shapes
+//! and builds their [`ShapeRegion`].
 
 use crate::alpha::Alpha;
 use crate::delay::{stage_delay_factor, stage_delay_factor_inverse};
@@ -288,8 +290,8 @@ impl RegionTest for FeasibleRegion {
 /// Theorem 2's per-task-class test: the feasible region induced by one task
 /// graph shape.
 ///
-/// Systems with heterogeneous task shapes keep one `GraphRegion` per shape
-/// and require all of them to hold (see [`AllOf`]).
+/// Systems with heterogeneous task shapes require every shape's test to
+/// hold; [`ShapeRegion`] decides that conjunction over one base region.
 ///
 /// # Examples
 ///
@@ -350,9 +352,8 @@ impl RegionTest for GraphRegion {
 
 /// Conjunction of region tests: feasible only when *every* member test is.
 ///
-/// Used when the workload mixes task-graph shapes — each shape contributes
-/// its Theorem 2 region and the admission controller must keep the system
-/// inside the intersection.
+/// The general conjunction of arbitrary tests. Shapes over one base region
+/// have a cheaper one, [`ShapeRegion`].
 #[derive(Debug, Default)]
 pub struct AllOf {
     tests: Vec<Box<dyn RegionTest + Send + Sync>>,
@@ -404,12 +405,12 @@ impl RegionTest for AllOf {
 }
 
 /// Builds the intersection region for a workload mixing task-graph
-/// *shapes*: one Theorem 2 [`GraphRegion`] per distinct precedence shape
+/// *shapes*: one Theorem 2 condition per distinct precedence shape
 /// observed (two graphs share a shape when their subtask→stage assignment
 /// and edges coincide — computation times are irrelevant to the region).
 ///
 /// Feed it representative task specs offline, then [`ShapeCatalog::build`]
-/// the [`AllOf`] test the admission controller enforces.
+/// the [`ShapeRegion`] the admission controller enforces.
 ///
 /// # Examples
 ///
@@ -489,12 +490,71 @@ impl ShapeCatalog {
     }
 
     /// Builds the conjunction of per-shape Theorem 2 regions.
-    pub fn build(&self) -> AllOf {
-        let mut all = AllOf::new();
-        for shape in &self.shapes {
-            all.push(GraphRegion::new(self.base.clone(), shape.clone()));
+    pub fn build(&self) -> ShapeRegion {
+        ShapeRegion {
+            base: self.base.clone(),
+            shapes: self.shapes.clone(),
         }
-        all
+    }
+}
+
+/// The intersection of several shapes' Theorem 2 regions over one base
+/// region (α, β, stage count): feasible when `d(f(U) + β) ≤ α` holds for
+/// every shape. Built by [`ShapeCatalog::build`].
+///
+/// It decides exactly what an [`AllOf`] of one [`GraphRegion`] per shape
+/// decides, but checks the vector and computes each stage's term
+/// `f(U_j) + β_j` once per decision instead of once per shape — the same
+/// `f64` values, summed along each shape's paths in the same order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShapeRegion {
+    base: FeasibleRegion,
+    shapes: Vec<TaskGraph>,
+}
+
+impl ShapeRegion {
+    /// Number of shapes.
+    pub fn len(&self) -> usize {
+        self.shapes.len()
+    }
+
+    /// Whether there are no shapes (then every vector is feasible).
+    pub fn is_empty(&self) -> bool {
+        self.shapes.is_empty()
+    }
+}
+
+impl RegionTest for ShapeRegion {
+    fn stages(&self) -> usize {
+        self.base.stages()
+    }
+
+    /// # Panics
+    ///
+    /// Panics on a malformed vector, and if a shape names a stage the base
+    /// region lacks — as a [`GraphRegion`] test does.
+    fn feasible(&self, utilizations: &[f64]) -> bool {
+        const INLINE: usize = 16;
+        self.base
+            .check_dims(utilizations)
+            .expect("well-formed utilization vector");
+        let n = utilizations.len();
+        let mut inline = [0.0f64; INLINE];
+        let mut spilled = Vec::new();
+        let terms: &mut [f64] = if n <= INLINE {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, 0.0);
+            &mut spilled
+        };
+        for (j, term) in terms.iter_mut().enumerate() {
+            *term = stage_delay_factor(utilizations[j]) + self.base.blocking[j];
+        }
+        let alpha = self.base.alpha.value();
+        let terms = &*terms;
+        self.shapes
+            .iter()
+            .all(|graph| graph.longest_path_by(|i| terms[graph.stage(i).index()]) <= alpha)
     }
 }
 

@@ -58,6 +58,15 @@ struct TaskRecord {
     charges: Vec<Charge>,
 }
 
+/// A `(expiry, task)` heap entry packed into one key — the expiry's
+/// microseconds above the task's sequence number, as the simulator's event
+/// queue packs its keys — so the heap orders by `(expiry, id)` in one
+/// integer compare.
+#[inline]
+fn expiry_key(expiry: Time, task: TaskId) -> u128 {
+    (u128::from(expiry.as_micros()) << 64) | u128::from(task.seq())
+}
+
 /// The per-stage part of the ledger: the paper's counter.
 #[derive(Debug, Clone, Default)]
 struct StageCounter {
@@ -173,8 +182,8 @@ impl StageView<'_> {
 pub struct SyntheticState {
     stages: Vec<StageCounter>,
     tasks: IdTable<TaskRecord>,
-    /// One `(deadline, task)` entry per record, lazily deleted.
-    expiries: BinaryHeap<Reverse<(Time, TaskId)>>,
+    /// One [`expiry_key`] per record, lazily deleted.
+    expiries: BinaryHeap<Reverse<u128>>,
     /// Records with `admitted` set.
     admitted: usize,
     /// Charge vectors of retired records, reused so that a steady-state
@@ -224,13 +233,16 @@ impl SyntheticState {
     /// Applies the decrement-at-deadline rule: removes every task whose
     /// expiry is at or before `now` from every stage it charges. Returns
     /// the number of tasks removed.
+    #[inline]
     pub fn advance_to(&mut self, now: Time) -> usize {
         let mut removed = 0;
-        while let Some(&Reverse((expiry, task))) = self.expiries.peek() {
+        while let Some(&Reverse(key)) = self.expiries.peek() {
+            let expiry = Time::from_micros((key >> 64) as u64);
             if expiry > now {
                 break;
             }
             self.expiries.pop();
+            let task = TaskId::new(key as u64);
             // Lazy deletion: the record may have been shed or reset away,
             // or its id charged afresh since.
             if self.tasks.get(task).is_some_and(|r| r.expiry == expiry) {
@@ -265,6 +277,7 @@ impl SyntheticState {
     /// admission controller counts the task live until `expiry` (or until
     /// it is shed) — `D_i` being the denominator of every retained-charge
     /// fraction should it be shed mid-execution.
+    #[inline]
     pub(crate) fn charge(
         &mut self,
         task: TaskId,
@@ -305,13 +318,14 @@ impl SyntheticState {
             charges,
         };
         self.tasks.insert(task, record);
-        self.expiries.push(Reverse((expiry, task)));
+        self.expiries.push(Reverse(expiry_key(expiry, task)));
         self.admitted += usize::from(admitted.is_some());
     }
 
     /// Marks `task` as departed from `stage` (its last subtask there has
     /// finished), making its charge eligible for removal at the stage's
     /// next idle reset. A no-op if the task does not charge the stage.
+    #[inline]
     pub fn mark_departed(&mut self, stage: StageId, task: TaskId) {
         let Some(record) = self.tasks.get_mut(task) else {
             return;
@@ -333,6 +347,7 @@ impl SyntheticState {
     /// `O(departed)`: only the tasks flagged since the last reset are
     /// visited (lazily revalidated — an expiry or shed may have removed
     /// them already), never the full live set.
+    #[inline]
     pub fn reset_idle(&mut self, stage: StageId) -> usize {
         let j = stage.index();
         let mut removed = 0;
@@ -416,6 +431,7 @@ impl SyntheticState {
     }
 
     /// Removes `task`'s record once nothing refers to it any more.
+    #[inline]
     fn drop_if_spent(&mut self, task: TaskId) {
         let spent = |r: &TaskRecord| r.admitted.is_none() && r.charges.is_empty();
         if self.tasks.get(task).is_some_and(spent) {
@@ -430,12 +446,14 @@ impl SyntheticState {
     }
 
     /// The relative deadline of `task` if it is live and sheddable.
+    #[inline]
     pub(crate) fn admitted_deadline(&self, task: TaskId) -> Option<TimeDelta> {
         self.tasks.get(task)?.admitted
     }
 
     /// Stops counting `task` live (it is being shed); its charges stay
     /// until shed, reset or expired. Returns whether it was counted.
+    #[inline]
     pub(crate) fn retire(&mut self, task: TaskId) -> bool {
         let Some(record) = self.tasks.get_mut(task) else {
             return false;

@@ -28,7 +28,10 @@
 //! * [`EventQueue::with_capacity`] pre-sizes both tiers so steady-state
 //!   simulations never reallocate;
 //! * [`EventQueue::pop_at_or_before`] fuses the peek-then-pop pattern of
-//!   the simulator's main loop into one access.
+//!   the simulator's main loop into one access;
+//! * [`EventQueue::remove`] takes a near-tier event out before it fires —
+//!   the simulator cancels a stopped run's completion instead of popping
+//!   it later only to find it stale.
 
 use frap_core::time::Time;
 use std::cmp::Reverse;
@@ -182,6 +185,39 @@ impl<E> EventQueue<E> {
         Some((time, fired))
     }
 
+    /// Removes the near-tier event at `time` that `matches` picks, if one
+    /// is queued, and reports whether it was: a binary search to the
+    /// events at `time` and a scan of those alone. The simulator cancels a
+    /// stopped run's completion this way instead of popping it later.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use frap_sim::events::{EventQueue, Fired};
+    /// use frap_core::time::Time;
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.push(Time::from_secs(1), "kept");
+    /// q.push(Time::from_secs(1), "cancelled");
+    /// assert!(q.remove(Time::from_secs(1), |&e| e == "cancelled"));
+    /// assert!(!q.remove(Time::from_secs(2), |&e| e == "kept"));
+    /// assert_eq!(q.pop(), Some((Time::from_secs(1), Fired::Event("kept"))));
+    /// assert_eq!(q.pop(), None);
+    /// ```
+    pub fn remove(&mut self, time: Time, matches: impl Fn(&E) -> bool) -> bool {
+        // Descending keys: those at `time` lie between the later events and
+        // the earlier ones.
+        let end = self.near.partition_point(|e| e.key >= pack(time, 0));
+        let start = self.near[..end].partition_point(|e| e.key > pack(time, u64::MAX));
+        match self.near[start..end].iter().position(|e| matches(&e.event)) {
+            Some(at) => {
+                self.near.remove(start + at);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// The timestamp of the next entry without removing it.
     pub fn peek_time(&self) -> Option<Time> {
         self.head().map(|(key, _)| unpack_time(key))
@@ -313,6 +349,32 @@ mod tests {
         assert_eq!(q.pop_at_or_before(Time::from_micros(15)), None);
         assert_eq!(pop_event(&mut q), "b");
         assert_eq!(q.pop_at_or_before(Time::MAX), None);
+    }
+
+    #[test]
+    fn remove_takes_out_only_the_matching_event() {
+        let t = Time::from_micros(5);
+        let mut q = EventQueue::new();
+        q.push(Time::from_micros(4), 'a');
+        q.push(t, 'b');
+        q.push_deadline(t);
+        q.push(t, 'c');
+        q.push(Time::from_micros(6), 'c');
+        assert!(q.remove(t, |&e| e == 'c'));
+        assert!(!q.remove(t, |&e| e == 'c'), "already removed");
+        assert!(!q.remove(t, |&e| e == 'a'), "queued at another time");
+        let order: Vec<(Time, Fired<char>)> = std::iter::from_fn(|| q.pop()).collect();
+        let expected = [
+            (Time::from_micros(4), Fired::Event('a')),
+            (t, Fired::Event('b')),
+            (t, Fired::Deadline),
+            (Time::from_micros(6), Fired::Event('c')),
+        ];
+        assert_eq!(order, expected);
+        assert!(!q.remove(Time::MAX, |_| true), "nothing queued");
+        q.push(Time::MAX, 'z');
+        assert!(q.remove(Time::MAX, |_| true));
+        assert!(q.is_empty());
     }
 
     #[test]

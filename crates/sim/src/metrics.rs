@@ -163,17 +163,19 @@ pub struct SimMetrics {
     pub missed: u64,
     /// Admitted tasks still in flight when the simulation ended.
     pub in_flight_at_end: u64,
-    /// Arrivals, segment completions (stale ones of preempted runs
-    /// included), wait timeouts, utilization samples and task deadlines
-    /// reached within the horizon — the denominator-free "work done"
-    /// measure behind events/sec throughput reporting. Deterministic for a
-    /// given input. Without a wait queue a deadline inside the horizon is
-    /// counted when its task is admitted rather than popped (nothing
-    /// reads it: the ledger catches up lazily at every decision, idle
+    /// Arrivals, segment completions (stale ones of preempted or killed
+    /// runs included), wait timeouts, utilization samples and task
+    /// deadlines reached within the horizon — the denominator-free "work
+    /// done" measure behind events/sec throughput reporting.
+    /// Deterministic for a given input. Two kinds of event are counted
+    /// without being popped, because nothing would read their pop: without
+    /// a wait queue, a deadline inside the horizon, when its task is
+    /// admitted (the ledger catches up lazily at every decision, idle
     /// reset, [`crate::Simulation::snapshot`] and the end of
-    /// [`crate::Simulation::run`]), so the count is that of a loop that
-    /// popped every deadline; one past the horizon is counted by the
-    /// `run` segment that reaches it.
+    /// [`crate::Simulation::run`]); and a stopped run's completion inside
+    /// the horizon, when it is cancelled. So the count is that of a loop
+    /// that popped every one of them; one past the horizon stays queued
+    /// and is counted by the `run` segment that reaches it.
     pub events_processed: u64,
     /// Sum of end-to-end response times of completed tasks.
     pub response_sum: TimeDelta,

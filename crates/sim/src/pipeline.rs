@@ -69,7 +69,7 @@ enum Verdict {
     Shed(TaskId),
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     SegmentDone { stage: usize, gen: u64 },
     WaitTimeout { seq: u64 },
@@ -405,9 +405,10 @@ impl SimBuilder {
             admission,
             policy: self.policy,
             // Steady state carries one segment completion per busy server
-            // (and the stale ones of preempted runs), plus one deadline per
-            // live task when arrivals can wait; pre-size so neither tier
-            // reallocates under paper-scale loads.
+            // (and the stale ones of runs stopped early whose completion
+            // lies past the horizon), plus one deadline per live task when
+            // arrivals can wait; pre-size so neither tier reallocates under
+            // paper-scale loads.
             queue: EventQueue::with_capacity(16 * self.stages, 1024.max(64 * self.stages)),
             tasks: IdTable::new(),
             pending: VecDeque::new(),
@@ -513,8 +514,9 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if an arrival's timestamp precedes the previous one, or if a
-    /// task references a stage outside the configured range.
+    /// Panics if an arrival's timestamp precedes the previous one or the
+    /// simulation clock (an earlier call's `until` included), or if a task
+    /// references a stage outside the configured range.
     pub fn run<I>(&mut self, arrivals: I, until: Time) -> &SimMetrics
     where
         I: Iterator<Item = (Time, TaskSpec)>,
@@ -537,7 +539,6 @@ impl Simulation {
             }
         }
         let mut arrivals = arrivals.peekable();
-        let mut last_arrival = Time::ZERO;
         loop {
             // Events at time t fire before arrivals at t: deadline expiries
             // and completions free capacity the arrival may then use. The
@@ -564,8 +565,10 @@ impl Simulation {
             match next_arrival {
                 Some(ta) if ta <= until => {
                     let (time, spec) = arrivals.next().expect("peeked arrival exists");
-                    assert!(time >= last_arrival, "arrivals must be sorted by time");
-                    last_arrival = time;
+                    // No event past the next arrival is popped, so within
+                    // one call this is the sorted-arrivals check; across
+                    // calls it keeps the clock from running backwards.
+                    assert!(time >= self.clock, "arrivals must be sorted by time");
                     self.clock = time;
                     self.metrics.events_processed += 1;
                     self.handle_arrival(spec);
@@ -896,6 +899,17 @@ impl Simulation {
                         node: key.1,
                     });
                     self.queue.push(finish, Event::SegmentDone { stage, gen });
+                }
+                Effect::Stopped { gen, finish } => {
+                    // The stopped run's completion would pop only to be
+                    // found stale: cancel it, counted as its pop in this
+                    // run would have been. One past the horizon stays
+                    // queued, and a later run's pop counts it. So does one
+                    // whose `Start` a caller's cascade has yet to queue.
+                    let stale = |e: &Event| *e == Event::SegmentDone { stage, gen };
+                    if finish <= self.horizon && self.queue.remove(finish, stale) {
+                        self.metrics.events_processed += 1;
+                    }
                 }
                 Effect::Completed { key, .. } => {
                     self.record(TraceEvent::SubtaskDone {
@@ -1381,6 +1395,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sorted by time")]
+    fn an_arrival_before_an_earlier_horizon_panics() {
+        let mut sim = SimBuilder::new(1).build();
+        sim.run(vec![(at(0), task(100, &[1]))].into_iter(), at(50));
+        sim.run(vec![(at(10), task(100, &[1]))].into_iter(), at(100));
+    }
+
+    #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_range_stage_panics() {
         let mut sim = SimBuilder::new(1).build();
@@ -1435,6 +1457,41 @@ mod tests {
         let sim = start(WaitPolicy::Reject, sec, TaskSpec::new(ms(500), g));
         let run = sim.tasks.iter().next().expect("one live task").1;
         assert!(matches!(&run.progress, Progress::Graph(nodes) if nodes.len() == 4));
+    }
+
+    /// A stopped run's completion is cancelled only once it is queued. The
+    /// lax task's first node ends at t = 10 ms: its second starts on stage
+    /// 1, stage 0 idles, and the idle reset admits the waiter, whose start
+    /// preempts that second node inside the cascade that has yet to queue
+    /// its completion. That completion is queued stale, popped at t = 60
+    /// ms, and counted once.
+    #[test]
+    fn a_stopped_run_whose_completion_is_not_queued_yet_is_counted_once() {
+        let mut sim = SimBuilder::new(2)
+            .wait(WaitPolicy::WaitUpTo(ms(50)))
+            .record_decisions(true)
+            .trace(64)
+            .build();
+        let stage1 = TaskGraph::chain_of(&[(StageId::new(1), ms(5))]).unwrap();
+        let arrivals = vec![
+            (at(0), task(100, &[10, 50])),
+            (at(5), TaskSpec::new(ms(71), stage1)),
+        ];
+        let m = sim.run(arrivals.into_iter(), Time::from_secs(1)).clone();
+        assert!(matches!(
+            m.decision_log[1],
+            AdmitDecision::AdmittedFromQueue { .. }
+        ));
+        assert_eq!((m.completed, m.missed), (2, 0));
+        let trace = sim.trace().expect("tracing enabled");
+        let dispatches = trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Dispatched { .. }))
+            .count();
+        assert_eq!(dispatches, 4, "the lax task's second node ran twice");
+        // Two arrivals, two deadlines, the waiter's timeout and one
+        // completion per dispatch.
+        assert_eq!(m.events_processed, 9);
     }
 
     #[test]

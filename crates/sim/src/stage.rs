@@ -9,7 +9,8 @@
 //! until a release wakes it.
 //!
 //! The stage is a pure state machine: mutations return [`Effect`]s
-//! (schedule a completion event, a subtask finished, the stage went idle)
+//! (schedule a completion event, cancel one, a subtask finished, the stage
+//! went idle)
 //! that the [`crate::pipeline::Simulation`] turns into events, precedence
 //! releases, and synthetic-utilization resets.
 //!
@@ -31,8 +32,12 @@
 //!   killed job's entry is removed at once (no stale entries), and a PCP
 //!   re-key walks the ready entries, not the slab;
 //! * completion events carry a **generation token that embeds the slot
-//!   index** plus a per-slot start counter, so stale-event detection is two
-//!   array reads instead of a hash lookup;
+//!   index** plus a per-slot start counter. A run that stops before its
+//!   segment ends (preempted or killed) reports its token in
+//!   [`Effect::Stopped`], and the simulation cancels that completion; the
+//!   token check in [`Stage::segment_done`] — two array reads — catches
+//!   only the completions it leaves queued, those past the horizon of the
+//!   run in progress;
 //! * the running set is a tiny vector (`servers` is 1–3);
 //! * per-job segments are the subtask's own [`Segments`]: one segment —
 //!   every subtask of a plain chain — is held inline, so handing a job to
@@ -95,6 +100,15 @@ pub enum Effect {
         /// Generation token for the completion event.
         gen: u64,
         /// Absolute finish time of the current segment remainder.
+        finish: Time,
+    },
+    /// A running job stopped before its segment ended (preempted or
+    /// killed): the `SegmentDone` its [`Effect::Start`] scheduled at
+    /// `finish` with `gen` is stale and may be cancelled.
+    Stopped {
+        /// The stopped run's generation token.
+        gen: u64,
+        /// The finish time its `Start` announced.
         finish: Time,
     },
     /// A job finished its last segment: the subtask is complete.
@@ -295,6 +309,12 @@ impl Stage {
     /// The running job with the least effective priority (the preemption
     /// victim): its packed priority word and slot.
     fn min_running(&self) -> Option<(u128, usize)> {
+        if let [r] = self.running_slots[..] {
+            // One runner (every single-server stage): nothing to compare.
+            let slot = r as usize;
+            let task = self.slots[slot].key.0;
+            return Some((pack_hi(self.effective_of(slot), task), slot));
+        }
         self.running_slots
             .iter()
             .map(|&r| {
@@ -307,6 +327,13 @@ impl Stage {
             .map(|((hi, _), slot)| (hi, slot))
     }
 
+    /// The generation token of the current (or last) run of the job in
+    /// `slot`.
+    #[inline]
+    fn gen(&self, slot: usize) -> u64 {
+        ((slot as u64) << 32) | (self.slots[slot].run_count & u64::from(u32::MAX))
+    }
+
     /// Starts the job in `slot` on a free server; the caller ensures
     /// capacity.
     fn start(&mut self, now: Time, slot: usize, effects: &mut Vec<Effect>) {
@@ -314,9 +341,9 @@ impl Stage {
         s.run_count += 1;
         s.running = true;
         s.started = now;
-        let gen = ((slot as u64) << 32) | (s.run_count & u64::from(u32::MAX));
         let finish = now.saturating_add(s.remaining);
         let key = s.key;
+        let gen = self.gen(slot);
         self.running_slots.push(slot as u32);
         effects.push(Effect::Start { key, gen, finish });
     }
@@ -337,6 +364,26 @@ impl Stage {
             .position(|&r| r as usize == slot)
             .expect("running slot is listed");
         self.running_slots.swap_remove(pos);
+        Some(elapsed)
+    }
+
+    /// [`Stage::stop`] for a run that ends before its segment does: its
+    /// completion is announced stale with [`Effect::Stopped`].
+    fn interrupt(
+        &mut self,
+        now: Time,
+        slot: usize,
+        effects: &mut Vec<Effect>,
+    ) -> Option<TimeDelta> {
+        let s = &self.slots[slot];
+        // `remaining` is unchanged while the job runs, so this is the
+        // finish its `Start` announced.
+        let finish = s.started.saturating_add(s.remaining);
+        let elapsed = self.stop(now, slot)?;
+        effects.push(Effect::Stopped {
+            gen: self.gen(slot),
+            finish,
+        });
         Some(elapsed)
     }
 
@@ -487,8 +534,8 @@ impl Stage {
         slot as u32
     }
 
-    /// Handles a `SegmentDone` event. Stale generations (from preempted
-    /// runs or freed slots) are ignored.
+    /// Handles a `SegmentDone` event. Stale generations (from runs that
+    /// stopped early, or freed slots) are ignored.
     pub fn segment_done(&mut self, now: Time, gen: u64, effects: &mut Vec<Effect>) {
         let slot = (gen >> 32) as usize;
         let count = gen & u64::from(u32::MAX);
@@ -574,7 +621,7 @@ impl Stage {
         let Some(slot) = self.slot_of(slot, key) else {
             return;
         };
-        self.stop(now, slot); // also invalidates the in-flight SegmentDone
+        self.interrupt(now, slot, effects); // invalidates its SegmentDone
         self.unready(slot);
         let woken = self.locks.remove_job(&self.lock_key(slot));
         self.wake(now, &woken);
@@ -623,7 +670,9 @@ impl Stage {
                 // for a strictly higher priority (ties never preempt).
                 let (min_hi, victim) = self.min_running().expect("servers are busy");
                 if best.hi >> 64 > min_hi >> 64 {
-                    let elapsed = self.stop(now, victim).expect("victim was running");
+                    let elapsed = self
+                        .interrupt(now, victim, effects)
+                        .expect("victim was running");
                     let s = &mut self.slots[victim];
                     s.remaining = s.remaining.saturating_sub(elapsed);
                     self.make_ready(victim);
@@ -749,6 +798,42 @@ mod tests {
         st.segment_done(at(10), gen1, &mut fx);
         assert!(fx.is_empty());
         assert_eq!(st.job_count(), 2);
+    }
+
+    /// Every run that ends before its segment does names its completion
+    /// in a `Stopped`: a preempted run and a killed running job do, a
+    /// killed job that was only ready does not.
+    #[test]
+    fn a_stopped_run_names_its_completion() {
+        let stopped = |fx: &[Effect]| -> Vec<(u64, Time)> {
+            let stops = fx.iter().filter_map(|e| match e {
+                Effect::Stopped { gen, finish } => Some((*gen, *finish)),
+                _ => None,
+            });
+            stops.collect()
+        };
+        let mut st = Stage::new(StageId::new(0));
+        let mut fx = Vec::new();
+        st.add_job(at(0), key(1), Priority::new(100), plain(ms(10)), &mut fx);
+        let (_, gen1, finish1) = start_of(&fx);
+        fx.clear();
+        let urgent = st.add_job(at(4), key(2), Priority::new(50), plain(ms(3)), &mut fx);
+        assert_eq!(stopped(&fx), [(gen1, finish1)], "preempted at t=4");
+        let (_, gen2, finish2) = start_of(&fx);
+        assert!(
+            matches!(fx[..], [Effect::Stopped { .. }, Effect::Start { .. }]),
+            "the victim stops before the preemptor starts"
+        );
+        fx.clear();
+        let ready = st.add_job(at(5), key(3), Priority::new(200), plain(ms(1)), &mut fx);
+        st.kill(at(5), ready, key(3), &mut fx);
+        assert!(stopped(&fx).is_empty(), "a ready job has no run to stop");
+        st.kill(at(6), urgent, key(2), &mut fx);
+        assert_eq!(stopped(&fx), [(gen2, finish2)], "killed while running");
+        // Job 1 resumes with a fresh token.
+        let (k, gen1b, finish) = start_of(&fx);
+        assert_eq!((k, finish), (key(1), at(12)));
+        assert_ne!(gen1b, gen1);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! `#[global_allocator]` that tallies per thread: once the pools and heaps
 //! have reached their working size, a chain task costs no heap allocation
 //! inside `Simulation::run` (its jobs carry their one segment inline), a
-//! Theorem 2 region test costs none, and an admit that sheds costs only
-//! the victim list it returns.
+//! Theorem 2 region test — one shape's or a catalog's — costs none, and
+//! an admit that sheds costs only the victim list it returns.
 //!
 //! Counts are a property of the optimised binary the benchmark measures;
 //! CI runs this file with `--release` as well.
@@ -153,6 +153,20 @@ fn graph_region_test_allocates_nothing() {
     });
     assert!(value > 0.0);
     assert_eq!(allocations, 0, "graph_value allocated");
+}
+
+#[test]
+fn shape_region_test_allocates_nothing() {
+    use frap_core::region::RegionTest;
+    let region = frap_workload::webfarm::WebFarmConfig::default().shape_region();
+    let vectors = [[0.1, 0.2, 0.15, 0.05], [0.5, 0.5, 0.5, 0.5]];
+    let (allocations, admitted) = allocations_during(|| {
+        (0..1_000)
+            .filter(|i| region.feasible(&vectors[i % 2]))
+            .count()
+    });
+    assert_eq!(admitted, 500, "the first vector is inside, the second not");
+    assert_eq!(allocations, 0, "the shape region test allocated");
 }
 
 #[test]

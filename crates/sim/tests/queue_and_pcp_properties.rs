@@ -164,6 +164,17 @@ mod reference {
             Some(elapsed)
         }
 
+        /// [`RefStage::stop`] for a run that ends before its segment does:
+        /// it announces its completion stale.
+        fn interrupt(&mut self, now: Time, slot: usize, fx: &mut Vec<Effect>) -> Option<TimeDelta> {
+            let gen = ((slot as u64) << 32) | (self.run_count[slot] & u64::from(u32::MAX));
+            let job = self.job(slot);
+            let finish = job.started + job.remaining;
+            let elapsed = self.stop(now, slot)?;
+            fx.push(Effect::Stopped { gen, finish });
+            Some(elapsed)
+        }
+
         fn wake(&mut self, now: Time, woken: Vec<LockKey>) {
             for (_, _, slot) in woken {
                 let job = self.job_mut(slot as usize);
@@ -257,7 +268,7 @@ mod reference {
             if self.occupant(slot).is_none_or(|j| j.key != key) {
                 return;
             }
-            self.stop(now, slot);
+            self.interrupt(now, slot, fx);
             self.ready.retain(|k| k.3 as usize != slot);
             let woken = self.locks.remove_job(&self.lock_key(slot));
             self.wake(now, woken);
@@ -285,7 +296,7 @@ mod reference {
                         return; // ties never preempt
                     }
                     let slot = victim.3 as usize;
-                    let elapsed = self.stop(now, slot).expect("victim was running");
+                    let elapsed = self.interrupt(now, slot, fx).expect("victim was running");
                     let job = self.job_mut(slot);
                     job.remaining = job.remaining.saturating_sub(elapsed);
                     self.make_ready(slot);
@@ -508,8 +519,8 @@ proptest! {
     /// four, so ties are common; one to three segments, some of them
     /// critical sections when `locks` is set on a single server),
     /// `segment_done` of the earliest outstanding completion (stale ones
-    /// included) and `kill` of a job handed out earlier (gone ones
-    /// included), on 1–3 servers.
+    /// included, whether or not a `Stopped` announced them) and `kill` of
+    /// a job handed out earlier (gone ones included), on 1–3 servers.
     #[test]
     fn stage_effects_match_heap_reference(
         servers in 1usize..4,

@@ -519,6 +519,28 @@ fn run_segments_equal_one_run() {
     let mut whole = SimBuilder::new(1).build();
     let once = whole.run([(Time::ZERO, spec)].into_iter(), Time::from_millis(300));
     assert_eq!(once.events_processed, 3);
+
+    // Two tasks: the lax one runs from t = 0 towards t = 50 ms, the urgent
+    // one preempts it at t = 10 ms, so the lax run's first completion,
+    // at t = 50 ms, is stale. A segment ending at t = 30 ms leaves it
+    // queued and does not count it; the segment that reaches it counts it
+    // once, and the whole run counts the same.
+    let lax = TaskSpec::pipeline(ms(250), &[ms(50)]).unwrap();
+    let urgent = TaskSpec::pipeline(ms(50), &[ms(10)]).unwrap();
+    let arrivals = [(Time::ZERO, lax), (Time::from_millis(10), urgent)];
+    let mut sim = SimBuilder::new(1).build();
+    let first = sim.run(arrivals.iter().cloned(), Time::from_millis(30));
+    assert_eq!(first.completed, 1);
+    assert_eq!(first.events_processed, 3, "two arrivals and a completion");
+    let second = sim.run(std::iter::empty(), Time::from_millis(300));
+    assert_eq!(second.completed, 2);
+    // The stale completion, the lax completion and both deadlines.
+    assert_eq!(second.events_processed, 7);
+    let mut whole = SimBuilder::new(1).build();
+    let once = whole.run(arrivals.into_iter(), Time::from_millis(300));
+    assert_eq!(once.completed, 2);
+    // Arrivals, deadlines and three dispatches' completions, one stale.
+    assert_eq!(once.events_processed, 7);
 }
 
 /// Deadlines reach the ledger lazily, yet every read after `run` sees it

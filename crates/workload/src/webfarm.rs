@@ -25,7 +25,7 @@ use crate::arrivals::{ArrivalProcess, PoissonProcess};
 use crate::dist::{Distribution, Exponential, Uniform};
 use crate::rng::Rng;
 use frap_core::graph::{TaskGraph, TaskSpec};
-use frap_core::region::{FeasibleRegion, ShapeCatalog};
+use frap_core::region::{FeasibleRegion, ShapeCatalog, ShapeRegion};
 use frap_core::task::{Importance, StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
 
@@ -108,7 +108,7 @@ impl WebFarmConfig {
 
     /// Builds the Theorem 2 intersection region covering all shapes this
     /// workload produces.
-    pub fn shape_region(&self) -> frap_core::region::AllOf {
+    pub fn shape_region(&self) -> ShapeRegion {
         let mut catalog = ShapeCatalog::new(FeasibleRegion::deadline_monotonic(STAGES));
         for shape in self.representative_shapes() {
             catalog.observe(&shape);
