@@ -49,22 +49,14 @@ where
 }
 
 /// Utilization → whole units, rounding **up**: spent measurements must
-/// never under-count what admissions occupy. Values within a hair of an
-/// integer snap to it instead of ceiling away — the float product
-/// `u × 10⁹` wobbles by ulps around exact unit counts, and that wobble
-/// is orders of magnitude below the cap slack the region test already
-/// absorbs.
+/// never under-count what admissions occupy. The float product `u × 10⁹`
+/// may land a few ulps above an exact unit count; the ceiling then
+/// counts one unit more, which errs on the safe side.
 fn spent_units_ceil(utilization: f64) -> u64 {
     if utilization.is_nan() || utilization <= 0.0 {
         return 0;
     }
-    let v = utilization * UNIT_SCALE as f64;
-    let nearest = v.round();
-    if (v - nearest).abs() < 1e-6 {
-        nearest as u64
-    } else {
-        v.ceil() as u64
-    }
+    (utilization * UNIT_SCALE as f64).ceil() as u64
 }
 
 /// A live registration with the coordinator.
@@ -462,6 +454,16 @@ mod tests {
         fn gated_utilizations(&self) -> Vec<f64> {
             self.0.borrow().clone()
         }
+    }
+
+    #[test]
+    fn spent_units_round_up_past_an_integer() {
+        // One ulp above 0.25 puts `u × 10⁹` just above 250 000 000.
+        let u = f64::from_bits(0.25f64.to_bits() + 1);
+        assert!(u * UNIT_SCALE as f64 > 250_000_000.0);
+        assert_eq!(spent_units_ceil(u), 250_000_001);
+        assert_eq!(spent_units_ceil(0.25), 250_000_000);
+        assert_eq!(spent_units_ceil(0.0), 0);
     }
 
     fn tight_cfg() -> ClusterConfig {

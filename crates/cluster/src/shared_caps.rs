@@ -7,12 +7,6 @@ use std::sync::Arc;
 use frap_core::lease::UNIT_SCALE;
 use frap_core::region::RegionTest;
 
-/// Slack on each cap, one cap unit. Charges are rounded up to 2⁻⁵³
-/// utilization units (`frap_core::fixed`) while caps are whole 10⁻⁹
-/// units, so a stage charged exactly to its cap reads a few 2⁻⁵³ units
-/// above it; the slack absorbs that round-off.
-const CAP_EPSILON: f64 = 1e-9;
-
 /// A box region whose per-stage caps are shared atomics in budget
 /// units, so the lease layer can grow and shrink a node's admissible
 /// box while an `AdmissionService` keeps admitting against it — no
@@ -111,13 +105,17 @@ impl RegionTest for SharedStageCaps {
         self.units.len()
     }
 
-    /// Pointwise `U_j ≤ cap_j` against the current caps — monotone for
-    /// any fixed cap snapshot, which is all one decision observes.
+    /// Pointwise `U_j ≤ cap_j` against the current caps, with no slack —
+    /// monotone for any fixed cap snapshot, which is all one decision
+    /// observes. Charges round up (`frap_core::fixed`), so a stage charged
+    /// exactly to its cap may read a hair above it and be refused: the
+    /// round-off costs capacity, never the leased bound.
     fn feasible(&self, utilizations: &[f64]) -> bool {
         debug_assert_eq!(utilizations.len(), self.units.len());
-        utilizations.iter().zip(self.units.iter()).all(|(&u, cap)| {
-            u <= cap.load(Ordering::SeqCst) as f64 / UNIT_SCALE as f64 + CAP_EPSILON
-        })
+        utilizations
+            .iter()
+            .zip(self.units.iter())
+            .all(|(&u, cap)| u <= cap.load(Ordering::SeqCst) as f64 / UNIT_SCALE as f64)
     }
 }
 
@@ -147,6 +145,14 @@ mod tests {
         let tentative = |demand: f64| [spent[0] + demand, spent[1]];
         assert!(caps.feasible(&tentative(0.25)));
         assert!(!caps.feasible(&tentative(0.25 + 1e-6)));
+    }
+
+    #[test]
+    fn caps_have_no_slack() {
+        // Half a unit past the cap is past the cap.
+        let caps = SharedStageCaps::from_units(&[UNIT_SCALE / 2]);
+        assert!(caps.feasible(&[0.5]));
+        assert!(!caps.feasible(&[0.5 + 5e-10]));
     }
 
     #[test]

@@ -1,34 +1,62 @@
-//! Regenerates every figure and table in one run (use `--quick` for the
-//! scaled-down variant, `--jobs N` to set replication parallelism).
+//! Regenerates the paper's figures and tables: every module of
+//! `frap_experiments::MODULES`, or only those named on the command line
+//! (run in `MODULES` order).
+//!
+//! ```text
+//! cargo run --release -p frap-experiments --bin all -- [MODULE…] [--quick] [--jobs N]
+//! ```
+//!
+//! At publication scale each module's table is written to
+//! `results/<module>.csv` and each table it attaches to
+//! `results/<attached name>.csv`. `--quick` runs the same sweeps at the
+//! quick scale and writes nothing; `--jobs N` sets the replication
+//! parallelism (`0`, the default, uses every core).
+
+use frap_experiments::common::Scale;
+use frap_experiments::MODULES;
 
 fn main() {
-    let scale = frap_experiments::common::Scale::from_args();
+    let scale = Scale::from_args();
+    let mut names = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => {}
+            "--jobs" => {
+                args.next();
+            }
+            _ => names.push(arg),
+        }
+    }
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| !MODULES.iter().any(|(name, _)| name == n))
+    {
+        let valid: Vec<&str> = MODULES.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown module `{unknown}`; valid: {}", valid.join(" "));
+        std::process::exit(2);
+    }
+    let publish = scale.is_publication();
     println!(
         "# FRAP experiment suite (horizon {}s x {} replications, {} jobs)\n",
         scale.horizon_secs,
         scale.replications,
         scale.effective_jobs()
     );
-    type Runner = fn(frap_experiments::common::Scale) -> frap_experiments::common::Table;
-    let runs: Vec<(&str, Runner)> = vec![
-        ("fig1_2", frap_experiments::fig1_2::run),
-        ("fig3_dag", frap_experiments::fig3_dag::run),
-        ("fig4", frap_experiments::fig4::run),
-        ("fig5", frap_experiments::fig5::run),
-        ("fig6", frap_experiments::fig6::run),
-        ("fig7", frap_experiments::fig7::run),
-        ("table1", frap_experiments::table1::run),
-        ("ablations", frap_experiments::ablations::run),
-        ("jitter", frap_experiments::jitter::run),
-        ("stress", frap_experiments::stress::run),
-        ("multiserver", frap_experiments::multiserver::run),
-    ];
     let suite = frap_experiments::runner::perf::Span::new();
-    for (name, run) in runs {
+    for (name, run) in MODULES {
+        if !names.is_empty() && !names.iter().any(|n| n == name) {
+            continue;
+        }
         println!("\n################ {name} ################");
         let table = run(scale);
         table.print();
-        table.write_csv(name);
+        if publish {
+            table.write_csv(name);
+            for (attached, side) in &table.attached {
+                side.write_csv(attached);
+            }
+        }
     }
     println!();
     suite.report("suite total");

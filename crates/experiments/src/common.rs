@@ -2,13 +2,14 @@
 //! ASCII chart for quick visual inspection of curve shapes.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// How big to run an experiment, and how wide to run it.
 ///
-/// `full()` matches the publication-scale binaries; `quick()` is the
-/// scaled-down variant behind every binary's `--quick` flag
-/// (same sweeps, shorter horizons, fewer seeds — shapes still hold).
+/// `full()` is the publication scale, the only one whose tables are
+/// written to `results/`; `quick()` is the scaled-down variant behind the
+/// binaries' `--quick` flag (same sweeps, shorter horizons, fewer seeds —
+/// shapes still hold).
 ///
 /// `jobs` selects the replication parallelism of the runner: `0` (the
 /// default) resolves to the machine's hardware parallelism, `1` forces
@@ -73,12 +74,14 @@ impl Scale {
     /// resolved against hardware parallelism and clamped to the
     /// replication count (extra threads would idle).
     pub fn effective_jobs(&self) -> usize {
-        let requested = if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.jobs
-        };
-        requested.clamp(1, self.replications.max(1) as usize)
+        crate::runner::workers(self.jobs, self.replications as usize)
+    }
+
+    /// Whether this is the publication scale (any `jobs`): the only scale
+    /// whose tables the binaries write to `results/`.
+    pub fn is_publication(&self) -> bool {
+        let full = Scale::full();
+        self.horizon_secs == full.horizon_secs && self.replications == full.replications
     }
 }
 
@@ -91,6 +94,9 @@ pub struct Table {
     pub header: Vec<String>,
     /// Data rows (already formatted).
     pub rows: Vec<Vec<String>>,
+    /// Side tables a module computed along with this one, each under the
+    /// CSV stem it is published as (`results/<name>.csv`).
+    pub attached: Vec<(&'static str, Table)>,
 }
 
 impl Table {
@@ -100,6 +106,7 @@ impl Table {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            attached: Vec::new(),
         }
     }
 
@@ -147,17 +154,10 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV under `results/<name>.csv` (relative to the
-    /// workspace root when run from it). Errors are reported, not fatal.
-    ///
-    /// No-op in test builds: unit tests exercise `run()` at tiny scales,
-    /// and the committed `results/` artifacts must stay consistent
-    /// snapshots of one publication-scale run (see `results/full_run.log`).
+    /// Writes the table (not its attachments) as CSV under
+    /// `results/<name>.csv`, in the nearest ancestor of the working
+    /// directory that holds `results/`. Errors are reported, not fatal.
     pub fn write_csv(&self, name: &str) {
-        if cfg!(test) {
-            println!("[csv] skipped {name} (test build keeps results/ pristine)");
-            return;
-        }
         let path = results_path(name);
         let mut csv = String::new();
         let _ = writeln!(csv, "{}", self.header.join(","));
@@ -174,28 +174,15 @@ impl Table {
     }
 }
 
+/// `results/<name>.csv` in the nearest ancestor holding `results/`, else
+/// in `./results`.
 fn results_path(name: &str) -> PathBuf {
-    // Prefer an ancestor that already has a results/ directory (the
-    // workspace root); otherwise fall back to the outermost ancestor with
-    // a Cargo.toml (bench targets run from the crate directory).
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut outermost_manifest: Option<PathBuf> = None;
-    let mut dir = cwd.clone();
-    loop {
-        if dir.join("results").is_dir() {
-            return dir.join("results").join(format!("{name}.csv"));
-        }
-        if dir.join("Cargo.toml").is_file() {
-            outermost_manifest = Some(dir.clone());
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    outermost_manifest
-        .unwrap_or_else(|| Path::new(".").to_path_buf())
-        .join("results")
-        .join(format!("{name}.csv"))
+    let root = cwd
+        .ancestors()
+        .find(|dir| dir.join("results").is_dir())
+        .unwrap_or(std::path::Path::new("."));
+    root.join("results").join(format!("{name}.csv"))
 }
 
 /// Renders series as a fixed-size ASCII chart (y down the left, one glyph
@@ -295,6 +282,8 @@ mod tests {
             Scale::quick().replications >= 2,
             "quick scale must exercise the merge path"
         );
+        assert!(Scale::full().with_jobs(1).is_publication());
+        assert!(!Scale::quick().is_publication());
     }
 
     #[test]
@@ -319,19 +308,5 @@ mod tests {
     #[test]
     fn float_format() {
         assert_eq!(f(0.125), "0.1250");
-    }
-
-    #[test]
-    fn write_csv_is_inert_in_test_builds() {
-        // Unit tests run `run()` at tiny scales; if this wrote, it would
-        // clobber the committed publication-scale artifacts in results/.
-        let mut t = Table::new("demo", &["a"]);
-        t.push_row(vec!["1".into()]);
-        let name = "common_write_csv_test_guard";
-        t.write_csv(name);
-        assert!(
-            !results_path(name).exists(),
-            "test builds must never write results/ artifacts"
-        );
     }
 }

@@ -21,12 +21,16 @@ use frap_core::task::StageId;
 use frap_core::time::{Time, TimeDelta};
 
 /// Emits both curves; returns the Figure 2 table
-/// (`t, worst_case_U, bounding_line`).
+/// (`t, worst_case_U, bounding_line`) with the Figure 1 table attached as
+/// `fig1_synthetic_utilization_curve`.
 pub fn run(scale: Scale) -> Table {
     let span = crate::runner::perf::Span::new();
-    figure1();
+    let curve = figure1();
     figure1_simulated(scale);
-    let table = figure2();
+    let mut table = figure2();
+    table
+        .attached
+        .push(("fig1_synthetic_utilization_curve", curve));
     span.report("fig1_2");
     table
 }
@@ -78,7 +82,7 @@ fn figure1_simulated(scale: Scale) {
 }
 
 /// Figure 1: a synthetic-utilization step curve for a scripted busy period.
-fn figure1() {
+fn figure1() -> Table {
     let mut ac = Admission::new(AlwaysAdmit::new(1), ExactContributions);
     let ms = TimeDelta::from_millis;
     // Scripted arrivals: (time ms, C ms, D ms).
@@ -131,7 +135,7 @@ fn figure1() {
         ascii_chart("Figure 1 (shape): U_j(t)", &xs, &[("U_j", ys)], "U_j")
     );
     table.print();
-    table.write_csv("fig1_synthetic_utilization_curve");
+    table
 }
 
 /// Figure 2: the worst-case pattern for a stage with delay budget `L_j`.

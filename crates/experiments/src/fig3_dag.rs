@@ -42,7 +42,8 @@ pub fn figure3_graph() -> TaskGraph {
     .expect("valid fork-join")
 }
 
-/// Runs both parts; returns the boundary table.
+/// Runs both parts; returns the boundary table with the Theorem 2
+/// validation table attached as `fig3_theorem2_validation`.
 pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         "Figure 3 / Eq. (16): symmetric feasible boundary, DAG vs 4-chain",
@@ -117,7 +118,6 @@ pub fn run(scale: Scale) -> Table {
         exact.missed.to_string(),
     ]);
     sim_table.print();
-    sim_table.write_csv("fig3_theorem2_validation");
     println!(
         "[fig3] graph region admits {:.1}% vs chain {:.1}%, both with {} + {} misses",
         exact.acceptance * 100.0,
@@ -125,6 +125,7 @@ pub fn run(scale: Scale) -> Table {
         exact.missed,
         conservative.missed
     );
+    table.attached.push(("fig3_theorem2_validation", sim_table));
     span.report("fig3_dag");
     table
 }
@@ -169,7 +170,6 @@ pub fn branch_heavy_arrivals(horizon: Time, seed: u64) -> Vec<(Time, frap_core::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_point;
 
     #[test]
     fn dag_boundary_dominates_chain() {
@@ -200,13 +200,13 @@ mod tests {
         };
         let horizon = Time::from_secs(scale.horizon_secs);
         let make_wl = |seed: u64| branch_heavy_arrivals(horizon, seed).into_iter();
-        let conservative = run_point(
-            scale,
+        let conservative = run_point_cfg(
+            RunConfig::new(scale),
             || SimBuilder::new(STAGES).idle_resets(false).build(),
             make_wl,
         );
-        let exact = run_point(
-            scale,
+        let exact = run_point_cfg(
+            RunConfig::new(scale),
             || {
                 SimBuilder::new(STAGES)
                     .idle_resets(false)

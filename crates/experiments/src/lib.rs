@@ -4,9 +4,13 @@
 //! and Section 5) plus the ablations called out in `DESIGN.md`.
 //!
 //! Each experiment lives in its own module with a `run(scale)` entry point
-//! returning a printable/CSV-exportable [`common::Table`]. Binaries under
-//! `src/bin/` run the publication-scale sweeps, and with `--quick` the
-//! same sweeps at [`common::Scale::quick`].
+//! returning a printable/CSV-exportable [`common::Table`], with any side
+//! tables it computed attached ([`common::Table::attached`]). No module
+//! writes a file: the one binary, `all`, runs the modules of [`MODULES`]
+//! (all of them, or those named on its command line) and, at publication
+//! scale only, writes each main table as `results/<module name>.csv` and
+//! each attached one under its own name. With `--quick` it runs the same
+//! sweeps at [`common::Scale::quick`] and writes nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,3 +30,24 @@ pub mod table1;
 
 pub mod ablations;
 pub mod stress;
+
+use common::{Scale, Table};
+
+/// An experiment module: its name, which is also the CSV stem of its main
+/// table, and its entry point.
+pub type Module = (&'static str, fn(Scale) -> Table);
+
+/// Every experiment module, in the order the paper presents them.
+pub const MODULES: [Module; 11] = [
+    ("fig1_2", fig1_2::run),
+    ("fig3_dag", fig3_dag::run),
+    ("fig4", fig4::run),
+    ("fig5", fig5::run),
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("table1", table1::run),
+    ("ablations", ablations::run),
+    ("jitter", jitter::run),
+    ("stress", stress::run),
+    ("multiserver", multiserver::run),
+];

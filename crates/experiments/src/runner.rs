@@ -1,19 +1,20 @@
 //! Replication runner: executes one parameter point across seeds —
-//! serially or fanned out over a scoped thread pool — and aggregates the
+//! serially or fanned out over a scoped thread pool ([`fan_out`], which
+//! the scenarios binary uses for its families too) — and aggregates the
 //! metrics the figures need.
 //!
 //! # Determinism contract
 //!
 //! Every replication of a parameter point draws its workload seed from
-//! [`replication_seed`]`(base_seed, point, rep)`, a SplitMix64-style hash
-//! of the three coordinates. The contract:
+//! [`replication_seed`]`(`[`DEFAULT_BASE_SEED`]`, point, rep)`, a
+//! SplitMix64-style hash of the three coordinates. The contract:
 //!
 //! 1. **Seeds depend only on coordinates.** Neither the worker-thread
 //!    count ([`Scale::jobs`](crate::common::Scale)) nor the order in which
 //!    replications happen to finish enters the hash, so replication `rep`
 //!    of point `point` sees the same arrival stream everywhere.
 //! 2. **Replications are merged in replication-index order.** Workers
-//!    deposit each finished `RepOutcome`-equivalent into a slot indexed
+//!    deposit each finished replication's outcome into a slot indexed
 //!    by its replication number; the reduction then folds the slots
 //!    `0, 1, …, R-1` exactly as the serial loop would. Floating-point
 //!    accumulation order is therefore fixed, making parallel aggregates
@@ -24,7 +25,7 @@
 //!    which is commutative and associative over the (NaN-free) values the
 //!    simulator produces.
 //!
-//! Changing `base_seed`, the point index, or the replication count changes
+//! Changing the base seed, the point index, or the replication count changes
 //! the sampled streams (and is a results-affecting change); changing
 //! `jobs` never does.
 
@@ -35,8 +36,7 @@ use frap_core::time::{Time, TimeDelta};
 use frap_sim::pipeline::Simulation;
 use std::time::Instant;
 
-/// The base seed every experiment uses unless overridden via
-/// [`RunConfig::base_seed`].
+/// The base seed every experiment's replication seeds derive from.
 pub const DEFAULT_BASE_SEED: u64 = 0x5EED_0000;
 
 /// The SplitMix64 finalizer (full-avalanche 64-bit mix).
@@ -55,38 +55,26 @@ pub fn replication_seed(base_seed: u64, point: u64, rep: u64) -> u64 {
     mix(mix(mix(base_seed) ^ point) ^ rep)
 }
 
-/// One parameter point's execution coordinates: the scale, the base seed,
-/// and the point's index within its sweep (so sweeps decorrelate without
-/// the figure modules inventing ad-hoc seed arithmetic).
+/// One parameter point's execution coordinates: the scale and the
+/// point's index within its sweep (so sweeps decorrelate without the
+/// figure modules inventing ad-hoc seed arithmetic).
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Problem size and parallelism.
     pub scale: Scale,
-    /// Root of the seed derivation (see [`replication_seed`]).
-    pub base_seed: u64,
     /// Index of this point within its sweep.
     pub point: u64,
 }
 
 impl RunConfig {
-    /// A config for `scale` at point 0 with the default base seed.
+    /// A config for `scale` at point 0.
     pub fn new(scale: Scale) -> RunConfig {
-        RunConfig {
-            scale,
-            base_seed: DEFAULT_BASE_SEED,
-            point: 0,
-        }
+        RunConfig { scale, point: 0 }
     }
 
     /// Sets the point index.
     pub fn point(mut self, point: u64) -> RunConfig {
         self.point = point;
-        self
-    }
-
-    /// Sets the base seed.
-    pub fn base_seed(mut self, base_seed: u64) -> RunConfig {
-        self.base_seed = base_seed;
         self
     }
 }
@@ -271,53 +259,11 @@ where
     I: Iterator<Item = (Time, TaskSpec)>,
 {
     let start = Instant::now();
-    let scale = cfg.scale;
-    let reps = scale.replications;
-    let horizon = Time::from_secs(scale.horizon_secs);
-    let jobs = scale.effective_jobs();
-    let seed = |rep: u64| replication_seed(cfg.base_seed, cfg.point, rep);
-
-    let outcomes: Vec<RepOutcome> = if jobs <= 1 {
-        (0..reps)
-            .map(|rep| run_replication(seed(rep), horizon, &make_sim, &make_arrivals))
-            .collect()
-    } else {
-        // Fan replications out over a scoped pool: worker `w` takes
-        // replications w, w+jobs, w+2·jobs, … and deposits each outcome in
-        // its replication-indexed slot, so the reduction below folds in
-        // exactly the serial order no matter which worker finished first.
-        let mut slots: Vec<Option<RepOutcome>> = Vec::new();
-        slots.resize_with(reps as usize, || None);
-        std::thread::scope(|scope| {
-            let make_sim = &make_sim;
-            let make_arrivals = &make_arrivals;
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut produced = Vec::new();
-                        let mut rep = w as u64;
-                        while rep < reps {
-                            produced.push((
-                                rep as usize,
-                                run_replication(seed(rep), horizon, make_sim, make_arrivals),
-                            ));
-                            rep += jobs as u64;
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (rep, outcome) in handle.join().expect("replication worker panicked") {
-                    slots[rep] = Some(outcome);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|o| o.expect("every replication ran"))
-            .collect()
-    };
+    let horizon = Time::from_secs(cfg.scale.horizon_secs);
+    let outcomes = fan_out(cfg.scale.replications as usize, cfg.scale.jobs, |rep| {
+        let seed = replication_seed(DEFAULT_BASE_SEED, cfg.point, rep as u64);
+        run_replication(seed, horizon, &make_sim, &make_arrivals)
+    });
 
     let mut result = reduce(&outcomes);
     result.wall_secs = start.elapsed().as_secs_f64();
@@ -325,15 +271,58 @@ where
     result
 }
 
-/// [`run_point_cfg`] at point 0 with the default base seed (the common
-/// case for single-point comparisons).
-pub fn run_point<S, A, I>(scale: Scale, make_sim: S, make_arrivals: A) -> PointResult
+/// The worker count for `tasks` independent tasks under a `jobs` request
+/// (`0` = hardware parallelism), clamped to `1..=tasks` (extra threads
+/// would idle).
+pub(crate) fn workers(jobs: usize, tasks: usize) -> usize {
+    let requested = if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        jobs
+    };
+    requested.clamp(1, tasks.max(1))
+}
+
+/// Runs `task(i)` for every `i` in `0..count` and returns the results in
+/// index order, on up to `jobs` scoped worker threads (`0` = hardware
+/// parallelism). With one worker this is the plain serial map.
+///
+/// Worker `w` takes tasks `w, w + jobs, w + 2·jobs, …` and each result
+/// lands in its index's slot, so the order of the returned results (and
+/// of any fold over them) never depends on which worker finished first.
+pub fn fan_out<T, F>(count: usize, jobs: usize, task: F) -> Vec<T>
 where
-    S: Fn() -> Simulation + Sync,
-    A: Fn(u64) -> I + Sync,
-    I: Iterator<Item = (Time, TaskSpec)>,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
-    run_point_cfg(RunConfig::new(scale), make_sim, make_arrivals)
+    let jobs = workers(jobs, count);
+    if jobs == 1 {
+        return (0..count).map(task).collect();
+    }
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(count, || None);
+    std::thread::scope(|scope| {
+        let task = &task;
+        let handles: Vec<_> = (0..jobs)
+            .map(|w| {
+                scope.spawn(move || {
+                    (w..count)
+                        .step_by(jobs)
+                        .map(|i| (i, task(i)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("fan-out worker panicked") {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every task ran"))
+        .collect()
 }
 
 /// Process-wide throughput accounting for the experiment harness: every
@@ -448,8 +437,8 @@ mod tests {
 
     fn run_with(scale: Scale) -> PointResult {
         let horizon = Time::from_secs(scale.horizon_secs);
-        run_point(
-            scale,
+        run_point_cfg(
+            RunConfig::new(scale),
             || SimBuilder::new(2).build(),
             move |seed| {
                 PipelineWorkloadBuilder::new(2)

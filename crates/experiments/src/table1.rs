@@ -20,8 +20,8 @@ use frap_workload::tsce::{self, TsceScenario};
 /// Track counts swept when searching for capacity.
 pub const TRACK_SWEEP: [usize; 8] = [100, 200, 300, 400, 500, 550, 600, 700];
 
-/// Runs both parts and returns the capacity table; the certification part
-/// is printed directly.
+/// Runs both parts and returns the capacity table with the certification
+/// table attached as `table1_certification`.
 pub fn run(scale: Scale) -> Table {
     // Part 1: certification arithmetic.
     let res = tsce::reservations();
@@ -44,7 +44,6 @@ pub fn run(scale: Scale) -> Table {
         },
     ]);
     cert_table.print();
-    cert_table.write_csv("table1_certification");
 
     // Part 2: runtime track capacity.
     let mut table = Table::new(
@@ -100,6 +99,7 @@ pub fn run(scale: Scale) -> Table {
             r.missed.to_string(),
         ]);
     }
+    table.attached.push(("table1_certification", cert_table));
     println!(
         "[table1] largest swept track count fully admitted (no timeouts, no misses): {capacity} \
          (paper: ~550, stage 1 ≈ 95% utilization)"

@@ -20,12 +20,15 @@
 //!
 //! ## Version negotiation
 //!
-//! The client's hello carries the highest version it speaks; the server
-//! answers with the version the connection will use:
-//! `min(client, VERSION)`. Either side rejects a peer older than
-//! [`MIN_VERSION`] or newer frames than the negotiated version allows —
-//! a v1 client against a v2 server negotiates v1 and simply never sees
-//! the cluster frames (types ≥ 8), which ship in protocol version 2.
+//! The client's hello carries the highest version it speaks. A server
+//! accepts a hello whose version lies in [`MIN_VERSION`]`..=`[`VERSION`]
+//! (anything else is [`ProtoError::BadVersion`] and closes the
+//! connection) and its ack echoes `min(client, VERSION)`. Neither side
+//! stores that version or checks later frames against it. Which frames a
+//! connection accepts depends on its server, not on the version: the
+//! admission gateway refuses the cluster lease frames (types 8–12, added
+//! in version 2) as protocol violations whatever the hello said, and only
+//! the lease coordinator (`frap-cluster`) serves them.
 //!
 //! # Framing
 //!
@@ -188,10 +191,9 @@ impl Hello {
     }
 
     /// Decodes and validates a client hello. Any version in
-    /// `MIN_VERSION..=VERSION` is accepted; the server answers with the
-    /// version the connection will actually speak
-    /// (`min(client, VERSION)`), so a newer server stays compatible with
-    /// older clients.
+    /// `MIN_VERSION..=VERSION` is accepted, and the server's ack echoes
+    /// `min(client, VERSION)`; nothing downstream reads the version, so
+    /// it decides only whether the handshake succeeds.
     ///
     /// # Errors
     ///
@@ -213,7 +215,7 @@ impl Hello {
 /// The server-side half of the connection preamble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloAck {
-    /// Protocol version the server speaks.
+    /// `min(client, VERSION)`, echoed by the server.
     pub version: u16,
     /// Maximum admission requests a client may leave in flight.
     pub window: u16,
@@ -236,9 +238,8 @@ impl HelloAck {
     }
 
     /// Decodes and validates a server hello acknowledgement. The version
-    /// is the one the server chose for this connection; anything in
-    /// `MIN_VERSION..=VERSION` is acceptable to this client (the server
-    /// never picks a version above what the client offered).
+    /// is the one the server echoed, `min(client, VERSION)`; anything in
+    /// `MIN_VERSION..=VERSION` is acceptable to this client.
     ///
     /// # Errors
     ///

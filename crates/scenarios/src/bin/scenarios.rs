@@ -1,17 +1,17 @@
 //! Scenario runner: drives every catalog scenario through the simulator
 //! (and one through the live gateway), printing per-scenario admission
-//! reports and writing them as CSV under `results/scenarios/`.
+//! reports. A full-horizon run also writes them as CSV under
+//! `results/scenarios/`; `--quick` and `--smoke` runs write nothing there.
 //!
 //! ```text
 //! cargo run --release -p frap-scenarios --bin scenarios -- [flags]
 //!
 //!   --quick             8 s horizon instead of 60 s
 //!   --smoke             CI mode: serverless + flash_crowd only, sim
-//!                       backend only, writes no file
+//!                       backend only, quick horizon
 //!   --jobs N            worker threads for the sim runs (0 = hardware)
-//!   --no-gateway        skip the live-gateway replay
-//!   --gateway-scale N   time-compression factor for the gateway replay
-//!                       (default 20; durations and gaps are divided by N)
+//!   --no-gateway        skip the live-gateway replay (the serverless
+//!                       trace at 1/20 time scale)
 //!   --save-traces DIR   also write each generated trace as a
 //!                       `frap-arrivals v2` file under DIR (loadable,
 //!                       tenants and scenario line included, with
@@ -25,14 +25,13 @@
 
 use frap_core::time::Time;
 use frap_experiments::common::{f, Scale, Table};
-use frap_scenarios::runner::{run_gateway, run_sim, SimRun};
-use frap_scenarios::{catalog, Scenario, ScenarioPolicy};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use frap_experiments::runner::fan_out;
+use frap_scenarios::runner::{run_gateway, run_sim};
+use frap_scenarios::{catalog, ScenarioPolicy};
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.get(pos + 1).and_then(|v| v.parse().ok())
-}
+/// Time compression of the live-gateway replay: durations and gaps are
+/// divided by this factor, so every `C/D` ratio is preserved.
+const GATEWAY_SCALE: u64 = 20;
 
 fn policy_name(p: ScenarioPolicy) -> &'static str {
     match p {
@@ -41,63 +40,33 @@ fn policy_name(p: ScenarioPolicy) -> &'static str {
     }
 }
 
-/// Runs the sims with bounded parallelism, preserving catalog order.
-fn run_sims(scenarios: &[Scenario], jobs: usize) -> Vec<SimRun> {
-    let workers = jobs.min(scenarios.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<SimRun>> = Vec::new();
-    slots.resize_with(scenarios.len(), || None);
-    let slot_refs: Vec<std::sync::Mutex<&mut Option<SimRun>>> =
-        slots.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= scenarios.len() {
-                    break;
-                }
-                let run = run_sim(&scenarios[idx]);
-                **slot_refs[idx].lock().expect("slot lock") = Some(run);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every scenario ran"))
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let no_gateway = args.iter().any(|a| a == "--no-gateway");
-    let gateway_scale = flag_value(&args, "--gateway-scale").unwrap_or(20).max(1);
     let scale = Scale::from_args();
     // Smoke runs are CI wall-clock guards: always the quick horizon.
-    let horizon_secs = if smoke {
-        Scale::quick().horizon_secs
+    let scale = if smoke {
+        Scale::quick().with_jobs(scale.jobs)
     } else {
-        scale.horizon_secs
+        scale
     };
+    let publish = scale.is_publication();
+    let horizon_secs = scale.horizon_secs;
     let horizon = Time::from_secs(horizon_secs);
 
     let mut scenarios = catalog(horizon);
     if smoke {
         scenarios.retain(|s| matches!(s.name, "serverless" | "flash_crowd"));
     }
-    let jobs = if scale.jobs == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        scale.jobs
-    };
     println!(
-        "scenarios: {} famil{} at {horizon_secs}s horizon, {jobs} job(s){}",
+        "scenarios: {} famil{} at {horizon_secs}s horizon{}",
         scenarios.len(),
         if scenarios.len() == 1 { "y" } else { "ies" },
         if smoke { " [smoke]" } else { "" }
     );
 
-    let runs = run_sims(&scenarios, jobs);
+    let runs = fan_out(scenarios.len(), scale.jobs, |i| run_sim(&scenarios[i]));
 
     if let Some(pos) = args.iter().position(|a| a == "--save-traces") {
         let dir = args
@@ -123,7 +92,6 @@ fn main() {
             "shed",
             "completed",
             "missed",
-            "sim events/s",
         ],
     );
     let mut total_events = 0u64;
@@ -147,11 +115,10 @@ fn main() {
             r.shed.to_string(),
             r.completed.to_string(),
             r.missed.to_string(),
-            format!("{:.0}", r.events_per_sec()),
         ]);
     }
     summary.print();
-    if !smoke {
+    if publish {
         summary.write_csv("scenarios/summary");
     }
 
@@ -193,7 +160,7 @@ fn main() {
         }
         tenants.print();
         importance.print();
-        if !smoke {
+        if publish {
             tenants.write_csv(&format!("scenarios/{}_tenants", sc.name));
             importance.write_csv(&format!("scenarios/{}_importance", sc.name));
         }
@@ -222,11 +189,11 @@ fn main() {
         // the accounting both sides share; the canonical (reset-on-idle)
         // report above admits strictly more.
         let sim = frap_scenarios::run_sim_opts(sc, false);
-        let gw = run_gateway(sc, gateway_scale).expect("gateway replay");
+        let gw = run_gateway(sc, GATEWAY_SCALE).expect("gateway replay");
         let tolerance = (sim.report.admitted as f64 * 0.10).max(25.0);
         let delta = gw.admitted.abs_diff(sim.report.admitted);
         println!(
-            "gateway replay (scale 1/{gateway_scale}): offered={} admitted={} \
+            "gateway replay (scale 1/{GATEWAY_SCALE}): offered={} admitted={} \
              rejected={} expired+rejected share={} vs sim admitted={} \
              (delta {delta}, tolerance {tolerance:.0})",
             gw.offered,

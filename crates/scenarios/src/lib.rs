@@ -28,8 +28,9 @@
 //! into per-scenario acceptance, per-tenant admit shares, and
 //! shed-by-importance tables.
 //!
-//! `cargo run --release -p frap-scenarios --bin scenarios -- --quick`
-//! writes the tables under `results/scenarios/`.
+//! `cargo run --release -p frap-scenarios --bin scenarios` (the 60 s
+//! horizon) prints the tables and writes them under `results/scenarios/`;
+//! with `--quick` (8 s) or `--smoke` it prints them and writes nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
