@@ -2,7 +2,7 @@
 //! ASCII chart for quick visual inspection of curve shapes.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// How big to run an experiment, and how wide to run it.
 ///
@@ -181,7 +181,7 @@ fn results_path(name: &str) -> PathBuf {
     let root = cwd
         .ancestors()
         .find(|dir| dir.join("results").is_dir())
-        .unwrap_or(std::path::Path::new("."));
+        .unwrap_or(Path::new("."));
     root.join("results").join(format!("{name}.csv"))
 }
 
