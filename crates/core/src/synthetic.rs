@@ -28,6 +28,7 @@
 //! as a tracker with a heap of its own per stage would (DESIGN.md §7).
 
 use crate::idtable::IdTable;
+use crate::shed::SWEEP_SLACK;
 use crate::task::{StageId, TaskId};
 use crate::time::{Time, TimeDelta};
 use std::cmp::Reverse;
@@ -76,7 +77,8 @@ struct StageCounter {
     /// Live charges at this stage.
     live: usize,
     /// Tasks flagged departed here, in departure order, validated lazily —
-    /// an idle reset touches only these instead of scanning the live set.
+    /// an idle reset touches only these instead of scanning the live set
+    /// (and `SyntheticState::bound_departed` sweeps them between resets).
     departed: Vec<TaskId>,
 }
 
@@ -335,8 +337,30 @@ impl SyntheticState {
             if !c.departed {
                 c.departed = true;
                 self.stages[stage.index()].departed.push(task);
+                self.bound_departed(stage.index());
             }
         }
+    }
+
+    /// Keeps stage `j`'s departed list within `2 · live + SWEEP_SLACK`
+    /// ids, as [`ShedOrder`](crate::shed::ShedOrder) keeps its filed ids,
+    /// for a ledger whose stages never idle-reset: once over the bound,
+    /// the ids that no longer hold a departed charge at `j` (expired,
+    /// shed, or reset away) are swept out. [`SyntheticState::reset_idle`]
+    /// skips those ids, and the rest keep their order, so no counter sees
+    /// its subtractions in another order.
+    #[inline]
+    fn bound_departed(&mut self, j: usize) {
+        let counter = &mut self.stages[j];
+        if counter.departed.len() <= 2 * counter.live + SWEEP_SLACK {
+            return;
+        }
+        let tasks = &self.tasks;
+        counter.departed.retain(|&task| {
+            tasks
+                .get(task)
+                .is_some_and(|r| r.charges.iter().any(|c| c.stage == j && c.departed))
+        });
     }
 
     /// The idle reset (Section 4): removes the charges of all tasks that
@@ -427,6 +451,9 @@ impl SyntheticState {
             keep > 0.0
         });
         self.drop_if_spent(task);
+        for &(stage, _) in retained {
+            self.bound_departed(stage.index());
+        }
         reclaimed
     }
 
@@ -579,6 +606,30 @@ mod tests {
         assert_eq!(st.stage(ONLY).contribution(t(1)), Some(0.3));
         assert_eq!(st.advance_to(at(20)), 1);
         assert_eq!(value(&st), 0.0);
+    }
+
+    #[test]
+    fn departed_lists_stay_bounded_without_idle_resets() {
+        const STAGES: usize = 3;
+        const WINDOW: u64 = 10;
+        let mut st = SyntheticState::new(STAGES);
+        let all: Vec<(StageId, f64)> = (0..STAGES).map(|j| (StageId::new(j), 0.01)).collect();
+        for i in 0..10_000 {
+            let now = Time::from_micros(i);
+            st.advance_to(now);
+            st.add_task(t(i), &all, Time::from_micros(i + WINDOW));
+            for &(stage, _) in &all {
+                st.mark_departed(stage, t(i));
+            }
+            for counter in &st.stages {
+                assert!(counter.departed.len() <= 2 * counter.live + SWEEP_SLACK);
+            }
+        }
+        // The sweeps kept every charge an idle reset still owes.
+        for &(stage, _) in &all {
+            assert_eq!(st.reset_idle(stage), WINDOW as usize);
+            assert_eq!(st.stage(stage).value(), 0.0);
+        }
     }
 
     #[test]

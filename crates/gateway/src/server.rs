@@ -130,10 +130,12 @@ pub struct GatewayConfig {
     pub window: u16,
     /// Liveness cutoff: a connection from which nothing — not even a
     /// [`Frame::Heartbeat`] — has been read for this long is closed,
-    /// releasing every ticket it still holds (the lease/cluster layer
-    /// relies on this to reconcile capacity held by dead peers). `None`
-    /// disables the sweep; traffic of any kind counts as liveness, so
-    /// set it to a few heartbeat intervals.
+    /// releasing every ticket it still holds, and counted in
+    /// [`GatewaySnapshot::idle_disconnects`]. Workers wake at least every
+    /// half cutoff to sweep, so a silent connection is closed about one to
+    /// one and a half cutoffs after its last byte. `None` disables
+    /// the sweep; traffic of any kind counts as liveness, so set it to a
+    /// few heartbeat intervals.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -728,8 +730,7 @@ fn worker_loop<R, M, C>(
         tally.publish(&shared.stats);
 
         // Liveness sweep: a connection silent past the cutoff is dead to
-        // us — close it so its tickets release and (for cluster peers)
-        // lease reconciliation can reclaim the capacity it held.
+        // us — close it so its tickets release.
         if let Some(cutoff) = cfg.idle_timeout {
             let now = Instant::now();
             for slot in 0..slab.len() {

@@ -137,6 +137,73 @@ fn abrupt_disconnect_releases_every_held_ticket() {
     service.debug_validate();
 }
 
+/// The liveness sweep: with a 100 ms cutoff, a connection that goes
+/// silent holding an admitted ticket is closed and its ticket released,
+/// while one that heartbeats every 10 ms stays open throughout.
+#[test]
+fn the_idle_sweep_closes_a_silent_connection_and_spares_a_heartbeating_one() {
+    let service =
+        AdmissionService::builder(FeasibleRegion::deadline_monotonic(2), ExactContributions)
+            .build();
+    let cfg = GatewayConfig {
+        idle_timeout: Some(Duration::from_millis(100)),
+        ..GatewayConfig::default()
+    };
+    let server = GatewayServer::bind("127.0.0.1:0", service.clone(), cfg).expect("bind loopback");
+    let long = WireTaskSpec::new(
+        TimeDelta::from_secs(60),
+        &[TimeDelta::from_millis(1); 2],
+        Importance::new(1),
+    );
+    let admit = |client: &mut GatewayClient| {
+        let verdict = client
+            .admit(&long, TimeDelta::from_secs(30), false)
+            .expect("admit");
+        assert!(verdict.is_admitted(), "{verdict:?}");
+    };
+    let mut silent = GatewayClient::connect(server.local_addr()).expect("connect");
+    let mut chatty = GatewayClient::connect(server.local_addr()).expect("connect");
+    admit(&mut silent);
+    admit(&mut chatty);
+    assert_eq!(service.live_tasks(), 2);
+
+    // Heartbeat `chatty` until the sweep has released `silent`'s ticket,
+    // then for five more cutoffs.
+    let start = Instant::now();
+    let mut released_at = None;
+    while released_at.is_none_or(|at: Instant| at.elapsed() < Duration::from_millis(500)) {
+        chatty
+            .heartbeat()
+            .expect("a heartbeating connection stays open");
+        if released_at.is_none() {
+            if service.counters().released == 1 {
+                released_at = Some(Instant::now());
+            } else {
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "the silent connection was not swept within 5 s"
+                );
+            }
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(service.live_tasks(), 1, "only chatty's ticket is held");
+    assert!(
+        silent.heartbeat().is_err(),
+        "the swept connection is closed"
+    );
+    assert_eq!(server.stats().idle_disconnects, 1);
+    chatty.heartbeat().expect("still open");
+
+    let snapshot = server.shutdown();
+    assert_eq!(snapshot.idle_disconnects, 1);
+    assert_eq!(snapshot.protocol_errors, 0);
+    let counters = service.counters();
+    assert_eq!(counters.released, 2, "{counters:?}");
+    assert_eq!(counters.expired + counters.shed, 0);
+    service.debug_validate();
+}
+
 /// One write carrying `Release×k, Admit×k` against a full region: the
 /// run of releases reaches the service before the admits behind it
 /// decide, so all `k` fit again — and, nothing else having locked the

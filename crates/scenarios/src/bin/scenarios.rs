@@ -1,14 +1,12 @@
 //! Scenario runner: drives every catalog scenario through the simulator
 //! (and one through the live gateway), printing per-scenario admission
 //! reports. A full-horizon run also writes them as CSV under
-//! `results/scenarios/`; `--quick` and `--smoke` runs write nothing there.
+//! `results/scenarios/`; a `--quick` run writes nothing there.
 //!
 //! ```text
 //! cargo run --release -p frap-scenarios --bin scenarios -- [flags]
 //!
 //!   --quick             8 s horizon instead of 60 s
-//!   --smoke             CI mode: serverless + flash_crowd only, sim
-//!                       backend only, quick horizon
 //!   --jobs N            worker threads for the sim runs (0 = hardware)
 //!   --no-gateway        skip the live-gateway replay (the serverless
 //!                       trace at 1/20 time scale)
@@ -21,7 +19,7 @@
 //! Every admitted-and-completed task in the simulator is checked against
 //! its end-to-end deadline; this binary asserts `missed == 0` for every
 //! scenario — the feasible-region guarantee, exercised under cloud-shaped
-//! load.
+//! load. An unknown flag exits 2 and lists the valid ones.
 
 use frap_core::time::Time;
 use frap_experiments::common::{f, Scale, Table};
@@ -41,38 +39,42 @@ fn policy_name(p: ScenarioPolicy) -> &'static str {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let no_gateway = args.iter().any(|a| a == "--no-gateway");
+    let mut no_gateway = false;
+    let mut save_traces = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => {}
+            "--jobs" => {
+                args.next();
+            }
+            "--no-gateway" => no_gateway = true,
+            "--save-traces" => {
+                save_traces = Some(args.next().expect("--save-traces requires a directory"));
+            }
+            _ => {
+                eprintln!(
+                    "unknown flag `{arg}`; valid: --quick --jobs N --no-gateway --save-traces DIR"
+                );
+                std::process::exit(2);
+            }
+        }
+    }
     let scale = Scale::from_args();
-    // Smoke runs are CI wall-clock guards: always the quick horizon.
-    let scale = if smoke {
-        Scale::quick().with_jobs(scale.jobs)
-    } else {
-        scale
-    };
     let publish = scale.is_publication();
     let horizon_secs = scale.horizon_secs;
     let horizon = Time::from_secs(horizon_secs);
 
-    let mut scenarios = catalog(horizon);
-    if smoke {
-        scenarios.retain(|s| matches!(s.name, "serverless" | "flash_crowd"));
-    }
+    let scenarios = catalog(horizon);
     println!(
-        "scenarios: {} famil{} at {horizon_secs}s horizon{}",
-        scenarios.len(),
-        if scenarios.len() == 1 { "y" } else { "ies" },
-        if smoke { " [smoke]" } else { "" }
+        "scenarios: {} families at {horizon_secs}s horizon",
+        scenarios.len()
     );
 
     let runs = fan_out(scenarios.len(), scale.jobs, |i| run_sim(&scenarios[i]));
 
-    if let Some(pos) = args.iter().position(|a| a == "--save-traces") {
-        let dir = args
-            .get(pos + 1)
-            .expect("--save-traces requires a directory");
-        std::fs::create_dir_all(dir).expect("create trace directory");
+    if let Some(dir) = save_traces {
+        std::fs::create_dir_all(&dir).expect("create trace directory");
         for (sc, run) in scenarios.iter().zip(&runs) {
             let path = format!("{dir}/{}.trace", sc.name);
             frap_workload::replay::save_trace(&path, &run.trace).expect("write trace");
@@ -178,7 +180,7 @@ fn main() {
 
     // Live-gateway replay: the same serverless trace, time-compressed,
     // through real TCP against the production admission path.
-    if !smoke && !no_gateway {
+    if !no_gateway {
         let sc = scenarios
             .iter()
             .find(|s| s.name == "serverless")

@@ -30,7 +30,7 @@
 //!
 //! `cargo run --release -p frap-scenarios --bin scenarios` (the 60 s
 //! horizon) prints the tables and writes them under `results/scenarios/`;
-//! with `--quick` (8 s) or `--smoke` it prints them and writes nothing.
+//! with `--quick` (8 s) it prints them and writes nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
