@@ -1,4 +1,4 @@
-//! A vectorized fast path for the pipeline region test.
+//! The pipeline region test, prepared once per region.
 //!
 //! The hot kernel of every admission decision is the pipeline inequality
 //!
@@ -6,38 +6,27 @@
 //! Σ_j f(U_j) ≤ α (1 − Σ_j β_j),      f(u) = u (1 − u/2) / (1 − u)
 //! ```
 //!
-//! evaluated once per arrival over the tentative utilization vector. The
-//! scalar path ([`crate::delay::stage_delay_factor`] summed in `f64`) costs
-//! one branch and one division per stage and does not auto-vectorize
-//! because of the `u ≥ 1` saturation branch. [`RegionKernel`] evaluates the
-//! same sum branch-free in `f32` across eight independent lanes (which the
-//! compiler turns into SIMD on any target with vector divides) and then
-//! decides in one of three ways:
+//! evaluated once per arrival over the tentative utilization vector.
+//! [`RegionKernel::feasible`] decides it by one exact sum: each stage's
+//! [`crate::delay::stage_delay_factor`] added in `f64`, in stage order, at
+//! every depth — the same value [`crate::region::FeasibleRegion::value`]
+//! returns.
 //!
-//! * the approximate sum is **below** the budget by more than a guard
-//!   band → [`FastVerdict::Feasible`], provably what the exact test says;
-//! * the approximate sum is **above** the budget by more than the guard
-//!   band → [`FastVerdict::Infeasible`], ditto;
-//! * anything near the boundary, or any input outside the fast path's
-//!   eligibility envelope (negative, NaN, or close enough to the `u → 1`
-//!   pole that `f32` error explodes) → fall back to the exact scalar path.
-//!
-//! Because definitive verdicts are only issued outside the guard band and
-//! the band dominates the worst-case `f32` error (see
-//! `RegionKernel::guard_band`), the kernel's verdicts are
-//! **decision-for-decision identical** to the exact scalar test — the
-//! property `tests/kernel_differential.rs` hammers with ulp-adjacent
-//! boundary vectors.
+//! [`RegionKernel::classify`] is a branch-free `f32` estimate of the same
+//! sum across eight lanes, which signs the margin only outside a guard
+//! band that dominates its worst-case error (so a definitive
+//! [`FastVerdict`] always matches the exact test). No decision path calls
+//! it; see its doc for why it remains.
 
 use crate::delay::stage_delay_factor;
 
-/// Largest per-stage utilization the `f32` fast path accepts.
+/// Largest per-stage utilization [`RegionKernel::classify`] estimates.
 ///
 /// `1 − 1/32`, exactly representable in both `f32` and `f64`. At this
 /// point `f(u) ≈ 16` and `f′(u) ≈ 512`; beyond it the pole at `u = 1`
 /// amplifies the `f32` rounding of `u` faster than any useful guard band
 /// can absorb, so such stages (rare: a single one contributes 16× a
-/// typical whole-system budget) take the exact path instead.
+/// typical whole-system budget) make the estimate ineligible.
 pub const FAST_MAX_UTILIZATION: f64 = 0.96875;
 
 const FAST_MAX_F32: f32 = FAST_MAX_UTILIZATION as f32;
@@ -46,18 +35,7 @@ const FAST_MAX_F32: f32 = FAST_MAX_UTILIZATION as f32;
 /// vector register.
 pub const LANES: usize = 8;
 
-/// Vector length below which the exact scalar sum beats the `f32` lanes
-/// outright, so [`RegionKernel::feasible`] (and the region trait
-/// routing) skips the fast path entirely. Measured crossover on the
-/// reference container (sweep over 8–48 stages, both admission
-/// regimes): the lane loop plus guard-band bookkeeping loses by ~25%
-/// at 8–12 stages, breaks even in the noisy 24–28 band, and wins on
-/// every cell from four vector widths up (~20% at 32–48, ~1.3–2× at
-/// 64–1024). The cutover sits at the top of the break-even band so the
-/// vectorized arm only runs where it reliably pays.
-pub const SCALAR_CUTOVER: usize = 4 * LANES;
-
-/// What the vectorized fast path concluded about one utilization vector.
+/// What the `f32` estimate concluded about one utilization vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastVerdict {
     /// Inside the region by more than the guard band: identical to the
@@ -66,11 +44,11 @@ pub enum FastVerdict {
     /// Outside the region by more than the guard band: identical to the
     /// exact test's `false`.
     Infeasible,
-    /// Within the guard band of the budget — the fast sum cannot be
-    /// trusted to sign the margin; run the exact scalar test.
+    /// Within the guard band of the budget — the estimate cannot be
+    /// trusted to sign the margin; only the exact test decides.
     NearBoundary,
     /// Some stage was outside `[0, FAST_MAX_UTILIZATION]` (including NaN)
-    /// or the vector length mismatched; run the exact (validating) path.
+    /// or the vector length mismatched; only the exact test decides.
     Ineligible,
 }
 
@@ -122,13 +100,16 @@ impl RegionKernel {
         self.budget
     }
 
-    /// The branch-free `f32` evaluation: eight-lane sum of
+    /// The branch-free `f32` estimate: eight-lane sum of
     /// `x (1 − x/2) / (1 − x)` with a per-lane eligibility mask, folded
     /// into `f64` and compared against the budget ± guard band.
     ///
     /// Never wrong, sometimes undecided: a definitive
     /// [`FastVerdict::Feasible`] / [`FastVerdict::Infeasible`] always
-    /// matches the exact scalar test; everything else defers to it.
+    /// matches [`RegionKernel::feasible`]. No decision path calls it: it
+    /// stays only for the benchmark's layer replay, which reports the
+    /// share of wide boundary vectors it leaves undecided, and goes with
+    /// that row (ROADMAP item 2(a)).
     // Non-short-circuiting `&` keeps the lane loop branch-free; the
     // range-contains form would reintroduce `&&`.
     #[allow(clippy::manual_range_contains)]
@@ -178,57 +159,27 @@ impl RegionKernel {
         }
     }
 
-    /// The region verdict: fast path first, exact scalar fallback on
-    /// [`FastVerdict::NearBoundary`] / [`FastVerdict::Ineligible`].
+    /// The region verdict `Σ f(U_j) ≤ budget`, by the exact `f64` sum of
+    /// [`RegionKernel::exact_value`].
     ///
-    /// Bit-identical to `exact_feasible` for every well-formed vector.
-    /// Inherits [`stage_delay_factor`]'s input contract on the fallback:
-    /// validate lengths and signs at the API boundary (as
+    /// Inherits [`stage_delay_factor`]'s input contract: validate lengths
+    /// and signs at the API boundary (as
     /// [`crate::region::FeasibleRegion::contains`] does).
-    // `#[inline]` on this and the exact twins below: the workspace does
-    // not enable LTO, so without the hint every cross-crate caller —
-    // including the admission hot loops in `frap-service` and the bench
-    // cells — pays a call layer the in-crate scalar baseline does not,
-    // which alone showed up as a ~10% artifact on sub-cutover sizes.
-    // The vectorized arm stays outlined on purpose: folding the lane
-    // loop into every caller bloats the short-pipeline hot path it is
-    // explicitly bypassing, and above the cutover one call is noise.
+    // `#[inline]` here and on `exact_value`: the workspace does not enable
+    // LTO, so without the hint every cross-crate caller — the admission
+    // hot loops in `frap-service` included — pays a call layer per
+    // decision.
     #[inline]
     pub fn feasible(&self, utilizations: &[f64]) -> bool {
-        // Trivially identical shortcut: below the measured crossover the
-        // f32 evaluation plus guard-band check costs more than the exact
-        // sum it approximates (~2–3× at 2–4 stages, still ~25% at 16),
-        // so short pipelines — the common case — go straight to the
-        // answer.
-        if utilizations.len() < SCALAR_CUTOVER {
-            return self.exact_feasible(utilizations);
-        }
-        self.feasible_vectorized(utilizations)
+        self.exact_value(utilizations) <= self.budget
     }
 
-    /// The above-cutover arm of [`RegionKernel::feasible`]: fast verdict
-    /// with exact fallback, no length shortcut.
-    fn feasible_vectorized(&self, utilizations: &[f64]) -> bool {
-        match self.classify(utilizations) {
-            FastVerdict::Feasible => true,
-            FastVerdict::Infeasible => false,
-            FastVerdict::NearBoundary | FastVerdict::Ineligible => {
-                self.exact_feasible(utilizations)
-            }
-        }
-    }
-
-    /// The exact scalar left-hand side; [`crate::region::FeasibleRegion::value`]
-    /// returns this sum once it has validated the vector.
+    /// The exact left-hand side `Σ f(U_j)`, summed in stage order;
+    /// [`crate::region::FeasibleRegion::value`] returns it once it has
+    /// validated the vector.
     #[inline]
     pub fn exact_value(&self, utilizations: &[f64]) -> f64 {
         utilizations.iter().map(|&u| stage_delay_factor(u)).sum()
-    }
-
-    /// The exact scalar verdict `Σ f(U_j) ≤ budget`.
-    #[inline]
-    pub fn exact_feasible(&self, utilizations: &[f64]) -> bool {
-        self.exact_value(utilizations) <= self.budget
     }
 
     /// The symmetric error envelope around the approximate sum within
@@ -276,7 +227,6 @@ mod tests {
         let u = crate::delay::stage_delay_factor_inverse(0.5);
         let k = RegionKernel::new(2, 1.0);
         assert_eq!(k.classify(&[u, u]), FastVerdict::NearBoundary);
-        assert_eq!(k.feasible(&[u, u]), k.exact_feasible(&[u, u]));
     }
 
     #[test]
@@ -300,7 +250,7 @@ mod tests {
                 "u = {bad}"
             );
         }
-        // Saturated stages resolve through the exact path: infeasible.
+        // The exact sum still decides them: a saturated stage is infeasible.
         assert!(!k.feasible(&[1.0, 0.0]));
     }
 
@@ -325,7 +275,7 @@ mod tests {
 
     #[test]
     fn zero_vector_against_zero_budget_defers() {
-        // Exact: 0 ≤ 0 holds; the fast path cannot sign a zero margin.
+        // Exact: 0 ≤ 0 holds; the estimate cannot sign a zero margin.
         let k = RegionKernel::new(2, 0.0);
         assert_eq!(k.classify(&[0.0, 0.0]), FastVerdict::NearBoundary);
         assert!(k.feasible(&[0.0, 0.0]));
@@ -339,7 +289,8 @@ mod tests {
             let outside = vec![0.9; n];
             assert_eq!(k.classify(&inside), FastVerdict::Feasible, "n = {n}");
             assert_eq!(k.classify(&outside), FastVerdict::Infeasible, "n = {n}");
-            assert_eq!(k.feasible(&inside), k.exact_feasible(&inside));
+            assert!(k.feasible(&inside), "n = {n}");
+            assert!(!k.feasible(&outside), "n = {n}");
         }
     }
 

@@ -18,10 +18,12 @@
 //! d( f(U_k1) + β_k1, …, f(U_kM) + β_kM )   ≤   α
 //! ```
 //!
-//! [`FeasibleRegion`] evaluates both forms; [`RegionTest`] is the trait the
-//! admission controllers consume. A workload of several graph shapes must
-//! stay inside every shape's region: [`ShapeCatalog`] collects the shapes
-//! and builds their [`ShapeRegion`].
+//! [`FeasibleRegion`] evaluates both forms and validates its input;
+//! [`RegionTest`] is the trait the admission controllers consume. Each form
+//! has one decision path behind it: [`FeasibleRegion`]'s test is its
+//! [`RegionKernel::feasible`], one exact sum at every depth, and
+//! [`ShapeRegion`] is the one graph-form test, for one shape or for a
+//! workload that must stay inside several shapes' regions.
 
 use crate::alpha::Alpha;
 use crate::delay::{stage_delay_factor, stage_delay_factor_inverse};
@@ -130,8 +132,8 @@ impl FeasibleRegion {
         self.kernel.budget()
     }
 
-    /// The vectorized fast-path kernel for this region's pipeline test
-    /// (see [`crate::kernel`]): stage count plus the cached budget.
+    /// This region's prepared pipeline test (see [`crate::kernel`]): stage
+    /// count plus the cached budget.
     pub fn kernel(&self) -> RegionKernel {
         self.kernel
     }
@@ -270,12 +272,11 @@ impl RegionTest for FeasibleRegion {
     }
 
     /// The pipeline-form test `Σ f(U_j) ≤ α(1 − Σβ)`, decided by this
-    /// region's [`RegionKernel::feasible`]: decision-for-decision
-    /// identical to [`FeasibleRegion::contains`] on well-formed input
-    /// (`tests/kernel_differential.rs`), without its validation.
+    /// region's [`RegionKernel::feasible`]: the sum
+    /// [`FeasibleRegion::contains`] compares, without its validation.
     // Inline hint: this non-generic impl is called from monomorphized
     // admission loops in other crates; without LTO the hint is what lets
-    // the kernel's cutover branch flatten into the caller.
+    // the kernel's sum inline into the caller.
     #[inline]
     fn feasible(&self, utilizations: &[f64]) -> bool {
         debug_assert_eq!(
@@ -287,233 +288,85 @@ impl RegionTest for FeasibleRegion {
     }
 }
 
-/// Theorem 2's per-task-class test: the feasible region induced by one task
-/// graph shape.
+/// Theorem 2's region for a workload's task-graph shapes over one base
+/// region (α, β, stage count): feasible when `d(f(U) + β) ≤ α` holds for
+/// every shape. One shape gives that shape's region; a workload mixing
+/// shapes must stay inside each one's.
 ///
-/// Systems with heterogeneous task shapes require every shape's test to
-/// hold; [`ShapeRegion`] decides that conjunction over one base region.
+/// Two graphs share a shape when their subtask→stage assignment and edges
+/// coincide (computation times do not enter the region), and
+/// [`ShapeRegion::new`] keeps one of each. On a well-formed vector the
+/// verdict is the conjunction of [`FeasibleRegion::contains_graph`] over
+/// the shapes, bit for bit: each stage's term `f(U_j) + β_j` is computed
+/// once per decision, and each shape's paths sum those same `f64` values
+/// in the same order.
 ///
 /// # Examples
 ///
 /// ```
 /// use frap_core::graph::TaskGraph;
-/// use frap_core::region::{FeasibleRegion, GraphRegion, RegionTest};
+/// use frap_core::region::{FeasibleRegion, RegionTest, ShapeRegion};
 /// use frap_core::task::{StageId, SubtaskSpec};
 /// use frap_core::time::TimeDelta;
 ///
-/// let ms = TimeDelta::from_millis;
-/// let g = TaskGraph::fork_join(
-///     SubtaskSpec::new(StageId::new(0), ms(1)),
-///     vec![
-///         SubtaskSpec::new(StageId::new(1), ms(1)),
-///         SubtaskSpec::new(StageId::new(2), ms(1)),
-///     ],
-///     SubtaskSpec::new(StageId::new(3), ms(1)),
-/// )?;
-/// let region = GraphRegion::new(FeasibleRegion::deadline_monotonic(4), g);
+/// let sub = |stage, ms| SubtaskSpec::new(StageId::new(stage), TimeDelta::from_millis(ms));
+/// let fork_join = TaskGraph::fork_join(sub(0, 1), vec![sub(1, 1), sub(2, 1)], sub(3, 1))?;
+/// let same_shape = TaskGraph::fork_join(sub(0, 9), vec![sub(1, 9), sub(2, 9)], sub(3, 9))?;
+/// let base = FeasibleRegion::deadline_monotonic(4);
+/// let region = ShapeRegion::new(base, [fork_join, same_shape]);
+/// assert_eq!(region.len(), 1, "durations do not make a new shape");
 /// // Parallel branches don't add: u on stages 1 and 2 counts once.
 /// assert!(region.feasible(&[0.2, 0.4, 0.4, 0.2]));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphRegion {
-    region: FeasibleRegion,
-    graph: TaskGraph,
-}
-
-impl GraphRegion {
-    /// Combines a base region (α, β, stage count) with a task-graph shape.
-    pub fn new(region: FeasibleRegion, graph: TaskGraph) -> GraphRegion {
-        GraphRegion { region, graph }
-    }
-
-    /// The underlying base region.
-    pub fn region(&self) -> &FeasibleRegion {
-        &self.region
-    }
-
-    /// The task-graph shape this test covers.
-    pub fn graph(&self) -> &TaskGraph {
-        &self.graph
-    }
-}
-
-impl RegionTest for GraphRegion {
-    fn stages(&self) -> usize {
-        self.region.stages()
-    }
-
-    fn feasible(&self, utilizations: &[f64]) -> bool {
-        self.region
-            .contains_graph(&self.graph, utilizations)
-            .expect("well-formed utilization vector and graph")
-    }
-}
-
-/// Conjunction of region tests: feasible only when *every* member test is.
-///
-/// The general conjunction of arbitrary tests. Shapes over one base region
-/// have a cheaper one, [`ShapeRegion`].
-#[derive(Debug, Default)]
-pub struct AllOf {
-    tests: Vec<Box<dyn RegionTest + Send + Sync>>,
-}
-
-impl AllOf {
-    /// An empty conjunction for `stages` stages (feasible everywhere until
-    /// tests are added).
-    pub fn new() -> AllOf {
-        AllOf { tests: Vec::new() }
-    }
-
-    /// Adds a member test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new test's stage count disagrees with existing members.
-    pub fn push<T: RegionTest + Send + Sync + 'static>(&mut self, test: T) -> &mut Self {
-        if let Some(first) = self.tests.first() {
-            assert_eq!(
-                first.stages(),
-                test.stages(),
-                "all member tests must share the stage count"
-            );
-        }
-        self.tests.push(Box::new(test));
-        self
-    }
-
-    /// Number of member tests.
-    pub fn len(&self) -> usize {
-        self.tests.len()
-    }
-
-    /// Whether there are no member tests.
-    pub fn is_empty(&self) -> bool {
-        self.tests.is_empty()
-    }
-}
-
-impl RegionTest for AllOf {
-    fn stages(&self) -> usize {
-        self.tests.first().map(|t| t.stages()).unwrap_or(0)
-    }
-
-    fn feasible(&self, utilizations: &[f64]) -> bool {
-        self.tests.iter().all(|t| t.feasible(utilizations))
-    }
-}
-
-/// Builds the intersection region for a workload mixing task-graph
-/// *shapes*: one Theorem 2 condition per distinct precedence shape
-/// observed (two graphs share a shape when their subtask→stage assignment
-/// and edges coincide — computation times are irrelevant to the region).
-///
-/// Feed it representative task specs offline, then [`ShapeCatalog::build`]
-/// the [`ShapeRegion`] the admission controller enforces.
-///
-/// # Examples
-///
-/// ```
-/// use frap_core::graph::TaskGraph;
-/// use frap_core::region::{FeasibleRegion, RegionTest, ShapeCatalog};
-/// use frap_core::task::{StageId, SubtaskSpec};
-/// use frap_core::time::TimeDelta;
-///
-/// let ms = TimeDelta::from_millis;
-/// let chain = TaskGraph::chain(vec![
-///     SubtaskSpec::new(StageId::new(0), ms(1)),
-///     SubtaskSpec::new(StageId::new(1), ms(2)),
-/// ])?;
-/// let same_shape = TaskGraph::chain(vec![
-///     SubtaskSpec::new(StageId::new(0), ms(9)),  // different times,
-///     SubtaskSpec::new(StageId::new(1), ms(9)),  // same shape
-/// ])?;
-/// let mut catalog = ShapeCatalog::new(FeasibleRegion::deadline_monotonic(2));
-/// assert!(catalog.observe(&chain));
-/// assert!(!catalog.observe(&same_shape), "deduplicated");
-/// let region = catalog.build();
-/// assert!(region.feasible(&[0.3, 0.3]));
 /// # Ok::<(), frap_core::error::GraphError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ShapeCatalog {
-    base: FeasibleRegion,
-    signatures: Vec<ShapeSignature>,
-    shapes: Vec<TaskGraph>,
-}
-
-/// A shape signature: per-node stage assignment plus the sorted edge list.
-type ShapeSignature = (Vec<usize>, Vec<(usize, usize)>);
-
-impl ShapeCatalog {
-    /// An empty catalog over the given base region (α, β, stage count).
-    pub fn new(base: FeasibleRegion) -> ShapeCatalog {
-        ShapeCatalog {
-            base,
-            signatures: Vec::new(),
-            shapes: Vec::new(),
-        }
-    }
-
-    fn signature(graph: &TaskGraph) -> ShapeSignature {
-        let stages: Vec<usize> = (0..graph.len()).map(|i| graph.stage(i).index()).collect();
-        let mut edges = Vec::new();
-        for i in 0..graph.len() {
-            for &s in graph.succs(i) {
-                edges.push((i, s));
-            }
-        }
-        edges.sort_unstable();
-        (stages, edges)
-    }
-
-    /// Registers a task's shape; returns `true` when the shape is new.
-    pub fn observe(&mut self, graph: &TaskGraph) -> bool {
-        let sig = Self::signature(graph);
-        if self.signatures.contains(&sig) {
-            return false;
-        }
-        self.signatures.push(sig);
-        self.shapes.push(graph.clone());
-        true
-    }
-
-    /// Number of distinct shapes observed.
-    pub fn len(&self) -> usize {
-        self.shapes.len()
-    }
-
-    /// Whether no shapes have been observed.
-    pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
-    }
-
-    /// Builds the conjunction of per-shape Theorem 2 regions.
-    pub fn build(&self) -> ShapeRegion {
-        ShapeRegion {
-            base: self.base.clone(),
-            shapes: self.shapes.clone(),
-        }
-    }
-}
-
-/// The intersection of several shapes' Theorem 2 regions over one base
-/// region (α, β, stage count): feasible when `d(f(U) + β) ≤ α` holds for
-/// every shape. Built by [`ShapeCatalog::build`].
-///
-/// It decides exactly what an [`AllOf`] of one [`GraphRegion`] per shape
-/// decides, but checks the vector and computes each stage's term
-/// `f(U_j) + β_j` once per decision instead of once per shape — the same
-/// `f64` values, summed along each shape's paths in the same order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShapeRegion {
     base: FeasibleRegion,
     shapes: Vec<TaskGraph>,
 }
 
+/// A shape signature: per-node stage assignment plus the sorted edge list.
+type ShapeSignature = (Vec<usize>, Vec<(usize, usize)>);
+
+fn signature(graph: &TaskGraph) -> ShapeSignature {
+    let stages: Vec<usize> = (0..graph.len()).map(|i| graph.stage(i).index()).collect();
+    let mut edges = Vec::new();
+    for i in 0..graph.len() {
+        for &s in graph.succs(i) {
+            edges.push((i, s));
+        }
+    }
+    edges.sort_unstable();
+    (stages, edges)
+}
+
 impl ShapeRegion {
-    /// Number of shapes.
+    /// The intersection of the Theorem 2 regions of `shapes` over `base`,
+    /// keeping the first graph of each distinct shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shape names a stage `base` lacks.
+    pub fn new(base: FeasibleRegion, shapes: impl IntoIterator<Item = TaskGraph>) -> ShapeRegion {
+        let mut signatures = Vec::new();
+        let mut kept = Vec::new();
+        for graph in shapes {
+            let sig = signature(&graph);
+            if signatures.contains(&sig) {
+                continue;
+            }
+            assert!(
+                sig.0.iter().all(|&j| j < base.stages()),
+                "a shape names a stage outside the base region's {} stages",
+                base.stages()
+            );
+            signatures.push(sig);
+            kept.push(graph);
+        }
+        ShapeRegion { base, shapes: kept }
+    }
+
+    /// Number of distinct shapes.
     pub fn len(&self) -> usize {
         self.shapes.len()
     }
@@ -531,8 +384,7 @@ impl RegionTest for ShapeRegion {
 
     /// # Panics
     ///
-    /// Panics on a malformed vector, and if a shape names a stage the base
-    /// region lacks — as a [`GraphRegion`] test does.
+    /// Panics on a malformed vector.
     fn feasible(&self, utilizations: &[f64]) -> bool {
         const INLINE: usize = 16;
         self.base
@@ -684,15 +536,7 @@ mod tests {
     #[test]
     fn figure3_region_expression() {
         // Eq. (16): f(U1) + max(f(U2), f(U3)) + f(U4) ≤ 1.
-        let g = TaskGraph::fork_join(
-            SubtaskSpec::new(StageId::new(0), ms(1)),
-            vec![
-                SubtaskSpec::new(StageId::new(1), ms(1)),
-                SubtaskSpec::new(StageId::new(2), ms(1)),
-            ],
-            SubtaskSpec::new(StageId::new(3), ms(1)),
-        )
-        .unwrap();
+        let g = figure3_graph();
         let r = FeasibleRegion::deadline_monotonic(4);
         let u = [0.2, 0.5, 0.3, 0.2];
         let expect = stage_delay_factor(0.2)
@@ -745,37 +589,8 @@ mod tests {
         assert!((v - 0.15).abs() < 1e-12);
     }
 
-    #[test]
-    fn region_test_trait_objects() {
-        let mut all = AllOf::new();
-        assert!(all.is_empty());
-        assert_eq!(RegionTest::stages(&all), 0);
-        all.push(FeasibleRegion::deadline_monotonic(2));
-        let g = TaskGraph::chain(vec![
-            SubtaskSpec::new(StageId::new(0), ms(1)),
-            SubtaskSpec::new(StageId::new(1), ms(1)),
-        ])
-        .unwrap();
-        all.push(GraphRegion::new(FeasibleRegion::deadline_monotonic(2), g));
-        assert_eq!(all.len(), 2);
-        assert_eq!(RegionTest::stages(&all), 2);
-        assert!(all.feasible(&[0.2, 0.2]));
-        assert!(!all.feasible(&[0.9, 0.9]));
-    }
-
-    #[test]
-    #[should_panic(expected = "stage count")]
-    fn all_of_rejects_mismatched_stage_counts() {
-        let mut all = AllOf::new();
-        all.push(FeasibleRegion::deadline_monotonic(2));
-        all.push(FeasibleRegion::deadline_monotonic(3));
-    }
-
-    #[test]
-    fn shape_catalog_distinguishes_structure_not_durations() {
-        let mut catalog = ShapeCatalog::new(FeasibleRegion::deadline_monotonic(4));
-        assert!(catalog.is_empty());
-        let fj = TaskGraph::fork_join(
+    fn figure3_graph() -> TaskGraph {
+        TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(1)),
             vec![
                 SubtaskSpec::new(StageId::new(1), ms(1)),
@@ -783,7 +598,51 @@ mod tests {
             ],
             SubtaskSpec::new(StageId::new(3), ms(1)),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn one_shape_region_decides_as_contains_graph_with_blocking() {
+        let base = FeasibleRegion::with_alpha(4, Alpha::new(0.9).unwrap())
+            .with_blocking(vec![0.02, 0.05, 0.01, 0.03])
+            .unwrap();
+        let g = figure3_graph();
+        let region = ShapeRegion::new(base.clone(), [g.clone()]);
+        assert_eq!(region.len(), 1);
+        assert_eq!(RegionTest::stages(&region), 4);
+        let mut hits = [0u32; 2];
+        for a in 0..=20 {
+            for b in 0..=20 {
+                let u = [
+                    0.01 * a as f64,
+                    0.04 * b as f64,
+                    0.5 - 0.02 * a as f64,
+                    0.15,
+                ];
+                let want = base.contains_graph(&g, &u).unwrap();
+                assert_eq!(region.feasible(&u), want, "{u:?}");
+                hits[usize::from(want)] += 1;
+            }
+        }
+        assert!(hits[0] > 0 && hits[1] > 0, "both verdicts occur: {hits:?}");
+        // On the boundary itself: scale a direction to where d(f(U)+β) = α.
+        let at = |t: f64| [0.3 * t, 0.5 * t, 0.2 * t, 0.4 * t];
+        let (mut lo, mut hi) = (0.0, 1.0);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if base.contains_graph(&g, &at(mid)).unwrap() {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        assert!(region.feasible(&at(lo)));
+        assert!(!region.feasible(&at(hi)));
+    }
+
+    #[test]
+    fn shape_catalog_distinguishes_structure_not_durations() {
+        let fj = figure3_graph();
         let fj_other_times = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(7)),
             vec![
@@ -800,17 +659,15 @@ mod tests {
             SubtaskSpec::new(StageId::new(3), ms(1)),
         ])
         .unwrap();
-        assert!(catalog.observe(&fj));
-        assert!(!catalog.observe(&fj_other_times));
-        assert!(catalog.observe(&chain));
-        assert_eq!(catalog.len(), 2);
+        let base = FeasibleRegion::deadline_monotonic(4);
+        assert!(ShapeRegion::new(base.clone(), []).is_empty());
+        let all = ShapeRegion::new(base.clone(), [fj.clone(), fj_other_times, chain]);
+        assert_eq!(all.len(), 2);
 
         // The intersection is at most as permissive as each member: a
         // point feasible for the fork-join alone can be cut by the chain.
-        let all = catalog.build();
-        assert_eq!(all.len(), 2);
         let branch_heavy = [0.1, 0.45, 0.45, 0.1];
-        let fj_only = GraphRegion::new(FeasibleRegion::deadline_monotonic(4), fj);
+        let fj_only = ShapeRegion::new(base, [fj]);
         assert!(fj_only.feasible(&branch_heavy));
         assert!(!all.feasible(&branch_heavy), "the chain member cuts it");
         assert!(all.feasible(&[0.1, 0.2, 0.2, 0.1]));
@@ -818,7 +675,6 @@ mod tests {
 
     #[test]
     fn shape_catalog_distinguishes_stage_assignment() {
-        let mut catalog = ShapeCatalog::new(FeasibleRegion::deadline_monotonic(3));
         let a = TaskGraph::chain(vec![
             SubtaskSpec::new(StageId::new(0), ms(1)),
             SubtaskSpec::new(StageId::new(1), ms(1)),
@@ -829,9 +685,15 @@ mod tests {
             SubtaskSpec::new(StageId::new(2), ms(1)),
         ])
         .unwrap();
-        assert!(catalog.observe(&a));
-        assert!(catalog.observe(&b), "different stages = different shape");
-        assert_eq!(catalog.len(), 2);
+        let region = ShapeRegion::new(FeasibleRegion::deadline_monotonic(3), [a, b]);
+        assert_eq!(region.len(), 2, "different stages = different shape");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the base region")]
+    fn shape_region_rejects_a_stage_the_base_lacks() {
+        let g = TaskGraph::chain(vec![SubtaskSpec::new(StageId::new(5), ms(1))]).unwrap();
+        let _ = ShapeRegion::new(FeasibleRegion::deadline_monotonic(2), [g]);
     }
 
     #[test]

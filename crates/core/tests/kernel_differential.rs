@@ -1,17 +1,19 @@
-//! Differential battery: the vectorized [`RegionKernel`] must agree with
-//! the exact scalar region test **bit-for-bit on the verdict** — admit
-//! exactly when `Σ f(U_j) ≤ budget` holds in `f64` — on every vector,
-//! including vectors constructed within a few ulps of the region boundary
-//! and of `f`'s pole at `U → 1`, where an approximate fast path is most
-//! likely to lie.
+//! Differential battery: [`RegionKernel::feasible`] must be the exact
+//! region test **bit-for-bit on the verdict** — admit exactly when
+//! `Σ f(U_j) ≤ budget` holds in `f64` — on every vector and at every
+//! width, including vectors constructed within a few ulps of the region
+//! boundary and of `f`'s pole at `U → 1`. Alongside, the `f32` estimate
+//! [`RegionKernel::classify`] must never issue a definitive verdict the
+//! exact test contradicts.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * a deterministic bulk sweep (> 10⁵ cases, seeded splitmix64) across
 //!   1–1024 stages and several utilization regimes;
 //! * adversarial constructions: solve the last stage so the exact sum
 //!   lands on the budget, then walk it ulp-by-ulp across the boundary;
-//!   plus pole-adjacent stages straddling the fast path's eligibility cap;
+//!   plus pole-adjacent stages straddling the estimate's eligibility cap;
+//! * the same ulp walk at 31, 32, 33, 64 and 1024 stages;
 //! * proptest shrinkers over random vectors, for minimized
 //!   counterexamples if a regression ever lands.
 
@@ -57,14 +59,12 @@ fn check(kernel: &RegionKernel, utils: &[f64]) -> u64 {
         "verdict diverged: budget={:e} value={value:e} utils={utils:?}",
         kernel.budget()
     );
-    // Definitive fast verdicts must never contradict the oracle even
-    // before the fallback is consulted.
+    // A definitive estimate must never contradict the oracle.
     match kernel.classify(utils) {
         FastVerdict::Feasible => assert!(want, "fast Feasible lied: {utils:?}"),
         FastVerdict::Infeasible => assert!(!want, "fast Infeasible lied: {utils:?}"),
         FastVerdict::NearBoundary | FastVerdict::Ineligible => {}
     }
-    assert_eq!(kernel.exact_feasible(utils), want);
     1
 }
 
@@ -131,12 +131,30 @@ fn bulk_sweep_matches_exact_scalar_on_1e5_cases() {
     assert!(cases >= 100_000, "only {cases} cases generated");
 }
 
+/// A vector of `n` stages whose exact sum lands on `budget`: a random
+/// prefix consuming at most ~70% of it, then the last stage solved for
+/// the rest. `None` when the solve leaves `(0, 1)`.
+fn on_the_boundary(n: usize, budget: f64, state: &mut u64) -> Option<Vec<f64>> {
+    let mut utils: Vec<f64> = (0..n - 1)
+        .map(|_| stage_delay_factor_inverse(unit(state) * 0.7 * budget / n as f64))
+        .collect();
+    let target = budget - oracle_value(&utils);
+    if target <= 0.0 {
+        return None;
+    }
+    let last = stage_delay_factor_inverse(target);
+    if !last.is_finite() || last <= 0.0 || last >= 1.0 {
+        return None;
+    }
+    utils.push(last);
+    Some(utils)
+}
+
 #[test]
 fn boundary_adjacent_vectors_cross_the_budget_ulp_by_ulp() {
-    // Solve the last stage so the exact f64 sum lands on the budget, then
-    // walk that stage across the boundary one representation step at a
-    // time. These are the worst inputs an approximate kernel can face;
-    // every one must take the exact path's verdict.
+    // Walk the solved stage across the boundary one representation step
+    // at a time. These are the worst inputs an approximate test can face;
+    // every verdict must be the exact sum's.
     let mut state = 0xB0A7_CAFE_5EED_0001u64;
     let mut cases = 0u64;
     let mut near_boundary_seen = 0u64;
@@ -149,29 +167,13 @@ fn boundary_adjacent_vectors_cross_the_budget_ulp_by_ulp() {
             0.25 + unit(&mut state) * 2.0
         };
         let kernel = RegionKernel::new(n, budget);
-
-        // Random prefix consuming at most ~70% of the budget.
-        let mut utils: Vec<f64> = (0..n - 1)
-            .map(|_| {
-                let x = unit(&mut state) * 0.7 * budget / n as f64;
-                stage_delay_factor_inverse(x)
-            })
-            .collect();
-        let prefix: f64 = oracle_value(&utils);
-        let target = budget - prefix;
-        if target <= 0.0 {
+        let Some(utils) = on_the_boundary(n, budget, &mut state) else {
             continue;
-        }
-        let last = stage_delay_factor_inverse(target);
-        if !last.is_finite() || last <= 0.0 || last >= 1.0 {
-            continue;
-        }
-        utils.push(last);
-
+        };
+        let last = utils[n - 1];
         for ulps in -4i64..=4 {
             let mut v = utils.clone();
-            let idx = v.len() - 1;
-            v[idx] = nudge(last, ulps);
+            v[n - 1] = nudge(last, ulps);
             cases += check(&kernel, &v);
             if kernel.classify(&v) == FastVerdict::NearBoundary {
                 near_boundary_seen += 1;
@@ -179,13 +181,42 @@ fn boundary_adjacent_vectors_cross_the_budget_ulp_by_ulp() {
         }
     }
     assert!(cases >= 10_000, "only {cases} boundary cases generated");
-    // The construction must actually exercise the guard band (otherwise
-    // this test silently stopped testing the fallback seam).
+    // The construction must actually land in the estimate's guard band
+    // (otherwise this test silently stopped testing the seam).
     assert!(
         near_boundary_seen > cases / 2,
         "boundary construction stopped landing in the guard band \
          ({near_boundary_seen}/{cases})"
     );
+}
+
+#[test]
+fn feasible_is_the_exact_sum_at_every_width() {
+    // Widths around and past 32, where `classify` fills its lanes several
+    // times over: boundary walks, random vectors on both sides of the
+    // budget, and saturated stages, each against the oracle.
+    let mut state = 0x0DD5_1DE5_0F32_0001u64;
+    for n in [31usize, 32, 33, 64, 1024] {
+        let mut walked = 0;
+        for _ in 0..200 {
+            let budget = 0.25 + unit(&mut state) * 2.0;
+            let kernel = RegionKernel::new(n, budget);
+            if let Some(utils) = on_the_boundary(n, budget, &mut state) {
+                for ulps in -4i64..=4 {
+                    let mut v = utils.clone();
+                    v[n - 1] = nudge(utils[n - 1], ulps);
+                    check(&kernel, &v);
+                }
+                walked += 1;
+            }
+            let spread = unit(&mut state) * 4.0 * budget / n as f64;
+            let mut v: Vec<f64> = (0..n).map(|_| unit(&mut state) * spread).collect();
+            check(&kernel, &v);
+            v[(splitmix64(&mut state) as usize) % n] = 1.0;
+            check(&kernel, &v);
+        }
+        assert!(walked >= 100, "n = {n}: only {walked} boundary vectors");
+    }
 }
 
 #[test]

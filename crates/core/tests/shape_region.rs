@@ -1,5 +1,5 @@
-//! [`ShapeRegion`] against its definition: the conjunction of one
-//! Theorem 2 [`GraphRegion`] per shape ([`AllOf`]). Over the web farm's
+//! [`ShapeRegion`] against its definition: the conjunction of
+//! [`FeasibleRegion::contains_graph`] over its shapes. Over the web farm's
 //! four request shapes and over random DAGs of up to 16 nodes on up to 20
 //! stages (past the 16 stage terms kept inline), with and without
 //! blocking factors and urgency inversion, the two decide every random
@@ -7,7 +7,7 @@
 
 use frap_core::alpha::Alpha;
 use frap_core::graph::TaskGraph;
-use frap_core::region::{AllOf, FeasibleRegion, GraphRegion, RegionTest, ShapeCatalog};
+use frap_core::region::{FeasibleRegion, RegionTest, ShapeRegion};
 use frap_core::task::{StageId, SubtaskSpec};
 use frap_core::time::TimeDelta;
 use proptest::prelude::*;
@@ -75,24 +75,31 @@ fn base(stages: usize, blocking: bool, seed: &mut u64) -> FeasibleRegion {
         .unwrap()
 }
 
-/// Checks that the catalog's region and the conjunction of per-shape
-/// regions agree on random vectors (some saturated) and on both sides of
-/// the boundary along random directions.
-fn agree(base: FeasibleRegion, shapes: &[TaskGraph], seed: &mut u64) -> Result<(), TestCaseError> {
+/// Checks that the shapes' region and the conjunction of
+/// `contains_graph` over the shapes agree on random vectors (some
+/// saturated) and on both sides of the boundary along random directions.
+/// Returns the region's shape count.
+fn agree(
+    base: FeasibleRegion,
+    shapes: &[TaskGraph],
+    seed: &mut u64,
+) -> Result<usize, TestCaseError> {
     let stages = base.stages();
-    let mut catalog = ShapeCatalog::new(base.clone());
-    let mut reference = AllOf::new();
-    for shape in shapes {
-        if catalog.observe(shape) {
-            reference.push(GraphRegion::new(base.clone(), shape.clone()));
-        }
-    }
-    let region = catalog.build();
-    prop_assert_eq!(region.len(), reference.len());
+    let region = ShapeRegion::new(base.clone(), shapes.iter().cloned());
+    let reference = |u: &[f64]| {
+        shapes
+            .iter()
+            .all(|g| base.contains_graph(g, u).expect("well-formed"))
+    };
+    prop_assert!(!region.is_empty() || shapes.is_empty());
+    prop_assert!(region.len() <= shapes.len());
     prop_assert_eq!(RegionTest::stages(&region), stages);
+    // Feeding every shape twice keeps the same distinct shapes.
+    let twice = ShapeRegion::new(base.clone(), shapes.iter().chain(shapes).cloned());
+    prop_assert_eq!(&twice, &region);
     for _ in 0..16 {
         let u: Vec<f64> = (0..stages).map(|_| 1.1 * unit(seed)).collect();
-        prop_assert_eq!(region.feasible(&u), reference.feasible(&u), "{:?}", u);
+        prop_assert_eq!(region.feasible(&u), reference(&u), "{:?}", u);
     }
     for _ in 0..8 {
         // Bisect the scale at which the reference stops admitting along a
@@ -102,7 +109,7 @@ fn agree(base: FeasibleRegion, shapes: &[TaskGraph], seed: &mut u64) -> Result<(
         let (mut lo, mut hi) = (0.0, 1.0 / direction.iter().copied().fold(1e-9, f64::max));
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);
-            if reference.feasible(&at(mid)) {
+            if reference(&at(mid)) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -110,10 +117,10 @@ fn agree(base: FeasibleRegion, shapes: &[TaskGraph], seed: &mut u64) -> Result<(
         }
         for t in [lo, hi, 0.5 * (lo + hi)] {
             let u = at(t);
-            prop_assert_eq!(region.feasible(&u), reference.feasible(&u), "{:?}", u);
+            prop_assert_eq!(region.feasible(&u), reference(&u), "{:?}", u);
         }
     }
-    Ok(())
+    Ok(region.len())
 }
 
 proptest! {
@@ -124,7 +131,7 @@ proptest! {
     ) {
         let mut seed = seed;
         let base = base(4, blocking, &mut seed);
-        agree(base, &webfarm_shapes(), &mut seed)?;
+        prop_assert_eq!(agree(base, &webfarm_shapes(), &mut seed)?, 4);
     }
 
     #[test]
@@ -151,7 +158,7 @@ proptest! {
 /// the base region's.
 #[test]
 fn an_empty_catalog_admits_everything() {
-    let region = ShapeCatalog::new(FeasibleRegion::deadline_monotonic(3)).build();
+    let region = ShapeRegion::new(FeasibleRegion::deadline_monotonic(3), []);
     assert!(region.is_empty());
     assert_eq!(RegionTest::stages(&region), 3);
     assert!(region.feasible(&[0.99, 0.99, 0.99]));

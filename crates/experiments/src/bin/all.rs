@@ -10,7 +10,8 @@
 //! `results/<module>.csv` and each table it attaches to
 //! `results/<attached name>.csv`. `--quick` runs the same sweeps at the
 //! quick scale and writes nothing; `--jobs N` sets the replication
-//! parallelism (`0`, the default, uses every core).
+//! parallelism (`0`, the default, uses every core). An unknown module, or
+//! a `--jobs` without a worker count, exits 2.
 
 use frap_experiments::common::Scale;
 use frap_experiments::MODULES;
@@ -23,6 +24,7 @@ fn main() {
         match arg.as_str() {
             "--quick" => {}
             "--jobs" => {
+                // `Scale::from_args` has checked the value.
                 args.next();
             }
             _ => names.push(arg),

@@ -48,20 +48,38 @@ impl Scale {
     }
 
     /// Picks the scale from program arguments: `--quick` anywhere selects
-    /// [`Scale::quick`]; `--jobs N` sets the replication parallelism.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
+    /// [`Scale::quick`]; `--jobs N` sets the replication parallelism. Every
+    /// other argument is left to the caller.
+    ///
+    /// # Errors
+    ///
+    /// A `--jobs` without a value, or with one that is not a `usize`.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
         let mut scale = if args.iter().any(|a| a == "--quick") {
             Scale::quick()
         } else {
             Scale::full()
         };
-        if let Some(pos) = args.iter().position(|a| a == "--jobs") {
-            if let Some(n) = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
-                scale.jobs = n;
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if arg == "--jobs" {
+                let value = rest.next().ok_or("`--jobs` needs a worker count")?;
+                scale.jobs = value
+                    .parse()
+                    .map_err(|_| format!("`--jobs {value}`: not a worker count"))?;
             }
         }
-        scale
+        Ok(scale)
+    }
+
+    /// [`Scale::parse`] over this program's arguments; on an error prints
+    /// it and exits with status 2.
+    pub fn from_args() -> Scale {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::parse(&args).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2)
+        })
     }
 
     /// This scale with an explicit worker-thread count.
@@ -272,6 +290,42 @@ mod tests {
         );
         assert!(s.contains("* = up"));
         assert!(s.contains("o = down"));
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_reads_quick_and_jobs_and_leaves_the_rest() {
+        assert_eq!(Scale::parse(&args(&[])), Ok(Scale::full()));
+        assert_eq!(
+            Scale::parse(&args(&["fig4", "--quick"])),
+            Ok(Scale::quick())
+        );
+        assert_eq!(
+            Scale::parse(&args(&["--jobs", "3", "fig4", "--no-gateway"])),
+            Ok(Scale::full().with_jobs(3))
+        );
+        assert_eq!(
+            Scale::parse(&args(&["--jobs", "0", "--quick"])),
+            Ok(Scale::quick())
+        );
+    }
+
+    #[test]
+    fn parse_refuses_a_missing_or_malformed_job_count() {
+        for bad in [
+            &["--jobs"][..],
+            &["--quick", "--jobs"],
+            &["--jobs", "abc"],
+            &["--jobs", "-1"],
+            &["--jobs", "--quick"],
+            &["--jobs", "2", "--jobs", "x"],
+        ] {
+            let err = Scale::parse(&args(bad)).expect_err("must refuse");
+            assert!(err.contains("--jobs"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

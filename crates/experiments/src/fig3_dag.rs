@@ -19,7 +19,7 @@ use crate::common::{f, Scale, Table};
 use crate::runner::{perf, run_point_cfg, RunConfig};
 use frap_core::delay::{stage_delay_factor, stage_delay_factor_inverse};
 use frap_core::graph::TaskGraph;
-use frap_core::region::{FeasibleRegion, GraphRegion};
+use frap_core::region::{FeasibleRegion, ShapeRegion};
 use frap_core::task::{StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
 use frap_sim::pipeline::SimBuilder;
@@ -92,9 +92,9 @@ pub fn run(scale: Scale) -> Table {
         || {
             SimBuilder::new(STAGES)
                 .idle_resets(false)
-                .region(GraphRegion::new(
+                .region(ShapeRegion::new(
                     FeasibleRegion::deadline_monotonic(STAGES),
-                    figure3_graph(),
+                    [figure3_graph()],
                 ))
                 .build()
         },
@@ -210,9 +210,9 @@ mod tests {
             || {
                 SimBuilder::new(STAGES)
                     .idle_resets(false)
-                    .region(GraphRegion::new(
+                    .region(ShapeRegion::new(
                         FeasibleRegion::deadline_monotonic(STAGES),
-                        figure3_graph(),
+                        [figure3_graph()],
                     ))
                     .build()
             },

@@ -149,25 +149,14 @@ impl PointResult {
     }
 }
 
-/// Everything one replication contributes to the point aggregate.
-#[derive(Debug, Clone)]
-struct RepOutcome {
-    mean_util: f64,
-    per_stage_util: Vec<f64>,
-    miss_ratio: f64,
-    acceptance: f64,
-    offered: u64,
-    admitted: u64,
-    completed: u64,
-    missed: u64,
-    shed: u64,
-    wait_timeouts: u64,
-    events: u64,
-    per_stage_delay_max: Vec<TimeDelta>,
-    per_stage_peak_synth: Vec<f64>,
-}
-
-fn run_replication<S, A, I>(seed: u64, horizon: Time, make_sim: &S, make_arrivals: &A) -> RepOutcome
+/// One replication's record: its own counts and ratios, with
+/// `wall_secs = 0` (the point's wall time is measured around the fan-out).
+fn run_replication<S, A, I>(
+    seed: u64,
+    horizon: Time,
+    make_sim: &S,
+    make_arrivals: &A,
+) -> PointResult
 where
     S: Fn() -> Simulation,
     A: Fn(u64) -> I,
@@ -176,7 +165,7 @@ where
     let mut sim = make_sim();
     let m = sim.run(make_arrivals(seed), horizon);
     let stages = m.stages.len();
-    RepOutcome {
+    PointResult {
         mean_util: m.mean_stage_utilization(),
         per_stage_util: (0..stages).map(|j| m.stage_utilization(j)).collect(),
         miss_ratio: m.miss_ratio(),
@@ -192,12 +181,13 @@ where
         per_stage_peak_synth: (0..stages)
             .map(|j| sim.admission().state().stage(StageId::new(j)).peak())
             .collect(),
+        wall_secs: 0.0,
     }
 }
 
-/// Folds replication outcomes in index order (the shared reduction of the
+/// Folds replication records in index order (the shared reduction of the
 /// serial and parallel paths; see the module docs).
-fn reduce(outcomes: &[RepOutcome]) -> PointResult {
+fn reduce(outcomes: &[PointResult]) -> PointResult {
     let mut out = PointResult::default();
     let mut util_sum = 0.0;
     let mut per_stage: Vec<f64> = Vec::new();

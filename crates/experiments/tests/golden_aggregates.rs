@@ -19,7 +19,7 @@
 //! and paste the printed arrays — and say so in the commit message,
 //! because every committed CSV changes with them.
 
-use frap_core::region::{FeasibleRegion, GraphRegion};
+use frap_core::region::{FeasibleRegion, ShapeRegion};
 use frap_core::time::{Time, TimeDelta};
 use frap_experiments::common::Scale;
 use frap_experiments::fig3_dag;
@@ -60,9 +60,9 @@ fn fig3_dag_point() -> PointResult {
         || {
             SimBuilder::new(fig3_dag::STAGES)
                 .idle_resets(false)
-                .region(GraphRegion::new(
+                .region(ShapeRegion::new(
                     FeasibleRegion::deadline_monotonic(fig3_dag::STAGES),
-                    fig3_dag::figure3_graph(),
+                    [fig3_dag::figure3_graph()],
                 ))
                 .build()
         },

@@ -19,13 +19,15 @@
 //! Every admitted-and-completed task in the simulator is checked against
 //! its end-to-end deadline; this binary asserts `missed == 0` for every
 //! scenario — the feasible-region guarantee, exercised under cloud-shaped
-//! load. An unknown flag exits 2 and lists the valid ones.
+//! load. An unknown flag exits 2 and lists the valid ones; so does a
+//! `--jobs` without a worker count.
 
 use frap_core::time::Time;
 use frap_experiments::common::{f, Scale, Table};
 use frap_experiments::runner::fan_out;
 use frap_scenarios::runner::{run_gateway, run_sim};
 use frap_scenarios::{catalog, ScenarioPolicy};
+use frap_sim::metrics::AdmitDecision;
 
 /// Time compression of the live-gateway replay: durations and gaps are
 /// divided by this factor, so every `C/D` ratio is preserved.
@@ -39,6 +41,7 @@ fn policy_name(p: ScenarioPolicy) -> &'static str {
 }
 
 fn main() {
+    let scale = Scale::from_args();
     let mut no_gateway = false;
     let mut save_traces = None;
     let mut args = std::env::args().skip(1);
@@ -46,6 +49,7 @@ fn main() {
         match arg.as_str() {
             "--quick" => {}
             "--jobs" => {
+                // `Scale::from_args` has checked the value.
                 args.next();
             }
             "--no-gateway" => no_gateway = true,
@@ -60,7 +64,6 @@ fn main() {
             }
         }
     }
-    let scale = Scale::from_args();
     let publish = scale.is_publication();
     let horizon_secs = scale.horizon_secs;
     let horizon = Time::from_secs(horizon_secs);
@@ -191,18 +194,22 @@ fn main() {
         // the accounting both sides share; the canonical (reset-on-idle)
         // report above admits strictly more.
         let sim = frap_scenarios::run_sim_opts(sc, false);
-        let gw = run_gateway(sc, GATEWAY_SCALE).expect("gateway replay");
+        let run = run_gateway(sc, GATEWAY_SCALE).expect("gateway replay");
+        let gw = &run.report;
         let tolerance = (sim.report.admitted as f64 * 0.10).max(25.0);
         let delta = gw.admitted.abs_diff(sim.report.admitted);
         println!(
             "gateway replay (scale 1/{GATEWAY_SCALE}): offered={} admitted={} \
-             rejected={} expired+rejected share={} vs sim admitted={} \
-             (delta {delta}, tolerance {tolerance:.0})",
+             rejected={} expired={} expired+rejected share={} vs sim admitted={} \
+             (delta {delta}, tolerance {tolerance:.0}; sends behind schedule by \
+             {:?} at most)",
             gw.offered,
             gw.admitted,
-            gw.rejected,
+            run.count(AdmitDecision::Rejected),
+            run.count(AdmitDecision::TimedOut),
             f(1.0 - gw.acceptance_ratio()),
             sim.report.admitted,
+            run.max_send_lag,
         );
         assert!(
             (delta as f64) <= tolerance,

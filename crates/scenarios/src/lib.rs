@@ -44,5 +44,5 @@ pub mod spec;
 pub mod tenants;
 
 pub use report::{ImportanceRow, ScenarioReport, TenantRow};
-pub use runner::{run_gateway, run_service, run_sim, run_sim_opts, SimRun, DRAIN};
+pub use runner::{run_gateway, run_service, run_sim, run_sim_opts, GatewayRun, SimRun, DRAIN};
 pub use spec::{catalog, Scenario, ScenarioKind, ScenarioPolicy};

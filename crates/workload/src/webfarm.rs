@@ -14,7 +14,7 @@
 //!
 //! Three request classes with *different task-graph shapes* (this is the
 //! heterogeneous-shape workload for
-//! [`frap_core::region::ShapeCatalog`]):
+//! [`frap_core::region::ShapeRegion`]):
 //!
 //! * **static** — front end only (cache hit);
 //! * **dynamic** — front end → one app server → database (chain);
@@ -25,7 +25,7 @@ use crate::arrivals::{ArrivalProcess, PoissonProcess};
 use crate::dist::{Distribution, Exponential, Uniform};
 use crate::rng::Rng;
 use frap_core::graph::{TaskGraph, TaskSpec};
-use frap_core::region::{FeasibleRegion, ShapeCatalog, ShapeRegion};
+use frap_core::region::{FeasibleRegion, ShapeRegion};
 use frap_core::task::{Importance, StageId, SubtaskSpec};
 use frap_core::time::{Time, TimeDelta};
 
@@ -80,7 +80,7 @@ impl Default for WebFarmConfig {
 
 impl WebFarmConfig {
     /// Representative specs of the three request shapes (unit-time
-    /// placeholders — shapes only), for seeding a [`ShapeCatalog`].
+    /// placeholders — shapes only), for building a [`ShapeRegion`].
     pub fn representative_shapes(&self) -> Vec<TaskGraph> {
         let ms1 = TimeDelta::from_millis(1);
         vec![
@@ -109,11 +109,10 @@ impl WebFarmConfig {
     /// Builds the Theorem 2 intersection region covering all shapes this
     /// workload produces.
     pub fn shape_region(&self) -> ShapeRegion {
-        let mut catalog = ShapeCatalog::new(FeasibleRegion::deadline_monotonic(STAGES));
-        for shape in self.representative_shapes() {
-            catalog.observe(&shape);
-        }
-        catalog.build()
+        ShapeRegion::new(
+            FeasibleRegion::deadline_monotonic(STAGES),
+            self.representative_shapes(),
+        )
     }
 
     /// Draws one request — class, per-stage work, deadline — advancing

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example dag_task_graph`
 
 use frap::core::graph::{TaskGraph, TaskSpec};
-use frap::core::region::{FeasibleRegion, GraphRegion, RegionTest};
+use frap::core::region::{FeasibleRegion, RegionTest, ShapeRegion};
 use frap::core::task::{StageId, SubtaskSpec};
 use frap::core::time::{Time, TimeDelta};
 use frap::sim::pipeline::SimBuilder;
@@ -44,7 +44,7 @@ fn main() {
     );
 
     // The feasible region induced by this shape (Theorem 2).
-    let region = GraphRegion::new(FeasibleRegion::deadline_monotonic(4), frame.graph.clone());
+    let region = ShapeRegion::new(FeasibleRegion::deadline_monotonic(4), [frame.graph.clone()]);
     // f(0.2) + max(f(0.4), f(0.4)) + f(0.2) ≈ 0.98 ≤ 1: feasible, even
     // though a 4-stage *chain* at these utilizations would be far outside.
     let inside = [0.2, 0.4, 0.4, 0.2];

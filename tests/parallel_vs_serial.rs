@@ -6,7 +6,7 @@
 //! other, since the seed derivation and merge order depend only on
 //! replication indices, never on thread scheduling.
 
-use frap::core::region::{FeasibleRegion, GraphRegion};
+use frap::core::region::{FeasibleRegion, ShapeRegion};
 use frap::core::time::{Time, TimeDelta};
 use frap::sim::pipeline::{SimBuilder, WaitPolicy};
 use frap::workload::taskgen::PipelineWorkloadBuilder;
@@ -51,9 +51,9 @@ fn fig3_dag_point(jobs: usize) -> PointResult {
         || {
             SimBuilder::new(fig3_dag::STAGES)
                 .idle_resets(false)
-                .region(GraphRegion::new(
+                .region(ShapeRegion::new(
                     FeasibleRegion::deadline_monotonic(fig3_dag::STAGES),
-                    fig3_dag::figure3_graph(),
+                    [fig3_dag::figure3_graph()],
                 ))
                 .build()
         },

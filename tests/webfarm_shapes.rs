@@ -1,6 +1,6 @@
 //! Heterogeneous task shapes end to end: the web-farm scenario mixes
-//! three graph shapes, the admission controller enforces the shape
-//! catalog's intersection region (one Theorem 2 region per shape), and
+//! three graph shapes, the admission controller enforces the
+//! intersection of the shapes' regions (one Theorem 2 region per shape), and
 //! every admitted request still meets its deadline.
 
 use frap::core::region::FeasibleRegion;

@@ -5,7 +5,7 @@
 //! matching β).
 
 use frap::core::alpha::Alpha;
-use frap::core::region::{FeasibleRegion, GraphRegion};
+use frap::core::region::{FeasibleRegion, ShapeRegion};
 use frap::core::time::Time;
 use frap::sim::pipeline::SimBuilder;
 use frap::sim::RandomPriority;
@@ -132,9 +132,9 @@ fn dag_workloads_are_safe_under_both_region_forms() {
         )
         .expect("valid");
         let mut sim = SimBuilder::new(5)
-            .region(GraphRegion::new(
+            .region(ShapeRegion::new(
                 FeasibleRegion::deadline_monotonic(5),
-                canonical,
+                [canonical],
             ))
             .build();
         let m = sim.run(
