@@ -13,10 +13,11 @@
 //! parallelism (`0`, the default, uses every core). An unknown module, or
 //! a `--jobs` without a worker count, exits 2.
 
-use frap_experiments::common::Scale;
+use frap_experiments::common::{exit_quietly_when_stdout_closes, Scale};
 use frap_experiments::MODULES;
 
 fn main() {
+    exit_quietly_when_stdout_closes();
     let scale = Scale::from_args();
     let mut names = Vec::new();
     let mut args = std::env::args().skip(1);

@@ -252,6 +252,22 @@ pub fn ascii_chart(title: &str, xs: &[f64], series: &[(&str, Vec<f64>)], y_label
     out
 }
 
+/// Makes a binary stop quietly, with status 0, once stdout's reader has
+/// gone (`all | head`): `println!` panics there, and this panic hook
+/// turns that one panic into an exit. Every other panic goes on to the
+/// hook it replaces. Each binary's `tests/broken_pipe.rs` pins the
+/// standard library's message it matches.
+pub fn exit_quietly_when_stdout_closes() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or_default();
+        if message.starts_with("failed printing to stdout: Broken pipe") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
+}
+
 /// Formats a float with 4 significant decimals for table cells.
 pub fn f(v: f64) -> String {
     format!("{v:.4}")
@@ -304,7 +320,7 @@ mod tests {
             Ok(Scale::quick())
         );
         assert_eq!(
-            Scale::parse(&args(&["--jobs", "3", "fig4", "--no-gateway"])),
+            Scale::parse(&args(&["--jobs", "3", "fig4", "--save-traces"])),
             Ok(Scale::full().with_jobs(3))
         );
         assert_eq!(

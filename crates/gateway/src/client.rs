@@ -4,7 +4,8 @@
 //! [`flush`](GatewayClient::flush), and FIFO responses. Requests queued
 //! with [`queue_admit`](GatewayClient::queue_admit) are answered in
 //! order, so callers that pipeline keep a queue of request ids on their
-//! side (see `frap_scenarios::runner::run_gateway` for the pattern).
+//! side (`loopback_throughput_clears_the_floor` in
+//! `tests/end_to_end.rs` shows the pattern).
 //! The client knows no byte offset of the wire format: it encodes,
 //! re-stamps ([`PreparedAdmit`]) and decodes through [`crate::proto`].
 //!

@@ -8,8 +8,6 @@
 //!
 //!   --quick             8 s horizon instead of 60 s
 //!   --jobs N            worker threads for the sim runs (0 = hardware)
-//!   --no-gateway        skip the live-gateway replay (the serverless
-//!                       trace at 1/20 time scale)
 //!   --save-traces DIR   also write each generated trace as a
 //!                       `frap-arrivals v2` file under DIR (loadable,
 //!                       tenants and scenario line included, with
@@ -19,19 +17,16 @@
 //! Every admitted-and-completed task in the simulator is checked against
 //! its end-to-end deadline; this binary asserts `missed == 0` for every
 //! scenario — the feasible-region guarantee, exercised under cloud-shaped
-//! load. An unknown flag exits 2 and lists the valid ones; so does a
-//! `--jobs` without a worker count.
+//! load. It then replays the serverless trace through a live gateway in
+//! lock-step on the trace's clock and asserts that every verdict is the
+//! simulator's. An unknown flag, or a `--jobs` or `--save-traces`
+//! without its value, exits 2; a trace that cannot be saved exits 1.
 
 use frap_core::time::Time;
-use frap_experiments::common::{f, Scale, Table};
+use frap_experiments::common::{exit_quietly_when_stdout_closes, f, Scale, Table};
 use frap_experiments::runner::fan_out;
-use frap_scenarios::runner::{run_gateway, run_sim};
-use frap_scenarios::{catalog, ScenarioPolicy};
-use frap_sim::metrics::AdmitDecision;
-
-/// Time compression of the live-gateway replay: durations and gaps are
-/// divided by this factor, so every `C/D` ratio is preserved.
-const GATEWAY_SCALE: u64 = 20;
+use frap_scenarios::runner::{run_gateway, run_sim, run_sim_opts, SimRun};
+use frap_scenarios::{catalog, Scenario, ScenarioPolicy};
 
 fn policy_name(p: ScenarioPolicy) -> &'static str {
     match p {
@@ -40,30 +35,51 @@ fn policy_name(p: ScenarioPolicy) -> &'static str {
     }
 }
 
-fn main() {
-    let scale = Scale::from_args();
-    let mut no_gateway = false;
-    let mut save_traces = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+/// The `--save-traces` directory, if any, from this program's arguments.
+/// `--quick` and `--jobs N` are [`Scale::parse`]'s.
+///
+/// # Errors
+///
+/// An unknown flag, or a `--save-traces` without a directory.
+fn save_traces_dir(args: &[String]) -> Result<Option<String>, String> {
+    let mut dir = None;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
         match arg.as_str() {
             "--quick" => {}
             "--jobs" => {
-                // `Scale::from_args` has checked the value.
-                args.next();
+                rest.next();
             }
-            "--no-gateway" => no_gateway = true,
             "--save-traces" => {
-                save_traces = Some(args.next().expect("--save-traces requires a directory"));
+                let value = rest.next().filter(|d| !d.starts_with("--"));
+                dir = Some(value.ok_or("`--save-traces` needs a directory")?.clone());
             }
-            _ => {
-                eprintln!(
-                    "unknown flag `{arg}`; valid: --quick --jobs N --no-gateway --save-traces DIR"
-                );
-                std::process::exit(2);
-            }
+            _ => return Err(format!("unknown flag `{arg}`")),
         }
     }
+    Ok(dir)
+}
+
+/// Writes each scenario's trace as `DIR/<name>.trace`.
+fn save_traces(dir: &str, scenarios: &[Scenario], runs: &[SimRun]) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    for (sc, run) in scenarios.iter().zip(runs) {
+        let path = format!("{dir}/{}.trace", sc.name);
+        frap_workload::replay::save_trace(&path, &run.trace)
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("saved          {path} ({} arrivals)", run.trace.len());
+    }
+    Ok(())
+}
+
+fn main() {
+    exit_quietly_when_stdout_closes();
+    let scale = Scale::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let trace_dir = save_traces_dir(&args).unwrap_or_else(|err| {
+        eprintln!("{err}; valid: --quick --jobs N --save-traces DIR");
+        std::process::exit(2)
+    });
     let publish = scale.is_publication();
     let horizon_secs = scale.horizon_secs;
     let horizon = Time::from_secs(horizon_secs);
@@ -76,12 +92,10 @@ fn main() {
 
     let runs = fan_out(scenarios.len(), scale.jobs, |i| run_sim(&scenarios[i]));
 
-    if let Some(dir) = save_traces {
-        std::fs::create_dir_all(&dir).expect("create trace directory");
-        for (sc, run) in scenarios.iter().zip(&runs) {
-            let path = format!("{dir}/{}.trace", sc.name);
-            frap_workload::replay::save_trace(&path, &run.trace).expect("write trace");
-            println!("saved          {path} ({} arrivals)", run.trace.len());
+    if let Some(dir) = trace_dir {
+        if let Err(err) = save_traces(&dir, &scenarios, &runs) {
+            eprintln!("--save-traces: {err}");
+            std::process::exit(1);
         }
     }
 
@@ -181,41 +195,61 @@ fn main() {
          {events_per_sec:.0} events/s"
     );
 
-    // Live-gateway replay: the same serverless trace, time-compressed,
-    // through real TCP against the production admission path.
-    if !no_gateway {
-        let sc = scenarios
-            .iter()
-            .find(|s| s.name == "serverless")
-            .expect("serverless scenario in catalog");
-        // Reference for the wire comparison: the sim without idle resets.
-        // The gateway never observes stage-idle instants and the replay
-        // holds tickets to their deadlines, so charge-till-deadline is
-        // the accounting both sides share; the canonical (reset-on-idle)
-        // report above admits strictly more.
-        let sim = frap_scenarios::run_sim_opts(sc, false);
-        let run = run_gateway(sc, GATEWAY_SCALE).expect("gateway replay");
-        let gw = &run.report;
-        let tolerance = (sim.report.admitted as f64 * 0.10).max(25.0);
-        let delta = gw.admitted.abs_diff(sim.report.admitted);
-        println!(
-            "gateway replay (scale 1/{GATEWAY_SCALE}): offered={} admitted={} \
-             rejected={} expired={} expired+rejected share={} vs sim admitted={} \
-             (delta {delta}, tolerance {tolerance:.0}; sends behind schedule by \
-             {:?} at most)",
-            gw.offered,
-            gw.admitted,
-            run.count(AdmitDecision::Rejected),
-            run.count(AdmitDecision::TimedOut),
-            f(1.0 - gw.acceptance_ratio()),
-            sim.report.admitted,
-            run.max_send_lag,
+    // The serverless trace once more, through real TCP in lock-step on
+    // its own clock. The gateway has no idle reset and holds tickets to
+    // their deadlines, so its reference is the sim without idle resets
+    // (the canonical report above admits more), verdict for verdict.
+    let sc = scenarios
+        .iter()
+        .find(|s| s.name == "serverless")
+        .expect("serverless scenario in catalog");
+    let sim = run_sim_opts(sc, false);
+    let (gw, decisions) = run_gateway(sc).expect("gateway replay");
+    let diverged = decisions
+        .iter()
+        .zip(&sim.decisions)
+        .position(|(g, s)| g != s);
+    assert!(
+        decisions.len() == sim.decisions.len() && diverged.is_none(),
+        "gateway replay diverged from the sim (idle resets off), first at arrival {diverged:?}"
+    );
+    println!(
+        "gateway replay: {} arrivals over TCP, {} admitted, every verdict the sim's \
+         (idle resets off); {:.3} s wall",
+        gw.offered, gw.admitted, gw.wall_secs
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::save_traces_dir;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn save_traces_dir_reads_the_directory_and_skips_the_scale_flags() {
+        assert_eq!(save_traces_dir(&args(&[])), Ok(None));
+        assert_eq!(
+            save_traces_dir(&args(&["--quick", "--jobs", "2", "--save-traces", "out"])),
+            Ok(Some("out".to_string()))
         );
-        assert!(
-            (delta as f64) <= tolerance,
-            "gateway replay diverged from sim: {} vs {} (tolerance {tolerance:.0})",
-            gw.admitted,
-            sim.report.admitted
-        );
+    }
+
+    #[test]
+    fn save_traces_dir_refuses_a_missing_directory_and_unknown_flags() {
+        for bad in [
+            &["--save-traces"][..],
+            &["--save-traces", "--quick"],
+            &["--quick", "--save-traces"],
+        ] {
+            let err = save_traces_dir(&args(bad)).expect_err("must refuse");
+            assert!(err.contains("--save-traces"), "{bad:?}: {err}");
+        }
+        for bad in [&["--no-gateway"][..], &["--smoke"], &["fig4"]] {
+            let err = save_traces_dir(&args(bad)).expect_err("must refuse");
+            assert!(err.contains("unknown flag"), "{bad:?}: {err}");
+        }
     }
 }

@@ -21,9 +21,10 @@
 //!
 //! The [`runner`] drives a scenario through up to three backends — the
 //! virtual-time simulator (`frap-sim`, the canonical report), the
-//! manually-clocked [`frap_service::AdmissionService`] (a deterministic
-//! replay used by the differential tests), and the live
-//! [`frap_gateway`] over real TCP in scaled real time. Each backend
+//! manually-clocked [`frap_service::AdmissionService`], and the live
+//! [`frap_gateway`] serving that service over real TCP in lock-step on
+//! the scenario's clock (both deterministic replays, held decision for
+//! decision to each other by the differential tests). Each backend
 //! records one `AdmitDecision` per arrival, and [`report`] turns those
 //! into per-scenario acceptance, per-tenant admit shares, and
 //! shed-by-importance tables.
@@ -44,5 +45,5 @@ pub mod spec;
 pub mod tenants;
 
 pub use report::{ImportanceRow, ScenarioReport, TenantRow};
-pub use runner::{run_gateway, run_service, run_sim, run_sim_opts, GatewayRun, SimRun, DRAIN};
+pub use runner::{run_gateway, run_service, run_sim, run_sim_opts, SimRun, DRAIN};
 pub use spec::{catalog, Scenario, ScenarioKind, ScenarioPolicy};

@@ -1,7 +1,7 @@
 //! Drives scenarios through the three admission backends — the
-//! event-driven simulator, the lock-striped [`AdmissionService`] on a
-//! manual clock, and the live TCP gateway in scaled real time — and
-//! produces a [`ScenarioReport`] for each.
+//! event-driven simulator, the lock-free [`AdmissionService`] on a
+//! manual clock, and the live TCP gateway serving that service over
+//! loopback — and produces a [`ScenarioReport`] for each.
 //!
 //! The simulator is the canonical backend: it executes admitted tasks
 //! and checks their end-to-end deadlines, so its report carries the
@@ -26,7 +26,6 @@ use frap_service::{AdmissionService, ManualClock, ServiceOutcome};
 use frap_sim::metrics::AdmitDecision;
 use frap_sim::{OverloadPolicy, SimBuilder};
 use frap_workload::replay::ArrivalTrace;
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Margin the simulator runs past the arrival horizon so every admitted
@@ -130,42 +129,20 @@ pub fn run_service(sc: &Scenario) -> (ScenarioReport, Vec<AdmitDecision>) {
     (report, decisions)
 }
 
-/// A live-gateway replay: the report plus what it folds together.
-pub struct GatewayRun {
-    /// The per-scenario report (`rejected` counts expired requests too).
-    pub report: ScenarioReport,
-    /// One decision per offered arrival, in arrival order: a
-    /// [`Verdict::Expired`] is recorded as [`AdmitDecision::TimedOut`], a
-    /// [`Verdict::Rejected`] as [`AdmitDecision::Rejected`].
-    pub decisions: Vec<AdmitDecision>,
-    /// How far the latest send fell behind its scaled arrival instant.
-    pub max_send_lag: Duration,
-    /// How far the sends fell behind their scaled arrival instants, on
-    /// average.
-    pub mean_send_lag: Duration,
-}
-
-impl GatewayRun {
-    /// How many arrivals got `verdict`'s decision.
-    pub fn count(&self, verdict: AdmitDecision) -> usize {
-        self.decisions.iter().filter(|&&d| d == verdict).count()
-    }
-}
-
-/// Replays `sc` end-to-end through the live TCP gateway in scaled real
-/// time: every duration in the trace — arrival gaps, stage demands, and
-/// deadlines — is divided by `scale`, which preserves each task's
-/// demand-to-deadline ratios (what the feasible-region test evaluates)
-/// while compressing a multi-second trace into a sub-second replay.
+/// Replays `sc` end-to-end through the live TCP gateway, in lock-step on
+/// the scenario's clock: the gateway's service runs on a [`ManualClock`]
+/// exactly as [`run_service`]'s does, and for each arrival the replay
+/// steps the clock to the arrival instant, sends the task over its one
+/// connection and waits for the verdict before the next arrival. Each
+/// verdict is thus decided at its arrival's own instant, through the
+/// real socket, codec, reactor and batch admission path, so the
+/// decisions are [`run_service`]'s, ticket ids included.
 ///
-/// Tickets are held, never released, so the server-side timer wheel
-/// decrements each admitted task's charge at its (scaled) deadline —
-/// mirroring the simulator's decrement-at-deadline accounting. A verdict
-/// reports only how many victims it shed, not which, so gateway reports
-/// carry a shed total but no per-row shed attribution. A request whose
-/// transport budget ran out is recorded as [`AdmitDecision::TimedOut`].
-/// Each send's lag behind its scaled arrival instant is measured once
-/// its request is flushed.
+/// Tickets are held on the connection, never released, so the service's
+/// deadline wheel frees each admitted task's charge at its deadline, as
+/// [`run_service`]'s detached tickets are freed. A verdict reports only
+/// how many victims it shed, not which, so gateway reports carry a shed
+/// total but no per-row shed attribution.
 ///
 /// # Errors
 ///
@@ -173,100 +150,42 @@ impl GatewayRun {
 ///
 /// # Panics
 ///
-/// Panics if the scenario is not [`Scenario::wire_compatible`] or
-/// `scale` is zero.
-pub fn run_gateway(sc: &Scenario, scale: u64) -> std::io::Result<GatewayRun> {
-    assert!(scale > 0, "scale must be positive");
+/// Panics if the scenario is not [`Scenario::wire_compatible`], on an
+/// [`Verdict::Expired`] (a request expires at its arrival's deadline,
+/// which the replay's clock never passes before answering it), or if the
+/// gateway counted a protocol error.
+pub fn run_gateway(sc: &Scenario) -> std::io::Result<(ScenarioReport, Vec<AdmitDecision>)> {
     assert!(
         sc.wire_compatible(),
         "{}: trace has non-chain tasks, cannot replay over the wire",
         sc.name
     );
     let trace = sc.generate();
-    let scaled: Vec<(u64, WireTaskSpec)> = trace
-        .records
-        .iter()
-        .map(|rec| {
-            let mut wire = WireTaskSpec::from_spec(&rec.spec)
-                .expect("wire-compatible scenario produced a non-chain task");
-            wire.deadline_us = (wire.deadline_us / scale).max(1);
-            for d in &mut wire.stage_demands_us {
-                *d = (*d / scale).max(1);
-            }
-            (rec.at.as_micros() / scale, wire)
-        })
-        .collect();
     let allow_shed = sc.policy == ScenarioPolicy::ShedLessImportant;
-
     let service = AdmissionService::builder(sc.region(), ExactContributions)
+        .clock(ManualClock::new())
         .shards(1)
         .build();
-    let server = GatewayServer::bind(
-        "127.0.0.1:0",
-        service.clone(),
-        GatewayConfig {
-            workers: 2,
-            window: 256,
-            idle_timeout: None,
-        },
-    )?;
+    let server = GatewayServer::bind("127.0.0.1:0", service.clone(), GatewayConfig::default())?;
     let mut client = GatewayClient::connect(server.local_addr())?;
-    let window = usize::from(client.window().max(1));
-
-    let mut decisions = vec![AdmitDecision::Rejected; scaled.len()];
-    let mut inflight: VecDeque<usize> = VecDeque::new();
-    let mut verdicts: Vec<(u64, Verdict)> = Vec::new();
-    let mut unattributed_shed: u64 = 0;
-    let mut settle =
-        |inflight: &mut VecDeque<usize>, verdicts: &mut Vec<(u64, Verdict)>, shed: &mut u64| {
-            for (_, verdict) in verdicts.drain(..) {
-                let idx = inflight.pop_front().expect("verdict without a request");
-                decisions[idx] = match verdict {
-                    Verdict::Admitted { ticket_id } => admitted(ticket_id),
-                    Verdict::AdmittedAfterShedding { ticket_id, shed: n } => {
-                        *shed += u64::from(n);
-                        admitted(ticket_id)
-                    }
-                    Verdict::Rejected => AdmitDecision::Rejected,
-                    Verdict::Expired => AdmitDecision::TimedOut,
-                };
-            }
-        };
-
-    let (mut max_send_lag, mut total_send_lag) = (Duration::ZERO, Duration::ZERO);
+    let mut decisions = Vec::with_capacity(trace.len());
+    let mut unattributed_shed = 0;
     let started = Instant::now();
-    for (idx, (at_us, wire)) in scaled.iter().enumerate() {
-        // Pace to the scaled arrival instant: coarse sleep, fine spin.
-        let target = Duration::from_micros(*at_us);
-        loop {
-            let elapsed = started.elapsed();
-            if elapsed >= target {
-                break;
-            }
-            let gap = target - elapsed;
-            if gap > Duration::from_micros(300) {
-                std::thread::sleep(gap - Duration::from_micros(200));
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // The transport budget is the full scaled deadline: replay
-        // measures admission decisions, not transport-induced expiry.
-        client.queue_admit(wire, TimeDelta::from_micros(wire.deadline_us), allow_shed);
-        inflight.push_back(idx);
+    for rec in &trace.records {
+        service.clock().set(rec.at);
+        let wire = WireTaskSpec::from_spec(&rec.spec)
+            .expect("wire-compatible scenario produced a non-chain task");
+        client.queue_admit_at(&wire, rec.at.as_micros() + wire.deadline_us, allow_shed);
         client.flush()?;
-        let lag = started.elapsed().saturating_sub(target);
-        max_send_lag = max_send_lag.max(lag);
-        total_send_lag += lag;
-        while inflight.len() - (verdicts.len()) >= window {
-            client.recv_admits_into(&mut verdicts)?;
-        }
-        settle(&mut inflight, &mut verdicts, &mut unattributed_shed);
-    }
-    client.flush()?;
-    while !inflight.is_empty() {
-        client.recv_admits_into(&mut verdicts)?;
-        settle(&mut inflight, &mut verdicts, &mut unattributed_shed);
+        decisions.push(match client.recv_admit()?.1 {
+            Verdict::Admitted { ticket_id } => admitted(ticket_id),
+            Verdict::AdmittedAfterShedding { ticket_id, shed } => {
+                unattributed_shed += u64::from(shed);
+                admitted(ticket_id)
+            }
+            Verdict::Rejected => AdmitDecision::Rejected,
+            Verdict::Expired => panic!("{}: arrival at {:?} expired", sc.name, rec.at),
+        });
     }
     let wall = started.elapsed().as_secs_f64();
     drop(client);
@@ -281,12 +200,8 @@ pub fn run_gateway(sc: &Scenario, scale: u64) -> std::io::Result<GatewayRun> {
         events_processed: decisions.len() as u64,
         ..Observed::default()
     };
-    Ok(GatewayRun {
-        report: report::build(sc, "gateway", &trace, seen, wall),
-        mean_send_lag: total_send_lag / decisions.len().max(1) as u32,
-        decisions,
-        max_send_lag,
-    })
+    let report = report::build(sc, "gateway", &trace, seen, wall);
+    Ok((report, decisions))
 }
 
 #[cfg(test)]

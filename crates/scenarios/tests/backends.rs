@@ -1,4 +1,5 @@
-//! Differential suite: simulator vs production [`AdmissionService`].
+//! Differential suite: simulator vs production [`AdmissionService`] vs
+//! the live gateway serving it.
 //!
 //! Replaying a scenario through the service on a [`ManualClock`] — one
 //! shard, tickets detached, and the service has no idle reset — is pure
@@ -10,16 +11,33 @@
 //! excluded from exact equality: victim *ordering* between equally
 //! important live tasks is a tie-break the two implementations are free
 //! to make differently.)
+//!
+//! The gateway replay decides on a service built as the service
+//! replay's, in lock-step on the same clock, so on every wire-compatible
+//! family — shed policies included — its verdicts must be the service's,
+//! decision for decision and id for id.
 
 use frap_core::time::Time;
-use frap_scenarios::runner::{run_service, run_sim_opts};
-use frap_scenarios::{catalog, Scenario, ScenarioPolicy};
+use frap_scenarios::runner::{run_gateway, run_service, run_sim_opts};
+use frap_scenarios::{catalog, Scenario, ScenarioPolicy, ScenarioReport};
+use frap_sim::metrics::AdmitDecision;
 
 fn scenario(name: &str, horizon: Time) -> Scenario {
     catalog(horizon)
         .into_iter()
         .find(|s| s.name == name)
         .expect("scenario in catalog")
+}
+
+fn assert_same_decisions(what: &str, a: &[AdmitDecision], b: &[AdmitDecision]) {
+    assert_eq!(a.len(), b.len(), "{what}: coverage");
+    let diverged: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+    assert!(
+        diverged.is_empty(),
+        "{what}: {} arrival(s) decided differently, first at index {:?}",
+        diverged.len(),
+        diverged.first()
+    );
 }
 
 fn assert_decision_equal(name: &str, horizon: Time) {
@@ -32,18 +50,10 @@ fn assert_decision_equal(name: &str, horizon: Time) {
     let sim = run_sim_opts(&sc, false);
     let (service_report, decisions) = run_service(&sc);
 
-    assert_eq!(sim.decisions.len(), decisions.len(), "{name}: coverage");
-    let mut diverged = Vec::new();
-    for (idx, (sim_d, svc_d)) in sim.decisions.iter().zip(&decisions).enumerate() {
-        if sim_d != svc_d {
-            diverged.push(idx);
-        }
-    }
-    assert!(
-        diverged.is_empty(),
-        "{name}: {} arrival(s) decided differently, first at index {:?}",
-        diverged.len(),
-        diverged.first()
+    assert_same_decisions(
+        &format!("{name}: sim vs service"),
+        &sim.decisions,
+        &decisions,
     );
     assert_eq!(service_report.admitted, sim.report.admitted, "{name}");
     assert_eq!(service_report.rejected, sim.report.rejected, "{name}");
@@ -99,4 +109,52 @@ fn shed_scenarios_agree_in_aggregate() {
             sim.report.admitted
         );
     }
+}
+
+/// The gateway replay of wire-compatible `name` against the service
+/// replay: the same decisions, and so the same totals. The gateway sees
+/// its victims only as a count, which must be the service's.
+fn assert_gateway_equals_service(name: &str) -> Vec<AdmitDecision> {
+    let sc = scenario(name, Time::from_secs(2));
+    assert!(sc.wire_compatible(), "{name}");
+    let (service_report, service_decisions) = run_service(&sc);
+    let (gateway_report, gateway_decisions) = run_gateway(&sc).expect("gateway replay");
+    assert_same_decisions(
+        &format!("{name}: service vs gateway"),
+        &service_decisions,
+        &gateway_decisions,
+    );
+    assert_eq!(gateway_report.offered, service_report.offered, "{name}");
+    assert_eq!(gateway_report.admitted, service_report.admitted, "{name}");
+    assert_eq!(gateway_report.rejected, service_report.rejected, "{name}");
+    // The service names its victims, so its rows carry every shed; the
+    // gateway's total is its unattributed count alone.
+    let in_rows = |r: &ScenarioReport| r.importances.iter().map(|row| row.shed).sum::<u64>();
+    assert_eq!(in_rows(&service_report), service_report.shed, "{name}");
+    assert_eq!(in_rows(&gateway_report), 0, "{name}");
+    assert_eq!(gateway_report.shed, service_report.shed, "{name}");
+    if sc.policy == ScenarioPolicy::ShedLessImportant {
+        assert!(
+            service_report.shed > 0,
+            "{name}: nothing shed, nothing checked"
+        );
+    }
+    gateway_decisions
+}
+
+#[test]
+fn serverless_gateway_agrees_with_service_and_sim() {
+    let gateway = assert_gateway_equals_service("serverless");
+    let sim = run_sim_opts(&scenario("serverless", Time::from_secs(2)), false);
+    assert_same_decisions("serverless: sim vs gateway", &sim.decisions, &gateway);
+}
+
+#[test]
+fn flash_crowd_gateway_agrees_with_service() {
+    assert_gateway_equals_service("flash_crowd");
+}
+
+#[test]
+fn multi_tenant_gateway_agrees_with_service() {
+    assert_gateway_equals_service("multi_tenant");
 }
