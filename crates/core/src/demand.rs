@@ -23,7 +23,7 @@ use crate::wire::WireTaskSpec;
 pub(crate) enum Demands<'a> {
     /// A plain chain's words, each a stage and its demand, ascending by
     /// stage — one slice whether the graph keeps them inline or shared.
-    Packed(&'a [u64]),
+    Packed(&'a [u32]),
     /// Any other task graph's per-stage totals, ascending by stage.
     Merged(&'a [(StageId, TimeDelta)]),
     /// Pipeline wire form: entry `j` is the microseconds asked of stage `j`.

@@ -27,21 +27,21 @@ use std::sync::Arc;
 ///
 /// A graph stores only what differs between two tasks (DESIGN.md §11). A
 /// *plain chain* — subtask `j` is one lock-free segment on stage `s_j`,
-/// the `s_j` strictly ascending and below 2^16, every `C_j` below 2^48 µs,
-/// the edges exactly `0 -> 1 -> … -> n-1` — is its per-stage demand and
-/// nothing else: one word per stage, `s_j << 48 | C_j`, which
-/// [`TaskGraph::stage_demands`] unpacks. A plain chain of at most four
-/// stages keeps its words in the graph itself, so building, cloning and
-/// dropping it touch no heap, and a clone is a 40-byte copy. A longer one
-/// keeps them in one shared allocation. Every other graph keeps its
-/// subtask list, and edge lists unless it is a chain in index order,
-/// behind one shared `Arc`. The structure is immutable once built, so
-/// clones share what is on the heap: cloning a [`TaskSpec`] (which workload
-/// generators do once per arrival) costs at most an `Arc` bump. `Arc`
-/// rather than `Rc` keeps specs `Send` for the concurrent admission
-/// service. Every constructor picks the form and the place from the graph
-/// alone, so however a graph is built it has one form and equality stays
-/// structural.
+/// the `s_j` strictly ascending and below 2^8, every `C_j` below 2^24 µs
+/// (16.8 s), the edges exactly `0 -> 1 -> … -> n-1` — is its per-stage
+/// demand and nothing else: one 32-bit word per stage, `s_j << 24 | C_j`,
+/// which [`TaskGraph::stage_demands`] unpacks. A plain chain of at most
+/// five stages keeps its words in the graph itself, so building, cloning
+/// and dropping it touch no heap, and a clone is a 24-byte copy. A longer
+/// one keeps them in one shared allocation. Every other graph — a chain
+/// past either limit among them — keeps its subtask list, and edge lists
+/// unless it is a chain in index order, behind one shared `Arc`. The
+/// structure is immutable once built, so clones share what is on the
+/// heap: cloning a [`TaskSpec`] (which workload generators do once per
+/// arrival) costs at most an `Arc` bump. `Arc` rather than `Rc` keeps
+/// specs `Send` for the concurrent admission service. Every constructor
+/// picks the form and the place from the graph alone, so however a graph
+/// is built it has one form and equality stays structural.
 ///
 /// # Examples
 ///
@@ -77,8 +77,10 @@ enum Repr {
     General(Arc<GraphInner>),
 }
 
-/// The most words a plain chain keeps inline, in the graph itself.
-const INLINE_WORDS: usize = 4;
+/// The most words a plain chain keeps inline, in the graph itself: as
+/// many as fit beside the length byte in the 24 bytes the shared form
+/// takes anyway.
+const INLINE_WORDS: usize = 5;
 
 /// A plain chain's words: up to [`INLINE_WORDS`] of them inline, more in
 /// one shared allocation. The place is a function of the length alone,
@@ -86,16 +88,16 @@ const INLINE_WORDS: usize = 4;
 #[derive(Clone)]
 enum Words {
     /// The first `n` of the array.
-    Inline(u8, [u64; INLINE_WORDS]),
+    Inline(u8, [u32; INLINE_WORDS]),
     /// More than [`INLINE_WORDS`].
-    Shared(Arc<[u64]>),
+    Shared(Arc<[u32]>),
 }
 
 impl Words {
     /// Collects `words`, inline while there are at most [`INLINE_WORDS`]:
     /// a short chain allocates nothing, and a longer one is collected
-    /// once, when its fifth word arrives.
-    fn collect(mut words: impl Iterator<Item = u64>) -> Words {
+    /// once, when its sixth word arrives.
+    fn collect(mut words: impl Iterator<Item = u32>) -> Words {
         let mut inline = [0; INLINE_WORDS];
         let mut n = 0;
         while let Some(word) = words.next() {
@@ -110,10 +112,10 @@ impl Words {
 }
 
 impl std::ops::Deref for Words {
-    type Target = [u64];
+    type Target = [u32];
 
     #[inline]
-    fn deref(&self) -> &[u64] {
+    fn deref(&self) -> &[u32] {
         match self {
             Words::Inline(n, words) => &words[..usize::from(*n)],
             Words::Shared(words) => words,
@@ -283,39 +285,32 @@ fn merged_stage_demand(subtasks: &[SubtaskSpec]) -> Vec<(StageId, TimeDelta)> {
     v
 }
 
-/// The low bits of a plain chain's word: the demand in microseconds.
-const DEMAND_BITS: u32 = 48;
+/// The low bits of a plain chain's word: the demand in microseconds. The
+/// high 8 hold the stage.
+const DEMAND_BITS: u32 = 24;
 
-/// A plain chain's word for `c` on `stage`: `stage << 48 | c`. The stage
-/// bits are XORed in, so the word decodes to `stage` exactly when the
-/// stage is below 2^16 and `c` below 2^48 µs, and
-/// `word ^ pack(stage, ZERO)` recovers `c` exactly whether it does or not.
+/// A plain chain's word for `c` on `stage`, `stage << 24 | c`, when the
+/// stage is below 2^8 and `c` below 2^24 µs; `None` past either limit.
 #[inline]
-fn pack(stage: StageId, c: TimeDelta) -> u64 {
-    c.as_micros() ^ ((stage.index() as u64) << DEMAND_BITS)
+fn pack(stage: StageId, c: TimeDelta) -> Option<u32> {
+    let stage = u8::try_from(stage.index()).ok()?;
+    let c = u32::try_from(c.as_micros()).ok()?;
+    (c >> DEMAND_BITS == 0).then_some(u32::from(stage) << DEMAND_BITS | c)
 }
 
 /// The stage and demand a plain chain's word packs.
 #[inline]
-pub(crate) fn unpack(word: u64) -> (StageId, TimeDelta) {
+pub(crate) fn unpack(word: u32) -> (StageId, TimeDelta) {
     let stage = StageId::new((word >> DEMAND_BITS) as usize);
-    (
-        stage,
-        TimeDelta::from_micros(word & ((1 << DEMAND_BITS) - 1)),
-    )
-}
-
-/// The demand `word` packs with `stage`, exact even when the pair
-/// overflowed the word (see [`pack`]).
-fn packed_demand(word: u64, stage: StageId) -> TimeDelta {
-    TimeDelta::from_micros(word ^ pack(stage, TimeDelta::ZERO))
+    let c = word & ((1 << DEMAND_BITS) - 1);
+    (stage, TimeDelta::from_micros(u64::from(c)))
 }
 
 /// [`TaskGraph::stage_demands`]: a plain chain's words unpacked, or the
 /// general form's merged totals.
 #[derive(Clone)]
 enum StageDemands<'a> {
-    Packed(std::slice::Iter<'a, u64>),
+    Packed(std::slice::Iter<'a, u32>),
     Merged(std::slice::Iter<'a, (StageId, TimeDelta)>),
 }
 
@@ -416,15 +411,15 @@ impl TaskGraph {
     /// The chain whose subtask `j` is one lock-free segment of
     /// `demands[j].1` on stage `demands[j].0` — [`TaskGraph::chain`]
     /// without a subtask list in between. In the plain form (see
-    /// [`TaskGraph`]) the graph is `demands` packed: inline up to four
+    /// [`TaskGraph`]) the graph is `demands` packed: inline up to five
     /// stages, one allocation past that.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::Empty`] when `demands` is empty.
     pub fn chain_of(demands: &[(StageId, TimeDelta)]) -> Result<TaskGraph, GraphError> {
-        let words = Words::collect(demands.iter().map(|&(stage, c)| pack(stage, c)));
-        TaskGraph::plain(words, |j| demands[j].0).or_else(|_| {
+        let words = demands.iter().map(|&(stage, c)| pack(stage, c));
+        TaskGraph::plain(words).or_else(|_| {
             let subtask = |&(stage, c): &(StageId, TimeDelta)| SubtaskSpec::new(stage, c);
             TaskGraph::chain(demands.iter().map(subtask).collect())
         })
@@ -432,7 +427,7 @@ impl TaskGraph {
 
     /// The chain [`TaskSpec::pipeline`] describes: subtask `j` runs on
     /// stage `j` for `computations[j]`. In the plain form this allocates
-    /// nothing up to four stages, and past that once when std trusts the
+    /// nothing up to five stages, and past that once when std trusts the
     /// iterator's length (a slice's, copied or mapped); other iterators
     /// are collected first.
     ///
@@ -442,28 +437,39 @@ impl TaskGraph {
     pub fn pipeline(
         computations: impl Iterator<Item = TimeDelta>,
     ) -> Result<TaskGraph, GraphError> {
-        let word = |(j, c)| pack(StageId::new(j), c);
-        let words = Words::collect(computations.enumerate().map(word));
-        TaskGraph::plain(words, StageId::new).or_else(|words| {
-            let subtask = |(j, &word): (usize, &u64)| {
-                let stage = StageId::new(j);
-                SubtaskSpec::new(stage, packed_demand(word, stage))
-            };
-            TaskGraph::chain(words.iter().enumerate().map(subtask).collect())
+        // The iterator is read once. From the first demand that does not
+        // pack on, every demand is kept aside as well, for the general
+        // form: a word past the limits holds no demand to recover.
+        let mut unpacked = Vec::new();
+        let words = computations.enumerate().map(|(j, c)| {
+            let word = pack(StageId::new(j), c).filter(|_| unpacked.is_empty());
+            if word.is_none() {
+                unpacked.push(c);
+            }
+            word
+        });
+        TaskGraph::plain(words).or_else(|words| {
+            let packed = &words[..words.len() - unpacked.len()];
+            let demands = packed.iter().map(|&word| unpack(word).1).chain(unpacked);
+            let subtask = |(j, c)| SubtaskSpec::new(StageId::new(j), c);
+            TaskGraph::chain(demands.enumerate().map(subtask).collect())
         })
     }
 
-    /// `words` — packed by [`pack`], word `j` for stage `stage(j)` — as a
-    /// plain chain if that is its form: `1 ≤ n ≤ 1024`, every word
-    /// decoding to its own stage (so both within their limits), the
-    /// stages strictly ascending. Otherwise the words come back, for the
-    /// caller to build the chain the general way.
-    fn plain(words: Words, stage: impl Fn(usize) -> StageId) -> Result<TaskGraph, Words> {
-        let decodes = |(j, &word): (usize, &u64)| unpack(word).0 == stage(j);
-        let plain = (1..=CHAIN_TABLE).contains(&words.len())
-            && words.iter().enumerate().all(decodes)
-            && words.windows(2).all(|w| unpack(w[0]).0 < unpack(w[1]).0);
-        if plain {
+    /// `words` — from [`pack`], `None` for a subtask past its limits — as
+    /// a plain chain if that is its form: at least one word, every one
+    /// packed, the stages strictly ascending (which keeps a plain chain
+    /// within the 256 stages a word can name). Otherwise the words come
+    /// back, each one that did not pack as zero, for the caller to build
+    /// the chain the general way.
+    fn plain(words: impl Iterator<Item = Option<u32>>) -> Result<TaskGraph, Words> {
+        let mut packed = true;
+        let words = Words::collect(words.map(|word| {
+            packed &= word.is_some();
+            word.unwrap_or(0)
+        }));
+        let ascending = words.windows(2).all(|w| unpack(w[0]).0 < unpack(w[1]).0);
+        if packed && ascending && !words.is_empty() {
             Ok(TaskGraph(Repr::Plain(words)))
         } else {
             Err(words)
@@ -474,11 +480,9 @@ impl TaskGraph {
     /// without segments), in its one form.
     fn index_chain(subtasks: Vec<SubtaskSpec>) -> TaskGraph {
         let lock_free = |s: &SubtaskSpec| matches!(&*s.segments, [only] if only.lock.is_none());
-        let ascending = subtasks.windows(2).all(|w| w[0].stage < w[1].stage);
-        if ascending && subtasks.iter().all(lock_free) {
+        if subtasks.iter().all(lock_free) {
             let word = |s: &SubtaskSpec| pack(s.stage, s.segments[0].duration);
-            let words = Words::collect(subtasks.iter().map(word));
-            if let Ok(graph) = TaskGraph::plain(words, |j| subtasks[j].stage) {
+            if let Ok(graph) = TaskGraph::plain(subtasks.iter().map(word)) {
                 return graph;
             }
         }
@@ -743,12 +747,11 @@ impl TaskGraph {
     /// applies per replica exactly as for any other stage).
     pub fn remap_stages(&self, f: impl Fn(StageId) -> StageId) -> TaskGraph {
         if let Repr::Plain(words) = &self.0 {
-            let remap = |&word: &u64| {
+            let remap = |&word: &u32| {
                 let (stage, c) = unpack(word);
                 pack(f(stage), c)
             };
-            let remapped = Words::collect(words.iter().map(remap));
-            if let Ok(graph) = TaskGraph::plain(remapped, |j| f(unpack(words[j]).0)) {
+            if let Ok(graph) = TaskGraph::plain(words.iter().map(remap)) {
                 return graph;
             }
         }
@@ -1059,10 +1062,14 @@ mod tests {
             }
             b.build().unwrap()
         };
-        for n in [1, 2, 3, CHAIN_TABLE] {
+        // Past stage 255 a chain is not plain, and still keeps no edges.
+        for n in [1, 2, 3, 256, 257, CHAIN_TABLE] {
             let g = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
-            assert!(g.is_plain(), "chain of {n}");
-            assert!(n == 1 || by_edges(n).is_plain(), "built chain of {n}");
+            assert!(
+                g.edges().is_none() && g.is_plain() == (n <= 256),
+                "chain of {n}"
+            );
+            assert!(n == 1 || by_edges(n) == g, "built chain of {n}");
             // A repeated stage is not plain, and still keeps no edges.
             let repeated = TaskGraph::chain((0..n).map(|i| sub(i / 2, 1)).collect()).unwrap();
             assert!(repeated.edges().is_none() && (n == 1) == repeated.is_plain());

@@ -6,7 +6,7 @@
 //! another order, fork-joins and random DAGs must all agree with — so the
 //! compact forms (DESIGN.md §11) are unobservable but for
 //! [`TaskGraph::is_plain`], which must be true exactly for the graphs the
-//! model calls plain. A plain chain of up to four stages keeps its words
+//! model calls plain. A plain chain of up to five stages keeps its words
 //! inline and a longer one in a shared block; every constructor and every
 //! accessor is checked on both sides of that boundary. The packed word's
 //! limits, the three lenders of a [`DemandView`] and the wire round trip
@@ -31,9 +31,9 @@ const TABLE: usize = 1024;
 const INLINE: usize = 4;
 
 /// The plain form's limits: a packed word holds a stage below this …
-const STAGE_LIMIT: usize = 1 << 16;
+const STAGE_LIMIT: usize = 1 << 8;
 /// … and a demand below this many microseconds.
-const DEMAND_LIMIT: u64 = 1 << 48;
+const DEMAND_LIMIT: u64 = 1 << 24;
 
 /// A splitmix64 step: the tests draw one seed and derive the rest.
 fn next(state: &mut u64) -> u64 {
@@ -439,17 +439,25 @@ proptest! {
 proptest! {
     /// The plain form is chosen exactly for plain chains — the same by
     /// `chain`, `chain_of` and the builder given `i -> i+1`, on both sides
-    /// of the index table's end — and a lock segment, a two-segment node,
-    /// a repeated or a descending stage keeps the general form.
+    /// of the word's stage limit and of the index table's end — and a
+    /// lock segment, a two-segment node, a repeated or a descending stage
+    /// keeps the general form.
     #[test]
     fn plain_form_is_chosen_exactly_for_plain_chains(pick in 0usize..8, small in 1usize..12, how in 0u64..5, seed in proptest::num::u64::ANY) {
         let mut seed = seed;
-        let n = if pick == 0 { TABLE - 1 + small % 3 } else { small };
+        // One case in eight sits on the cutover, one in eight has its
+        // last stage near 255 (stages climb by two on average).
+        let n = match pick {
+            0 => TABLE - 1 + small % 3,
+            1 => 120 + small,
+            _ => small,
+        };
         let mut subs = plain_subtasks(n, &mut seed);
         let spoiled = how < 4 && spoil(&mut subs, how, &mut seed);
         let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
         let model = Model::new(subs.clone(), &edges);
-        prop_assert_eq!(model.is_plain(), n <= TABLE && !spoiled);
+        let stages_fit = subs.iter().all(|s| s.stage.index() < STAGE_LIMIT);
+        prop_assert_eq!(model.is_plain(), n <= TABLE && stages_fit && !spoiled);
 
         let chain = TaskGraph::chain(subs.clone()).unwrap();
         if let Err(why) = agrees(&chain, &model, &mut seed) {
@@ -468,7 +476,7 @@ proptest! {
     /// `pipeline`, `TaskSpec::pipeline`, the builder given `i -> i+1` in
     /// any order, the wire form's `to_spec`, a clone, an identity remap
     /// and a fork-join without branches — yields the one plain graph, on
-    /// both sides of the inline boundary (four words), and a remap onto
+    /// both sides of the inline boundary (five words), and a remap onto
     /// every `stride`-th stage yields the chain on those stages.
     #[test]
     fn every_pipeline_constructor_yields_the_plain_form(n in 1usize..12, stride in 1usize..4, seed in proptest::num::u64::ANY) {
@@ -553,8 +561,8 @@ fn remap_stages_chooses_the_form_afresh() {
     assert!(restored.is_plain());
     assert_eq!(restored, TaskGraph::chain(on(&[7, 8, 9])).unwrap());
 
-    // The same on both sides of the inline boundary: four inline words
-    // and five shared ones leave the plain form when a remap reverses
+    // The same on both sides of the inline boundary: five inline words
+    // and six shared ones leave the plain form when a remap reverses
     // them or folds the last stage onto the one before, and return to it
     // when a remap sorts them again.
     for n in [INLINE, INLINE + 1] {
@@ -593,37 +601,44 @@ fn remapped_chain_is_the_chain_of_the_remapped_subtasks() {
     assert!(remapped.is_chain());
 }
 
-/// The packed word's two limits: a stage of 2^16 or a demand of 2^48 µs
+/// The packed word's two limits: a stage of 256 or a demand of 2^24 µs
 /// takes the general form and one less stays plain, by every
 /// constructor, and every accessor agrees with the model on both sides —
-/// for a chain of three stages, and of four and five, either side of the
-/// inline boundary.
+/// for chains of three to six stages, either side of the inline boundary,
+/// with the demand under test second or last. A demand of 2^32 µs or more
+/// does not fit a word even truncated, and comes back exact from the wire.
 #[test]
 fn the_packed_limits_pick_the_form() {
-    for len in [3, INLINE, INLINE + 1] {
-        packed_limits_pick_the_form(len);
+    for len in [3, INLINE - 1, INLINE, INLINE + 1] {
+        for at in [1, len - 1] {
+            packed_limits_pick_the_form(len, at);
+        }
     }
 }
 
 /// [`the_packed_limits_pick_the_form`] for chains of `len` stages:
 /// `3, 4, …` and then the stage under test, with the demand under test on
-/// stage 4.
-fn packed_limits_pick_the_form(len: usize) {
+/// subtask `at`.
+fn packed_limits_pick_the_form(len: usize, at: usize) {
     let us = TimeDelta::from_micros;
     let edges: Vec<(usize, usize)> = (1..len).map(|i| (i - 1, i)).collect();
     let mut seed = 5;
-    // (last stage, middle demand): plain only when both are in range.
+    // (last stage, demand under test): plain only when both are in range.
+    // The last three demands keep a small value in the word's low bits.
     let cases = [
         (STAGE_LIMIT - 1, DEMAND_LIMIT - 1),
         (STAGE_LIMIT, 7),
         (9, DEMAND_LIMIT),
         (STAGE_LIMIT, DEMAND_LIMIT),
-        (usize::MAX, 1 << 63),
+        (9, (1 << 32) + 7),
+        (STAGE_LIMIT - 1, (1 << 40) | 3),
+        (usize::MAX, (1 << 63) + 1),
     ];
     for (last, demand) in cases {
+        let what = format!("{len} stages, stage {last}, demand {demand} on subtask {at}");
         let plain = last < STAGE_LIMIT && demand < DEMAND_LIMIT;
         let stages: Vec<usize> = (3..len + 2).chain([last]).collect();
-        let demand_on = |j: usize| us(if j == 1 { demand } else { 11 + j as u64 });
+        let demand_on = |j: usize| us(if j == at { demand } else { 11 + j as u64 });
         let demands: Vec<(StageId, TimeDelta)> = (stages.iter().enumerate())
             .map(|(j, &s)| (StageId::new(s), demand_on(j)))
             .collect();
@@ -631,11 +646,7 @@ fn packed_limits_pick_the_form(len: usize) {
             .map(|&(stage, c)| SubtaskSpec::new(stage, c))
             .collect();
         let model = Model::new(subs.clone(), &edges);
-        assert_eq!(
-            model.is_plain(),
-            plain,
-            "{len} stages, stage {last}, demand {demand}"
-        );
+        assert_eq!(model.is_plain(), plain, "{what}");
         let on_index = TaskGraph::pipeline(demands.iter().map(|&(_, c)| c)).unwrap();
         let graphs = [
             TaskGraph::chain(subs.clone()).unwrap(),
@@ -644,22 +655,26 @@ fn packed_limits_pick_the_form(len: usize) {
             on_index.remap_stages(|s| StageId::new(stages[s.index()])),
         ];
         for (k, g) in graphs.iter().enumerate() {
-            agrees(g, &model, &mut seed).unwrap_or_else(|why| {
-                panic!("{len} stages, stage {last}, demand {demand}, constructor {k}: {why}")
-            });
-            assert_eq!(g, &graphs[0], "constructor {k}");
+            agrees(g, &model, &mut seed)
+                .unwrap_or_else(|why| panic!("{what}, constructor {k}: {why}"));
+            assert_eq!(g, &graphs[0], "{what}, constructor {k}");
         }
-        // On stages `0..len` only the demand decides.
-        assert_eq!(on_index.is_plain(), demand < DEMAND_LIMIT);
+        // On stages `0..len` only the demand decides, and the wire form
+        // comes back as the same graph, every demand exact.
+        assert_eq!(on_index.is_plain(), demand < DEMAND_LIMIT, "{what}");
         let on_index_subs: Vec<SubtaskSpec> = (demands.iter().enumerate())
             .map(|(j, &(_, c))| SubtaskSpec::new(StageId::new(j), c))
             .collect();
-        agrees(&on_index, &Model::new(on_index_subs, &edges), &mut seed).unwrap();
+        let on_index_model = Model::new(on_index_subs, &edges);
+        agrees(&on_index, &on_index_model, &mut seed).unwrap();
         let spec = TaskSpec::new(us(1_000), on_index);
         let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
         let wire_us: Vec<u64> = demands.iter().map(|&(_, c)| c.as_micros()).collect();
-        assert_eq!(wire.stage_demands_us, wire_us);
-        assert_eq!(wire.to_spec().unwrap(), spec);
+        assert_eq!(wire.stage_demands_us, wire_us, "{what}");
+        let expanded = wire.to_spec().unwrap();
+        agrees(&expanded.graph, &on_index_model, &mut seed)
+            .unwrap_or_else(|why| panic!("{what}, to_spec: {why}"));
+        assert_eq!(expanded, spec, "{what}");
     }
 }
 
@@ -678,7 +693,7 @@ fn charges(model: &dyn ContributionModel, task: DemandView<'_>) -> (StageBits, S
 
 proptest! {
     /// One chain lent three ways — its packed `TaskSpec` (inline words up
-    /// to four stages, shared past that), that spec's `WireTaskSpec`, and
+    /// to five stages, shared past that), that spec's `WireTaskSpec`, and
     /// the general form of a twin whose segments hold a lock (the same
     /// demands on the same stages) — is charged bit-identical units and
     /// contributions by every model, and `contributions_into` agrees for
@@ -748,18 +763,19 @@ proptest! {
     }
 }
 
-/// The wire form round-trips a plain chain at one stage and at the index
-/// table's 1024, and the general chain one past it.
+/// The wire form round-trips a plain chain at one stage and at the 256
+/// a word can name, and the general chain one past that, at the index
+/// table's 1024 and one past it.
 #[test]
 fn wire_round_trips_at_one_and_1024_stages() {
-    for n in [1, TABLE, TABLE + 1] {
+    for n in [1, STAGE_LIMIT, STAGE_LIMIT + 1, TABLE, TABLE + 1] {
         let mut seed = n as u64;
         let us: Vec<u64> = (0..n).map(|_| next(&mut seed) % DEMAND_LIMIT).collect();
         let cs: Vec<TimeDelta> = us.iter().map(|&c| TimeDelta::from_micros(c)).collect();
         let spec = TaskSpec::pipeline(TimeDelta::from_secs(1), &cs)
             .unwrap()
             .with_importance(Importance::new(7));
-        assert_eq!(spec.graph.is_plain(), n <= TABLE, "{n} stages");
+        assert_eq!(spec.graph.is_plain(), n <= STAGE_LIMIT, "{n} stages");
         let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
         assert_eq!(wire.stage_demands_us, us);
         assert_eq!((wire.deadline_us, wire.importance), (1_000_000, 7));

@@ -75,19 +75,19 @@ fn blocks_owned(graph: TaskGraph) -> u64 {
 fn segment_and_subtask_sizes() {
     assert_eq!(std::mem::size_of::<Segment>(), 16);
     assert!(std::mem::size_of::<SubtaskSpec>() <= 32);
-    // A plain chain of up to four stages holds its words inline: a length
-    // byte beside four words, the form's tag in the spare values of the
-    // words' own. Every other graph is one pointer.
-    assert_eq!(std::mem::size_of::<TaskGraph>(), 40);
-    assert_eq!(std::mem::size_of::<TaskSpec>(), 56);
-    assert_eq!(std::mem::size_of::<TraceRecord>(), 72);
+    // A plain chain of up to five stages holds its words inline: a length
+    // byte beside five 32-bit words, the form's tag in the spare values of
+    // the words' own. Every other graph is one pointer.
+    assert_eq!(std::mem::size_of::<TaskGraph>(), 24);
+    assert_eq!(std::mem::size_of::<TaskSpec>(), 40);
+    assert_eq!(std::mem::size_of::<TraceRecord>(), 56);
 }
 
 #[test]
 fn short_plain_chains_allocate_nothing() {
     let ms = TimeDelta::from_millis;
-    let computations = [ms(1), ms(2), ms(3), ms(4)];
-    for n in 1..=4 {
+    let computations = [ms(1), ms(2), ms(3), ms(4), ms(5)];
+    for n in 1..=5 {
         let ((allocations, _), spec) =
             cost_of(|| TaskSpec::pipeline(ms(100), &computations[..n]).unwrap());
         assert!(spec.graph.is_plain());
@@ -132,22 +132,34 @@ fn short_plain_chains_allocate_nothing() {
 }
 
 #[test]
-fn five_stage_pipeline_is_one_allocation() {
+fn five_stages_are_inline_and_six_one_allocation() {
     let ms = TimeDelta::from_millis;
-    let ((allocations, bytes), spec) =
-        cost_of(|| TaskSpec::pipeline(ms(100), &[ms(1), ms(2), ms(3), ms(4), ms(5)]).unwrap());
-    // The reference counts and one packed word a stage: 16 + 8 × 5 bytes.
-    assert!(spec.graph.is_plain());
-    assert_eq!(allocations, 1, "{allocations} allocations");
-    assert!(bytes <= 56, "{bytes} bytes");
-    let ((allocations, _), copy) = cost_of(|| spec.clone());
-    assert_eq!(allocations, 0, "TaskSpec::clone allocated");
-    assert_eq!(copy, spec);
-    // The wire form expands without an intermediate vector either.
-    let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
-    let ((allocations, _), expanded) = cost_of(|| wire.to_spec().unwrap());
-    assert_eq!(allocations, 1, "to_spec: {allocations} allocations");
-    assert_eq!(expanded, spec);
+    let computations = [ms(1), ms(2), ms(3), ms(4), ms(5), ms(6)];
+    for n in [5, 6] {
+        let ((allocations, bytes), spec) =
+            cost_of(|| TaskSpec::pipeline(ms(100), &computations[..n]).unwrap());
+        // Past five, the reference counts and one packed word a stage:
+        // 16 + 4 × 6 bytes.
+        let shared = u64::from(n > 5);
+        assert!(spec.graph.is_plain());
+        assert_eq!(
+            allocations, shared,
+            "pipeline of {n}: {allocations} allocations"
+        );
+        assert!(bytes <= 40 * shared, "pipeline of {n}: {bytes} bytes");
+        let ((allocations, _), copy) = cost_of(|| spec.clone());
+        assert_eq!(allocations, 0, "TaskSpec::clone of {n} stages allocated");
+        assert_eq!(copy, spec);
+        // The wire form expands without an intermediate vector either.
+        let wire = WireTaskSpec::from_spec(&spec).expect("a pipeline");
+        let ((allocations, _), expanded) = cost_of(|| wire.to_spec().unwrap());
+        assert_eq!(
+            allocations, shared,
+            "to_spec of {n}: {allocations} allocations"
+        );
+        assert_eq!(expanded, spec);
+        assert_eq!(blocks_owned(expanded.graph), shared, "to_spec of {n}");
+    }
 }
 
 #[test]
@@ -170,7 +182,7 @@ fn each_family_generates_within_budget() {
             scenario.name
         );
         assert!(tasks > 1_000.0, "{}: {tasks} tasks", scenario.name);
-        // Nothing a task — a plain chain of up to four stages lives in its
+        // Nothing a task — a plain chain of up to five stages lives in its
         // record — but for the fork-joins among `diurnal`'s arrivals,
         // plus the trace's own vector and label.
         let budget = if scenario.name == "diurnal" {
@@ -183,12 +195,12 @@ fn each_family_generates_within_budget() {
             "{}: {per_task} per task",
             scenario.name
         );
-        // A 72 B record plus the records' slack; `diurnal`'s fork-joins
+        // A 56 B record plus the records' slack; `diurnal`'s fork-joins
         // keep the general form.
         let bytes_budget = if scenario.name == "diurnal" {
             130.0
         } else {
-            80.0
+            64.0
         };
         assert!(
             bytes_per_task <= bytes_budget,
@@ -211,7 +223,7 @@ fn rendered_traces_parse_back_equal() {
 }
 
 #[test]
-fn parsed_chains_own_a_block_past_four_stages() {
+fn parsed_chains_own_a_block_past_five_stages() {
     let ms = TimeDelta::from_millis;
     let computations = [ms(1), ms(2), ms(3), ms(4), ms(5), ms(6)];
     let mut trace = ArrivalTrace::new();
@@ -224,7 +236,7 @@ fn parsed_chains_own_a_block_past_four_stages() {
     for (n, record) in (1..).zip(parsed.records) {
         assert!(record.spec.graph.is_plain(), "{n} stages");
         let owned = blocks_owned(record.spec.graph);
-        assert_eq!(owned, u64::from(n > 4), "{n} stages");
+        assert_eq!(owned, u64::from(n > 5), "{n} stages");
     }
 }
 

@@ -249,7 +249,7 @@ impl ArrivalTrace {
 
     /// The arrivals as the `(Time, TaskSpec)` form the simulator and the
     /// replication runner consume (tenants dropped; a graph clone is a
-    /// 40-byte copy for a plain chain of up to four stages and a refcount
+    /// 24-byte copy for a plain chain of up to five stages and a refcount
     /// bump otherwise, O(1) either way).
     pub fn arrivals(&self) -> Vec<(Time, TaskSpec)> {
         self.iter_arrivals().collect()
