@@ -1,12 +1,16 @@
 //! Describing one arrival: building a pipeline `TaskSpec`, cloning it (as
 //! a trace replay does per arrival) and walking its demands through a
 //! `DemandView` (as every admission test does), at three to six stages —
-//! either side of the five words a plain chain keeps inline.
+//! either side of the five words a plain chain keeps inline. Then the same
+//! for Figure 3's fork-join `1 -> {2, 3} -> 4`, the one general graph the
+//! scenario catalog generates: building it, cloning it, walking every
+//! node's predecessors and successors (as the simulator does per
+//! subtask) and summing its per-stage demand.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use frap_core::demand::DemandView;
-use frap_core::graph::TaskSpec;
-use frap_core::task::StageId;
+use frap_core::graph::{TaskGraph, TaskSpec};
+use frap_core::task::{StageId, SubtaskSpec};
 use frap_core::time::TimeDelta;
 use std::hint::black_box;
 
@@ -59,9 +63,56 @@ fn demand_walk(c: &mut Criterion) {
     group.finish();
 }
 
+/// Figure 3's fork-join, with a different demand on each node.
+fn figure3() -> TaskGraph {
+    let sub =
+        |j: usize| SubtaskSpec::new(StageId::new(j), TimeDelta::from_micros(1_000 + j as u64));
+    TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).expect("valid fork-join")
+}
+
+fn fork_join(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph_fork_join");
+    let sub = |j: usize| SubtaskSpec::new(StageId::new(j), black_box(TimeDelta::from_millis(2)));
+    group.bench_with_input(BenchmarkId::from_parameter("build"), &(), |b, _| {
+        b.iter(|| TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).expect("valid"));
+    });
+    let graph = figure3();
+    group.bench_with_input(BenchmarkId::from_parameter("clone"), &graph, |b, graph| {
+        b.iter(|| black_box(graph).clone());
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("walk"), &graph, |b, graph| {
+        b.iter(|| {
+            let graph = black_box(graph);
+            let mut ids = 0;
+            for i in 0..graph.len() {
+                ids += graph
+                    .preds(i)
+                    .iter()
+                    .chain(graph.succs(i))
+                    .map(|&j| j as usize)
+                    .sum::<usize>();
+            }
+            ids
+        });
+    });
+    group.bench_with_input(
+        BenchmarkId::from_parameter("stage_demands"),
+        &graph,
+        |b, graph| {
+            b.iter(|| {
+                black_box(graph)
+                    .stage_demands()
+                    .map(|(_, c)| c)
+                    .sum::<TimeDelta>()
+            });
+        },
+    );
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = pipeline, clone, demand_walk
+    targets = pipeline, clone, demand_walk, fork_join
 }
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! semantic importance — to "add `C_ij / D_i`, test, revert". A
 //! [`DemandView`] is exactly that triple, lent without copying from
 //! wherever demands live: a plain chain's packed stage-and-demand words,
-//! any other [`TaskSpec`]'s precomputed per-stage totals, or the flat
+//! any other [`TaskSpec`]'s demand table of per-stage totals, or the flat
 //! microseconds-per-stage slice a transport decoded off a frame
 //! ([`WireTaskSpec`]'s form). Every
 //! [`ContributionModel`](crate::admission::ContributionModel) is written
@@ -13,7 +13,7 @@
 //! without building a task graph first, and all three lenders charge the
 //! same units to the bit.
 
-use crate::graph::{unpack, TaskSpec};
+use crate::graph::{row, unpack, TaskSpec};
 use crate::task::{Importance, StageId};
 use crate::time::TimeDelta;
 use crate::wire::WireTaskSpec;
@@ -24,8 +24,9 @@ pub(crate) enum Demands<'a> {
     /// A plain chain's words, each a stage and its demand, ascending by
     /// stage — one slice whether the graph keeps them inline or shared.
     Packed(&'a [u32]),
-    /// Any other task graph's per-stage totals, ascending by stage.
-    Merged(&'a [(StageId, TimeDelta)]),
+    /// Any other task graph's demand table: rows of a stage and its
+    /// total, each in two 32-bit halves, ascending by stage.
+    Rows(&'a [[u32; 4]]),
     /// Pipeline wire form: entry `j` is the microseconds asked of stage `j`.
     PipelineUs(&'a [u64]),
 }
@@ -82,7 +83,7 @@ impl<'a> DemandView<'a> {
     pub fn stages(&self) -> usize {
         match self.demands {
             Demands::Packed(words) => words.len(),
-            Demands::Merged(d) => d.len(),
+            Demands::Rows(rows) => rows.len(),
             Demands::PipelineUs(us) => us.len(),
         }
     }
@@ -99,7 +100,10 @@ impl<'a> DemandView<'a> {
                 let (stage, c) = unpack(word);
                 f(stage, c)
             })),
-            Demands::Merged(d) => out.extend(d.iter().map(|&(stage, c)| f(stage, c))),
+            Demands::Rows(rows) => out.extend(rows.iter().map(|r| {
+                let (stage, c) = row(r);
+                f(stage, c)
+            })),
             Demands::PipelineUs(us) => out.extend(
                 us.iter()
                     .enumerate()

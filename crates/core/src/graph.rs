@@ -13,7 +13,7 @@
 
 use crate::demand::Demands;
 use crate::error::GraphError;
-use crate::task::{Importance, StageId, SubtaskSpec};
+use crate::task::{Importance, LockId, Segment, StageId, SubtaskSpec};
 use crate::time::TimeDelta;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,14 +34,15 @@ use std::sync::Arc;
 /// five stages keeps its words in the graph itself, so building, cloning
 /// and dropping it touch no heap, and a clone is a 24-byte copy. A longer
 /// one keeps them in one shared allocation. Every other graph — a chain
-/// past either limit among them — keeps its subtask list, and edge lists
-/// unless it is a chain in index order, behind one shared `Arc`. The
-/// structure is immutable once built, so clones share what is on the
-/// heap: cloning a [`TaskSpec`] (which workload generators do once per
-/// arrival) costs at most an `Arc` bump. `Arc` rather than `Rc` keeps
-/// specs `Send` for the concurrent admission service. Every constructor
-/// picks the form and the place from the graph alone, so however a graph
-/// is built it has one form and equality stays structural.
+/// past either limit among them — is one shared block of 32-bit words:
+/// its nodes, their segments, its per-stage demand and, unless it is a
+/// chain in index order, its edge lists. The structure is immutable once
+/// built, so clones share what is on the heap: cloning a [`TaskSpec`]
+/// (which workload generators do once per arrival) costs at most an `Arc`
+/// bump. `Arc` rather than `Rc` keeps specs `Send` for the concurrent
+/// admission service. Every constructor picks the form and the place from
+/// the graph alone, so however a graph is built it has one form and
+/// equality stays structural.
 ///
 /// # Examples
 ///
@@ -73,8 +74,8 @@ enum Repr {
     /// (see [`pack`]), which makes it the per-stage demand as well. The
     /// words ascend with the stage.
     Plain(Words),
-    /// Every other graph.
-    General(Arc<GraphInner>),
+    /// Every other graph, as one [`Block`].
+    General(Arc<[u32]>),
 }
 
 /// The most words a plain chain keeps inline, in the graph itself: as
@@ -123,166 +124,243 @@ impl std::ops::Deref for Words {
     }
 }
 
-#[derive(Debug, PartialEq)]
-struct GraphInner {
-    subtasks: Vec<SubtaskSpec>,
-    /// Per-stage demand `C_ij` summed over subtasks, ascending by stage —
-    /// precomputed once so the admission hot path (contributions per
-    /// arrival) is a plain walk instead of a merge + sort per request.
-    stage_demand: Vec<(StageId, TimeDelta)>,
-    /// `None` for the chain `0 -> 1 -> … -> n-1` of at most
-    /// [`CHAIN_TABLE`] subtasks, whose edges are slices of [`INDEX`].
-    edges: Option<Edges>,
+/// The words before a general graph's nodes: `n`, the number of rows of
+/// its demand table (with [`KEEPS_LISTS`]), and the lock word of a
+/// lock-free segment.
+const HEADER: usize = 3;
+
+/// The top bit of the header's row count: set when the graph keeps edge
+/// lists.
+const KEEPS_LISTS: u32 = 1 << 31;
+
+/// A general graph's words, in this order:
+///
+/// | words | what |
+/// |---|---|
+/// | [`HEADER`] | `n`; `m`, or'ed with [`KEEPS_LISTS`]; the free lock word (below) |
+/// | `2n` | node `i`: the row of its stage in the demand table, then the end of its segments |
+/// | `4n` | the demand table, ascending by stage, its first `m` rows used: the stage's halves, then the demand's |
+/// | `3n + 1 + 2e` | the [`Lists`], unless the graph is a chain in index order |
+/// | `3s` | the `s` segments, node by node: the duration's low and high halves, then the lock |
+///
+/// What the admission test and the simulator read per arrival — a node's
+/// stage, the demand table, the lists — sits at an offset that is a
+/// function of `n` alone. Node `i`'s segments run from node `i - 1`'s end
+/// (0 for node 0) to its own. The lock word of a lock-free segment is
+/// `u32::MAX`, or, when a segment holds that lock, the largest value no
+/// segment's lock takes. Every word is a function of the graph, and the
+/// unused rows are zero, so two blocks are equal exactly when their
+/// graphs are.
+#[derive(Clone, Copy)]
+struct Block<'a>(&'a [u32]);
+
+/// A 64-bit value as a row or a segment stores it: low half, high half.
+#[inline]
+fn halves(value: u64) -> [u32; 2] {
+    [value as u32, (value >> 32) as u32]
 }
 
-/// The explicit precedence lists of an `n`-node graph in one buffer: the
-/// topological order (`n` ids), then `2n + 1` offsets into the buffer,
-/// then the ids of list `0..2n`. List `i` holds node `i`'s predecessors
-/// and list `n + i` its successors, each in the order its edges were first
-/// added.
-#[derive(Debug, Clone, PartialEq)]
-struct Edges(Vec<usize>);
+/// The value of [`halves`].
+#[inline]
+fn joined(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
+}
 
-impl Edges {
-    /// The lists of `edges` (in range, no self-loops) with duplicates
-    /// dropped; the topological order is left for [`Edges::sorted`].
-    fn new(n: usize, edges: impl Iterator<Item = (usize, usize)> + Clone) -> Edges {
-        let base = 3 * n + 1;
-        let mut buf = vec![0; base + 2 * edges.clone().count()];
-        let (head, ids) = buf.split_at_mut(base);
-        let at = &mut head[n..];
-        // Count each list's length into the slot after its start, sum the
-        // counts into starts, then fill: each list's start advances to its
-        // end, which is where the next list starts.
-        for (from, to) in edges.clone() {
-            at[to + 1] += 1;
-            at[n + from + 1] += 1;
-        }
-        for k in 1..at.len() {
-            at[k] += at[k - 1];
-        }
-        for (from, to) in edges {
-            for (list, id) in [(to, from), (n + from, to)] {
-                ids[at[list]] = id;
-                at[list] += 1;
-            }
-        }
-        // Keep the first of each repeated id and close the gaps: every
-        // list moves down, never up, so this works in place.
-        let (mut read, mut write) = (0, 0);
-        for bound in &mut at[..2 * n] {
-            let (start, end) = (write, *bound);
-            for r in read..end {
-                if !ids[start..write].contains(&ids[r]) {
-                    ids[write] = ids[r];
-                    write += 1;
-                }
-            }
-            read = end;
-            *bound = base + start;
-        }
-        at[2 * n] = base + write;
-        buf.truncate(base + write);
-        Edges(buf)
+/// A demand-table row's stage and total demand.
+#[inline]
+pub(crate) fn row(&[stage_lo, stage_hi, c_lo, c_hi]: &[u32; 4]) -> (StageId, TimeDelta) {
+    let stage = StageId::new(joined(stage_lo, stage_hi) as usize);
+    (stage, TimeDelta::from_micros(joined(c_lo, c_hi)))
+}
+
+impl<'a> Block<'a> {
+    #[inline]
+    fn len(self) -> usize {
+        self.0[0] as usize
     }
 
-    /// Fills in the topological order by Kahn's algorithm, sources
-    /// ascending first, so the order is deterministic. Graphs of up to 16
-    /// nodes count their in-degrees without a heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Cycle`] when there is no such order.
-    fn sorted(mut self, n: usize) -> Result<Edges, GraphError> {
-        const INLINE: usize = 16;
-        let mut inline = [0; INLINE];
-        let mut spilled = Vec::new();
-        let indeg: &mut [usize] = if n <= INLINE {
-            &mut inline[..n]
-        } else {
-            spilled.resize(n, 0);
-            &mut spilled
-        };
-        for (i, d) in indeg.iter_mut().enumerate() {
-            *d = self.list(n, i).len();
-        }
-        let mut len = 0;
-        for (i, _) in indeg.iter().enumerate().filter(|&(_, &d)| d == 0) {
-            self.0[len] = i;
-            len += 1;
-        }
-        let mut cursor = 0;
-        while cursor < len {
-            let i = self.0[cursor];
-            cursor += 1;
-            for r in self.0[2 * n + i]..self.0[2 * n + i + 1] {
-                let s = self.0[r];
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    self.0[len] = s;
-                    len += 1;
-                }
-            }
-        }
-        if len == n {
-            Ok(self)
-        } else {
-            Err(GraphError::Cycle)
-        }
+    /// Where node `i`'s segments end, in segments.
+    #[inline]
+    fn segments_end(self, i: usize) -> usize {
+        self.0[HEADER + 2 * i + 1] as usize
+    }
+
+    /// The demand table's used rows.
+    #[inline]
+    fn rows(self) -> &'a [[u32; 4]] {
+        let at = HEADER + 2 * self.len();
+        let m = (self.0[1] & !KEEPS_LISTS) as usize;
+        self.0[at..at + 4 * m].as_chunks().0
+    }
+
+    #[inline]
+    fn stage(self, i: usize) -> StageId {
+        row(&self.rows()[self.0[HEADER + 2 * i] as usize]).0
+    }
+
+    /// Node `i`'s segments.
+    fn segments(self, i: usize) -> impl Iterator<Item = Segment> + 'a {
+        let start = if i == 0 { 0 } else { self.segments_end(i - 1) };
+        let at = self.0.len() - 3 * self.segments_end(self.len() - 1);
+        let words = &self.0[at + 3 * start..at + 3 * self.segments_end(i)];
+        let free = self.0[2];
+        words
+            .as_chunks()
+            .0
+            .iter()
+            .map(move |&[lo, hi, lock]| Segment {
+                duration: TimeDelta::from_micros(joined(lo, hi)),
+                lock: (lock != free).then(|| LockId::new(lock as usize)),
+            })
+    }
+
+    /// The edge lists; `None` for a chain in index order.
+    #[inline]
+    fn lists(self) -> Option<Lists<'a>> {
+        let at = HEADER + 6 * self.len();
+        (self.0[1] & KEEPS_LISTS != 0).then(|| Lists(&self.0[at..]))
+    }
+}
+
+/// The explicit precedence lists of an `n`-node graph: the topological
+/// order (`n` ids), then `2n + 1` offsets into these words, then the ids
+/// of list `0..2n`. List `i` holds node `i`'s predecessors and list
+/// `n + i` its successors, each in the order its edges were first added.
+#[derive(Clone, Copy)]
+struct Lists<'a>(&'a [u32]);
+
+impl<'a> Lists<'a> {
+    /// The lists' own words, which end where the last list does.
+    #[inline]
+    fn words(self, n: usize) -> &'a [u32] {
+        &self.0[..self.0[3 * n] as usize]
     }
 
     /// List `list` (`0..2n`) of the `n`-node graph.
-    fn list(&self, n: usize, list: usize) -> &[usize] {
+    #[inline]
+    fn list(self, n: usize, list: usize) -> &'a [u32] {
         let at = &self.0[n..];
-        &self.0[at[list]..at[list + 1]]
+        &self.0[at[list] as usize..at[list + 1] as usize]
+    }
+}
+
+/// Writes the lists of `edges` (in range, no self-loops) into `buf`,
+/// `3n + 1 + 2e` zeroed words for the `e` edges given, keeping each
+/// repeated edge once, and returns how many words that leaves. The
+/// topological order is left for [`sort_lists`].
+fn write_lists(
+    buf: &mut [u32],
+    n: usize,
+    edges: impl Iterator<Item = (usize, usize)> + Clone,
+) -> usize {
+    assert!(
+        u32::try_from(buf.len()).is_ok(),
+        "a task graph of {n} nodes"
+    );
+    let base = 3 * n + 1;
+    let (head, ids) = buf.split_at_mut(base);
+    let at = &mut head[n..];
+    // Count each list's length into the slot after its start, sum the
+    // counts into starts, then fill: each list's start advances to its
+    // end, which is where the next list starts.
+    for (from, to) in edges.clone() {
+        at[to + 1] += 1;
+        at[n + from + 1] += 1;
+    }
+    for k in 1..at.len() {
+        at[k] += at[k - 1];
+    }
+    for (from, to) in edges {
+        for (list, id) in [(to, from), (n + from, to)] {
+            ids[at[list] as usize] = id as u32;
+            at[list] += 1;
+        }
+    }
+    // Keep the first of each repeated id and close the gaps: every list
+    // moves down, never up, so this works in place. The offsets become
+    // offsets into `buf`.
+    let (mut read, mut write) = (0, 0);
+    for bound in &mut at[..2 * n] {
+        let (start, end) = (write, *bound as usize);
+        for r in read..end {
+            if !ids[start..write].contains(&ids[r]) {
+                ids[write] = ids[r];
+                write += 1;
+            }
+        }
+        read = end;
+        *bound = (base + start) as u32;
+    }
+    at[2 * n] = (base + write) as u32;
+    base + write
+}
+
+/// Fills in the topological order of the lists in `buf` by Kahn's
+/// algorithm, sources ascending first, so the order is deterministic.
+/// Graphs of up to 16 nodes count their in-degrees without a heap
+/// allocation.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Cycle`] when there is no such order.
+fn sort_lists(buf: &mut [u32], n: usize) -> Result<(), GraphError> {
+    const INLINE: usize = 16;
+    let mut inline = [0; INLINE];
+    let mut spilled = Vec::new();
+    let indeg: &mut [u32] = if n <= INLINE {
+        &mut inline[..n]
+    } else {
+        spilled.resize(n, 0);
+        &mut spilled
+    };
+    for (i, d) in indeg.iter_mut().enumerate() {
+        *d = Lists(buf).list(n, i).len() as u32;
+    }
+    let mut len = 0;
+    for (i, _) in indeg.iter().enumerate().filter(|&(_, &d)| d == 0) {
+        buf[len] = i as u32;
+        len += 1;
+    }
+    let mut cursor = 0;
+    while cursor < len {
+        let i = buf[cursor] as usize;
+        cursor += 1;
+        for r in buf[2 * n + i] as usize..buf[2 * n + i + 1] as usize {
+            let s = buf[r] as usize;
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                buf[len] = s as u32;
+                len += 1;
+            }
+        }
+    }
+    if len == n {
+        Ok(())
+    } else {
+        Err(GraphError::Cycle)
     }
 }
 
 /// The longest chain stored without edge lists: the wire format's stage
-/// limit. A longer chain keeps explicit [`Edges`].
+/// limit. A longer chain keeps explicit [`Lists`].
 const CHAIN_TABLE: usize = 1024;
 
 /// `INDEX[i] == i`: node `i` of an edge-less chain has predecessors
 /// `INDEX[i-1..i]` and successors `INDEX[i+1..i+2]`, and the topological
 /// order is `INDEX[..n]`.
-static INDEX: [usize; CHAIN_TABLE] = {
+static INDEX: [u32; CHAIN_TABLE] = {
     let mut table = [0; CHAIN_TABLE];
     let mut i = 0;
     while i < CHAIN_TABLE {
-        table[i] = i;
+        table[i] = i as u32;
         i += 1;
     }
     table
 };
 
 /// Successors of node `index` in the edge-less chain of `n` nodes.
-fn chain_succs(n: usize, index: usize) -> &'static [usize] {
+fn chain_succs(n: usize, index: usize) -> &'static [u32] {
     &INDEX[index + 1..n.min(index + 2)]
-}
-
-/// Merges per-subtask computation into per-stage totals, ascending by
-/// stage. Summed in `TimeDelta` (integer microseconds), exactly as the
-/// on-demand merge used to.
-fn merged_stage_demand(subtasks: &[SubtaskSpec]) -> Vec<(StageId, TimeDelta)> {
-    let mut v: Vec<(StageId, TimeDelta)> = Vec::with_capacity(subtasks.len());
-    // Stages strictly ascending so far: each subtask is a new last entry,
-    // no search and no sort.
-    let mut ascending = true;
-    for s in subtasks {
-        if ascending && v.last().is_none_or(|&(last, _)| last < s.stage) {
-            v.push((s.stage, s.computation()));
-            continue;
-        }
-        ascending = false;
-        match v.iter_mut().find(|(stage, _)| *stage == s.stage) {
-            Some(slot) => slot.1 += s.computation(),
-            None => v.push((s.stage, s.computation())),
-        }
-    }
-    if !ascending {
-        v.sort_unstable_by_key(|&(stage, _)| stage);
-    }
-    v
 }
 
 /// The low bits of a plain chain's word: the demand in microseconds. The
@@ -307,11 +385,11 @@ pub(crate) fn unpack(word: u32) -> (StageId, TimeDelta) {
 }
 
 /// [`TaskGraph::stage_demands`]: a plain chain's words unpacked, or the
-/// general form's merged totals.
+/// general form's demand table.
 #[derive(Clone)]
 enum StageDemands<'a> {
     Packed(std::slice::Iter<'a, u32>),
-    Merged(std::slice::Iter<'a, (StageId, TimeDelta)>),
+    Rows(std::slice::Iter<'a, [u32; 4]>),
 }
 
 impl Iterator for StageDemands<'_> {
@@ -321,7 +399,7 @@ impl Iterator for StageDemands<'_> {
     fn next(&mut self) -> Option<(StageId, TimeDelta)> {
         match self {
             StageDemands::Packed(words) => words.next().map(|&word| unpack(word)),
-            StageDemands::Merged(demands) => demands.next().copied(),
+            StageDemands::Rows(rows) => rows.next().map(row),
         }
     }
 
@@ -329,17 +407,19 @@ impl Iterator for StageDemands<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
             StageDemands::Packed(words) => words.size_hint(),
-            StageDemands::Merged(demands) => demands.size_hint(),
+            StageDemands::Rows(rows) => rows.size_hint(),
         }
     }
 }
 
 impl ExactSizeIterator for StageDemands<'_> {}
 
-/// The first subtask without segments, as the error both constructors
-/// return.
-fn check_segments(subtasks: &[SubtaskSpec]) -> Result<(), GraphError> {
-    match subtasks.iter().position(|s| s.segments.is_empty()) {
+/// The first subtask without segments, as the error every constructor
+/// returns.
+fn check_segments<'s>(
+    mut subtasks: impl Iterator<Item = &'s SubtaskSpec>,
+) -> Result<(), GraphError> {
+    match subtasks.position(|s| s.segments.is_empty()) {
         Some(index) => Err(GraphError::EmptySubtask { index }),
         None => Ok(()),
     }
@@ -404,8 +484,8 @@ impl TaskGraph {
             let edges = (1..n).map(|i| (i - 1, i)).collect();
             return TaskGraphBuilder { subtasks, edges }.build();
         }
-        check_segments(&subtasks)?;
-        Ok(TaskGraph::index_chain(subtasks))
+        check_segments(subtasks.iter())?;
+        Ok(TaskGraph::index_chain(&subtasks))
     }
 
     /// The chain whose subtask `j` is one lock-free segment of
@@ -478,7 +558,7 @@ impl TaskGraph {
 
     /// The chain `0 -> 1 -> … -> n-1` of `subtasks` (`1 ≤ n ≤ 1024`, none
     /// without segments), in its one form.
-    fn index_chain(subtasks: Vec<SubtaskSpec>) -> TaskGraph {
+    fn index_chain(subtasks: &[SubtaskSpec]) -> TaskGraph {
         let lock_free = |s: &SubtaskSpec| matches!(&*s.segments, [only] if only.lock.is_none());
         if subtasks.iter().all(lock_free) {
             let word = |s: &SubtaskSpec| pack(s.stage, s.segments[0].duration);
@@ -486,22 +566,100 @@ impl TaskGraph {
                 return graph;
             }
         }
-        TaskGraph::general(subtasks, None)
+        TaskGraph::general(subtasks.iter(), 0, |_| {})
     }
 
-    fn general(subtasks: Vec<SubtaskSpec>, edges: Option<Edges>) -> TaskGraph {
-        let stage_demand = merged_stage_demand(&subtasks);
-        TaskGraph(Repr::General(Arc::new(GraphInner {
-            subtasks,
-            stage_demand,
-            edges,
-        })))
+    /// The general form of `subtasks` (at least one, none without
+    /// segments): one [`Block`] of the exact length, allocated once and
+    /// filled in place, with `list_words` words of edge lists that `lists`
+    /// writes (none for a chain in index order).
+    fn general<'s>(
+        subtasks: impl Iterator<Item = &'s SubtaskSpec> + Clone,
+        list_words: usize,
+        lists: impl FnOnce(&mut [u32]),
+    ) -> TaskGraph {
+        let largest = Some(LockId::new(u32::MAX as usize));
+        let (mut n, mut s, mut holds_largest) = (0, 0, false);
+        for sub in subtasks.clone() {
+            n += 1;
+            s += sub.segments.len();
+            holds_largest |= sub.segments.iter().any(|segment| segment.lock == largest);
+        }
+        let len = HEADER + 6 * n + list_words + 3 * s;
+        assert!(u32::try_from(len).is_ok(), "a task graph of {n} nodes");
+        // A collected iterator of trusted length is one allocation.
+        let mut block: Arc<[u32]> = std::iter::repeat_n(0, len).collect();
+        let words = Arc::get_mut(&mut block).expect("a new block is unique");
+        let (nodes, rest) = words.split_at_mut(HEADER + 2 * n);
+        let (table, rest) = rest.split_at_mut(4 * n);
+        let (lists_buf, segments) = rest.split_at_mut(list_words);
+        let table: &mut [[u32; 4]] = table.as_chunks_mut().0;
+
+        let mut free = u32::MAX;
+        if holds_largest {
+            let locks = (subtasks.clone())
+                .flat_map(|sub| sub.segments.iter())
+                .filter_map(|segment| segment.lock);
+            while locks.clone().any(|lock| lock.index() == free as usize) {
+                free -= 1;
+            }
+        }
+        let new_row = |stage: StageId, c: TimeDelta| {
+            let [stage_lo, stage_hi] = halves(stage.index() as u64);
+            let [c_lo, c_hi] = halves(c.as_micros());
+            [stage_lo, stage_hi, c_lo, c_hi]
+        };
+        // While the stages ascend, node `i` is row `i`; from the first
+        // that does not, each demand is merged into the rows, kept
+        // ascending: a new stage inserted, a repeated one summed in
+        // `TimeDelta`, and the nodes find their rows once all are in.
+        let (mut end, mut rows, mut ascending) = (0, 0, true);
+        for (i, sub) in subtasks.clone().enumerate() {
+            let mut c = TimeDelta::ZERO;
+            for segment in sub.segments.iter() {
+                let [lo, hi] = halves(segment.duration.as_micros());
+                let lock = segment.lock.map_or(free, |lock| lock.index() as u32);
+                segments[3 * end..3 * end + 3].copy_from_slice(&[lo, hi, lock]);
+                c += segment.duration;
+                end += 1;
+            }
+            nodes[HEADER + 2 * i + 1] = end as u32;
+            if ascending && (rows == 0 || row(&table[rows - 1]).0 < sub.stage) {
+                nodes[HEADER + 2 * i] = rows as u32;
+                table[rows] = new_row(sub.stage, c);
+                rows += 1;
+                continue;
+            }
+            ascending = false;
+            match table[..rows].binary_search_by_key(&sub.stage, |r| row(r).0) {
+                Ok(at) => {
+                    let total = row(&table[at]).1 + c;
+                    table[at][2..].copy_from_slice(&halves(total.as_micros()));
+                }
+                Err(at) => {
+                    table.copy_within(at..rows, at + 1);
+                    table[at] = new_row(sub.stage, c);
+                    rows += 1;
+                }
+            }
+        }
+        if !ascending {
+            for (i, sub) in subtasks.enumerate() {
+                let at = table[..rows].binary_search_by_key(&sub.stage, |r| row(r).0);
+                nodes[HEADER + 2 * i] = at.expect("every stage has a row") as u32;
+            }
+        }
+        let keeps_lists = if list_words > 0 { KEEPS_LISTS } else { 0 };
+        nodes[..HEADER].copy_from_slice(&[n as u32, rows as u32 | keeps_lists, free]);
+        lists(lists_buf);
+        TaskGraph(Repr::General(block))
     }
 
     /// A fork-join graph: `head` then all of `branches` in parallel, then
     /// `tail` (the shape of the paper's Figure 3 when `branches.len() == 2`).
     /// It is the graph the builder makes of those edges (with at most one
-    /// branch, the chain), built without the builder's edge vector.
+    /// branch, the chain), built straight into its one block, without the
+    /// builder's edge vector or a subtask list.
     ///
     /// # Errors
     ///
@@ -512,19 +670,50 @@ impl TaskGraph {
         tail: SubtaskSpec,
     ) -> Result<TaskGraph, GraphError> {
         let n = branches.len() + 2;
-        let mut subtasks = Vec::with_capacity(n);
-        subtasks.push(head);
-        subtasks.extend(branches);
-        subtasks.push(tail);
         if n <= 3 {
+            let mut subtasks = Vec::with_capacity(n);
+            subtasks.push(head);
+            subtasks.extend(branches);
+            subtasks.push(tail);
             return TaskGraph::chain(subtasks);
         }
-        check_segments(&subtasks)?;
-        // Head to each branch and each branch to the tail, in the order
-        // the builder would be given them.
-        let edges = (1..n - 1).flat_map(|b| [(0, b), (b, n - 1)]);
-        let edges = Edges::new(n, edges).sorted(n)?;
-        Ok(TaskGraph::general(subtasks, Some(edges)))
+        let once = std::iter::once;
+        let subtasks = once(&head).chain(&branches).chain(once(&tail));
+        check_segments(subtasks.clone())?;
+        // The lists the builder writes for the edges head -> each branch ->
+        // tail, written in place: the order `0..n` (Kahn's algorithm from
+        // the one source), the offsets, then the head's predecessors
+        // (none), each branch's (the head), the tail's (every branch), the
+        // head's successors (every branch), each branch's (the tail) and
+        // the tail's (none).
+        let (base, tail_at) = (3 * n + 1, n - 1);
+        let branches = 1..tail_at;
+        let preds = (0..n).map(|i| match i {
+            0 => 0..0,
+            _ if i == tail_at => branches.clone(),
+            _ => 0..1,
+        });
+        let succs = (0..n).map(|i| match i {
+            0 => branches.clone(),
+            _ if i == tail_at => 0..0,
+            _ => tail_at..n,
+        });
+        Ok(TaskGraph::general(subtasks, base + 4 * (n - 2), |buf| {
+            let (order, rest) = buf.split_at_mut(n);
+            let (offsets, ids) = rest.split_at_mut(2 * n + 1);
+            for (i, slot) in order.iter_mut().enumerate() {
+                *slot = i as u32;
+            }
+            let mut at = 0;
+            for (list, offset) in preds.chain(succs).zip(&mut *offsets) {
+                *offset = (base + at) as u32;
+                for id in list {
+                    ids[at] = id as u32;
+                    at += 1;
+                }
+            }
+            offsets[2 * n] = (base + at) as u32;
+        }))
     }
 
     /// Number of subtasks.
@@ -532,7 +721,7 @@ impl TaskGraph {
     pub fn len(&self) -> usize {
         match &self.0 {
             Repr::Plain(words) => words.len(),
-            Repr::General(inner) => inner.subtasks.len(),
+            Repr::General(block) => Block(block).len(),
         }
     }
 
@@ -550,7 +739,7 @@ impl TaskGraph {
     }
 
     /// The subtask at `index`, by value: a one-segment subtask owns no
-    /// heap, so for a plain chain this allocates nothing.
+    /// heap, so this allocates only for a subtask of several segments.
     ///
     /// # Panics
     ///
@@ -562,7 +751,18 @@ impl TaskGraph {
                 let (stage, c) = unpack(words[index]);
                 SubtaskSpec::new(stage, c)
             }
-            Repr::General(inner) => inner.subtasks[index].clone(),
+            Repr::General(block) => {
+                let block = Block(block);
+                assert!(
+                    index < block.len(),
+                    "subtask {index} of a {}-subtask graph",
+                    block.len()
+                );
+                SubtaskSpec {
+                    stage: block.stage(index),
+                    segments: block.segments(index).collect(),
+                }
+            }
         }
     }
 
@@ -575,7 +775,15 @@ impl TaskGraph {
     pub fn stage(&self, index: usize) -> StageId {
         match &self.0 {
             Repr::Plain(words) => unpack(words[index]).0,
-            Repr::General(inner) => inner.subtasks[index].stage,
+            Repr::General(block) => {
+                let block = Block(block);
+                assert!(
+                    index < block.len(),
+                    "subtask {index} of a {}-subtask graph",
+                    block.len()
+                );
+                block.stage(index)
+            }
         }
     }
 
@@ -587,10 +795,11 @@ impl TaskGraph {
 
     /// Explicit edge lists; `None` for a chain in index order of at most
     /// [`CHAIN_TABLE`] subtasks.
-    fn edges(&self) -> Option<&Edges> {
+    #[inline]
+    fn lists(&self) -> Option<Lists<'_>> {
         match &self.0 {
             Repr::Plain(_) => None,
-            Repr::General(inner) => inner.edges.as_ref(),
+            Repr::General(block) => Block(block).lists(),
         }
     }
 
@@ -600,11 +809,11 @@ impl TaskGraph {
     ///
     /// Panics if `index >= self.len()`.
     #[inline]
-    pub fn preds(&self, index: usize) -> &[usize] {
+    pub fn preds(&self, index: usize) -> &[u32] {
         let n = self.len();
         assert!(index < n, "subtask {index} of a {n}-subtask graph");
-        match self.edges() {
-            Some(edges) => edges.list(n, index),
+        match self.lists() {
+            Some(lists) => lists.list(n, index),
             None => &INDEX[index.saturating_sub(1)..index],
         }
     }
@@ -615,11 +824,11 @@ impl TaskGraph {
     ///
     /// Panics if `index >= self.len()`.
     #[inline]
-    pub fn succs(&self, index: usize) -> &[usize] {
+    pub fn succs(&self, index: usize) -> &[u32] {
         let n = self.len();
         assert!(index < n, "subtask {index} of a {n}-subtask graph");
-        match self.edges() {
-            Some(edges) => edges.list(n, n + index),
+        match self.lists() {
+            Some(lists) => lists.list(n, n + index),
             None => chain_succs(n, index),
         }
     }
@@ -639,9 +848,9 @@ impl TaskGraph {
     }
 
     /// A topological order of subtask indices.
-    pub fn topological_order(&self) -> &[usize] {
-        match self.edges() {
-            Some(edges) => &edges.0[..self.len()],
+    pub fn topological_order(&self) -> &[u32] {
+        match self.lists() {
+            Some(lists) => &lists.0[..self.len()],
             None => &INDEX[..self.len()],
         }
     }
@@ -649,11 +858,11 @@ impl TaskGraph {
     /// Whether the graph is a single chain (a pipeline). Allocates
     /// nothing, and is O(1) for a chain stored without edge lists.
     pub fn is_chain(&self) -> bool {
-        let Some(edges) = self.edges() else {
+        let Some(lists) = self.lists() else {
             return true;
         };
         let n = self.len();
-        let sizes = |lists: std::ops::Range<usize>| lists.map(|k| edges.list(n, k).len());
+        let sizes = |range: std::ops::Range<usize>| range.map(|k| lists.list(n, k).len());
         sizes(0..n).filter(|&size| size == 0).count() == 1 && sizes(0..2 * n).all(|size| size <= 1)
     }
 
@@ -670,23 +879,24 @@ impl TaskGraph {
 
     /// [`TaskGraph::stage_demand`] without building a map: the per-stage
     /// totals, ascending by stage, as stored at construction (a plain
-    /// chain's words unpacked one by one).
+    /// chain's words unpacked one by one, or the general form's demand
+    /// table).
     pub fn stage_demands(
         &self,
     ) -> impl ExactSizeIterator<Item = (StageId, TimeDelta)> + Clone + '_ {
         match &self.0 {
             Repr::Plain(words) => StageDemands::Packed(words.iter()),
-            Repr::General(inner) => StageDemands::Merged(inner.stage_demand.iter()),
+            Repr::General(block) => StageDemands::Rows(Block(block).rows().iter()),
         }
     }
 
     /// The stored per-stage demand, as
     /// [`DemandView`](crate::demand::DemandView) lends it: a plain
-    /// chain's words, or the general form's merged totals.
+    /// chain's words, or the general form's demand table.
     pub(crate) fn demands(&self) -> Demands<'_> {
         match &self.0 {
             Repr::Plain(words) => Demands::Packed(words),
-            Repr::General(inner) => Demands::Merged(&inner.stage_demand),
+            Repr::General(block) => Demands::Rows(Block(block).rows()),
         }
     }
 
@@ -730,10 +940,11 @@ impl TaskGraph {
             &mut spilled
         };
         for &i in self.topological_order() {
+            let i = i as usize;
             let start = self
                 .preds(i)
                 .iter()
-                .map(|&p| finish[p])
+                .map(|&p| finish[p as usize])
                 .fold(0.0f64, f64::max);
             finish[i] = start + delay(i);
         }
@@ -759,9 +970,14 @@ impl TaskGraph {
         for sub in &mut subtasks {
             sub.stage = f(sub.stage);
         }
-        match self.edges() {
-            None => TaskGraph::index_chain(subtasks),
-            Some(edges) => TaskGraph::general(subtasks, Some(edges.clone())),
+        match self.lists() {
+            None => TaskGraph::index_chain(&subtasks),
+            Some(lists) => {
+                let words = lists.words(subtasks.len());
+                TaskGraph::general(subtasks.iter(), words.len(), |buf| {
+                    buf.copy_from_slice(words)
+                })
+            }
         }
     }
 
@@ -776,8 +992,10 @@ impl TaskGraph {
         let mut finish = vec![0.0f64; self.len()];
         let mut via: Vec<Option<usize>> = vec![None; self.len()];
         for &i in self.topological_order() {
+            let i = i as usize;
             let mut start = 0.0;
             for &p in self.preds(i) {
+                let p = p as usize;
                 if finish[p] > start {
                     start = finish[p];
                     via[i] = Some(p);
@@ -815,7 +1033,7 @@ impl std::fmt::Display for TaskGraph {
                 write!(f, "s{}", self.stage(cur).index())?;
                 first = false;
                 match self.succs(cur).first() {
-                    Some(&next) => cur = next,
+                    Some(&next) => cur = next as usize,
                     None => return Ok(()),
                 }
             }
@@ -830,7 +1048,7 @@ impl std::fmt::Display for TaskGraph {
                 .collect();
             let is_fork_join = middles
                 .iter()
-                .all(|&m| self.preds(m) == [head] && self.succs(m) == [tail])
+                .all(|&m| self.preds(m) == [head as u32] && self.succs(m) == [tail as u32])
                 && self.succs(head).len() == middles.len()
                 && self.preds(tail).len() == middles.len();
             if is_fork_join {
@@ -886,7 +1104,7 @@ impl TaskGraphBuilder {
         if n == 0 {
             return Err(GraphError::Empty);
         }
-        check_segments(&self.subtasks)?;
+        check_segments(self.subtasks.iter())?;
         for &(from, to) in &self.edges {
             if from >= n {
                 return Err(GraphError::NodeOutOfRange {
@@ -902,18 +1120,21 @@ impl TaskGraphBuilder {
             }
         }
         // Duplicate edges are harmless but would skew in-degree counting;
-        // the lists keep each edge once.
-        let edges = Edges::new(n, self.edges.iter().copied());
+        // the lists keep each edge once. They are written here, at their
+        // length before deduplication, and copied into the block.
+        let mut lists = vec![0; 3 * n + 1 + 2 * self.edges.len()];
+        let kept = write_lists(&mut lists, n, self.edges.iter().copied());
+        lists.truncate(kept);
 
         // Exactly the edges `i -> i+1`: the one form such a chain has.
-        if n <= CHAIN_TABLE && (0..n).all(|i| edges.list(n, n + i) == chain_succs(n, i)) {
-            return Ok(TaskGraph::index_chain(std::mem::take(&mut self.subtasks)));
+        if n <= CHAIN_TABLE && (0..n).all(|i| Lists(&lists).list(n, n + i) == chain_succs(n, i)) {
+            return Ok(TaskGraph::index_chain(&std::mem::take(&mut self.subtasks)));
         }
-        let edges = edges.sorted(n)?;
-        Ok(TaskGraph::general(
-            std::mem::take(&mut self.subtasks),
-            Some(edges),
-        ))
+        sort_lists(&mut lists, n)?;
+        let subtasks = std::mem::take(&mut self.subtasks);
+        Ok(TaskGraph::general(subtasks.iter(), lists.len(), |buf| {
+            buf.copy_from_slice(&lists)
+        }))
     }
 }
 
@@ -1001,9 +1222,10 @@ impl TaskSpec {
             Repr::Plain(words) => words
                 .binary_search_by_key(&stage, |&word| unpack(word).0)
                 .map(|i| unpack(words[i]).1),
-            Repr::General(inner) => (inner.stage_demand)
-                .binary_search_by_key(&stage, |&(s, _)| s)
-                .map(|i| inner.stage_demand[i].1),
+            Repr::General(block) => {
+                let rows = Block(block).rows();
+                (rows.binary_search_by_key(&stage, |r| row(r).0)).map(|i| row(&rows[i]).1)
+            }
         };
         demand.map_or(0.0, |c| c.ratio(self.deadline))
     }
@@ -1066,30 +1288,30 @@ mod tests {
         for n in [1, 2, 3, 256, 257, CHAIN_TABLE] {
             let g = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
             assert!(
-                g.edges().is_none() && g.is_plain() == (n <= 256),
+                g.lists().is_none() && g.is_plain() == (n <= 256),
                 "chain of {n}"
             );
             assert!(n == 1 || by_edges(n) == g, "built chain of {n}");
             // A repeated stage is not plain, and still keeps no edges.
             let repeated = TaskGraph::chain((0..n).map(|i| sub(i / 2, 1)).collect()).unwrap();
-            assert!(repeated.edges().is_none() && (n == 1) == repeated.is_plain());
-            assert_eq!(g.succs(n - 1), &[] as &[usize]);
+            assert!(repeated.lists().is_none() && (n == 1) == repeated.is_plain());
+            assert_eq!(g.succs(n - 1), &[] as &[u32]);
             assert_eq!(g.preds(n - 1), &INDEX[n.saturating_sub(2)..n - 1]);
         }
         // One past the table: the general form, the same from both.
         let n = CHAIN_TABLE + 1;
         let long = TaskGraph::chain((0..n).map(|i| sub(i, 1)).collect()).unwrap();
-        assert!(long.edges().is_some());
+        assert!(long.lists().is_some());
         assert!(long.is_chain());
         assert_eq!(long, by_edges(n));
-        assert_eq!(long.preds(n - 1), &[n - 2]);
+        assert_eq!(long.preds(n - 1), &[n as u32 - 2]);
         assert_eq!(long.topological_order().len(), n);
         // A chain in any other order keeps its edges.
         let mut b = TaskGraph::builder();
         let (a, c) = (b.add(sub(0, 1)), b.add(sub(1, 1)));
         b.edge(c, a);
         let reversed = b.build().unwrap();
-        assert!(reversed.edges().is_some() && reversed.is_chain());
+        assert!(reversed.lists().is_some() && reversed.is_chain());
         assert_eq!(reversed.topological_order(), &[1, 0]);
     }
 
@@ -1165,8 +1387,8 @@ mod tests {
         let c = b.add(sub(1, 1));
         b.edge(a, c).edge(a, c).edge(a, c);
         let g = b.build().unwrap();
-        assert_eq!(g.succs(a), &[c]);
-        assert_eq!(g.preds(c), &[a]);
+        assert_eq!(g.succs(a), &[c as u32]);
+        assert_eq!(g.preds(c), &[a as u32]);
     }
 
     #[test]

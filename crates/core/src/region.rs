@@ -333,7 +333,7 @@ fn signature(graph: &TaskGraph) -> ShapeSignature {
     let mut edges = Vec::new();
     for i in 0..graph.len() {
         for &s in graph.succs(i) {
-            edges.push((i, s));
+            edges.push((i, s as usize));
         }
     }
     edges.sort_unstable();

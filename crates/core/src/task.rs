@@ -271,6 +271,20 @@ impl From<Vec<Segment>> for Segments {
     }
 }
 
+impl FromIterator<Segment> for Segments {
+    /// One segment is held inline, any other number in a `Vec`: collecting
+    /// a single segment allocates nothing.
+    fn from_iter<I: IntoIterator<Item = Segment>>(segments: I) -> Segments {
+        let mut segments = segments.into_iter();
+        Segments(match (segments.next(), segments.next()) {
+            (Some(one), None) => SegmentsRepr::One(one),
+            (first, second) => {
+                SegmentsRepr::Many(first.into_iter().chain(second).chain(segments).collect())
+            }
+        })
+    }
+}
+
 impl fmt::Debug for Segments {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)

@@ -8,9 +8,12 @@
 //! [`TaskGraph::is_plain`], which must be true exactly for the graphs the
 //! model calls plain. A plain chain of up to five stages keeps its words
 //! inline and a longer one in a shared block; every constructor and every
-//! accessor is checked on both sides of that boundary. The packed word's
-//! limits, the three lenders of a [`DemandView`] and the wire round trip
-//! are checked against the model too.
+//! accessor is checked on both sides of that boundary. Every other graph
+//! is one block of 32-bit words, which random builder DAGs exercise with
+//! several segments a node, locks (the largest lock id among them),
+//! demands past 2^32 µs, stages past 2^32 and edges given in any order.
+//! The packed word's limits, the three lenders of a [`DemandView`] and
+//! the wire round trip are checked against the model too.
 
 use frap_core::admission::{
     ContributionModel, ExactContributions, MeanContributions, SplitDeadlineContributions,
@@ -28,7 +31,7 @@ const TABLE: usize = 1024;
 
 /// `graph.rs`'s `INLINE_WORDS`: plain chains up to this long keep their
 /// words inline.
-const INLINE: usize = 4;
+const INLINE: usize = 5;
 
 /// The plain form's limits: a packed word holds a stage below this …
 const STAGE_LIMIT: usize = 1 << 8;
@@ -72,6 +75,34 @@ fn plain_subtasks(n: usize, seed: &mut u64) -> Vec<SubtaskSpec> {
             );
             stage += 1 + (next(seed) % 3) as usize;
             sub
+        })
+        .collect()
+}
+
+/// `n` subtasks that take the general form's every field to its range:
+/// stages from a few small ones (so they repeat), past 2^32 and
+/// `usize::MAX`; one to four segments, durations up to 2^40 µs with one
+/// in four past 2^32; a third of them critical sections, on small locks
+/// and on the two largest lock ids (the largest is the block's usual
+/// lock-free marker).
+fn wide_subtasks(n: usize, seed: &mut u64) -> Vec<SubtaskSpec> {
+    const STAGES: [usize; 8] = [0, 1, 2, 3, 5, 1 << 33, usize::MAX - 1, usize::MAX];
+    const LOCKS: [usize; 4] = [0, 3, u32::MAX as usize - 1, u32::MAX as usize];
+    (0..n)
+        .map(|_| {
+            let stage = StageId::new(STAGES[(next(seed) % 8) as usize]);
+            let segments = (0..1 + next(seed) % 4).map(|_| {
+                let us = match next(seed) % 4 {
+                    0 => (1 << 32) + next(seed) % (1 << 40),
+                    _ => next(seed) % 5_000,
+                };
+                let duration = TimeDelta::from_micros(us);
+                match next(seed) % 3 {
+                    0 => Segment::critical(duration, LockId::new(LOCKS[(next(seed) % 4) as usize])),
+                    _ => Segment::compute(duration),
+                }
+            });
+            SubtaskSpec::with_segments(stage, segments.collect())
         })
         .collect()
 }
@@ -207,10 +238,15 @@ impl Model {
     }
 }
 
-fn sorted(ids: &[usize]) -> Vec<usize> {
-    let mut v = ids.to_vec();
+/// `ids` as indices, ascending.
+fn sorted(ids: &[u32]) -> Vec<usize> {
+    let mut v = indices(ids);
     v.sort_unstable();
     v
+}
+
+fn indices(ids: &[u32]) -> Vec<usize> {
+    ids.iter().map(|&i| i as usize).collect()
 }
 
 /// Every accessor of `g` against the model.
@@ -237,12 +273,15 @@ fn agrees(g: &TaskGraph, m: &Model, seed: &mut u64) -> Result<(), String> {
     check(g.is_chain() == m.is_chain(), "is_chain")?;
 
     // A permutation in which every edge points forwards.
-    let topo = g.topological_order();
+    let topo = indices(g.topological_order());
     let mut position = vec![usize::MAX; n];
     for (at, &i) in topo.iter().enumerate() {
         position[i] = at;
     }
-    check(sorted(topo) == (0..n).collect::<Vec<_>>(), "topo permutes")?;
+    check(
+        sorted(g.topological_order()) == (0..n).collect::<Vec<_>>(),
+        "topo permutes",
+    )?;
     let forwards = |a: usize, b: usize| !m.edge[a][b] || position[a] < position[b];
     check((0..n).all(|a| (0..n).all(|b| forwards(a, b))), "topo order")?;
 
@@ -288,7 +327,7 @@ fn agrees(g: &TaskGraph, m: &Model, seed: &mut u64) -> Result<(), String> {
 
     // Lists of two or more print in insertion order, which the matrix
     // does not keep; a chain has none.
-    check(!m.is_chain() || format!("{g:?}") == m.debug(topo), "Debug")
+    check(!m.is_chain() || format!("{g:?}") == m.debug(&topo), "Debug")
 }
 
 fn build(subtasks: &[SubtaskSpec], edges: &[(usize, usize)]) -> TaskGraph {
@@ -332,7 +371,7 @@ proptest! {
         prop_assert_eq!(&built, &chain);
         prop_assert!(chain.is_chain() && built.is_chain());
         prop_assert_eq!(built.topological_order(), chain.topological_order());
-        prop_assert_eq!(built.topological_order(), &(0..n).collect::<Vec<_>>()[..]);
+        prop_assert_eq!(indices(built.topological_order()), (0..n).collect::<Vec<_>>());
         for i in 0..n {
             prop_assert_eq!(built.preds(i), chain.preds(i));
             prop_assert_eq!(built.succs(i), chain.succs(i));
@@ -362,7 +401,7 @@ proptest! {
             prop_assert!(false, "order {order:?}: {why}");
         }
         prop_assert!(g.is_chain());
-        prop_assert_eq!(g.topological_order(), &order[..]);
+        prop_assert_eq!(indices(g.topological_order()), order.clone());
         prop_assert_eq!(format!("{g}"), chain_display(&subs, &order));
         prop_assert_ne!(&g, &TaskGraph::chain(subs).unwrap());
     }
@@ -433,6 +472,111 @@ proptest! {
         }
         prop_assert_eq!(remapped.topological_order(), g.topological_order());
         prop_assert_eq!(remapped, build(&moved, &edges));
+    }
+}
+
+/// `edges` in a random order, with a random few of them repeated.
+fn shuffled(edges: &[(usize, usize)], seed: &mut u64) -> Vec<(usize, usize)> {
+    let mut out = edges.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, next(seed) as usize % (i + 1));
+    }
+    for _ in 0..next(seed) % 3 {
+        if let Some(&edge) = out.get(next(seed) as usize % out.len().max(1)) {
+            let at = next(seed) as usize % (out.len() + 1);
+            out.insert(at, edge);
+        }
+    }
+    out
+}
+
+/// What `PartialEq` must say: the same subtasks, and every list and the
+/// topological order the same, in order. `Debug` prints exactly that.
+fn same_structure(a: &TaskGraph, b: &TaskGraph) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+proptest! {
+    /// Random builder DAGs in the general form's full range — several
+    /// segments a node, locks up to the largest id, demands past 2^32 µs,
+    /// stages past 2^32 — with their edges given in any order and some
+    /// twice: every accessor, `longest_path`, a clone and equality against
+    /// the model, and `remap_stages` onto other stages and back.
+    #[test]
+    fn random_builder_dag_in_the_wide_range(n in 1usize..12, density in 2u64..5, seed in proptest::num::u64::ANY) {
+        let mut seed = seed;
+        let subs = wide_subtasks(n, &mut seed);
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, next(&mut seed) as usize % (i + 1));
+        }
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if next(&mut seed).is_multiple_of(density) {
+                    edges.push((label[a], label[b]));
+                }
+            }
+        }
+        let given = shuffled(&edges, &mut seed);
+        let model = Model::new(subs.clone(), &given);
+        let g = build(&subs, &given);
+        if let Err(why) = agrees(&g, &model, &mut seed) {
+            prop_assert!(false, "edges {given:?}: {why}");
+        }
+        let copy = g.clone();
+        prop_assert_eq!(&copy, &g);
+        if let Err(why) = agrees(&copy, &model, &mut seed) {
+            prop_assert!(false, "clone, edges {given:?}: {why}");
+        }
+
+        // Equality is structural: the same edges in another order are the
+        // same graph exactly when every list comes out in the same order.
+        let reordered = build(&subs, &shuffled(&edges, &mut seed));
+        prop_assert_eq!(reordered == g, same_structure(&reordered, &g));
+        if let Err(why) = agrees(&reordered, &model, &mut seed) {
+            prop_assert!(false, "reordered, edges {edges:?}: {why}");
+        }
+        // One segment's lock added, dropped or moved is another graph.
+        let mut relocked = subs.clone();
+        let at = next(&mut seed) as usize % n;
+        let mut segments = relocked[at].segments.to_vec();
+        segments[0].lock = match segments[0].lock {
+            Some(lock) if lock.index() == u32::MAX as usize => None,
+            Some(_) => Some(LockId::new(u32::MAX as usize)),
+            None => Some(LockId::new(u32::MAX as usize)),
+        };
+        relocked[at].segments = segments.into();
+        let other = build(&relocked, &given);
+        prop_assert_ne!(&other, &g);
+        if let Err(why) = agrees(&other, &Model::new(relocked, &given), &mut seed) {
+            prop_assert!(false, "relocked {at}, edges {given:?}: {why}");
+        }
+
+        // A remap onto other stages and back: the shape kept, the demand
+        // table rebuilt, and the round trip the graph it started from.
+        let there = |s: StageId| StageId::new(s.index().rotate_left(7) ^ 3);
+        let back = |s: StageId| StageId::new((s.index() ^ 3).rotate_right(7));
+        let mut moved = subs.clone();
+        for sub in &mut moved {
+            sub.stage = there(sub.stage);
+        }
+        let remapped = g.remap_stages(there);
+        if let Err(why) = agrees(&remapped, &Model::new(moved.clone(), &given), &mut seed) {
+            prop_assert!(false, "remapped, edges {given:?}: {why}");
+        }
+        prop_assert_eq!(&remapped, &build(&moved, &given));
+        prop_assert_eq!(remapped.topological_order(), g.topological_order());
+        prop_assert_eq!(&remapped.remap_stages(back), &g);
+        // A remap that merges stages sums their demand.
+        let folded = |s: StageId| StageId::new(s.index() % 3);
+        let mut merged = subs;
+        for sub in &mut merged {
+            sub.stage = folded(sub.stage);
+        }
+        if let Err(why) = agrees(&g.remap_stages(folded), &Model::new(merged, &given), &mut seed) {
+            prop_assert!(false, "folded, edges {given:?}: {why}");
+        }
     }
 }
 

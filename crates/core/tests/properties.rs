@@ -223,7 +223,7 @@ fn brute_force_longest(g: &TaskGraph, delays: &[f64]) -> f64 {
         let below = g
             .succs(node)
             .iter()
-            .map(|&s| dfs(g, s, delays))
+            .map(|&s| dfs(g, s as usize, delays))
             .fold(0.0f64, f64::max);
         delays[node] + below
     }
@@ -286,7 +286,7 @@ proptest! {
         let path_sum: f64 = path.iter().map(|&i| delays[i]).sum();
         prop_assert!((path_sum - dp).abs() < 1e-9);
         for w in path.windows(2) {
-            prop_assert!(g.succs(w[0]).contains(&w[1]), "path must follow edges");
+            prop_assert!(g.succs(w[0]).contains(&(w[1] as u32)), "path must follow edges");
         }
     }
 }

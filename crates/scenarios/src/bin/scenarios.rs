@@ -203,14 +203,14 @@ fn main() {
         .iter()
         .find(|s| s.name == "serverless")
         .expect("serverless scenario in catalog");
-    let sim = run_sim_opts(sc, false);
+    let (_, sim_decisions) = run_sim_opts(sc, false);
     let (gw, decisions) = run_gateway(sc).expect("gateway replay");
     let diverged = decisions
         .iter()
-        .zip(&sim.decisions)
+        .zip(&sim_decisions)
         .position(|(g, s)| g != s);
     assert!(
-        decisions.len() == sim.decisions.len() && diverged.is_none(),
+        decisions.len() == sim_decisions.len() && diverged.is_none(),
         "gateway replay diverged from the sim (idle resets off), first at arrival {diverged:?}"
     );
     println!(

@@ -11,7 +11,10 @@
 //!
 //! All three record one [`AdmitDecision`] per arrival — an admitted one
 //! carrying the id its controller issued — and hand it to the one
-//! [`report::build`].
+//! [`report::build`]. The service and gateway replays return their log
+//! beside the report; [`run_sim`] drops the simulator's once the report
+//! is built (a catalog pass keeps 16 bytes an arrival less), and
+//! [`run_sim_opts`] returns it for the differential callers.
 
 use crate::report::{self, Observed, ScenarioReport};
 use crate::spec::{Scenario, ScenarioPolicy};
@@ -40,28 +43,29 @@ fn admitted(ticket_id: u64) -> AdmitDecision {
     }
 }
 
-/// A simulator run: the canonical report plus the raw material backing
-/// it (the trace and the per-arrival decision log).
+/// A simulator run: the canonical report and the trace it covers. The
+/// per-arrival decision log the report is built from is not kept: only
+/// the differential callers read it, and they take it from
+/// [`run_sim_opts`].
 pub struct SimRun {
     /// Canonical per-scenario report.
     pub report: ScenarioReport,
     /// The generated trace the report covers.
     pub trace: ArrivalTrace,
-    /// One decision per offered arrival, in arrival order.
-    pub decisions: Vec<AdmitDecision>,
 }
 
-/// Runs `sc` through the simulator with decision logging.
+/// Runs `sc` through the simulator with idle resets on.
 pub fn run_sim(sc: &Scenario) -> SimRun {
-    run_sim_opts(sc, true)
+    run_sim_opts(sc, true).0
 }
 
-/// [`run_sim`] with control over idle resets. The service and gateway
-/// backends have no idle reset (a ticket's units leave at its release or
-/// its deadline), so differential tests replay against a sim built with
-/// `idle_resets = false` — that configuration is pure charge-at-admit /
-/// decrement-at-deadline on both sides.
-pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> SimRun {
+/// [`run_sim`] with control over idle resets, and the decision log: one
+/// decision per offered arrival, in arrival order. The service and
+/// gateway backends have no idle reset (a ticket's units leave at its
+/// release or its deadline), so differential tests replay against a sim
+/// built with `idle_resets = false` — that configuration is pure
+/// charge-at-admit / decrement-at-deadline on both sides.
+pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> (SimRun, Vec<AdmitDecision>) {
     let trace = sc.generate();
     let mut builder = SimBuilder::new(sc.stages())
         .region(sc.region())
@@ -77,11 +81,7 @@ pub fn run_sim_opts(sc: &Scenario, idle_resets: bool) -> SimRun {
     let wall = started.elapsed().as_secs_f64();
     let metrics = sim.into_metrics();
     let report = report::build(sc, "sim", &trace, Observed::from(&metrics), wall);
-    SimRun {
-        report,
-        trace,
-        decisions: metrics.decision_log,
-    }
+    (SimRun { report, trace }, metrics.decision_log)
 }
 
 /// Replays `sc` through [`AdmissionService`] on a [`ManualClock`]: the
@@ -258,11 +258,11 @@ mod tests {
     #[test]
     fn service_replay_matches_sim_acceptance() {
         let sc = quick("serverless");
-        let sim = run_sim_opts(&sc, false);
+        let (sim, sim_decisions) = run_sim_opts(&sc, false);
         let (service_report, decisions) = run_service(&sc);
         assert_eq!(service_report.offered, sim.report.offered);
-        assert_eq!(decisions.len(), sim.decisions.len());
-        for (idx, (svc, sim_d)) in decisions.iter().zip(sim.decisions.iter()).enumerate() {
+        assert_eq!(decisions.len(), sim_decisions.len());
+        for (idx, (svc, sim_d)) in decisions.iter().zip(&sim_decisions).enumerate() {
             assert_eq!(svc, sim_d, "arrival {idx} diverged");
         }
     }

@@ -47,12 +47,12 @@ fn assert_decision_equal(name: &str, horizon: Time) {
         ScenarioPolicy::Reject,
         "{name}: exact equality only holds without shed tie-breaks"
     );
-    let sim = run_sim_opts(&sc, false);
+    let (sim, sim_decisions) = run_sim_opts(&sc, false);
     let (service_report, decisions) = run_service(&sc);
 
     assert_same_decisions(
         &format!("{name}: sim vs service"),
-        &sim.decisions,
+        &sim_decisions,
         &decisions,
     );
     assert_eq!(service_report.admitted, sim.report.admitted, "{name}");
@@ -96,7 +96,7 @@ fn diurnal_sim_and_service_agree_decision_for_decision() {
 fn shed_scenarios_agree_in_aggregate() {
     for name in ["flash_crowd", "multi_tenant"] {
         let sc = scenario(name, Time::from_secs(2));
-        let sim = run_sim_opts(&sc, false);
+        let (sim, _) = run_sim_opts(&sc, false);
         let (service_report, _) = run_service(&sc);
         assert_eq!(service_report.offered, sim.report.offered, "{name}");
         let slack = sim.report.shed.max(service_report.shed).max(1);
@@ -145,8 +145,8 @@ fn assert_gateway_equals_service(name: &str) -> Vec<AdmitDecision> {
 #[test]
 fn serverless_gateway_agrees_with_service_and_sim() {
     let gateway = assert_gateway_equals_service("serverless");
-    let sim = run_sim_opts(&scenario("serverless", Time::from_secs(2)), false);
-    assert_same_decisions("serverless: sim vs gateway", &sim.decisions, &gateway);
+    let (_, sim_decisions) = run_sim_opts(&scenario("serverless", Time::from_secs(2)), false);
+    assert_same_decisions("serverless: sim vs gateway", &sim_decisions, &gateway);
 }
 
 #[test]

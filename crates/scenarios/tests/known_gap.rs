@@ -40,7 +40,9 @@ fn flash_crowd(base: u64, policy: ScenarioPolicy) -> Scenario {
 }
 
 fn missed(base: u64, policy: ScenarioPolicy, idle_resets: bool) -> (u64, u64) {
-    let report = run_sim_opts(&flash_crowd(base, policy), idle_resets).report;
+    let report = run_sim_opts(&flash_crowd(base, policy), idle_resets)
+        .0
+        .report;
     (report.admitted, report.missed)
 }
 

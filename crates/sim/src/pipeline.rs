@@ -996,9 +996,10 @@ impl Simulation {
         let mut to_release = std::mem::take(&mut self.release_scratch);
         to_release.clear();
         for &succ in run.graph.succs(node as usize) {
-            nodes[succ].remaining_preds -= 1;
-            if nodes[succ].remaining_preds == 0 {
-                to_release.push(succ as u32);
+            let succ_run = &mut nodes[succ as usize];
+            succ_run.remaining_preds -= 1;
+            if succ_run.remaining_preds == 0 {
+                to_release.push(succ);
             }
         }
         for &succ in &to_release {
