@@ -125,19 +125,14 @@ impl std::ops::Deref for Words {
 }
 
 /// The words before a general graph's nodes: `n`, the number of rows of
-/// its demand table (with [`KEEPS_LISTS`]), and the lock word of a
-/// lock-free segment.
+/// its demand table, and the lock word of a lock-free segment.
 const HEADER: usize = 3;
-
-/// The top bit of the header's row count: set when the graph keeps edge
-/// lists.
-const KEEPS_LISTS: u32 = 1 << 31;
 
 /// A general graph's words, in this order:
 ///
 /// | words | what |
 /// |---|---|
-/// | [`HEADER`] | `n`; `m`, or'ed with [`KEEPS_LISTS`]; the free lock word (below) |
+/// | [`HEADER`] | `n`; `m`; the free lock word (below) |
 /// | `2n` | node `i`: the row of its stage in the demand table, then the end of its segments |
 /// | `4n` | the demand table, ascending by stage, its first `m` rows used: the stage's halves, then the demand's |
 /// | `3n + 1 + 2e` | the [`Lists`], unless the graph is a chain in index order |
@@ -146,11 +141,12 @@ const KEEPS_LISTS: u32 = 1 << 31;
 /// What the admission test and the simulator read per arrival — a node's
 /// stage, the demand table, the lists — sits at an offset that is a
 /// function of `n` alone. Node `i`'s segments run from node `i - 1`'s end
-/// (0 for node 0) to its own. The lock word of a lock-free segment is
-/// `u32::MAX`, or, when a segment holds that lock, the largest value no
-/// segment's lock takes. Every word is a function of the graph, and the
-/// unused rows are zero, so two blocks are equal exactly when their
-/// graphs are.
+/// (0 for node 0) to its own, so the last node's end is `s`, and the
+/// block keeps lists exactly when it is longer than `HEADER + 6n + 3s`
+/// words. The lock word of a lock-free segment is `u32::MAX`, or, when a
+/// segment holds that lock, the largest value no segment's lock takes.
+/// Every word is a function of the graph, and the unused rows are zero,
+/// so two blocks are equal exactly when their graphs are.
 #[derive(Clone, Copy)]
 struct Block<'a>(&'a [u32]);
 
@@ -185,23 +181,45 @@ impl<'a> Block<'a> {
         self.0[HEADER + 2 * i + 1] as usize
     }
 
+    /// Where the segments, the block's last words, start.
+    #[inline]
+    fn segments_at(self) -> usize {
+        self.0.len() - 3 * self.segments_end(self.len() - 1)
+    }
+
     /// The demand table's used rows.
     #[inline]
     fn rows(self) -> &'a [[u32; 4]] {
         let at = HEADER + 2 * self.len();
-        let m = (self.0[1] & !KEEPS_LISTS) as usize;
-        self.0[at..at + 4 * m].as_chunks().0
+        self.0[at..at + 4 * self.0[1] as usize].as_chunks().0
     }
 
-    #[inline]
+    /// Node `i`'s stage. This and [`Block::subtask`] are not inlined:
+    /// they keep [`TaskGraph::stage`] and [`TaskGraph::subtask`], which
+    /// the simulator calls for every released subtask, small enough to
+    /// inline with a plain chain's one-word decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
     fn stage(self, i: usize) -> StageId {
+        let n = self.len();
+        assert!(i < n, "subtask {i} of a {n}-subtask graph");
         row(&self.rows()[self.0[HEADER + 2 * i] as usize]).0
+    }
+
+    /// Node `i` as a subtask; see [`Block::stage`].
+    fn subtask(self, i: usize) -> SubtaskSpec {
+        SubtaskSpec {
+            stage: self.stage(i),
+            segments: self.segments(i).collect(),
+        }
     }
 
     /// Node `i`'s segments.
     fn segments(self, i: usize) -> impl Iterator<Item = Segment> + 'a {
         let start = if i == 0 { 0 } else { self.segments_end(i - 1) };
-        let at = self.0.len() - 3 * self.segments_end(self.len() - 1);
+        let at = self.segments_at();
         let words = &self.0[at + 3 * start..at + 3 * self.segments_end(i)];
         let free = self.0[2];
         words
@@ -217,25 +235,20 @@ impl<'a> Block<'a> {
     /// The edge lists; `None` for a chain in index order.
     #[inline]
     fn lists(self) -> Option<Lists<'a>> {
-        let at = HEADER + 6 * self.len();
-        (self.0[1] & KEEPS_LISTS != 0).then(|| Lists(&self.0[at..]))
+        let (at, end) = (HEADER + 6 * self.len(), self.segments_at());
+        (end > at).then(|| Lists(&self.0[at..end]))
     }
 }
 
 /// The explicit precedence lists of an `n`-node graph: the topological
 /// order (`n` ids), then `2n + 1` offsets into these words, then the ids
-/// of list `0..2n`. List `i` holds node `i`'s predecessors and list
-/// `n + i` its successors, each in the order its edges were first added.
+/// of list `0..2n`, which end with the words. List `i` holds node `i`'s
+/// predecessors and list `n + i` its successors, each in the order its
+/// edges were first added.
 #[derive(Clone, Copy)]
 struct Lists<'a>(&'a [u32]);
 
 impl<'a> Lists<'a> {
-    /// The lists' own words, which end where the last list does.
-    #[inline]
-    fn words(self, n: usize) -> &'a [u32] {
-        &self.0[..self.0[3 * n] as usize]
-    }
-
     /// List `list` (`0..2n`) of the `n`-node graph.
     #[inline]
     fn list(self, n: usize, list: usize) -> &'a [u32] {
@@ -649,8 +662,7 @@ impl TaskGraph {
                 nodes[HEADER + 2 * i] = at.expect("every stage has a row") as u32;
             }
         }
-        let keeps_lists = if list_words > 0 { KEEPS_LISTS } else { 0 };
-        nodes[..HEADER].copy_from_slice(&[n as u32, rows as u32 | keeps_lists, free]);
+        nodes[..HEADER].copy_from_slice(&[n as u32, rows as u32, free]);
         lists(lists_buf);
         TaskGraph(Repr::General(block))
     }
@@ -680,39 +692,13 @@ impl TaskGraph {
         let once = std::iter::once;
         let subtasks = once(&head).chain(&branches).chain(once(&tail));
         check_segments(subtasks.clone())?;
-        // The lists the builder writes for the edges head -> each branch ->
-        // tail, written in place: the order `0..n` (Kahn's algorithm from
-        // the one source), the offsets, then the head's predecessors
-        // (none), each branch's (the head), the tail's (every branch), the
-        // head's successors (every branch), each branch's (the tail) and
-        // the tail's (none).
-        let (base, tail_at) = (3 * n + 1, n - 1);
-        let branches = 1..tail_at;
-        let preds = (0..n).map(|i| match i {
-            0 => 0..0,
-            _ if i == tail_at => branches.clone(),
-            _ => 0..1,
-        });
-        let succs = (0..n).map(|i| match i {
-            0 => branches.clone(),
-            _ if i == tail_at => 0..0,
-            _ => tail_at..n,
-        });
-        Ok(TaskGraph::general(subtasks, base + 4 * (n - 2), |buf| {
-            let (order, rest) = buf.split_at_mut(n);
-            let (offsets, ids) = rest.split_at_mut(2 * n + 1);
-            for (i, slot) in order.iter_mut().enumerate() {
-                *slot = i as u32;
-            }
-            let mut at = 0;
-            for (list, offset) in preds.chain(succs).zip(&mut *offsets) {
-                *offset = (base + at) as u32;
-                for id in list {
-                    ids[at] = id as u32;
-                    at += 1;
-                }
-            }
-            offsets[2 * n] = (base + at) as u32;
+        // The builder's lists of these edges, written straight into the
+        // block: none repeats, so their length is known up front.
+        let edges = (1..n - 1).flat_map(|b| [(0, b), (b, n - 1)]);
+        let list_words = 3 * n + 1 + 4 * (n - 2);
+        Ok(TaskGraph::general(subtasks, list_words, |buf| {
+            write_lists(buf, n, edges);
+            sort_lists(buf, n).expect("a fork-join is acyclic");
         }))
     }
 
@@ -751,18 +737,7 @@ impl TaskGraph {
                 let (stage, c) = unpack(words[index]);
                 SubtaskSpec::new(stage, c)
             }
-            Repr::General(block) => {
-                let block = Block(block);
-                assert!(
-                    index < block.len(),
-                    "subtask {index} of a {}-subtask graph",
-                    block.len()
-                );
-                SubtaskSpec {
-                    stage: block.stage(index),
-                    segments: block.segments(index).collect(),
-                }
-            }
+            Repr::General(block) => Block(block).subtask(index),
         }
     }
 
@@ -775,15 +750,7 @@ impl TaskGraph {
     pub fn stage(&self, index: usize) -> StageId {
         match &self.0 {
             Repr::Plain(words) => unpack(words[index]).0,
-            Repr::General(block) => {
-                let block = Block(block);
-                assert!(
-                    index < block.len(),
-                    "subtask {index} of a {}-subtask graph",
-                    block.len()
-                );
-                block.stage(index)
-            }
+            Repr::General(block) => Block(block).stage(index),
         }
     }
 
@@ -972,12 +939,9 @@ impl TaskGraph {
         }
         match self.lists() {
             None => TaskGraph::index_chain(&subtasks),
-            Some(lists) => {
-                let words = lists.words(subtasks.len());
-                TaskGraph::general(subtasks.iter(), words.len(), |buf| {
-                    buf.copy_from_slice(words)
-                })
-            }
+            Some(Lists(words)) => TaskGraph::general(subtasks.iter(), words.len(), |buf| {
+                buf.copy_from_slice(words)
+            }),
         }
     }
 

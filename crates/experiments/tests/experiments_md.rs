@@ -11,6 +11,12 @@
 //! nothing but numbers, `%`, `ms`, emphasis and list punctuation is left
 //! in it; a cell with words in it is a label and is not checked. The CSVs
 //! are read whole, column names and label fields included.
+//!
+//! The match is not tied to a column: a cell passes when its number sits
+//! anywhere in the named CSVs, so small integers such as 0, 1 and 2
+//! always pass, as does a value that happens to sit in an unrelated
+//! column. What it does catch is a quoted figure that no CSV holds, such
+//! as a stale one.
 
 use std::path::PathBuf;
 
