@@ -131,11 +131,6 @@ impl CoordCore {
         &self.pool
     }
 
-    /// The full budget per stage.
-    pub fn total_units(&self) -> &[u64] {
-        &self.total
-    }
-
     /// Decision counters so far.
     pub fn counters(&self) -> CoordCounters {
         self.counters

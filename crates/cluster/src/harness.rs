@@ -1,5 +1,5 @@
-//! Deterministic in-process message-passing simulation with per-link
-//! fault injection.
+//! Deterministic in-process message-passing simulation with link fault
+//! injection.
 //!
 //! Every cluster behavior runs here before it runs on sockets: actors
 //! exchange *encoded* frame bytes (so the real wire codec is exercised)
@@ -20,7 +20,7 @@
 //!   for byte — the determinism tests assert exactly this.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use frap_workload::Rng;
 
@@ -81,7 +81,7 @@ impl Ctx<'_> {
     }
 }
 
-/// Fault model of one directed link.
+/// The fault model every directed link follows.
 #[derive(Debug, Clone)]
 pub struct LinkFaults {
     /// Probability a message is silently dropped.
@@ -167,7 +167,6 @@ pub struct Sim {
     queue: BinaryHeap<Reverse<Ev>>,
     actors: Vec<Box<dyn Actor>>,
     default_link: LinkFaults,
-    links: BTreeMap<(ActorId, ActorId), LinkFaults>,
     cut: BTreeSet<(ActorId, ActorId)>,
     rng: Rng,
     fp: u64,
@@ -184,7 +183,6 @@ impl Sim {
             queue: BinaryHeap::new(),
             actors: Vec::new(),
             default_link: LinkFaults::default(),
-            links: BTreeMap::new(),
             cut: BTreeSet::new(),
             rng: Rng::new(seed),
             fp: 0xcbf2_9ce4_8422_2325,
@@ -198,14 +196,9 @@ impl Sim {
         self.actors.len() - 1
     }
 
-    /// Sets the fault model for every link without an explicit one.
+    /// Sets the fault model of every link.
     pub fn set_default_link(&mut self, faults: LinkFaults) {
         self.default_link = faults;
-    }
-
-    /// Sets the fault model of the directed link `from → to`.
-    pub fn set_link(&mut self, from: ActorId, to: ActorId, faults: LinkFaults) {
-        self.links.insert((from, to), faults);
     }
 
     /// Severs both directions between `a` and `b`. Messages already in
@@ -328,11 +321,7 @@ impl Sim {
             self.stats.dropped += 1;
             return;
         }
-        let faults = self
-            .links
-            .get(&(from, to))
-            .unwrap_or(&self.default_link)
-            .clone();
+        let faults = self.default_link.clone();
         if faults.drop_p > 0.0 && self.rng.next_f64() < faults.drop_p {
             self.stats.dropped += 1;
             return;

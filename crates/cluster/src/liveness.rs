@@ -39,11 +39,6 @@ impl MissCounter {
         self.last_heard_us = self.last_heard_us.max(now_us);
     }
 
-    /// When the peer was last heard.
-    pub fn last_heard_us(&self) -> u64 {
-        self.last_heard_us
-    }
-
     /// Whole heartbeat intervals elapsed without hearing the peer.
     pub fn misses(&self, now_us: u64) -> u32 {
         let silent = now_us.saturating_sub(self.last_heard_us);
@@ -81,7 +76,6 @@ mod tests {
         let mut mc = MissCounter::new(100, 2, 500);
         mc.heard(900);
         mc.heard(700); // a delayed, reordered frame
-        assert_eq!(mc.last_heard_us(), 900);
         assert_eq!(mc.misses(1_000), 1);
     }
 }

@@ -67,14 +67,14 @@ fn demand_walk(c: &mut Criterion) {
 fn figure3() -> TaskGraph {
     let sub =
         |j: usize| SubtaskSpec::new(StageId::new(j), TimeDelta::from_micros(1_000 + j as u64));
-    TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).expect("valid fork-join")
+    TaskGraph::fork_join(sub(0), &[sub(1), sub(2)], sub(3)).expect("valid fork-join")
 }
 
 fn fork_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_fork_join");
     let sub = |j: usize| SubtaskSpec::new(StageId::new(j), black_box(TimeDelta::from_millis(2)));
     group.bench_with_input(BenchmarkId::from_parameter("build"), &(), |b, _| {
-        b.iter(|| TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).expect("valid"));
+        b.iter(|| TaskGraph::fork_join(sub(0), &[sub(1), sub(2)], sub(3)).expect("valid"));
     });
     let graph = figure3();
     group.bench_with_input(BenchmarkId::from_parameter("clone"), &graph, |b, graph| {

@@ -28,9 +28,9 @@ fn graph_value(c: &mut Criterion) {
             let ms1 = TimeDelta::from_millis(1);
             let graph = TaskGraph::fork_join(
                 SubtaskSpec::new(StageId::new(0), ms1),
-                (1..=k)
+                &(1..=k)
                     .map(|i| SubtaskSpec::new(StageId::new(i), ms1))
-                    .collect(),
+                    .collect::<Vec<_>>(),
                 SubtaskSpec::new(StageId::new(stages - 1), ms1),
             )
             .expect("valid fork-join");

@@ -758,7 +758,7 @@ mod tests {
         use crate::task::SubtaskSpec;
         let g = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(10)),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), ms(10)),
                 SubtaskSpec::new(StageId::new(2), ms(10)),
             ],

@@ -671,26 +671,27 @@ impl TaskGraph {
     /// `tail` (the shape of the paper's Figure 3 when `branches.len() == 2`).
     /// It is the graph the builder makes of those edges (with at most one
     /// branch, the chain), built straight into its one block, without the
-    /// builder's edge vector or a subtask list.
+    /// builder's edge vector or a subtask list; the branches are borrowed,
+    /// so a caller can pass them from an array on its stack.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::EmptySubtask`] when a subtask has no segments.
     pub fn fork_join(
         head: SubtaskSpec,
-        branches: Vec<SubtaskSpec>,
+        branches: &[SubtaskSpec],
         tail: SubtaskSpec,
     ) -> Result<TaskGraph, GraphError> {
         let n = branches.len() + 2;
         if n <= 3 {
             let mut subtasks = Vec::with_capacity(n);
             subtasks.push(head);
-            subtasks.extend(branches);
+            subtasks.extend_from_slice(branches);
             subtasks.push(tail);
             return TaskGraph::chain(subtasks);
         }
         let once = std::iter::once;
-        let subtasks = once(&head).chain(&branches).chain(once(&tail));
+        let subtasks = once(&head).chain(branches).chain(once(&tail));
         check_segments(subtasks.clone())?;
         // The builder's lists of these edges, written straight into the
         // block: none repeats, so their length is known up front.
@@ -1358,7 +1359,7 @@ mod tests {
     #[test]
     fn figure3_longest_path() {
         // 1 -> {2, 3} -> 4, as in the paper's Figure 3.
-        let g = TaskGraph::fork_join(sub(0, 1), vec![sub(1, 1), sub(2, 1)], sub(3, 1)).unwrap();
+        let g = TaskGraph::fork_join(sub(0, 1), &[sub(1, 1), sub(2, 1)], sub(3, 1)).unwrap();
         assert!(!g.is_chain());
         // d(L1..L4) = L1 + max(L2, L3) + L4
         assert_eq!(g.longest_path(&[1.0, 5.0, 2.0, 3.0]), 9.0);
@@ -1368,7 +1369,7 @@ mod tests {
 
     #[test]
     fn fork_join_with_no_branches_is_chain() {
-        let g = TaskGraph::fork_join(sub(0, 1), vec![], sub(1, 1)).unwrap();
+        let g = TaskGraph::fork_join(sub(0, 1), &[], sub(1, 1)).unwrap();
         assert!(g.is_chain());
         assert_eq!(g.longest_path(&[2.0, 3.0]), 5.0);
     }
@@ -1436,7 +1437,7 @@ mod tests {
     fn display_chain_and_fork_join() {
         let chain = TaskGraph::chain(vec![sub(0, 1), sub(1, 1), sub(2, 1)]).unwrap();
         assert_eq!(format!("{chain}"), "s0 -> s1 -> s2");
-        let fj = TaskGraph::fork_join(sub(0, 1), vec![sub(1, 1), sub(2, 1)], sub(3, 1)).unwrap();
+        let fj = TaskGraph::fork_join(sub(0, 1), &[sub(1, 1), sub(2, 1)], sub(3, 1)).unwrap();
         assert_eq!(format!("{fj}"), "s0 -> {s1 || s2} -> s3");
         // A general DAG (diamond with an extra shortcut) falls back to edges.
         let mut b = TaskGraph::builder();

@@ -310,8 +310,8 @@ impl RegionTest for FeasibleRegion {
 /// use frap_core::time::TimeDelta;
 ///
 /// let sub = |stage, ms| SubtaskSpec::new(StageId::new(stage), TimeDelta::from_millis(ms));
-/// let fork_join = TaskGraph::fork_join(sub(0, 1), vec![sub(1, 1), sub(2, 1)], sub(3, 1))?;
-/// let same_shape = TaskGraph::fork_join(sub(0, 9), vec![sub(1, 9), sub(2, 9)], sub(3, 9))?;
+/// let fork_join = TaskGraph::fork_join(sub(0, 1), &[sub(1, 1), sub(2, 1)], sub(3, 1))?;
+/// let same_shape = TaskGraph::fork_join(sub(0, 9), &[sub(1, 9), sub(2, 9)], sub(3, 9))?;
 /// let base = FeasibleRegion::deadline_monotonic(4);
 /// let region = ShapeRegion::new(base, [fork_join, same_shape]);
 /// assert_eq!(region.len(), 1, "durations do not make a new shape");
@@ -592,7 +592,7 @@ mod tests {
     fn figure3_graph() -> TaskGraph {
         TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(1)),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), ms(1)),
                 SubtaskSpec::new(StageId::new(2), ms(1)),
             ],
@@ -645,7 +645,7 @@ mod tests {
         let fj = figure3_graph();
         let fj_other_times = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(7)),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), ms(7)),
                 SubtaskSpec::new(StageId::new(2), ms(7)),
             ],

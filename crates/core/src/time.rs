@@ -191,12 +191,6 @@ impl TimeDelta {
         TimeDelta(self.0.saturating_sub(other.0))
     }
 
-    /// Checked subtraction.
-    #[inline]
-    pub fn checked_sub(self, other: TimeDelta) -> Option<TimeDelta> {
-        self.0.checked_sub(other.0).map(TimeDelta)
-    }
-
     /// Scales the span by a non-negative float, rounding to the nearest
     /// microsecond. Negative or non-finite factors yield zero.
     #[inline]

@@ -153,7 +153,7 @@ mod tests {
     fn non_pipeline_shapes_have_no_wire_form() {
         let sub = |s: usize| SubtaskSpec::new(StageId::new(s), ms(1));
         // A fork-join DAG is not a chain.
-        let dag = TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).unwrap();
+        let dag = TaskGraph::fork_join(sub(0), &[sub(1), sub(2)], sub(3)).unwrap();
         assert_eq!(WireTaskSpec::from_spec(&TaskSpec::new(ms(10), dag)), None);
         // A chain that visits stages out of order is not stage-ordered.
         let chain = TaskGraph::chain(vec![sub(1), sub(0)]).unwrap();

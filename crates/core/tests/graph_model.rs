@@ -416,7 +416,7 @@ proptest! {
             0 => vec![(0, 1)],
             _ => (1..tail).flat_map(|b| [(0, b), (b, tail)]).collect(),
         };
-        let g = TaskGraph::fork_join(subs[0].clone(), subs[1..tail].to_vec(), subs[tail].clone()).unwrap();
+        let g = TaskGraph::fork_join(subs[0].clone(), &subs[1..tail], subs[tail].clone()).unwrap();
         if let Err(why) = agrees(&g, &Model::new(subs.clone(), &edges), &mut seed) {
             prop_assert!(false, "{branches} branches: {why}");
         }
@@ -662,7 +662,7 @@ proptest! {
             prop_assert!(false, "stride {stride}: {why}");
         }
         if n == 2 {
-            let fork_join = TaskGraph::fork_join(subs[0].clone(), vec![], subs[1].clone()).unwrap();
+            let fork_join = TaskGraph::fork_join(subs[0].clone(), &[], subs[1].clone()).unwrap();
             prop_assert_eq!(&fork_join, &chain);
         }
         prop_assert_eq!(chain.stage_demands().collect::<Vec<_>>(), demands);

@@ -171,7 +171,7 @@ proptest! {
         let ms1 = TimeDelta::from_millis(1);
         let g = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms1),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), ms1),
                 SubtaskSpec::new(StageId::new(2), ms1),
             ],

@@ -37,7 +37,7 @@ fn webfarm_shapes() -> Vec<TaskGraph> {
         chain(&[0]).unwrap(),
         chain(&[0, 1, 3]).unwrap(),
         chain(&[0, 2, 3]).unwrap(),
-        TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).unwrap(),
+        TaskGraph::fork_join(sub(0), &[sub(1), sub(2)], sub(3)).unwrap(),
     ]
 }
 

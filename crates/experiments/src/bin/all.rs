@@ -1,6 +1,7 @@
-//! Regenerates the paper's figures and tables: every module of
-//! `frap_experiments::MODULES`, or only those named on the command line
-//! (run in `MODULES` order).
+//! Writes `results/`: runs every module of `frap_experiments::MODULES` —
+//! the paper's figures and tables, the repo's sweeps and the scenario
+//! families — or only those named on the command line (run in `MODULES`
+//! order).
 //!
 //! ```text
 //! cargo run --release -p frap-experiments --bin all -- [MODULE…] [--quick] [--jobs N]
@@ -10,27 +11,21 @@
 //! `results/<module>.csv` and each table it attaches to
 //! `results/<attached name>.csv`. `--quick` runs the same sweeps at the
 //! quick scale and writes nothing; `--jobs N` sets the replication
-//! parallelism (`0`, the default, uses every core). An unknown module, or
-//! a `--jobs` without a worker count, exits 2.
+//! parallelism (`0`, the default, uses every core). A module's own
+//! checks (the scenario families' zero misses among them) panic on a
+//! failure. An unknown module, or a `--jobs` without a worker count,
+//! exits 2.
 
-use frap_experiments::common::{exit_quietly_when_stdout_closes, Scale};
+use frap_experiments::common::Scale;
 use frap_experiments::MODULES;
 
 fn main() {
     exit_quietly_when_stdout_closes();
-    let scale = Scale::from_args();
-    let mut names = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => {}
-            "--jobs" => {
-                // `Scale::from_args` has checked the value.
-                args.next();
-            }
-            _ => names.push(arg),
-        }
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, names) = Scale::parse(&args).unwrap_or_else(|err| {
+        eprintln!("{err}");
+        std::process::exit(2)
+    });
     if let Some(unknown) = names
         .iter()
         .find(|n| !MODULES.iter().any(|(name, _)| name == n))
@@ -63,4 +58,20 @@ fn main() {
     }
     println!();
     suite.report("suite total");
+}
+
+/// Makes `all` stop quietly, with status 0, once stdout's reader has
+/// gone (`all | head`): `println!` panics there, and this panic hook
+/// turns that one panic into an exit. Every other panic goes on to the
+/// hook it replaces. `tests/broken_pipe.rs` pins the standard library's
+/// message it matches.
+fn exit_quietly_when_stdout_closes() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or_default();
+        if message.starts_with("failed printing to stdout: Broken pipe") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
 }

@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 /// How big to run an experiment, and how wide to run it.
 ///
 /// `full()` is the publication scale, the only one whose tables are
-/// written to `results/`; `quick()` is the scaled-down variant behind the
-/// binaries' `--quick` flag (same sweeps, shorter horizons, fewer seeds —
+/// written to `results/`; `quick()` is the scaled-down variant behind
+/// `all`'s `--quick` flag (same sweeps, shorter horizons, fewer seeds —
 /// shapes still hold).
 ///
 /// `jobs` selects the replication parallelism of the runner: `0` (the
@@ -47,39 +47,30 @@ impl Scale {
         }
     }
 
-    /// Picks the scale from program arguments: `--quick` anywhere selects
-    /// [`Scale::quick`]; `--jobs N` sets the replication parallelism. Every
-    /// other argument is left to the caller.
+    /// Reads program arguments: `--quick` anywhere selects
+    /// [`Scale::quick`] and `--jobs N` sets the replication parallelism;
+    /// every other argument comes back, in order, as a module name.
     ///
     /// # Errors
     ///
     /// A `--jobs` without a value, or with one that is not a `usize`.
-    pub fn parse(args: &[String]) -> Result<Scale, String> {
-        let mut scale = if args.iter().any(|a| a == "--quick") {
-            Scale::quick()
-        } else {
-            Scale::full()
-        };
+    pub fn parse(args: &[String]) -> Result<(Scale, Vec<String>), String> {
+        let (mut quick, mut jobs, mut names) = (false, 0, Vec::new());
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
-            if arg == "--jobs" {
-                let value = rest.next().ok_or("`--jobs` needs a worker count")?;
-                scale.jobs = value
-                    .parse()
-                    .map_err(|_| format!("`--jobs {value}`: not a worker count"))?;
+            match arg.as_str() {
+                "--quick" => quick = true,
+                "--jobs" => {
+                    let value = rest.next().ok_or("`--jobs` needs a worker count")?;
+                    jobs = value
+                        .parse()
+                        .map_err(|_| format!("`--jobs {value}`: not a worker count"))?;
+                }
+                _ => names.push(arg.clone()),
             }
         }
-        Ok(scale)
-    }
-
-    /// [`Scale::parse`] over this program's arguments; on an error prints
-    /// it and exits with status 2.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Scale::parse(&args).unwrap_or_else(|err| {
-            eprintln!("{err}");
-            std::process::exit(2)
-        })
+        let scale = if quick { Scale::quick() } else { Scale::full() };
+        Ok((scale.with_jobs(jobs), names))
     }
 
     /// This scale with an explicit worker-thread count.
@@ -96,7 +87,7 @@ impl Scale {
     }
 
     /// Whether this is the publication scale (any `jobs`): the only scale
-    /// whose tables the binaries write to `results/`.
+    /// whose tables `all` writes to `results/`.
     pub fn is_publication(&self) -> bool {
         let full = Scale::full();
         self.horizon_secs == full.horizon_secs && self.replications == full.replications
@@ -114,7 +105,7 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Side tables a module computed along with this one, each under the
     /// CSV stem it is published as (`results/<name>.csv`).
-    pub attached: Vec<(&'static str, Table)>,
+    pub attached: Vec<(String, Table)>,
 }
 
 impl Table {
@@ -252,22 +243,6 @@ pub fn ascii_chart(title: &str, xs: &[f64], series: &[(&str, Vec<f64>)], y_label
     out
 }
 
-/// Makes a binary stop quietly, with status 0, once stdout's reader has
-/// gone (`all | head`): `println!` panics there, and this panic hook
-/// turns that one panic into an exit. Every other panic goes on to the
-/// hook it replaces. Each binary's `tests/broken_pipe.rs` pins the
-/// standard library's message it matches.
-pub fn exit_quietly_when_stdout_closes() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let message = info.payload_as_str().unwrap_or_default();
-        if message.starts_with("failed printing to stdout: Broken pipe") {
-            std::process::exit(0);
-        }
-        default(info);
-    }));
-}
-
 /// Formats a float with 4 significant decimals for table cells.
 pub fn f(v: f64) -> String {
     format!("{v:.4}")
@@ -314,18 +289,22 @@ mod tests {
 
     #[test]
     fn parse_reads_quick_and_jobs_and_leaves_the_rest() {
-        assert_eq!(Scale::parse(&args(&[])), Ok(Scale::full()));
+        let parsed = |list: &[&str]| Scale::parse(&args(list));
+        assert_eq!(parsed(&[]), Ok((Scale::full(), args(&[]))));
         assert_eq!(
-            Scale::parse(&args(&["fig4", "--quick"])),
-            Ok(Scale::quick())
+            parsed(&["fig4", "--quick"]),
+            Ok((Scale::quick(), args(&["fig4"])))
         );
         assert_eq!(
-            Scale::parse(&args(&["--jobs", "3", "fig4", "--save-traces"])),
-            Ok(Scale::full().with_jobs(3))
+            parsed(&["--jobs", "3", "fig4", "--fast", "table1"]),
+            Ok((
+                Scale::full().with_jobs(3),
+                args(&["fig4", "--fast", "table1"])
+            ))
         );
         assert_eq!(
-            Scale::parse(&args(&["--jobs", "0", "--quick"])),
-            Ok(Scale::quick())
+            parsed(&["--jobs", "2", "--quick"]),
+            Ok((Scale::quick().with_jobs(2), args(&[])))
         );
     }
 

@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> Table {
     let mut table = figure2();
     table
         .attached
-        .push(("fig1_synthetic_utilization_curve", curve));
+        .push(("fig1_synthetic_utilization_curve".into(), curve));
     span.report("fig1_2");
     table
 }

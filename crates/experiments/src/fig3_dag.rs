@@ -33,7 +33,7 @@ pub fn figure3_graph() -> TaskGraph {
     let ms1 = TimeDelta::from_millis(1);
     TaskGraph::fork_join(
         SubtaskSpec::new(StageId::new(0), ms1),
-        vec![
+        &[
             SubtaskSpec::new(StageId::new(1), ms1),
             SubtaskSpec::new(StageId::new(2), ms1),
         ],
@@ -125,7 +125,9 @@ pub fn run(scale: Scale) -> Table {
         exact.missed,
         conservative.missed
     );
-    table.attached.push(("fig3_theorem2_validation", sim_table));
+    table
+        .attached
+        .push(("fig3_theorem2_validation".into(), sim_table));
     span.report("fig3_dag");
     table
 }
@@ -155,7 +157,7 @@ pub fn branch_heavy_arrivals(horizon: Time, seed: u64) -> Vec<(Time, frap_core::
         }
         let g = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms1),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), branch.sample_delta(&mut rng)),
                 SubtaskSpec::new(StageId::new(2), branch.sample_delta(&mut rng)),
             ],

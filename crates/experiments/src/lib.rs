@@ -1,7 +1,8 @@
 //! # frap-experiments
 //!
 //! Regenerates every table and figure of the paper's evaluation (Section 4
-//! and Section 5) plus the ablations called out in `DESIGN.md`.
+//! and Section 5), the ablations called out in `DESIGN.md`, and the
+//! reports of the `frap-scenarios` families: everything under `results/`.
 //!
 //! Each experiment lives in its own module with a `run(scale)` entry point
 //! returning a printable/CSV-exportable [`common::Table`], with any side
@@ -29,6 +30,7 @@ pub mod multiserver;
 pub mod table1;
 
 pub mod ablations;
+pub mod scenarios;
 pub mod stress;
 
 use common::{Scale, Table};
@@ -37,8 +39,10 @@ use common::{Scale, Table};
 /// table, and its entry point.
 pub type Module = (&'static str, fn(Scale) -> Table);
 
-/// Every experiment module, in the order the paper presents them.
-pub const MODULES: [Module; 11] = [
+/// Every module that writes `results/`: the paper's experiments in the
+/// order the paper presents them, then the repo's own sweeps and the
+/// scenario families.
+pub const MODULES: [Module; 12] = [
     ("fig1_2", fig1_2::run),
     ("fig3_dag", fig3_dag::run),
     ("fig4", fig4::run),
@@ -50,4 +54,5 @@ pub const MODULES: [Module; 11] = [
     ("jitter", jitter::run),
     ("stress", stress::run),
     ("multiserver", multiserver::run),
+    ("scenarios", scenarios::run),
 ];

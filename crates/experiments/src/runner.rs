@@ -1,13 +1,14 @@
 //! Replication runner: executes one parameter point across seeds —
 //! serially or fanned out over a scoped thread pool ([`fan_out`], which
-//! the scenarios binary uses for its families too) — and aggregates the
+//! the `scenarios` module uses for its families too) — and aggregates the
 //! metrics the figures need.
 //!
 //! # Determinism contract
 //!
 //! Every replication of a parameter point draws its workload seed from
 //! [`replication_seed`]`(`[`DEFAULT_BASE_SEED`]`, point, rep)`, a
-//! SplitMix64-style hash of the three coordinates. The contract:
+//! SplitMix64 hash of the three coordinates (defined in
+//! [`frap_workload::rng`], re-exported here). The contract:
 //!
 //! 1. **Seeds depend only on coordinates.** Neither the worker-thread
 //!    count ([`Scale::jobs`](crate::common::Scale)) nor the order in which
@@ -36,24 +37,7 @@ use frap_core::time::{Time, TimeDelta};
 use frap_sim::pipeline::Simulation;
 use std::time::Instant;
 
-/// The base seed every experiment's replication seeds derive from.
-pub const DEFAULT_BASE_SEED: u64 = 0x5EED_0000;
-
-/// The SplitMix64 finalizer (full-avalanche 64-bit mix).
-#[inline]
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The workload seed for replication `rep` of parameter point `point`
-/// under `base_seed`: `mix(mix(mix(base_seed) ^ point) ^ rep)` with `mix`
-/// the SplitMix64 finalizer. See the module docs for the contract.
-pub fn replication_seed(base_seed: u64, point: u64, rep: u64) -> u64 {
-    mix(mix(mix(base_seed) ^ point) ^ rep)
-}
+pub use frap_workload::rng::{replication_seed, DEFAULT_BASE_SEED};
 
 /// One parameter point's execution coordinates: the scale and the
 /// point's index within its sweep (so sweeps decorrelate without the

@@ -99,7 +99,9 @@ pub fn run(scale: Scale) -> Table {
             r.missed.to_string(),
         ]);
     }
-    table.attached.push(("table1_certification", cert_table));
+    table
+        .attached
+        .push(("table1_certification".into(), cert_table));
     println!(
         "[table1] largest swept track count fully admitted (no timeouts, no misses): {capacity} \
          (paper: ~550, stage 1 ≈ 95% utilization)"

@@ -17,7 +17,7 @@
 //! admitted at resolution 2, load 1.5, replication 1.
 //!
 //! The three `#[ignore]`d tests assert what *should* hold and fail today;
-//! run them with `cargo test -p frap-scenarios --test known_gap --
+//! run them with `cargo test -p frap-experiments --test known_gap --
 //! --ignored`. The controls and the verdict pins pass, and keep a
 //! refactor of the ledger or the simulator from moving these traces
 //! unnoticed.

@@ -194,7 +194,7 @@ impl GatewayClient {
     /// # Errors
     ///
     /// Fails on socket errors, EOF, or a malformed frame.
-    pub fn recv_frame(&mut self) -> std::io::Result<Frame> {
+    fn recv_frame(&mut self) -> std::io::Result<Frame> {
         loop {
             if let Some(frame) = self.inbox.next_frame().map_err(proto_err)? {
                 return Ok(frame);
@@ -236,8 +236,9 @@ impl GatewayClient {
     /// # Errors
     ///
     /// Fails on socket errors, EOF, a malformed frame, or a non-admit
-    /// frame arriving interleaved (callers awaiting heartbeats or stats
-    /// should use [`recv_frame`](GatewayClient::recv_frame) instead).
+    /// frame arriving interleaved (heartbeats and stats have their own
+    /// round trips, [`GatewayClient::heartbeat`] and
+    /// [`GatewayClient::stats`]).
     pub fn recv_admits_into(&mut self, out: &mut Vec<(u64, Verdict)>) -> std::io::Result<usize> {
         let before = out.len();
         loop {

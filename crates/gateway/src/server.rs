@@ -393,7 +393,7 @@ impl GatewayServer {
     }
 
     /// Connections currently open.
-    pub fn open_connections(&self) -> usize {
+    fn open_connections(&self) -> usize {
         *self.shared.open_conns.lock().expect("conn gauge poisoned")
     }
 

@@ -19,19 +19,22 @@
 //! * [`tenants`] — a static multi-tenant mix with per-tenant rate
 //!   shares, importance tiers, and deadline targets.
 //!
-//! The [`runner`] drives a scenario through up to three backends — the
-//! virtual-time simulator (`frap-sim`, the canonical report), the
-//! manually-clocked [`frap_service::AdmissionService`], and the live
-//! [`frap_gateway`] serving that service over real TCP in lock-step on
-//! the scenario's clock (both deterministic replays, held decision for
-//! decision to each other by the differential tests). Each backend
-//! records one `AdmitDecision` per arrival, and [`report`] turns those
-//! into per-scenario acceptance, per-tenant admit shares, and
+//! The [`runner`] drives a scenario through two backends — the
+//! virtual-time simulator (`frap-sim`, the canonical report) and the
+//! manually-clocked [`frap_service::AdmissionService`] (a deterministic
+//! replay, held decision for decision to the simulator by the
+//! differential tests, which also replay it over the live gateway). Each
+//! backend records one `AdmitDecision` per arrival, and [`report`] turns
+//! those into per-scenario acceptance, per-tenant admit shares, and
 //! shed-by-importance tables.
 //!
-//! `cargo run --release -p frap-scenarios --bin scenarios` (the 60 s
-//! horizon) prints the tables and writes them under `results/scenarios/`;
-//! with `--quick` (8 s) it prints them and writes nothing.
+//! The `scenarios` module of `frap-experiments` runs the catalog and
+//! publishes the tables: `cargo run --release -p frap-experiments --bin
+//! all -- scenarios` (the 60 s horizon) writes `results/scenarios.csv`
+//! and `results/scenarios/`; with `--quick` (8 s) it prints them and
+//! writes nothing. To keep a generated trace, write
+//! [`Scenario::generate`]'s result with
+//! [`frap_workload::replay::save_trace`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +48,5 @@ pub mod spec;
 pub mod tenants;
 
 pub use report::{ImportanceRow, ScenarioReport, TenantRow};
-pub use runner::{run_gateway, run_service, run_sim, run_sim_opts, SimRun, DRAIN};
+pub use runner::{run_service, run_sim, run_sim_opts, SimRun, DRAIN};
 pub use spec::{catalog, Scenario, ScenarioKind, ScenarioPolicy};

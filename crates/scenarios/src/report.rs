@@ -2,7 +2,7 @@
 //! and shed-by-importance rows.
 //!
 //! Every backend — the simulator, the service replay and the gateway
-//! replay — records one [`AdmitDecision`] per trace arrival, and [`build`]
+//! replay of `tests/backends.rs` — records one [`AdmitDecision`] per trace arrival, and [`build`]
 //! turns a trace plus what a backend [`Observed`] into a
 //! [`ScenarioReport`]. Counts come from the decisions themselves, so the
 //! three backends' reports count alike: `rejected` is every `Rejected`

@@ -1,35 +1,30 @@
-//! Drives scenarios through the three admission backends — the
-//! event-driven simulator, the lock-free [`AdmissionService`] on a
-//! manual clock, and the live TCP gateway serving that service over
-//! loopback — and produces a [`ScenarioReport`] for each.
+//! Drives scenarios through two admission backends — the event-driven
+//! simulator and the lock-free [`AdmissionService`] on a manual clock —
+//! and produces a [`ScenarioReport`] for each.
 //!
 //! The simulator is the canonical backend: it executes admitted tasks
 //! and checks their end-to-end deadlines, so its report carries the
-//! `missed == 0` guarantee. The service and gateway backends replay the
-//! same trace through the production admission path; they decide but do
-//! not execute, so their reports cover admission counts only.
+//! `missed == 0` guarantee. The service backend replays the same trace
+//! through the production admission path; it decides but does not
+//! execute, so its report covers admission counts only.
 //!
-//! All three record one [`AdmitDecision`] per arrival — an admitted one
+//! Both record one [`AdmitDecision`] per arrival — an admitted one
 //! carrying the id its controller issued — and hand it to the one
-//! [`report::build`]. The service and gateway replays return their log
-//! beside the report; [`run_sim`] drops the simulator's once the report
-//! is built (a catalog pass keeps 16 bytes an arrival less), and
-//! [`run_sim_opts`] returns it for the differential callers.
+//! [`report::build`]. The service replay returns its log beside the
+//! report; [`run_sim`] drops the simulator's once the report is built (a
+//! catalog pass keeps 16 bytes an arrival less), and [`run_sim_opts`]
+//! returns it for the differential callers.
 
 use crate::report::{self, Observed, ScenarioReport};
 use crate::spec::{Scenario, ScenarioPolicy};
 use frap_core::admission::ExactContributions;
 use frap_core::task::TaskId;
 use frap_core::time::TimeDelta;
-use frap_core::wire::WireTaskSpec;
-use frap_gateway::client::GatewayClient;
-use frap_gateway::proto::Verdict;
-use frap_gateway::server::{GatewayConfig, GatewayServer};
 use frap_service::{AdmissionService, ManualClock, ServiceOutcome};
 use frap_sim::metrics::AdmitDecision;
 use frap_sim::{OverloadPolicy, SimBuilder};
 use frap_workload::replay::ArrivalTrace;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Margin the simulator runs past the arrival horizon so every admitted
 /// task reaches its deadline (scenario deadlines are well under this).
@@ -60,8 +55,8 @@ pub fn run_sim(sc: &Scenario) -> SimRun {
 }
 
 /// [`run_sim`] with control over idle resets, and the decision log: one
-/// decision per offered arrival, in arrival order. The service and
-/// gateway backends have no idle reset (a ticket's units leave at its
+/// decision per offered arrival, in arrival order. The service has no
+/// idle reset (a ticket's units leave at its
 /// release or its deadline), so differential tests replay against a sim
 /// built with `idle_resets = false` — that configuration is pure
 /// charge-at-admit / decrement-at-deadline on both sides.
@@ -127,81 +122,6 @@ pub fn run_service(sc: &Scenario) -> (ScenarioReport, Vec<AdmitDecision>) {
     };
     let report = report::build(sc, "service", &trace, seen, wall);
     (report, decisions)
-}
-
-/// Replays `sc` end-to-end through the live TCP gateway, in lock-step on
-/// the scenario's clock: the gateway's service runs on a [`ManualClock`]
-/// exactly as [`run_service`]'s does, and for each arrival the replay
-/// steps the clock to the arrival instant, sends the task over its one
-/// connection and waits for the verdict before the next arrival. Each
-/// verdict is thus decided at its arrival's own instant, through the
-/// real socket, codec, reactor and batch admission path, so the
-/// decisions are [`run_service`]'s, ticket ids included.
-///
-/// Tickets are held on the connection, never released, so the service's
-/// deadline wheel frees each admitted task's charge at its deadline, as
-/// [`run_service`]'s detached tickets are freed. A verdict reports only
-/// how many victims it shed, not which, so gateway reports carry a shed
-/// total but no per-row shed attribution.
-///
-/// # Errors
-///
-/// Propagates socket failures from the replay connection.
-///
-/// # Panics
-///
-/// Panics if the scenario is not [`Scenario::wire_compatible`], on an
-/// [`Verdict::Expired`] (a request expires at its arrival's deadline,
-/// which the replay's clock never passes before answering it), or if the
-/// gateway counted a protocol error.
-pub fn run_gateway(sc: &Scenario) -> std::io::Result<(ScenarioReport, Vec<AdmitDecision>)> {
-    assert!(
-        sc.wire_compatible(),
-        "{}: trace has non-chain tasks, cannot replay over the wire",
-        sc.name
-    );
-    let trace = sc.generate();
-    let allow_shed = sc.policy == ScenarioPolicy::ShedLessImportant;
-    let service = AdmissionService::builder(sc.region(), ExactContributions)
-        .clock(ManualClock::new())
-        .shards(1)
-        .build();
-    let server = GatewayServer::bind("127.0.0.1:0", service.clone(), GatewayConfig::default())?;
-    let mut client = GatewayClient::connect(server.local_addr())?;
-    let mut decisions = Vec::with_capacity(trace.len());
-    let mut unattributed_shed = 0;
-    let started = Instant::now();
-    for rec in &trace.records {
-        service.clock().set(rec.at);
-        let wire = WireTaskSpec::from_spec(&rec.spec)
-            .expect("wire-compatible scenario produced a non-chain task");
-        client.queue_admit_at(&wire, rec.at.as_micros() + wire.deadline_us, allow_shed);
-        client.flush()?;
-        decisions.push(match client.recv_admit()?.1 {
-            Verdict::Admitted { ticket_id } => admitted(ticket_id),
-            Verdict::AdmittedAfterShedding { ticket_id, shed } => {
-                unattributed_shed += u64::from(shed);
-                admitted(ticket_id)
-            }
-            Verdict::Rejected => AdmitDecision::Rejected,
-            Verdict::Expired => panic!("{}: arrival at {:?} expired", sc.name, rec.at),
-        });
-    }
-    let wall = started.elapsed().as_secs_f64();
-    drop(client);
-    server.drain();
-    server.wait_idle(Duration::from_secs(5));
-    let snapshot = server.shutdown();
-    assert_eq!(snapshot.protocol_errors, 0, "replay hit protocol errors");
-
-    let seen = Observed {
-        decisions: &decisions,
-        unattributed_shed,
-        events_processed: decisions.len() as u64,
-        ..Observed::default()
-    };
-    let report = report::build(sc, "gateway", &trace, seen, wall);
-    Ok((report, decisions))
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 use crate::{diurnal, flash, serverless, tenants};
 use frap_core::region::RegionTest;
 use frap_core::time::Time;
-use frap_experiments::runner::{replication_seed, DEFAULT_BASE_SEED};
 use frap_workload::replay::ArrivalTrace;
+use frap_workload::rng::{replication_seed, DEFAULT_BASE_SEED};
 
 /// Which generator family a scenario instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

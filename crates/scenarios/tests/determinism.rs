@@ -7,7 +7,7 @@
 //!
 //! are **bit-identical** to digests committed here: same seed and
 //! configuration must reproduce the same bytes on disk and the same
-//! admission report, or the committed `results/scenarios/*.csv` silently
+//! admission report, or the committed scenario CSVs under `results/` silently
 //! reshape. The digests are FNV-1a-64 over the trace bytes and over the
 //! fingerprint words.
 //!
@@ -22,7 +22,6 @@
 //! in the commit message.
 
 use frap_core::time::Time;
-use frap_experiments::common::Scale;
 use frap_scenarios::runner::run_sim;
 use frap_scenarios::{catalog, Scenario, ScenarioReport};
 use frap_workload::replay::render_trace;
@@ -45,8 +44,12 @@ fn fingerprint_hash(report: &ScenarioReport) -> u64 {
     fnv1a(&bytes)
 }
 
+/// The horizon of `all --quick`, whose `scenarios` module prints these
+/// reports.
+const QUICK_HORIZON: Time = Time::from_secs(8);
+
 fn quick_scenario(name: &str) -> Scenario {
-    catalog(Time::from_secs(Scale::quick().horizon_secs))
+    catalog(QUICK_HORIZON)
         .into_iter()
         .find(|s| s.name == name)
         .expect("scenario in catalog")

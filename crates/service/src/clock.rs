@@ -101,13 +101,6 @@ impl ManualClock {
         ManualClock::default()
     }
 
-    /// A clock starting at `t`.
-    pub fn starting_at(t: Time) -> ManualClock {
-        ManualClock {
-            micros: AtomicU64::new(t.as_micros()),
-        }
-    }
-
     /// Moves the clock forward by `delta`.
     pub fn advance(&self, delta: TimeDelta) {
         self.micros.fetch_add(delta.as_micros(), Ordering::SeqCst);
@@ -148,7 +141,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "backwards")]
     fn manual_clock_rejects_time_travel() {
-        let c = ManualClock::starting_at(Time::from_micros(10));
+        let c = ManualClock::new();
+        c.set(Time::from_micros(10));
         c.set(Time::from_micros(5));
     }
 
@@ -168,7 +162,8 @@ mod tests {
         let b = c.now();
         assert!(a <= hinted && hinted <= b);
         // Manual clocks ignore the hint entirely.
-        let m = ManualClock::starting_at(Time::from_micros(42));
+        let m = ManualClock::new();
+        m.set(Time::from_micros(42));
         assert_eq!(m.now_with_hint(Instant::now()), Time::from_micros(42));
     }
 }

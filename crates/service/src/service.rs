@@ -948,11 +948,6 @@ where
         self.inner.draining.store(true, Ordering::Release);
     }
 
-    /// Whether [`AdmissionService::drain`] has been called.
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::Acquire)
-    }
-
     /// Releases an admission by ticket id alone — the orphan-release path
     /// for callers that [`detach`](AdmissionTicket::detach)ed a ticket
     /// (keeping only its id) and later learn the task is gone, e.g. a
@@ -1384,9 +1379,7 @@ mod tests {
         let (svc, clock) = manual_service(2, 2);
         let spec = pipeline_task(100, &[30, 30]);
         let ticket = svc.try_admit(&spec).expect("fits before drain");
-        assert!(!svc.is_draining());
         svc.drain();
-        assert!(svc.is_draining());
         // No new admissions by either path, each counted as a rejection.
         assert!(svc.try_admit(&spec).is_none());
         assert!(matches!(

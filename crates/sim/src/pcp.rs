@@ -148,7 +148,7 @@ impl<J: Copy + Ord + Hash + std::fmt::Debug> LockManager<J> {
 
     /// The PCP system ceiling from the perspective of `job`: the highest
     /// ceiling among locks held by *other* jobs.
-    pub fn system_ceiling_excluding(&self, job: &J) -> Option<Priority> {
+    fn system_ceiling_excluding(&self, job: &J) -> Option<Priority> {
         self.held
             .iter()
             .enumerate()

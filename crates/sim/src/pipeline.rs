@@ -1225,7 +1225,7 @@ mod tests {
         let mut sim = SimBuilder::new(4).record_outcomes(true).build();
         let g = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(10)),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), ms(20)),
                 SubtaskSpec::new(StageId::new(2), ms(30)),
             ],
@@ -1448,7 +1448,7 @@ mod tests {
 
         let g = TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms(10)),
-            vec![
+            &[
                 SubtaskSpec::new(StageId::new(1), ms(20)),
                 SubtaskSpec::new(StageId::new(2), ms(30)),
             ],

@@ -140,7 +140,7 @@ fn graph_region_test_allocates_nothing() {
     let ms = TimeDelta::from_millis;
     let sub = |stage: usize| SubtaskSpec::new(StageId::new(stage), ms(1));
     let region = FeasibleRegion::deadline_monotonic(4);
-    let fork_join = TaskGraph::fork_join(sub(0), vec![sub(1), sub(2)], sub(3)).unwrap();
+    let fork_join = TaskGraph::fork_join(sub(0), &[sub(1), sub(2)], sub(3)).unwrap();
     let chain = TaskGraph::chain((0..4).map(sub).collect()).unwrap();
     let utilizations = [0.1, 0.2, 0.15, 0.05];
     let (allocations, value) = allocations_during(|| {

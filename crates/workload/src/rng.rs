@@ -5,6 +5,10 @@
 //! on an external crate whose stream might change between versions.
 //! xoshiro256\*\* passes BigCrush and is more than adequate for workload
 //! generation (it is not cryptographic and is not meant to be).
+//!
+//! Every replication's seed, in the experiments and the scenario catalog,
+//! is [`replication_seed`]: a hash of the base seed, the parameter point
+//! and the replication index.
 
 /// A seeded xoshiro256\*\* generator.
 ///
@@ -92,76 +96,19 @@ impl Rng {
             }
         }
     }
+}
 
-    /// Derives an independent generator (for giving each task stream its
-    /// own stream without coupling draw counts).
-    pub fn split(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
+/// The base seed every replication seed of the experiments and the
+/// scenario catalog derives from.
+pub const DEFAULT_BASE_SEED: u64 = 0x5EED_0000;
 
-    /// Advances the state by 2^128 steps (the xoshiro256\*\* jump
-    /// polynomial), equivalent to 2^128 calls to [`Rng::next_u64`].
-    pub fn jump(&mut self) {
-        self.apply_jump(&[
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ]);
-    }
-
-    /// Advances the state by 2^192 steps (the xoshiro256\*\* long-jump
-    /// polynomial): carves the period into 2^64 non-overlapping streams of
-    /// 2^192 draws each.
-    pub fn long_jump(&mut self) {
-        self.apply_jump(&[
-            0x76E1_5D3E_FEFD_CBBF,
-            0xC500_4E44_1C52_2FB3,
-            0x7771_0069_854E_E241,
-            0x3910_9BB0_2ACB_E635,
-        ]);
-    }
-
-    fn apply_jump(&mut self, polynomial: &[u64; 4]) {
-        let mut acc = [0u64; 4];
-        for &word in polynomial {
-            for bit in 0..64 {
-                if (word >> bit) & 1 != 0 {
-                    for (a, s) in acc.iter_mut().zip(&self.s) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
-
-    /// Stream `index` of the generator family rooted at `base_seed`:
-    /// `Rng::new(base_seed)` advanced by `index` long jumps. Streams are
-    /// guaranteed non-overlapping for at least 2^192 draws each, which is
-    /// what gives parallel replications provably independent randomness
-    /// from one recorded base seed.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use frap_workload::rng::Rng;
-    /// let mut s0 = Rng::stream(7, 0);
-    /// let mut s1 = Rng::stream(7, 1);
-    /// assert_ne!(s0.next_u64(), s1.next_u64());
-    /// assert_eq!(Rng::stream(7, 0).next_u64(), {
-    ///     let mut again = Rng::new(7);
-    ///     again.next_u64()
-    /// });
-    /// ```
-    pub fn stream(base_seed: u64, index: u64) -> Rng {
-        let mut rng = Rng::new(base_seed);
-        for _ in 0..index {
-            rng.long_jump();
-        }
-        rng
-    }
+/// The workload seed for replication `rep` of parameter point `point`
+/// under `base_seed`: `mix(mix(mix(base_seed) ^ point) ^ rep)`, with `mix`
+/// one SplitMix64 step. It depends on those three coordinates alone, so a
+/// replication sees the same arrival stream whichever worker runs it.
+pub fn replication_seed(base_seed: u64, point: u64, rep: u64) -> u64 {
+    let mix = |mut x: u64| splitmix64(&mut x);
+    mix(mix(mix(base_seed) ^ point) ^ rep)
 }
 
 #[cfg(test)]
@@ -237,42 +184,5 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn range_u64_zero_panics() {
         Rng::new(1).range_u64(0);
-    }
-
-    #[test]
-    fn split_streams_are_independent() {
-        let mut parent = Rng::new(5);
-        let mut c1 = parent.split();
-        let mut c2 = parent.split();
-        assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn jump_changes_state_deterministically() {
-        let mut a = Rng::new(11);
-        let mut b = Rng::new(11);
-        a.jump();
-        b.jump();
-        assert_eq!(a.next_u64(), b.next_u64());
-        let mut c = Rng::new(11);
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn streams_are_reproducible_and_distinct() {
-        let draws = |mut r: Rng| -> Vec<u64> { (0..64).map(|_| r.next_u64()).collect() };
-        assert_eq!(draws(Rng::stream(9, 3)), draws(Rng::stream(9, 3)));
-        assert_ne!(draws(Rng::stream(9, 3)), draws(Rng::stream(9, 4)));
-        // Stream 0 is the base generator itself.
-        assert_eq!(draws(Rng::stream(9, 0)), draws(Rng::new(9)));
-    }
-
-    #[test]
-    fn long_jump_commutes_with_itself() {
-        // stream(s, 2) == stream(s, 1) advanced one more long jump.
-        let mut via_one = Rng::stream(21, 1);
-        via_one.long_jump();
-        let direct = Rng::stream(21, 2);
-        assert_eq!(via_one, direct);
     }
 }

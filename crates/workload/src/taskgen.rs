@@ -129,18 +129,13 @@ impl PipelineWorkloadBuilder {
     }
 
     /// The arrival rate (tasks/second) this configuration produces.
-    pub fn arrival_rate(&self) -> f64 {
+    fn arrival_rate(&self) -> f64 {
         let bottleneck = self
             .stage_means
             .iter()
             .cloned()
             .fold(f64::MIN_POSITIVE, f64::max);
         self.load / bottleneck
-    }
-
-    /// The mean per-stage computation times, in seconds.
-    pub fn stage_means(&self) -> &[f64] {
-        &self.stage_means
     }
 
     /// The mean end-to-end deadline, in seconds.
@@ -320,7 +315,7 @@ impl Iterator for DagWorkload {
             StageId::new(self.stages - 1),
             self.mean_comp.sample_delta(&mut self.rng),
         );
-        let graph = TaskGraph::fork_join(head, branches, tail).expect("valid fork-join");
+        let graph = TaskGraph::fork_join(head, &branches, tail).expect("valid fork-join");
         Some((self.clock, TaskSpec::new(deadline, graph)))
     }
 }
@@ -432,7 +427,7 @@ impl PeriodicSet {
             .streams
             .iter()
             .map(|s| {
-                let mut rng = master.split();
+                let mut rng = Rng::new(master.next_u64());
                 let mut out = Vec::new();
                 if s.jitter == 0.0 {
                     let mut t = Time::ZERO + s.phase;

@@ -66,7 +66,7 @@ pub fn weapon_detection_spec() -> TaskSpec {
 
 /// Weapon Targeting: hard periodic engagement control, P = D = 50 ms,
 /// C = (5, 5, —) ms.
-pub fn weapon_targeting_spec() -> TaskSpec {
+fn weapon_targeting_spec() -> TaskSpec {
     let graph = TaskGraph::chain(vec![
         SubtaskSpec::new(StageId::new(0), MS(5)),
         SubtaskSpec::new(StageId::new(1), MS(5)),
@@ -77,7 +77,7 @@ pub fn weapon_targeting_spec() -> TaskSpec {
 
 /// UAV reconnaissance video: soft periodic stream, P = D = 500 ms,
 /// C = (50, 10, 50) ms.
-pub fn uav_video_spec() -> TaskSpec {
+fn uav_video_spec() -> TaskSpec {
     let graph = TaskGraph::chain(vec![
         SubtaskSpec::new(StageId::new(0), MS(50)),
         SubtaskSpec::new(StageId::new(1), MS(10)),
@@ -89,14 +89,14 @@ pub fn uav_video_spec() -> TaskSpec {
 
 /// One track update: 1 ms of stage-0 tracking per track per second,
 /// D = 1 s, admitted online.
-pub fn track_update_spec() -> TaskSpec {
+fn track_update_spec() -> TaskSpec {
     let graph = TaskGraph::chain(vec![SubtaskSpec::new(StageId::new(0), MS(1))]).expect("valid");
     TaskSpec::new(TimeDelta::from_secs(1), graph).with_importance(TRACKING)
 }
 
 /// The 1 Hz display refresh presenting all tracks: 2 ms/console
 /// distribution (10 consoles) + 20 ms display, D = 1 s, admitted online.
-pub fn display_refresh_spec() -> TaskSpec {
+fn display_refresh_spec() -> TaskSpec {
     let graph = TaskGraph::chain(vec![
         SubtaskSpec::new(StageId::new(1), MS(20)),
         SubtaskSpec::new(StageId::new(2), MS(20)),

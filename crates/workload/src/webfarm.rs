@@ -81,7 +81,7 @@ impl Default for WebFarmConfig {
 impl WebFarmConfig {
     /// Representative specs of the three request shapes (unit-time
     /// placeholders — shapes only), for building a [`ShapeRegion`].
-    pub fn representative_shapes(&self) -> Vec<TaskGraph> {
+    fn representative_shapes(&self) -> Vec<TaskGraph> {
         let ms1 = TimeDelta::from_millis(1);
         vec![
             TaskGraph::chain(vec![SubtaskSpec::new(FRONT_END, ms1)]).expect("valid"),
@@ -99,7 +99,7 @@ impl WebFarmConfig {
             .expect("valid"),
             TaskGraph::fork_join(
                 SubtaskSpec::new(FRONT_END, ms1),
-                vec![SubtaskSpec::new(APP_A, ms1), SubtaskSpec::new(APP_B, ms1)],
+                &[SubtaskSpec::new(APP_A, ms1), SubtaskSpec::new(APP_B, ms1)],
                 SubtaskSpec::new(DATABASE, ms1),
             )
             .expect("valid"),
@@ -131,7 +131,7 @@ impl WebFarmConfig {
         } else if class < self.static_fraction + self.report_fraction {
             TaskGraph::fork_join(
                 SubtaskSpec::new(FRONT_END, fe.sample_delta(rng)),
-                vec![
+                &[
                     SubtaskSpec::new(APP_A, app.sample_delta(rng)),
                     SubtaskSpec::new(APP_B, app.sample_delta(rng)),
                 ],

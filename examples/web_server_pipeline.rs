@@ -29,7 +29,7 @@ fn serve(with_admission_control: bool) -> SimMetrics {
         .until(horizon);
 
     let mut sim = if with_admission_control {
-        SimBuilder::new(STAGES).record_outcomes(false).build()
+        SimBuilder::new(STAGES).build()
     } else {
         SimBuilder::new(STAGES)
             .region(AlwaysAdmit::new(STAGES))

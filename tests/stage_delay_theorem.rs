@@ -133,7 +133,7 @@ fn stage_delays_respect_theorem_bound_wide_fork_dag() {
             }
             let g = TaskGraph::fork_join(
                 SubtaskSpec::new(StageId::new(0), ms1),
-                vec![
+                &[
                     SubtaskSpec::new(StageId::new(1), branch.sample_delta(&mut rng)),
                     SubtaskSpec::new(StageId::new(2), branch.sample_delta(&mut rng)),
                     SubtaskSpec::new(StageId::new(3), branch.sample_delta(&mut rng)),

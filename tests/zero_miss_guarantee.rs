@@ -125,9 +125,9 @@ fn dag_workloads_are_safe_under_both_region_forms() {
         let ms1 = TimeDelta::from_millis(1);
         let canonical = frap::core::graph::TaskGraph::fork_join(
             SubtaskSpec::new(StageId::new(0), ms1),
-            (1..=3)
+            &(1..=3)
                 .map(|i| SubtaskSpec::new(StageId::new(i), ms1))
-                .collect(),
+                .collect::<Vec<_>>(),
             SubtaskSpec::new(StageId::new(4), ms1),
         )
         .expect("valid");
